@@ -25,14 +25,18 @@ from .classical import (
     vlasov_advance,
 )
 from .potentials import Potential, make_cosine_potential, make_gaussian_potential
+# check_guard_band and coupled_quantum_advance are not called here, but
+# perfbench/tracing.py wraps them by name on this module
 from .quantum import (
     GridSpec,
     GuardBandError,
     check_guard_band,
     coherent_state,
     coupled_quantum_advance,
+    coupling_to_factored_mixture,
     coupling_to_state_mixture,
     doubled_grid,
+    factored_coupled_advance,
     husimi_transform,
     mk_eps_lower,
     qp_cost_trace,
@@ -128,6 +132,8 @@ def validate_config(raw: dict) -> list:
                 f"{state_bytes} bytes, over the memory cap {memory_cap_bytes()}"
             )
         box = float(raw.get("box", 8.0))
+        dt = raw.get("dt", 0.02)
+        dt_ok = isinstance(dt, (int, float)) and dt > 0
         for eps in _as_list(raw.get("epsilon", [0.25])):
             scale = float(raw.get("center_scale", 0.35))
             k_max = math.pi * n_pts / (2 * box)
@@ -136,6 +142,24 @@ def validate_config(raw: dict) -> list:
                     f"epsilon={eps}: coherent centers up to |p|={scale} sit too "
                     f"close to the resolvable momentum edge for box={box}, "
                     f"grid_points={n_pts}"
+                )
+            if dt_ok and dt * eps * k_max**2 / 2.0 >= math.pi:
+                diags.append(
+                    f"dt={dt}: kinetic phase at the Nyquist mode exceeds pi for "
+                    f"epsilon={eps}, box={box}, grid_points={n_pts}"
+                )
+        n_times = raw.get("n_times", 6)
+        t_final = raw.get("t_final", 0.5)
+        if not isinstance(n_times, int) or n_times < 2:
+            diags.append("n_times: must be an integer >= 2")
+        elif dt_ok and isinstance(t_final, (int, float)) and t_final > 0:
+            # every sample interval must be a whole number of steps, so each
+            # row is evaluated at the time the state was integrated to
+            steps = t_final / (n_times - 1) / dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+                diags.append(
+                    f"t_final/(n_times-1) = {t_final / (n_times - 1)}: sample "
+                    f"interval is not an integer multiple of dt={dt}"
                 )
     if exp == "mk-bracket":
         for eps in _as_list(raw.get("epsilon", [0.5, 0.25, 0.1])):
@@ -664,17 +688,17 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         def task():
             eps = eps_list[idx]
             base = GridSpec(1, 1, n_pts, box, eps)
-            dgrid = doubled_grid(base, N)
             # product symbol with every particle at z0; its diagonal coupling
             # is symmetric, so the symmetrized Toeplitz lift is a single pure
-            # coherent product on the doubled grid
+            # coherent product, which the coupled flow keeps a product: it is
+            # evolved and measured as its factors, never as the doubled grid
             atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
             symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
             _, plan = wasserstein_exact(symbol, symbol, p=2.0)
             coupling = symmetrize_initial_coupling(plan, symbol, symbol, N)
             components = [
-                (w, psi, coherent_state(base, q0, p0))
-                for w, psi in coupling_to_state_mixture(dgrid, coupling)
+                (w, state, coherent_state(base, q0, p0))
+                for w, state in coupling_to_factored_mixture(base, N, coupling)
             ]
             rows = []
             drift_max = 0.0
@@ -682,10 +706,10 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             for t in sample_times:
                 n_steps = int(round((t - t_prev) / dt))
                 advanced = []
-                for w, psi, ref in components:
+                for w, state, ref in components:
                     for _ in range(n_steps):
-                        psi, ref = coupled_quantum_advance(psi, ref, V, dt)
-                    advanced.append((w, psi, ref))
+                        state, ref = factored_coupled_advance(state, ref, V, dt)
+                    advanced.append((w, state, ref))
                 components = advanced
                 t_prev = t
                 consts = _potential_constants(
@@ -698,9 +722,9 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     grid_points=n_pts,
                 )
                 try:
-                    for w, psi, _ in components:
-                        check_guard_band(psi)
-                        drift_max = max(drift_max, abs(psi.norm() - 1.0))
+                    for w, state, _ in components:
+                        state.check_guard_band()
+                        drift_max = max(drift_max, abs(state.norm() - 1.0))
                 except GuardBandError as err:
                     # abort policy: a bound evaluated on a leaking state is
                     # meaningless, so mark the row failed and stop the sweep
@@ -716,7 +740,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     )
                     print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
                     break
-                mixture = [(w, psi) for w, psi, _ in components]
+                mixture = [(w, state) for w, state, _ in components]
                 D = qp_cost_trace(mixture, eps) / N
                 rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
                 rows.append(
@@ -752,7 +776,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 )
             )
             if checkpoint:
-                save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1])
+                save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1].doubled())
             return rows
 
         return task

@@ -9,9 +9,12 @@ layout (x_1..x_N, y_1..y_N); the trace cost pairs slot j with slot N+j:
 
 with both expectations read off joint densities (position density directly,
 momentum density through the FFT), so no operator matrices are ever formed.
+For a FactoredCoupling the pair densities are products, so each expectation
+is m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -19,7 +22,7 @@ from scipy import fft as sfft
 
 from ..transport import SUPPORT_CAP, DiscreteMeasure, TransportPlan, wasserstein_exact
 from .dynamics import partial_trace, permute_particles
-from .grids import DensityMatrix, GridSpec, ResourceCapError, WaveFunction
+from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
 from .phase_space import SymbolMeasure, coherent_product_state, husimi_values
 
 
@@ -53,6 +56,31 @@ def _pure_cost(psi: WaveFunction) -> float:
     return total
 
 
+def _axis_moments(prob: np.ndarray, coords: np.ndarray) -> list:
+    """(E[u], E[u^2]) of every axis's marginal of the (unnormalized) density."""
+    total = prob.sum()
+    moments = []
+    for ax in range(prob.ndim):
+        marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != ax))
+        moments.append((coords @ marg / total, coords**2 @ marg / total))
+    return moments
+
+
+def _factored_cost(state: FactoredCoupling) -> float:
+    grid = state.y.grid
+    total = 0.0
+    for coords, density in (
+        (grid.axis_points(), lambda f: np.abs(f.values) ** 2),
+        (grid.epsilon * grid.wavenumbers(), lambda f: np.abs(sfft.fftn(f.values)) ** 2),
+    ):
+        # X factor j's axis c pairs with y's axis j*d + c, as on the doubled grid
+        x_moments = [m for f in state.xs for m in _axis_moments(density(f), coords)]
+        y_moments = _axis_moments(density(state.y), coords)
+        for (m1x, m2x), (m1y, m2y) in zip(x_moments, y_moments):
+            total += float(m2x - 2.0 * m1x * m1y + m2y)
+    return total
+
+
 def _matrix_cost(rho: DensityMatrix) -> float:
     grid = rho.grid
     pairs = _slot_pairs(grid)
@@ -75,10 +103,11 @@ def _matrix_cost(rho: DensityMatrix) -> float:
 def qp_cost_trace(R, eps: float | None = None) -> float:
     """trace((Q*Q + P*P) R) for a coupling state on the doubled grid.
 
-    `R` may be a WaveFunction (pure coupling), a DensityMatrix, or a list of
-    (weight, WaveFunction) pairs for finite convex combinations.
+    `R` may be a pure coupling (a doubled-grid WaveFunction or a
+    FactoredCoupling), a DensityMatrix, or a list of (weight, pure coupling)
+    pairs for finite convex combinations.
     """
-    if isinstance(R, WaveFunction):
+    if isinstance(R, (WaveFunction, FactoredCoupling)):
         components = [(1.0, R)]
     elif isinstance(R, DensityMatrix):
         if eps is not None and abs(eps - R.grid.epsilon) > 1e-12:
@@ -88,19 +117,21 @@ def qp_cost_trace(R, eps: float | None = None) -> float:
         components = list(R)
     total = 0.0
     for w, psi in components:
-        if eps is not None and abs(eps - psi.grid.epsilon) > 1e-12:
+        factored = isinstance(psi, FactoredCoupling)
+        grid = psi.y.grid if factored else psi.grid
+        if eps is not None and abs(eps - grid.epsilon) > 1e-12:
             raise ValueError("eps disagrees with the state's grid")
-        total += w * _pure_cost(psi)
+        total += w * (_factored_cost(psi) if factored else _pure_cost(psi))
     return total
 
 
 def dobrushin_quantum_functional(R_state, eps: float | None = None, n_particles: int | None = None) -> float:
     """(1/N) sum_j trace((Q*_j Q_j + P*_j P_j) R): the per-particle coupling cost."""
-    if isinstance(R_state, (WaveFunction, DensityMatrix)):
-        grid = R_state.grid
+    if isinstance(R_state, (WaveFunction, DensityMatrix, FactoredCoupling)):
+        first = R_state
     else:
-        grid = R_state[0][1].grid
-    N = grid.n_particles
+        first = R_state[0][1]
+    N = (first.y.grid if isinstance(first, FactoredCoupling) else first.grid).n_particles
     if n_particles is not None and n_particles != N:
         raise ValueError(f"state couples {N} particles per side, not {n_particles}")
     return qp_cost_trace(R_state, eps) / N
@@ -271,10 +302,11 @@ def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
 
 
 def coupling_to_state_mixture(grid: GridSpec, coupling: SymbolMeasure) -> list:
-    """Toeplitz lift of a coupling symbol as [(weight, pure product state), ...].
+    """Toeplitz lift of a coupling symbol as [(weight, pure product state), ...]
+    with each component one doubled-grid array of 16 n^(2dN) bytes.
 
-    Pure components keep the doubled-grid footprint at one state array each,
-    so N = 2 at 64 points/axis stays a quarter-GiB per component."""
+    The oracle twin of coupling_to_factored_mixture, which holds the same
+    components as their factors."""
     if not grid.doubled:
         raise ValueError("coupling lifts live on doubled grids")
     return [
@@ -283,22 +315,68 @@ def coupling_to_state_mixture(grid: GridSpec, coupling: SymbolMeasure) -> list:
     ]
 
 
+def coupling_to_factored_mixture(
+    base: GridSpec, n_particles: int, coupling: SymbolMeasure
+) -> list:
+    """Toeplitz lift of a coupling symbol as [(weight, FactoredCoupling), ...]:
+    per atom, one coherent state on `base` for each X particle and one
+    N-particle coherent product for the Y block."""
+    ygrid = replace(base, n_particles=n_particles)
+    dN = base.d * n_particles
+    if coupling.k != 4 * dN:
+        raise ValueError(f"coupling lives on R^{coupling.k}, expected R^{4 * dN}")
+    mixture = []
+    for w, atom in zip(coupling.weights, coupling.points):
+        q, p = atom[: 2 * dN], atom[2 * dN :]
+        xs = tuple(
+            coherent_product_state(base, np.concatenate([q[j : j + base.d], p[j : j + base.d]]))
+            for j in range(0, dN, base.d)
+        )
+        y = coherent_product_state(ygrid, np.concatenate([q[dN:], p[dN:]]))
+        mixture.append((float(w), FactoredCoupling(xs, y)))
+    return mixture
+
+
+def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
+    """(kernel, grid) of one slot of a product coupling: the slot's own factor
+    reduced to that slot, times the other factors' squared norms."""
+    N = len(state.xs)
+    if not 0 <= slot < 2 * N:
+        raise ValueError(f"slot {slot} out of range 0..{2 * N - 1}")
+    own = state.xs[slot] if slot < N else state.y
+    if own.grid.n_particles == 1:
+        reduced = state_density_matrix(own)
+    else:
+        k = slot - N
+        rest = [s for s in range(N) if s != k]
+        reduced = partial_trace(permute_particles(own, [k] + rest), 1)
+    block = reduced.matrix
+    for f in state.factors:
+        if f is not own:
+            block = block * f.norm() ** 2
+    return block, reduced.grid
+
+
 def reduced_density(components, keep_slots) -> DensityMatrix:
     """Reduced density matrix of the named particle slots of a pure-state
-    mixture; slots count across both blocks of a doubled grid (X block first)."""
-    if isinstance(components, WaveFunction):
+    mixture; slots count across both blocks of a doubled grid (X block first).
+    FactoredCoupling components are reduced factor by factor and take a
+    single slot."""
+    if isinstance(components, (WaveFunction, FactoredCoupling)):
         components = [(1.0, components)]
     keep = list(keep_slots)
     acc = None
     grid = None
     for w, psi in components:
-        d = psi.grid.d
-        total = psi.grid.n_axes // d
-        rest = [s for s in range(total) if s not in keep]
-        block = partial_trace(permute_particles(psi, keep + rest), len(keep))
-        if acc is None:
-            acc = w * block.matrix
-            grid = block.grid
+        if isinstance(psi, FactoredCoupling):
+            if len(keep) != 1:
+                raise NotImplementedError("factored couplings reduce to one slot")
+            matrix, grid = _factored_block(psi, keep[0])
         else:
-            acc = acc + w * block.matrix
+            d = psi.grid.d
+            total = psi.grid.n_axes // d
+            rest = [s for s in range(total) if s not in keep]
+            block = partial_trace(permute_particles(psi, keep + rest), len(keep))
+            matrix, grid = block.matrix, block.grid
+        acc = w * matrix if acc is None else acc + w * matrix
     return DensityMatrix(grid, acc)

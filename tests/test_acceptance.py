@@ -152,18 +152,18 @@ def test_criterion_07_quantum_mean_field_bound():
         for r in growth
         if r.constants.get("eps") == 0.25
     ]
+    # the frozen series is part of the contract: a missing fixture fails
+    # instead of re-freezing whatever this run produced
     fixture = FIXTURE_DIR / "quantum_dobrushin_eps025.json"
-    if fixture.exists():
-        frozen = json.loads(fixture.read_text())
-        regression_ok = len(frozen) == len(series) and all(
+    frozen = json.loads(fixture.read_text()) if fixture.exists() else None
+    regression_ok = (
+        frozen is not None
+        and len(frozen) == len(series)
+        and all(
             f[0] == s[0] and s[1] == pytest.approx(f[1], rel=1e-9)
             for f, s in zip(frozen, series)
         )
-    else:
-        # first verified run freezes the time series as a regression fixture
-        FIXTURE_DIR.mkdir(exist_ok=True)
-        fixture.write_text(json.dumps(series, indent=1))
-        regression_ok = True
+    )
     ok = (
         all(r.passed for r in rows)
         and len(growth) == 12  # 6 sample times x 2 epsilon values
@@ -172,7 +172,7 @@ def test_criterion_07_quantum_mean_field_bound():
         and regression_ok
         and elapsed < 600.0
     )
-    _verdict(7, "factorized quantum bound over the coupled doubled flow", ok)
+    _verdict(7, "factorized quantum bound over the coupled flow", ok)
 
 
 def test_criterion_08_solver_self_checks():

@@ -106,6 +106,26 @@ def test_validate_quantum_momentum_edge():
     assert any("momentum edge" in d for d in diags)
 
 
+def test_validate_quantum_kinetic_cfl(tmp_path, capsys):
+    raw = {"experiment": "quantum-dobrushin", "n_particles": 1, "epsilon": [0.25], "dt": 0.2}
+    assert any("Nyquist" in d and "epsilon=0.25" in d for d in validate_config(raw))
+    assert main(["run", _write_cfg(tmp_path, raw)]) == 64
+    assert "Nyquist" in capsys.readouterr().err
+    # the limit is checked for every epsilon in the sweep
+    raw = {"experiment": "quantum-dobrushin", "epsilon": [0.25, 1.0], "dt": 0.1}
+    diags = [d for d in validate_config(raw) if "Nyquist" in d]
+    assert len(diags) == 1 and "epsilon=1.0" in diags[0]
+
+
+def test_validate_quantum_sample_times_multiple_of_dt():
+    base = {"experiment": "quantum-dobrushin", "dt": 0.02}
+    diags = validate_config(dict(base, t_final=0.1, n_times=4))
+    assert any("integer multiple of dt" in d for d in diags)
+    assert validate_config(dict(base, t_final=0.1, n_times=6)) == []
+    assert validate_config(dict(base, t_final=0.5, n_times=6)) == []
+    assert any(d.startswith("n_times:") for d in validate_config(dict(base, n_times=1)))
+
+
 def test_validate_bad_potential_family_and_width():
     diags = validate_config({"experiment": "ot-selftest", "potential": {"family": "morse"}})
     assert any("unknown family" in d for d in diags)

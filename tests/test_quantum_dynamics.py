@@ -3,24 +3,37 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mflab.experiments import build_config, run_experiment
 from mflab.potentials import make_gaussian_potential
 from mflab.quantum import (
+    FactoredCoupling,
     GridSpec,
+    GuardBandError,
     WaveFunction,
+    check_guard_band,
     coherent_product_state,
     coherent_state,
     coupled_quantum_advance,
+    coupling_to_factored_mixture,
+    coupling_to_state_mixture,
+    dobrushin_quantum_functional,
     doubled_grid,
+    factored_coupled_advance,
+    guard_band_mass,
     hartree_energy,
     hartree_potential,
     hartree_step,
+    load_state,
     partial_trace,
     permute_particles,
+    qp_cost_trace,
+    reduced_density,
     split_step_linear,
     split_step_nbody,
     state_density_matrix,
 )
 from mflab.quantum.grids import ResourceCapError
+from mflab.transport import DiscreteMeasure
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)
 FLAT = make_gaussian_potential(0.0, 1.0, 1)
@@ -258,3 +271,90 @@ def test_doubled_grid_shape_and_cap():
     assert dg.doubled and dg.n_particles == 2 and dg.n_axes == 4
     with pytest.raises(ResourceCapError):
         doubled_grid(GridSpec(1, 1, 512, 5.0, 0.5), 2)  # 16*512^4 over cap
+
+
+def test_factored_coupling_matches_doubled_oracle():
+    # two coherent atoms (layout q_x, q_y, p_x, p_y) whose X centres differ
+    # from the reference state's, so the mean-field phases are not symmetric
+    base = GridSpec(1, 1, 32, 5.0, 0.5)
+    N = 2
+    atoms = np.array(
+        [
+            [0.4, -0.3, 0.1, 0.2, -0.2, 0.3, 0.05, -0.1],
+            [-0.5, 0.2, 0.0, -0.3, 0.1, -0.2, 0.2, 0.15],
+        ]
+    )
+    coupling = DiscreteMeasure(atoms, np.array([0.3, 0.7]))
+    factored = coupling_to_factored_mixture(base, N, coupling)
+    oracle = coupling_to_state_mixture(doubled_grid(base, N), coupling)
+    ref0 = coherent_state(base, 0.0, 0.1)
+    for i, ((w, state), (_, psi)) in enumerate(zip(factored, oracle)):
+        ref_f = ref_d = ref0
+        for _ in range(25):
+            state, ref_f = factored_coupled_advance(state, ref_f, GAUSS, 0.02)
+            psi, ref_d = coupled_quantum_advance(psi, ref_d, GAUSS, 0.02)
+        factored[i], oracle[i] = (w, state), (w, psi)
+        np.testing.assert_array_equal(ref_f.values, ref_d.values)
+        product = state.doubled()
+        assert product.grid == psi.grid and product.time == pytest.approx(psi.time)
+        assert np.max(np.abs(product.values - psi.values)) <= 1e-12
+        assert state.guard_band_mass() == pytest.approx(guard_band_mass(psi), abs=1e-12)
+        assert state.norm() == pytest.approx(psi.norm(), abs=1e-12)
+        # this coarse box leaks past its guard band, and both routes say so
+        with pytest.raises(GuardBandError):
+            state.check_guard_band()
+        with pytest.raises(GuardBandError):
+            check_guard_band(psi)
+
+    eps = base.epsilon
+    assert qp_cost_trace(factored, eps) == pytest.approx(qp_cost_trace(oracle, eps), abs=1e-12)
+    assert dobrushin_quantum_functional(factored, eps) == pytest.approx(
+        dobrushin_quantum_functional(oracle, eps), abs=1e-12
+    )
+    for slot in (0, N):
+        got = reduced_density(factored, [slot]).matrix
+        want = reduced_density(oracle, [slot]).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    # factor norms off 1 (inside the density-matrix trace check) must weigh
+    # each reduced kernel by the other factors' squared norms
+    (x0, x1), y = state.xs, state.y
+    grow = 1.0 + 2e-9
+    tilted = FactoredCoupling(
+        (x0, WaveFunction(x1.grid, x1.values * grow)), WaveFunction(y.grid, y.values * grow)
+    )
+    for slot in (0, N):
+        got = reduced_density(tilted, [slot]).matrix
+        want = reduced_density(tilted.doubled(), [slot]).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_factored_runner_checkpoint_is_the_doubled_state(tmp_path):
+    ckpt = tmp_path / "qd"
+    q0, p0, dt = 0.3, -0.2, 0.02
+    cfg = build_config(
+        {
+            "experiment": "quantum-dobrushin",
+            "potential": {"family": "gaussian", "amplitude": 1.0, "width": 1.0},
+            "epsilon": [0.5],
+            "n_particles": 1,
+            "grid_points": 64,
+            "box": 8.0,
+            "dt": dt,
+            "t_final": 0.06,
+            "n_times": 2,
+            "center": [q0, p0],
+            "checkpoint": str(ckpt),
+        }
+    )
+    assert all(r.passed for r in run_experiment(cfg))
+    loaded = load_state(f"{ckpt}.eps0.5.mflabst")
+
+    base = GridSpec(1, 1, 64, 8.0, 0.5)
+    psi = coherent_product_state(doubled_grid(base, 1), np.array([q0, q0, p0, p0]))
+    ref = coherent_state(base, q0, p0)
+    for _ in range(3):
+        psi, ref = coupled_quantum_advance(psi, ref, GAUSS, dt)
+    assert loaded.grid == psi.grid
+    assert loaded.time == pytest.approx(psi.time)
+    assert np.max(np.abs(loaded.values - psi.values)) <= 1e-12
