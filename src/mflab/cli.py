@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .bounds import write_reports_jsonl
-from .experiments import build_config, run_experiment, validate_config
-from .quantum import ResourceCapError
+from .errors import ResourceCapError
+from .experiments import GUARD_BAND_ROW, build_config, run_experiment, validate_config
 
 EXIT_OK = 0
 EXIT_REPORT_FAILURE = 2
@@ -106,6 +106,8 @@ def main(argv=None) -> int:
         f"{cfg.experiment}: {len(reports)} checks, {n_failed} failed; "
         f"wrote {jsonl_path} and {csv_path}"
     )
+    if any(r.inequality_id == GUARD_BAND_ROW for r in reports):
+        return EXIT_RESOURCE
     return EXIT_OK if n_failed == 0 else EXIT_REPORT_FAILURE
 
 

@@ -49,7 +49,13 @@ from .quantum import (
     trace_product,
     wigner_transform,
 )
-from .transport import DiscreteMeasure, dual_potentials, kantorovich_gap, wasserstein_exact
+from .transport import (
+    SUPPORT_CAP,
+    DiscreteMeasure,
+    dual_potentials,
+    kantorovich_gap,
+    wasserstein_exact,
+)
 
 KNOWN_EXPERIMENTS = (
     "classical-dobrushin",
@@ -60,6 +66,17 @@ KNOWN_EXPERIMENTS = (
     "ot-selftest",
     "vlasov-moments",
 )
+
+#: Default (dt, sample times) of the classical runners; validate_config checks
+#: the schedule the runner will integrate.
+CLASSICAL_SCHEDULES = {
+    "classical-dobrushin": (0.025, [0.25, 0.5, 1.0]),
+    "vlasov-moments": (0.05, [0.25, 0.5, 0.75, 1.0]),
+}
+
+#: Row a quantum run emits when its guard band trips; the CLI maps it to the
+#: resource exit code.
+GUARD_BAND_ROW = "guard-band-interior-mass"
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,37 @@ def make_potential(spec: dict) -> Potential:
     raise ValueError(f"unknown potential family {family!r}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    return _is_number(x) and x > 0
+
+
+def _whole_steps(span: float, dt: float) -> bool:
+    """Whether `span` is a whole number (>= 1) of `dt` steps, to 1e-9 relative."""
+    steps = span / dt
+    return round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps
+
+
+def _schedule_diagnostics(raw: dict, dt_default: float, times_default: list) -> list:
+    """Sample times must increase strictly from 0 in whole dt steps, so each
+    row is labelled with the time its state was integrated to."""
+    dt = raw.get("dt", dt_default)
+    times = _as_list(raw.get("times", times_default))
+    if not all(_is_number(t) for t in times):
+        return ["times: entries must be numbers"]
+    diags = []
+    if any(b <= a for a, b in zip([0.0] + times, times)):
+        diags.append(f"times: {times} must be positive and strictly increasing")
+    if _positive(dt):
+        off = [t for t in times if t > 0 and not _whole_steps(t, dt)]
+        if off:
+            diags.append(f"times: {off} are not integer multiples of dt={dt}")
+    return diags
+
+
 def validate_config(raw: dict) -> list:
     """Schema and cross-field checks; returns human-readable diagnostics."""
     diags = []
@@ -118,6 +166,17 @@ def validate_config(raw: dict) -> list:
     for key in ("N", "epsilon", "times"):
         if key in raw and isinstance(raw[key], list) and len(raw[key]) == 0:
             diags.append(f"{key}: list must be nonempty")
+    for n in _as_list(raw.get("N", [])):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            diags.append(f"N: entry {n!r} must be a positive integer")
+        elif exp == "classical-dobrushin" and n > SUPPORT_CAP:
+            diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
+    if exp in CLASSICAL_SCHEDULES:
+        diags += _schedule_diagnostics(raw, *CLASSICAL_SCHEDULES[exp])
+    if exp in ("quantum-dobrushin", "mk-bracket"):
+        for eps in _as_list(raw.get("epsilon", [])):
+            if not _positive(eps):
+                diags.append(f"epsilon: entry {eps!r} must be a positive number")
     if exp == "quantum-dobrushin":
         n_pts = int(raw.get("grid_points", 64))
         n_part = int(raw.get("n_particles", 2))
@@ -133,8 +192,8 @@ def validate_config(raw: dict) -> list:
             )
         box = float(raw.get("box", 8.0))
         dt = raw.get("dt", 0.02)
-        dt_ok = isinstance(dt, (int, float)) and dt > 0
-        for eps in _as_list(raw.get("epsilon", [0.25])):
+        dt_ok = _positive(dt)
+        for eps in filter(_positive, _as_list(raw.get("epsilon", [0.5, 0.25]))):
             scale = float(raw.get("center_scale", 0.35))
             k_max = math.pi * n_pts / (2 * box)
             if (k_max - scale / eps) * math.sqrt(eps) < 5.2:
@@ -152,19 +211,14 @@ def validate_config(raw: dict) -> list:
         t_final = raw.get("t_final", 0.5)
         if not isinstance(n_times, int) or n_times < 2:
             diags.append("n_times: must be an integer >= 2")
-        elif dt_ok and isinstance(t_final, (int, float)) and t_final > 0:
+        elif dt_ok and _positive(t_final):
             # every sample interval must be a whole number of steps, so each
             # row is evaluated at the time the state was integrated to
-            steps = t_final / (n_times - 1) / dt
-            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            if not _whole_steps(t_final / (n_times - 1), dt):
                 diags.append(
                     f"t_final/(n_times-1) = {t_final / (n_times - 1)}: sample "
                     f"interval is not an integer multiple of dt={dt}"
                 )
-    if exp == "mk-bracket":
-        for eps in _as_list(raw.get("epsilon", [0.5, 0.25, 0.1])):
-            if eps <= 0:
-                diags.append("epsilon: entries must be positive")
     return diags
 
 
@@ -374,8 +428,9 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     N_list = [int(N) for N in _as_list(cfg.get("N", [16, 64, 256]))]
     M = int(cfg.get("samples", 2000))
     ref_size = int(cfg.get("reference_size", 4096))
-    dt = float(cfg.get("dt", 0.025))
-    times = [float(t) for t in _as_list(cfg.get("times", [0.25, 0.5, 1.0]))]
+    dt_default, times_default = CLASSICAL_SCHEDULES["classical-dobrushin"]
+    dt = float(cfg.get("dt", dt_default))
+    times = [float(t) for t in _as_list(cfg.get("times", times_default))]
     repeats = int(cfg.get("repeats", 256))
 
     root = np.random.SeedSequence(cfg.seed)
@@ -474,8 +529,9 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
     p = float(cfg.get("p", 2.0))
     M = int(cfg.get("cloud_size", 4096))
-    dt = float(cfg.get("dt", 0.05))
-    times = [float(t) for t in _as_list(cfg.get("times", [0.25, 0.5, 0.75, 1.0]))]
+    dt_default, times_default = CLASSICAL_SCHEDULES["vlasov-moments"]
+    dt = float(cfg.get("dt", dt_default))
+    times = [float(t) for t in _as_list(cfg.get("times", times_default))]
 
     cloud = sample_gaussian_cloud(M, int(cfg.potential.get("dim", 1)), cfg.seed)
 
@@ -703,6 +759,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             rows = []
             drift_max = 0.0
             t_prev = 0.0
+            steps_taken = 0
             for t in sample_times:
                 n_steps = int(round((t - t_prev) / dt))
                 advanced = []
@@ -712,6 +769,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     advanced.append((w, state, ref))
                 components = advanced
                 t_prev = t
+                steps_taken += n_steps
                 consts = _potential_constants(
                     V,
                     eps=eps,
@@ -730,7 +788,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     # meaningless, so mark the row failed and stop the sweep
                     rows.append(
                         bounds.make_report(
-                            "guard-band-interior-mass",
+                            GUARD_BAND_ROW,
                             t,
                             1.0,
                             0.0,
@@ -765,14 +823,15 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                         constants=consts,
                     )
                 )
+            # labelled with the time actually integrated: an abort stops short
             rows.append(
                 bounds.make_report(
                     "doubled-evolution-unitarity",
-                    t_final,
+                    float(t_prev),
                     drift_max,
                     0.0,
                     tolerance=1e-10,
-                    constants={"eps": eps, "dt": dt, "steps": int(round(t_final / dt))},
+                    constants={"eps": eps, "dt": dt, "steps": steps_taken},
                 )
             )
             if checkpoint:

@@ -16,14 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..errors import ResourceCapError
+
 MAGIC = b"MFLABST1"
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 MEMORY_CAP_ENV = "MFLAB_MEMORY_CAP_BYTES"
 GUARD_BAND_TOL = 1e-10
-
-
-class ResourceCapError(RuntimeError):
-    """A requested grid exceeds the configured memory cap."""
 
 
 class GuardBandError(RuntimeError):

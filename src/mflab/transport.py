@@ -1,11 +1,13 @@
 """Discrete optimal transport on weighted point clouds.
 
 Exact Monge-Kantorovich distances (assignment fast path for equal-weight
-clouds, HiGHS linear program otherwise), a log-domain Sinkhorn with
-feasibility rounding (so its value is a certified upper bound), Kantorovich
-dual certificates, and the subsample estimator used on large empirical
-measures.  Ground cost is |x-y|^p with the Euclidean norm on the concatenated
-phase coordinates; reported distances are p-th roots of the plan cost.
+clouds, otherwise a HiGHS linear program on a sparse candidate set of pairs,
+grown until its duals are feasible on all pairs, so its optimum is the dense
+one), a log-domain Sinkhorn with feasibility rounding (so its value is a
+certified upper bound), Kantorovich dual certificates, and the subsample
+estimator used on large empirical measures.  Ground cost is |x-y|^p with the
+Euclidean norm on the concatenated phase coordinates; reported distances are
+p-th roots of the plan cost.
 """
 from __future__ import annotations
 
@@ -19,9 +21,17 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
+from .errors import ResourceCapError
+
 #: Largest support allowed in the exact solver; desk-scale guard, not a limit
 #: of the algorithm.
 SUPPORT_CAP = 2048
+#: Nearest partners each atom brings into the first restricted LP, and most
+#: violated pairs each violated row or column brings into the next one.
+CANDIDATES_PER_ATOM = 8
+#: Most negative reduced cost C - a - b a dual pair may have and still count
+#: as feasible, here and in kantorovich_gap.
+DUAL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,8 +113,40 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarr
     return cdist(mu.points, nu.points) ** p
 
 
-def _solve_transport_lp(C: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """min <C, gamma> over couplings, via HiGHS.
+def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices i*n + j of the k smallest entries of M in each row of
+    `rows` and in each column of `cols`."""
+    m, n = M.shape
+    in_row = np.argpartition(M[rows], min(k, n) - 1, axis=1)[:, :k]
+    in_col = np.argpartition(M[:, cols], min(k, m) - 1, axis=0)[:k, :]
+    return np.concatenate(
+        [(rows[:, None] * n + in_row).ravel(), (in_col * n + cols[None, :]).ravel()]
+    )
+
+
+def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Flat indices i*n + j of the pairs the first restricted LP may use.
+
+    Each atom keeps its CANDIDATES_PER_ATOM nearest atoms on the other side
+    after nu is shifted onto mu's mean (for p = 2 the shift changes the cost
+    only by a + b terms, so it moves no optimal plan), plus the north-west
+    corner staircase of the index order, which makes the restricted LP
+    feasible whatever else it holds.
+    """
+    m, n = mu.size, nu.size
+    shift = mu.weights @ mu.points - nu.weights @ nu.points
+    S = cdist(mu.points, nu.points + shift, "sqeuclidean")
+    near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(m), np.arange(n))
+    cw = np.cumsum(mu.weights)
+    cv = np.cumsum(nu.weights)
+    starts = np.union1d([0.0], np.union1d(cw[:-1], cv[:-1]))
+    nw_row = np.minimum(np.searchsorted(cw, starts, side="right"), m - 1)
+    nw_col = np.minimum(np.searchsorted(cv, starts, side="right"), n - 1)
+    return np.unique(np.concatenate([near, nw_row * n + nw_col]))
+
+
+def _restricted_lp(C: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):
+    """min <C, gamma> over couplings supported on `edges`, via HiGHS.
 
     The m+n marginal equalities are linearly dependent (both blocks sum to
     total mass); HiGHS mislabels the full system as infeasible on some
@@ -112,21 +154,71 @@ def _solve_transport_lp(C: np.ndarray, w: np.ndarray, v: np.ndarray):
     to zero.
     """
     m, n = C.shape
-    A = sparse.vstack(
-        [
-            sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n))),
-            sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr")),
-        ]
-    ).tocsc()[:-1]
-    b = np.concatenate([w, v])[:-1]
-    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    rows, cols = np.divmod(edges, n)
+    var = np.arange(edges.size)
+    keep = cols < n - 1
+    A = sparse.csc_matrix(
+        (
+            np.ones(edges.size + int(keep.sum())),
+            (np.concatenate([rows, m + cols[keep]]), np.concatenate([var, var[keep]])),
+        ),
+        shape=(m + n - 1, edges.size),
+    )
+    res = linprog(
+        C.ravel()[edges],
+        A_eq=A,
+        b_eq=np.concatenate([w, v[:-1]]),
+        bounds=(0, None),
+        method="highs",
+    )
     if res.status != 0:
         raise RuntimeError(f"transport LP did not solve: {res.message}")
-    gamma = res.x.reshape(m, n)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    a = y[:m]
-    b_dual = np.concatenate([y[m:], [0.0]])
-    return float(res.fun), gamma, a, b_dual
+    return float(res.fun), res.x, y[:m], np.concatenate([y[m:], [0.0]])
+
+
+class _LPSolution(NamedTuple):
+    cost: float
+    edges: np.ndarray  # flat indices i*n + j of the final candidate set
+    mass: np.ndarray  # plan mass on `edges`
+    a: np.ndarray
+    b: np.ndarray
+    rounds: int  # restricted solves, the first one included
+
+
+def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray) -> _LPSolution:
+    """Transportation LP solved on a candidate edge set and certified on all pairs.
+
+    The LP is solved on `_candidate_edges` only; its duals are then priced
+    against every pair.  While some reduced cost C - a - b is below
+    -DUAL_SLACK, the CANDIDATES_PER_ATOM most violated pairs of each violated
+    row and column join the set and the LP is solved again.  On exit (a, b)
+    is feasible for the full problem within the slack kantorovich_gap allows,
+    so the restricted optimum is the full optimum (Schmitzer's sparse OT
+    certificate).  The loop also stops if every violated pair is already a
+    candidate: the LP then holds every pair the duals reject, as the dense LP
+    would, and the violation is HiGHS round-off.
+    """
+    edges = _candidate_edges(mu, nu)
+    rounds = 0
+    while True:
+        cost, mass, a, b = _restricted_lp(C, mu.weights, nu.weights, edges)
+        rounds += 1
+        R = C - a[:, None] - b[None, :]
+        bad = R < -DUAL_SLACK
+        if not bad.any():
+            break
+        worst = _smallest_per_line(
+            np.where(bad, R, 0.0),
+            CANDIDATES_PER_ATOM,
+            np.flatnonzero(bad.any(axis=1)),
+            np.flatnonzero(bad.any(axis=0)),
+        )
+        new = np.setdiff1d(worst[bad.ravel()[worst]], edges)
+        if new.size == 0:
+            break
+        edges = np.union1d(edges, new)
+    return _LPSolution(cost, edges, mass, a, b, rounds)
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
@@ -134,14 +226,14 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
 
     Equal-size equal-weight inputs are solved as an assignment problem
     (deterministic; cost ties resolve to the solver's fixed pivot order),
-    everything else as the transportation LP.
+    everything else as the certified sparse transportation LP.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > 1e-12:
         raise ValueError("weight-sum mismatch between measures")
     if mu.size > SUPPORT_CAP or nu.size > SUPPORT_CAP:
-        raise ValueError(f"support exceeds cap {SUPPORT_CAP}")
+        raise ResourceCapError(f"support exceeds cap {SUPPORT_CAP}")
     C = _cost_matrix(mu, nu, p)
     if mu.size == nu.size and mu.has_equal_weights() and nu.has_equal_weights():
         row, col = linear_sum_assignment(C)
@@ -155,15 +247,11 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
             float(p),
         )
     else:
-        cost, gamma, _, _ = _solve_transport_lp(C, mu.weights, nu.weights)
-        src, tgt = np.nonzero(gamma > 1e-15)
-        plan = TransportPlan(
-            src.astype(np.int64),
-            tgt.astype(np.int64),
-            gamma[src, tgt],
-            float(cost),
-            float(p),
-        )
+        lp = _solve_transport_lp(mu, nu, C)
+        cost = lp.cost
+        used = lp.mass > 1e-15
+        src, tgt = np.divmod(lp.edges[used], nu.size)
+        plan = TransportPlan(src, tgt, lp.mass[used], cost, float(p))
     return max(cost, 0.0) ** (1.0 / p), plan
 
 
@@ -171,11 +259,11 @@ def dual_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
     """Optimal Kantorovich potentials (a, b) with a_i + b_j <= |x_i - y_j|^p.
 
     Solves the transportation LP even when the assignment fast path applies,
-    because the duals come from the LP solver.
+    because the duals come from the LP solver; they are checked against every
+    pair of atoms, not only the LP's candidate pairs.
     """
-    C = _cost_matrix(mu, nu, p)
-    _, _, a, b = _solve_transport_lp(C, mu.weights, nu.weights)
-    return a, b
+    lp = _solve_transport_lp(mu, nu, _cost_matrix(mu, nu, p))
+    return lp.a, lp.b
 
 
 def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
@@ -189,7 +277,7 @@ def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
     if a.shape != (mu.size,) or b.shape != (nu.size,):
         raise ValueError("potentials must be defined on the supports")
     C = _cost_matrix(mu, nu, p)
-    if float(np.min(C - a[:, None] - b[None, :])) < -1e-9:
+    if float(np.min(C - a[:, None] - b[None, :])) < -DUAL_SLACK:
         raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^p somewhere")
     primal = float(np.sum(plan.mass * C[plan.source_index, plan.target_index]))
     dual = float(a @ mu.weights + b @ nu.weights)
@@ -323,11 +411,3 @@ def read_measure_csv(path):
         raise ValueError("not a measure CSV: first column must be 'weight'")
     position_cols = sum(1 for name in header[1:] if name.startswith("x") and not name.startswith("xi"))
     return DiscreteMeasure(rows[:, 1:], rows[:, 0]), position_cols
-
-
-def write_plan_csv(plan: TransportPlan, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "mass"])
-        for i, j, m in zip(plan.source_index, plan.target_index, plan.mass):
-            writer.writerow([int(i), int(j), f"{m:.17g}"])

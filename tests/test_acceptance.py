@@ -133,7 +133,12 @@ def test_criterion_06_coupling_cost_bracket():
     rows, elapsed = _run({"experiment": "mk-bracket", "seed": 0})
     n_instances = len([r for r in rows if r.inequality_id == "product-coupling-cost-identity"])
     ok = all(r.passed for r in rows) and n_instances >= 20 and elapsed < 60.0
-    _verdict(6, "coherent coupling cost identity and squared-distance bracket", ok)
+    _verdict(
+        6,
+        "coherent coupling cost identity and squared-distance bracket "
+        f"({elapsed:.1f} s of 60 s)",
+        ok,
+    )
 
 
 def test_criterion_07_quantum_mean_field_bound():

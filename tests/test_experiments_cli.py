@@ -21,6 +21,7 @@ from mflab.experiments import (
     validate_config,
 )
 from mflab.quantum.grids import load_state
+from mflab.transport import SUPPORT_CAP
 
 OT_TINY = {"experiment": "ot-selftest", "seed": 3, "n_clouds": 4, "max_support": 5, "dims": [2]}
 
@@ -124,6 +125,69 @@ def test_validate_quantum_sample_times_multiple_of_dt():
     assert validate_config(dict(base, t_final=0.1, n_times=6)) == []
     assert validate_config(dict(base, t_final=0.5, n_times=6)) == []
     assert any(d.startswith("n_times:") for d in validate_config(dict(base, n_times=1)))
+
+
+def test_validate_quantum_epsilon_must_be_positive(tmp_path, capsys):
+    for eps in ([0], [-0.25], [0.25, "abc"]):
+        path = _write_cfg(tmp_path, {"experiment": "quantum-dobrushin", "epsilon": eps})
+        assert main(["validate", path]) == 4
+        assert main(["run", path]) == 64
+        assert "epsilon: entry" in capsys.readouterr().err
+
+
+def test_guard_band_abort_exits_3_at_the_integrated_time(tmp_path, capsys):
+    # a coherent state of width sqrt(eps) on a box of half-width 4 leaks past
+    # the guard band before the first step
+    raw = {
+        "experiment": "quantum-dobrushin",
+        "n_particles": 1,
+        "grid_points": 32,
+        "box": 4.0,
+        "epsilon": [0.5],
+        "dt": 0.02,
+        "t_final": 0.1,
+        "n_times": 2,
+    }
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, raw), "--out", str(out)]) == 3
+    assert "guard band tripped at t=0.0" in capsys.readouterr().err
+    rows = [json.loads(line) for line in (out / "quantum-dobrushin.jsonl").open()]
+    assert [r["inequality_id"] for r in rows] == [
+        "guard-band-interior-mass",
+        "doubled-evolution-unitarity",
+    ]
+    assert rows[1]["time"] == 0.0 and rows[1]["constants"]["steps"] == 0
+    assert len((out / "quantum-dobrushin.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("experiment", ["classical-dobrushin", "vlasov-moments"])
+def test_validate_classical_schedule(tmp_path, experiment):
+    base = {"experiment": experiment, "dt": 0.05}
+    assert validate_config({"experiment": experiment}) == []
+    assert validate_config(dict(base, times=[0.1, 0.25])) == []
+    for times in ([0.25, 0.1], [0.1, 0.1], [0.0, 0.1], [-0.1]):
+        diags = validate_config(dict(base, times=times))
+        assert any("strictly increasing" in d for d in diags), times
+    diags = validate_config(dict(base, times=[0.1, 0.26]))
+    assert any("[0.26] are not integer multiples of dt=0.05" in d for d in diags)
+    assert any(d.startswith("times:") for d in validate_config(dict(base, times=["x"])))
+    # the bug this guards: a row labelled t = 0.1 for a state integrated to 0.25
+    path = _write_cfg(tmp_path, {"experiment": experiment, "times": [0.25, 0.1]})
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+
+
+def test_validate_particle_counts(tmp_path):
+    for N in ([0], [16, -2], [2.5], [True]):
+        diags = validate_config({"experiment": "classical-dobrushin", "N": N})
+        assert any(d.startswith("N: entry") and "positive integer" in d for d in diags), N
+    path = _write_cfg(tmp_path, {"experiment": "classical-dobrushin", "N": [0]})
+    assert main(["run", path]) == 64
+    big = {"experiment": "classical-dobrushin", "N": [16, SUPPORT_CAP + 1]}
+    assert any("support cap" in d for d in validate_config(big))
+    assert validate_config(dict(big, N=[SUPPORT_CAP])) == []
+    # the cap is the classical runner's transport cap, not a combineq limit
+    assert validate_config({"experiment": "combineq", "N": [SUPPORT_CAP + 1]}) == []
 
 
 def test_validate_bad_potential_family_and_width():

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
+from scipy.optimize import linprog
 
+from mflab import transport
+from mflab.errors import ResourceCapError
+from mflab.quantum import GridSpec, coherent_state, metrics, state_density_matrix
 from mflab.transport import (
     SUPPORT_CAP,
     DiscreteMeasure,
+    _cost_matrix,
+    _solve_transport_lp,
     dual_potentials,
     kantorovich_gap,
     read_measure_csv,
@@ -28,6 +35,85 @@ def _brute_force_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> flo
     for perm in itertools.permutations(range(m)):
         best = min(best, C[np.arange(m), perm].sum() / m)
     return best
+
+
+def _dense_lp_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
+    """Transportation LP over all m*n pairs; oracle for the sparse solver."""
+    C = _cost_matrix(mu, nu, p)
+    m, n = C.shape
+    A = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n))),
+            sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr")),
+        ]
+    ).tocsc()[:-1]
+    b = np.concatenate([mu.weights, nu.weights])[:-1]
+    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _assert_matches_dense_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
+    """Sparse LP against the dense oracle; returns the restricted solves used."""
+    lp = _solve_transport_lp(mu, nu, _cost_matrix(mu, nu, 2.0))
+    _, plan = wasserstein_exact(mu, nu, 2.0)
+    a, b = dual_potentials(mu, nu, 2.0)
+    dense = _dense_lp_cost(mu, nu, 2.0)
+    assert lp.cost == pytest.approx(dense, rel=1e-12, abs=1e-15)
+    assert plan.cost_value == lp.cost
+    assert plan.max_marginal_error(mu, nu) < 1e-12
+    assert kantorovich_gap(mu, nu, 2.0, plan, a, b) <= 1e-9
+    return lp.rounds
+
+
+def _unequal_clouds(seed: int, m: int, n: int, modes: int):
+    # nu splits into `modes` clusters around mu's single blob; Dirichlet
+    # weights on both sides keep every instance on the LP route
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=3.0, size=(modes, 2))
+    x = rng.normal(size=(m, 2))
+    y = 0.5 * rng.normal(size=(n, 2)) + centres[rng.integers(modes, size=n)]
+    return (
+        DiscreteMeasure(x, rng.dirichlet(np.ones(m))),
+        DiscreteMeasure(y, rng.dirichlet(np.ones(n))),
+    )
+
+
+def test_sparse_lp_matches_dense_oracle():
+    rounds = [
+        _assert_matches_dense_oracle(*_unequal_clouds(seed, m, n, modes))
+        for seed, (m, n) in enumerate([(40, 50), (60, 30), (3, 25), (70, 70)])
+        for modes in (1, 2, 3)
+    ]
+    # the first candidate set misses pairs of the optimum, so pricing must
+    # have added edges and solved again
+    assert max(rounds) >= 2
+
+
+def test_sparse_lp_single_candidate_still_exact(monkeypatch):
+    # one nearest partner per atom cannot carry Dirichlet weights on its own:
+    # the first LP is feasible only through the north-west staircase, and
+    # pricing has to find most of the optimal support
+    monkeypatch.setattr(transport, "CANDIDATES_PER_ATOM", 1)
+    for seed in range(4):
+        _assert_matches_dense_oracle(*_unequal_clouds(seed, 30, 20, 2))
+
+
+def test_sparse_lp_matches_dense_oracle_on_husimi_lattices(monkeypatch):
+    captured = []
+
+    def capture(mu, nu, p=2.0):
+        captured.append((mu, nu))
+        return wasserstein_exact(mu, nu, p)
+
+    grid = GridSpec(1, 1, 256, 6.0, 0.25)
+    rho1 = state_density_matrix(coherent_state(grid, 0.4, -0.3))
+    rho2 = state_density_matrix(coherent_state(grid, -0.5, 0.6))
+    monkeypatch.setattr(metrics, "wasserstein_exact", capture)
+    metrics.mk_eps_lower(rho1, rho2, 0.25)
+    ((mu, nu),) = captured
+    assert min(mu.size, nu.size) > 100 and not mu.has_equal_weights()
+    _assert_matches_dense_oracle(mu, nu)
 
 
 def test_exact_matches_permutation_oracle_2d():
@@ -118,7 +204,7 @@ def test_support_cap_enforced():
     pts = np.zeros((SUPPORT_CAP + 1, 1))
     big = DiscreteMeasure.equal_weights(pts)
     small = DiscreteMeasure.equal_weights(np.zeros((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapError):
         wasserstein_exact(big, small)
 
 
