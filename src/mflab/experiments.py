@@ -74,6 +74,10 @@ CLASSICAL_SCHEDULES = {
     "vlasov-moments": (0.05, [0.25, 0.5, 0.75, 1.0]),
 }
 
+#: Default `grid_points` of the runners that build a GridSpec; validate_config
+#: checks the size the runner will use.
+GRID_POINTS_DEFAULTS = {"quantum-dobrushin": 64, "mk-bracket": 256, "toeplitz-identities": 256}
+
 #: Row a quantum run emits when its guard band trips; the CLI maps it to the
 #: resource exit code.
 GUARD_BAND_ROW = "guard-band-interior-mass"
@@ -105,6 +109,42 @@ def make_potential(spec: dict) -> Potential:
             float(spec.get("amplitude", 1.0)), spec.get("wavevector", [1.0] * d), d
         )
     raise ValueError(f"unknown potential family {family!r}")
+
+
+def _potential_diagnostics(pot) -> list:
+    """The fields `make_potential` reads, checked for type and range."""
+    if not isinstance(pot, dict):
+        return ["potential: must be an object"]
+    fam = pot.get("family", "gaussian")
+    if fam not in ("gaussian", "cosine"):
+        return [f"potential.family: unknown family {fam!r}"]
+    diags = []
+    d = pot.get("dim", 1)
+    if not (_is_int(d) and d >= 1):
+        diags.append(f"potential.dim: {d!r} must be a positive integer")
+        d = None
+    if not _is_number(pot.get("amplitude", 1.0)):
+        diags.append("potential.amplitude: must be a number")
+    if fam == "gaussian" and not _positive(pot.get("width", 1.0)):
+        diags.append("potential.width: must be a positive number")
+    if fam == "cosine" and "wavevector" in pot:
+        k = pot["wavevector"]
+        if not (
+            isinstance(k, list)
+            and all(_is_number(c) for c in k)
+            and (d is None or len(k) == d)
+        ):
+            diags.append(f"potential.wavevector: {k!r} must be a list of dim numbers")
+    return diags
+
+
+def _power_of_two(n) -> bool:
+    """The grid sizes `GridSpec` accepts: integer powers of two >= 2."""
+    return _is_int(n) and n >= 2 and n & (n - 1) == 0
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
@@ -148,15 +188,7 @@ def validate_config(raw: dict) -> list:
         diags.append(
             f"experiment: unknown id {exp!r}; expected one of {', '.join(KNOWN_EXPERIMENTS)}"
         )
-    pot = raw.get("potential", {})
-    if not isinstance(pot, dict):
-        diags.append("potential: must be an object")
-    else:
-        fam = pot.get("family", "gaussian")
-        if fam not in ("gaussian", "cosine"):
-            diags.append(f"potential.family: unknown family {fam!r}")
-        elif fam == "gaussian" and float(pot.get("width", 1.0)) <= 0:
-            diags.append("potential.width: must be positive")
+    diags += _potential_diagnostics(raw.get("potential", {}))
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         diags.append("seed: must be a nonnegative integer")
@@ -167,7 +199,7 @@ def validate_config(raw: dict) -> list:
         if key in raw and isinstance(raw[key], list) and len(raw[key]) == 0:
             diags.append(f"{key}: list must be nonempty")
     for n in _as_list(raw.get("N", [])):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             diags.append(f"N: entry {n!r} must be a positive integer")
         elif exp == "classical-dobrushin" and n > SUPPORT_CAP:
             diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
@@ -177,12 +209,14 @@ def validate_config(raw: dict) -> list:
         for eps in _as_list(raw.get("epsilon", [])):
             if not _positive(eps):
                 diags.append(f"epsilon: entry {eps!r} must be a positive number")
+    n_pts = raw.get("grid_points", GRID_POINTS_DEFAULTS.get(exp))
+    if exp in GRID_POINTS_DEFAULTS and not _power_of_two(n_pts):
+        diags.append(f"grid_points: {n_pts!r} must be an integer power of two >= 2")
     if exp == "quantum-dobrushin":
-        n_pts = int(raw.get("grid_points", 64))
+        # the memory, momentum-edge and CFL checks need a valid grid size
+        grid_ok = _power_of_two(n_pts)
         n_part = int(raw.get("n_particles", 2))
-        if n_pts & (n_pts - 1):
-            diags.append("grid_points: must be a power of two")
-        state_bytes = 16 * n_pts ** (2 * n_part)
+        state_bytes = 16 * n_pts ** (2 * n_part) if grid_ok else 0
         from .quantum.grids import memory_cap_bytes
 
         if state_bytes > memory_cap_bytes():
@@ -193,7 +227,8 @@ def validate_config(raw: dict) -> list:
         box = float(raw.get("box", 8.0))
         dt = raw.get("dt", 0.02)
         dt_ok = _positive(dt)
-        for eps in filter(_positive, _as_list(raw.get("epsilon", [0.5, 0.25]))):
+        eps_list = _as_list(raw.get("epsilon", [0.5, 0.25])) if grid_ok else []
+        for eps in filter(_positive, eps_list):
             scale = float(raw.get("center_scale", 0.35))
             k_max = math.pi * n_pts / (2 * box)
             if (k_max - scale / eps) * math.sqrt(eps) < 5.2:
@@ -570,7 +605,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
     eps_list = [float(e) for e in _as_list(cfg.get("epsilon", [0.5, 0.25, 0.1]))]
     n_pairs = int(cfg.get("pairs", 20))
     per_eps = max(1, -(-n_pairs // len(eps_list)))  # ceil division
-    n_pts = int(cfg.get("grid_points", 256))
+    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["mk-bracket"]))
     box = float(cfg.get("box", 6.0))
     scale = float(cfg.get("center_scale", 1.0))
     children = np.random.SeedSequence(cfg.seed).spawn(len(eps_list))
@@ -636,7 +671,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
     eps = float(cfg.get("epsilon", 0.25))
-    n_pts = int(cfg.get("grid_points", 256))
+    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["toeplitz-identities"]))
     box = float(cfg.get("box", 6.0))
     n_symbols = int(cfg.get("symbols", 10))
     grid = GridSpec(1, 1, n_pts, box, eps)
@@ -731,7 +766,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
     eps_list = [float(e) for e in _as_list(cfg.get("epsilon", [0.5, 0.25]))]
     N = int(cfg.get("n_particles", 2))
-    n_pts = int(cfg.get("grid_points", 64))
+    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["quantum-dobrushin"]))
     box = float(cfg.get("box", 8.0))
     dt = float(cfg.get("dt", 0.02))
     t_final = float(cfg.get("t_final", 0.5))

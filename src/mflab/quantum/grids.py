@@ -109,9 +109,6 @@ class WaveFunction:
         quad = self.grid.h**self.grid.n_axes
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * quad))
 
-    def renormalized(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.values / self.norm(), self.time)
-
 
 @dataclass(frozen=True)
 class FactoredCoupling:

@@ -188,10 +188,13 @@ def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = N
     (spacing ~ 0.35*sqrt(eps), window = union of 4.2-sigma marginal boxes,
     atoms below 1e-4 of the mass pruned, which trims the square lattice to a
     disk); the lattice is coarsened by 1.5x steps if either support would
-    exceed the solver cap.  The two lattices carry unequal weights, so the
-    distance comes from the certified sparse LP of `wasserstein_exact`.  The
-    lattice and pruning errors are below ~5e-3, far inside the 4*d*eps slack
-    of the bracket checks this feeds.  May be negative.
+    exceed the solver cap.  `husimi_values` fills each lattice with a few
+    matrix products (exact Gaussian midpoint factorisation), so the
+    transport solve, not the Husimi values, dominates the cost.  The two
+    lattices carry unequal weights, so the distance comes from the certified
+    sparse LP of `wasserstein_exact`.  The lattice and pruning errors are
+    below ~5e-3, far inside the 4*d*eps slack of the bracket checks this
+    feeds.  May be negative.
     """
     if rho1.grid.d != 1 or rho1.grid.n_particles != 1 or rho1.grid.doubled:
         raise ValueError("mk_eps_lower expects single-particle d = 1 states")

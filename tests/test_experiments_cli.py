@@ -199,6 +199,40 @@ def test_validate_bad_potential_family_and_width():
     assert any("width" in d for d in diags)
 
 
+def test_validate_potential_field_types(tmp_path, capsys):
+    for pot in (
+        {"family": "gaussian", "width": "abc"},
+        {"family": "gaussian", "width": None},
+        {"family": "gaussian", "amplitude": "1"},
+        {"family": "gaussian", "dim": "2"},
+        {"family": "gaussian", "dim": 0},
+        {"family": "cosine", "wavevector": 2.0},
+        {"family": "cosine", "wavevector": ["x"]},
+        {"family": "cosine", "dim": 2, "wavevector": [1.0]},
+    ):
+        path = _write_cfg(tmp_path, {"experiment": "ot-selftest", "potential": pot})
+        assert main(["validate", path]) == 4, pot
+        assert main(["run", path]) == 64, pot
+        assert "config error: potential." in capsys.readouterr().err, pot
+    for pot in (
+        {"family": "gaussian", "amplitude": -0.5, "width": 2, "dim": 3},
+        {"family": "cosine", "amplitude": 1, "dim": 2, "wavevector": [1.0, 0.5]},
+        {"family": "cosine", "dim": 3},
+    ):
+        assert validate_config({"experiment": "ot-selftest", "potential": pot}) == [], pot
+
+
+@pytest.mark.parametrize("experiment", ["mk-bracket", "toeplitz-identities", "quantum-dobrushin"])
+def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
+    for n_pts in (100, 0, 1, "x", 64.0, True):
+        path = _write_cfg(tmp_path, {"experiment": experiment, "grid_points": n_pts})
+        assert main(["validate", path]) == 4, n_pts
+        assert main(["run", path]) == 64, n_pts
+        assert "config error: grid_points:" in capsys.readouterr().err, n_pts
+    assert validate_config({"experiment": experiment}) == []
+    assert validate_config({"experiment": experiment, "grid_points": 64}) == []
+
+
 def test_build_config_rejects_diagnostics():
     with pytest.raises(ValueError):
         build_config({"experiment": "frobnicate"})
