@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .potentials import Potential
 
@@ -222,6 +223,10 @@ def combineq_rhs_hp(F_sup, p, N) -> float:
         )
 
 
+#: Table nodes per quadrature step in `combineq_mc`'s tabulated F*rho.
+TABLE_REFINE = 8
+
+
 def combineq_mc(
     field,
     dist,
@@ -237,18 +242,19 @@ def combineq_mc(
 
     `field` maps a 1-D array of offsets to field values; `dist` is a frozen
     one-dimensional distribution exposing .pdf and .rvs (scipy.stats style).
-    The convolution F*rho is evaluated by trapezoid quadrature on
-    [-quad_span, quad_span]; samples falling outside get the same quadrature
-    treatment, only the grid of integration stays fixed.  The estimate is
-    chunked with independent child streams, so results do not depend on chunk
+    The convolution F*rho is the trapezoid sum over `quad_points` nodes y_j
+    on [-quad_span, quad_span].  That sum is tabulated once, on nodes
+    TABLE_REFINE times finer than the quadrature step h: one FFT convolution
+    of the zero-stuffed weights rho(y_j) w_j with F sampled at the table's
+    offsets gives the sum exactly (to round-off) at every table node, and
+    linear interpolation between nodes adds an error of at most
+    (h / TABLE_REFINE)^2 / 8 * sup|(F*rho)''|, below 1e-7 here and far below
+    the Monte-Carlo stderr.  Samples x_1 outside [-quad_span, quad_span]
+    get the same trapezoid sum evaluated directly.  The estimate is chunked
+    with independent child streams, so results do not depend on chunk
     scheduling.
     """
-    y = np.linspace(-quad_span, quad_span, quad_points)
-    dy = y[1] - y[0]
-    quad_w = np.full(quad_points, dy)
-    quad_w[0] = quad_w[-1] = dy / 2.0
-    rho_w = dist.pdf(y) * quad_w
-
+    conv = _tabulated_convolution(field, dist, quad_span, quad_points)
     children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
     values = np.empty(n_mc)
     done = 0
@@ -257,12 +263,50 @@ def combineq_mc(
         rng = np.random.default_rng(ss)
         X = dist.rvs(size=(size, N), random_state=rng)
         emp = field((X[:, :1] - X).ravel()).reshape(size, N).mean(axis=1)
-        conv = field((X[:, 0][:, None] - y[None, :]).ravel()).reshape(size, -1) @ rho_w
-        values[done : done + size] = np.abs(conv - emp) ** p
+        values[done : done + size] = np.abs(conv(X[:, 0]) - emp) ** p
         done += size
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
     return mean, stderr
+
+
+def _tabulated_convolution(field, dist, quad_span: float, quad_points: int):
+    """x -> sum_j field(x - y_j) rho(y_j) w_j, the trapezoid sum over the
+    nodes y_j of [-quad_span, quad_span]: read off a table inside the span,
+    summed directly outside it (see `combineq_mc`)."""
+    y = np.linspace(-quad_span, quad_span, quad_points)
+    dy = y[1] - y[0]
+    quad_w = np.full(quad_points, dy)
+    quad_w[0] = quad_w[-1] = dy / 2.0
+    rho_w = dist.pdf(y) * quad_w
+
+    # table node k sits at -quad_span + k h and quadrature node j at table
+    # node TABLE_REFINE j, so the sum is a discrete convolution on the table
+    n_table = TABLE_REFINE * (quad_points - 1) + 1
+    h = dy / TABLE_REFINE
+    nodes = -quad_span + h * np.arange(n_table)
+    stuffed = np.zeros(n_table)
+    stuffed[::TABLE_REFINE] = rho_w
+    kernel = field(h * np.arange(1 - n_table, n_table))
+    table = fftconvolve(stuffed, kernel)[n_table - 1 : 2 * n_table - 1]
+
+    def direct(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        chunk = max(1, 4_000_000 // quad_points)
+        for s in range(0, x.size, chunk):
+            q = x[s : s + chunk]
+            kernel_q = field((q[:, None] - y[None, :]).ravel()).reshape(q.size, -1)
+            out[s : s + chunk] = kernel_q @ rho_w
+        return out
+
+    def conv(x: np.ndarray) -> np.ndarray:
+        out = np.interp(x, nodes, table)
+        outside = np.abs(x) > quad_span
+        if np.any(outside):
+            out[outside] = direct(x[outside])
+        return out
+
+    return conv
 
 
 def count_S_Np(N: int, p: int) -> int:

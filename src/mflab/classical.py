@@ -10,8 +10,8 @@ within each step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -75,46 +75,48 @@ class VlasovCloud:
         return self.points.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledEnsemble:
     """Monte-Carlo sample of the coupled mean-field/N-body flow.
 
     Each of the M sample pairs carries a mean-field system (X, Xi), driven
     slot-by-slot by the reference cloud, and an N-body system (Y, H) evolving
-    under its own pairwise forces.
+    under its own pairwise forces; each of the four is an (M, N, d) array.
+    `force`, when set, is the N-body force at Y under `force_potential`: the
+    force that ended the last Verlet step, which starts the next one.
     """
 
-    mean_field_side: Sequence[PhaseState]
-    nbody_side: Sequence[PhaseState]
+    X: Array
+    Xi: Array
+    Y: Array
+    H: Array
     reference_cloud: DiscreteMeasure
     rng_seed: int
+    time: float = 0.0
+    force: Array | None = None
+    force_potential: Potential | None = None
 
     def __post_init__(self):
-        mf, nb = list(self.mean_field_side), list(self.nbody_side)
-        if len(mf) == 0 or len(mf) != len(nb):
-            raise ValueError("sides must be nonempty and of equal length")
-        shape = mf[0].positions.shape
-        for s in mf + nb:
-            if s.positions.shape != shape:
-                raise ValueError("all samples must share the same (N, d)")
-        object.__setattr__(self, "mean_field_side", mf)
-        object.__setattr__(self, "nbody_side", nb)
+        arrays = [np.asarray(a, dtype=float) for a in (self.X, self.Xi, self.Y, self.H)]
+        shape = arrays[0].shape
+        if len(shape) != 3 or min(shape) < 1 or any(a.shape != shape for a in arrays):
+            raise ValueError("sides must be nonempty (M, N, d) arrays of one shape")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("phase state entries must be finite")
+        for name, a in zip(("X", "Xi", "Y", "H"), arrays):
+            object.__setattr__(self, name, a)
 
     @property
     def n_samples(self) -> int:
-        return len(self.mean_field_side)
+        return self.X.shape[0]
 
     @property
     def n_particles(self) -> int:
-        return self.mean_field_side[0].positions.shape[0]
+        return self.X.shape[1]
 
     @property
     def d(self) -> int:
-        return self.mean_field_side[0].positions.shape[1]
-
-    @property
-    def time(self) -> float:
-        return self.mean_field_side[0].time
+        return self.X.shape[2]
 
     def reference_as_cloud(self) -> VlasovCloud:
         return VlasovCloud(self.reference_cloud, self.time)
@@ -235,18 +237,17 @@ def verlet_step(state: PhaseState, force_field, dt: float) -> PhaseState:
     step undoes the forward one to round-off."""
     if dt == 0:
         raise ValueError("dt must be nonzero")
-    f0 = force_field(state.positions)
-    xi_half = state.momenta + 0.5 * dt * f0
-    x_new = state.positions + dt * xi_half
-    xi_new = xi_half + 0.5 * dt * force_field(x_new)
+    x_new, xi_new, _ = _verlet_arrays(state.positions, state.momenta, force_field, dt)
     return PhaseState(x_new, xi_new, state.time + dt)
 
 
-def _verlet_arrays(x: Array, xi: Array, field, dt: float):
-    xi_half = xi + 0.5 * dt * field(x)
+def _verlet_arrays(x: Array, xi: Array, field, dt: float, f0: Array | None = None):
+    """One Verlet step; `f0` is field(x) when the caller already has it.
+    Returns (x_new, xi_new, field(x_new))."""
+    xi_half = xi + 0.5 * dt * (field(x) if f0 is None else f0)
     x_new = x + dt * xi_half
-    xi_new = xi_half + 0.5 * dt * field(x_new)
-    return x_new, xi_new
+    f1 = field(x_new)
+    return x_new, xi_half + 0.5 * dt * f1, f1
 
 
 def vlasov_advance(
@@ -267,20 +268,9 @@ def vlasov_advance(
         field = _frozen_field(
             V, VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t), force_method
         )
-        x, xi = _verlet_arrays(x, xi, field, dt)
+        x, xi, _ = _verlet_arrays(x, xi, field, dt)
         t += dt
     return VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t)
-
-
-def _stack_side(side: Sequence[PhaseState]):
-    return (
-        np.stack([s.positions for s in side]),
-        np.stack([s.momenta for s in side]),
-    )
-
-
-def _unstack_side(X: Array, Xi: Array, t: float):
-    return [PhaseState(X[i], Xi[i], t) for i in range(X.shape[0])]
 
 
 def coupled_advance(
@@ -296,6 +286,10 @@ def coupled_advance(
     slots independently; the N-body side feels its own pairwise forces; `ref`
     itself advances one Vlasov step in lockstep.  The advanced reference is
     returned inside the new ensemble (`reference_as_cloud()`).
+
+    The N-body force that ends the step is kept in the returned ensemble and
+    starts the next step under the same `V`, so each step evaluates it once;
+    under any other potential it is recomputed.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -304,19 +298,14 @@ def coupled_advance(
             f"ensemble time {ens.time} and reference time {ref.time} misaligned"
         )
     field = _frozen_field(V, ref, force_method)
-    t_new = ens.time + dt
-
-    X, Xi = _stack_side(ens.mean_field_side)
-    X, Xi = _verlet_arrays(X, Xi, field, dt)
-    mf = _unstack_side(X, Xi, t_new)
-
-    Y, H = _stack_side(ens.nbody_side)
-    Y, H = _verlet_arrays(Y, H, lambda pos: _nbody_force_batch(V, pos), dt)
-    nb = _unstack_side(Y, H, t_new)
-
-    rx, rxi = _verlet_arrays(ref.x, ref.xi, field, dt)
+    X, Xi, _ = _verlet_arrays(ens.X, ens.Xi, field, dt)
+    f0 = ens.force if ens.force_potential is V else None
+    Y, H, force = _verlet_arrays(
+        ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos), dt, f0
+    )
+    rx, rxi, _ = _verlet_arrays(ref.x, ref.xi, field, dt)
     ref_meas = DiscreteMeasure(np.hstack([rx, rxi]), ref.points.weights)
-    return CoupledEnsemble(mf, nb, ref_meas, ens.rng_seed)
+    return CoupledEnsemble(X, Xi, Y, H, ref_meas, ens.rng_seed, ens.time + dt, force, V)
 
 
 def run_coupled_trajectory(
@@ -346,31 +335,32 @@ def run_coupled_trajectory(
 # functionals
 
 
-def dobrushin_functional(ens: CoupledEnsemble, p: float) -> float:
-    """Monte-Carlo value of (1/N) sum_j (|x_j-y_j|^p + |xi_j-eta_j|^p)."""
+def dobrushin_per_sample(ens: CoupledEnsemble, p: float) -> Array:
+    """(1/N) sum_j (|x_j-y_j|^p + |xi_j-eta_j|^p) for each of the M samples."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if len(ens.mean_field_side) == 0:
-        raise ValueError("empty ensemble")
-    X, Xi = _stack_side(ens.mean_field_side)
-    Y, H = _stack_side(ens.nbody_side)
-    dx = np.linalg.norm(X - Y, axis=-1)
-    dxi = np.linalg.norm(Xi - H, axis=-1)
-    return float((dx**p + dxi**p).mean(axis=1).mean())
+    dx = np.linalg.norm(ens.X - ens.Y, axis=-1)
+    dxi = np.linalg.norm(ens.Xi - ens.H, axis=-1)
+    return (dx**p + dxi**p).mean(axis=1)
 
 
-def marginal_cloud(side: Sequence[PhaseState], n: int) -> DiscreteMeasure:
+def dobrushin_functional(ens: CoupledEnsemble, p: float) -> float:
+    """Monte-Carlo value of (1/N) sum_j (|x_j-y_j|^p + |xi_j-eta_j|^p)."""
+    return float(dobrushin_per_sample(ens, p).mean())
+
+
+def marginal_cloud(positions: Array, momenta: Array, n: int) -> DiscreteMeasure:
     """Equal-weight cloud of the first n particles' phase coordinates, one
-    point in R^{2dn} per sample, laid out (x_1..x_n, xi_1..xi_n)."""
-    if len(side) == 0:
-        raise ValueError("empty side")
-    N, d = side[0].positions.shape
+    point in R^{2dn} per sample of an (M, N, d) side, laid out
+    (x_1..x_n, xi_1..xi_n)."""
+    positions = np.asarray(positions, dtype=float)
+    momenta = np.asarray(momenta, dtype=float)
+    if positions.ndim != 3 or positions.shape != momenta.shape or positions.shape[0] == 0:
+        raise ValueError("sides must be nonempty (M, N, d) arrays of one shape")
+    M, N, _ = positions.shape
     if not 1 <= n <= N:
         raise ValueError(f"marginal order {n} out of range 1..{N}")
-    pts = np.empty((len(side), 2 * d * n))
-    for i, s in enumerate(side):
-        pts[i, : d * n] = s.positions[:n].ravel()
-        pts[i, d * n :] = s.momenta[:n].ravel()
+    pts = np.hstack([positions[:, :n].reshape(M, -1), momenta[:, :n].reshape(M, -1)])
     return DiscreteMeasure.equal_weights(pts)
 
 
@@ -434,9 +424,10 @@ def diagonal_ensemble(
         sampler
     ]
     d = reference.d
-    mf = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        sub = maker(n_particles, d, child, **params)
-        mf.append(PhaseState(sub.x.copy(), sub.xi.copy(), reference.time))
-    nb = [replace(s) for s in mf]
-    return CoupledEnsemble(mf, nb, reference.points, seed)
+    draws = [
+        maker(n_particles, d, child, **params)
+        for child in np.random.SeedSequence(seed).spawn(n_samples)
+    ]
+    X = np.stack([sub.x for sub in draws])
+    Xi = np.stack([sub.xi for sub in draws])
+    return CoupledEnsemble(X, Xi, X.copy(), Xi.copy(), reference.points, seed, reference.time)

@@ -19,6 +19,7 @@ from scipy import stats
 from . import bounds
 from .classical import (
     diagonal_ensemble,
+    dobrushin_per_sample,
     moment_p,
     run_coupled_trajectory,
     sample_gaussian_cloud,
@@ -77,6 +78,9 @@ CLASSICAL_SCHEDULES = {
 #: Default `grid_points` of the runners that build a GridSpec; validate_config
 #: checks the size the runner will use.
 GRID_POINTS_DEFAULTS = {"quantum-dobrushin": 64, "mk-bracket": 256, "toeplitz-identities": 256}
+
+#: Row of classical-dobrushin that carries D^p_N at each sample time.
+GROWTH_ROW = "dobrushin-functional-growth"
 
 #: Row a quantum run emits when its guard band trips; the CLI maps it to the
 #: resource exit code.
@@ -155,6 +159,62 @@ def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
+def _int_at_least(lo: int):
+    return (lambda x: _is_int(x) and x >= lo), f"an integer >= {lo}"
+
+
+def _number_at_least(lo: float):
+    return (lambda x: _is_number(x) and x >= lo), f"a number >= {lo}"
+
+
+_POSITIVE = (_positive, "a positive number")
+_EXPONENT = _number_at_least(1)
+
+#: Knobs each runner reads with int()/float() beside the shared ones
+#: (N, epsilon, dt, times, grid_points), as (accepts, description);
+#: validate_config reports a given value the runner cannot use.
+KNOBS = {
+    "ot-selftest": {
+        "n_clouds": _int_at_least(1),
+        "max_support": _int_at_least(2),
+        "dims": (
+            lambda x: bool(_as_list(x)) and all(_is_int(k) and k >= 1 for k in _as_list(x)),
+            "a positive integer or a nonempty list of them",
+        ),
+        "p": _EXPONENT,
+    },
+    "combineq": {
+        "p": _EXPONENT,
+        "mc_samples": _int_at_least(1),
+        "slope_tolerance": _number_at_least(0),
+    },
+    "classical-dobrushin": {
+        "p": _EXPONENT,
+        "samples": _int_at_least(2),
+        "reference_size": _int_at_least(2),
+        "repeats": _int_at_least(1),
+        "w2_tolerance": _number_at_least(0),
+        "slope_tolerance": _number_at_least(0),
+    },
+    "vlasov-moments": {"p": _EXPONENT, "cloud_size": _int_at_least(2)},
+    "mk-bracket": {
+        "pairs": _int_at_least(1),
+        "box": _POSITIVE,
+        "center_scale": _number_at_least(0),
+    },
+    "toeplitz-identities": {"epsilon": _POSITIVE, "box": _POSITIVE, "symbols": _int_at_least(0)},
+    "quantum-dobrushin": {
+        "n_particles": _int_at_least(1),
+        "box": _POSITIVE,
+        "center_scale": _number_at_least(0),
+        "center": (
+            lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
+            "a list of two numbers [q, p]",
+        ),
+    },
+}
+
+
 def _whole_steps(span: float, dt: float) -> bool:
     """Whether `span` is a whole number (>= 1) of `dt` steps, to 1e-9 relative."""
     steps = span / dt
@@ -203,6 +263,10 @@ def validate_config(raw: dict) -> list:
             diags.append(f"N: entry {n!r} must be a positive integer")
         elif exp == "classical-dobrushin" and n > SUPPORT_CAP:
             diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
+    knobs = KNOBS.get(exp, {})
+    bad = {key for key, (ok, _) in knobs.items() if key in raw and not ok(raw[key])}
+    for key in sorted(bad):
+        diags.append(f"{key}: {raw[key]!r} must be {knobs[key][1]}")
     if exp in CLASSICAL_SCHEDULES:
         diags += _schedule_diagnostics(raw, *CLASSICAL_SCHEDULES[exp])
     if exp in ("quantum-dobrushin", "mk-bracket"):
@@ -215,8 +279,8 @@ def validate_config(raw: dict) -> list:
     if exp == "quantum-dobrushin":
         # the memory, momentum-edge and CFL checks need a valid grid size
         grid_ok = _power_of_two(n_pts)
-        n_part = int(raw.get("n_particles", 2))
-        state_bytes = 16 * n_pts ** (2 * n_part) if grid_ok else 0
+        n_part = raw.get("n_particles", 2)
+        state_bytes = 16 * n_pts ** (2 * n_part) if grid_ok and "n_particles" not in bad else 0
         from .quantum.grids import memory_cap_bytes
 
         if state_bytes > memory_cap_bytes():
@@ -224,14 +288,15 @@ def validate_config(raw: dict) -> list:
                 f"grid_points: doubled state needs 16*{n_pts}^{2 * n_part} = "
                 f"{state_bytes} bytes, over the memory cap {memory_cap_bytes()}"
             )
-        box = float(raw.get("box", 8.0))
+        box = raw.get("box", 8.0)
+        scale = raw.get("center_scale", 0.35)
         dt = raw.get("dt", 0.02)
         dt_ok = _positive(dt)
-        eps_list = _as_list(raw.get("epsilon", [0.5, 0.25])) if grid_ok else []
+        eps_ok = grid_ok and "box" not in bad
+        eps_list = _as_list(raw.get("epsilon", [0.5, 0.25])) if eps_ok else []
         for eps in filter(_positive, eps_list):
-            scale = float(raw.get("center_scale", 0.35))
             k_max = math.pi * n_pts / (2 * box)
-            if (k_max - scale / eps) * math.sqrt(eps) < 5.2:
+            if "center_scale" not in bad and (k_max - scale / eps) * math.sqrt(eps) < 5.2:
                 diags.append(
                     f"epsilon={eps}: coherent centers up to |p|={scale} sit too "
                     f"close to the resolvable momentum edge for box={box}, "
@@ -420,9 +485,10 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # classical-dobrushin
 
 
-def _empirical_chaos_sq(nb_states, ref_pool: np.ndarray, repeats: int, seed_seq):
+def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq):
     """Baseline-corrected mean W2^2 between per-configuration empirical
-    clouds and same-size reference subsamples.
+    clouds (N-body positions Y and momenta H, each (M, N, d)) and same-size
+    reference subsamples.
 
     Each repeat matches one N-body configuration against a fresh N-point
     subsample of the reference flow and subtracts the reference-vs-reference
@@ -430,13 +496,13 @@ def _empirical_chaos_sq(nb_states, ref_pool: np.ndarray, repeats: int, seed_seq)
     floor cancels in expectation and is strongly variance-reduced.  What is
     left is the chaos deviation of the empirical marginal.
     """
-    n_points = nb_states[0].positions.shape[0]
+    n_samples, n_points, _ = Y.shape
     diffs = np.empty(repeats)
     bases = np.empty(repeats)
     for r, child in enumerate(seed_seq.spawn(repeats)):
         rng = np.random.default_rng(child)
-        state = nb_states[rng.integers(len(nb_states))]
-        cloud = np.hstack([state.positions, state.momenta])
+        i = rng.integers(n_samples)
+        cloud = np.hstack([Y[i], H[i]])
         idx = rng.choice(ref_pool.shape[0], size=2 * n_points, replace=False)
         anchor = DiscreteMeasure.equal_weights(ref_pool[idx[:n_points]])
         control = DiscreteMeasure.equal_weights(ref_pool[idx[n_points:]])
@@ -446,15 +512,6 @@ def _empirical_chaos_sq(nb_states, ref_pool: np.ndarray, repeats: int, seed_seq)
         diffs[r] = d_nb**2 - d_ff**2
     se = float(diffs.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
     return float(diffs.mean()), se, float(bases.mean())
-
-
-def _per_sample_dobrushin_sq(ens) -> np.ndarray:
-    out = np.empty(ens.n_samples)
-    for i, (mf, nb) in enumerate(zip(ens.mean_field_side, ens.nbody_side)):
-        dx = np.linalg.norm(mf.positions - nb.positions, axis=1)
-        dxi = np.linalg.norm(mf.momenta - nb.momenta, axis=1)
-        out[i] = float((dx**2 + dxi**2).mean())
-    return out
 
 
 def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -478,7 +535,6 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
             ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
             rows = []
-            d_final = None
             t_prev = 0.0
             sub_children = sub_seed.spawn(len(times))
             for j, t in enumerate(times):
@@ -497,10 +553,10 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     Lambda_p=bounds.lambda_p_constant(p, V.lip_grad),
                     K_p=bounds.k_constant(p),
                 )
-                per = _per_sample_dobrushin_sq(ens)
+                per = dobrushin_per_sample(ens, p)
                 rows.append(
                     bounds.make_report(
-                        "dobrushin-functional-growth",
+                        GROWTH_ROW,
                         t,
                         float(per.mean()),
                         bounds.classical_rhs(V, p, N, 1, t),
@@ -510,7 +566,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 )
                 f_pool = ens.reference_as_cloud().points.points
                 debiased, deb_se, floor = _empirical_chaos_sq(
-                    ens.nbody_side, f_pool, repeats, sub_children[j]
+                    ens.Y, ens.H, f_pool, repeats, sub_children[j]
                 )
                 rows.append(
                     bounds.make_report(
@@ -523,26 +579,20 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                         constants=dict(consts, repeats=repeats, baseline=floor),
                     )
                 )
-                if j == len(times) - 1:
-                    d_final = float(per.mean())
-            return rows, d_final
+            return rows
 
         return task
 
-    if jobs <= 1 or len(N_list) <= 1:
-        results = [one(i)() for i in range(len(N_list))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one(i)) for i in range(len(N_list))]
-            results = [f.result() for f in futures]
-    reports = [r for rows, _ in results for r in rows]
+    reports = _run_sweep([one(i) for i in range(len(N_list))], jobs)
     if len(N_list) >= 2:
         # The N-rate is fit on the directly measured coupling distance
-        # sqrt(D^2_N): its Monte-Carlo error is ~1e-5 while the subsample-W2
+        # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
         # excess over the finite-sample floor is indistinguishable from zero
-        # at desk scale, so only the former can carry a log-log fit.
-        finals = np.array([max(d2, 1e-300) for _, d2 in results])
-        slope = float(np.polyfit(np.log(N_list), 0.5 * np.log(finals), 1)[0])
+        # at desk scale, so only the former can carry a log-log fit.  Each N
+        # emits one growth row per sample time; the last is the final D^p_N.
+        growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
+        finals = np.array([max(d, 1e-300) for d in growth[len(times) - 1 :: len(times)]])
+        slope = float(np.polyfit(np.log(N_list), np.log(finals) / p, 1)[0])
         reports.append(
             bounds.make_report(
                 "coupling-distance-scaling-slope",

@@ -85,7 +85,9 @@ def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential
 
     def _grad(z, _a=amplitude, _w2=w2):
         z = np.asarray(z, dtype=float)
-        phase = np.exp(-np.sum(z * z, axis=-1, keepdims=True) / (2.0 * _w2))
+        # a sum over one component is that component: skip the reduce in d = 1
+        sq = z * z if z.shape[-1] == 1 else np.sum(z * z, axis=-1, keepdims=True)
+        phase = np.exp(-sq / (2.0 * _w2))
         return (-_a / _w2) * z * phase
 
     a = abs(amplitude)

@@ -142,12 +142,11 @@ def toeplitz_operator(grid: GridSpec, symbol: SymbolMeasure) -> DensityMatrix:
         raise ResourceCapError(
             f"Toeplitz matrix needs {16 * dim * dim} bytes > cap {memory_cap_bytes()}"
         )
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for w, atom_centers in zip(symbol.weights, centers):
+    for atom_centers in centers:
         _check_center_inside(grid, atom_centers[:, 0], atom_centers[:, 1])
-        phi = _coherent_array(grid, atom_centers).ravel()
-        matrix += w * np.outer(phi, phi.conj())
-    return DensityMatrix(grid, matrix)
+    # one row per atom: sum_m w_m phi_m phi_m^* is a single weighted product
+    Phi = np.stack([_coherent_array(grid, atom_centers).ravel() for atom_centers in centers])
+    return DensityMatrix(grid, (Phi.T * symbol.weights) @ Phi.conj())
 
 
 def toeplitz_trace_against(symbol: SymbolMeasure, rho: DensityMatrix) -> float:

@@ -84,7 +84,11 @@ def test_criterion_02_consistency_inequality():
         and abs(slope_rows[0].constants["slope"] + 1.0) <= 0.15
         and elapsed < 30.0
     )
-    _verdict(2, "empirical-force consistency bound and 1/N scaling", ok)
+    _verdict(
+        2,
+        f"empirical-force consistency bound and 1/N scaling ({elapsed:.1f} s of 30 s)",
+        ok,
+    )
 
 
 def test_criterion_03_index_counting():
@@ -111,7 +115,11 @@ def test_criterion_04_classical_mean_field_convergence():
         and abs(slope_rows[0].constants["slope"] + 0.5) <= 0.15
         and elapsed < 300.0
     )
-    _verdict(4, "coupled-flow functional and marginal transport bounds", ok)
+    _verdict(
+        4,
+        f"coupled-flow functional and marginal transport bounds ({elapsed:.1f} s of 300 s)",
+        ok,
+    )
 
 
 def test_criterion_05_phase_space_identities():

@@ -28,7 +28,7 @@ from mflab.bounds import (
     read_reports_jsonl,
     write_reports_jsonl,
 )
-from mflab.potentials import make_gaussian_potential
+from mflab.potentials import make_cosine_potential, make_gaussian_potential
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)  # sup_grad = e^{-1/2}, lip_grad = 1
 
@@ -180,6 +180,58 @@ def test_combineq_mc_deterministic():
     a = combineq_mc(field, dist, 2.0, 4, 5000, seed=7)
     b = combineq_mc(field, dist, 2.0, 4, 5000, seed=7)
     assert a == b
+
+
+def _brute_convolution(field, dist, x, quad_span, quad_points):
+    # oracle: the trapezoid sum for F*rho evaluated in full at every point
+    y = np.linspace(-quad_span, quad_span, quad_points)
+    dy = y[1] - y[0]
+    quad_w = np.full(quad_points, dy)
+    quad_w[0] = quad_w[-1] = dy / 2.0
+    return field((x[:, None] - y[None, :]).ravel()).reshape(x.size, -1) @ (dist.pdf(y) * quad_w)
+
+
+def _combineq_brute(field, dist, p, N, n_mc, seed, quad_span, quad_points):
+    children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
+    values, x1, done = np.empty(n_mc), np.empty(n_mc), 0
+    for ss in children:
+        size = min(4096, n_mc - done)
+        X = dist.rvs(size=(size, N), random_state=np.random.default_rng(ss))
+        emp = field((X[:, :1] - X).ravel()).reshape(size, N).mean(axis=1)
+        conv = _brute_convolution(field, dist, X[:, 0], quad_span, quad_points)
+        values[done : done + size] = np.abs(conv - emp) ** p
+        x1[done : done + size] = X[:, 0]
+        done += size
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_mc)), x1
+
+
+def _field_of(V):
+    return lambda z: V.grad(np.asarray(z, dtype=float)[:, None])[:, 0]
+
+
+@pytest.mark.parametrize(
+    "field, dist, span, points",
+    [
+        (_field_of(GAUSS), scipy.stats.norm(), 12.0, 4097),
+        (_field_of(make_cosine_potential(0.7, [1.3], 1)), scipy.stats.norm(0.3, 1.2), 12.0, 4097),
+        # a wide law against a short span: about 1 sample in 9 falls outside
+        (_field_of(make_gaussian_potential(1.5, 0.6, 1)), scipy.stats.norm(scale=3.8), 6.0, 1025),
+    ],
+)
+def test_combineq_mc_tabulated_matches_brute_quadrature(field, dist, span, points):
+    from mflab.bounds import _tabulated_convolution
+
+    n_mc, seed = 6000, 31
+    mean, stderr = combineq_mc(field, dist, 2.0, 8, n_mc, seed, span, points)
+    mean_o, stderr_o, x1 = _combineq_brute(field, dist, 2.0, 8, n_mc, seed, span, points)
+    assert abs(mean - mean_o) <= 1e-7 and abs(stderr - stderr_o) <= 1e-7
+    # per sample, plus the span's ends and points past them
+    x = np.concatenate([x1, [-1.5 * span, -span, span, 1.01 * span]])
+    conv = _tabulated_convolution(field, dist, span, points)(x)
+    brute = _brute_convolution(field, dist, x, span, points)
+    assert np.max(np.abs(conv - brute)) <= 1e-7
+    if span == 6.0:
+        assert np.mean(np.abs(x1) > span) > 0.05
 
 
 def test_moment_rhs_and_twin():

@@ -9,6 +9,8 @@ from mflab.classical import (
     CoupledEnsemble,
     PhaseState,
     VlasovCloud,
+    _frozen_field,
+    _nbody_force_batch,
     coupled_advance,
     diagonal_ensemble,
     dobrushin_functional,
@@ -24,6 +26,7 @@ from mflab.classical import (
     vlasov_advance,
 )
 from mflab.potentials import make_gaussian_potential
+from mflab.transport import DiscreteMeasure
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)
 FLAT = make_gaussian_potential(0.0, 1.0, 1)
@@ -175,24 +178,22 @@ def test_coupled_flow_time_alignment_guard():
 
 
 def test_dobrushin_functional_hand_value():
-    mf = [PhaseState(np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]]), 0.0)]
-    nb = [PhaseState(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]), 0.0)]
+    X, Xi = np.array([[[0.0], [1.0]]]), np.array([[[0.0], [0.0]]])
+    Y, H = np.array([[[1.0], [1.0]]]), np.array([[[0.0], [2.0]]])
     ref = sample_gaussian_cloud(8, 1, seed=11)
-    ens = CoupledEnsemble(mf, nb, ref.points, 0)
+    ens = CoupledEnsemble(X, Xi, Y, H, ref.points, 0)
     # (1/2)(|0-1|^2 + |1-1|^2) + (1/2)(|0-0|^2 + |0-2|^2) = 1/2 + 2
     assert dobrushin_functional(ens, 2.0) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_marginal_cloud_layout():
-    mf = [
-        PhaseState(np.array([[1.0], [2.0], [3.0]]), np.array([[4.0], [5.0], [6.0]]), 0.0),
-        PhaseState(np.array([[7.0], [8.0], [9.0]]), np.array([[10.0], [11.0], [12.0]]), 0.0),
-    ]
-    m = marginal_cloud(mf, 2)
+    X = np.array([[[1.0], [2.0], [3.0]], [[7.0], [8.0], [9.0]]])
+    Xi = np.array([[[4.0], [5.0], [6.0]], [[10.0], [11.0], [12.0]]])
+    m = marginal_cloud(X, Xi, 2)
     np.testing.assert_allclose(m.points, [[1.0, 2.0, 4.0, 5.0], [7.0, 8.0, 10.0, 11.0]])
     assert m.has_equal_weights()
     with pytest.raises(ValueError):
-        marginal_cloud(mf, 4)
+        marginal_cloud(X, Xi, 4)
 
 
 def test_moment_p_hand_value():
@@ -221,3 +222,60 @@ def test_coupled_trajectory_seeds_reproducible():
         out.append(dvals)
     np.testing.assert_array_equal(out[0], out[1])
     assert out[0][-1] > 0  # interacting flow actually separates the sides
+
+
+def _advance_without_reuse(ens, ref, V, dt):
+    # oracle: the coupled step with both N-body half-kicks evaluated afresh
+    field = _frozen_field(V, ref)
+
+    def step(x, xi, f):
+        xi_half = xi + 0.5 * dt * f(x)
+        x_new = x + dt * xi_half
+        return x_new, xi_half + 0.5 * dt * f(x_new)
+
+    X, Xi = step(ens.X, ens.Xi, field)
+    Y, H = step(ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos))
+    rx, rxi = step(ref.x, ref.xi, field)
+    ref_meas = DiscreteMeasure(np.hstack([rx, rxi]), ref.points.weights)
+    return CoupledEnsemble(X, Xi, Y, H, ref_meas, ens.rng_seed, ens.time + dt)
+
+
+@pytest.mark.parametrize("N, d", [(5, 1), (3, 2)])
+def test_coupled_force_reuse_matches_fresh_force_oracle(N, d):
+    V = make_gaussian_potential(1.0, 0.8, d)
+    ref0 = sample_gaussian_cloud(64, d, seed=16)
+    ens = oracle = diagonal_ensemble(6, N, ref0, seed=17)
+    ref = ref_o = ref0
+    for _ in range(12):
+        ens = coupled_advance(ens, ref, V, 0.05)
+        oracle = _advance_without_reuse(oracle, ref_o, V, 0.05)
+        ref, ref_o = ens.reference_as_cloud(), oracle.reference_as_cloud()
+        for a in ("X", "Xi", "Y", "H"):
+            np.testing.assert_array_equal(getattr(ens, a), getattr(oracle, a))
+        np.testing.assert_array_equal(ens.force, _nbody_force_batch(V, ens.Y))
+        assert ens.force_potential is V
+    np.testing.assert_array_equal(ref.points.points, ref_o.points.points)
+    assert dobrushin_functional(ens, 2.0) > 0  # the sides did separate
+
+
+def test_coupled_force_is_recomputed_for_another_potential():
+    weak, strong = make_gaussian_potential(0.1, 1.0, 1), make_gaussian_potential(2.0, 0.5, 1)
+    ref = sample_gaussian_cloud(64, 1, seed=18)
+    ens = coupled_advance(diagonal_ensemble(4, 5, ref, seed=19), ref, weak, 0.05)
+    ref = ens.reference_as_cloud()
+    out = coupled_advance(ens, ref, strong, 0.05)
+    expected = _advance_without_reuse(ens, ref, strong, 0.05)
+    np.testing.assert_array_equal(out.H, expected.H)
+    np.testing.assert_array_equal(out.Y, expected.Y)
+    assert out.force_potential is strong
+
+
+def test_coupled_ensemble_rejects_bad_arrays():
+    ref = sample_gaussian_cloud(8, 1, seed=20)
+    z = np.zeros((2, 3, 1))
+    with pytest.raises(ValueError):
+        CoupledEnsemble(z, z, z, np.zeros((2, 4, 1)), ref.points, 0)
+    with pytest.raises(ValueError):
+        CoupledEnsemble(z[0], z[0], z[0], z[0], ref.points, 0)
+    with pytest.raises(ValueError):
+        CoupledEnsemble(z, z, z + np.nan, z, ref.points, 0)

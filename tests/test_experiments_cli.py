@@ -233,6 +233,67 @@ def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
     assert validate_config({"experiment": experiment, "grid_points": 64}) == []
 
 
+# knobs each runner would hand to int()/float(), with values it cannot use
+BAD_KNOBS = {
+    "ot-selftest": [("n_clouds", "x"), ("max_support", 1), ("dims", ["x"]), ("p", "2")],
+    "combineq": [("mc_samples", "x"), ("mc_samples", 0), ("p", 0.5), ("slope_tolerance", "x")],
+    "classical-dobrushin": [
+        ("samples", "x"),
+        ("samples", 1),
+        ("reference_size", "x"),
+        ("repeats", "x"),
+        ("w2_tolerance", None),
+    ],
+    "vlasov-moments": [("cloud_size", "x"), ("cloud_size", 2.0), ("p", "x")],
+    "mk-bracket": [("box", "x"), ("box", 0), ("pairs", "x"), ("center_scale", "x")],
+    "toeplitz-identities": [("symbols", "x"), ("epsilon", [0.25]), ("box", "x")],
+    "quantum-dobrushin": [
+        ("n_particles", "x"),
+        ("n_particles", 1.5),
+        ("box", "x"),
+        ("center_scale", "x"),
+        ("center", [0.3]),
+    ],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BAD_KNOBS))
+def test_validate_numeric_knobs(tmp_path, capsys, experiment):
+    for key, value in BAD_KNOBS[experiment]:
+        path = _write_cfg(tmp_path, {"experiment": experiment, key: value})
+        assert main(["validate", path]) == 4, (key, value)
+        assert main(["run", path]) == 64, (key, value)
+        assert f"config error: {key}: {value!r} must be" in capsys.readouterr().err, (key, value)
+    assert validate_config({"experiment": experiment}) == []
+
+
+def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path):
+    raw = dict(
+        CLASSICAL_FREE,
+        potential={"family": "gaussian"},
+        N=[4, 8, 4],
+        samples=8,
+        repeats=8,
+        times=[0.1, 0.2],
+    )
+    path = _write_cfg(tmp_path, raw)
+    blobs = []
+    for jobs in ("1", "2", "1"):
+        out = tmp_path / f"jobs{jobs}-{len(blobs)}"
+        assert main(["run", path, "--jobs", jobs, "--out", str(out)]) in (0, 2)
+        blobs.append((out / "classical-dobrushin.jsonl").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    rows = [json.loads(line) for line in blobs[0].decode().splitlines()]
+    slope = [r for r in rows if r["inequality_id"] == "coupling-distance-scaling-slope"]
+    growth = [r["lhs_measured"] for r in rows if r["inequality_id"] == "dobrushin-functional-growth"]
+    # one growth row per N and sample time; the slope is fit on the last
+    # of each N, and N = 4 twice draws twice
+    finals = growth[1::2]
+    assert len(slope) == 1 and len(growth) == 6 and finals[0] != finals[2]
+    fit = np.polyfit(np.log([4, 8, 4]), 0.5 * np.log(finals), 1)[0]
+    assert slope[0]["constants"]["slope"] == fit
+
+
 def test_build_config_rejects_diagnostics():
     with pytest.raises(ValueError):
         build_config({"experiment": "frobnicate"})

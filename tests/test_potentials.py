@@ -37,6 +37,17 @@ def test_gaussian_gradient_matches_finite_differences():
     np.testing.assert_allclose(V.gradient(z), _fd_gradient(V, z), atol=1e-8)
 
 
+def test_gaussian_gradient_d1_path_is_bit_identical():
+    # d = 1 skips the reduce over the last axis; the general formula is the oracle
+    a, w2 = -1.7, 0.9**2
+    V = make_gaussian_potential(a, 0.9, 1)
+    z = np.random.default_rng(2).normal(scale=3.0, size=(7, 5, 1))
+    z[0, 0, 0] = 0.0
+    general = (-a / w2) * z * np.exp(-np.sum(z * z, axis=-1, keepdims=True) / (2.0 * w2))
+    np.testing.assert_array_equal(V.grad(z), general)
+    np.testing.assert_array_equal(V.grad(z[..., 0].ravel()[:, None]), general.reshape(-1, 1))
+
+
 def test_gaussian_constants_attained_on_dense_scan():
     # |grad V| peaks at |z| = width; Hessian norm peaks at the origin.
     a, w = 0.8, 1.1

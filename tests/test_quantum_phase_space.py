@@ -289,6 +289,20 @@ def test_toeplitz_operator_is_trace_one_psd():
     assert evals.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_toeplitz_operator_matches_per_atom_oracle():
+    # oracle: one weighted outer product per atom, summed
+    rng = np.random.default_rng(23)
+    for grid, k in ((GRID, 6), (GridSpec(1, 2, 32, 4.0, 0.5), 3)):
+        atoms = rng.uniform(-0.6, 0.6, (k, 2 * grid.n_axes))
+        w = rng.dirichlet(np.ones(k))
+        oracle = np.zeros((grid.points_per_axis**grid.n_axes,) * 2, dtype=complex)
+        for wm, atom in zip(w, atoms):
+            phi = coherent_product_state(grid, atom).values.ravel()
+            oracle += wm * np.outer(phi, phi.conj())
+        got = toeplitz_operator(grid, _symbol(atoms, w)).matrix
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
 def test_toeplitz_trace_identity_dual_route():
     # trace(OP_T(symbol) rho) via matrix assembly vs atom-by-atom expectations
     rng = np.random.default_rng(21)
