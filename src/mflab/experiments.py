@@ -15,12 +15,12 @@ from itertools import permutations
 
 import numpy as np
 from scipy import stats
+from scipy.spatial.distance import cdist
 
 from . import bounds
 from .classical import (
     diagonal_ensemble,
     dobrushin_per_sample,
-    moment_p,
     run_coupled_trajectory,
     sample_gaussian_cloud,
     vlasov_advance,
@@ -50,6 +50,8 @@ from .quantum import (
     trace_product,
     wigner_transform,
 )
+from .quantum.grids import memory_cap_bytes
+from .quantum.phase_space import _check_center_inside
 from .transport import (
     SUPPORT_CAP,
     DiscreteMeasure,
@@ -58,27 +60,6 @@ from .transport import (
     wasserstein_exact,
 )
 
-KNOWN_EXPERIMENTS = (
-    "classical-dobrushin",
-    "quantum-dobrushin",
-    "mk-bracket",
-    "toeplitz-identities",
-    "combineq",
-    "ot-selftest",
-    "vlasov-moments",
-)
-
-#: Default (dt, sample times) of the classical runners; validate_config checks
-#: the schedule the runner will integrate.
-CLASSICAL_SCHEDULES = {
-    "classical-dobrushin": (0.025, [0.25, 0.5, 1.0]),
-    "vlasov-moments": (0.05, [0.25, 0.5, 0.75, 1.0]),
-}
-
-#: Default `grid_points` of the runners that build a GridSpec; validate_config
-#: checks the size the runner will use.
-GRID_POINTS_DEFAULTS = {"quantum-dobrushin": 64, "mk-bracket": 256, "toeplitz-identities": 256}
-
 #: Row of classical-dobrushin that carries D^p_N at each sample time.
 GROWTH_ROW = "dobrushin-functional-growth"
 
@@ -86,19 +67,21 @@ GROWTH_ROW = "dobrushin-functional-growth"
 #: resource exit code.
 GUARD_BAND_ROW = "guard-band-interior-mass"
 
+#: toeplitz-identities' fixed coherent centre (q, p), and the half-widths of the
+#: phase-space squares its mixed state's and test symbols' atoms are drawn from.
+TOEPLITZ_CENTER = (0.3, -0.2)
+TOEPLITZ_ATOM_RANGES = (1.0, 1.5)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment request: id, interaction, numeric knobs, seed."""
+    """Validated experiment request: id, interaction, parameters, seed."""
 
     experiment: str
     potential: dict
     seed: int
     out: str | None = None
     params: dict = field(default_factory=dict)
-
-    def get(self, key, default):
-        return self.params.get(key, default)
 
 
 def make_potential(spec: dict) -> Potential:
@@ -159,6 +142,15 @@ def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
+def _increasing_times(x) -> bool:
+    times = _as_list(x)
+    return (
+        bool(times)
+        and all(_is_number(t) for t in times)
+        and all(b > a for a, b in zip([0.0] + times, times))
+    )
+
+
 def _int_at_least(lo: int):
     return (lambda x: _is_int(x) and x >= lo), f"an integer >= {lo}"
 
@@ -167,174 +159,253 @@ def _number_at_least(lo: float):
     return (lambda x: _is_number(x) and x >= lo), f"a number >= {lo}"
 
 
+@dataclass(frozen=True)
+class _Each:
+    """`accepts` of a sweep key: one value or a nonempty list of them, each
+    entry checked on its own."""
+
+    ok: object
+
+
 _POSITIVE = (_positive, "a positive number")
 _EXPONENT = _number_at_least(1)
+_GRID_POINTS = (_power_of_two, "an integer power of two >= 2")
+_PARTICLE_COUNTS = (_Each(lambda n: _is_int(n) and n >= 1), "a positive integer")
+_EPSILONS = (_Each(_positive), "a positive number")
+_SAMPLE_TIMES = (_increasing_times, "a positive number or a strictly increasing list of them")
+_DIMS = (
+    lambda x: bool(_as_list(x)) and all(_is_int(k) and k >= 1 for k in _as_list(x)),
+    "a positive integer or a nonempty list of them",
+)
+_CENTER = (
+    lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
+    "a list of two numbers [q, p]",
+)
 
-#: Knobs each runner reads with int()/float() beside the shared ones
-#: (N, epsilon, dt, times, grid_points), as (accepts, description);
-#: validate_config reports a given value the runner cannot use.
-KNOBS = {
-    "ot-selftest": {
-        "n_clouds": _int_at_least(1),
-        "max_support": _int_at_least(2),
-        "dims": (
-            lambda x: bool(_as_list(x)) and all(_is_int(k) and k >= 1 for k in _as_list(x)),
-            "a positive integer or a nonempty list of them",
-        ),
-        "p": _EXPONENT,
+#: Every parameter each runner reads, as key: (default, accepts, description).
+#: `build_config` fills in the defaults, so a runner reads `cfg.params[key]`;
+#: `validate_config` reports a value its runner cannot use as
+#: "<key>: <value> must be <description>", and any other key as unknown.
+PARAMS = {
+    "classical-dobrushin": {
+        "p": (2.0, *_EXPONENT),
+        "N": ([16, 64, 256], *_PARTICLE_COUNTS),
+        "samples": (2000, *_int_at_least(2)),
+        "reference_size": (4096, *_int_at_least(2)),
+        "dt": (0.025, *_POSITIVE),
+        "times": ([0.25, 0.5, 1.0], *_SAMPLE_TIMES),
+        "repeats": (256, *_int_at_least(1)),
+        "w2_tolerance": (2e-3, *_number_at_least(0)),
+        "slope_tolerance": (0.15, *_number_at_least(0)),
+    },
+    "quantum-dobrushin": {
+        "epsilon": ([0.5, 0.25], *_EPSILONS),
+        "n_particles": (2, *_int_at_least(1)),
+        "grid_points": (64, *_GRID_POINTS),
+        "box": (8.0, *_POSITIVE),
+        "dt": (0.02, *_POSITIVE),
+        "t_final": (0.5, *_POSITIVE),
+        "n_times": (6, *_int_at_least(2)),
+        "center": ([0.3, -0.2], *_CENTER),
+        "checkpoint": (None, lambda x: x is None or isinstance(x, str), "a path prefix or null"),
+    },
+    "mk-bracket": {
+        "epsilon": ([0.5, 0.25, 0.1], *_EPSILONS),
+        "pairs": (20, *_int_at_least(1)),
+        "grid_points": (256, *_GRID_POINTS),
+        "box": (6.0, *_POSITIVE),
+        "center_scale": (1.0, *_number_at_least(0)),
+    },
+    "toeplitz-identities": {
+        "epsilon": (0.25, *_POSITIVE),
+        "grid_points": (256, *_GRID_POINTS),
+        "box": (6.0, *_POSITIVE),
+        "symbols": (10, *_int_at_least(0)),
     },
     "combineq": {
-        "p": _EXPONENT,
-        "mc_samples": _int_at_least(1),
-        "slope_tolerance": _number_at_least(0),
+        "p": (2.0, *_EXPONENT),
+        "N": ([4, 16, 64], *_PARTICLE_COUNTS),
+        "mc_samples": (100_000, *_int_at_least(1)),
+        "slope_tolerance": (0.15, *_number_at_least(0)),
     },
-    "classical-dobrushin": {
-        "p": _EXPONENT,
-        "samples": _int_at_least(2),
-        "reference_size": _int_at_least(2),
-        "repeats": _int_at_least(1),
-        "w2_tolerance": _number_at_least(0),
-        "slope_tolerance": _number_at_least(0),
+    "ot-selftest": {
+        "n_clouds": (50, *_int_at_least(1)),
+        "max_support": (6, *_int_at_least(2)),
+        "dims": ([2, 4], *_DIMS),
+        "p": (2.0, *_EXPONENT),
     },
-    "vlasov-moments": {"p": _EXPONENT, "cloud_size": _int_at_least(2)},
-    "mk-bracket": {
-        "pairs": _int_at_least(1),
-        "box": _POSITIVE,
-        "center_scale": _number_at_least(0),
-    },
-    "toeplitz-identities": {"epsilon": _POSITIVE, "box": _POSITIVE, "symbols": _int_at_least(0)},
-    "quantum-dobrushin": {
-        "n_particles": _int_at_least(1),
-        "box": _POSITIVE,
-        "center_scale": _number_at_least(0),
-        "center": (
-            lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
-            "a list of two numbers [q, p]",
-        ),
+    "vlasov-moments": {
+        "p": (2.0, *_EXPONENT),
+        "cloud_size": (4096, *_int_at_least(2)),
+        "dt": (0.05, *_POSITIVE),
+        "times": ([0.25, 0.5, 0.75, 1.0], *_SAMPLE_TIMES),
     },
 }
 
+def time_schedule(times, dt: float) -> list:
+    """(t, n_steps) for each sample time t: n_steps = round((t - t_prev)/dt)
+    steps take the state from the previous sample time (0 at first) to t.
 
-def _whole_steps(span: float, dt: float) -> bool:
-    """Whether `span` is a whole number (>= 1) of `dt` steps, to 1e-9 relative."""
-    steps = span / dt
-    return round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps
+    Raises ValueError naming every t, bar a leading t = 0, that no step reaches
+    or that is more than 1e-9 relative off dt times the steps taken so far.
+    """
+    schedule, off = [], []
+    t_prev, taken = 0.0, 0
+    for t in times:
+        n_steps = int(round((t - t_prev) / dt))
+        taken += n_steps
+        if (n_steps < 1 and (schedule or t != 0)) or abs(t - taken * dt) > 1e-9 * t:
+            off.append(float(t))
+        schedule.append((t, n_steps))
+        t_prev = t
+    if off:
+        raise ValueError(f"{off} are not integer multiples of dt={dt}")
+    return schedule
 
 
-def _schedule_diagnostics(raw: dict, dt_default: float, times_default: list) -> list:
-    """Sample times must increase strictly from 0 in whole dt steps, so each
-    row is labelled with the time its state was integrated to."""
-    dt = raw.get("dt", dt_default)
-    times = _as_list(raw.get("times", times_default))
-    if not all(_is_number(t) for t in times):
-        return ["times: entries must be numbers"]
+def _sample_times(params: dict) -> list:
+    """A runner's sample times: its `times`, or `n_times` even steps from 0
+    to `t_final`."""
+    if "times" in params:
+        return [float(t) for t in _as_list(params["times"])]
+    return np.linspace(0.0, float(params["t_final"]), int(params["n_times"]))
+
+
+def _value_diagnostics(key: str, value, accepts, what: str) -> list:
+    if not isinstance(accepts, _Each):
+        return [] if accepts(value) else [f"{key}: {value!r} must be {what}"]
+    entries = _as_list(value)
+    if not entries:
+        return [f"{key}: list must be nonempty"]
+    return [f"{key}: entry {v!r} must be {what}" for v in entries if not accepts.ok(v)]
+
+
+def _coherent_centres(exp: str, params: dict, ok) -> list:
+    """(label, q, p) of the coherent centres a grid runner will place, with
+    q and p stacked the way its largest coherent product holds them."""
+    if exp == "quantum-dobrushin" and ok("center", "n_particles"):
+        # the Y factor holds n_particles copies of the centre
+        copies = np.ones(params["n_particles"])
+        q0, p0 = params["center"]
+        return [(f"center: {params['center']!r}", q0 * copies, p0 * copies)]
+    if exp == "mk-bracket" and ok("center_scale"):
+        # a pair (z1, z2) lies on the doubled grid; the worst puts both at a corner
+        s = params["center_scale"]
+        return [(f"center_scale: {s!r}", [s, s], [s, s])]
+    if exp == "toeplitz-identities":
+        # the fixed centre, and the corners of the squares atoms are drawn from
+        centres = [TOEPLITZ_CENTER, *((r, r) for r in TOEPLITZ_ATOM_RANGES)]
+        return [(f"the fixed coherent centre ({q}, {p})", q, p) for q, p in centres]
+    return []
+
+
+def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
+    """Checks that tie resolved parameters together; each skips when one of
+    its inputs is already reported."""
+
+    def ok(*keys):
+        return bad.isdisjoint(keys)
+
     diags = []
-    if any(b <= a for a, b in zip([0.0] + times, times)):
-        diags.append(f"times: {times} must be positive and strictly increasing")
-    if _positive(dt):
-        off = [t for t in times if t > 0 and not _whole_steps(t, dt)]
-        if off:
-            diags.append(f"times: {off} are not integer multiples of dt={dt}")
-    return diags
-
-
-def validate_config(raw: dict) -> list:
-    """Schema and cross-field checks; returns human-readable diagnostics."""
-    diags = []
-    if not isinstance(raw, dict):
-        return ["config must be a JSON object"]
-    exp = raw.get("experiment")
-    if exp not in KNOWN_EXPERIMENTS:
-        diags.append(
-            f"experiment: unknown id {exp!r}; expected one of {', '.join(KNOWN_EXPERIMENTS)}"
-        )
-    diags += _potential_diagnostics(raw.get("potential", {}))
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        diags.append("seed: must be a nonnegative integer")
-    for key in ("dt", "t_final"):
-        if key in raw and not (isinstance(raw[key], (int, float)) and raw[key] > 0):
-            diags.append(f"{key}: must be a positive number")
-    for key in ("N", "epsilon", "times"):
-        if key in raw and isinstance(raw[key], list) and len(raw[key]) == 0:
-            diags.append(f"{key}: list must be nonempty")
-    for n in _as_list(raw.get("N", [])):
-        if not _is_int(n) or n < 1:
-            diags.append(f"N: entry {n!r} must be a positive integer")
-        elif exp == "classical-dobrushin" and n > SUPPORT_CAP:
-            diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
-    knobs = KNOBS.get(exp, {})
-    bad = {key for key, (ok, _) in knobs.items() if key in raw and not ok(raw[key])}
-    for key in sorted(bad):
-        diags.append(f"{key}: {raw[key]!r} must be {knobs[key][1]}")
-    if exp in CLASSICAL_SCHEDULES:
-        diags += _schedule_diagnostics(raw, *CLASSICAL_SCHEDULES[exp])
-    if exp in ("quantum-dobrushin", "mk-bracket"):
-        for eps in _as_list(raw.get("epsilon", [])):
-            if not _positive(eps):
-                diags.append(f"epsilon: entry {eps!r} must be a positive number")
-    n_pts = raw.get("grid_points", GRID_POINTS_DEFAULTS.get(exp))
-    if exp in GRID_POINTS_DEFAULTS and not _power_of_two(n_pts):
-        diags.append(f"grid_points: {n_pts!r} must be an integer power of two >= 2")
-    if exp == "quantum-dobrushin":
-        # the memory, momentum-edge and CFL checks need a valid grid size
-        grid_ok = _power_of_two(n_pts)
-        n_part = raw.get("n_particles", 2)
-        state_bytes = 16 * n_pts ** (2 * n_part) if grid_ok and "n_particles" not in bad else 0
-        from .quantum.grids import memory_cap_bytes
-
+    if exp == "quantum-dobrushin" and ok("grid_points", "n_particles"):
+        n_pts, n_part = params["grid_points"], params["n_particles"]
+        state_bytes = 16 * n_pts ** (2 * n_part)
         if state_bytes > memory_cap_bytes():
+            bad.add("n_particles")  # no centre check on a state that cannot be built
             diags.append(
                 f"grid_points: doubled state needs 16*{n_pts}^{2 * n_part} = "
                 f"{state_bytes} bytes, over the memory cap {memory_cap_bytes()}"
             )
-        box = raw.get("box", 8.0)
-        scale = raw.get("center_scale", 0.35)
-        dt = raw.get("dt", 0.02)
-        dt_ok = _positive(dt)
-        eps_ok = grid_ok and "box" not in bad
-        eps_list = _as_list(raw.get("epsilon", [0.5, 0.25])) if eps_ok else []
-        for eps in filter(_positive, eps_list):
+    if exp == "classical-dobrushin" and ok("N"):
+        for n in _as_list(params["N"]):
+            if n > SUPPORT_CAP:
+                diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
+        need = 2 * max(_as_list(params["N"]))
+        if ok("reference_size") and params["reference_size"] < need:
+            diags.append(
+                f"reference_size: {params['reference_size']!r} must be at least "
+                f"2*max(N) = {need}: each repeat draws two N-point subsamples of "
+                "the reference cloud without replacement"
+            )
+    if "dt" in params and ok("dt", "times", "t_final", "n_times"):
+        dt = float(params["dt"])
+        try:
+            # more intervals than steps cannot all be whole: no need to list them
+            if "n_times" in params and params["n_times"] - 1 > params["t_final"] / dt + 0.5:
+                raise ValueError(f"n_times - 1 is more than t_final/dt = {params['t_final'] / dt}")
+            time_schedule(_sample_times(params), dt)
+        except ValueError as err:
+            diags.append(
+                f"times: {err}"
+                if "times" in params
+                else f"n_times: sample times must be an integer multiple of dt apart; {err}"
+            )
+    if "grid_points" in params and ok("grid_points", "box"):
+        n_pts, box = params["grid_points"], params["box"]
+        at = f"box={box}, grid_points={n_pts}"
+        for eps in filter(_positive, _as_list(params["epsilon"])):
             k_max = math.pi * n_pts / (2 * box)
-            if "center_scale" not in bad and (k_max - scale / eps) * math.sqrt(eps) < 5.2:
+            step = params["dt"] if exp == "quantum-dobrushin" and ok("dt") else 0.0
+            if step * eps * k_max**2 / 2.0 >= math.pi:
                 diags.append(
-                    f"epsilon={eps}: coherent centers up to |p|={scale} sit too "
-                    f"close to the resolvable momentum edge for box={box}, "
-                    f"grid_points={n_pts}"
+                    f"dt={step}: kinetic phase at the Nyquist mode exceeds pi "
+                    f"for epsilon={eps}, {at}"
                 )
-            if dt_ok and dt * eps * k_max**2 / 2.0 >= math.pi:
-                diags.append(
-                    f"dt={dt}: kinetic phase at the Nyquist mode exceeds pi for "
-                    f"epsilon={eps}, box={box}, grid_points={n_pts}"
-                )
-        n_times = raw.get("n_times", 6)
-        t_final = raw.get("t_final", 0.5)
-        if not isinstance(n_times, int) or n_times < 2:
-            diags.append("n_times: must be an integer >= 2")
-        elif dt_ok and _positive(t_final):
-            # every sample interval must be a whole number of steps, so each
-            # row is evaluated at the time the state was integrated to
-            if not _whole_steps(t_final / (n_times - 1), dt):
-                diags.append(
-                    f"t_final/(n_times-1) = {t_final / (n_times - 1)}: sample "
-                    f"interval is not an integer multiple of dt={dt}"
-                )
+            if 16 * n_pts > memory_cap_bytes():
+                break  # the runner's own grid is over the cap: a resource error
+            grid = GridSpec(1, 1, n_pts, float(box), float(eps))
+            # the rule coherent_state applies, on the runner's grid
+            for label, q, p in _coherent_centres(exp, params, ok):
+                try:
+                    _check_center_inside(grid, q, p)
+                except ValueError as err:
+                    diags.append(
+                        f"{label} must be clear of the box edge and the momentum edge "
+                        f"at epsilon={eps}, {at} ({err})"
+                    )
+                    break
     return diags
+
+
+def _resolve(raw: dict, spec: dict) -> dict:
+    """Each parameter of `spec`, from `raw` where it is given, else its default."""
+    return {key: raw[key] if key in raw else default for key, (default, _, _) in spec.items()}
+
+
+def validate_config(raw: dict) -> list:
+    """Schema and cross-field checks; returns human-readable diagnostics."""
+    if not isinstance(raw, dict):
+        return ["config must be a JSON object"]
+    diags = []
+    exp = raw.get("experiment")
+    if exp not in PARAMS:
+        diags.append(
+            f"experiment: unknown id {exp!r}; expected one of {', '.join(PARAMS)}"
+        )
+    diags += _potential_diagnostics(raw.get("potential", {}))
+    if "seed" in raw and not (isinstance(raw["seed"], int) and raw["seed"] >= 0):
+        diags.append("seed: must be a nonnegative integer")
+    if exp not in PARAMS:
+        return diags
+    spec = PARAMS[exp]
+    top_level = ("experiment", "potential", "seed", "out")
+    diags += [f"{key}: not a parameter of {exp}" for key in raw if key not in (*spec, *top_level)]
+    params = _resolve(raw, spec)
+    found = {key: _value_diagnostics(key, params[key], *spec[key][1:]) for key in spec}
+    diags += [d for key_diags in found.values() for d in key_diags]
+    return diags + _cross_field_diagnostics(exp, params, {key for key in spec if found[key]})
 
 
 def build_config(raw: dict, seed=None, out=None) -> ExperimentConfig:
     diags = validate_config(raw)
     if diags:
         raise ValueError("invalid config: " + "; ".join(diags))
-    params = {
-        k: v for k, v in raw.items() if k not in ("experiment", "potential", "seed", "out")
-    }
     return ExperimentConfig(
         experiment=raw["experiment"],
         potential=dict(raw.get("potential", {})),
         seed=int(raw.get("seed", 0) if seed is None else seed),
         out=raw.get("out") if out is None else out,
-        params=params,
+        params=_resolve(raw, PARAMS[raw["experiment"]]),
     )
 
 
@@ -342,15 +413,14 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _run_sweep(tasks, jobs: int):
-    """Execute sweep tasks (callables returning report lists) preserving
-    sweep order in the output regardless of completion order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        chunks = [t() for t in tasks]
+def _run_sweep(one, n: int, jobs: int) -> list:
+    """The rows of one(0), ..., one(n - 1), concatenated in sweep order
+    whatever order the `jobs` worker threads finish in."""
+    if jobs <= 1 or n <= 1:
+        chunks = map(one, range(n))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            chunks = [f.result() for f in futures]
+            chunks = list(pool.map(one, range(n)))
     return [r for chunk in chunks for r in chunk]
 
 
@@ -372,50 +442,36 @@ def _brute_assignment_cost(C: np.ndarray) -> float:
 
 
 def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
-    n_clouds = int(cfg.get("n_clouds", 50))
-    max_support = int(cfg.get("max_support", 6))
-    dims = [int(k) for k in cfg.get("dims", [2, 4])]
-    p = float(cfg.get("p", 2.0))
+    params = cfg.params
+    n_clouds = int(params["n_clouds"])
+    max_support = int(params["max_support"])
+    dims = [int(k) for k in _as_list(params["dims"])]
+    p = float(params["p"])
     children = np.random.SeedSequence(cfg.seed).spawn(n_clouds)
 
     def one(i):
-        def task():
-            rng = np.random.default_rng(children[i])
-            k = dims[i % len(dims)]
-            m = int(rng.integers(2, max_support + 1))
-            mu = DiscreteMeasure.equal_weights(rng.standard_normal((m, k)))
-            nu = DiscreteMeasure.equal_weights(rng.standard_normal((m, k)))
-            dist, plan = wasserstein_exact(mu, nu, p)
-            from scipy.spatial.distance import cdist
+        rng = np.random.default_rng(children[i])
+        k = dims[i % len(dims)]
+        m = int(rng.integers(2, max_support + 1))
+        mu = DiscreteMeasure.equal_weights(rng.standard_normal((m, k)))
+        nu = DiscreteMeasure.equal_weights(rng.standard_normal((m, k)))
+        dist, plan = wasserstein_exact(mu, nu, p)
+        # plan.cost_value and the oracle evaluate the same dot product, so
+        # the comparison is exact; dist**p would reintroduce root roundoff
+        err = abs(plan.cost_value - _brute_assignment_cost(cdist(mu.points, nu.points) ** p))
+        a, b = dual_potentials(mu, nu, p)
+        gap = kantorovich_gap(mu, nu, p, plan, a, b)
+        consts = {"p": p, "d": k, "support": m, "instance": i}
+        return [
+            bounds.make_report(
+                "exact-vs-permutation-oracle", float(i), err, 0.0, tolerance=0.0, constants=consts
+            ),
+            bounds.make_report(
+                "kantorovich-duality-gap", float(i), gap, 0.0, tolerance=1e-9, constants=consts
+            ),
+        ]
 
-            brute = _brute_assignment_cost(cdist(mu.points, nu.points) ** p)
-            a, b = dual_potentials(mu, nu, p)
-            gap = kantorovich_gap(mu, nu, p, plan, a, b)
-            consts = {"p": p, "d": k, "support": m, "instance": i}
-            # plan.cost_value and the oracle evaluate the same dot product, so
-            # the comparison is exact; dist**p would reintroduce root roundoff
-            return [
-                bounds.make_report(
-                    "exact-vs-permutation-oracle",
-                    float(i),
-                    abs(plan.cost_value - brute),
-                    0.0,
-                    tolerance=0.0,
-                    constants=consts,
-                ),
-                bounds.make_report(
-                    "kantorovich-duality-gap",
-                    float(i),
-                    gap,
-                    0.0,
-                    tolerance=1e-9,
-                    constants=consts,
-                ),
-            ]
-
-        return task
-
-    return _run_sweep([one(i) for i in range(n_clouds)], jobs)
+    return _run_sweep(one, n_clouds, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +480,10 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
-    p = float(cfg.get("p", 2.0))
-    N_list = [int(N) for N in _as_list(cfg.get("N", [4, 16, 64]))]
-    n_mc = int(cfg.get("mc_samples", 100_000))
+    params = cfg.params
+    p = float(params["p"])
+    N_list = [int(N) for N in _as_list(params["N"])]
+    n_mc = int(params["mc_samples"])
     children = np.random.SeedSequence(cfg.seed).spawn(len(N_list))
     dist = stats.norm()
 
@@ -434,37 +491,33 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
         return V.grad(np.asarray(z, dtype=float)[:, None])[:, 0]
 
     def one(idx):
-        def task():
-            N = N_list[idx]
-            mean, se = bounds.combineq_mc(
-                f_scalar, dist, p, N, n_mc, int(children[idx].generate_state(1)[0])
-            )
-            consts = _potential_constants(V, p=p, N=N, mc_samples=n_mc)
-            rows = [
-                bounds.make_report(
-                    "consistency-vs-even-constant",
-                    float(N),
-                    mean,
-                    bounds.combineq_rhs_even(V.sup_grad, p, N)
-                    if p == int(p) and int(p) % 2 == 0
-                    else bounds.combineq_rhs(V.sup_grad, p, N),
-                    lhs_stderr=se,
-                    constants=consts,
-                ),
-                bounds.make_report(
-                    "consistency-vs-general-constant",
-                    float(N),
-                    mean,
-                    bounds.combineq_rhs(V.sup_grad, p, N),
-                    lhs_stderr=se,
-                    constants=consts,
-                ),
-            ]
-            return rows
+        N = N_list[idx]
+        mean, se = bounds.combineq_mc(
+            f_scalar, dist, p, N, n_mc, int(children[idx].generate_state(1)[0])
+        )
+        consts = _potential_constants(V, p=p, N=N, mc_samples=n_mc)
+        return [
+            bounds.make_report(
+                "consistency-vs-even-constant",
+                float(N),
+                mean,
+                bounds.combineq_rhs_even(V.sup_grad, p, N)
+                if p == int(p) and int(p) % 2 == 0
+                else bounds.combineq_rhs(V.sup_grad, p, N),
+                lhs_stderr=se,
+                constants=consts,
+            ),
+            bounds.make_report(
+                "consistency-vs-general-constant",
+                float(N),
+                mean,
+                bounds.combineq_rhs(V.sup_grad, p, N),
+                lhs_stderr=se,
+                constants=consts,
+            ),
+        ]
 
-        return task
-
-    reports = _run_sweep([one(i) for i in range(len(N_list))], jobs)
+    reports = _run_sweep(one, len(N_list), jobs)
     if len(N_list) >= 2:
         means = [r.lhs_measured for r in reports if r.inequality_id == "consistency-vs-even-constant"]
         slope = float(np.polyfit(np.log(N_list), np.log(means), 1)[0])
@@ -474,7 +527,7 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 0.0,
                 abs(slope - (-1.0)),
                 0.0,
-                tolerance=float(cfg.get("slope_tolerance", 0.15)),
+                tolerance=float(params["slope_tolerance"]),
                 constants={"slope": slope, "p": p},
             )
         )
@@ -516,74 +569,63 @@ def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq):
 
 def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
-    p = float(cfg.get("p", 2.0))
-    N_list = [int(N) for N in _as_list(cfg.get("N", [16, 64, 256]))]
-    M = int(cfg.get("samples", 2000))
-    ref_size = int(cfg.get("reference_size", 4096))
-    dt_default, times_default = CLASSICAL_SCHEDULES["classical-dobrushin"]
-    dt = float(cfg.get("dt", dt_default))
-    times = [float(t) for t in _as_list(cfg.get("times", times_default))]
-    repeats = int(cfg.get("repeats", 256))
+    params = cfg.params
+    p = float(params["p"])
+    N_list = [int(N) for N in _as_list(params["N"])]
+    M = int(params["samples"])
+    ref_size = int(params["reference_size"])
+    dt = float(params["dt"])
+    schedule = time_schedule(_sample_times(params), dt)
+    repeats = int(params["repeats"])
 
     root = np.random.SeedSequence(cfg.seed)
     ref_seed, *per_n = root.spawn(1 + len(N_list))
 
+    lambda_p = bounds.lambda_p_constant(p, V.lip_grad)
+
     def one(idx):
-        def task():
-            N = N_list[idx]
-            ens_seed, sub_seed = per_n[idx].spawn(2)
-            reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
-            ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
-            rows = []
-            t_prev = 0.0
-            sub_children = sub_seed.spawn(len(times))
-            for j, t in enumerate(times):
-                n_steps = int(round((t - t_prev) / dt))
-                ens, reference, _, _ = run_coupled_trajectory(
-                    ens, reference, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
+        N = N_list[idx]
+        ens_seed, sub_seed = per_n[idx].spawn(2)
+        reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
+        ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
+        consts = _potential_constants(
+            V, p=p, N=N, n=1, samples=M, dt=dt, Lambda_p=lambda_p, K_p=bounds.k_constant(p)
+        )
+        rows = []
+        sub_children = sub_seed.spawn(len(schedule))
+        for j, (t, n_steps) in enumerate(schedule):
+            ens, reference, _, _ = run_coupled_trajectory(
+                ens, reference, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
+            )
+            per = dobrushin_per_sample(ens, p)
+            rows.append(
+                bounds.make_report(
+                    GROWTH_ROW,
+                    t,
+                    float(per.mean()),
+                    bounds.classical_rhs(V, p, N, 1, t),
+                    lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
+                    constants=consts,
                 )
-                t_prev = t
-                consts = _potential_constants(
-                    V,
-                    p=p,
-                    N=N,
-                    n=1,
-                    samples=M,
-                    dt=dt,
-                    Lambda_p=bounds.lambda_p_constant(p, V.lip_grad),
-                    K_p=bounds.k_constant(p),
+            )
+            f_pool = ens.reference_as_cloud().points.points
+            debiased, deb_se, floor = _empirical_chaos_sq(
+                ens.Y, ens.H, f_pool, repeats, sub_children[j]
+            )
+            rows.append(
+                bounds.make_report(
+                    "marginal-transport-convergence",
+                    t,
+                    debiased,
+                    bounds.classical_rhs(V, p, N, 1, t),
+                    lhs_stderr=deb_se,
+                    tolerance=float(params["w2_tolerance"]),
+                    constants=dict(consts, repeats=repeats, baseline=floor),
                 )
-                per = dobrushin_per_sample(ens, p)
-                rows.append(
-                    bounds.make_report(
-                        GROWTH_ROW,
-                        t,
-                        float(per.mean()),
-                        bounds.classical_rhs(V, p, N, 1, t),
-                        lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
-                        constants=consts,
-                    )
-                )
-                f_pool = ens.reference_as_cloud().points.points
-                debiased, deb_se, floor = _empirical_chaos_sq(
-                    ens.Y, ens.H, f_pool, repeats, sub_children[j]
-                )
-                rows.append(
-                    bounds.make_report(
-                        "marginal-transport-convergence",
-                        t,
-                        debiased,
-                        bounds.classical_rhs(V, p, N, 1, t),
-                        lhs_stderr=deb_se,
-                        tolerance=float(cfg.get("w2_tolerance", 2e-3)),
-                        constants=dict(consts, repeats=repeats, baseline=floor),
-                    )
-                )
-            return rows
+            )
+        return rows
 
-        return task
-
-    reports = _run_sweep([one(i) for i in range(len(N_list))], jobs)
+    reports = _run_sweep(one, len(N_list), jobs)
     if len(N_list) >= 2:
         # The N-rate is fit on the directly measured coupling distance
         # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
@@ -591,15 +633,15 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         # at desk scale, so only the former can carry a log-log fit.  Each N
         # emits one growth row per sample time; the last is the final D^p_N.
         growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
-        finals = np.array([max(d, 1e-300) for d in growth[len(times) - 1 :: len(times)]])
+        finals = np.array([max(d, 1e-300) for d in growth[len(schedule) - 1 :: len(schedule)]])
         slope = float(np.polyfit(np.log(N_list), np.log(finals) / p, 1)[0])
         reports.append(
             bounds.make_report(
                 "coupling-distance-scaling-slope",
-                times[-1],
+                schedule[-1][0],
                 abs(slope - (-0.5)),
                 0.0,
-                tolerance=float(cfg.get("slope_tolerance", 0.15)),
+                tolerance=float(params["slope_tolerance"]),
                 constants={"slope": slope, "p": p},
             )
         )
@@ -612,13 +654,11 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
-    p = float(cfg.get("p", 2.0))
-    M = int(cfg.get("cloud_size", 4096))
-    dt_default, times_default = CLASSICAL_SCHEDULES["vlasov-moments"]
-    dt = float(cfg.get("dt", dt_default))
-    times = [float(t) for t in _as_list(cfg.get("times", times_default))]
-
-    cloud = sample_gaussian_cloud(M, int(cfg.potential.get("dim", 1)), cfg.seed)
+    params = cfg.params
+    p = float(params["p"])
+    M = int(params["cloud_size"])
+    dt = float(params["dt"])
+    cloud = sample_gaussian_cloud(M, V.dim, cfg.seed)
 
     def moment_stats(c):
         r = np.linalg.norm(c.x, axis=1) ** p + np.linalg.norm(c.xi, axis=1) ** p
@@ -626,11 +666,8 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
     m0, se0 = moment_stats(cloud)
     rows = []
-    t_prev = 0.0
-    for t in times:
-        n_steps = int(round((t - t_prev) / dt))
+    for t, n_steps in time_schedule(_sample_times(params), dt):
         cloud = vlasov_advance(cloud, V, dt, n_steps)
-        t_prev = t
         mt, se_t = moment_stats(cloud)
         rhs = bounds.moment_rhs(m0, p, V.lip_grad, t)
         rows.append(
@@ -652,67 +689,60 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
-    eps_list = [float(e) for e in _as_list(cfg.get("epsilon", [0.5, 0.25, 0.1]))]
-    n_pairs = int(cfg.get("pairs", 20))
+    params = cfg.params
+    eps_list = [float(e) for e in _as_list(params["epsilon"])]
+    n_pairs = int(params["pairs"])
     per_eps = max(1, -(-n_pairs // len(eps_list)))  # ceil division
-    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["mk-bracket"]))
-    box = float(cfg.get("box", 6.0))
-    scale = float(cfg.get("center_scale", 1.0))
+    n_pts = int(params["grid_points"])
+    box = float(params["box"])
+    scale = float(params["center_scale"])
     children = np.random.SeedSequence(cfg.seed).spawn(len(eps_list))
 
     def one(idx):
-        def task():
-            eps = eps_list[idx]
-            rng = np.random.default_rng(children[idx])
-            sgrid = GridSpec(1, 1, n_pts, box, eps)
-            dgrid = doubled_grid(sgrid, 1)
-            rows = []
-            for k in range(per_eps):
-                z1 = rng.uniform(-scale, scale, 2)
-                z2 = rng.uniform(-scale, scale, 2)
-                s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
-                s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
-                _, plan = wasserstein_exact(s1, s2, p=2.0)
-                coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
-                mixture = coupling_to_state_mixture(dgrid, coupling)
-                qp = qp_cost_trace(mixture, eps)
-                expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
-                rho1 = state_density_matrix(coherent_state(sgrid, z1[0], z1[1]))
-                rho2 = state_density_matrix(coherent_state(sgrid, z2[0], z2[1]))
-                lower = mk_eps_lower(rho1, rho2, eps)
-                consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
-                t_tag = float(idx * per_eps + k)
-                rows += [
-                    bounds.make_report(
-                        "product-coupling-cost-identity",
-                        t_tag,
-                        abs(qp - expected),
-                        0.0,
-                        tolerance=1e-3 * expected,
-                        constants=consts,
-                    ),
-                    bounds.make_report(
-                        "husimi-lower-vs-coupling-cost",
-                        t_tag,
-                        lower,
-                        qp,
-                        tolerance=1e-3,
-                        constants=consts,
-                    ),
-                    bounds.make_report(
-                        "coupling-cost-floor",
-                        t_tag,
-                        2.0 * eps,
-                        qp,
-                        tolerance=1e-6,
-                        constants=consts,
-                    ),
-                ]
-            return rows
+        eps = eps_list[idx]
+        rng = np.random.default_rng(children[idx])
+        sgrid = GridSpec(1, 1, n_pts, box, eps)
+        dgrid = doubled_grid(sgrid, 1)
+        rows = []
+        for k in range(per_eps):
+            z1 = rng.uniform(-scale, scale, 2)
+            z2 = rng.uniform(-scale, scale, 2)
+            s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
+            s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
+            _, plan = wasserstein_exact(s1, s2, p=2.0)
+            coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
+            mixture = coupling_to_state_mixture(dgrid, coupling)
+            qp = qp_cost_trace(mixture, eps)
+            expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
+            rho1 = state_density_matrix(coherent_state(sgrid, z1[0], z1[1]))
+            rho2 = state_density_matrix(coherent_state(sgrid, z2[0], z2[1]))
+            lower = mk_eps_lower(rho1, rho2, eps)
+            consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
+            t_tag = float(idx * per_eps + k)
+            rows += [
+                bounds.make_report(
+                    "product-coupling-cost-identity",
+                    t_tag,
+                    abs(qp - expected),
+                    0.0,
+                    tolerance=1e-3 * expected,
+                    constants=consts,
+                ),
+                bounds.make_report(
+                    "husimi-lower-vs-coupling-cost",
+                    t_tag,
+                    lower,
+                    qp,
+                    tolerance=1e-3,
+                    constants=consts,
+                ),
+                bounds.make_report(
+                    "coupling-cost-floor", t_tag, 2.0 * eps, qp, tolerance=1e-6, constants=consts
+                ),
+            ]
+        return rows
 
-        return task
-
-    return _run_sweep([one(i) for i in range(len(eps_list))], jobs)
+    return _run_sweep(one, len(eps_list), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +750,18 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
-    eps = float(cfg.get("epsilon", 0.25))
-    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["toeplitz-identities"]))
-    box = float(cfg.get("box", 6.0))
-    n_symbols = int(cfg.get("symbols", 10))
+    params = cfg.params
+    eps = float(params["epsilon"])
+    n_pts = int(params["grid_points"])
+    box = float(params["box"])
+    n_symbols = int(params["symbols"])
     grid = GridSpec(1, 1, n_pts, box, eps)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     rows = []
 
     # (a) Wigner of a coherent state against its closed form
-    q0, p0 = 0.3, -0.2
+    q0, p0 = TOEPLITZ_CENTER
+    mixed_range, symbol_range = TOEPLITZ_ATOM_RANGES
     rho_c = state_density_matrix(coherent_state(grid, q0, p0))
     W = wigner_transform(rho_c)
     X, XI = np.meshgrid(W.x_nodes, W.xi_nodes, indexing="ij")
@@ -745,25 +777,21 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
             constants=consts,
         )
     )
+    norm_err = abs(W.integral() - 1.0)
     rows.append(
         bounds.make_report(
-            "wigner-normalization",
-            0.0,
-            abs(W.integral() - 1.0),
-            0.0,
-            tolerance=1e-6,
-            constants=consts,
+            "wigner-normalization", 0.0, norm_err, 0.0, tolerance=1e-6, constants=consts
         )
     )
 
     # (b) Toeplitz trace identity, matrix route vs atom route
     mixed_symbol = DiscreteMeasure(
-        rng.uniform(-1.0, 1.0, (3, 2)), np.full(3, 1.0 / 3.0)
+        rng.uniform(-mixed_range, mixed_range, (3, 2)), np.full(3, 1.0 / 3.0)
     )
     rho_mixed = toeplitz_operator(grid, mixed_symbol)
     for i in range(n_symbols):
         k = int(rng.integers(1, 7))
-        pts = rng.uniform(-1.5, 1.5, (k, 2))
+        pts = rng.uniform(-symbol_range, symbol_range, (k, 2))
         w = rng.dirichlet(np.ones(k))
         symbol = DiscreteMeasure(pts, w)
         rho = rho_c if i % 2 == 0 else rho_mixed
@@ -814,118 +842,88 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
-    eps_list = [float(e) for e in _as_list(cfg.get("epsilon", [0.5, 0.25]))]
-    N = int(cfg.get("n_particles", 2))
-    n_pts = int(cfg.get("grid_points", GRID_POINTS_DEFAULTS["quantum-dobrushin"]))
-    box = float(cfg.get("box", 8.0))
-    dt = float(cfg.get("dt", 0.02))
-    t_final = float(cfg.get("t_final", 0.5))
-    n_times = int(cfg.get("n_times", 6))
-    q0, p0 = (float(v) for v in cfg.get("center", [0.3, -0.2]))
-    checkpoint = cfg.get("checkpoint", None)
-    sample_times = np.linspace(0.0, t_final, n_times)
+    params = cfg.params
+    eps_list = [float(e) for e in _as_list(params["epsilon"])]
+    N = int(params["n_particles"])
+    n_pts = int(params["grid_points"])
+    box = float(params["box"])
+    dt = float(params["dt"])
+    q0, p0 = (float(v) for v in params["center"])
+    checkpoint = params["checkpoint"]
+    schedule = time_schedule(_sample_times(params), dt)
+    lam = bounds.lambda_constant(V.lip_grad)
 
     def one(idx):
-        def task():
-            eps = eps_list[idx]
-            base = GridSpec(1, 1, n_pts, box, eps)
-            # product symbol with every particle at z0; its diagonal coupling
-            # is symmetric, so the symmetrized Toeplitz lift is a single pure
-            # coherent product, which the coupled flow keeps a product: it is
-            # evolved and measured as its factors, never as the doubled grid
-            atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
-            symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
-            _, plan = wasserstein_exact(symbol, symbol, p=2.0)
-            coupling = symmetrize_initial_coupling(plan, symbol, symbol, N)
-            components = [
-                (w, state, coherent_state(base, q0, p0))
-                for w, state in coupling_to_factored_mixture(base, N, coupling)
-            ]
-            rows = []
-            drift_max = 0.0
-            t_prev = 0.0
-            steps_taken = 0
-            for t in sample_times:
-                n_steps = int(round((t - t_prev) / dt))
-                advanced = []
-                for w, state, ref in components:
-                    for _ in range(n_steps):
-                        state, ref = factored_coupled_advance(state, ref, V, dt)
-                    advanced.append((w, state, ref))
-                components = advanced
-                t_prev = t
-                steps_taken += n_steps
-                consts = _potential_constants(
-                    V,
-                    eps=eps,
-                    N=N,
-                    n=1,
-                    dt=dt,
-                    Lambda=bounds.lambda_constant(V.lip_grad),
-                    grid_points=n_pts,
-                )
-                try:
-                    for w, state, _ in components:
-                        state.check_guard_band()
-                        drift_max = max(drift_max, abs(state.norm() - 1.0))
-                except GuardBandError as err:
-                    # abort policy: a bound evaluated on a leaking state is
-                    # meaningless, so mark the row failed and stop the sweep
-                    rows.append(
-                        bounds.make_report(
-                            GUARD_BAND_ROW,
-                            t,
-                            1.0,
-                            0.0,
-                            tolerance=0.0,
-                            constants=consts,
-                        )
-                    )
-                    print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
-                    break
-                mixture = [(w, state) for w, state, _ in components]
-                D = qp_cost_trace(mixture, eps) / N
-                rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
+        eps = eps_list[idx]
+        base = GridSpec(1, 1, n_pts, box, eps)
+        # product symbol with every particle at z0; its diagonal coupling
+        # is symmetric, so the symmetrized Toeplitz lift is a single pure
+        # coherent product, which the coupled flow keeps a product: it is
+        # evolved and measured as its factors, never as the doubled grid
+        atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
+        symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
+        _, plan = wasserstein_exact(symbol, symbol, p=2.0)
+        coupling = symmetrize_initial_coupling(plan, symbol, symbol, N)
+        components = [
+            (w, state, coherent_state(base, q0, p0))
+            for w, state in coupling_to_factored_mixture(base, N, coupling)
+        ]
+        consts = _potential_constants(V, eps=eps, N=N, n=1, dt=dt, Lambda=lam, grid_points=n_pts)
+        rows = []
+        drift_max = 0.0
+        t_reached = 0.0
+        steps_taken = 0
+        for t, n_steps in schedule:
+            advanced = []
+            for w, state, ref in components:
+                for _ in range(n_steps):
+                    state, ref = factored_coupled_advance(state, ref, V, dt)
+                advanced.append((w, state, ref))
+            components = advanced
+            t_reached = t
+            steps_taken += n_steps
+            try:
+                for w, state, _ in components:
+                    state.check_guard_band()
+                    drift_max = max(drift_max, abs(state.norm() - 1.0))
+            except GuardBandError as err:
+                # abort policy: a bound evaluated on a leaking state is
+                # meaningless, so mark the row failed and stop the sweep
                 rows.append(
-                    bounds.make_report(
-                        "coupling-cost-growth",
-                        t,
-                        D,
-                        rhs,
-                        tolerance=1e-2 * rhs,
-                        constants=consts,
-                    )
+                    bounds.make_report(GUARD_BAND_ROW, t, 1.0, 0.0, tolerance=0.0, constants=consts)
                 )
-                rho_x = reduced_density(mixture, [0])
-                rho_y = reduced_density(mixture, [N])
-                rows.append(
-                    bounds.make_report(
-                        "husimi-lower-chain",
-                        t,
-                        mk_eps_lower(rho_x, rho_y, eps),
-                        D,
-                        tolerance=1e-2,
-                        constants=consts,
-                    )
-                )
-            # labelled with the time actually integrated: an abort stops short
+                print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
+                break
+            mixture = [(w, state) for w, state, _ in components]
+            D = qp_cost_trace(mixture, eps) / N
+            rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
             rows.append(
                 bounds.make_report(
-                    "doubled-evolution-unitarity",
-                    float(t_prev),
-                    drift_max,
-                    0.0,
-                    tolerance=1e-10,
-                    constants={"eps": eps, "dt": dt, "steps": steps_taken},
+                    "coupling-cost-growth", t, D, rhs, tolerance=1e-2 * rhs, constants=consts
                 )
             )
-            if checkpoint:
-                save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1].doubled())
-            return rows
+            chain = mk_eps_lower(reduced_density(mixture, [0]), reduced_density(mixture, [N]), eps)
+            rows.append(
+                bounds.make_report(
+                    "husimi-lower-chain", t, chain, D, tolerance=1e-2, constants=consts
+                )
+            )
+        # labelled with the time actually integrated: an abort stops short
+        rows.append(
+            bounds.make_report(
+                "doubled-evolution-unitarity",
+                float(t_reached),
+                drift_max,
+                0.0,
+                tolerance=1e-10,
+                constants={"eps": eps, "dt": dt, "steps": steps_taken},
+            )
+        )
+        if checkpoint:
+            save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1].doubled())
+        return rows
 
-        return task
-
-    return _run_sweep([one(i) for i in range(len(eps_list))], jobs)
+    return _run_sweep(one, len(eps_list), jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,7 @@ def hartree_potential(psi: WaveFunction, V: Potential) -> np.ndarray:
     grid = psi.grid
     if grid.n_particles != 1 or grid.d != 1 or grid.doubled:
         raise ValueError("hartree_potential expects a single-particle d = 1 state")
-    n = grid.points_per_axis
-    density = np.abs(psi.values) ** 2 * grid.h
-    offsets = (np.arange(2 * n - 1) - (n - 1)) * grid.h
-    kernel = V.eval(offsets[:, None])
-    return fftconvolve(density, kernel)[n - 1 : 2 * n - 1]
+    return _density_potential(np.abs(psi.values) ** 2 * grid.h, grid, V)
 
 
 def _density_potential(density: np.ndarray, grid: GridSpec, V: Potential) -> np.ndarray:

@@ -223,17 +223,10 @@ def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = N
     raise ResourceCapError("Husimi lattice would exceed the transport support cap")
 
 
-def _as_pure_state(rho_or_psi) -> DensityMatrix:
-    if isinstance(rho_or_psi, DensityMatrix):
-        return rho_or_psi
-    psi = rho_or_psi
-    vec = psi.values.ravel()
-    return DensityMatrix(psi.grid, np.outer(vec, vec.conj()))
-
-
 def state_density_matrix(psi: WaveFunction) -> DensityMatrix:
     """|psi><psi| as a grid matrix (for single-particle diagnostics)."""
-    return _as_pure_state(psi)
+    vec = psi.values.ravel()
+    return DensityMatrix(psi.grid, np.outer(vec, vec.conj()))
 
 
 def _coupling_atoms(

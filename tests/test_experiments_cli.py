@@ -14,10 +14,12 @@ import pytest
 from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
 from mflab.experiments import (
+    PARAMS,
     ExperimentConfig,
     build_config,
     make_potential,
     run_experiment,
+    time_schedule,
     validate_config,
 )
 from mflab.quantum.grids import load_state
@@ -84,10 +86,15 @@ def test_validate_empty_sweep_list():
     assert any(d.startswith("N:") for d in diags)
 
 
-def test_validate_quantum_memory_estimate():
+def test_validate_quantum_memory_estimate(monkeypatch):
     raw = {"experiment": "quantum-dobrushin", "grid_points": 128, "n_particles": 2}
     diags = validate_config(raw)
     assert any(str(16 * 128**4) in d for d in diags)
+    # under a cap below even one grid line, validation still reports, not raises
+    monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", "1000")
+    diags = validate_config({"experiment": "quantum-dobrushin"})
+    assert len(diags) == 1 and "over the memory cap 1000" in diags[0]
+    assert validate_config({"experiment": "toeplitz-identities"}) == []
 
 
 def test_validate_quantum_grid_power_of_two():
@@ -125,6 +132,9 @@ def test_validate_quantum_sample_times_multiple_of_dt():
     assert validate_config(dict(base, t_final=0.1, n_times=6)) == []
     assert validate_config(dict(base, t_final=0.5, n_times=6)) == []
     assert any(d.startswith("n_times:") for d in validate_config(dict(base, n_times=1)))
+    # more sample intervals than steps is reported without listing the times
+    diags = validate_config(dict(base, n_times=10**9))
+    assert len(diags) == 1 and "n_times - 1 is more than t_final/dt = 25.0" in diags[0]
 
 
 def test_validate_quantum_epsilon_must_be_positive(tmp_path, capsys):
@@ -175,6 +185,29 @@ def test_validate_classical_schedule(tmp_path, experiment):
     path = _write_cfg(tmp_path, {"experiment": experiment, "times": [0.25, 0.1]})
     assert main(["validate", path]) == 4
     assert main(["run", path]) == 64
+    # a misspelt schedule key would otherwise run the default schedule
+    path = _write_cfg(tmp_path, {"experiment": experiment, "time": [0.1]})
+    assert validate_config({"experiment": experiment, "time": [0.1]}) == [
+        f"time: not a parameter of {experiment}"
+    ]
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+
+
+def test_time_schedule_counts_whole_steps():
+    # a leading t = 0 takes no step; each later time the steps since the last
+    assert time_schedule([0.0, 0.1, 0.25], 0.05) == [(0.0, 0), (0.1, 2), (0.25, 3)]
+    assert time_schedule([0.25, 0.5, 1.0], 0.025) == [(0.25, 10), (0.5, 10), (1.0, 20)]
+    times = np.linspace(0.0, 0.5, 6)
+    assert [n for _, n in time_schedule(times, 0.02)] == [0, 5, 5, 5, 5, 5]
+    with pytest.raises(ValueError, match=r"\[0.26\] are not integer multiples of dt=0.05"):
+        time_schedule([0.1, 0.26], 0.05)
+    # every time whose integrated time differs is named, not only the first
+    with pytest.raises(ValueError, match=r"\[0.12, 0.27\]"):
+        time_schedule([0.12, 0.27], 0.05)
+    for times in ([0.1, 0.1], [0.1, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            time_schedule(times, 0.05)
 
 
 def test_validate_particle_counts(tmp_path):
@@ -230,10 +263,17 @@ def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
         assert main(["run", path]) == 64, n_pts
         assert "config error: grid_points:" in capsys.readouterr().err, n_pts
     assert validate_config({"experiment": experiment}) == []
-    assert validate_config({"experiment": experiment, "grid_points": 64}) == []
+    diags = validate_config({"experiment": experiment, "grid_points": 64})
+    if experiment == "mk-bracket":
+        # 64 points cannot resolve its |p| = 1 corners at epsilon = 0.1
+        assert len(diags) == 1 and diags[0].startswith("center_scale: 1.0 must be clear")
+        assert "epsilon=0.1," in diags[0]
+        diags = validate_config({"experiment": experiment, "grid_points": 128})
+    assert diags == []
 
 
-# knobs each runner would hand to int()/float(), with values it cannot use
+# parameters each runner would use, with values it cannot use; a third
+# entry is the diagnostic expected in place of "<key>: <value> must be"
 BAD_KNOBS = {
     "ot-selftest": [("n_clouds", "x"), ("max_support", 1), ("dims", ["x"]), ("p", "2")],
     "combineq": [("mc_samples", "x"), ("mc_samples", 0), ("p", 0.5), ("slope_tolerance", "x")],
@@ -243,27 +283,44 @@ BAD_KNOBS = {
         ("reference_size", "x"),
         ("repeats", "x"),
         ("w2_tolerance", None),
+        ("reference_size", 10),
+        ("sample", 32, "sample: not a parameter of classical-dobrushin"),
     ],
     "vlasov-moments": [("cloud_size", "x"), ("cloud_size", 2.0), ("p", "x")],
-    "mk-bracket": [("box", "x"), ("box", 0), ("pairs", "x"), ("center_scale", "x")],
-    "toeplitz-identities": [("symbols", "x"), ("epsilon", [0.25]), ("box", "x")],
+    "mk-bracket": [
+        ("box", "x"),
+        ("box", 0),
+        ("pairs", "x"),
+        ("center_scale", "x"),
+        ("center_scale", 5.0),
+    ],
+    "toeplitz-identities": [
+        ("symbols", "x"),
+        ("epsilon", [0.25]),
+        ("box", "x"),
+        ("box", 1.0, "the fixed coherent centre (0.3, -0.2) must be clear of the box edge"),
+    ],
     "quantum-dobrushin": [
         ("n_particles", "x"),
         ("n_particles", 1.5),
         ("box", "x"),
-        ("center_scale", "x"),
         ("center", [0.3]),
+        ("center", [0.3, 3.0]),
+        ("center", [7.9, 0.0]),
+        ("checkpoint", 3),
+        ("center_scale", 0.35, "center_scale: not a parameter of quantum-dobrushin"),
     ],
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(BAD_KNOBS))
 def test_validate_numeric_knobs(tmp_path, capsys, experiment):
-    for key, value in BAD_KNOBS[experiment]:
+    for key, value, *said in BAD_KNOBS[experiment]:
         path = _write_cfg(tmp_path, {"experiment": experiment, key: value})
         assert main(["validate", path]) == 4, (key, value)
         assert main(["run", path]) == 64, (key, value)
-        assert f"config error: {key}: {value!r} must be" in capsys.readouterr().err, (key, value)
+        want = said[0] if said else f"{key}: {value!r} must be"
+        assert f"config error: {want}" in capsys.readouterr().err, (key, value)
     assert validate_config({"experiment": experiment}) == []
 
 
@@ -305,6 +362,11 @@ def test_build_config_overrides_and_params():
     assert cfg.out == "/tmp/somewhere"
     assert cfg.params["n_clouds"] == 4
     assert "experiment" not in cfg.params
+    # every parameter a runner reads is filled in, and nothing else
+    assert cfg.params["max_support"] == 5 and cfg.params["p"] == PARAMS["ot-selftest"]["p"][0]
+    for experiment, spec in PARAMS.items():
+        params = build_config({"experiment": experiment}).params
+        assert params == {key: default for key, (default, _, _) in spec.items()}, experiment
 
 
 def test_run_experiment_unknown_id():
