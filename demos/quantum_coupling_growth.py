@@ -13,6 +13,8 @@ floor 2*eps (diagonal coherent coupling) and may grow at most like
 The Husimi picture gives an independent lower rail: W2(Husimi marginals)^2
 - 2 eps can never exceed the trace cost.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from mflab import make_gaussian_potential
@@ -22,18 +24,17 @@ from mflab.quantum import (
     GridSpec,
     coherent_product_state,
     coherent_state,
-    coupled_quantum_advance,
-    doubled_grid,
     factored_coupled_advance,
     mk_eps_lower,
     qp_cost_trace,
     reduced_density,
 )
+from mflab.quantum.dynamics import coupled_quantum_advance
 
 eps = 0.25
 V = make_gaussian_potential(1.0, 1.0, 1)
 base = GridSpec(1, 1, 64, 8.0, eps)
-dbl = doubled_grid(base, 1)
+dbl = replace(base, doubled=True)
 
 q0, p0 = 0.3, -0.2
 state = FactoredCoupling((coherent_state(base, q0, p0),), coherent_state(base, q0, p0))

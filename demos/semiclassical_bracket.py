@@ -12,10 +12,9 @@ import numpy as np
 
 from mflab import DiscreteMeasure, wasserstein_exact
 from mflab.quantum import (
+    FactoredCoupling,
     GridSpec,
-    coherent_product_state,
     coherent_state,
-    doubled_grid,
     mk_eps_lower,
     mk_eps_upper,
     qp_cost_trace,
@@ -30,13 +29,9 @@ print(f"z1 = ({z1[0]:+.3f}, {z1[1]:+.3f})   z2 = ({z2[0]:+.3f}, {z2[1]:+.3f})   
 print(f"{'eps':>6} {'husimi lower':>14} {'trace cost':>12} {'symbol upper':>14} {'closed form':>13}")
 for eps in (0.5, 0.25, 0.1):
     grid = GridSpec(1, 1, 256, 6.0, eps)
-    pair = coherent_product_state(doubled_grid(grid, 1), [z1[0], z2[0], z1[1], z2[1]])
-    cost = qp_cost_trace(pair, eps)
-    lower = mk_eps_lower(
-        state_density_matrix(coherent_state(grid, z1[0], z1[1])),
-        state_density_matrix(coherent_state(grid, z2[0], z2[1])),
-        eps,
-    )
+    x, y = coherent_state(grid, z1[0], z1[1]), coherent_state(grid, z2[0], z2[1])
+    cost = qp_cost_trace(FactoredCoupling((x,), y), eps)
+    lower = mk_eps_lower(state_density_matrix(x), state_density_matrix(y), eps)
     s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
     s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
     upper = mk_eps_upper(s1, s2, eps)
@@ -48,5 +43,5 @@ for eps in (0.5, 0.25, 0.1):
 # the trace cost cannot drop below 2*d*eps
 eps = 0.25
 grid = GridSpec(1, 1, 128, 5.0, eps)
-diag = coherent_product_state(doubled_grid(grid, 1), [0.4, 0.4, -0.3, -0.3])
+diag = FactoredCoupling((coherent_state(grid, 0.4, -0.3),), coherent_state(grid, 0.4, -0.3))
 print(f"diagonal coupling at eps={eps}: cost = {qp_cost_trace(diag, eps):.9f}  floor = {2 * eps}")

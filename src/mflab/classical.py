@@ -364,12 +364,16 @@ def marginal_cloud(positions: Array, momenta: Array, n: int) -> DiscreteMeasure:
     return DiscreteMeasure.equal_weights(pts)
 
 
+def point_moments(cloud: VlasovCloud, p: float) -> np.ndarray:
+    """|x|^p + |xi|^p at each point of the cloud."""
+    return np.linalg.norm(cloud.x, axis=1) ** p + np.linalg.norm(cloud.xi, axis=1) ** p
+
+
 def moment_p(cloud: VlasovCloud, p: float) -> float:
     """Weighted sum of |x|^p + |xi|^p over the cloud."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    r = np.linalg.norm(cloud.x, axis=1) ** p + np.linalg.norm(cloud.xi, axis=1) ** p
-    return float(cloud.points.weights @ r)
+    return float(cloud.points.weights @ point_moments(cloud, p))
 
 
 def nbody_energy(V: Potential, state: PhaseState) -> float:

@@ -21,22 +21,18 @@ from . import bounds
 from .classical import (
     diagonal_ensemble,
     dobrushin_per_sample,
+    point_moments,
     run_coupled_trajectory,
     sample_gaussian_cloud,
     vlasov_advance,
 )
 from .potentials import Potential, make_cosine_potential, make_gaussian_potential
-# check_guard_band and coupled_quantum_advance are not called here, but
-# perfbench/tracing.py wraps them by name on this module
 from .quantum import (
     GridSpec,
     GuardBandError,
     check_guard_band,
     coherent_state,
-    coupled_quantum_advance,
     coupling_to_factored_mixture,
-    coupling_to_state_mixture,
-    doubled_grid,
     factored_coupled_advance,
     husimi_transform,
     mk_eps_lower,
@@ -50,6 +46,10 @@ from .quantum import (
     trace_product,
     wigner_transform,
 )
+# check_guard_band and coupled_quantum_advance are not called here, but
+# perfbench/tracing.py wraps them by name on this module; they leave the
+# imports when the benchmark's spans are re-pointed
+from .quantum.dynamics import coupled_quantum_advance
 from .quantum.grids import memory_cap_bytes
 from .quantum.phase_space import _check_center_inside
 from .transport import (
@@ -84,17 +84,19 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
+#: The potential's fields and their defaults; a cosine `wavevector` defaults
+#: to ones in each of `dim` components.
+POTENTIAL_DEFAULTS = {"family": "gaussian", "dim": 1, "amplitude": 1.0, "width": 1.0}
+
+
 def make_potential(spec: dict) -> Potential:
-    family = spec.get("family", "gaussian")
-    d = int(spec.get("dim", 1))
+    pot = {**POTENTIAL_DEFAULTS, **spec}
+    family = pot["family"]
+    d = int(pot["dim"])
     if family == "gaussian":
-        return make_gaussian_potential(
-            float(spec.get("amplitude", 1.0)), float(spec.get("width", 1.0)), d
-        )
+        return make_gaussian_potential(float(pot["amplitude"]), float(pot["width"]), d)
     if family == "cosine":
-        return make_cosine_potential(
-            float(spec.get("amplitude", 1.0)), spec.get("wavevector", [1.0] * d), d
-        )
+        return make_cosine_potential(float(pot["amplitude"]), pot.get("wavevector", [1.0] * d), d)
     raise ValueError(f"unknown potential family {family!r}")
 
 
@@ -102,17 +104,18 @@ def _potential_diagnostics(pot) -> list:
     """The fields `make_potential` reads, checked for type and range."""
     if not isinstance(pot, dict):
         return ["potential: must be an object"]
-    fam = pot.get("family", "gaussian")
+    pot = {**POTENTIAL_DEFAULTS, **pot}
+    fam = pot["family"]
     if fam not in ("gaussian", "cosine"):
         return [f"potential.family: unknown family {fam!r}"]
     diags = []
-    d = pot.get("dim", 1)
+    d = pot["dim"]
     if not (_is_int(d) and d >= 1):
         diags.append(f"potential.dim: {d!r} must be a positive integer")
         d = None
-    if not _is_number(pot.get("amplitude", 1.0)):
+    if not _is_number(pot["amplitude"]):
         diags.append("potential.amplitude: must be a number")
-    if fam == "gaussian" and not _positive(pot.get("width", 1.0)):
+    if fam == "gaussian" and not _positive(pot["width"]):
         diags.append("potential.width: must be a positive number")
     if fam == "cosine" and "wavevector" in pot:
         k = pot["wavevector"]
@@ -289,9 +292,10 @@ def _coherent_centres(exp: str, params: dict, ok) -> list:
         q0, p0 = params["center"]
         return [(f"center: {params['center']!r}", q0 * copies, p0 * copies)]
     if exp == "mk-bracket" and ok("center_scale"):
-        # a pair (z1, z2) lies on the doubled grid; the worst puts both at a corner
+        # each coherent factor of a pair (z1, z2) is single-particle; the
+        # worst sits at the corner (s, s)
         s = params["center_scale"]
-        return [(f"center_scale: {s!r}", [s, s], [s, s])]
+        return [(f"center_scale: {s!r}", s, s)]
     if exp == "toeplitz-identities":
         # the fixed centre, and the corners of the squares atoms are drawn from
         centres = [TOEPLITZ_CENTER, *((r, r) for r in TOEPLITZ_ATOM_RANGES)]
@@ -307,14 +311,20 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
         return bad.isdisjoint(keys)
 
     diags = []
-    if exp == "quantum-dobrushin" and ok("grid_points", "n_particles"):
+    cap = None
+    if "grid_points" in params:
+        try:
+            cap = memory_cap_bytes()
+        except ValueError as err:
+            diags.append(str(err))  # no check that needs the cap, no grid built
+    if exp == "quantum-dobrushin" and cap is not None and ok("grid_points", "n_particles"):
         n_pts, n_part = params["grid_points"], params["n_particles"]
         state_bytes = 16 * n_pts ** (2 * n_part)
-        if state_bytes > memory_cap_bytes():
+        if state_bytes > cap:
             bad.add("n_particles")  # no centre check on a state that cannot be built
             diags.append(
                 f"grid_points: doubled state needs 16*{n_pts}^{2 * n_part} = "
-                f"{state_bytes} bytes, over the memory cap {memory_cap_bytes()}"
+                f"{state_bytes} bytes, over the memory cap {cap}"
             )
     if exp == "classical-dobrushin" and ok("N"):
         for n in _as_list(params["N"]):
@@ -351,8 +361,8 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
                     f"dt={step}: kinetic phase at the Nyquist mode exceeds pi "
                     f"for epsilon={eps}, {at}"
                 )
-            if 16 * n_pts > memory_cap_bytes():
-                break  # the runner's own grid is over the cap: a resource error
+            if cap is None or 16 * n_pts > cap:
+                break  # no usable cap, or the runner's own grid is over it
             grid = GridSpec(1, 1, n_pts, float(box), float(eps))
             # the rule coherent_state applies, on the runner's grid
             for label, q, p in _coherent_centres(exp, params, ok):
@@ -661,7 +671,7 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     cloud = sample_gaussian_cloud(M, V.dim, cfg.seed)
 
     def moment_stats(c):
-        r = np.linalg.norm(c.x, axis=1) ** p + np.linalg.norm(c.xi, axis=1) ** p
+        r = point_moments(c, p)
         return float(r.mean()), float(r.std(ddof=1) / math.sqrt(r.size))
 
     m0, se0 = moment_stats(cloud)
@@ -702,7 +712,6 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
         eps = eps_list[idx]
         rng = np.random.default_rng(children[idx])
         sgrid = GridSpec(1, 1, n_pts, box, eps)
-        dgrid = doubled_grid(sgrid, 1)
         rows = []
         for k in range(per_eps):
             z1 = rng.uniform(-scale, scale, 2)
@@ -711,7 +720,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
             _, plan = wasserstein_exact(s1, s2, p=2.0)
             coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
-            mixture = coupling_to_state_mixture(dgrid, coupling)
+            mixture = coupling_to_factored_mixture(sgrid, 1, coupling)
             qp = qp_cost_trace(mixture, eps)
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
             rho1 = state_density_matrix(coherent_state(sgrid, z1[0], z1[1]))

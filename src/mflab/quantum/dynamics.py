@@ -59,7 +59,7 @@ def split_step_nbody(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction
         raise ValueError("dt must be positive")
     grid = psi.grid
     if grid.doubled:
-        raise ValueError("doubled states evolve via coupled_quantum_advance")
+        raise ValueError("a coupling evolves as its factors: use factored_coupled_advance")
     if grid.d != 1:
         raise NotImplementedError("quantum propagators are implemented for d = 1")
     _check_kinetic_resolution(grid, dt)
@@ -148,18 +148,6 @@ def hartree_energy(psi: WaveFunction, V: Potential) -> float:
     return kinetic + potential
 
 
-def doubled_grid(base: GridSpec, n_particles: int) -> GridSpec:
-    """Grid of the coupled (X_N, Y_N) system sharing the base axis geometry."""
-    return GridSpec(
-        d=base.d,
-        n_particles=n_particles,
-        points_per_axis=base.points_per_axis,
-        box_half_width=base.box_half_width,
-        epsilon=base.epsilon,
-        doubled=True,
-    )
-
-
 def _check_same_axes(a: GridSpec, b: GridSpec) -> None:
     if (a.d, a.points_per_axis, a.box_half_width, a.epsilon) != (
         b.d,
@@ -181,8 +169,10 @@ def coupled_quantum_advance(
     the Y block feels its own pairwise potential; the kinetic phase acts on
     all 2N axes.  The propagator therefore factorizes exactly as (Hartree
     tensor power on X) x (N-body on Y), which factored_coupled_advance
-    exploits; this n^(2N) route is its test oracle and serves states that
-    are not products."""
+    exploits.  The package never calls this n^(2N) route: it is the tests'
+    oracle for factored_coupled_advance, and it stays here only because
+    perfbench/tracing.py binds `experiments.coupled_quantum_advance` by name.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = R_state.grid
@@ -210,8 +200,8 @@ def coupled_quantum_advance(
 def factored_coupled_advance(
     state: FactoredCoupling, hartree_ref: WaveFunction, V: Potential, dt: float
 ):
-    """coupled_quantum_advance on a product coupling, factor by factor;
-    returns (state, hartree_ref) both advanced.
+    """One Strang step of the coupled flow on a product coupling, factor by
+    factor; returns (state, hartree_ref) both advanced.
 
     Each X factor takes the mean-field phases of `hartree_ref` (start-of-step
     potential, then end-of-step potential) around a kinetic step; the Y factor
@@ -240,6 +230,8 @@ def factored_coupled_advance(
 def _apply_coupled_half_potential(
     vals: np.ndarray, grid: GridSpec, V: Potential, v_mf: np.ndarray, dt_half: float
 ) -> None:
+    """Half-step potential phases of the doubled flow, in place: mean field on
+    the X axes, pair potential on the Y axes.  Used by the oracle route only."""
     N = grid.n_particles
     eps = grid.epsilon
     mf_phase = np.exp(-1j * dt_half * v_mf / eps)
@@ -250,20 +242,6 @@ def _apply_coupled_half_potential(
         for a in range(N):
             for b in range(a + 1, N):
                 _multiply_on_axes(vals, P, (N + a, N + b))
-
-
-def permute_particles(psi: WaveFunction, perm) -> WaveFunction:
-    """Relabel particle slots (doubled states expose 2N slots, X block first)."""
-    grid = psi.grid
-    d = grid.d
-    total = grid.n_axes // d
-    perm = list(perm)
-    if sorted(perm) != list(range(total)):
-        raise ValueError(f"perm must be a permutation of 0..{total - 1}")
-    axes = []
-    for slot in perm:
-        axes.extend(range(slot * d, slot * d + d))
-    return WaveFunction(grid, np.ascontiguousarray(np.transpose(psi.values, axes)), psi.time)
 
 
 def partial_trace(psi: WaveFunction, n: int):

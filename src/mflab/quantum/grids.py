@@ -32,9 +32,12 @@ def memory_cap_bytes() -> int:
     raw = os.environ.get(MEMORY_CAP_ENV)
     if raw is None:
         return DEFAULT_MEMORY_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError(f"{MEMORY_CAP_ENV} must be a positive byte count")
+        raise ValueError(f"{MEMORY_CAP_ENV}: {raw!r} must be a positive byte count")
     return cap
 
 
@@ -112,12 +115,14 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class FactoredCoupling:
-    """Pure coupling state x_1 (x) ... (x) x_N (x) y of a doubled grid, held as
-    its factors: N single-particle X factors and one N-particle Y factor.
+    """Pure coupling state x_1 (x) ... (x) x_N (x) y of two N-particle
+    systems, held as its factors: N single-particle X factors and one
+    N-particle Y factor.  It is the only coupling state the package builds,
+    evolves, measures and reduces.
 
-    The coupled flow keeps a product a product (see coupled_quantum_advance),
-    so the n^(2N) doubled array is only built on request by `doubled()`.
-    Slots count as on the doubled grid: X factors first, then y's particles.
+    The coupled flow keeps a product a product (see factored_coupled_advance),
+    so the n^(2N) doubled-grid array is only built on request by `doubled()`,
+    which checkpoints write.  Slots count X factors first, then y's particles.
     """
 
     xs: tuple

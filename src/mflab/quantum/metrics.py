@@ -2,15 +2,16 @@
 bracket it certifies, and the symbol-level machinery for symmetrized initial
 couplings.
 
-A coupling of two single-particle states lives on the doubled grid with slot
-layout (x_1..x_N, y_1..y_N); the trace cost pairs slot j with slot N+j:
+A coupling of two N-particle states is a FactoredCoupling: N single-particle
+X factors and one N-particle Y factor, whose product is the coupling state.
+The trace cost pairs X factor j with y's particle j:
 
     sum_j <|x_j - y_j|^2> + <|p_j - p_j'|^2>,   p = eps * kappa,
 
-with both expectations read off joint densities (position density directly,
+with both expectations read off densities (position density directly,
 momentum density through the FFT), so no operator matrices are ever formed.
-For a FactoredCoupling the pair densities are products, so each expectation
-is m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.
+The pair densities are products, so each expectation is
+m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.
 """
 from __future__ import annotations
 
@@ -21,39 +22,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from ..transport import SUPPORT_CAP, DiscreteMeasure, TransportPlan, wasserstein_exact
-from .dynamics import partial_trace, permute_particles
+from .dynamics import partial_trace
 from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
 from .phase_space import SymbolMeasure, coherent_product_state, husimi_values
-
-
-def _slot_pairs(grid: GridSpec) -> list:
-    if not grid.doubled:
-        raise ValueError("coupling costs need a doubled-grid state")
-    N, d = grid.n_particles, grid.d
-    return [(j * d + c, (N + j) * d + c) for j in range(N) for c in range(d)]
-
-
-def _pair_mean_square(prob: np.ndarray, coords: np.ndarray, pair: tuple) -> float:
-    """E[(u_a - u_b)^2] under the (unnormalized) joint density `prob`."""
-    a, b = pair
-    other = tuple(i for i in range(prob.ndim) if i != a and i != b)
-    marg = prob.sum(axis=other)
-    diff2 = (coords[:, None] - coords[None, :]) ** 2
-    return float(np.sum(marg * diff2) / np.sum(marg))
-
-
-def _pure_cost(psi: WaveFunction) -> float:
-    grid = psi.grid
-    pairs = _slot_pairs(grid)
-    x = grid.axis_points()
-    p = grid.epsilon * grid.wavenumbers()
-    pos_prob = np.abs(psi.values) ** 2
-    mom_prob = np.abs(sfft.fftn(psi.values)) ** 2
-    total = 0.0
-    for pair in pairs:
-        total += _pair_mean_square(pos_prob, x, pair)
-        total += _pair_mean_square(mom_prob, p, pair)
-    return total
 
 
 def _axis_moments(prob: np.ndarray, coords: np.ndarray) -> list:
@@ -73,7 +44,7 @@ def _factored_cost(state: FactoredCoupling) -> float:
         (grid.axis_points(), lambda f: np.abs(f.values) ** 2),
         (grid.epsilon * grid.wavenumbers(), lambda f: np.abs(sfft.fftn(f.values)) ** 2),
     ):
-        # X factor j's axis c pairs with y's axis j*d + c, as on the doubled grid
+        # X factor j's axis c pairs with y's axis j*d + c
         x_moments = [m for f in state.xs for m in _axis_moments(density(f), coords)]
         y_moments = _axis_moments(density(state.y), coords)
         for (m1x, m2x), (m1y, m2y) in zip(x_moments, y_moments):
@@ -81,60 +52,33 @@ def _factored_cost(state: FactoredCoupling) -> float:
     return total
 
 
-def _matrix_cost(rho: DensityMatrix) -> float:
-    grid = rho.grid
-    pairs = _slot_pairs(grid)
-    shape = grid.shape()
-    x = grid.axis_points()
-    p = grid.epsilon * grid.wavenumbers()
-    pos_prob = np.clip(np.real(rho.matrix.diagonal()).reshape(shape), 0.0, None)
-    T = rho.matrix.reshape(shape + shape)
-    T = sfft.fftn(T, axes=tuple(range(grid.n_axes)))
-    T = sfft.ifftn(T, axes=tuple(range(grid.n_axes, 2 * grid.n_axes)))
-    dim = grid.points_per_axis**grid.n_axes
-    mom_prob = np.clip(np.real(T.reshape(dim, dim).diagonal()).reshape(shape), 0.0, None)
-    total = 0.0
-    for pair in pairs:
-        total += _pair_mean_square(pos_prob, x, pair)
-        total += _pair_mean_square(mom_prob, p, pair)
-    return total
+def _components(R) -> list:
+    """A FactoredCoupling, or a list of (weight, FactoredCoupling), as the list."""
+    components = [(1.0, R)] if isinstance(R, FactoredCoupling) else list(R)
+    if not all(isinstance(state, FactoredCoupling) for _, state in components):
+        raise TypeError("a coupling is a FactoredCoupling or a list of (weight, FactoredCoupling)")
+    return components
 
 
 def qp_cost_trace(R, eps: float | None = None) -> float:
-    """trace((Q*Q + P*P) R) for a coupling state on the doubled grid.
-
-    `R` may be a pure coupling (a doubled-grid WaveFunction or a
-    FactoredCoupling), a DensityMatrix, or a list of (weight, pure coupling)
-    pairs for finite convex combinations.
-    """
-    if isinstance(R, (WaveFunction, FactoredCoupling)):
-        components = [(1.0, R)]
-    elif isinstance(R, DensityMatrix):
-        if eps is not None and abs(eps - R.grid.epsilon) > 1e-12:
-            raise ValueError("eps disagrees with the state's grid")
-        return _matrix_cost(R)
-    else:
-        components = list(R)
+    """trace((Q*Q + P*P) R) for a product coupling (a FactoredCoupling) or a
+    finite convex combination of them, given as (weight, FactoredCoupling)
+    pairs."""
     total = 0.0
-    for w, psi in components:
-        factored = isinstance(psi, FactoredCoupling)
-        grid = psi.y.grid if factored else psi.grid
-        if eps is not None and abs(eps - grid.epsilon) > 1e-12:
+    for w, state in _components(R):
+        if eps is not None and abs(eps - state.y.grid.epsilon) > 1e-12:
             raise ValueError("eps disagrees with the state's grid")
-        total += w * (_factored_cost(psi) if factored else _pure_cost(psi))
+        total += w * _factored_cost(state)
     return total
 
 
 def dobrushin_quantum_functional(R_state, eps: float | None = None, n_particles: int | None = None) -> float:
     """(1/N) sum_j trace((Q*_j Q_j + P*_j P_j) R): the per-particle coupling cost."""
-    if isinstance(R_state, (WaveFunction, DensityMatrix, FactoredCoupling)):
-        first = R_state
-    else:
-        first = R_state[0][1]
-    N = (first.y.grid if isinstance(first, FactoredCoupling) else first.grid).n_particles
+    components = _components(R_state)
+    N = components[0][1].y.grid.n_particles
     if n_particles is not None and n_particles != N:
         raise ValueError(f"state couples {N} particles per side, not {n_particles}")
-    return qp_cost_trace(R_state, eps) / N
+    return qp_cost_trace(components, eps) / N
 
 
 def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> float:
@@ -298,20 +242,6 @@ def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
     return float(coupling.weights @ per_atom)
 
 
-def coupling_to_state_mixture(grid: GridSpec, coupling: SymbolMeasure) -> list:
-    """Toeplitz lift of a coupling symbol as [(weight, pure product state), ...]
-    with each component one doubled-grid array of 16 n^(2dN) bytes.
-
-    The oracle twin of coupling_to_factored_mixture, which holds the same
-    components as their factors."""
-    if not grid.doubled:
-        raise ValueError("coupling lifts live on doubled grids")
-    return [
-        (float(w), coherent_product_state(grid, atom))
-        for w, atom in zip(coupling.weights, coupling.points)
-    ]
-
-
 def coupling_to_factored_mixture(
     base: GridSpec, n_particles: int, coupling: SymbolMeasure
 ) -> list:
@@ -344,9 +274,11 @@ def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
     if own.grid.n_particles == 1:
         reduced = state_density_matrix(own)
     else:
+        # partial_trace keeps the leading slot: move this slot's axes to the front
+        d = own.grid.d
         k = slot - N
-        rest = [s for s in range(N) if s != k]
-        reduced = partial_trace(permute_particles(own, [k] + rest), 1)
+        values = np.moveaxis(own.values, range(k * d, (k + 1) * d), range(d))
+        reduced = partial_trace(WaveFunction(own.grid, values, own.time), 1)
     block = reduced.matrix
     for f in state.factors:
         if f is not own:
@@ -355,25 +287,14 @@ def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
 
 
 def reduced_density(components, keep_slots) -> DensityMatrix:
-    """Reduced density matrix of the named particle slots of a pure-state
-    mixture; slots count across both blocks of a doubled grid (X block first).
-    FactoredCoupling components are reduced factor by factor and take a
-    single slot."""
-    if isinstance(components, (WaveFunction, FactoredCoupling)):
-        components = [(1.0, components)]
+    """Reduced density matrix of one particle slot of a product coupling or of
+    a list of (weight, FactoredCoupling); slots count the X factors first,
+    then y's particles."""
     keep = list(keep_slots)
+    if len(keep) != 1:
+        raise NotImplementedError("factored couplings reduce to one slot")
     acc = None
-    grid = None
-    for w, psi in components:
-        if isinstance(psi, FactoredCoupling):
-            if len(keep) != 1:
-                raise NotImplementedError("factored couplings reduce to one slot")
-            matrix, grid = _factored_block(psi, keep[0])
-        else:
-            d = psi.grid.d
-            total = psi.grid.n_axes // d
-            rest = [s for s in range(total) if s not in keep]
-            block = partial_trace(permute_particles(psi, keep + rest), len(keep))
-            matrix, grid = block.matrix, block.grid
+    for w, state in _components(components):
+        matrix, grid = _factored_block(state, keep[0])
         acc = w * matrix if acc is None else acc + w * matrix
     return DensityMatrix(grid, acc)

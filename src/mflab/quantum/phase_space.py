@@ -125,7 +125,7 @@ def _split_symbol_atoms(grid: GridSpec, symbol: SymbolMeasure) -> np.ndarray:
 
 def coherent_product_state(grid: GridSpec, atom: np.ndarray) -> WaveFunction:
     """Pure product of coherent factors for one symbol atom (q_1..q_N, p_1..p_N)."""
-    n_axes = grid.d * grid.n_particles * (2 if grid.doubled else 1)
+    n_axes = grid.n_axes
     atom = np.asarray(atom, dtype=float)
     if atom.shape != (2 * n_axes,):
         raise ValueError(f"atom must have {2 * n_axes} coordinates")

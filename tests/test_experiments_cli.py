@@ -22,6 +22,7 @@ from mflab.experiments import (
     time_schedule,
     validate_config,
 )
+from mflab.quantum import GridSpec, coherent_state
 from mflab.quantum.grids import load_state
 from mflab.transport import SUPPORT_CAP
 
@@ -95,6 +96,35 @@ def test_validate_quantum_memory_estimate(monkeypatch):
     diags = validate_config({"experiment": "quantum-dobrushin"})
     assert len(diags) == 1 and "over the memory cap 1000" in diags[0]
     assert validate_config({"experiment": "toeplitz-identities"}) == []
+
+
+def test_bad_memory_cap_is_a_diagnostic(tmp_path, capsys, monkeypatch):
+    for cap in ("abc", "-5", "0"):
+        monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", cap)
+        for experiment in ("quantum-dobrushin", "mk-bracket", "toeplitz-identities"):
+            path = _write_cfg(tmp_path, {"experiment": experiment})
+            assert main(["validate", path]) == 4, (cap, experiment)
+            out = capsys.readouterr().out
+            assert out == f"MFLAB_MEMORY_CAP_BYTES: {cap!r} must be a positive byte count\n"
+            assert main(["run", path]) == 64, (cap, experiment)
+            assert "config error: MFLAB_MEMORY_CAP_BYTES:" in capsys.readouterr().err
+
+
+def test_validate_mk_bracket_centre_scale_is_the_runner_rule(tmp_path):
+    # each coherent factor of a pair is single-particle: at epsilon 0.5 on the
+    # default grid the corner (2.41, 2.41) has a one-axis tail of about 7e-13,
+    # inside the 1e-12 rule, while (2.45, 2.45) is outside it
+    grid = GridSpec(1, 1, 256, 6.0, 0.5)
+    raw = {"experiment": "mk-bracket", "epsilon": [0.5], "pairs": 2}
+    for scale in (2.41, 2.45):
+        try:
+            placed = coherent_state(grid, scale, scale) is not None
+        except ValueError:
+            placed = False
+        assert (validate_config(dict(raw, center_scale=scale)) == []) == placed, scale
+    path = _write_cfg(tmp_path, dict(raw, center_scale=2.41))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
 
 
 def test_validate_quantum_grid_power_of_two():

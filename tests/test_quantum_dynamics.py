@@ -1,4 +1,5 @@
 """Propagators against dense matrix-exponential and closed-form oracles."""
+import doubled_oracle as oracle
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,11 +14,8 @@ from mflab.quantum import (
     check_guard_band,
     coherent_product_state,
     coherent_state,
-    coupled_quantum_advance,
     coupling_to_factored_mixture,
-    coupling_to_state_mixture,
     dobrushin_quantum_functional,
-    doubled_grid,
     factored_coupled_advance,
     guard_band_mass,
     hartree_energy,
@@ -25,13 +23,13 @@ from mflab.quantum import (
     hartree_step,
     load_state,
     partial_trace,
-    permute_particles,
     qp_cost_trace,
     reduced_density,
     split_step_linear,
     split_step_nbody,
     state_density_matrix,
 )
+from mflab.quantum.dynamics import coupled_quantum_advance
 from mflab.quantum.grids import ResourceCapError
 from mflab.transport import DiscreteMeasure
 
@@ -224,53 +222,55 @@ def test_permute_particles_product_structure():
     grid = GridSpec(1, 2, 32, 5.0, 0.5)
     ab = coherent_product_state(grid, np.array([0.8, -0.5, 0.1, 0.3]))
     ba = coherent_product_state(grid, np.array([-0.5, 0.8, 0.3, 0.1]))
-    swapped = permute_particles(ab, [1, 0])
+    swapped = oracle.permute_particles(ab, [1, 0])
     np.testing.assert_allclose(swapped.values, ba.values, atol=1e-13)
-    back = permute_particles(swapped, [1, 0])
+    back = oracle.permute_particles(swapped, [1, 0])
     np.testing.assert_array_equal(back.values, ab.values)
 
 
+def _coupled_pair(base, atom, V, n_steps, dt=0.02):
+    """The coherent coupling of one atom, advanced n_steps on both routes:
+    (factored state, doubled oracle state, reference state)."""
+    N = len(atom) // 4
+    [(_, state)] = coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1)))
+    phi = coherent_product_state(oracle.doubled(base, N), atom)
+    ref = ref_d = coherent_state(base, atom[0], atom[len(atom) // 2])
+    for _ in range(n_steps):
+        state, ref = factored_coupled_advance(state, ref, V, dt)
+        phi, ref_d = coupled_quantum_advance(phi, ref_d, V, dt)
+    np.testing.assert_array_equal(ref.values, ref_d.values)
+    return state, phi, ref
+
+
 def test_coupled_advance_marginal_matches_hartree_tensor_power():
-    # the mean-field half of the doubled flow factorizes exactly, so the
+    # the mean-field half of the coupled flow factorizes exactly, so the
     # single-particle X-marginal reproduces an independent Hartree run
     base = GridSpec(1, 1, 32, 5.0, 0.5)
-    dgrid = doubled_grid(base, 2)
     z0 = (0.3, -0.2)
     atom = np.array([z0[0], z0[0], z0[0], z0[0], z0[1], z0[1], z0[1], z0[1]])
-    phi = coherent_product_state(dgrid, atom)
-    ref = coherent_state(base, *z0)
-    psi_h = ref
     dt = 0.02
+    state, phi, ref = _coupled_pair(base, atom, GAUSS, 5, dt)
+    psi_h = coherent_state(base, *z0)
     for _ in range(5):
-        phi, ref = coupled_quantum_advance(phi, ref, GAUSS, dt)
         psi_h = hartree_step(psi_h, GAUSS, dt)
     np.testing.assert_array_equal(ref.values, psi_h.values)  # lockstep reference
-    rho_x = partial_trace(phi, 1)
     expected = state_density_matrix(psi_h)
-    assert np.max(np.abs(rho_x.matrix - expected.matrix)) < 1e-10
+    for rho_x in (reduced_density(state, [0]), partial_trace(phi, 1)):
+        assert np.max(np.abs(rho_x.matrix - expected.matrix)) < 1e-10
+    assert abs(state.norm() - 1.0) < 1e-12
     assert abs(phi.norm() - 1.0) < 1e-12
 
 
 def test_coupled_advance_free_flow_keeps_marginals_matched():
     base = GridSpec(1, 1, 32, 5.0, 0.5)
-    dgrid = doubled_grid(base, 2)
     atom = np.array([0.2, 0.2, 0.2, 0.2, -0.1, -0.1, -0.1, -0.1])
-    phi = coherent_product_state(dgrid, atom)
-    ref = coherent_state(base, 0.2, -0.1)
-    for _ in range(5):
-        phi, ref = coupled_quantum_advance(phi, ref, FLAT, 0.02)
+    state, phi, _ = _coupled_pair(base, atom, FLAT, 5)
+    rho_x, rho_y = reduced_density(state, [0]), reduced_density(state, [2])
+    assert np.max(np.abs(rho_x.matrix - rho_y.matrix)) < 1e-12
     rho_x = partial_trace(phi, 1)
-    y_first = permute_particles(phi, [2, 3, 0, 1])
+    y_first = oracle.permute_particles(phi, [2, 3, 0, 1])
     rho_y = partial_trace(y_first, 1)
     assert np.max(np.abs(rho_x.matrix - rho_y.matrix)) < 1e-12
-
-
-def test_doubled_grid_shape_and_cap():
-    base = GridSpec(1, 1, 32, 5.0, 0.5)
-    dg = doubled_grid(base, 2)
-    assert dg.doubled and dg.n_particles == 2 and dg.n_axes == 4
-    with pytest.raises(ResourceCapError):
-        doubled_grid(GridSpec(1, 1, 512, 5.0, 0.5), 2)  # 16*512^4 over cap
 
 
 def test_factored_coupling_matches_doubled_oracle():
@@ -286,14 +286,14 @@ def test_factored_coupling_matches_doubled_oracle():
     )
     coupling = DiscreteMeasure(atoms, np.array([0.3, 0.7]))
     factored = coupling_to_factored_mixture(base, N, coupling)
-    oracle = coupling_to_state_mixture(doubled_grid(base, N), coupling)
+    doubled = oracle.coupling_to_state_mixture(oracle.doubled(base, N), coupling)
     ref0 = coherent_state(base, 0.0, 0.1)
-    for i, ((w, state), (_, psi)) in enumerate(zip(factored, oracle)):
+    for i, ((w, state), (_, psi)) in enumerate(zip(factored, doubled)):
         ref_f = ref_d = ref0
         for _ in range(25):
             state, ref_f = factored_coupled_advance(state, ref_f, GAUSS, 0.02)
             psi, ref_d = coupled_quantum_advance(psi, ref_d, GAUSS, 0.02)
-        factored[i], oracle[i] = (w, state), (w, psi)
+        factored[i], doubled[i] = (w, state), (w, psi)
         np.testing.assert_array_equal(ref_f.values, ref_d.values)
         product = state.doubled()
         assert product.grid == psi.grid and product.time == pytest.approx(psi.time)
@@ -307,13 +307,13 @@ def test_factored_coupling_matches_doubled_oracle():
             check_guard_band(psi)
 
     eps = base.epsilon
-    assert qp_cost_trace(factored, eps) == pytest.approx(qp_cost_trace(oracle, eps), abs=1e-12)
+    assert qp_cost_trace(factored, eps) == pytest.approx(oracle.cost(doubled), abs=1e-12)
     assert dobrushin_quantum_functional(factored, eps) == pytest.approx(
-        dobrushin_quantum_functional(oracle, eps), abs=1e-12
+        oracle.cost(doubled) / N, abs=1e-12
     )
     for slot in (0, N):
         got = reduced_density(factored, [slot]).matrix
-        want = reduced_density(oracle, [slot]).matrix
+        want = oracle.reduced_density(doubled, [slot]).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
     # factor norms off 1 (inside the density-matrix trace check) must weigh
@@ -325,7 +325,7 @@ def test_factored_coupling_matches_doubled_oracle():
     )
     for slot in (0, N):
         got = reduced_density(tilted, [slot]).matrix
-        want = reduced_density(tilted.doubled(), [slot]).matrix
+        want = oracle.reduced_density(tilted.doubled(), [slot]).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -351,7 +351,7 @@ def test_factored_runner_checkpoint_is_the_doubled_state(tmp_path):
     loaded = load_state(f"{ckpt}.eps0.5.mflabst")
 
     base = GridSpec(1, 1, 64, 8.0, 0.5)
-    psi = coherent_product_state(doubled_grid(base, 1), np.array([q0, q0, p0, p0]))
+    psi = coherent_product_state(oracle.doubled(base, 1), np.array([q0, q0, p0, p0]))
     ref = coherent_state(base, q0, p0)
     for _ in range(3):
         psi, ref = coupled_quantum_advance(psi, ref, GAUSS, dt)

@@ -5,14 +5,15 @@ Coherent oracle: a product coupling of coherent factors centered at z_x, z_y
 costs |q_x - q_y|^2 + |p_x - p_y|^2 + 2*(dN)*eps -- the squared center
 displacement plus one Heisenberg floor per coupled axis pair.
 """
+import doubled_oracle as oracle
 import numpy as np
 import pytest
 
 from mflab.potentials import make_gaussian_potential
-from mflab.quantum.dynamics import coupled_quantum_advance, doubled_grid
-from mflab.quantum.grids import GridSpec
+from mflab.quantum.dynamics import factored_coupled_advance
+from mflab.quantum.grids import FactoredCoupling, GridSpec
 from mflab.quantum.metrics import (
-    coupling_to_state_mixture,
+    coupling_to_factored_mixture,
     dobrushin_quantum_functional,
     mk_eps_lower,
     mk_eps_upper,
@@ -23,21 +24,15 @@ from mflab.quantum.metrics import (
     symbol_dobrushin_cost,
     symmetrize_initial_coupling,
 )
-from mflab.quantum.phase_space import (
-    SymbolMeasure,
-    coherent_product_state,
-    coherent_state,
-)
-from mflab.transport import DiscreteMeasure, wasserstein_exact
+from mflab.quantum.phase_space import SymbolMeasure, coherent_state
+from mflab.transport import wasserstein_exact
 
 BASE = GridSpec(d=1, n_particles=1, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
-DBL = doubled_grid(BASE, 1)
 EPS = BASE.epsilon
 
 
-def _pair_coupling(z1, z2, grid=DBL):
-    atom = np.array([z1[0], z2[0], z1[1], z2[1]])
-    return coherent_product_state(grid, atom)
+def _pair_coupling(z1, z2, base=BASE):
+    return FactoredCoupling((coherent_state(base, *z1),), coherent_state(base, *z2))
 
 
 def _coherent_cost(z1, z2, eps=EPS):
@@ -50,15 +45,16 @@ def _coherent_cost(z1, z2, eps=EPS):
 
 def test_pure_coupling_cost_closed_form():
     z1, z2 = (0.4, 0.5), (-0.3, 0.2)
-    psi = _pair_coupling(z1, z2)
-    assert qp_cost_trace(psi) == pytest.approx(_coherent_cost(z1, z2), abs=1e-9)
+    state = _pair_coupling(z1, z2)
+    assert qp_cost_trace(state) == pytest.approx(_coherent_cost(z1, z2), abs=1e-9)
+    assert oracle.cost(state.doubled()) == pytest.approx(_coherent_cost(z1, z2), abs=1e-9)
 
 
 def test_matrix_route_matches_pure_route():
     z1, z2 = (0.5, -0.2), (-0.1, 0.3)
-    psi = _pair_coupling(z1, z2)
-    rho = state_density_matrix(psi)
-    assert qp_cost_trace(rho) == pytest.approx(qp_cost_trace(psi), abs=1e-10)
+    state = _pair_coupling(z1, z2)
+    rho = state_density_matrix(state.doubled())
+    assert oracle.cost(rho) == pytest.approx(qp_cost_trace(state), abs=1e-10)
 
 
 def test_mixture_route_is_weighted_sum():
@@ -69,39 +65,42 @@ def test_mixture_route_is_weighted_sum():
     assert got == pytest.approx(0.3 * ca + 0.7 * cb, abs=1e-12)
 
 
-def test_cost_requires_doubled_grid():
+def test_cost_requires_a_factored_coupling():
     psi = coherent_state(BASE, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        qp_cost_trace(psi)
+    for R in (psi, [(1.0, psi)], _pair_coupling((0.2, 0.1), (0.2, 0.1)).doubled()):
+        with pytest.raises(TypeError):
+            qp_cost_trace(R)
+        with pytest.raises(TypeError):
+            reduced_density(R, [0])
 
 
 def test_cost_eps_mismatch_rejected():
-    psi = _pair_coupling((0.2, 0.0), (0.0, 0.1))
+    state = _pair_coupling((0.2, 0.0), (0.0, 0.1))
     with pytest.raises(ValueError):
-        qp_cost_trace(psi, eps=0.25)
+        qp_cost_trace(state, eps=0.25)
     with pytest.raises(ValueError):
-        qp_cost_trace(state_density_matrix(psi), eps=0.25)
+        dobrushin_quantum_functional([(1.0, state)], eps=0.25)
 
 
 def test_two_particle_cost_and_per_particle_average():
-    grid2 = doubled_grid(BASE, 2)
     qx, qy = np.array([0.3, -0.2]), np.array([0.1, 0.1])
     px, py = np.array([0.2, 0.0]), np.array([-0.1, 0.2])
     atom = np.concatenate([qx, qy, px, py])
-    psi = coherent_product_state(grid2, atom)
+    [(_, state)] = coupling_to_factored_mixture(BASE, 2, SymbolMeasure(atom[None, :], np.ones(1)))
     want = float(np.sum((qx - qy) ** 2 + (px - py) ** 2)) + 4 * EPS
-    assert qp_cost_trace(psi) == pytest.approx(want, abs=1e-9)
-    assert dobrushin_quantum_functional(psi, n_particles=2) == pytest.approx(
+    assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
+    assert oracle.cost(state.doubled()) == pytest.approx(want, abs=1e-9)
+    assert dobrushin_quantum_functional(state, n_particles=2) == pytest.approx(
         want / 2, abs=1e-9
     )
     with pytest.raises(ValueError):
-        dobrushin_quantum_functional(psi, n_particles=1)
+        dobrushin_quantum_functional(state, n_particles=1)
 
 
 def test_diagonal_coupling_sits_on_heisenberg_floor():
     z0 = (0.3, -0.2)
-    psi = _pair_coupling(z0, z0)
-    D = dobrushin_quantum_functional(psi)
+    state = _pair_coupling(z0, z0)
+    D = dobrushin_quantum_functional(state)
     assert D == pytest.approx(2 * EPS, abs=1e-9)
     assert D >= 2 * EPS - 1e-12
 
@@ -164,7 +163,7 @@ def test_mk_eps_lower_validations():
         mk_eps_lower(rho, other)
     with pytest.raises(ValueError):
         mk_eps_lower(rho, rho, eps=0.25)
-    dbl = state_density_matrix(_pair_coupling((0.0, 0.0), (0.0, 0.0)))
+    dbl = state_density_matrix(_pair_coupling((0.0, 0.0), (0.0, 0.0)).doubled())
     with pytest.raises(ValueError):
         mk_eps_lower(dbl, dbl)
 
@@ -250,28 +249,33 @@ def test_symbol_dobrushin_cost_dimension_check():
 # ------------------------------------------------------------- lifts and marginals
 
 
-def test_coupling_to_state_mixture_matches_atoms():
+def test_coupling_to_factored_mixture_matches_doubled_lift():
     atoms = np.array([[0.3, -0.2, 0.1, 0.0], [-0.1, 0.4, 0.0, -0.2]])
     coup = SymbolMeasure(atoms, np.array([0.25, 0.75]))
-    comps = coupling_to_state_mixture(DBL, coup)
+    comps = coupling_to_factored_mixture(BASE, 1, coup)
     assert [w for w, _ in comps] == [0.25, 0.75]
-    for (w, psi), atom in zip(comps, atoms):
-        want = coherent_product_state(DBL, atom)
-        assert np.allclose(psi.values, want.values, atol=1e-14)
+    for (_, state), (_, psi) in zip(comps, oracle.coupling_to_state_mixture(oracle.doubled(BASE, 1), coup)):
+        product = state.doubled()
+        assert product.grid == psi.grid
+        assert np.allclose(product.values, psi.values, atol=1e-14)
     with pytest.raises(ValueError):
-        coupling_to_state_mixture(BASE, coup)
+        coupling_to_factored_mixture(BASE, 2, coup)
 
 
 def test_reduced_density_of_product_coupling():
     z1, z2 = (0.4, -0.1), (-0.2, 0.3)
-    psi = _pair_coupling(z1, z2)
-    rho_x = reduced_density(psi, [0])
-    rho_y = reduced_density(psi, [1])
+    state = _pair_coupling(z1, z2)
+    rho_x = reduced_density(state, [0])
+    rho_y = reduced_density(state, [1])
     want_x = state_density_matrix(coherent_state(BASE, *z1))
     want_y = state_density_matrix(coherent_state(BASE, *z2))
     assert np.max(np.abs(rho_x.matrix - want_x.matrix)) < 1e-10
     assert np.max(np.abs(rho_y.matrix - want_y.matrix)) < 1e-10
     assert rho_x.trace() == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(NotImplementedError):
+        reduced_density(state, [0, 1])
+    with pytest.raises(ValueError):
+        reduced_density(state, [2])
 
 
 def test_reduced_density_of_mixture_is_convex():
@@ -291,25 +295,24 @@ def test_free_flow_coupling_cost_law():
     # V = 0: the momentum part of the cost is conserved exactly, while the
     # position part spreads ballistically, D(t) = 2*eps + eps*t^2.
     base = GridSpec(d=1, n_particles=1, points_per_axis=64, box_half_width=6.0, epsilon=0.25)
-    grid = doubled_grid(base, 1)
     eps = base.epsilon
     z0 = (0.3, 0.4)
-    psi = coherent_product_state(grid, np.array([z0[0], z0[0], z0[1], z0[1]]))
+    state = _pair_coupling(z0, z0, base)
     ref = coherent_state(base, *z0)
     V0 = make_gaussian_potential(0.0, 1.0, 1)
     dt = 0.02
     x = base.axis_points()
     diff2 = (x[:, None] - x[None, :]) ** 2
     for step in range(40):
-        psi, ref = coupled_quantum_advance(psi, ref, V0, dt)
+        state, ref = factored_coupled_advance(state, ref, V0, dt)
         if (step + 1) % 10 == 0:
             t = (step + 1) * dt
-            D = dobrushin_quantum_functional(psi)
+            D = dobrushin_quantum_functional(state)
             assert D == pytest.approx(2 * eps + eps * t**2, abs=1e-8)
-            pos_prob = np.abs(psi.values) ** 2
+            pos_prob = np.abs(state.doubled().values) ** 2
             pos_part = float(np.sum(pos_prob * diff2) / np.sum(pos_prob))
             assert D - pos_part == pytest.approx(eps, abs=1e-9)
     # the cost visibly grows: constancy would need a transported coupling
-    assert dobrushin_quantum_functional(psi) - 2 * eps == pytest.approx(
+    assert dobrushin_quantum_functional(state) - 2 * eps == pytest.approx(
         eps * 0.8**2, abs=1e-8
     )
