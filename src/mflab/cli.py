@@ -3,6 +3,10 @@
     mflab run <config.json> [--seed S] [--jobs J] [--out DIR]
     mflab validate <config.json>
 
+`--jobs J` runs J points of an experiment's sweep at once.  classical-dobrushin
+also spreads its exact assignment solves over the cores `--jobs` leaves free
+(usable CPUs // J); neither changes a byte of the output.
+
 Exit codes: 0 success; 2 at least one bound report failed; 3 resource or
 guard error; 4 validate found diagnostics; 64 unusable config or arguments.
 Result rows go to <out>/<experiment>.jsonl and .csv; the JSONL stream carries
@@ -68,7 +72,13 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    run_p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel sweep workers; classical-dobrushin's assignment solves "
+        "use the cores they leave free",
+    )
     run_p.add_argument("--out", default=None, help="output directory for JSONL/CSV")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="path to a JSON experiment config")

@@ -8,6 +8,7 @@ byte-identical output no matter how many worker threads execute the sweep.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,8 +101,9 @@ def make_potential(spec: dict) -> Potential:
     raise ValueError(f"unknown potential family {family!r}")
 
 
-def _potential_diagnostics(pot) -> list:
-    """The fields `make_potential` reads, checked for type and range."""
+def _potential_diagnostics(pot, exp) -> list:
+    """The fields `make_potential` reads, checked for type and range, and
+    the dimension experiment `exp` can run."""
     if not isinstance(pot, dict):
         return ["potential: must be an object"]
     pot = {**POTENTIAL_DEFAULTS, **pot}
@@ -113,6 +115,9 @@ def _potential_diagnostics(pot) -> list:
     if not (_is_int(d) and d >= 1):
         diags.append(f"potential.dim: {d!r} must be a positive integer")
         d = None
+    elif exp == "combineq" and d != 1:
+        # run_combineq feeds the force one scalar sample per point
+        diags.append(f"potential.dim: {d!r} must be 1 for combineq, which samples a scalar law")
     if not _is_number(pot["amplitude"]):
         diags.append("potential.amplitude: must be a number")
     if fam == "gaussian" and not _positive(pot["width"]):
@@ -318,12 +323,17 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
         except ValueError as err:
             diags.append(str(err))  # no check that needs the cap, no grid built
     if exp == "quantum-dobrushin" and cap is not None and ok("grid_points", "n_particles"):
+        # the runner holds N one-particle X factors and one n^N Y factor; only
+        # a checkpoint builds the doubled n^(2N) state, to save it
         n_pts, n_part = params["grid_points"], params["n_particles"]
-        state_bytes = 16 * n_pts ** (2 * n_part)
+        key, what, axes = "grid_points", "N-body Y factor", n_part
+        if params["checkpoint"] and ok("checkpoint"):
+            key, what, axes = "checkpoint", "the doubled state it saves", 2 * n_part
+        state_bytes = 16 * n_pts**axes
         if state_bytes > cap:
             bad.add("n_particles")  # no centre check on a state that cannot be built
             diags.append(
-                f"grid_points: doubled state needs 16*{n_pts}^{2 * n_part} = "
+                f"{key}: {what} needs 16*{n_pts}^{axes} = "
                 f"{state_bytes} bytes, over the memory cap {cap}"
             )
     if exp == "classical-dobrushin" and ok("N"):
@@ -392,7 +402,7 @@ def validate_config(raw: dict) -> list:
         diags.append(
             f"experiment: unknown id {exp!r}; expected one of {', '.join(PARAMS)}"
         )
-    diags += _potential_diagnostics(raw.get("potential", {}))
+    diags += _potential_diagnostics(raw.get("potential", {}), exp)
     if "seed" in raw and not (isinstance(raw["seed"], int) and raw["seed"] >= 0):
         diags.append("seed: must be a nonnegative integer")
     if exp not in PARAMS:
@@ -548,7 +558,16 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # classical-dobrushin
 
 
-def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq):
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq, workers: int):
     """Baseline-corrected mean W2^2 between per-configuration empirical
     clouds (N-body positions Y and momenta H, each (M, N, d)) and same-size
     reference subsamples.
@@ -558,12 +577,18 @@ def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq):
     floor measured against the *same* anchor subsample, so the finite-sample
     floor cancels in expectation and is strongly variance-reduced.  What is
     left is the chaos deviation of the empirical marginal.
+
+    The repeats run in `workers` contiguous blocks on `_run_sweep`'s threads
+    (the assignment solver releases the GIL).  Repeat r draws only from its
+    own child of `seed_seq`, and the blocks come back in repeat order, so the
+    returned (mean, standard error, floor) is bit-identical for every
+    worker count.
     """
     n_samples, n_points, _ = Y.shape
-    diffs = np.empty(repeats)
-    bases = np.empty(repeats)
-    for r, child in enumerate(seed_seq.spawn(repeats)):
-        rng = np.random.default_rng(child)
+    children = seed_seq.spawn(repeats)
+
+    def repeat(r):
+        rng = np.random.default_rng(children[r])
         i = rng.integers(n_samples)
         cloud = np.hstack([Y[i], H[i]])
         idx = rng.choice(ref_pool.shape[0], size=2 * n_points, replace=False)
@@ -571,8 +596,13 @@ def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq):
         control = DiscreteMeasure.equal_weights(ref_pool[idx[n_points:]])
         d_nb, _ = wasserstein_exact(DiscreteMeasure.equal_weights(cloud), anchor, p=2.0)
         d_ff, _ = wasserstein_exact(control, anchor, p=2.0)
-        bases[r] = d_ff**2
-        diffs[r] = d_nb**2 - d_ff**2
+        return d_nb**2 - d_ff**2, d_ff**2
+
+    def block(b):
+        # one task per block, not per repeat: a small solve costs less than a future
+        return [repeat(r) for r in range(b * repeats // workers, (b + 1) * repeats // workers)]
+
+    diffs, bases = np.array(_run_sweep(block, workers, workers)).T
     se = float(diffs.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
     return float(diffs.mean()), se, float(bases.mean())
 
@@ -592,6 +622,8 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     ref_seed, *per_n = root.spawn(1 + len(N_list))
 
     lambda_p = bounds.lambda_p_constant(p, V.lip_grad)
+    # the cores the `jobs` sweep threads leave free go to the assignment solves
+    solve_workers = min(repeats, max(1, _usable_cpus() // jobs))
 
     def one(idx):
         N = N_list[idx]
@@ -620,7 +652,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             )
             f_pool = ens.reference_as_cloud().points.points
             debiased, deb_se, floor = _empirical_chaos_sq(
-                ens.Y, ens.H, f_pool, repeats, sub_children[j]
+                ens.Y, ens.H, f_pool, repeats, sub_children[j], solve_workers
             )
             rows.append(
                 bounds.make_report(

@@ -11,11 +11,14 @@ import sys
 import numpy as np
 import pytest
 
+from mflab import experiments
 from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
+from mflab.errors import ResourceCapError
 from mflab.experiments import (
     PARAMS,
     ExperimentConfig,
+    _empirical_chaos_sq,
     build_config,
     make_potential,
     run_experiment,
@@ -89,8 +92,11 @@ def test_validate_empty_sweep_list():
 
 def test_validate_quantum_memory_estimate(monkeypatch):
     raw = {"experiment": "quantum-dobrushin", "grid_points": 128, "n_particles": 2}
-    diags = validate_config(raw)
+    # only a checkpoint builds the doubled state; the run itself holds the
+    # 16*128^2-byte Y factor (dt 0.01 keeps the Nyquist phase below pi)
+    diags = validate_config(dict(raw, checkpoint="state"))
     assert any(str(16 * 128**4) in d for d in diags)
+    assert validate_config(dict(raw, dt=0.01)) == []
     # under a cap below even one grid line, validation still reports, not raises
     monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", "1000")
     diags = validate_config({"experiment": "quantum-dobrushin"})
@@ -285,6 +291,22 @@ def test_validate_potential_field_types(tmp_path, capsys):
         assert validate_config({"experiment": "ot-selftest", "potential": pot}) == [], pot
 
 
+def test_validate_combineq_needs_a_one_dimensional_potential(tmp_path, capsys):
+    # run_combineq samples one scalar per point; a 2-D force cannot take it
+    raw = {
+        "experiment": "combineq",
+        "potential": {"family": "cosine", "amplitude": 0.5, "dim": 2},
+        "mc_samples": 2000,
+        "N": [4, 8],
+    }
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert capsys.readouterr().out.startswith("potential.dim: 2 must be 1 for combineq")
+    assert main(["run", path]) == 64
+    assert "config error: potential.dim:" in capsys.readouterr().err
+    assert validate_config(dict(raw, potential={"family": "cosine", "dim": 1})) == []
+
+
 @pytest.mark.parametrize("experiment", ["mk-bracket", "toeplitz-identities", "quantum-dobrushin"])
 def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
     for n_pts in (100, 0, 1, "x", 64.0, True):
@@ -379,6 +401,29 @@ def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path):
     assert len(slope) == 1 and len(growth) == 6 and finals[0] != finals[2]
     fit = np.polyfit(np.log([4, 8, 4]), 0.5 * np.log(finals), 1)[0]
     assert slope[0]["constants"]["slope"] == fit
+
+
+def test_empirical_chaos_sq_independent_of_workers():
+    # 7 repeats split unevenly over 2 and 3 blocks; each repeat has its own
+    # seed child, so the mean, standard error and floor are bit-identical
+    rng = np.random.default_rng(0)
+    Y, H = rng.standard_normal((2, 5, 6, 1))
+    pool = rng.standard_normal((40, 2))
+    triples = [
+        _empirical_chaos_sq(Y, H, pool, 7, np.random.SeedSequence(9), workers)
+        for workers in (1, 2, 3)
+    ]
+    assert triples[0] == triples[1] == triples[2]
+    assert triples[0][1] > 0.0
+
+
+def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
+    # the solve blocks may run on pool threads; their error must still reach main
+    def capped(*args, **kwargs):
+        raise ResourceCapError("support exceeds cap")
+
+    monkeypatch.setattr(experiments, "wasserstein_exact", capped)
+    assert main(["run", _write_cfg(tmp_path, CLASSICAL_FREE), "--out", str(tmp_path)]) == 3
 
 
 def test_build_config_rejects_diagnostics():
