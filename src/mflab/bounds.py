@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .convolution import offset_convolution
 from .potentials import Potential
 
 __all__ = [
@@ -227,6 +227,20 @@ def combineq_rhs_hp(F_sup, p, N) -> float:
 TABLE_REFINE = 8
 
 
+class StandardNormal:
+    """The law N(0, 1) as `combineq_mc` reads it: `pdf` and `rvs` compute what
+    `scipy.stats.norm()` computes, bit for bit, without importing scipy.stats."""
+
+    @staticmethod
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi)
+
+    @staticmethod
+    def rvs(size=None, random_state=None):
+        return random_state.standard_normal(size)
+
+
 def combineq_mc(
     field,
     dist,
@@ -288,7 +302,7 @@ def _tabulated_convolution(field, dist, quad_span: float, quad_points: int):
     stuffed = np.zeros(n_table)
     stuffed[::TABLE_REFINE] = rho_w
     kernel = field(h * np.arange(1 - n_table, n_table))
-    table = fftconvolve(stuffed, kernel)[n_table - 1 : 2 * n_table - 1]
+    table = offset_convolution(stuffed, kernel)
 
     def direct(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)

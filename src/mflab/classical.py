@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .convolution import offset_convolution
 from .potentials import Potential
 from .transport import DiscreteMeasure
 
@@ -198,7 +198,7 @@ def _grid_field_1d(
 
     offsets = (np.arange(2 * n_grid - 1) - (n_grid - 1)) * h
     kernel = V.grad(offsets[:, None])[:, 0]
-    table = -fftconvolve(dep, kernel)[n_grid - 1 : 2 * n_grid - 1]
+    table = -offset_convolution(dep, kernel)
 
     exact = _exact_field(V, y, w)
 

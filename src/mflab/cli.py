@@ -5,7 +5,8 @@
 
 `--jobs J` runs J points of an experiment's sweep at once.  classical-dobrushin
 also spreads its exact assignment solves over the cores `--jobs` leaves free
-(usable CPUs // J); neither changes a byte of the output.
+(usable CPUs // min(J, number of N)), and runs them while its trajectories
+integrate on; neither changes a byte of the output.
 
 Exit codes: 0 success; 2 at least one bound report failed; 3 resource or
 guard error; 4 validate found diagnostics; 64 unusable config or arguments.

@@ -12,10 +12,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 
 import numpy as np
-from scipy import stats
 from scipy.spatial.distance import cdist
 
 from . import bounds
@@ -101,6 +101,15 @@ def make_potential(spec: dict) -> Potential:
     raise ValueError(f"unknown potential family {family!r}")
 
 
+#: The experiments whose runners are one-dimensional, and why: a potential of
+#: another `dim` would run the 1-D flow under rows that claim its `d`.
+_ONE_DIMENSIONAL = {
+    "combineq": "which samples a scalar law",
+    "classical-dobrushin": "whose particle clouds are one-dimensional",
+    "quantum-dobrushin": "whose grids are one-dimensional",
+}
+
+
 def _potential_diagnostics(pot, exp) -> list:
     """The fields `make_potential` reads, checked for type and range, and
     the dimension experiment `exp` can run."""
@@ -115,9 +124,8 @@ def _potential_diagnostics(pot, exp) -> list:
     if not (_is_int(d) and d >= 1):
         diags.append(f"potential.dim: {d!r} must be a positive integer")
         d = None
-    elif exp == "combineq" and d != 1:
-        # run_combineq feeds the force one scalar sample per point
-        diags.append(f"potential.dim: {d!r} must be 1 for combineq, which samples a scalar law")
+    elif exp in _ONE_DIMENSIONAL and d != 1:
+        diags.append(f"potential.dim: {d!r} must be 1 for {exp}, {_ONE_DIMENSIONAL[exp]}")
     if not _is_number(pot["amplitude"]):
         diags.append("potential.amplitude: must be a number")
     if fam == "gaussian" and not _positive(pot["width"]):
@@ -434,7 +442,7 @@ def _as_list(v):
 
 
 def _run_sweep(one, n: int, jobs: int) -> list:
-    """The rows of one(0), ..., one(n - 1), concatenated in sweep order
+    """The entries of one(0), ..., one(n - 1), concatenated in sweep order
     whatever order the `jobs` worker threads finish in."""
     if jobs <= 1 or n <= 1:
         chunks = map(one, range(n))
@@ -505,7 +513,7 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
     N_list = [int(N) for N in _as_list(params["N"])]
     n_mc = int(params["mc_samples"])
     children = np.random.SeedSequence(cfg.seed).spawn(len(N_list))
-    dist = stats.norm()
+    dist = bounds.StandardNormal()
 
     def f_scalar(z):
         return V.grad(np.asarray(z, dtype=float)[:, None])[:, 0]
@@ -567,10 +575,50 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq, workers: int):
-    """Baseline-corrected mean W2^2 between per-configuration empirical
-    clouds (N-body positions Y and momenta H, each (M, N, d)) and same-size
-    reference subsamples.
+class _SolvePool:
+    """`workers` threads that run solve blocks while the threads that submit
+    them go on integrating.
+
+    The first error stops the run early: every block calls `check` before
+    each solve, and so does the integration before each segment, and `check`
+    raises the first error a block raised or the `with` block exited with.
+    Leaving the `with` block cancels the blocks still queued (on success
+    none are) and waits for the running ones.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._errors = []  # list.append is atomic: the first error stays first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self._errors.append(exc)  # running blocks stop at their next solve
+        self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, block):
+        return self._pool.submit(self._run, block)
+
+    def _run(self, block):
+        try:
+            return block()
+        except Exception as err:
+            self._errors.append(err)
+            raise
+
+    def check(self) -> None:
+        if self._errors:
+            raise self._errors[0]
+
+
+def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed_seq) -> list:
+    """Queue on `solves` the repeats of the baseline-corrected mean W2^2
+    between per-configuration empirical clouds (N-body positions Y and
+    momenta H, each (M, N, d)) and same-size reference subsamples; returns
+    the futures `_empirical_chaos_sq` reduces.
 
     Each repeat matches one N-body configuration against a fresh N-point
     subsample of the reference flow and subtracts the reference-vs-reference
@@ -578,11 +626,12 @@ def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq, work
     floor cancels in expectation and is strongly variance-reduced.  What is
     left is the chaos deviation of the empirical marginal.
 
-    The repeats run in `workers` contiguous blocks on `_run_sweep`'s threads
-    (the assignment solver releases the GIL).  Repeat r draws only from its
-    own child of `seed_seq`, and the blocks come back in repeat order, so the
-    returned (mean, standard error, floor) is bit-identical for every
-    worker count.
+    The repeats run in `solves.workers` contiguous blocks (the assignment
+    solver releases the GIL).  Repeat r draws only from its own child of
+    `seed_seq`, and the futures are listed in repeat order, so the reduced
+    (mean, standard error, floor) is bit-identical for every worker count.
+    The arrays are only read, so the caller may advance its ensemble while
+    the blocks run.
     """
     n_samples, n_points, _ = Y.shape
     children = seed_seq.spawn(repeats)
@@ -598,16 +647,38 @@ def _empirical_chaos_sq(Y, H, ref_pool: np.ndarray, repeats: int, seed_seq, work
         d_ff, _ = wasserstein_exact(control, anchor, p=2.0)
         return d_nb**2 - d_ff**2, d_ff**2
 
-    def block(b):
+    def block(lo, hi):
         # one task per block, not per repeat: a small solve costs less than a future
-        return [repeat(r) for r in range(b * repeats // workers, (b + 1) * repeats // workers)]
+        out = []
+        for r in range(lo, hi):
+            solves.check()
+            out.append(repeat(r))
+        return out
 
-    diffs, bases = np.array(_run_sweep(block, workers, workers)).T
-    se = float(diffs.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
+    blocks = solves.workers
+    return [
+        solves.submit(partial(block, b * repeats // blocks, (b + 1) * repeats // blocks))
+        for b in range(blocks)
+    ]
+
+
+def _empirical_chaos_sq(futures: list):
+    """(mean, standard error, floor) of the repeats `_submit_chaos_repeats`
+    queued, read back in repeat order."""
+    diffs, bases = np.array([pair for f in futures for pair in f.result()]).T
+    se = float(diffs.std(ddof=1) / math.sqrt(diffs.size)) if diffs.size > 1 else 0.0
     return float(diffs.mean()), se, float(bases.mean())
 
 
 def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Growth and marginal-transport rows per N and sample time, then the
+    N-rate fit.
+
+    The run is a pipeline: after integrating a sample time, the sweep queues
+    that time's subsample solves on one pool and goes straight on to the
+    next segment and the next N; the marginal rows are built from the solves
+    once the sweep is done, in sweep order.
+    """
     V = make_potential(cfg.potential)
     params = cfg.params
     p = float(params["p"])
@@ -622,8 +693,9 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     ref_seed, *per_n = root.spawn(1 + len(N_list))
 
     lambda_p = bounds.lambda_p_constant(p, V.lip_grad)
-    # the cores the `jobs` sweep threads leave free go to the assignment solves
-    solve_workers = min(repeats, max(1, _usable_cpus() // jobs))
+    # the cores the sweep threads leave free go to the assignment solves;
+    # a sweep shorter than `jobs` runs on fewer threads
+    solve_workers = min(repeats, max(1, _usable_cpus() // min(jobs, len(N_list))))
 
     def one(idx):
         N = N_list[idx]
@@ -633,41 +705,44 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         consts = _potential_constants(
             V, p=p, N=N, n=1, samples=M, dt=dt, Lambda_p=lambda_p, K_p=bounds.k_constant(p)
         )
-        rows = []
+        segments = []
         sub_children = sub_seed.spawn(len(schedule))
         for j, (t, n_steps) in enumerate(schedule):
+            solves.check()
             ens, reference, _, _ = run_coupled_trajectory(
                 ens, reference, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
             )
             per = dobrushin_per_sample(ens, p)
-            rows.append(
-                bounds.make_report(
-                    GROWTH_ROW,
-                    t,
-                    float(per.mean()),
-                    bounds.classical_rhs(V, p, N, 1, t),
-                    lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
-                    constants=consts,
-                )
+            growth = bounds.make_report(
+                GROWTH_ROW,
+                t,
+                float(per.mean()),
+                bounds.classical_rhs(V, p, N, 1, t),
+                lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
+                constants=consts,
             )
+            # each Verlet step makes fresh arrays, so the solves need no copy
             f_pool = ens.reference_as_cloud().points.points
-            debiased, deb_se, floor = _empirical_chaos_sq(
-                ens.Y, ens.H, f_pool, repeats, sub_children[j], solve_workers
-            )
-            rows.append(
+            blocks = _submit_chaos_repeats(solves, ens.Y, ens.H, f_pool, repeats, sub_children[j])
+            segments.append((growth, blocks))
+        return segments
+
+    reports = []
+    with _SolvePool(solve_workers) as solves:
+        for growth, blocks in _run_sweep(one, len(N_list), jobs):
+            debiased, deb_se, floor = _empirical_chaos_sq(blocks)
+            reports.append(growth)
+            reports.append(
                 bounds.make_report(
                     "marginal-transport-convergence",
-                    t,
+                    growth.time,
                     debiased,
-                    bounds.classical_rhs(V, p, N, 1, t),
+                    growth.rhs,
                     lhs_stderr=deb_se,
                     tolerance=float(params["w2_tolerance"]),
-                    constants=dict(consts, repeats=repeats, baseline=floor),
+                    constants=dict(growth.constants, repeats=repeats, baseline=floor),
                 )
             )
-        return rows
-
-    reports = _run_sweep(one, len(N_list), jobs)
     if len(N_list) >= 2:
         # The N-rate is fit on the directly measured coupling distance
         # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.signal import fftconvolve
 
+from ..convolution import offset_convolution
 from ..potentials import Potential
 from .grids import FactoredCoupling, GridSpec, ResourceCapError, WaveFunction, memory_cap_bytes
 
@@ -112,7 +112,7 @@ def _density_potential(density: np.ndarray, grid: GridSpec, V: Potential) -> np.
     n = grid.points_per_axis
     offsets = (np.arange(2 * n - 1) - (n - 1)) * grid.h
     kernel = V.eval(offsets[:, None])
-    return fftconvolve(density, kernel)[n - 1 : 2 * n - 1]
+    return offset_convolution(density, kernel)
 
 
 def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:

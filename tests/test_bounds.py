@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflab.bounds import (
+    StandardNormal,
     classical_rhs,
     classical_rhs_hp,
     combineq_mc,
@@ -203,6 +204,19 @@ def _combineq_brute(field, dist, p, N, n_mc, seed, quad_span, quad_points):
         x1[done : done + size] = X[:, 0]
         done += size
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_mc)), x1
+
+
+def test_standard_normal_is_scipy_norm_bit_for_bit():
+    # run_combineq's law: the same pdf values and the same draws per stream
+    x = np.concatenate([np.linspace(-12.0, 12.0, 4097), [0.0, -40.0, 40.0]])
+    assert np.array_equal(StandardNormal().pdf(x), scipy.stats.norm().pdf(x))
+    for size in ((4096, 8), (5, 1), 3):
+        ours = StandardNormal().rvs(size=size, random_state=np.random.default_rng(11))
+        ref = scipy.stats.norm().rvs(size=size, random_state=np.random.default_rng(11))
+        assert np.array_equal(ours, ref)
+    assert combineq_mc(_field_of(GAUSS), StandardNormal(), 2.0, 4, 5000, 7) == combineq_mc(
+        _field_of(GAUSS), scipy.stats.norm(), 2.0, 4, 5000, 7
+    )
 
 
 def _field_of(V):

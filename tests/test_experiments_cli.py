@@ -19,6 +19,8 @@ from mflab.experiments import (
     PARAMS,
     ExperimentConfig,
     _empirical_chaos_sq,
+    _SolvePool,
+    _submit_chaos_repeats,
     build_config,
     make_potential,
     run_experiment,
@@ -307,6 +309,20 @@ def test_validate_combineq_needs_a_one_dimensional_potential(tmp_path, capsys):
     assert validate_config(dict(raw, potential={"family": "cosine", "dim": 1})) == []
 
 
+@pytest.mark.parametrize("experiment", ["classical-dobrushin", "quantum-dobrushin"])
+def test_validate_dobrushin_runners_need_a_one_dimensional_potential(tmp_path, capsys, experiment):
+    # both runners build 1-D particle clouds or grids; rows claiming d = 2
+    # would describe a flow that never ran
+    for pot in ({"dim": 2}, {"family": "cosine", "dim": 3, "wavevector": [1.0, 1.0, 1.0]}):
+        path = _write_cfg(tmp_path, {"experiment": experiment, "potential": pot})
+        assert main(["validate", path]) == 4, pot
+        out = capsys.readouterr().out
+        assert out.startswith(f"potential.dim: {pot['dim']} must be 1 for {experiment}"), out
+        assert main(["run", path]) == 64, pot
+        assert "config error: potential.dim:" in capsys.readouterr().err, pot
+    assert validate_config({"experiment": experiment, "potential": {"dim": 1}}) == []
+
+
 @pytest.mark.parametrize("experiment", ["mk-bracket", "toeplitz-identities", "quantum-dobrushin"])
 def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
     for n_pts in (100, 0, 1, "x", 64.0, True):
@@ -376,7 +392,7 @@ def test_validate_numeric_knobs(tmp_path, capsys, experiment):
     assert validate_config({"experiment": experiment}) == []
 
 
-def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path):
+def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path, monkeypatch):
     raw = dict(
         CLASSICAL_FREE,
         potential={"family": "gaussian"},
@@ -387,11 +403,15 @@ def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path):
     )
     path = _write_cfg(tmp_path, raw)
     blobs = []
-    for jobs in ("1", "2", "1"):
-        out = tmp_path / f"jobs{jobs}-{len(blobs)}"
-        assert main(["run", path, "--jobs", jobs, "--out", str(out)]) in (0, 2)
-        blobs.append((out / "classical-dobrushin.jsonl").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    # 1 to 3 usable CPUs give 1 to 3 solve threads under --jobs 1, and 1 or
+    # 2 sweep threads sharing them under --jobs 2
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        for jobs in ("1", "2", "1"):
+            out = tmp_path / f"cpus{cpus}-jobs{jobs}-{len(blobs)}"
+            assert main(["run", path, "--jobs", jobs, "--out", str(out)]) in (0, 2)
+            blobs.append((out / "classical-dobrushin.jsonl").read_bytes())
+    assert len(set(blobs)) == 1
     rows = [json.loads(line) for line in blobs[0].decode().splitlines()]
     slope = [r for r in rows if r["inequality_id"] == "coupling-distance-scaling-slope"]
     growth = [r["lhs_measured"] for r in rows if r["inequality_id"] == "dobrushin-functional-growth"]
@@ -409,21 +429,72 @@ def test_empirical_chaos_sq_independent_of_workers():
     rng = np.random.default_rng(0)
     Y, H = rng.standard_normal((2, 5, 6, 1))
     pool = rng.standard_normal((40, 2))
-    triples = [
-        _empirical_chaos_sq(Y, H, pool, 7, np.random.SeedSequence(9), workers)
-        for workers in (1, 2, 3)
-    ]
+    triples = []
+    for workers in (1, 2, 3):
+        with _SolvePool(workers) as solves:
+            blocks = _submit_chaos_repeats(solves, Y, H, pool, 7, np.random.SeedSequence(9))
+            assert len(blocks) == workers
+            triples.append(_empirical_chaos_sq(blocks))
     assert triples[0] == triples[1] == triples[2]
     assert triples[0][1] > 0.0
 
 
+def _record_solve_workers(monkeypatch) -> list:
+    """Patch the solve pool to log the thread count of each run."""
+    seen = []
+
+    class Recording(_SolvePool):
+        def __init__(self, workers):
+            seen.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiments, "_SolvePool", Recording)
+    return seen
+
+
+def test_solve_workers_use_the_cores_a_short_sweep_leaves_free(monkeypatch):
+    # --jobs 2 on one N runs one sweep thread, so the solves get every core
+    seen = _record_solve_workers(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    for N, jobs in (([8], 2), ([8], 1), ([4, 8], 2), ([4, 8, 4], 2), ([4, 8, 4], 4)):
+        run_experiment(build_config(dict(CLASSICAL_FREE, N=N, repeats=8)), jobs=jobs)
+    assert seen == [4, 4, 2, 2, 1]
+
+
 def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
-    # the solve blocks may run on pool threads; their error must still reach main
+    # the solve blocks run on pool threads; their error must still reach
+    # main, and the first error stops the run: the blocks still queued and
+    # the later segments never call the solver
+    calls = []
+
     def capped(*args, **kwargs):
+        calls.append(1)
         raise ResourceCapError("support exceeds cap")
 
+    seen = _record_solve_workers(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(experiments, "wasserstein_exact", capped)
-    assert main(["run", _write_cfg(tmp_path, CLASSICAL_FREE), "--out", str(tmp_path)]) == 3
+    raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
+    assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
+    assert seen == [3] and 1 <= len(calls) <= 3
+
+
+def test_error_in_a_trajectory_segment_exits_3(tmp_path, monkeypatch):
+    # a segment that runs out of memory ends the run with the resource code
+    # once the solves it already queued are cancelled or done
+    segments = []
+    advance = experiments.run_coupled_trajectory
+
+    def failing(*args, **kwargs):
+        segments.append(1)
+        if len(segments) == 3:
+            raise MemoryError("segment")
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_coupled_trajectory", failing)
+    raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
+    assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
+    assert len(segments) == 3
 
 
 def test_build_config_rejects_diagnostics():
@@ -638,6 +709,19 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
 
 def test_cli_no_arguments_is_usage_error():
     assert main([]) == 64
+
+
+def test_import_loads_no_heavy_scipy_subpackages():
+    # the convolutions use scipy.fft and combineq its own normal law, so the
+    # command line starts without scipy.signal, scipy.stats or scipy.interpolate
+    code = (
+        "import sys, mflab.cli, mflab.experiments; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'interpolate'])))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_module_entry_point(tmp_path):
