@@ -21,6 +21,11 @@ from .transport import DiscreteMeasure
 
 Array = np.ndarray
 
+# Pair terms per block of the pair-sum kernels below: 2 MiB per float64
+# temporary in d = 1, so the temporaries stay in cache and the allocator
+# reuses them instead of mapping and zeroing fresh pages on every call.
+PAIR_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -136,14 +141,18 @@ def nbody_force(V: Potential, X) -> Array:
 
 
 def _nbody_force_batch(V: Potential, X: Array) -> Array:
-    """Same force for a batch (M, N, d), chunked to bound memory."""
+    """Same force for a batch (M, N, d), in blocks of at most PAIR_BLOCK pairs:
+    whole samples while N^2 fits, else row blocks of one sample.  Each row k
+    still sums over every l at once, so blocking leaves the round-off as is."""
     M, N, _ = X.shape
     out = np.empty_like(X)
-    chunk = max(1, int(8_000_000 // max(N * N, 1)))
-    for s in range(0, M, chunk):
-        block = X[s : s + chunk]
-        diff = block[:, :, None, :] - block[:, None, :, :]
-        out[s : s + chunk] = -V.grad(diff).mean(axis=2)
+    samples = max(1, PAIR_BLOCK // max(N * N, 1))
+    rows = max(1, PAIR_BLOCK // max(N, 1))
+    for s in range(0, M, samples):
+        block = X[s : s + samples]
+        for r in range(0, N, rows):
+            diff = block[:, r : r + rows, None, :] - block[:, None, :, :]
+            out[s : s + samples, r : r + rows] = -V.grad(diff).mean(axis=2)
     return out
 
 
@@ -164,7 +173,7 @@ def _exact_field(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]:
     def field(q: Array) -> Array:
         q2 = q.reshape(-1, q.shape[-1])
         out = np.empty_like(q2)
-        chunk = max(1, int(4_000_000 // max(len(y), 1)))
+        chunk = max(1, PAIR_BLOCK // max(len(y), 1))
         for s in range(0, len(q2), chunk):
             diff = q2[s : s + chunk, None, :] - y[None, :, :]
             out[s : s + chunk] = -np.sum(w[:, None] * V.grad(diff), axis=1)

@@ -85,10 +85,19 @@ def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential
 
     def _grad(z, _a=amplitude, _w2=w2):
         z = np.asarray(z, dtype=float)
-        # a sum over one component is that component: skip the reduce in d = 1
-        sq = z * z if z.shape[-1] == 1 else np.sum(z * z, axis=-1, keepdims=True)
-        phase = np.exp(-sq / (2.0 * _w2))
-        return (-_a / _w2) * z * phase
+        # (-a/w^2) z exp(-|z|^2 / (2w^2)) in two arrays, the result `out` and
+        # the scratch `phase`; each step is the ufunc the plain expression
+        # would call, so the values are the same to the bit
+        if z.shape[-1] == 1:  # a sum over one component is that component
+            out, phase = np.empty_like(z), np.multiply(z, z)
+        else:
+            out = np.multiply(z, z)
+            phase = np.sum(out, axis=-1, keepdims=True)
+        np.negative(phase, out=phase)
+        np.divide(phase, 2.0 * _w2, out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(-_a / _w2, z, out=out)
+        return np.multiply(out, phase, out=out)
 
     a = abs(amplitude)
     return Potential(
@@ -119,7 +128,12 @@ def make_cosine_potential(amplitude: float, wavevector, d: int) -> Potential:
 
     def _grad(z, _a=amplitude, _k=k):
         z = np.asarray(z, dtype=float)
-        return (-_a * np.sin(z @ _k))[..., None] * _k
+        # -a sin(k.z) k in two arrays: the scratch k.z (an array even for
+        # a single point, where @ gives a scalar) and the result
+        phase = np.asarray(z @ _k)
+        np.sin(phase, out=phase)
+        np.multiply(-_a, phase, out=phase)
+        return np.multiply(phase[..., None], _k)
 
     a = abs(amplitude)
     knorm = float(np.linalg.norm(k))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mflab.classical import (
+    PAIR_BLOCK,
     CoupledEnsemble,
     PhaseState,
     VlasovCloud,
+    _exact_field,
     _frozen_field,
     _nbody_force_batch,
     coupled_advance,
@@ -25,7 +27,7 @@ from mflab.classical import (
     verlet_step,
     vlasov_advance,
 )
-from mflab.potentials import make_gaussian_potential
+from mflab.potentials import make_cosine_potential, make_gaussian_potential
 from mflab.transport import DiscreteMeasure
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)
@@ -113,6 +115,39 @@ def test_nbody_force_newton_third_law_and_translation():
     F = nbody_force(V, X)
     np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-14)
     np.testing.assert_allclose(nbody_force(V, X + 3.7), F, atol=1e-14)
+
+
+def _potential(family, d):
+    if family == "gaussian":
+        return make_gaussian_potential(-1.3, 0.8, d)
+    return make_cosine_potential(0.7, np.linspace(1.1, -0.4, d), d)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cosine"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("M, N", [(150, 64), (3, 600)])
+def test_nbody_force_blocks_match_unblocked_oracle(family, d, M, N):
+    if N * N <= PAIR_BLOCK:  # whole samples per block, and a short last block
+        assert M % (PAIR_BLOCK // (N * N))
+    else:  # row blocks within each sample, and a short last one
+        assert N % (PAIR_BLOCK // N)
+    V = _potential(family, d)
+    X = np.random.default_rng(21).normal(scale=1.5, size=(M, N, d))
+    diff = X[:, :, None, :] - X[:, None, :, :]
+    np.testing.assert_array_equal(_nbody_force_batch(V, X), -V.grad(diff).mean(axis=2))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cosine"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_exact_field_blocks_match_unblocked_oracle(family, d):
+    # 5000 sources give blocks of 52 queries, which 130 queries do not fill
+    rng = np.random.default_rng(22)
+    V = _potential(family, d)
+    y, q = rng.normal(size=(5000, d)), rng.normal(scale=2.0, size=(130, d))
+    w = rng.dirichlet(np.ones(len(y)))
+    assert len(q) % (PAIR_BLOCK // len(y))
+    oracle = -np.sum(w[:, None] * V.grad(q[:, None, :] - y[None, :, :]), axis=1)
+    np.testing.assert_array_equal(_exact_field(V, y, w)(q), oracle)
 
 
 def test_mean_field_force_single_point_cloud():

@@ -199,7 +199,8 @@ def test_guard_band_abort_exits_3_at_the_integrated_time(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(out)]) == 3
     assert "guard band tripped at t=0.0" in capsys.readouterr().err
-    rows = [json.loads(line) for line in (out / "quantum-dobrushin.jsonl").open()]
+    jsonl = (out / "quantum-dobrushin.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in jsonl]
     assert [r["inequality_id"] for r in rows] == [
         "guard-band-interior-mass",
         "doubled-evolution-unitarity",

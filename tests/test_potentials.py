@@ -38,14 +38,36 @@ def test_gaussian_gradient_matches_finite_differences():
 
 
 def test_gaussian_gradient_d1_path_is_bit_identical():
-    # d = 1 skips the reduce over the last axis; the general formula is the oracle
+    # the in-place gradients against their closed forms, evaluated plainly;
+    # d = 1 also skips the Gaussian's reduce over the last axis
     a, w2 = -1.7, 0.9**2
-    V = make_gaussian_potential(a, 0.9, 1)
-    z = np.random.default_rng(2).normal(scale=3.0, size=(7, 5, 1))
-    z[0, 0, 0] = 0.0
-    general = (-a / w2) * z * np.exp(-np.sum(z * z, axis=-1, keepdims=True) / (2.0 * w2))
-    np.testing.assert_array_equal(V.grad(z), general)
-    np.testing.assert_array_equal(V.grad(z[..., 0].ravel()[:, None]), general.reshape(-1, 1))
+    rng = np.random.default_rng(2)
+    for d in (1, 2):
+        V = make_gaussian_potential(a, 0.9, d)
+        z = rng.normal(scale=3.0, size=(7, 5, d))
+        z[0, 0] = 0.0
+        general = (-a / w2) * z * np.exp(-np.sum(z * z, axis=-1, keepdims=True) / (2.0 * w2))
+        np.testing.assert_array_equal(V.grad(z), general)
+        np.testing.assert_array_equal(V.grad(z.reshape(-1, d)), general.reshape(-1, d))
+        k = np.linspace(1.3, -0.6, d)
+        np.testing.assert_array_equal(
+            make_cosine_potential(a, k, d).grad(z), (-a * np.sin(z @ k))[..., None] * k
+        )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", ["gaussian", "cosine"])
+def test_gradient_leaves_its_argument_alone(family, d):
+    if family == "gaussian":
+        V = make_gaussian_potential(0.9, 1.2, d)
+    else:
+        V = make_cosine_potential(0.9, np.linspace(0.8, 2.0, d), d)
+    z = np.random.default_rng(3).normal(size=(4, 6, d))
+    before = z.copy()
+    g = V.grad(z)
+    np.testing.assert_array_equal(z, before)
+    assert not np.shares_memory(g, z)
+    assert g.shape == z.shape
 
 
 def test_gaussian_constants_attained_on_dense_scan():
