@@ -26,15 +26,7 @@ from .experiments import (
     run_experiment,
     validate_config,
 )
-from .potentials import (
-    ConstantsReport,
-    Potential,
-    ScalingInput,
-    make_cosine_potential,
-    make_gaussian_potential,
-    rescale,
-    verify_constants,
-)
+from .potentials import Potential, make_cosine_potential, make_gaussian_potential
 from .transport import (
     DiscreteMeasure,
     TransportPlan,
@@ -48,11 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ConstantsReport",
     "DiscreteMeasure",
     "ExperimentConfig",
     "Potential",
-    "ScalingInput",
     "TransportPlan",
     "bounds",
     "build_config",
@@ -71,12 +61,10 @@ __all__ = [
     "potentials",
     "quantum",
     "quantum_rhs",
-    "rescale",
     "run_experiment",
     "subsample_distance",
     "transport",
     "validate_config",
-    "verify_constants",
     "wasserstein_exact",
     "wasserstein_sinkhorn",
 ]

@@ -3,7 +3,7 @@ Monte-Carlo consistency estimator they control, and the BoundReport record
 that ties a measured quantity to its bound.
 
 Every formula here is a direct transcription; nothing is fitted.  Each RHS
-has a 50-digit twin (suffix `_hp`) evaluated with mpmath so transcription
+has a 50-digit twin (suffix `_hp`) in tests/test_bounds.py, so transcription
 errors cannot hide behind floating-point agreement.
 """
 from __future__ import annotations
@@ -21,22 +21,17 @@ from .potentials import Potential
 __all__ = [
     "BoundReport",
     "classical_rhs",
-    "classical_rhs_hp",
     "combineq_mc",
     "combineq_rhs",
     "combineq_rhs_even",
-    "combineq_rhs_hp",
     "count_S_Np",
     "count_S_Np_enumerate",
-    "dobrushin_rhs",
     "k_constant",
     "lambda_constant",
     "lambda_p_constant",
     "make_report",
     "moment_rhs",
-    "moment_rhs_hp",
     "quantum_rhs",
-    "quantum_rhs_hp",
     "read_reports_jsonl",
     "write_reports_jsonl",
 ]
@@ -97,34 +92,6 @@ def classical_rhs(V: Potential, p: float, N: int, n: int, t: float) -> float:
     )
 
 
-def dobrushin_rhs(V: Potential, p: float, N: int, t: float, initial: float = 0.0) -> float:
-    """Gronwall row for the per-particle functional D^p_N itself:
-    e^{Lambda_p t} * D(0) + classical_rhs with n = 1."""
-    lam = lambda_p_constant(p, V.lip_grad)
-    return math.exp(lam * t) * initial + classical_rhs(V, p, N, 1, t)
-
-
-def classical_rhs_hp(sup_grad, lip_grad, p, N, n, t) -> float:
-    """50-digit transcription check of classical_rhs (raw constants in)."""
-    from mpmath import mp, mpf
-
-    with mp.workdps(50):
-        p_, s, l, t_ = mpf(p), mpf(sup_grad), mpf(lip_grad), mpf(t)
-        kp = max(mpf(1), p_ - 1)
-        lam = 2 * kp * (1 + 2 ** (p_ - 1) * l**p_)
-        val = (
-            mpf(n)
-            * 2**p_
-            * kp
-            * s**p_
-            * (math.floor(p / 2) + 1)
-            / mpf(N) ** min(p / 2.0, 1.0)
-            * (mp.e ** (lam * t_) - 1)
-            / lam
-        )
-        return float(val)
-
-
 # ---------------------------------------------------------------------------
 # quantum mean-field bounds (squared-cost functional, three variants)
 
@@ -171,29 +138,6 @@ def quantum_rhs(
     raise ValueError(f"unknown variant {variant!r}; expected one of {QUANTUM_VARIANTS}")
 
 
-def quantum_rhs_hp(variant, sup_grad, lip_grad, d, eps, N, n, t, init_term=0.0) -> float:
-    """50-digit transcription check of quantum_rhs (raw constants in)."""
-    from mpmath import mp, mpf
-
-    with mp.workdps(50):
-        s2 = mpf(sup_grad) ** 2
-        lam = 3 + 4 * mpf(lip_grad) ** 2
-        t_ = mpf(t)
-        growth = mp.e ** (lam * t_)
-        if variant == "general":
-            val = n * ((8 * s2 / N) * (growth - 1) / lam + growth / N * mpf(init_term))
-        elif variant == "toeplitz":
-            val = n * (
-                (2 * d * mpf(eps) + mpf(init_term) / N) * growth
-                + (8 * n * s2 / N) * (growth - 1) / lam
-            )
-        elif variant == "factorized":
-            val = n * (2 * d * mpf(eps) + (8 * s2 / N) * (1 - mp.e ** (-lam * t_)) / lam) * growth
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return float(val)
-
-
 # ---------------------------------------------------------------------------
 # consistency estimate (empirical mean-field force vs convolved force)
 
@@ -212,15 +156,6 @@ def combineq_rhs_even(F_sup: float, p: float, N: int) -> float:
     if not (p == int(p) and int(p) % 2 == 0 and p > 0):
         raise ValueError("even-exponent constant needs positive even integer p")
     return p / N * (2.0 * F_sup) ** p
-
-
-def combineq_rhs_hp(F_sup, p, N) -> float:
-    from mpmath import mp, mpf
-
-    with mp.workdps(50):
-        return float(
-            (2 * math.floor(p / 2) + 2) / mpf(N) ** min(p / 2.0, 1.0) * (2 * mpf(F_sup)) ** p
-        )
 
 
 #: Table nodes per quadrature step in `combineq_mc`'s tabulated F*rho.
@@ -351,13 +286,6 @@ def moment_rhs(M0: float, p: float, lip: float, t: float) -> float:
     if p < 1 or t < 0 or M0 < 0 or lip < 0:
         raise ValueError("need p >= 1, t >= 0, M0 >= 0, lip >= 0")
     return M0 * math.exp((p - 1.0) * (1.0 + 2.0 * lip) * t)
-
-
-def moment_rhs_hp(M0, p, lip, t) -> float:
-    from mpmath import mp, mpf
-
-    with mp.workdps(50):
-        return float(mpf(M0) * mp.e ** ((mpf(p) - 1) * (1 + 2 * mpf(lip)) * mpf(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,12 @@ class CoupledEnsemble:
 # forces
 
 
-def nbody_force(V: Potential, X) -> Array:
-    """F_k = -(1/N) sum_l grad V(x_k - x_l); the l = k term vanishes by evenness."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be (N, d)")
-    diff = X[:, None, :] - X[None, :, :]
-    return -V.grad(diff).mean(axis=1)
-
-
 def _nbody_force_batch(V: Potential, X: Array) -> Array:
-    """Same force for a batch (M, N, d), in blocks of at most PAIR_BLOCK pairs:
-    whole samples while N^2 fits, else row blocks of one sample.  Each row k
-    still sums over every l at once, so blocking leaves the round-off as is."""
+    """N-body force F_k = -(1/N) sum_l grad V(x_k - x_l) (the l = k term
+    vanishes by evenness) for a batch (M, N, d), in blocks of at most
+    PAIR_BLOCK pairs: whole samples while N^2 fits, else row blocks of one
+    sample.  Each row k still sums over every l at once, so blocking leaves
+    the round-off as is."""
     M, N, _ = X.shape
     out = np.empty_like(X)
     samples = max(1, PAIR_BLOCK // max(N * N, 1))
@@ -156,20 +149,9 @@ def _nbody_force_batch(V: Potential, X: Array) -> Array:
     return out
 
 
-def mean_field_force(V: Potential, x, cloud: VlasovCloud) -> Array:
-    """-sum_m w_m grad V(x - y_m) against the cloud's spatial coordinates.
-
-    Accepts a single point (d,) or a batch (..., d) of query points; this is
-    the exact O(size) summation.
-    """
-    x = np.asarray(x, dtype=float)
-    y = cloud.x
-    w = cloud.points.weights
-    diff = x[..., None, :] - y
-    return -np.sum(w[..., :, None] * V.grad(diff), axis=-2)
-
-
 def _exact_field(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]:
+    """Mean-field force -sum_m w_m grad V(q - y_m) of the weighted points y,
+    by exact summation at each query point q (..., d)."""
     def field(q: Array) -> Array:
         q2 = q.reshape(-1, q.shape[-1])
         out = np.empty_like(q2)
@@ -222,19 +204,13 @@ def _grid_field_1d(
     return field
 
 
-def _frozen_field(
-    V: Potential, cloud: VlasovCloud, force_method: str = "auto"
-) -> Callable[[Array], Array]:
-    """Force field generated by the cloud, frozen for one integrator step."""
-    if force_method not in ("auto", "exact", "grid"):
-        raise ValueError(f"unknown force_method {force_method!r}")
-    use_grid = force_method == "grid" or (
-        force_method == "auto" and cloud.d == 1 and cloud.size >= 1024
-    )
-    if use_grid and cloud.d != 1:
-        raise ValueError("gridded force field is only available in d = 1")
+def _frozen_field(V: Potential, cloud: VlasovCloud) -> Callable[[Array], Array]:
+    """Force field generated by the cloud, frozen for one integrator step:
+    tabulated for a 1-D cloud of at least 1024 points, else summed exactly."""
     y, w = cloud.x, cloud.points.weights
-    return _grid_field_1d(V, y, w) if use_grid else _exact_field(V, y, w)
+    if cloud.d == 1 and cloud.size >= 1024:
+        return _grid_field_1d(V, y, w)
+    return _exact_field(V, y, w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +235,7 @@ def _verlet_arrays(x: Array, xi: Array, field, dt: float, f0: Array | None = Non
     return x_new, xi_half + 0.5 * dt * f1, f1
 
 
-def vlasov_advance(
-    cloud: VlasovCloud,
-    V: Potential,
-    dt: float,
-    n_steps: int,
-    force_method: str = "auto",
-) -> VlasovCloud:
+def vlasov_advance(cloud: VlasovCloud, V: Potential, dt: float, n_steps: int) -> VlasovCloud:
     """Self-consistent particle method: each step freezes the cloud, builds
     its mean-field force field, and Verlet-advances every particle in it."""
     if dt == 0:
@@ -274,20 +244,14 @@ def vlasov_advance(
     w = cloud.points.weights
     t = cloud.time
     for _ in range(n_steps):
-        field = _frozen_field(
-            V, VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t), force_method
-        )
+        field = _frozen_field(V, VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t))
         x, xi, _ = _verlet_arrays(x, xi, field, dt)
         t += dt
     return VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t)
 
 
 def coupled_advance(
-    ens: CoupledEnsemble,
-    ref: VlasovCloud,
-    V: Potential,
-    dt: float,
-    force_method: str = "auto",
+    ens: CoupledEnsemble, ref: VlasovCloud, V: Potential, dt: float
 ) -> CoupledEnsemble:
     """One step of the coupled product flow.
 
@@ -306,7 +270,7 @@ def coupled_advance(
         raise RuntimeError(
             f"ensemble time {ens.time} and reference time {ref.time} misaligned"
         )
-    field = _frozen_field(V, ref, force_method)
+    field = _frozen_field(V, ref)
     X, Xi, _ = _verlet_arrays(ens.X, ens.Xi, field, dt)
     f0 = ens.force if ens.force_potential is V else None
     Y, H, force = _verlet_arrays(
@@ -325,14 +289,13 @@ def run_coupled_trajectory(
     n_steps: int,
     p: float = 2.0,
     record_every: int = 1,
-    force_method: str = "auto",
 ):
     """Advance the coupled flow, recording t |-> D_N^p; returns
     (ensemble, reference, times, dvals)."""
     times = [ens.time]
     dvals = [dobrushin_functional(ens, p)]
     for step in range(1, n_steps + 1):
-        ens = coupled_advance(ens, ref, V, dt, force_method)
+        ens = coupled_advance(ens, ref, V, dt)
         ref = ens.reference_as_cloud()
         if step % record_every == 0 or step == n_steps:
             times.append(ens.time)
@@ -358,21 +321,6 @@ def dobrushin_functional(ens: CoupledEnsemble, p: float) -> float:
     return float(dobrushin_per_sample(ens, p).mean())
 
 
-def marginal_cloud(positions: Array, momenta: Array, n: int) -> DiscreteMeasure:
-    """Equal-weight cloud of the first n particles' phase coordinates, one
-    point in R^{2dn} per sample of an (M, N, d) side, laid out
-    (x_1..x_n, xi_1..xi_n)."""
-    positions = np.asarray(positions, dtype=float)
-    momenta = np.asarray(momenta, dtype=float)
-    if positions.ndim != 3 or positions.shape != momenta.shape or positions.shape[0] == 0:
-        raise ValueError("sides must be nonempty (M, N, d) arrays of one shape")
-    M, N, _ = positions.shape
-    if not 1 <= n <= N:
-        raise ValueError(f"marginal order {n} out of range 1..{N}")
-    pts = np.hstack([positions[:, :n].reshape(M, -1), momenta[:, :n].reshape(M, -1)])
-    return DiscreteMeasure.equal_weights(pts)
-
-
 def point_moments(cloud: VlasovCloud, p: float) -> np.ndarray:
     """|x|^p + |xi|^p at each point of the cloud."""
     return np.linalg.norm(cloud.x, axis=1) ** p + np.linalg.norm(cloud.xi, axis=1) ** p
@@ -383,16 +331,6 @@ def moment_p(cloud: VlasovCloud, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     return float(cloud.points.weights @ point_moments(cloud, p))
-
-
-def nbody_energy(V: Potential, state: PhaseState) -> float:
-    """H_N = (1/2) sum |xi_k|^2 + (1/2N) sum_{k,l} V(x_k - x_l); conserved by
-    the isolated N-body flow up to O(dt^2)."""
-    X = state.positions
-    diff = X[:, None, :] - X[None, :, :]
-    return float(
-        0.5 * np.sum(state.momenta**2) + np.sum(V.eval(diff)) / (2 * X.shape[0])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +352,13 @@ def sample_gaussian_cloud(
     return VlasovCloud(DiscreteMeasure.equal_weights(np.hstack([x, xi])), 0.0)
 
 
-def sample_uniform_cloud(
-    m: int, d: int, seed: int, half_width_x=1.0, half_width_xi=1.0
-) -> VlasovCloud:
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-half_width_x, half_width_x, (m, d))
-    xi = rng.uniform(-half_width_xi, half_width_xi, (m, d))
-    return VlasovCloud(DiscreteMeasure.equal_weights(np.hstack([x, xi])), 0.0)
-
-
 def diagonal_ensemble(
-    n_samples: int,
-    n_particles: int,
-    reference: VlasovCloud,
-    seed: int,
-    sampler: str = "gaussian",
-    **params,
+    n_samples: int, n_particles: int, reference: VlasovCloud, seed: int
 ) -> CoupledEnsemble:
     """Diagonal initial coupling: both sides start from the same iid draw of
     N particles per sample, so every Dobrushin functional starts at zero."""
-    maker = {"gaussian": sample_gaussian_cloud, "uniform-box": sample_uniform_cloud}[
-        sampler
-    ]
-    d = reference.d
     draws = [
-        maker(n_particles, d, child, **params)
+        sample_gaussian_cloud(n_particles, reference.d, child)
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ]
     X = np.stack([sub.x for sub in draws])

@@ -8,8 +8,12 @@ also spreads its exact assignment solves over the cores `--jobs` leaves free
 (usable CPUs // min(J, number of N)), and runs them while its trajectories
 integrate on; neither changes a byte of the output.
 
+`--seed` and `--out` replace the config's `seed` and `out` and are checked
+as those keys are.
+
 Exit codes: 0 success; 2 at least one bound report failed; 3 resource or
-guard error; 4 validate found diagnostics; 64 unusable config or arguments.
+guard error; 4 validate found diagnostics; 64 unusable config or arguments,
+or an output directory that cannot be created (checked before the run).
 Result rows go to <out>/<experiment>.jsonl and .csv; the JSONL stream carries
 no timestamps, so a (config, seed) pair reproduces byte-identical output.
 """
@@ -43,9 +47,7 @@ def _load_json(path: str):
     return None
 
 
-def _write_outputs(reports, out_dir: str, experiment: str):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_outputs(reports, out: Path, experiment: str):
     jsonl_path = out / f"{experiment}.jsonl"
     write_reports_jsonl(reports, jsonl_path)
     csv_path = out / f"{experiment}.csv"
@@ -92,6 +94,9 @@ def main(argv=None) -> int:
     raw = _load_json(args.config)
     if raw is None:
         return EXIT_USAGE
+    if args.command == "run" and isinstance(raw, dict):
+        overrides = {"seed": args.seed, "out": args.out}
+        raw.update({key: value for key, value in overrides.items() if value is not None})
 
     diagnostics = validate_config(raw)
     if args.command == "validate":
@@ -104,14 +109,20 @@ def main(argv=None) -> int:
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = build_config(raw, seed=args.seed, out=args.out)
+    cfg = build_config(raw)
+    out = Path(cfg.out or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"cannot create output directory: {err}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         reports = run_experiment(cfg, jobs=max(1, args.jobs))
     except (ResourceCapError, MemoryError) as err:
         print(f"resource error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    jsonl_path, csv_path = _write_outputs(reports, cfg.out or ".", cfg.experiment)
+    jsonl_path, csv_path = _write_outputs(reports, out, cfg.experiment)
     n_failed = sum(1 for r in reports if not r.passed)
     print(
         f"{cfg.experiment}: {len(reports)} checks, {n_failed} failed; "

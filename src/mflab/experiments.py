@@ -89,6 +89,12 @@ class ExperimentConfig:
 #: to ones in each of `dim` components.
 POTENTIAL_DEFAULTS = {"family": "gaussian", "dim": 1, "amplitude": 1.0, "width": 1.0}
 
+#: The fields each potential family reads.
+_POTENTIAL_FIELDS = {
+    "gaussian": ("family", "dim", "amplitude", "width"),
+    "cosine": ("family", "dim", "amplitude", "wavevector"),
+}
+
 
 def make_potential(spec: dict) -> Potential:
     pot = {**POTENTIAL_DEFAULTS, **spec}
@@ -115,11 +121,15 @@ def _potential_diagnostics(pot, exp) -> list:
     the dimension experiment `exp` can run."""
     if not isinstance(pot, dict):
         return ["potential: must be an object"]
-    pot = {**POTENTIAL_DEFAULTS, **pot}
-    fam = pot["family"]
-    if fam not in ("gaussian", "cosine"):
+    fam = pot.get("family", POTENTIAL_DEFAULTS["family"])
+    if not isinstance(fam, str) or fam not in _POTENTIAL_FIELDS:
         return [f"potential.family: unknown family {fam!r}"]
-    diags = []
+    diags = [
+        f"potential.{key}: not a field of the {fam} potential"
+        for key in pot
+        if key not in _POTENTIAL_FIELDS[fam]
+    ]
+    pot = {**POTENTIAL_DEFAULTS, **pot}
     d = pot["dim"]
     if not (_is_int(d) and d >= 1):
         diags.append(f"potential.dim: {d!r} must be a positive integer")
@@ -411,8 +421,10 @@ def validate_config(raw: dict) -> list:
             f"experiment: unknown id {exp!r}; expected one of {', '.join(PARAMS)}"
         )
     diags += _potential_diagnostics(raw.get("potential", {}), exp)
-    if "seed" in raw and not (isinstance(raw["seed"], int) and raw["seed"] >= 0):
+    if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
         diags.append("seed: must be a nonnegative integer")
+    if "out" in raw and not (raw["out"] is None or isinstance(raw["out"], str)):
+        diags.append("out: must be a string or null")
     if exp not in PARAMS:
         return diags
     spec = PARAMS[exp]
@@ -424,15 +436,15 @@ def validate_config(raw: dict) -> list:
     return diags + _cross_field_diagnostics(exp, params, {key for key in spec if found[key]})
 
 
-def build_config(raw: dict, seed=None, out=None) -> ExperimentConfig:
+def build_config(raw: dict) -> ExperimentConfig:
     diags = validate_config(raw)
     if diags:
         raise ValueError("invalid config: " + "; ".join(diags))
     return ExperimentConfig(
         experiment=raw["experiment"],
         potential=dict(raw.get("potential", {})),
-        seed=int(raw.get("seed", 0) if seed is None else seed),
-        out=raw.get("out") if out is None else out,
+        seed=raw.get("seed", 0),
+        out=raw.get("out"),
         params=_resolve(raw, PARAMS[raw["experiment"]]),
     )
 

@@ -2,8 +2,9 @@
 
 Every potential is a closed-form family (Gaussian bump, plane cosine), so the
 two numbers the bound evaluators consume -- sup|grad V| and Lip(grad V) -- are
-analytic, not fitted.  Constants are stored at construction and audited, never
-recomputed per call, so inequality right-hand sides are deterministic.
+analytic, not fitted.  Constants are stored at construction, never recomputed
+per call, so inequality right-hand sides are deterministic; the test suite
+audits them against dense random sampling of the gradient.
 """
 from __future__ import annotations
 
@@ -38,31 +39,6 @@ class Potential:
 
     def gradient(self, z):
         return self.grad(np.asarray(z, dtype=float))
-
-
-@dataclass(frozen=True)
-class ScalingInput:
-    """Physical scales (hbar, m, L, T, N) for the dimensionless reduction."""
-
-    hbar: float
-    mass: float
-    length_L: float
-    time_T: float
-    n_particles: int
-
-    def __post_init__(self):
-        for field in ("hbar", "mass", "length_L", "time_T", "n_particles"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"scaling input {field} must be positive")
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    observed_sup_grad: float
-    observed_lip_grad: float
-    declared_sup_grad: float
-    declared_lip_grad: float
-    violation: bool
 
 
 def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential:
@@ -145,79 +121,4 @@ def make_cosine_potential(amplitude: float, wavevector, d: int) -> Potential:
         sup_grad=a * knorm,
         lip_grad=a * knorm**2,
         sup_abs=a,
-    )
-
-
-def rescale(s: ScalingInput, V_phys: Potential):
-    """Dimensionless reduction: returns (epsilon, V_hat).
-
-    epsilon = hbar T / (m L^2) and V_hat(z) = (N T^2 / (m L^2)) V_phys(L z).
-    The certified constants transform as sup_abs -> c*sup_abs,
-    sup_grad -> c*L*sup_grad, lip_grad -> c*L^2*lip_grad with
-    c = N T^2 / (m L^2).
-    """
-    eps = s.hbar * s.time_T / (s.mass * s.length_L**2)
-    c = s.n_particles * s.time_T**2 / (s.mass * s.length_L**2)
-    L = s.length_L
-
-    def _eval(z, _f=V_phys.eval, _c=c, _L=L):
-        return _c * _f(_L * np.asarray(z, dtype=float))
-
-    def _grad(z, _g=V_phys.grad, _c=c, _L=L):
-        return (_c * _L) * _g(_L * np.asarray(z, dtype=float))
-
-    V_hat = Potential(
-        name=V_phys.name + "-rescaled",
-        dim=V_phys.dim,
-        eval=_eval,
-        grad=_grad,
-        sup_grad=c * L * V_phys.sup_grad,
-        lip_grad=c * L**2 * V_phys.lip_grad,
-        sup_abs=c * V_phys.sup_abs,
-    )
-    return eps, V_hat
-
-
-def verify_constants(V: Potential, n_samples: int, box: float, seed: int) -> ConstantsReport:
-    """Audit the declared constants by dense random sampling in [-box, box]^d.
-
-    Reports the largest observed |grad V| and the largest difference quotient
-    |grad V(z) - grad V(z')| / |z - z'| over sampled pairs (half of them
-    short-range, where the quotient approaches the Hessian norm).  A report is
-    flagged as a violation when an observation exceeds the declared constant
-    by more than 1e-9 relative.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, size=(n_samples, V.dim))
-    g = V.grad(z)
-    obs_sup = float(np.max(np.linalg.norm(g, axis=-1), initial=0.0))
-
-    # Far pairs: shuffle against itself.  Near pairs: offsets of length ~1e-3,
-    # whose quotients converge to the local Hessian norm.
-    perm = rng.permutation(n_samples)
-    z_far = z[perm]
-    step = rng.normal(size=(n_samples, V.dim))
-    step /= np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), 1e-300)
-    z_near = z + 1e-3 * step
-
-    obs_lip = 0.0
-    for z2 in (z_far, z_near):
-        dz = np.linalg.norm(z - z2, axis=-1)
-        keep = dz > 1e-12
-        if not np.any(keep):
-            continue
-        dg = np.linalg.norm(g[keep] - V.grad(z2[keep]), axis=-1)
-        obs_lip = max(obs_lip, float(np.max(dg / dz[keep])))
-
-    violation = (obs_sup > V.sup_grad * (1.0 + 1e-9)) or (
-        obs_lip > V.lip_grad * (1.0 + 1e-9)
-    )
-    return ConstantsReport(
-        observed_sup_grad=obs_sup,
-        observed_lip_grad=obs_lip,
-        declared_sup_grad=V.sup_grad,
-        declared_lip_grad=V.lip_grad,
-        violation=violation,
     )

@@ -131,23 +131,6 @@ def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
     return WaveFunction(grid, vals, psi.time + dt)
 
 
-def hartree_energy(psi: WaveFunction, V: Potential) -> float:
-    """(eps^2/2) <|grad psi|^2> + (1/2) * double convolution energy; conserved
-    by the continuum Hartree flow, drifts O(dt^2) under splitting."""
-    grid = psi.grid
-    eps = grid.epsilon
-    kappa = grid.wavenumbers()
-    psi_hat = np.fft.fft(psi.values)
-    kinetic = float(
-        np.sum(0.5 * eps**2 * kappa**2 * np.abs(psi_hat) ** 2)
-        * grid.h
-        / grid.points_per_axis
-    )
-    density = np.abs(psi.values) ** 2 * grid.h
-    potential = 0.5 * float(density @ _density_potential(density, grid, V))
-    return kinetic + potential
-
-
 def _check_same_axes(a: GridSpec, b: GridSpec) -> None:
     if (a.d, a.points_per_axis, a.box_half_width, a.epsilon) != (
         b.d,

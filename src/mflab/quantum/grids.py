@@ -186,18 +186,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)) * self.quad_weight)
 
-    def rayleigh_psd_check(self, n_vectors: int = 16, seed: int = 0) -> float:
-        """Smallest Rayleigh quotient over random vectors; spot check for
-        positive semidefiniteness (>= -1e-8 expected)."""
-        rng = np.random.default_rng(seed)
-        dim = self.matrix.shape[0]
-        worst = np.inf
-        for _ in range(n_vectors):
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            worst = min(worst, float(np.real(v.conj() @ (self.matrix @ v))))
-        return worst * self.quad_weight
-
 
 def trace_product(a: DensityMatrix, b: DensityMatrix) -> float:
     """Continuum trace(A B) of two kernels on the same grid."""

@@ -72,15 +72,6 @@ def qp_cost_trace(R, eps: float | None = None) -> float:
     return total
 
 
-def dobrushin_quantum_functional(R_state, eps: float | None = None, n_particles: int | None = None) -> float:
-    """(1/N) sum_j trace((Q*_j Q_j + P*_j P_j) R): the per-particle coupling cost."""
-    components = _components(R_state)
-    N = components[0][1].y.grid.n_particles
-    if n_particles is not None and n_particles != N:
-        raise ValueError(f"state couples {N} particles per side, not {n_particles}")
-    return qp_cost_trace(components, eps) / N
-
-
 def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> float:
     """Squared-distance upper bound dist_2(mu1, mu2)^2 + 2*(dN)*eps from the
     Toeplitz product coupling of the optimal symbol transport plan."""
@@ -207,14 +198,6 @@ def _coupling_atoms(
     return DiscreteMeasure(uniq, wts / wts.sum())
 
 
-def product_coupling_symbol(
-    plan: TransportPlan, symbol1: SymbolMeasure, symbol2: SymbolMeasure, n_particles: int
-) -> SymbolMeasure:
-    """Coupling symbol on R^{4dN} (doubled layout q_x, q_y, p_x, p_y) whose
-    Toeplitz lift is the product coupling of the plan."""
-    return _coupling_atoms(plan, symbol1, symbol2, n_particles, [tuple(range(n_particles))])
-
-
 def symmetrize_initial_coupling(
     plan: TransportPlan, symbol1: SymbolMeasure, symbol2: SymbolMeasure, n_particles: int
 ) -> SymbolMeasure:
@@ -227,19 +210,6 @@ def symmetrize_initial_coupling(
     return _coupling_atoms(
         plan, symbol1, symbol2, n_particles, list(permutations(range(n_particles)))
     )
-
-
-def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
-    """(1/N) sum_j (|q_xj - q_yj|^2 + |p_xj - p_yj|^2) averaged over atoms."""
-    if coupling.k % (4 * n_particles):
-        raise ValueError("coupling must live on R^{4dN}")
-    dN = coupling.k // 4
-    qx = coupling.points[:, :dN]
-    qy = coupling.points[:, dN : 2 * dN]
-    px = coupling.points[:, 2 * dN : 3 * dN]
-    py = coupling.points[:, 3 * dN :]
-    per_atom = np.sum((qx - qy) ** 2 + (px - py) ** 2, axis=1) / n_particles
-    return float(coupling.weights @ per_atom)
 
 
 def coupling_to_factored_mixture(

@@ -7,7 +7,6 @@ by (2 pi eps)^{dN}, so probability weights lift to trace-one operators.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +50,6 @@ class PhaseSpaceFunction:
 
     def integral(self) -> float:
         return float(self.values.sum() * self.dx * self.dxi)
-
-    def to_measure(self, prune: float = 0.0) -> DiscreteMeasure:
-        """Nonnegative lattice function as a weighted cloud on R^2 (renormalized)."""
-        X, XI = np.meshgrid(self.x_nodes, self.xi_nodes, indexing="ij")
-        w = self.values.ravel() * self.dx * self.dxi
-        keep = w > prune
-        w = w[keep]
-        return DiscreteMeasure(
-            np.column_stack([X.ravel()[keep], XI.ravel()[keep]]), w / w.sum()
-        )
 
 
 def _check_center_inside(grid: GridSpec, q: np.ndarray, p: np.ndarray) -> None:
@@ -283,33 +272,3 @@ def wigner_transform(rho: DensityMatrix) -> PhaseSpaceFunction:
     W = np.fft.fftshift(W, axes=1)
     xi = eps * np.pi / (2 * grid.box_half_width) * (np.arange(n) - n // 2)
     return PhaseSpaceFunction(grid.axis_points(), xi, W, eps)
-
-
-def smooth_wigner_to(
-    W: PhaseSpaceFunction, x_nodes: np.ndarray, xi_nodes: np.ndarray
-) -> PhaseSpaceFunction:
-    """Gaussian smoothing G_{eps/2} * W evaluated on a target lattice.
-
-    The independent cross-check route for the Husimi transform: quadrature of
-    the convolution integral with the heat kernel of variance eps/2 per axis.
-    """
-    eps = W.epsilon
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    xi_nodes = np.asarray(xi_nodes, dtype=float)
-    Gx = np.exp(-((x_nodes[:, None] - W.x_nodes[None, :]) ** 2) / eps) / np.sqrt(
-        np.pi * eps
-    )
-    Gxi = np.exp(-((xi_nodes[:, None] - W.xi_nodes[None, :]) ** 2) / eps) / np.sqrt(
-        np.pi * eps
-    )
-    vals = (Gx * W.dx) @ W.values @ (Gxi * W.dxi).T
-    return PhaseSpaceFunction(x_nodes, xi_nodes, vals, eps)
-
-
-def write_phase_space_csv(f: PhaseSpaceFunction, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "xi", "value"])
-        for i, x in enumerate(f.x_nodes):
-            for j, xi in enumerate(f.xi_nodes):
-                writer.writerow([f"{x:.17g}", f"{xi:.17g}", f"{f.values[i, j]:.17g}"])

@@ -11,7 +11,6 @@ p-th roots of the plan cost.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -380,34 +379,3 @@ def subsample_distance(
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(repeats)) if repeats > 1 else 0.0
     return mean, stderr
-
-
-def write_measure_csv(measure: DiscreteMeasure, path, position_cols: int | None = None):
-    """Write as CSV with header weight,x1,..,xP,xi1,..,xiQ (phase layout)."""
-    k = measure.k
-    if position_cols is None:
-        position_cols = k
-    if not 0 <= position_cols <= k:
-        raise ValueError("position_cols out of range")
-    header = (
-        ["weight"]
-        + [f"x{i + 1}" for i in range(position_cols)]
-        + [f"xi{i + 1}" for i in range(k - position_cols)]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for w, row in zip(measure.weights, measure.points):
-            writer.writerow([f"{w:.17g}"] + [f"{c:.17g}" for c in row])
-
-
-def read_measure_csv(path):
-    """Inverse of write_measure_csv; returns (measure, position_cols)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.asarray([[float(c) for c in row] for row in reader])
-    if header[0] != "weight":
-        raise ValueError("not a measure CSV: first column must be 'weight'")
-    position_cols = sum(1 for name in header[1:] if name.startswith("x") and not name.startswith("xi"))
-    return DiscreteMeasure(rows[:, 1:], rows[:, 0]), position_cols

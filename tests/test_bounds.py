@@ -6,32 +6,85 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from mflab.bounds import (
     StandardNormal,
     classical_rhs,
-    classical_rhs_hp,
     combineq_mc,
     combineq_rhs,
     combineq_rhs_even,
-    combineq_rhs_hp,
     count_S_Np,
     count_S_Np_enumerate,
-    dobrushin_rhs,
     k_constant,
     lambda_constant,
     lambda_p_constant,
     make_report,
     moment_rhs,
-    moment_rhs_hp,
     quantum_rhs,
-    quantum_rhs_hp,
     read_reports_jsonl,
     write_reports_jsonl,
 )
 from mflab.potentials import make_cosine_potential, make_gaussian_potential
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)  # sup_grad = e^{-1/2}, lip_grad = 1
+
+
+# ---------------------------------------------------------------------------
+# 50-digit twins of the right-hand sides, transcribed from the formulas
+# independently of mflab.bounds
+
+
+def classical_rhs_hp(sup_grad, lip_grad, p, N, n, t) -> float:
+    """50-digit transcription check of classical_rhs (raw constants in)."""
+    with mp.workdps(50):
+        p_, s, l, t_ = mpf(p), mpf(sup_grad), mpf(lip_grad), mpf(t)
+        kp = max(mpf(1), p_ - 1)
+        lam = 2 * kp * (1 + 2 ** (p_ - 1) * l**p_)
+        val = (
+            mpf(n)
+            * 2**p_
+            * kp
+            * s**p_
+            * (math.floor(p / 2) + 1)
+            / mpf(N) ** min(p / 2.0, 1.0)
+            * (mp.e ** (lam * t_) - 1)
+            / lam
+        )
+        return float(val)
+
+
+def quantum_rhs_hp(variant, sup_grad, lip_grad, d, eps, N, n, t, init_term=0.0) -> float:
+    """50-digit transcription check of quantum_rhs (raw constants in)."""
+    with mp.workdps(50):
+        s2 = mpf(sup_grad) ** 2
+        lam = 3 + 4 * mpf(lip_grad) ** 2
+        t_ = mpf(t)
+        growth = mp.e ** (lam * t_)
+        if variant == "general":
+            val = n * ((8 * s2 / N) * (growth - 1) / lam + growth / N * mpf(init_term))
+        elif variant == "toeplitz":
+            val = n * (
+                (2 * d * mpf(eps) + mpf(init_term) / N) * growth
+                + (8 * n * s2 / N) * (growth - 1) / lam
+            )
+        elif variant == "factorized":
+            val = n * (2 * d * mpf(eps) + (8 * s2 / N) * (1 - mp.e ** (-lam * t_)) / lam) * growth
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        return float(val)
+
+
+def combineq_rhs_hp(F_sup, p, N) -> float:
+    with mp.workdps(50):
+        return float(
+            (2 * math.floor(p / 2) + 2) / mpf(N) ** min(p / 2.0, 1.0) * (2 * mpf(F_sup)) ** p
+        )
+
+
+def moment_rhs_hp(M0, p, lip, t) -> float:
+    with mp.workdps(50):
+        return float(mpf(M0) * mp.e ** ((mpf(p) - 1) * (1 + 2 * mpf(lip)) * mpf(t)))
 
 
 def test_growth_constants():
@@ -70,17 +123,6 @@ def test_classical_rhs_validation():
         classical_rhs(GAUSS, 2.0, 4, 5, 1.0)
     with pytest.raises(ValueError):
         classical_rhs(GAUSS, 2.0, 4, 1, -0.1)
-
-
-def test_dobrushin_rhs_matches_first_marginal_row():
-    t = 0.5
-    assert dobrushin_rhs(GAUSS, 2.0, 32, t) == pytest.approx(
-        classical_rhs(GAUSS, 2.0, 32, 1, t), rel=1e-14
-    )
-    init = 0.3
-    assert dobrushin_rhs(GAUSS, 2.0, 32, t, initial=init) == pytest.approx(
-        math.exp(6.0 * t) * init + classical_rhs(GAUSS, 2.0, 32, 1, t), rel=1e-14
-    )
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])

@@ -12,18 +12,15 @@ from mflab.classical import (
     VlasovCloud,
     _exact_field,
     _frozen_field,
+    _grid_field_1d,
     _nbody_force_batch,
+    _verlet_arrays,
     coupled_advance,
     diagonal_ensemble,
     dobrushin_functional,
-    marginal_cloud,
-    mean_field_force,
     moment_p,
-    nbody_energy,
-    nbody_force,
     run_coupled_trajectory,
     sample_gaussian_cloud,
-    sample_uniform_cloud,
     verlet_step,
     vlasov_advance,
 )
@@ -36,6 +33,16 @@ FLAT = make_gaussian_potential(0.0, 1.0, 1)
 
 def _harmonic(x):
     return -x
+
+
+def nbody_energy(V, state: PhaseState) -> float:
+    """H_N = (1/2) sum |xi_k|^2 + (1/2N) sum_{k,l} V(x_k - x_l); conserved by
+    the isolated N-body flow up to O(dt^2)."""
+    X = state.positions
+    diff = X[:, None, :] - X[None, :, :]
+    return float(
+        0.5 * np.sum(state.momenta**2) + np.sum(V.eval(diff)) / (2 * X.shape[0])
+    )
 
 
 def test_verlet_matches_harmonic_closed_form():
@@ -102,7 +109,7 @@ def test_verlet_rejects_zero_dt():
 def test_nbody_force_two_particle_value():
     # unit Gaussian bump, x = (0, 1): F_1 = -(1/2) grad V(-1) = -(1/2) e^{-1/2}
     X = np.array([[0.0], [1.0]])
-    F = nbody_force(GAUSS, X)
+    F = _nbody_force_batch(GAUSS, X[None])[0]
     f = 0.5 * math.exp(-0.5)
     assert F[0, 0] == pytest.approx(-f, rel=1e-14)
     assert F[1, 0] == pytest.approx(f, rel=1e-14)
@@ -112,9 +119,9 @@ def test_nbody_force_newton_third_law_and_translation():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(7, 2))
     V = make_gaussian_potential(0.8, 1.3, 2)
-    F = nbody_force(V, X)
+    F = _nbody_force_batch(V, X[None])[0]
     np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-14)
-    np.testing.assert_allclose(nbody_force(V, X + 3.7), F, atol=1e-14)
+    np.testing.assert_allclose(_nbody_force_batch(V, X[None] + 3.7)[0], F, atol=1e-14)
 
 
 def _potential(family, d):
@@ -151,21 +158,33 @@ def test_exact_field_blocks_match_unblocked_oracle(family, d):
 
 
 def test_mean_field_force_single_point_cloud():
-    from mflab.transport import DiscreteMeasure
-
-    cloud = VlasovCloud(DiscreteMeasure.equal_weights(np.array([[1.0, 0.0]])), 0.0)
-    F = mean_field_force(GAUSS, np.array([[0.0]]), cloud)
+    F = _exact_field(GAUSS, np.array([[1.0]]), np.ones(1))(np.array([[0.0]]))
     assert F[0, 0] == pytest.approx(-math.exp(-0.5), rel=1e-14)
 
 
 def test_mean_field_force_grid_matches_exact():
-    # one step under the tabulated field differs from the exact-summation step
-    # by the interpolation error (~1e-6), far below the cloud's MC noise
+    # the tabulated field, and one step under it, differ from exact summation
+    # by the interpolation error (~1e-7), far below the cloud's MC noise
     cloud = sample_gaussian_cloud(2048, 1, seed=2)
-    a = vlasov_advance(cloud, GAUSS, 0.05, 1, force_method="exact")
-    b = vlasov_advance(cloud, GAUSS, 0.05, 1, force_method="grid")
-    np.testing.assert_allclose(b.xi, a.xi, atol=1e-6)
-    np.testing.assert_allclose(b.x, a.x, atol=1e-7)
+    y, w = cloud.x, cloud.points.weights
+    grid, exact = _grid_field_1d(GAUSS, y, w), _exact_field(GAUSS, y, w)
+    np.testing.assert_allclose(grid(y), exact(y), atol=1e-6)
+    x_grid, xi_grid, _ = _verlet_arrays(cloud.x, cloud.xi, grid, 0.05)
+    x_exact, xi_exact, _ = _verlet_arrays(cloud.x, cloud.xi, exact, 0.05)
+    np.testing.assert_allclose(xi_grid, xi_exact, atol=1e-6)
+    np.testing.assert_allclose(x_grid, x_exact, atol=1e-7)
+
+
+@pytest.mark.parametrize("size, d, gridded", [(1024, 1, True), (1023, 1, False), (1024, 2, False)])
+def test_frozen_field_grids_only_large_one_dimensional_clouds(size, d, gridded):
+    V = make_gaussian_potential(1.0, 1.0, d)
+    cloud = sample_gaussian_cloud(size, d, seed=23)
+    y, w = cloud.x, cloud.points.weights
+    q = np.random.default_rng(24).normal(size=(50, d))
+    want = _grid_field_1d(V, y, w) if gridded else _exact_field(V, y, w)
+    np.testing.assert_array_equal(_frozen_field(V, cloud)(q), want(q))
+    if d == 1:  # the two routes differ in the last bits, so the check tells them apart
+        assert not np.array_equal(_grid_field_1d(V, y, w)(q), _exact_field(V, y, w)(q))
 
 
 def test_vlasov_free_streaming_is_exact():
@@ -181,7 +200,7 @@ def test_nbody_energy_and_momentum_conserved():
     s = PhaseState(rng.normal(size=(6, 1)), rng.normal(size=(6, 1)), 0.0)
     e0 = nbody_energy(GAUSS, s)
     ptot = s.momenta.sum()
-    field = lambda x: nbody_force(GAUSS, x)
+    field = lambda x: _nbody_force_batch(GAUSS, x[None])[0]
     for _ in range(200):
         s = verlet_step(s, field, 0.005)
     assert nbody_energy(GAUSS, s) == pytest.approx(e0, abs=5 * 0.005**2)
@@ -221,16 +240,6 @@ def test_dobrushin_functional_hand_value():
     assert dobrushin_functional(ens, 2.0) == pytest.approx(2.5, rel=1e-14)
 
 
-def test_marginal_cloud_layout():
-    X = np.array([[[1.0], [2.0], [3.0]], [[7.0], [8.0], [9.0]]])
-    Xi = np.array([[[4.0], [5.0], [6.0]], [[10.0], [11.0], [12.0]]])
-    m = marginal_cloud(X, Xi, 2)
-    np.testing.assert_allclose(m.points, [[1.0, 2.0, 4.0, 5.0], [7.0, 8.0, 10.0, 11.0]])
-    assert m.has_equal_weights()
-    with pytest.raises(ValueError):
-        marginal_cloud(X, Xi, 4)
-
-
 def test_moment_p_hand_value():
     from mflab.transport import DiscreteMeasure
 
@@ -243,9 +252,7 @@ def test_samplers_deterministic_and_shaped():
     a = sample_gaussian_cloud(32, 2, seed=12, std_x=0.5)
     b = sample_gaussian_cloud(32, 2, seed=12, std_x=0.5)
     np.testing.assert_array_equal(a.points.points, b.points.points)
-    u = sample_uniform_cloud(16, 1, seed=13, half_width_x=2.0)
-    assert np.all(np.abs(u.x) <= 2.0)
-    assert u.size == 16 and u.d == 1
+    assert a.size == 32 and a.d == 2
 
 
 def test_coupled_trajectory_seeds_reproducible():

@@ -269,6 +269,10 @@ def test_validate_bad_potential_family_and_width():
         {"experiment": "ot-selftest", "potential": {"family": "gaussian", "width": -1}}
     )
     assert any("width" in d for d in diags)
+    diags = validate_config(
+        {"experiment": "ot-selftest", "potential": {"family": "gaussian", "widht": 3.0}}
+    )
+    assert diags == ["potential.widht: not a field of the gaussian potential"]
 
 
 def test_validate_potential_field_types(tmp_path, capsys):
@@ -281,6 +285,10 @@ def test_validate_potential_field_types(tmp_path, capsys):
         {"family": "cosine", "wavevector": 2.0},
         {"family": "cosine", "wavevector": ["x"]},
         {"family": "cosine", "dim": 2, "wavevector": [1.0]},
+        {"family": ["gaussian"]},
+        {"family": "gaussian", "widht": 3.0},
+        {"family": "gaussian", "wavevector": [1.0]},
+        {"family": "cosine", "width": 2.0},
     ):
         path = _write_cfg(tmp_path, {"experiment": "ot-selftest", "potential": pot})
         assert main(["validate", path]) == 4, pot
@@ -344,7 +352,14 @@ def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
 # parameters each runner would use, with values it cannot use; a third
 # entry is the diagnostic expected in place of "<key>: <value> must be"
 BAD_KNOBS = {
-    "ot-selftest": [("n_clouds", "x"), ("max_support", 1), ("dims", ["x"]), ("p", "2")],
+    "ot-selftest": [
+        ("n_clouds", "x"),
+        ("max_support", 1),
+        ("dims", ["x"]),
+        ("p", "2"),
+        ("seed", True, "seed: must be a nonnegative integer"),
+        ("out", 5, "out: must be a string or null"),
+    ],
     "combineq": [("mc_samples", "x"), ("mc_samples", 0), ("p", 0.5), ("slope_tolerance", "x")],
     "classical-dobrushin": [
         ("samples", "x"),
@@ -504,7 +519,7 @@ def test_build_config_rejects_diagnostics():
 
 
 def test_build_config_overrides_and_params():
-    cfg = build_config(dict(OT_TINY), seed=42, out="/tmp/somewhere")
+    cfg = build_config(dict(OT_TINY, seed=42, out="/tmp/somewhere"))
     assert cfg.seed == 42
     assert cfg.out == "/tmp/somewhere"
     assert cfg.params["n_clouds"] == 4
@@ -688,6 +703,22 @@ def test_cli_seed_override_changes_data(tmp_path):
     b1 = (tmp_path / "r1" / "ot-selftest.jsonl").read_bytes()
     b3 = (tmp_path / "r3" / "ot-selftest.jsonl").read_bytes()
     assert b1 != b3
+
+
+def test_cli_run_rejects_unusable_seed_and_out_overrides(tmp_path, capsys, monkeypatch):
+    cfg_path = _write_cfg(tmp_path, OT_TINY)
+    assert main(["run", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 64
+    assert "config error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # the output directory is made before the experiment, which never starts
+    (tmp_path / "afile").write_text("")
+
+    def never_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before its output directory was made")
+
+    monkeypatch.setattr("mflab.cli.run_experiment", never_run)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "afile" / "sub")]) == 64
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -1,16 +1,43 @@
-"""Potential families: closed-form values, certified constants, rescaling."""
+"""Potential families: closed-form values and certified constants."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.potentials import (
-    ScalingInput,
-    make_cosine_potential,
-    make_gaussian_potential,
-    rescale,
-    verify_constants,
-)
+from mflab.potentials import make_cosine_potential, make_gaussian_potential
+
+
+def verify_constants(V, n_samples: int, box: float, seed: int):
+    """Audit the declared constants by dense random sampling in [-box, box]^d.
+
+    Returns the largest observed |grad V| and the largest difference quotient
+    |grad V(z) - grad V(z')| / |z - z'| over sampled pairs (half of them
+    short-range, where the quotient approaches the Hessian norm).
+    """
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-box, box, size=(n_samples, V.dim))
+    g = V.grad(z)
+    obs_sup = float(np.max(np.linalg.norm(g, axis=-1), initial=0.0))
+
+    # Far pairs: shuffle against itself.  Near pairs: offsets of length ~1e-3,
+    # whose quotients converge to the local Hessian norm.
+    perm = rng.permutation(n_samples)
+    z_far = z[perm]
+    step = rng.normal(size=(n_samples, V.dim))
+    step /= np.maximum(np.linalg.norm(step, axis=-1, keepdims=True), 1e-300)
+    z_near = z + 1e-3 * step
+
+    obs_lip = 0.0
+    for z2 in (z_far, z_near):
+        dz = np.linalg.norm(z - z2, axis=-1)
+        keep = dz > 1e-12
+        if not np.any(keep):
+            continue
+        dg = np.linalg.norm(g[keep] - V.grad(z2[keep]), axis=-1)
+        obs_lip = max(obs_lip, float(np.max(dg / dz[keep])))
+    return obs_sup, obs_lip
 
 
 def _fd_gradient(V, z, h=1e-6):
@@ -121,36 +148,13 @@ def test_gradient_never_exceeds_declared_sup(amplitude, width, z0, z1):
     assert g <= V.sup_grad * (1 + 1e-12) + 1e-300
 
 
-def test_rescale_epsilon_and_constants():
-    s = ScalingInput(hbar=0.5, mass=2.0, length_L=3.0, time_T=1.5, n_particles=10)
-    V = make_gaussian_potential(1.0, 1.0, 1)
-    eps, V_hat = rescale(s, V)
-    assert eps == pytest.approx(0.5 * 1.5 / (2.0 * 9.0), rel=1e-14)
-    c = 10 * 1.5**2 / (2.0 * 9.0)
-    assert V_hat.sup_abs == pytest.approx(c * V.sup_abs, rel=1e-14)
-    assert V_hat.sup_grad == pytest.approx(c * 3.0 * V.sup_grad, rel=1e-14)
-    assert V_hat.lip_grad == pytest.approx(c * 9.0 * V.lip_grad, rel=1e-14)
-    # values consistent with the definition V_hat(z) = c V(L z)
-    z = np.array([[0.2], [-0.1]])
-    np.testing.assert_allclose(V_hat(z), c * V(3.0 * z), rtol=1e-14)
-    np.testing.assert_allclose(V_hat.gradient(z), c * 3.0 * V.gradient(3.0 * z), rtol=1e-14)
-
-
-def test_rescale_rejects_nonpositive_scales():
-    with pytest.raises(ValueError):
-        ScalingInput(hbar=0.0, mass=1.0, length_L=1.0, time_T=1.0, n_particles=1)
-    with pytest.raises(ValueError):
-        ScalingInput(hbar=1.0, mass=1.0, length_L=-2.0, time_T=1.0, n_particles=1)
-
-
 def test_verify_constants_passes_honest_declaration():
     V = make_gaussian_potential(1.0, 1.0, 2)
-    report = verify_constants(V, n_samples=4000, box=4.0, seed=7)
-    assert not report.violation
-    assert report.observed_sup_grad <= report.declared_sup_grad * (1 + 1e-9)
-    assert report.observed_lip_grad <= report.declared_lip_grad * (1 + 1e-9)
+    obs_sup, obs_lip = verify_constants(V, n_samples=4000, box=4.0, seed=7)
+    assert obs_sup <= V.sup_grad * (1 + 1e-9)
+    assert obs_lip <= V.lip_grad * (1 + 1e-9)
     # the sampled extrema should come close to the analytic ones
-    assert report.observed_sup_grad > 0.8 * report.declared_sup_grad
+    assert obs_sup > 0.8 * V.sup_grad
 
 
 def test_verify_constants_flags_understated_declaration():
@@ -158,7 +162,8 @@ def test_verify_constants_flags_understated_declaration():
 
     V = make_gaussian_potential(1.0, 1.0, 2)
     lying = replace(V, sup_grad=V.sup_grad / 2)
-    assert verify_constants(lying, n_samples=2000, box=3.0, seed=1).violation
+    obs_sup, _ = verify_constants(lying, n_samples=2000, box=3.0, seed=1)
+    assert obs_sup > lying.sup_grad * (1 + 1e-9)
 
 
 def test_constructor_rejections():

@@ -72,7 +72,7 @@ def test_density_matrix_checks():
     psi = coherent_state(g, 0.0, 0.0)
     rho = state_density_matrix(psi)
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-    assert rho.rayleigh_psd_check() >= -1e-12
+    assert np.linalg.eigvalsh(rho.matrix).min() * rho.quad_weight >= -1e-12
     assert trace_product(rho, rho) == pytest.approx(1.0, abs=1e-10)  # pure state
     with pytest.raises(ValueError):
         DensityMatrix(g, np.eye(64, dtype=complex) + 1j * np.eye(64, k=1))

@@ -13,15 +13,13 @@ from mflab.potentials import make_gaussian_potential
 from mflab.quantum.dynamics import factored_coupled_advance
 from mflab.quantum.grids import FactoredCoupling, GridSpec
 from mflab.quantum.metrics import (
+    _coupling_atoms,
     coupling_to_factored_mixture,
-    dobrushin_quantum_functional,
     mk_eps_lower,
     mk_eps_upper,
-    product_coupling_symbol,
     qp_cost_trace,
     reduced_density,
     state_density_matrix,
-    symbol_dobrushin_cost,
     symmetrize_initial_coupling,
 )
 from mflab.quantum.phase_space import SymbolMeasure, coherent_state
@@ -38,6 +36,25 @@ def _pair_coupling(z1, z2, base=BASE):
 def _coherent_cost(z1, z2, eps=EPS):
     dz = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     return float(np.sum(dz**2)) + 2 * eps
+
+
+def product_coupling_symbol(plan, symbol1, symbol2, n_particles):
+    """Coupling symbol on R^{4dN} (doubled layout q_x, q_y, p_x, p_y) whose
+    Toeplitz lift is the product coupling of the plan."""
+    return _coupling_atoms(plan, symbol1, symbol2, n_particles, [tuple(range(n_particles))])
+
+
+def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
+    """(1/N) sum_j (|q_xj - q_yj|^2 + |p_xj - p_yj|^2) averaged over atoms."""
+    if coupling.k % (4 * n_particles):
+        raise ValueError("coupling must live on R^{4dN}")
+    dN = coupling.k // 4
+    qx = coupling.points[:, :dN]
+    qy = coupling.points[:, dN : 2 * dN]
+    px = coupling.points[:, 2 * dN : 3 * dN]
+    py = coupling.points[:, 3 * dN :]
+    per_atom = np.sum((qx - qy) ** 2 + (px - py) ** 2, axis=1) / n_particles
+    return float(coupling.weights @ per_atom)
 
 
 # ------------------------------------------------------------- trace cost routes
@@ -79,7 +96,7 @@ def test_cost_eps_mismatch_rejected():
     with pytest.raises(ValueError):
         qp_cost_trace(state, eps=0.25)
     with pytest.raises(ValueError):
-        dobrushin_quantum_functional([(1.0, state)], eps=0.25)
+        qp_cost_trace([(1.0, state)], eps=0.25)
 
 
 def test_two_particle_cost_and_per_particle_average():
@@ -90,17 +107,12 @@ def test_two_particle_cost_and_per_particle_average():
     want = float(np.sum((qx - qy) ** 2 + (px - py) ** 2)) + 4 * EPS
     assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
     assert oracle.cost(state.doubled()) == pytest.approx(want, abs=1e-9)
-    assert dobrushin_quantum_functional(state, n_particles=2) == pytest.approx(
-        want / 2, abs=1e-9
-    )
-    with pytest.raises(ValueError):
-        dobrushin_quantum_functional(state, n_particles=1)
 
 
 def test_diagonal_coupling_sits_on_heisenberg_floor():
     z0 = (0.3, -0.2)
     state = _pair_coupling(z0, z0)
-    D = dobrushin_quantum_functional(state)
+    D = qp_cost_trace(state)
     assert D == pytest.approx(2 * EPS, abs=1e-9)
     assert D >= 2 * EPS - 1e-12
 
@@ -307,12 +319,12 @@ def test_free_flow_coupling_cost_law():
         state, ref = factored_coupled_advance(state, ref, V0, dt)
         if (step + 1) % 10 == 0:
             t = (step + 1) * dt
-            D = dobrushin_quantum_functional(state)
+            D = qp_cost_trace(state)
             assert D == pytest.approx(2 * eps + eps * t**2, abs=1e-8)
             pos_prob = np.abs(state.doubled().values) ** 2
             pos_part = float(np.sum(pos_prob * diff2) / np.sum(pos_prob))
             assert D - pos_part == pytest.approx(eps, abs=1e-9)
     # the cost visibly grows: constancy would need a transported coupling
-    assert dobrushin_quantum_functional(state) - 2 * eps == pytest.approx(
+    assert qp_cost_trace(state) - 2 * eps == pytest.approx(
         eps * 0.8**2, abs=1e-8
     )

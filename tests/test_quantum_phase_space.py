@@ -5,8 +5,6 @@ Oracles are closed forms for Gaussian states: overlap |<z1|z2>|^2 =
 exp(-|dz|^2/(2 eps)), Wigner W(x,xi) = (pi eps)^{-1} exp(-((x-q)^2 +
 (xi-p)^2)/eps), Husimi H(z) = (2 pi eps)^{-1} exp(-|z-z0|^2/(2 eps)).
 """
-import csv
-
 import numpy as np
 import pytest
 
@@ -19,16 +17,35 @@ from mflab.quantum.phase_space import (
     coherent_state,
     husimi_transform,
     husimi_values,
-    smooth_wigner_to,
     toeplitz_operator,
     toeplitz_trace_against,
     wigner_transform,
-    write_phase_space_csv,
 )
 from mflab.transport import DiscreteMeasure
 
 EPS = 0.25
 GRID = GridSpec(d=1, n_particles=1, points_per_axis=128, box_half_width=6.0, epsilon=EPS)
+
+
+def smooth_wigner_to(
+    W: PhaseSpaceFunction, x_nodes: np.ndarray, xi_nodes: np.ndarray
+) -> PhaseSpaceFunction:
+    """Gaussian smoothing G_{eps/2} * W evaluated on a target lattice.
+
+    The independent cross-check route for the Husimi transform: quadrature of
+    the convolution integral with the heat kernel of variance eps/2 per axis.
+    """
+    eps = W.epsilon
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    xi_nodes = np.asarray(xi_nodes, dtype=float)
+    Gx = np.exp(-((x_nodes[:, None] - W.x_nodes[None, :]) ** 2) / eps) / np.sqrt(
+        np.pi * eps
+    )
+    Gxi = np.exp(-((xi_nodes[:, None] - W.xi_nodes[None, :]) ** 2) / eps) / np.sqrt(
+        np.pi * eps
+    )
+    vals = (Gx * W.dx) @ W.values @ (Gxi * W.dxi).T
+    return PhaseSpaceFunction(x_nodes, xi_nodes, vals, eps)
 
 
 def _overlap_sq(z1, z2, eps):
@@ -333,36 +350,9 @@ def test_toeplitz_symbol_dimension_mismatch():
         toeplitz_operator(GRID, sym)
 
 
-# ---------------------------------------------------------------- container & CSV
+# ---------------------------------------------------------------- container
 
 
 def test_phase_space_function_shape_validation():
     with pytest.raises(ValueError):
         PhaseSpaceFunction(np.arange(3.0), np.arange(4.0), np.zeros((4, 3)), 0.5)
-
-
-def test_to_measure_prunes_and_normalizes():
-    x = np.linspace(-1, 1, 8)
-    xi = np.linspace(-1, 1, 6)
-    vals = np.zeros((8, 6))
-    vals[2, 3] = 4.0
-    vals[5, 1] = 1.0
-    f = PhaseSpaceFunction(x, xi, vals, 0.5)
-    mu = f.to_measure()
-    assert mu.points.shape == (2, 2)
-    assert mu.weights.sum() == pytest.approx(1.0)
-    assert mu.weights.max() == pytest.approx(0.8)
-
-
-def test_phase_space_csv_round_trip(tmp_path):
-    x = np.linspace(-1, 1, 4)
-    xi = np.linspace(-2, 2, 3)
-    vals = np.arange(12.0).reshape(4, 3) / 7.0
-    path = tmp_path / "w.csv"
-    write_phase_space_csv(PhaseSpaceFunction(x, xi, vals, 0.5), path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "xi", "value"]
-    assert len(rows) == 1 + 12
-    got = np.array([float(r[2]) for r in rows[1:]]).reshape(4, 3)
-    assert np.array_equal(got, vals)

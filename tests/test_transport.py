@@ -19,11 +19,9 @@ from mflab.transport import (
     _solve_transport_lp,
     dual_potentials,
     kantorovich_gap,
-    read_measure_csv,
     subsample_distance,
     wasserstein_exact,
     wasserstein_sinkhorn,
-    write_measure_csv,
 )
 
 
@@ -232,17 +230,6 @@ def test_subsample_distance_deterministic_and_baseline_positive():
     # same-law baseline is strictly positive: the estimator is biased by design
     base, _ = subsample_distance(a, a, 2.0, subsample_size=32, repeats=6, seed=43)
     assert base > 0
-
-
-def test_measure_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    measure = DiscreteMeasure.equal_weights(rng.normal(size=(7, 4)))
-    path = tmp_path / "cloud.csv"
-    write_measure_csv(measure, path, position_cols=2)
-    back, position_cols = read_measure_csv(path)
-    assert position_cols == 2
-    np.testing.assert_allclose(back.points, measure.points, rtol=0, atol=0)
-    np.testing.assert_allclose(back.weights, measure.weights, rtol=0, atol=0)
 
 
 finite_cloud = arrays(
