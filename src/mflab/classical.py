@@ -337,18 +337,11 @@ def moment_p(cloud: VlasovCloud, p: float) -> float:
 # initial data
 
 
-def sample_gaussian_cloud(
-    m: int,
-    d: int,
-    seed: int,
-    mean_x=0.0,
-    std_x=1.0,
-    mean_xi=0.0,
-    std_xi=1.0,
-) -> VlasovCloud:
+def sample_gaussian_cloud(m: int, d: int, seed: int) -> VlasovCloud:
+    """m iid standard-normal phase points (x, xi) in d dimensions."""
     rng = np.random.default_rng(seed)
-    x = mean_x + std_x * rng.standard_normal((m, d))
-    xi = mean_xi + std_xi * rng.standard_normal((m, d))
+    x = rng.standard_normal((m, d))
+    xi = rng.standard_normal((m, d))
     return VlasovCloud(DiscreteMeasure.equal_weights(np.hstack([x, xi])), 0.0)
 
 

@@ -3,10 +3,10 @@
     mflab run <config.json> [--seed S] [--jobs J] [--out DIR]
     mflab validate <config.json>
 
-`--jobs J` runs J points of an experiment's sweep at once.  classical-dobrushin
-also spreads its exact assignment solves over the cores `--jobs` leaves free
-(usable CPUs // min(J, number of N)), and runs them while its trajectories
-integrate on; neither changes a byte of the output.
+`--jobs J` runs J points of an experiment's sweep at once.  The exact
+transport solves of classical-dobrushin, mk-bracket and quantum-dobrushin run
+on the cores `--jobs` leaves free (usable CPUs // min(J, sweep length)) while
+the sweep goes on; neither changes a byte of the output.
 
 `--seed` and `--out` replace the config's `seed` and `out` and are checked
 as those keys are.
@@ -79,8 +79,8 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="parallel sweep workers; classical-dobrushin's assignment solves "
-        "use the cores they leave free",
+        help="parallel sweep workers; the exact transport solves use the "
+        "cores they leave free",
     )
     run_p.add_argument("--out", default=None, help="output directory for JSONL/CSV")
     val_p = sub.add_parser("validate", help="check a config without running it")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
@@ -35,8 +35,9 @@ from .quantum import (
     coherent_state,
     coupling_to_factored_mixture,
     factored_coupled_advance,
+    husimi_lattices,
     husimi_transform,
-    mk_eps_lower,
+    lattice_lower,
     qp_cost_trace,
     reduced_density,
     save_state,
@@ -47,11 +48,12 @@ from .quantum import (
     trace_product,
     wigner_transform,
 )
-# check_guard_band and coupled_quantum_advance are not called here, but
-# perfbench/tracing.py wraps them by name on this module; they leave the
-# imports when the benchmark's spans are re-pointed
+# check_guard_band, coupled_quantum_advance and mk_eps_lower are not called
+# here, but perfbench/tracing.py wraps them by name on this module; they leave
+# the imports when the benchmark's spans are re-pointed
 from .quantum.dynamics import coupled_quantum_advance
 from .quantum.grids import memory_cap_bytes
+from .quantum.metrics import mk_eps_lower
 from .quantum.phase_space import _check_center_inside
 from .transport import (
     SUPPORT_CAP,
@@ -464,6 +466,84 @@ def _run_sweep(one, n: int, jobs: int) -> list:
     return [r for chunk in chunks for r in chunk]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _SolvePool:
+    """`workers` threads that run solve blocks while the threads that submit
+    them go on with their sweep.
+
+    The first error stops the run early: `check` raises the first error a
+    block raised or the `with` block exited with, and the pool calls it
+    before it starts each block, as the sweep does before each segment and a
+    block of several solves before each solve.  Leaving the `with` block
+    cancels the blocks still queued (on success none are) and waits for the
+    running ones.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._errors = []  # list.append is atomic: the first error stays first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self._errors.append(exc)  # running blocks stop at their next solve
+        self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, block):
+        return self._pool.submit(self._run, block)
+
+    def _run(self, block):
+        self.check()  # a block still queued when an error comes never starts
+        try:
+            return block()
+        except Exception as err:
+            self._errors.append(err)
+            raise
+
+    def check(self) -> None:
+        if self._errors:
+            raise self._errors[0]
+
+
+def _solve_workers(tasks: int, jobs: int, sweep: int) -> int:
+    """Threads of a run's `_SolvePool`: the cores its sweep threads leave
+    free, at least one, and no more than the `tasks` the run queues.  A
+    sweep of `sweep` points runs on min(jobs, sweep) threads."""
+    return min(tasks, max(1, _usable_cpus() // min(jobs, sweep)))
+
+
+def _resolved(entries: list) -> list:
+    """The rows of a pipelined sweep, in sweep order: each entry is a row, or
+    the future of one queued on a `_SolvePool`."""
+    return [e.result() if isinstance(e, Future) else e for e in entries]
+
+
+def _queue_husimi_lower_row(
+    solves: _SolvePool, rho1, rho2, eps: float, row_id: str, t: float, rhs: float, **row
+):
+    """Future of the row comparing mk_eps_lower(rho1, rho2, eps) with `rhs`.
+
+    The Husimi lattices are built here, on the sweep thread, and only their
+    transport solve goes on `solves`: the density matrices stay off the
+    queue, so the sweep frees them as it goes on.
+    """
+    mu1, mu2 = husimi_lattices(rho1, rho2, eps)
+    return solves.submit(
+        lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
+    )
+
+
 def _potential_constants(V: Potential, **extra) -> dict:
     base = {"sup_grad": V.sup_grad, "lip_grad": V.lip_grad, "d": V.dim}
     base.update(extra)
@@ -578,54 +658,6 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # classical-dobrushin
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-class _SolvePool:
-    """`workers` threads that run solve blocks while the threads that submit
-    them go on integrating.
-
-    The first error stops the run early: every block calls `check` before
-    each solve, and so does the integration before each segment, and `check`
-    raises the first error a block raised or the `with` block exited with.
-    Leaving the `with` block cancels the blocks still queued (on success
-    none are) and waits for the running ones.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-        self._errors = []  # list.append is atomic: the first error stays first
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None:
-            self._errors.append(exc)  # running blocks stop at their next solve
-        self._pool.shutdown(cancel_futures=True)
-
-    def submit(self, block):
-        return self._pool.submit(self._run, block)
-
-    def _run(self, block):
-        try:
-            return block()
-        except Exception as err:
-            self._errors.append(err)
-            raise
-
-    def check(self) -> None:
-        if self._errors:
-            raise self._errors[0]
-
-
 def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed_seq) -> list:
     """Queue on `solves` the repeats of the baseline-corrected mean W2^2
     between per-configuration empirical clouds (N-body positions Y and
@@ -705,9 +737,6 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     ref_seed, *per_n = root.spawn(1 + len(N_list))
 
     lambda_p = bounds.lambda_p_constant(p, V.lip_grad)
-    # the cores the sweep threads leave free go to the assignment solves;
-    # a sweep shorter than `jobs` runs on fewer threads
-    solve_workers = min(repeats, max(1, _usable_cpus() // min(jobs, len(N_list))))
 
     def one(idx):
         N = N_list[idx]
@@ -740,7 +769,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         return segments
 
     reports = []
-    with _SolvePool(solve_workers) as solves:
+    with _SolvePool(_solve_workers(repeats, jobs, len(N_list))) as solves:
         for growth, blocks in _run_sweep(one, len(N_list), jobs):
             debiased, deb_se, floor = _empirical_chaos_sq(blocks)
             reports.append(growth)
@@ -818,6 +847,13 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Three rows per random coherent pair: the product-coupling cost
+    identity, the Husimi lower bound against that cost, and the cost floor.
+
+    Each pair's Husimi lattices are built on the sweep thread and their
+    transport solve is queued on one pool; the sweep goes straight on to
+    the next pair, and the rows are read back in sweep order at the end.
+    """
     params = cfg.params
     eps_list = [float(e) for e in _as_list(params["epsilon"])]
     n_pairs = int(params["pairs"])
@@ -833,6 +869,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
         sgrid = GridSpec(1, 1, n_pts, box, eps)
         rows = []
         for k in range(per_eps):
+            solves.check()
             z1 = rng.uniform(-scale, scale, 2)
             z2 = rng.uniform(-scale, scale, 2)
             s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
@@ -844,7 +881,6 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
             rho1 = state_density_matrix(coherent_state(sgrid, z1[0], z1[1]))
             rho2 = state_density_matrix(coherent_state(sgrid, z2[0], z2[1]))
-            lower = mk_eps_lower(rho1, rho2, eps)
             consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
             t_tag = float(idx * per_eps + k)
             rows += [
@@ -856,10 +892,13 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     tolerance=1e-3 * expected,
                     constants=consts,
                 ),
-                bounds.make_report(
+                _queue_husimi_lower_row(
+                    solves,
+                    rho1,
+                    rho2,
+                    eps,
                     "husimi-lower-vs-coupling-cost",
                     t_tag,
-                    lower,
                     qp,
                     tolerance=1e-3,
                     constants=consts,
@@ -870,7 +909,8 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             ]
         return rows
 
-    return _run_sweep(one, len(eps_list), jobs)
+    with _SolvePool(_solve_workers(len(eps_list) * per_eps, jobs, len(eps_list))) as solves:
+        return _resolved(_run_sweep(one, len(eps_list), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +1009,13 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Coupling-cost growth and Husimi lower-chain rows per epsilon and
+    sample time, then the unitarity row of the coupled evolution.
+
+    The lower chain's lattices are built on the sweep thread at each sample
+    time and their transport solve is queued on one pool while the
+    evolution goes on; the rows are read back in sweep order at the end.
+    """
     V = make_potential(cfg.potential)
     params = cfg.params
     eps_list = [float(e) for e in _as_list(params["epsilon"])]
@@ -1002,6 +1049,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         t_reached = 0.0
         steps_taken = 0
         for t, n_steps in schedule:
+            solves.check()
             advanced = []
             for w, state, ref in components:
                 for _ in range(n_steps):
@@ -1030,10 +1078,17 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     "coupling-cost-growth", t, D, rhs, tolerance=1e-2 * rhs, constants=consts
                 )
             )
-            chain = mk_eps_lower(reduced_density(mixture, [0]), reduced_density(mixture, [N]), eps)
             rows.append(
-                bounds.make_report(
-                    "husimi-lower-chain", t, chain, D, tolerance=1e-2, constants=consts
+                _queue_husimi_lower_row(
+                    solves,
+                    reduced_density(mixture, [0]),
+                    reduced_density(mixture, [N]),
+                    eps,
+                    "husimi-lower-chain",
+                    t,
+                    D,
+                    tolerance=1e-2,
+                    constants=consts,
                 )
             )
         # labelled with the time actually integrated: an abort stops short
@@ -1051,7 +1106,9 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1].doubled())
         return rows
 
-    return _run_sweep(one, len(eps_list), jobs)
+    tasks = len(eps_list) * len(schedule)
+    with _SolvePool(_solve_workers(tasks, jobs, len(eps_list))) as solves:
+        return _resolved(_run_sweep(one, len(eps_list), jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -116,23 +116,20 @@ def _lattice_cloud(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray, prune: fl
     return DiscreteMeasure(z[keep], w / w.sum())
 
 
-def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = None) -> float:
-    """Squared-distance lower bound dist_2(Husimi_1, Husimi_2)^2 - 2*d*eps.
+def husimi_lattices(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = None):
+    """Both Husimi functions discretized on one shared phase-space lattice,
+    as the pair of pruned DiscreteMeasures `lattice_lower` solves between.
 
-    Both Husimi functions are discretized on one shared phase-space lattice
-    (spacing ~ 0.35*sqrt(eps), window = union of 4.2-sigma marginal boxes,
-    atoms below 1e-4 of the mass pruned, which trims the square lattice to a
-    disk); the lattice is coarsened by 1.5x steps if either support would
-    exceed the solver cap.  `husimi_values` fills each lattice with a few
+    The lattice has spacing ~ 0.35*sqrt(eps) over the union of the two
+    4.2-sigma marginal boxes; atoms below 1e-4 of the mass are pruned, which
+    trims the square lattice to a disk.  It is coarsened by 1.5x steps while
+    either support would exceed the solver cap, and ResourceCapError is
+    raised after four tries.  `husimi_values` fills each lattice with a few
     matrix products (exact Gaussian midpoint factorisation), so the
-    transport solve, not the Husimi values, dominates the cost.  The two
-    lattices carry unequal weights, so the distance comes from the certified
-    sparse LP of `wasserstein_exact`.  The lattice and pruning errors are
-    below ~5e-3, far inside the 4*d*eps slack of the bracket checks this
-    feeds.  May be negative.
+    transport solve, not the Husimi values, dominates the cost of the bound.
     """
     if rho1.grid.d != 1 or rho1.grid.n_particles != 1 or rho1.grid.doubled:
-        raise ValueError("mk_eps_lower expects single-particle d = 1 states")
+        raise ValueError("Husimi lattices need single-particle d = 1 states")
     if abs(rho1.grid.epsilon - rho2.grid.epsilon) > 1e-12:
         raise ValueError("states have different epsilon")
     if eps is None:
@@ -152,10 +149,30 @@ def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = N
         mu1 = _lattice_cloud(rho1, xs, ps, prune=1e-4)
         mu2 = _lattice_cloud(rho2, xs, ps, prune=1e-4)
         if max(mu1.size, mu2.size) <= SUPPORT_CAP:
-            dist, _ = wasserstein_exact(mu1, mu2, p=2.0)
-            return dist**2 - 2.0 * eps
+            return mu1, mu2
         spacing *= 1.5
     raise ResourceCapError("Husimi lattice would exceed the transport support cap")
+
+
+def lattice_lower(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eps: float) -> float:
+    """dist_2(mu1, mu2)^2 - 2*d*eps on the lattices of `husimi_lattices`.
+
+    The two lattices carry unequal weights, so the distance comes from the
+    certified sparse LP of `wasserstein_exact`.  May be negative.
+    """
+    dist, _ = wasserstein_exact(mu1, mu2, p=2.0)
+    return dist**2 - 2.0 * eps
+
+
+def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = None) -> float:
+    """Squared-distance lower bound dist_2(Husimi_1, Husimi_2)^2 - 2*d*eps:
+    `lattice_lower` on the `husimi_lattices` of the two states.
+
+    The lattice and pruning errors are below ~5e-3, far inside the 4*d*eps
+    slack of the bracket checks this feeds.  May be negative.
+    """
+    mu1, mu2 = husimi_lattices(rho1, rho2, eps)
+    return lattice_lower(mu1, mu2, rho1.grid.epsilon if eps is None else eps)
 
 
 def state_density_matrix(psi: WaveFunction) -> DensityMatrix:

@@ -8,7 +8,6 @@ about a solver rather than an inequality.  Tolerances and runtime budgets are
 part of the contract and are asserted, not just measured.
 """
 import json
-import math
 import time
 from pathlib import Path
 

@@ -1,6 +1,5 @@
 """Particle dynamics: Verlet oracles, forces, coupled flow, functionals."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,10 +248,14 @@ def test_moment_p_hand_value():
 
 
 def test_samplers_deterministic_and_shaped():
-    a = sample_gaussian_cloud(32, 2, seed=12, std_x=0.5)
-    b = sample_gaussian_cloud(32, 2, seed=12, std_x=0.5)
+    a = sample_gaussian_cloud(32, 2, seed=12)
+    b = sample_gaussian_cloud(32, 2, seed=12)
     np.testing.assert_array_equal(a.points.points, b.points.points)
     assert a.size == 32 and a.d == 2
+    # x, then xi: each a block of standard normals from the seed's stream
+    rng = np.random.default_rng(12)
+    np.testing.assert_array_equal(a.x, rng.standard_normal((32, 2)))
+    np.testing.assert_array_equal(a.xi, rng.standard_normal((32, 2)))
 
 
 def test_coupled_trajectory_seeds_reproducible():

@@ -7,6 +7,7 @@ byte-level determinism of the JSONL output for a fixed (config, seed) pair.
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mflab.experiments import (
     ExperimentConfig,
     _empirical_chaos_sq,
     _SolvePool,
+    _solve_workers,
     _submit_chaos_repeats,
     build_config,
     make_potential,
@@ -27,11 +29,23 @@ from mflab.experiments import (
     time_schedule,
     validate_config,
 )
-from mflab.quantum import GridSpec, coherent_state
+from mflab.quantum import GridSpec, coherent_state, metrics
 from mflab.quantum.grids import load_state
 from mflab.transport import SUPPORT_CAP
 
 OT_TINY = {"experiment": "ot-selftest", "seed": 3, "n_clouds": 4, "max_support": 5, "dims": [2]}
+
+#: The two runners that queue their Husimi lattice solves on a pool: 4 and
+#: 2 * 3 solves over two sweep points.
+HUSIMI_PIPELINES = {
+    "mk-bracket": {"experiment": "mk-bracket", "seed": 4, "epsilon": [0.5, 0.25], "pairs": 4},
+    "quantum-dobrushin": {
+        "experiment": "quantum-dobrushin",
+        "seed": 4,
+        "t_final": 0.04,
+        "n_times": 3,
+    },
+}
 
 CLASSICAL_FREE = {
     "experiment": "classical-dobrushin",
@@ -493,6 +507,54 @@ def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
     raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
     assert seen == [3] and 1 <= len(calls) <= 3
+
+
+def test_solve_workers_share_the_cores_the_sweep_leaves_free(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    assert [_solve_workers(8, jobs, 3) for jobs in (1, 2, 4)] == [1, 1, 1]
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    # --jobs above the sweep length runs one thread per sweep point
+    assert [_solve_workers(8, jobs, 2) for jobs in (1, 2, 3, 8)] == [4, 2, 2, 2]
+    assert _solve_workers(8, 8, 1) == 4
+    # no thread without a task to run
+    assert [_solve_workers(tasks, 1, 2) for tasks in (1, 2, 3)] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("experiment", sorted(HUSIMI_PIPELINES))
+def test_husimi_pipeline_jsonl_independent_of_cores(tmp_path, monkeypatch, experiment):
+    path = _write_cfg(tmp_path, HUSIMI_PIPELINES[experiment])
+    blobs = []
+    for cpus, jobs in ((1, "1"), (4, "1"), (1, "2"), (4, "2")):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}-jobs{jobs}"
+        assert main(["run", path, "--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append((out / f"{experiment}.jsonl").read_bytes())
+    assert len(set(blobs)) == 1
+
+
+@pytest.mark.parametrize("experiment", sorted(HUSIMI_PIPELINES))
+def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch, experiment):
+    # one pool thread: the first solve fails once the sweep has queued every
+    # solve, and the solves queued behind it never reach the solver
+    calls = []
+    swept = threading.Event()
+    resolved = experiments._resolved
+
+    def after_the_sweep(entries):
+        swept.set()
+        return resolved(entries)
+
+    def capped(*args, **kwargs):
+        calls.append(1)
+        assert swept.wait(timeout=30)
+        raise ResourceCapError("support exceeds cap")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiments, "_resolved", after_the_sweep)
+    monkeypatch.setattr(metrics, "wasserstein_exact", capped)
+    path = _write_cfg(tmp_path, HUSIMI_PIPELINES[experiment])
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    assert len(calls) == 1
 
 
 def test_error_in_a_trajectory_segment_exits_3(tmp_path, monkeypatch):

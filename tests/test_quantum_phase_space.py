@@ -21,7 +21,6 @@ from mflab.quantum.phase_space import (
     toeplitz_trace_against,
     wigner_transform,
 )
-from mflab.transport import DiscreteMeasure
 
 EPS = 0.25
 GRID = GridSpec(d=1, n_particles=1, points_per_axis=128, box_half_width=6.0, epsilon=EPS)
