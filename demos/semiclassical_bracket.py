@@ -18,7 +18,6 @@ from mflab.quantum import (
     mk_eps_lower,
     mk_eps_upper,
     qp_cost_trace,
-    state_density_matrix,
 )
 
 rng = np.random.default_rng(2)
@@ -31,7 +30,7 @@ for eps in (0.5, 0.25, 0.1):
     grid = GridSpec(1, 1, 256, 6.0, eps)
     x, y = coherent_state(grid, z1[0], z1[1]), coherent_state(grid, z2[0], z2[1])
     cost = qp_cost_trace(FactoredCoupling((x,), y), eps)
-    lower = mk_eps_lower(state_density_matrix(x), state_density_matrix(y), eps)
+    lower = mk_eps_lower(x, y, eps)
     s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
     s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
     upper = mk_eps_upper(s1, s2, eps)

@@ -35,6 +35,7 @@ from .quantum import (
     coherent_state,
     coupling_to_factored_mixture,
     factored_coupled_advance,
+    guard_band_mass,
     husimi_lattices,
     husimi_transform,
     lattice_lower,
@@ -52,7 +53,7 @@ from .quantum import (
 # here, but perfbench/tracing.py wraps them by name on this module; they leave
 # the imports when the benchmark's spans are re-pointed
 from .quantum.dynamics import coupled_quantum_advance
-from .quantum.grids import memory_cap_bytes
+from .quantum.grids import GUARD_BAND_TOL, memory_cap_bytes
 from .quantum.metrics import mk_eps_lower
 from .quantum.phase_space import _check_center_inside
 from .transport import (
@@ -404,7 +405,26 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
                         f"at epsilon={eps}, {at} ({err})"
                     )
                     break
+            else:
+                # every centre can be placed: then the guard band at t = 0
+                if exp == "quantum-dobrushin" and ok("center", "n_particles"):
+                    diags += _initial_guard_band(grid, params, at)
     return diags
+
+
+def _initial_guard_band(grid: GridSpec, params: dict, at: str) -> list:
+    """The guard band the runner checks at t = 0, on its grid: the coupled
+    state holds 2 * n_particles copies of the coherent state at `center`, so
+    its mass inside the half box is that state's to the power 2N."""
+    q0, p0 = params["center"]
+    mass = guard_band_mass(coherent_state(grid, q0, p0)) ** (2 * params["n_particles"])
+    if mass >= 1.0 - GUARD_BAND_TOL:
+        return []
+    return [
+        f"center: {params['center']!r} leaves mass {mass:.15f} of the initial state inside "
+        f"half the box, below the guard band's 1 - {GUARD_BAND_TOL}, "
+        f"at epsilon={grid.epsilon}, {at}"
+    ]
 
 
 def _resolve(raw: dict, spec: dict) -> dict:
@@ -530,15 +550,15 @@ def _resolved(entries: list) -> list:
 
 
 def _queue_husimi_lower_row(
-    solves: _SolvePool, rho1, rho2, eps: float, row_id: str, t: float, rhs: float, **row
+    solves: _SolvePool, state1, state2, eps: float, row_id: str, t: float, rhs: float, **row
 ):
-    """Future of the row comparing mk_eps_lower(rho1, rho2, eps) with `rhs`.
+    """Future of the row comparing mk_eps_lower(state1, state2, eps) with `rhs`.
 
     The Husimi lattices are built here, on the sweep thread, and only their
-    transport solve goes on `solves`: the density matrices stay off the
-    queue, so the sweep frees them as it goes on.
+    transport solve goes on `solves`: the states (wave functions or density
+    matrices) stay off the queue, so the sweep frees them as it goes on.
     """
-    mu1, mu2 = husimi_lattices(rho1, rho2, eps)
+    mu1, mu2 = husimi_lattices(state1, state2, eps)
     return solves.submit(
         lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
     )
@@ -879,8 +899,8 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             mixture = coupling_to_factored_mixture(sgrid, 1, coupling)
             qp = qp_cost_trace(mixture, eps)
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
-            rho1 = state_density_matrix(coherent_state(sgrid, z1[0], z1[1]))
-            rho2 = state_density_matrix(coherent_state(sgrid, z2[0], z2[1]))
+            psi1 = coherent_state(sgrid, z1[0], z1[1])
+            psi2 = coherent_state(sgrid, z2[0], z2[1])
             consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
             t_tag = float(idx * per_eps + k)
             rows += [
@@ -894,8 +914,8 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 ),
                 _queue_husimi_lower_row(
                     solves,
-                    rho1,
-                    rho2,
+                    psi1,
+                    psi2,
                     eps,
                     "husimi-lower-vs-coupling-cost",
                     t_tag,

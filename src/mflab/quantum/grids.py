@@ -188,10 +188,11 @@ class DensityMatrix:
 
 
 def trace_product(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Continuum trace(A B) of two kernels on the same grid."""
+    """Continuum trace(A B) of two kernels on the same grid, as
+    Re sum_ij A_ij B_ji: O(n^2), without forming the product."""
     if a.grid != b.grid:
         raise ValueError("operators live on different grids")
-    return float(np.real(np.trace(a.matrix @ b.matrix))) * a.quad_weight**2
+    return float(np.real(np.einsum("ij,ji->", a.matrix, b.matrix))) * a.quad_weight**2
 
 
 def guard_band_mass(psi: WaveFunction) -> float:

@@ -82,23 +82,23 @@ def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> 
     return dist**2 + 2.0 * axes * eps
 
 
-def _position_density(rho: DensityMatrix) -> np.ndarray:
-    return np.clip(np.real(rho.matrix.diagonal()), 0.0, None)
+def _marginal_densities(state):
+    """Position and momentum densities of a WaveFunction or DensityMatrix,
+    each up to a constant factor, the momenta in `wavenumbers()` order."""
+    if isinstance(state, WaveFunction):
+        return np.abs(state.values) ** 2, np.abs(sfft.fft(state.values)) ** 2
+    tilde = sfft.ifft(sfft.fft(state.matrix, axis=0), axis=1)
+    return (
+        np.clip(np.real(state.matrix.diagonal()), 0.0, None),
+        np.clip(np.real(tilde.diagonal()), 0.0, None),
+    )
 
 
-def _momentum_density(rho: DensityMatrix) -> np.ndarray:
-    tilde = sfft.ifft(sfft.fft(rho.matrix, axis=0), axis=1)
-    return np.clip(np.real(tilde.diagonal()), 0.0, None)
-
-
-def _marginal_window(rho: DensityMatrix, n_sigma: float = 4.2):
-    x = rho.grid.axis_points()
-    p = rho.grid.epsilon * rho.grid.wavenumbers()
+def _marginal_window(state, n_sigma: float = 4.2):
+    x = state.grid.axis_points()
+    p = state.grid.epsilon * state.grid.wavenumbers()
     windows = []
-    for coords, dens in (
-        (x, _position_density(rho)),
-        (p, _momentum_density(rho)),
-    ):
+    for coords, dens in zip((x, p), _marginal_densities(state)):
         total = dens.sum()
         mean = float(coords @ dens / total)
         std = float(np.sqrt(np.clip((coords - mean) ** 2 @ dens / total, 0.0, None)))
@@ -106,39 +106,71 @@ def _marginal_window(rho: DensityMatrix, n_sigma: float = 4.2):
     return windows  # [(x_lo, x_hi), (p_lo, p_hi)]
 
 
-def _lattice_cloud(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray, prune: float):
+def _bargmann_husimi(psi: WaveFunction, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Husimi function of a pure state on the lattice xs x ps, (len(xs), len(ps)):
+
+        Q(q, p) = |h sum_x conj(phi_{q,p}(x)) psi(x)|^2 / (2 pi eps),
+
+    with phi_{q,p} the grid-normalized coherent vector of `husimi_values`.
+    The Bargmann amplitudes are one (n_q x n) (n x n_p) product.  Each
+    Gaussian row is scaled by its largest entry, which cancels against the
+    row's grid norm and keeps q far off the grid from underflowing.
+    """
+    grid = psi.grid
+    eps, x = grid.epsilon, grid.axis_points()
+    d2 = (x[None, :] - xs[:, None]) ** 2
+    G = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2.0 * eps))
+    amp = (G * psi.values) @ np.exp(-1j / eps * np.outer(x, ps))
+    scale = grid.h / (2 * np.pi * eps) / np.sum(G**2, axis=1)
+    return (amp.real**2 + amp.imag**2) * scale[:, None]
+
+
+def _lattice_cloud(state, xs: np.ndarray, ps: np.ndarray, prune: float):
     X, P = np.meshgrid(xs, ps, indexing="ij")
     z = np.column_stack([X.ravel(), P.ravel()])
-    vals = husimi_values(rho, z)
+    if isinstance(state, WaveFunction):
+        vals = _bargmann_husimi(state, xs, ps).ravel()
+    else:
+        vals = husimi_values(state, z)
     w = np.clip(vals, 0.0, None) * (xs[1] - xs[0]) * (ps[1] - ps[0])
     keep = w > prune * w.sum()
     w = w[keep]
     return DiscreteMeasure(z[keep], w / w.sum())
 
 
-def husimi_lattices(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = None):
+def husimi_lattices(state1, state2, eps: float | None = None):
     """Both Husimi functions discretized on one shared phase-space lattice,
     as the pair of pruned DiscreteMeasures `lattice_lower` solves between.
 
-    The lattice has spacing ~ 0.35*sqrt(eps) over the union of the two
-    4.2-sigma marginal boxes; atoms below 1e-4 of the mass are pruned, which
-    trims the square lattice to a disk.  It is coarsened by 1.5x steps while
-    either support would exceed the solver cap, and ResourceCapError is
-    raised after four tries.  `husimi_values` fills each lattice with a few
-    matrix products (exact Gaussian midpoint factorisation), so the
-    transport solve, not the Husimi values, dominates the cost of the bound.
+    Each state is a single-particle d = 1 WaveFunction (a pure state) or
+    DensityMatrix, and the two may differ in type.  The lattice has spacing
+    ~ 0.35*sqrt(eps) over the union of the two 4.2-sigma marginal boxes;
+    atoms below 1e-4 of the mass are pruned, which trims the square lattice
+    to a disk.  It is coarsened by 1.5x steps while either support would
+    exceed the solver cap, and ResourceCapError is raised after four tries.
+
+    The route is chosen per state.  For n grid points and an n_q x n_p
+    lattice, a WaveFunction's marginals are |psi|^2 and |FFT psi|^2 (O(n log
+    n)) and its lattice values one product of Bargmann amplitudes (O(n_q n
+    n_p), `_bargmann_husimi`).  A DensityMatrix's momentum marginal takes two
+    n x n FFTs (O(n^2 log n)) and `husimi_values` fills its lattice in
+    O(n_q n^2 + n_q n n_p).  Either way the transport solve, not the Husimi
+    values, dominates the cost of the bound.
     """
-    if rho1.grid.d != 1 or rho1.grid.n_particles != 1 or rho1.grid.doubled:
-        raise ValueError("Husimi lattices need single-particle d = 1 states")
-    if abs(rho1.grid.epsilon - rho2.grid.epsilon) > 1e-12:
+    for state in (state1, state2):
+        if not isinstance(state, (WaveFunction, DensityMatrix)):
+            raise TypeError("Husimi lattices need WaveFunction or DensityMatrix states")
+        if state.grid.d != 1 or state.grid.n_particles != 1 or state.grid.doubled:
+            raise ValueError("Husimi lattices need single-particle d = 1 states")
+    if abs(state1.grid.epsilon - state2.grid.epsilon) > 1e-12:
         raise ValueError("states have different epsilon")
     if eps is None:
-        eps = rho1.grid.epsilon
-    elif abs(eps - rho1.grid.epsilon) > 1e-12:
+        eps = state1.grid.epsilon
+    elif abs(eps - state1.grid.epsilon) > 1e-12:
         raise ValueError("eps disagrees with the states' grids")
 
-    w1 = _marginal_window(rho1)
-    w2 = _marginal_window(rho2)
+    w1 = _marginal_window(state1)
+    w2 = _marginal_window(state2)
     x_lo, x_hi = min(w1[0][0], w2[0][0]), max(w1[0][1], w2[0][1])
     p_lo, p_hi = min(w1[1][0], w2[1][0]), max(w1[1][1], w2[1][1])
 
@@ -146,8 +178,8 @@ def husimi_lattices(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None 
     for _ in range(4):
         xs = np.linspace(x_lo, x_hi, max(int(np.ceil((x_hi - x_lo) / spacing)) + 1, 2))
         ps = np.linspace(p_lo, p_hi, max(int(np.ceil((p_hi - p_lo) / spacing)) + 1, 2))
-        mu1 = _lattice_cloud(rho1, xs, ps, prune=1e-4)
-        mu2 = _lattice_cloud(rho2, xs, ps, prune=1e-4)
+        mu1 = _lattice_cloud(state1, xs, ps, prune=1e-4)
+        mu2 = _lattice_cloud(state2, xs, ps, prune=1e-4)
         if max(mu1.size, mu2.size) <= SUPPORT_CAP:
             return mu1, mu2
         spacing *= 1.5
@@ -164,15 +196,17 @@ def lattice_lower(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eps: float) -> flo
     return dist**2 - 2.0 * eps
 
 
-def mk_eps_lower(rho1: DensityMatrix, rho2: DensityMatrix, eps: float | None = None) -> float:
+def mk_eps_lower(state1, state2, eps: float | None = None) -> float:
     """Squared-distance lower bound dist_2(Husimi_1, Husimi_2)^2 - 2*d*eps:
-    `lattice_lower` on the `husimi_lattices` of the two states.
+    `lattice_lower` on the `husimi_lattices` of the two states, each a
+    single-particle WaveFunction or DensityMatrix (see `husimi_lattices` for
+    the cost of each route).
 
     The lattice and pruning errors are below ~5e-3, far inside the 4*d*eps
     slack of the bracket checks this feeds.  May be negative.
     """
-    mu1, mu2 = husimi_lattices(rho1, rho2, eps)
-    return lattice_lower(mu1, mu2, rho1.grid.epsilon if eps is None else eps)
+    mu1, mu2 = husimi_lattices(state1, state2, eps)
+    return lattice_lower(mu1, mu2, state1.grid.epsilon if eps is None else eps)
 
 
 def state_density_matrix(psi: WaveFunction) -> DensityMatrix:

@@ -29,7 +29,7 @@ from mflab.experiments import (
     time_schedule,
     validate_config,
 )
-from mflab.quantum import GridSpec, coherent_state, metrics
+from mflab.quantum import GridSpec, coherent_state, guard_band_mass, metrics
 from mflab.quantum.grids import load_state
 from mflab.transport import SUPPORT_CAP
 
@@ -197,30 +197,68 @@ def test_validate_quantum_epsilon_must_be_positive(tmp_path, capsys):
         assert "epsilon: entry" in capsys.readouterr().err
 
 
+def test_validate_rejects_an_initial_state_outside_the_guard_band(tmp_path, capsys):
+    # at epsilon 0.5 the coherent state at the default centre keeps only
+    # 0.99995 of its mass inside half of a 4.5 box: the runner's guard band
+    # would trip at t = 0, so validation reports it on the centre
+    raw = {
+        "experiment": "quantum-dobrushin",
+        "grid_points": 32,
+        "box": 4.5,
+        "epsilon": [0.5],
+        "t_final": 0.04,
+        "n_times": 3,
+    }
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    diags = capsys.readouterr().out.splitlines()
+    assert len(diags) == 1 and diags[0].startswith("center: [0.3, -0.2]")
+    assert "guard band" in diags[0] and "epsilon=0.5" in diags[0]
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 64
+    assert "config error: center:" in capsys.readouterr().err
+    assert not out.exists()
+    # the coupled state holds 2N copies of the coherent state, so the rule
+    # is on its mass to the power 2N: here N = 1 passes and N = 2 does not
+    one = guard_band_mass(coherent_state(GridSpec(1, 1, 64, 5.0, 0.25), 0.3, 0.0))
+    assert one**2 >= 1 - 1e-10 > one**4
+    raw = {"experiment": "quantum-dobrushin", "box": 5.0, "epsilon": [0.25], "center": [0.3, 0.0]}
+    assert validate_config(dict(raw, n_particles=1)) == []
+    diags = validate_config(dict(raw, n_particles=2))
+    assert len(diags) == 1 and diags[0].startswith("center: [0.3, 0.0]")
+
+
 def test_guard_band_abort_exits_3_at_the_integrated_time(tmp_path, capsys):
-    # a coherent state of width sqrt(eps) on a box of half-width 4 leaks past
-    # the guard band before the first step
+    # a coherent state inside the guard band at t = 0, moving outward at
+    # speed 2, leaks past it by the second sample time
     raw = {
         "experiment": "quantum-dobrushin",
         "n_particles": 1,
-        "grid_points": 32,
-        "box": 4.0,
-        "epsilon": [0.5],
+        "grid_points": 64,
+        "box": 5.0,
+        "epsilon": [0.25],
         "dt": 0.02,
-        "t_final": 0.1,
-        "n_times": 2,
+        "t_final": 1.0,
+        "n_times": 3,
+        "center": [0.0, 2.0],
     }
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
     out = tmp_path / "out"
-    assert main(["run", _write_cfg(tmp_path, raw), "--out", str(out)]) == 3
-    assert "guard band tripped at t=0.0" in capsys.readouterr().err
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert "guard band tripped at t=0.5" in capsys.readouterr().err
     jsonl = (out / "quantum-dobrushin.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in jsonl]
     assert [r["inequality_id"] for r in rows] == [
+        "coupling-cost-growth",
+        "husimi-lower-chain",
         "guard-band-interior-mass",
         "doubled-evolution-unitarity",
     ]
-    assert rows[1]["time"] == 0.0 and rows[1]["constants"]["steps"] == 0
-    assert len((out / "quantum-dobrushin.csv").read_text().splitlines()) == 3
+    assert rows[2]["time"] == 0.5
+    assert rows[3]["time"] == 0.5 and rows[3]["constants"]["steps"] == 25
+    assert len((out / "quantum-dobrushin.csv").read_text().splitlines()) == 5
 
 
 @pytest.mark.parametrize("experiment", ["classical-dobrushin", "vlasov-moments"])

@@ -80,6 +80,22 @@ def test_density_matrix_checks():
         DensityMatrix(g, np.eye(64, dtype=complex))  # trace h*64 != 1
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_trace_product_matches_the_matrix_product(n):
+    g = _grid(n=n)
+    rng = np.random.default_rng(n)
+
+    def random_density():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = a @ a.conj().T
+        return DensityMatrix(g, m / (np.real(np.trace(m)) * g.h))
+
+    a, b = random_density(), random_density()
+    want = float(np.real(np.trace(a.matrix @ b.matrix))) * g.h**2
+    assert trace_product(a, b) == pytest.approx(want, rel=1e-12)
+    assert trace_product(b, a) == pytest.approx(want, rel=1e-12)
+
+
 def test_guard_band_accepts_centered_state():
     psi = coherent_state(_grid(), 0.3, -0.2)
     mass = check_guard_band(psi)

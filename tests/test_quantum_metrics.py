@@ -11,10 +11,12 @@ import pytest
 
 from mflab.potentials import make_gaussian_potential
 from mflab.quantum.dynamics import factored_coupled_advance
-from mflab.quantum.grids import FactoredCoupling, GridSpec
+from mflab.quantum.grids import FactoredCoupling, GridSpec, WaveFunction
 from mflab.quantum.metrics import (
     _coupling_atoms,
     coupling_to_factored_mixture,
+    husimi_lattices,
+    lattice_lower,
     mk_eps_lower,
     mk_eps_upper,
     qp_cost_trace,
@@ -22,7 +24,7 @@ from mflab.quantum.metrics import (
     state_density_matrix,
     symmetrize_initial_coupling,
 )
-from mflab.quantum.phase_space import SymbolMeasure, coherent_state
+from mflab.quantum.phase_space import SymbolMeasure, coherent_state, toeplitz_operator
 from mflab.transport import wasserstein_exact
 
 BASE = GridSpec(d=1, n_particles=1, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
@@ -162,6 +164,71 @@ def test_bracket_sandwich_on_coherent_pair():
     assert cost == pytest.approx(upper, abs=1e-9)
 
 
+def _density_route(state):
+    return state_density_matrix(state) if isinstance(state, WaveFunction) else state
+
+
+def _assert_lattices_match_density_route(state1, state2, eps):
+    """husimi_lattices as given against the same states as density matrices,
+    the route that fills lattices with `husimi_values`."""
+    got = husimi_lattices(state1, state2, eps)
+    want = husimi_lattices(_density_route(state1), _density_route(state2), eps)
+    for mu, nu in zip(got, want):
+        assert mu.size == nu.size
+        np.testing.assert_allclose(mu.points, nu.points, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu.weights, nu.weights, rtol=0, atol=1e-12)
+    assert lattice_lower(*got, eps) == pytest.approx(lattice_lower(*want, eps), abs=1e-12)
+
+
+def _superposition(grid, z1, z2):
+    vals = coherent_state(grid, *z1).values + coherent_state(grid, *z2).values
+    return WaveFunction(grid, vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.h))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(1, 1, 64, 5.0, 0.25),
+        GridSpec(1, 1, 256, 6.0, 0.1),
+    ],
+)
+def test_wavefunction_lattices_match_density_route_on_coherent_pairs(grid):
+    psi1 = coherent_state(grid, 0.4, -0.3)
+    psi2 = coherent_state(grid, -0.5, 0.6)
+    _assert_lattices_match_density_route(psi1, psi2, grid.epsilon)
+
+
+def test_wavefunction_lattices_match_density_route_on_a_superposition():
+    # a cat state: two coherent bumps and interference fringes, not a Gaussian
+    grid = GridSpec(1, 1, 128, 6.0, 0.25)
+    cat = _superposition(grid, (-1.0, 0.5), (1.2, -0.3))
+    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.2, 0.1), grid.epsilon)
+
+
+def test_wavefunction_lattices_match_density_route_far_off_the_grid():
+    # bumps near both box edges widen the 4.2-sigma position window far past
+    # the box: on its first lattice row the unscaled Gaussian underflows
+    # everywhere on the grid, so only row scaling keeps the values finite
+    grid = GridSpec(1, 1, 256, 8.0, 0.05)
+    cat = _superposition(grid, (-5.5, 0.0), (5.5, 0.3))
+    x = grid.axis_points()
+    dens = np.abs(cat.values) ** 2 / np.sum(np.abs(cat.values) ** 2)
+    mean = x @ dens
+    q_lo = mean - 4.2 * np.sqrt((x - mean) ** 2 @ dens)
+    assert not np.any(np.exp(-((x - q_lo) ** 2) / (2 * grid.epsilon)))
+    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.0, 0.0), grid.epsilon)
+
+
+def test_pure_and_mixed_states_pair_in_husimi_lattices():
+    mixed = toeplitz_operator(
+        BASE, SymbolMeasure(np.array([[0.5, -0.2], [-0.4, 0.3]]), np.array([0.3, 0.7]))
+    )
+    psi = coherent_state(BASE, 0.2, 0.1)
+    _assert_lattices_match_density_route(psi, mixed, EPS)
+    _assert_lattices_match_density_route(mixed, psi, EPS)
+    assert mk_eps_lower(psi, mixed) == pytest.approx(mk_eps_lower(mixed, psi), abs=1e-12)
+
+
 def test_mk_eps_lower_validations():
     rho = state_density_matrix(coherent_state(BASE, 0.0, 0.0))
     other = state_density_matrix(
@@ -175,9 +242,13 @@ def test_mk_eps_lower_validations():
         mk_eps_lower(rho, other)
     with pytest.raises(ValueError):
         mk_eps_lower(rho, rho, eps=0.25)
-    dbl = state_density_matrix(_pair_coupling((0.0, 0.0), (0.0, 0.0)).doubled())
-    with pytest.raises(ValueError):
-        mk_eps_lower(dbl, dbl)
+    coupling = _pair_coupling((0.0, 0.0), (0.0, 0.0))
+    dbl = state_density_matrix(coupling.doubled())
+    for pair in ((dbl, dbl), (rho, dbl), (coherent_state(BASE, 0.0, 0.0), coupling.doubled())):
+        with pytest.raises(ValueError):
+            mk_eps_lower(*pair)
+    with pytest.raises(TypeError):
+        mk_eps_lower(coupling, rho)
 
 
 # ------------------------------------------------------------- coupling symbols
