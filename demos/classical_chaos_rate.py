@@ -1,7 +1,8 @@
 """Coupled N-body / mean-field flows and the 1/sqrt(N) coupling rate.
 
 Runs M independent copies of the coupled system (same initial draws, one side
-feeling the empirical pairwise force, the other the frozen mean-field force),
+feeling the empirical pairwise force, the other the frozen mean-field force of
+a Vlasov reference cloud, which the ensemble carries and advances with it),
 measures the per-particle coupling functional D^2_N(t), and checks it against
 the closed-form Gronwall envelope (8/N) ||grad V||^2 (e^{Lambda t} - 1)/Lambda.
 The fitted log-log slope of the coupling distance sqrt(D^2_N) should sit near
@@ -20,9 +21,7 @@ finals = []
 for N in N_list:
     reference = sample_gaussian_cloud(2048, 1, seed=7)
     ens = diagonal_ensemble(M, N, reference, seed=100 + N)
-    ens, reference, times, dvals = run_coupled_trajectory(
-        ens, reference, V, dt, int(t_end / dt), p=2.0, record_every=8
-    )
+    ens, times, dvals = run_coupled_trajectory(ens, V, dt, int(t_end / dt), p=2.0, record_every=8)
     print(f"== N = {N}")
     for t, d in zip(times, dvals):
         envelope = classical_rhs(V, 2.0, N, 1, t)

@@ -22,7 +22,6 @@ from mflab.bounds import quantum_rhs
 from mflab.quantum import (
     FactoredCoupling,
     GridSpec,
-    coherent_product_state,
     coherent_state,
     factored_coupled_advance,
     mk_eps_lower,
@@ -38,7 +37,7 @@ dbl = replace(base, doubled=True)
 
 q0, p0 = 0.3, -0.2
 state = FactoredCoupling((coherent_state(base, q0, p0),), coherent_state(base, q0, p0))
-psi = coherent_product_state(dbl, [q0, q0, p0, p0])  # the same diagonal coupling
+psi = coherent_state(dbl, [q0, q0], [p0, p0])  # the same diagonal coupling
 ref = ref_oracle = coherent_state(base, q0, p0)
 dt, legs, steps_per_leg = 0.02, 5, 5
 

@@ -5,8 +5,10 @@ the self-consistent Vlasov particle method (mean-field characteristics over a
 reference cloud), the coupled product flow whose first marginal follows the
 mean-field dynamics and second marginal the N-body dynamics, and the
 functionals measured on them: the p-Dobrushin coupling functional and phase
-moments.  All integrators are velocity Verlet with the force field frozen
-within each step.
+moments.  One phase-point type, `PhaseState`, holds either one N-particle
+system or an equal-weight Vlasov cloud; the coupled ensemble carries its
+reference cloud as one.  All integrators are velocity Verlet with the force
+field frozen within each step.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import numpy as np
 
 from .convolution import offset_convolution
 from .potentials import Potential
-from .transport import DiscreteMeasure
 
 Array = np.ndarray
 
@@ -29,7 +30,11 @@ PAIR_BLOCK = 1 << 18
 
 @dataclass(frozen=True)
 class PhaseState:
-    """One system of N particles: positions X (N, d), momenta Xi (N, d)."""
+    """Phase points at one time: positions X (M, d), momenta Xi (M, d).
+
+    Either one system of M particles or an equal-weight Vlasov cloud of M
+    points, each of mass 1/M.
+    """
 
     positions: Array
     momenta: Array
@@ -45,39 +50,13 @@ class PhaseState:
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "momenta", xi)
 
-
-@dataclass(frozen=True)
-class VlasovCloud:
-    """Equal-weight particle approximation of a phase-space density f(t).
-
-    Points live on R^{2d}: the first d columns are positions, the last d
-    momenta.
-    """
-
-    points: DiscreteMeasure
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.points.k % 2 != 0:
-            raise ValueError("phase cloud must have an even number of columns")
-        if not self.points.has_equal_weights():
-            raise ValueError("Vlasov cloud must carry equal weights")
+    @property
+    def size(self) -> int:
+        return self.positions.shape[0]
 
     @property
     def d(self) -> int:
-        return self.points.k // 2
-
-    @property
-    def x(self) -> Array:
-        return self.points.points[:, : self.d]
-
-    @property
-    def xi(self) -> Array:
-        return self.points.points[:, self.d :]
-
-    @property
-    def size(self) -> int:
-        return self.points.size
+        return self.positions.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +66,17 @@ class CoupledEnsemble:
     Each of the M sample pairs carries a mean-field system (X, Xi), driven
     slot-by-slot by the reference cloud, and an N-body system (Y, H) evolving
     under its own pairwise forces; each of the four is an (M, N, d) array.
-    `force`, when set, is the N-body force at Y under `force_potential`: the
-    force that ended the last Verlet step, which starts the next one.
+    `reference` is that cloud; it advances in lockstep with the ensemble, so
+    the ensemble's time is the reference's.  `force`, when set, is the N-body
+    force at Y under `force_potential`: the force that ended the last Verlet
+    step, which starts the next one.
     """
 
     X: Array
     Xi: Array
     Y: Array
     H: Array
-    reference_cloud: DiscreteMeasure
-    rng_seed: int
-    time: float = 0.0
+    reference: PhaseState
     force: Array | None = None
     force_potential: Potential | None = None
 
@@ -112,6 +91,10 @@ class CoupledEnsemble:
             object.__setattr__(self, name, a)
 
     @property
+    def time(self) -> float:
+        return self.reference.time
+
+    @property
     def n_samples(self) -> int:
         return self.X.shape[0]
 
@@ -122,9 +105,6 @@ class CoupledEnsemble:
     @property
     def d(self) -> int:
         return self.X.shape[2]
-
-    def reference_as_cloud(self) -> VlasovCloud:
-        return VlasovCloud(self.reference_cloud, self.time)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +184,13 @@ def _grid_field_1d(
     return field
 
 
-def _frozen_field(V: Potential, cloud: VlasovCloud) -> Callable[[Array], Array]:
-    """Force field generated by the cloud, frozen for one integrator step:
-    tabulated for a 1-D cloud of at least 1024 points, else summed exactly."""
-    y, w = cloud.x, cloud.points.weights
-    if cloud.d == 1 and cloud.size >= 1024:
+def _frozen_field(V: Potential, y: Array) -> Callable[[Array], Array]:
+    """Force field generated by the equal-weight cloud at positions y (M, d),
+    frozen for one integrator step: tabulated for a 1-D cloud of at least
+    1024 points, else summed exactly."""
+    M, d = y.shape
+    w = np.full(M, 1.0 / M)
+    if d == 1 and M >= 1024:
         return _grid_field_1d(V, y, w)
     return _exact_field(V, y, w)
 
@@ -235,55 +217,38 @@ def _verlet_arrays(x: Array, xi: Array, field, dt: float, f0: Array | None = Non
     return x_new, xi_half + 0.5 * dt * f1, f1
 
 
-def vlasov_advance(cloud: VlasovCloud, V: Potential, dt: float, n_steps: int) -> VlasovCloud:
+def vlasov_advance(cloud: PhaseState, V: Potential, dt: float, n_steps: int) -> PhaseState:
     """Self-consistent particle method: each step freezes the cloud, builds
     its mean-field force field, and Verlet-advances every particle in it."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    x, xi = cloud.x.copy(), cloud.xi.copy()
-    w = cloud.points.weights
-    t = cloud.time
     for _ in range(n_steps):
-        field = _frozen_field(V, VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t))
-        x, xi, _ = _verlet_arrays(x, xi, field, dt)
-        t += dt
-    return VlasovCloud(DiscreteMeasure(np.hstack([x, xi]), w), t)
+        cloud = verlet_step(cloud, _frozen_field(V, cloud.positions), dt)
+    return cloud
 
 
-def coupled_advance(
-    ens: CoupledEnsemble, ref: VlasovCloud, V: Potential, dt: float
-) -> CoupledEnsemble:
+def coupled_advance(ens: CoupledEnsemble, V: Potential, dt: float) -> CoupledEnsemble:
     """One step of the coupled product flow.
 
-    The mean-field side feels the force generated by `ref` at each of its N
-    slots independently; the N-body side feels its own pairwise forces; `ref`
-    itself advances one Vlasov step in lockstep.  The advanced reference is
-    returned inside the new ensemble (`reference_as_cloud()`).
+    The mean-field side feels the force generated by the reference cloud at
+    each of its N slots independently; the N-body side feels its own
+    pairwise forces; the reference itself takes one Vlasov step under the
+    same frozen field, in lockstep.
 
     The N-body force that ends the step is kept in the returned ensemble and
     starts the next step under the same `V`, so each step evaluates it once;
     under any other potential it is recomputed.
     """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    if abs(ens.time - ref.time) > abs(dt) / 2:
-        raise RuntimeError(
-            f"ensemble time {ens.time} and reference time {ref.time} misaligned"
-        )
-    field = _frozen_field(V, ref)
+    field = _frozen_field(V, ens.reference.positions)
+    reference = verlet_step(ens.reference, field, dt)
     X, Xi, _ = _verlet_arrays(ens.X, ens.Xi, field, dt)
     f0 = ens.force if ens.force_potential is V else None
     Y, H, force = _verlet_arrays(
         ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos), dt, f0
     )
-    rx, rxi, _ = _verlet_arrays(ref.x, ref.xi, field, dt)
-    ref_meas = DiscreteMeasure(np.hstack([rx, rxi]), ref.points.weights)
-    return CoupledEnsemble(X, Xi, Y, H, ref_meas, ens.rng_seed, ens.time + dt, force, V)
+    return CoupledEnsemble(X, Xi, Y, H, reference, force, V)
 
 
 def run_coupled_trajectory(
     ens: CoupledEnsemble,
-    ref: VlasovCloud,
     V: Potential,
     dt: float,
     n_steps: int,
@@ -291,16 +256,15 @@ def run_coupled_trajectory(
     record_every: int = 1,
 ):
     """Advance the coupled flow, recording t |-> D_N^p; returns
-    (ensemble, reference, times, dvals)."""
+    (ensemble, times, dvals)."""
     times = [ens.time]
     dvals = [dobrushin_functional(ens, p)]
     for step in range(1, n_steps + 1):
-        ens = coupled_advance(ens, ref, V, dt)
-        ref = ens.reference_as_cloud()
+        ens = coupled_advance(ens, V, dt)
         if step % record_every == 0 or step == n_steps:
             times.append(ens.time)
             dvals.append(dobrushin_functional(ens, p))
-    return ens, ref, np.asarray(times), np.asarray(dvals)
+    return ens, np.asarray(times), np.asarray(dvals)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +285,35 @@ def dobrushin_functional(ens: CoupledEnsemble, p: float) -> float:
     return float(dobrushin_per_sample(ens, p).mean())
 
 
-def point_moments(cloud: VlasovCloud, p: float) -> np.ndarray:
+def point_moments(cloud: PhaseState, p: float) -> np.ndarray:
     """|x|^p + |xi|^p at each point of the cloud."""
-    return np.linalg.norm(cloud.x, axis=1) ** p + np.linalg.norm(cloud.xi, axis=1) ** p
+    return (
+        np.linalg.norm(cloud.positions, axis=1) ** p
+        + np.linalg.norm(cloud.momenta, axis=1) ** p
+    )
 
 
-def moment_p(cloud: VlasovCloud, p: float) -> float:
-    """Weighted sum of |x|^p + |xi|^p over the cloud."""
+def moment_p(cloud: PhaseState, p: float) -> float:
+    """Mean of |x|^p + |xi|^p over the equal-weight cloud."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float(cloud.points.weights @ point_moments(cloud, p))
+    return float(point_moments(cloud, p).mean())
 
 
 # ---------------------------------------------------------------------------
 # initial data
 
 
-def sample_gaussian_cloud(m: int, d: int, seed: int) -> VlasovCloud:
+def sample_gaussian_cloud(m: int, d: int, seed: int) -> PhaseState:
     """m iid standard-normal phase points (x, xi) in d dimensions."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, d))
     xi = rng.standard_normal((m, d))
-    return VlasovCloud(DiscreteMeasure.equal_weights(np.hstack([x, xi])), 0.0)
+    return PhaseState(x, xi)
 
 
 def diagonal_ensemble(
-    n_samples: int, n_particles: int, reference: VlasovCloud, seed: int
+    n_samples: int, n_particles: int, reference: PhaseState, seed: int
 ) -> CoupledEnsemble:
     """Diagonal initial coupling: both sides start from the same iid draw of
     N particles per sample, so every Dobrushin functional starts at zero."""
@@ -354,6 +321,6 @@ def diagonal_ensemble(
         sample_gaussian_cloud(n_particles, reference.d, child)
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ]
-    X = np.stack([sub.x for sub in draws])
-    Xi = np.stack([sub.xi for sub in draws])
-    return CoupledEnsemble(X, Xi, X.copy(), Xi.copy(), reference.points, seed, reference.time)
+    X = np.stack([sub.positions for sub in draws])
+    Xi = np.stack([sub.momenta for sub in draws])
+    return CoupledEnsemble(X, Xi, X.copy(), Xi.copy(), reference)

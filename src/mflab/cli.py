@@ -13,7 +13,8 @@ as those keys are.
 
 Exit codes: 0 success; 2 at least one bound report failed; 3 resource or
 guard error; 4 validate found diagnostics; 64 unusable config or arguments,
-or an output directory that cannot be created (checked before the run).
+or an output or checkpoint directory that cannot be created (both are made
+before the run).
 Result rows go to <out>/<experiment>.jsonl and .csv; the JSONL stream carries
 no timestamps, so a (config, seed) pair reproduces byte-identical output.
 """
@@ -111,11 +112,15 @@ def main(argv=None) -> int:
 
     cfg = build_config(raw)
     out = Path(cfg.out or ".")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"cannot create output directory: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    dirs = [("output", out)]
+    if cfg.params.get("checkpoint"):
+        dirs.append(("checkpoint", Path(cfg.params["checkpoint"]).parent))
+    for what, path in dirs:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            print(f"cannot create {what} directory: {err}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         reports = run_experiment(cfg, jobs=max(1, args.jobs))
     except (ResourceCapError, MemoryError) as err:

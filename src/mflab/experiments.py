@@ -259,7 +259,11 @@ PARAMS = {
     },
     "ot-selftest": {
         "n_clouds": (50, *_int_at_least(1)),
-        "max_support": (6, *_int_at_least(2)),
+        "max_support": (
+            6,
+            lambda x: _is_int(x) and 2 <= x <= 9,
+            "an integer from 2 to 9 (the brute-force oracle enumerates m! permutations)",
+        ),
         "dims": ([2, 4], *_DIMS),
         "p": (2.0, *_EXPONENT),
     },
@@ -770,8 +774,8 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         sub_children = sub_seed.spawn(len(schedule))
         for j, (t, n_steps) in enumerate(schedule):
             solves.check()
-            ens, reference, _, _ = run_coupled_trajectory(
-                ens, reference, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
+            ens, _, _ = run_coupled_trajectory(
+                ens, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
             )
             per = dobrushin_per_sample(ens, p)
             growth = bounds.make_report(
@@ -783,7 +787,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 constants=consts,
             )
             # each Verlet step makes fresh arrays, so the solves need no copy
-            f_pool = ens.reference_as_cloud().points.points
+            f_pool = np.hstack([ens.reference.positions, ens.reference.momenta])
             blocks = _submit_chaos_repeats(solves, ens.Y, ens.H, f_pool, repeats, sub_children[j])
             segments.append((growth, blocks))
         return segments

@@ -24,7 +24,7 @@ from scipy import fft as sfft
 from ..transport import SUPPORT_CAP, DiscreteMeasure, TransportPlan, wasserstein_exact
 from .dynamics import partial_trace
 from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
-from .phase_space import SymbolMeasure, coherent_product_state, husimi_values
+from .phase_space import SymbolMeasure, coherent_state, husimi_values
 
 
 def _axis_moments(prob: np.ndarray, coords: np.ndarray) -> list:
@@ -277,10 +277,10 @@ def coupling_to_factored_mixture(
     for w, atom in zip(coupling.weights, coupling.points):
         q, p = atom[: 2 * dN], atom[2 * dN :]
         xs = tuple(
-            coherent_product_state(base, np.concatenate([q[j : j + base.d], p[j : j + base.d]]))
+            coherent_state(base, q[j : j + base.d], p[j : j + base.d])
             for j in range(0, dN, base.d)
         )
-        y = coherent_product_state(ygrid, np.concatenate([q[dN:], p[dN:]]))
+        y = coherent_state(ygrid, q[dN:], p[dN:])
         mixture.append((float(w), FactoredCoupling(xs, y)))
     return mixture
 

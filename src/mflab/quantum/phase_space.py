@@ -84,18 +84,18 @@ def _coherent_array(grid: GridSpec, centers: np.ndarray) -> np.ndarray:
 
 
 def coherent_state(grid: GridSpec, q, p) -> WaveFunction:
-    """Gaussian coherent state (pi eps)^{-d/4} e^{-(x-q)^2/2eps} e^{ip.x/eps},
-    renormalized on the discrete grid.
+    """Product of Gaussian coherent factors, one per grid axis:
+    (pi eps)^{-1/4} e^{-(x-q_a)^2/2eps} e^{ip_a x/eps} on axis a, renormalized
+    on the discrete grid.  q and p hold one coordinate per axis (scalars on
+    a one-axis grid); the grid may be plain or doubled.
 
     Rejects centers whose Gaussian tail outside the box (or outside the
     resolvable wavenumber band) exceeds 1e-12.
     """
-    if grid.n_particles != 1 or grid.doubled:
-        raise ValueError("coherent_state expects a single-particle grid")
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if q.shape != (grid.d,) or p.shape != (grid.d,):
-        raise ValueError(f"q and p must have shape ({grid.d},)")
+    if q.shape != (grid.n_axes,) or p.shape != (grid.n_axes,):
+        raise ValueError(f"q and p must have shape ({grid.n_axes},), one entry per axis")
     _check_center_inside(grid, q, p)
     return WaveFunction(grid, _coherent_array(grid, np.column_stack([q, p])), 0.0)
 
@@ -110,17 +110,6 @@ def _split_symbol_atoms(grid: GridSpec, symbol: SymbolMeasure) -> np.ndarray:
     qs = symbol.points[:, :n_axes]
     ps = symbol.points[:, n_axes:]
     return np.stack([qs, ps], axis=-1)
-
-
-def coherent_product_state(grid: GridSpec, atom: np.ndarray) -> WaveFunction:
-    """Pure product of coherent factors for one symbol atom (q_1..q_N, p_1..p_N)."""
-    n_axes = grid.n_axes
-    atom = np.asarray(atom, dtype=float)
-    if atom.shape != (2 * n_axes,):
-        raise ValueError(f"atom must have {2 * n_axes} coordinates")
-    centers = np.column_stack([atom[:n_axes], atom[n_axes:]])
-    _check_center_inside(grid, centers[:, 0], centers[:, 1])
-    return WaveFunction(grid, _coherent_array(grid, centers), 0.0)
 
 
 def toeplitz_operator(grid: GridSpec, symbol: SymbolMeasure) -> DensityMatrix:

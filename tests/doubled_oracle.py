@@ -15,7 +15,7 @@ from scipy import fft as sfft
 
 from mflab.quantum.dynamics import partial_trace
 from mflab.quantum.grids import DensityMatrix, GridSpec, WaveFunction
-from mflab.quantum.phase_space import SymbolMeasure, coherent_product_state
+from mflab.quantum.phase_space import SymbolMeasure, coherent_state
 
 
 def doubled(base: GridSpec, n_particles: int) -> GridSpec:
@@ -91,7 +91,7 @@ def coupling_to_state_mixture(grid: GridSpec, coupling: SymbolMeasure) -> list:
     if not grid.doubled:
         raise ValueError("coupling lifts live on doubled grids")
     return [
-        (float(w), coherent_product_state(grid, atom))
+        (float(w), coherent_state(grid, atom[: grid.n_axes], atom[grid.n_axes :]))
         for w, atom in zip(coupling.weights, coupling.points)
     ]
 

@@ -8,7 +8,6 @@ from mflab.classical import (
     PAIR_BLOCK,
     CoupledEnsemble,
     PhaseState,
-    VlasovCloud,
     _exact_field,
     _frozen_field,
     _grid_field_1d,
@@ -24,7 +23,6 @@ from mflab.classical import (
     vlasov_advance,
 )
 from mflab.potentials import make_cosine_potential, make_gaussian_potential
-from mflab.transport import DiscreteMeasure
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)
 FLAT = make_gaussian_potential(0.0, 1.0, 1)
@@ -165,11 +163,11 @@ def test_mean_field_force_grid_matches_exact():
     # the tabulated field, and one step under it, differ from exact summation
     # by the interpolation error (~1e-7), far below the cloud's MC noise
     cloud = sample_gaussian_cloud(2048, 1, seed=2)
-    y, w = cloud.x, cloud.points.weights
+    y, w = cloud.positions, np.full(cloud.size, 1.0 / cloud.size)
     grid, exact = _grid_field_1d(GAUSS, y, w), _exact_field(GAUSS, y, w)
     np.testing.assert_allclose(grid(y), exact(y), atol=1e-6)
-    x_grid, xi_grid, _ = _verlet_arrays(cloud.x, cloud.xi, grid, 0.05)
-    x_exact, xi_exact, _ = _verlet_arrays(cloud.x, cloud.xi, exact, 0.05)
+    x_grid, xi_grid, _ = _verlet_arrays(y, cloud.momenta, grid, 0.05)
+    x_exact, xi_exact, _ = _verlet_arrays(y, cloud.momenta, exact, 0.05)
     np.testing.assert_allclose(xi_grid, xi_exact, atol=1e-6)
     np.testing.assert_allclose(x_grid, x_exact, atol=1e-7)
 
@@ -177,11 +175,11 @@ def test_mean_field_force_grid_matches_exact():
 @pytest.mark.parametrize("size, d, gridded", [(1024, 1, True), (1023, 1, False), (1024, 2, False)])
 def test_frozen_field_grids_only_large_one_dimensional_clouds(size, d, gridded):
     V = make_gaussian_potential(1.0, 1.0, d)
-    cloud = sample_gaussian_cloud(size, d, seed=23)
-    y, w = cloud.x, cloud.points.weights
+    y = sample_gaussian_cloud(size, d, seed=23).positions
+    w = np.full(size, 1.0 / size)
     q = np.random.default_rng(24).normal(size=(50, d))
     want = _grid_field_1d(V, y, w) if gridded else _exact_field(V, y, w)
-    np.testing.assert_array_equal(_frozen_field(V, cloud)(q), want(q))
+    np.testing.assert_array_equal(_frozen_field(V, y)(q), want(q))
     if d == 1:  # the two routes differ in the last bits, so the check tells them apart
         assert not np.array_equal(_grid_field_1d(V, y, w)(q), _exact_field(V, y, w)(q))
 
@@ -189,8 +187,10 @@ def test_frozen_field_grids_only_large_one_dimensional_clouds(size, d, gridded):
 def test_vlasov_free_streaming_is_exact():
     cloud = sample_gaussian_cloud(64, 2, seed=3)
     out = vlasov_advance(cloud, make_gaussian_potential(0.0, 1.0, 2), 0.05, 10)
-    np.testing.assert_allclose(out.x, cloud.x + 0.5 * cloud.xi, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(out.xi, cloud.xi, rtol=0, atol=0)
+    np.testing.assert_allclose(
+        out.positions, cloud.positions + 0.5 * cloud.momenta, rtol=1e-13, atol=1e-13
+    )
+    np.testing.assert_allclose(out.momenta, cloud.momenta, rtol=0, atol=0)
     assert out.time == pytest.approx(0.5)
 
 
@@ -217,45 +217,35 @@ def test_diagonal_ensemble_starts_at_zero_dobrushin():
 def test_coupled_flow_zero_potential_stays_diagonal():
     ref = sample_gaussian_cloud(128, 1, seed=7)
     ens = diagonal_ensemble(8, 4, ref, seed=8)
-    ens, ref2, times, dvals = run_coupled_trajectory(ens, ref, FLAT, 0.05, 10)
+    ens, times, dvals = run_coupled_trajectory(ens, FLAT, 0.05, 10)
     np.testing.assert_allclose(dvals, 0.0, atol=0.0)
     assert times[-1] == pytest.approx(0.5)
-
-
-def test_coupled_flow_time_alignment_guard():
-    ref = sample_gaussian_cloud(64, 1, seed=9)
-    ens = diagonal_ensemble(4, 2, ref, seed=10)
-    stale = VlasovCloud(ref.points, time=1.0)
-    with pytest.raises(RuntimeError):
-        coupled_advance(ens, stale, GAUSS, 0.05)
 
 
 def test_dobrushin_functional_hand_value():
     X, Xi = np.array([[[0.0], [1.0]]]), np.array([[[0.0], [0.0]]])
     Y, H = np.array([[[1.0], [1.0]]]), np.array([[[0.0], [2.0]]])
     ref = sample_gaussian_cloud(8, 1, seed=11)
-    ens = CoupledEnsemble(X, Xi, Y, H, ref.points, 0)
+    ens = CoupledEnsemble(X, Xi, Y, H, ref)
     # (1/2)(|0-1|^2 + |1-1|^2) + (1/2)(|0-0|^2 + |0-2|^2) = 1/2 + 2
     assert dobrushin_functional(ens, 2.0) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_moment_p_hand_value():
-    from mflab.transport import DiscreteMeasure
-
-    pts = np.array([[2.0, 0.0], [0.0, 3.0]])  # (x, xi) pairs in d = 1
-    cloud = VlasovCloud(DiscreteMeasure.equal_weights(pts), 0.0)
+    cloud = PhaseState(np.array([[2.0], [0.0]]), np.array([[0.0], [3.0]]))  # d = 1
     assert moment_p(cloud, 2.0) == pytest.approx(0.5 * 4.0 + 0.5 * 9.0, rel=1e-14)
 
 
 def test_samplers_deterministic_and_shaped():
     a = sample_gaussian_cloud(32, 2, seed=12)
     b = sample_gaussian_cloud(32, 2, seed=12)
-    np.testing.assert_array_equal(a.points.points, b.points.points)
-    assert a.size == 32 and a.d == 2
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.momenta, b.momenta)
+    assert a.size == 32 and a.d == 2 and a.time == 0.0
     # x, then xi: each a block of standard normals from the seed's stream
     rng = np.random.default_rng(12)
-    np.testing.assert_array_equal(a.x, rng.standard_normal((32, 2)))
-    np.testing.assert_array_equal(a.xi, rng.standard_normal((32, 2)))
+    np.testing.assert_array_equal(a.positions, rng.standard_normal((32, 2)))
+    np.testing.assert_array_equal(a.momenta, rng.standard_normal((32, 2)))
 
 
 def test_coupled_trajectory_seeds_reproducible():
@@ -263,15 +253,16 @@ def test_coupled_trajectory_seeds_reproducible():
     out = []
     for _ in range(2):
         ens = diagonal_ensemble(8, 4, ref, seed=15)
-        _, _, _, dvals = run_coupled_trajectory(ens, ref, GAUSS, 0.05, 6)
+        _, _, dvals = run_coupled_trajectory(ens, GAUSS, 0.05, 6)
         out.append(dvals)
     np.testing.assert_array_equal(out[0], out[1])
     assert out[0][-1] > 0  # interacting flow actually separates the sides
 
 
-def _advance_without_reuse(ens, ref, V, dt):
+def _advance_without_reuse(ens, V, dt):
     # oracle: the coupled step with both N-body half-kicks evaluated afresh
-    field = _frozen_field(V, ref)
+    ref = ens.reference
+    field = _frozen_field(V, ref.positions)
 
     def step(x, xi, f):
         xi_half = xi + 0.5 * dt * f(x)
@@ -280,9 +271,8 @@ def _advance_without_reuse(ens, ref, V, dt):
 
     X, Xi = step(ens.X, ens.Xi, field)
     Y, H = step(ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos))
-    rx, rxi = step(ref.x, ref.xi, field)
-    ref_meas = DiscreteMeasure(np.hstack([rx, rxi]), ref.points.weights)
-    return CoupledEnsemble(X, Xi, Y, H, ref_meas, ens.rng_seed, ens.time + dt)
+    rx, rxi = step(ref.positions, ref.momenta, field)
+    return CoupledEnsemble(X, Xi, Y, H, PhaseState(rx, rxi, ref.time + dt))
 
 
 @pytest.mark.parametrize("N, d", [(5, 1), (3, 2)])
@@ -290,26 +280,39 @@ def test_coupled_force_reuse_matches_fresh_force_oracle(N, d):
     V = make_gaussian_potential(1.0, 0.8, d)
     ref0 = sample_gaussian_cloud(64, d, seed=16)
     ens = oracle = diagonal_ensemble(6, N, ref0, seed=17)
-    ref = ref_o = ref0
     for _ in range(12):
-        ens = coupled_advance(ens, ref, V, 0.05)
-        oracle = _advance_without_reuse(oracle, ref_o, V, 0.05)
-        ref, ref_o = ens.reference_as_cloud(), oracle.reference_as_cloud()
+        ens = coupled_advance(ens, V, 0.05)
+        oracle = _advance_without_reuse(oracle, V, 0.05)
         for a in ("X", "Xi", "Y", "H"):
             np.testing.assert_array_equal(getattr(ens, a), getattr(oracle, a))
         np.testing.assert_array_equal(ens.force, _nbody_force_batch(V, ens.Y))
         assert ens.force_potential is V
-    np.testing.assert_array_equal(ref.points.points, ref_o.points.points)
+    np.testing.assert_array_equal(ens.reference.positions, oracle.reference.positions)
+    np.testing.assert_array_equal(ens.reference.momenta, oracle.reference.momenta)
+    assert ens.time == oracle.time
     assert dobrushin_functional(ens, 2.0) > 0  # the sides did separate
+
+
+@pytest.mark.parametrize("M, d", [(64, 2), (1024, 1)])  # exact, then gridded field
+def test_coupled_reference_is_the_vlasov_flow(M, d):
+    # the reference inside the coupled step is one vlasov_advance step, bit for bit
+    V = make_gaussian_potential(1.0, 0.8, d)
+    ens = diagonal_ensemble(4, 3, sample_gaussian_cloud(M, d, seed=25), seed=26)
+    for _ in range(3):
+        want = vlasov_advance(ens.reference, V, 0.05, 1)
+        ens = coupled_advance(ens, V, 0.05)
+        np.testing.assert_array_equal(ens.reference.positions, want.positions)
+        np.testing.assert_array_equal(ens.reference.momenta, want.momenta)
+        assert ens.time == want.time
+    assert not np.array_equal(ens.reference.momenta, sample_gaussian_cloud(M, d, seed=25).momenta)
 
 
 def test_coupled_force_is_recomputed_for_another_potential():
     weak, strong = make_gaussian_potential(0.1, 1.0, 1), make_gaussian_potential(2.0, 0.5, 1)
     ref = sample_gaussian_cloud(64, 1, seed=18)
-    ens = coupled_advance(diagonal_ensemble(4, 5, ref, seed=19), ref, weak, 0.05)
-    ref = ens.reference_as_cloud()
-    out = coupled_advance(ens, ref, strong, 0.05)
-    expected = _advance_without_reuse(ens, ref, strong, 0.05)
+    ens = coupled_advance(diagonal_ensemble(4, 5, ref, seed=19), weak, 0.05)
+    out = coupled_advance(ens, strong, 0.05)
+    expected = _advance_without_reuse(ens, strong, 0.05)
     np.testing.assert_array_equal(out.H, expected.H)
     np.testing.assert_array_equal(out.Y, expected.Y)
     assert out.force_potential is strong
@@ -319,8 +322,8 @@ def test_coupled_ensemble_rejects_bad_arrays():
     ref = sample_gaussian_cloud(8, 1, seed=20)
     z = np.zeros((2, 3, 1))
     with pytest.raises(ValueError):
-        CoupledEnsemble(z, z, z, np.zeros((2, 4, 1)), ref.points, 0)
+        CoupledEnsemble(z, z, z, np.zeros((2, 4, 1)), ref)
     with pytest.raises(ValueError):
-        CoupledEnsemble(z[0], z[0], z[0], z[0], ref.points, 0)
+        CoupledEnsemble(z[0], z[0], z[0], z[0], ref)
     with pytest.raises(ValueError):
-        CoupledEnsemble(z, z, z + np.nan, z, ref.points, 0)
+        CoupledEnsemble(z, z, z + np.nan, z, ref)

@@ -407,6 +407,7 @@ BAD_KNOBS = {
     "ot-selftest": [
         ("n_clouds", "x"),
         ("max_support", 1),
+        ("max_support", 14),
         ("dims", ["x"]),
         ("p", "2"),
         ("seed", True, "seed: must be a nonnegative integer"),
@@ -458,6 +459,11 @@ def test_validate_numeric_knobs(tmp_path, capsys, experiment):
         want = said[0] if said else f"{key}: {value!r} must be"
         assert f"config error: {want}" in capsys.readouterr().err, (key, value)
     assert validate_config({"experiment": experiment}) == []
+
+
+def test_validate_ot_selftest_max_support_upper_end():
+    # the top of the range the permutation oracle can enumerate
+    assert validate_config({"experiment": "ot-selftest", "max_support": 9}) == []
 
 
 def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path, monkeypatch):
@@ -819,6 +825,33 @@ def test_cli_run_rejects_unusable_seed_and_out_overrides(tmp_path, capsys, monke
     monkeypatch.setattr("mflab.cli.run_experiment", never_run)
     assert main(["run", cfg_path, "--out", str(tmp_path / "afile" / "sub")]) == 64
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_cli_run_makes_the_checkpoint_directory_before_the_run(tmp_path, capsys, monkeypatch):
+    raw = {
+        "experiment": "quantum-dobrushin",
+        "grid_points": 64,
+        "t_final": 0.04,
+        "n_times": 3,
+        "epsilon": [0.5],
+        "checkpoint": str(tmp_path / "no" / "such" / "dir" / "ck"),
+    }
+    path = _write_cfg(tmp_path, raw)
+    assert main(["run", path, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "no" / "such" / "dir" / "ck.eps0.5.mflabst").is_file()
+    # a directory that cannot be made ends the run before the experiment starts
+    (tmp_path / "afile").write_text("")
+    path = _write_cfg(tmp_path, dict(raw, checkpoint=str(tmp_path / "afile" / "dir" / "ck")))
+    assert main(["validate", path]) == 0
+
+    def never_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before its checkpoint directory was made")
+
+    monkeypatch.setattr("mflab.cli.run_experiment", never_run)
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "r2")]) == 64
+    assert "cannot create checkpoint directory" in capsys.readouterr().err
+    assert not (tmp_path / "r2" / "quantum-dobrushin.jsonl").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from mflab.quantum import (
     GuardBandError,
     WaveFunction,
     check_guard_band,
-    coherent_product_state,
     coherent_state,
     coupling_to_factored_mixture,
     factored_coupled_advance,
@@ -200,8 +199,7 @@ def test_hartree_energy_drift_is_second_order():
 
 def test_partial_trace_product_state():
     grid = GridSpec(1, 2, 32, 5.0, 0.5)
-    atom = np.array([0.3, 0.3, -0.2, -0.2])  # (q1, q2, p1, p2)
-    psi = coherent_product_state(grid, atom)
+    psi = coherent_state(grid, [0.3, 0.3], [-0.2, -0.2])
     rho1 = partial_trace(psi, 1)
     phi = coherent_state(GridSpec(1, 1, 32, 5.0, 0.5), 0.3, -0.2)
     expected = state_density_matrix(phi)
@@ -213,8 +211,8 @@ def test_partial_trace_bell_like_eigenvalues():
     # (phi_a x phi_b + phi_b x phi_a)/sqrt(2): marginal eigenvalues (1/2, 1/2)
     # up to the coherent overlap e^{-|dz|^2/(4 eps)}
     grid = GridSpec(1, 2, 32, 5.0, 0.5)
-    a = coherent_product_state(grid, np.array([1.2, -1.2, 0.0, 0.0]))
-    b = coherent_product_state(grid, np.array([-1.2, 1.2, 0.0, 0.0]))
+    a = coherent_state(grid, [1.2, -1.2], [0.0, 0.0])
+    b = coherent_state(grid, [-1.2, 1.2], [0.0, 0.0])
     vals = a.values + b.values
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * grid.h**2)
     rho1 = partial_trace(WaveFunction(grid, vals), 1)
@@ -227,7 +225,7 @@ def test_partial_trace_bell_like_eigenvalues():
 
 def test_partial_trace_memory_cap(monkeypatch):
     grid = GridSpec(1, 2, 32, 5.0, 0.5)
-    psi = coherent_product_state(grid, np.array([0.0, 0.0, 0.0, 0.0]))
+    psi = coherent_state(grid, [0.0, 0.0], [0.0, 0.0])
     monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", "4096")
     with pytest.raises(ResourceCapError):
         partial_trace(psi, 1)
@@ -235,8 +233,8 @@ def test_partial_trace_memory_cap(monkeypatch):
 
 def test_permute_particles_product_structure():
     grid = GridSpec(1, 2, 32, 5.0, 0.5)
-    ab = coherent_product_state(grid, np.array([0.8, -0.5, 0.1, 0.3]))
-    ba = coherent_product_state(grid, np.array([-0.5, 0.8, 0.3, 0.1]))
+    ab = coherent_state(grid, [0.8, -0.5], [0.1, 0.3])
+    ba = coherent_state(grid, [-0.5, 0.8], [0.3, 0.1])
     swapped = oracle.permute_particles(ab, [1, 0])
     np.testing.assert_allclose(swapped.values, ba.values, atol=1e-13)
     back = oracle.permute_particles(swapped, [1, 0])
@@ -248,7 +246,7 @@ def _coupled_pair(base, atom, V, n_steps, dt=0.02):
     (factored state, doubled oracle state, reference state)."""
     N = len(atom) // 4
     [(_, state)] = coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1)))
-    phi = coherent_product_state(oracle.doubled(base, N), atom)
+    phi = coherent_state(oracle.doubled(base, N), atom[: 2 * N], atom[2 * N :])
     ref = ref_d = coherent_state(base, atom[0], atom[len(atom) // 2])
     for _ in range(n_steps):
         state, ref = factored_coupled_advance(state, ref, V, dt)
@@ -363,7 +361,7 @@ def test_factored_runner_checkpoint_is_the_doubled_state(tmp_path):
     loaded = load_state(f"{ckpt}.eps0.5.mflabst")
 
     base = GridSpec(1, 1, 64, 8.0, 0.5)
-    psi = coherent_product_state(oracle.doubled(base, 1), np.array([q0, q0, p0, p0]))
+    psi = coherent_state(oracle.doubled(base, 1), [q0, q0], [p0, p0])
     ref = coherent_state(base, q0, p0)
     for _ in range(3):
         psi, ref = coupled_quantum_advance(psi, ref, GAUSS, dt)

@@ -13,7 +13,6 @@ from mflab.quantum.metrics import state_density_matrix
 from mflab.quantum.phase_space import (
     PhaseSpaceFunction,
     SymbolMeasure,
-    coherent_product_state,
     coherent_state,
     husimi_transform,
     husimi_values,
@@ -89,15 +88,18 @@ def test_coherent_overlap_closed_form():
 
 
 def test_coherent_product_state_single_factor_matches():
+    # on a one-axis grid a scalar centre is the one-entry list
     psi = coherent_state(GRID, 0.5, -0.1)
-    phi = coherent_product_state(GRID, np.array([0.5, -0.1]))
-    assert np.allclose(psi.values, phi.values, atol=1e-14)
+    phi = coherent_state(GRID, [0.5], [-0.1])
+    np.testing.assert_array_equal(psi.values, phi.values)
+    grid2 = GridSpec(d=1, n_particles=2, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
+    with pytest.raises(ValueError):
+        coherent_state(grid2, 0.5, -0.1)  # one entry per axis
 
 
 def test_coherent_product_state_two_factors():
     grid2 = GridSpec(d=1, n_particles=2, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
-    atom = np.array([0.4, -0.3, 0.1, 0.2])  # (q1, q2, p1, p2)
-    phi = coherent_product_state(grid2, atom)
+    phi = coherent_state(grid2, [0.4, -0.3], [0.1, 0.2])
     g1 = GridSpec(d=1, n_particles=1, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
     a = coherent_state(g1, 0.4, 0.1).values
     b = coherent_state(g1, -0.3, 0.2).values
@@ -160,7 +162,7 @@ def test_wigner_superposition_goes_negative():
 
 def test_wigner_rejects_multiparticle():
     grid2 = GridSpec(d=1, n_particles=2, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
-    phi = coherent_product_state(grid2, np.array([0.0, 0.0, 0.0, 0.0]))
+    phi = coherent_state(grid2, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(NotImplementedError):
         wigner_transform(state_density_matrix(phi))
 
@@ -313,7 +315,7 @@ def test_toeplitz_operator_matches_per_atom_oracle():
         w = rng.dirichlet(np.ones(k))
         oracle = np.zeros((grid.points_per_axis**grid.n_axes,) * 2, dtype=complex)
         for wm, atom in zip(w, atoms):
-            phi = coherent_product_state(grid, atom).values.ravel()
+            phi = coherent_state(grid, atom[: grid.n_axes], atom[grid.n_axes :]).values.ravel()
             oracle += wm * np.outer(phi, phi.conj())
         got = toeplitz_operator(grid, _symbol(atoms, w)).matrix
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
