@@ -16,7 +16,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .convolution import offset_convolution
-from .potentials import Potential
+from .potentials import PAIR_BLOCK, Potential
 
 __all__ = [
     "BoundReport",
@@ -201,17 +201,22 @@ def combineq_mc(
     the Monte-Carlo stderr.  Samples x_1 outside [-quad_span, quad_span]
     get the same trapezoid sum evaluated directly.  The estimate is chunked
     with independent child streams, so results do not depend on chunk
-    scheduling.
+    scheduling; within a chunk the empirical sums run in blocks of at most
+    PAIR_BLOCK offsets, each sample's sum in one reduction.
     """
     conv = _tabulated_convolution(field, dist, quad_span, quad_points)
     children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
+    rows = max(1, PAIR_BLOCK // N)  # samples per block of the empirical sums
     values = np.empty(n_mc)
     done = 0
     for ss in children:
         size = min(4096, n_mc - done)
         rng = np.random.default_rng(ss)
         X = dist.rvs(size=(size, N), random_state=rng)
-        emp = field((X[:, :1] - X).ravel()).reshape(size, N).mean(axis=1)
+        emp = np.empty(size)
+        for r in range(0, size, rows):
+            block = X[r : r + rows]
+            emp[r : r + rows] = field((block[:, :1] - block).ravel()).reshape(-1, N).mean(axis=1)
         values[done : done + size] = np.abs(conv(X[:, 0]) - emp) ** p
         done += size
     mean = float(values.mean())

@@ -18,14 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .convolution import offset_convolution
-from .potentials import Potential
+from .potentials import PAIR_BLOCK, Potential
 
 Array = np.ndarray
-
-# Pair terms per block of the pair-sum kernels below: 2 MiB per float64
-# temporary in d = 1, so the temporaries stay in cache and the allocator
-# reuses them instead of mapping and zeroing fresh pages on every call.
-PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)

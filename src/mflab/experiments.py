@@ -154,6 +154,73 @@ def _potential_diagnostics(pot, exp) -> list:
     return diags
 
 
+def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set) -> list:
+    """The potential's certified constants, the growth rate of the runner's
+    bounds and the largest bound it evaluates, each checked finite: a
+    constant that overflows certifies nothing, and the run would end in an
+    arithmetic error or a row that cannot be written.  `pot` has passed
+    `_potential_diagnostics`; a check whose parameters are in `bad` is
+    skipped."""
+    try:
+        V = make_potential(pot)
+    except ValueError as err:
+        return [f"potential: {err}"]
+
+    def ok(*keys):
+        return bad.isdisjoint(keys)
+
+    lip = V.lip_grad
+    checks = []  # (what, thunk of its value), the growth rate first
+    if exp == "classical-dobrushin" and ok("p", "N", "times"):
+        p, N, t = params["p"], min(_as_list(params["N"])), _sample_times(params)[-1]
+        checks = [
+            (
+                f"Lambda_p = 2 K_p (1 + 2^(p-1) Lip(grad V)^p) at p={p}",
+                lambda: bounds.lambda_p_constant(p, lip),
+            ),
+            (
+                f"the coupling bound at p={p}, N={N}, t={t}",
+                lambda: bounds.classical_rhs(V, p, N, 1, t),
+            ),
+        ]
+    elif exp == "quantum-dobrushin" and ok("epsilon", "n_particles", "t_final"):
+        eps, N, t = max(_as_list(params["epsilon"])), params["n_particles"], params["t_final"]
+        checks = [
+            ("Lambda = 3 + 4 Lip(grad V)^2", lambda: bounds.lambda_constant(lip)),
+            (
+                f"the factorized bound at epsilon={eps}, t={t}",
+                lambda: bounds.quantum_rhs("factorized", V, eps, N, 1, t),
+            ),
+        ]
+    elif exp == "combineq" and ok("p", "N"):
+        p, N = params["p"], min(_as_list(params["N"]))
+        checks = [
+            (
+                f"the general constant at p={p}, N={N}",
+                lambda: bounds.combineq_rhs(V.sup_grad, p, N),
+            )
+        ]
+    elif exp == "vlasov-moments" and ok("p", "times"):
+        p, t = params["p"], _sample_times(params)[-1]
+        checks = [
+            (
+                f"the moment growth factor e^((p-1)(1 + 2 Lip(grad V)) t) at p={p}, t={t}",
+                lambda: bounds.moment_rhs(1.0, p, lip, t),
+            )
+        ]
+    for what, value in checks:
+        try:
+            value = value()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            return [
+                f"potential: {what} is not finite, with sup_grad = {V.sup_grad} "
+                f"and lip_grad = {lip}"
+            ]
+    return []
+
+
 def _power_of_two(n) -> bool:
     """The grid sizes `GridSpec` accepts: integer powers of two >= 2."""
     return _is_int(n) and n >= 2 and n & (n - 1) == 0
@@ -223,7 +290,7 @@ PARAMS = {
         "reference_size": (4096, *_int_at_least(2)),
         "dt": (0.025, *_POSITIVE),
         "times": ([0.25, 0.5, 1.0], *_SAMPLE_TIMES),
-        "repeats": (256, *_int_at_least(1)),
+        "repeats": (256, *_int_at_least(2)),
         "w2_tolerance": (2e-3, *_number_at_least(0)),
         "slope_tolerance": (0.15, *_number_at_least(0)),
     },
@@ -446,7 +513,8 @@ def validate_config(raw: dict) -> list:
         diags.append(
             f"experiment: unknown id {exp!r}; expected one of {', '.join(PARAMS)}"
         )
-    diags += _potential_diagnostics(raw.get("potential", {}), exp)
+    pot_diags = _potential_diagnostics(raw.get("potential", {}), exp)
+    diags += pot_diags
     if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
         diags.append("seed: must be a nonnegative integer")
     if "out" in raw and not (raw["out"] is None or isinstance(raw["out"], str)):
@@ -459,7 +527,11 @@ def validate_config(raw: dict) -> list:
     params = _resolve(raw, spec)
     found = {key: _value_diagnostics(key, params[key], *spec[key][1:]) for key in spec}
     diags += [d for key_diags in found.values() for d in key_diags]
-    return diags + _cross_field_diagnostics(exp, params, {key for key in spec if found[key]})
+    bad = {key for key in spec if found[key]}
+    diags += _cross_field_diagnostics(exp, params, bad)
+    if not pot_diags:
+        diags += _constant_diagnostics(exp, raw.get("potential", {}), params, bad)
+    return diags
 
 
 def build_config(raw: dict) -> ExperimentConfig:

@@ -8,12 +8,24 @@ audits them against dense random sampling of the gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
+
+# Pair terms per block of the pair-sum kernels that call `Potential.grad`
+# (the N-body force, the exact mean field, the Monte-Carlo consistency sum):
+# 256 KiB per float64 temporary in d = 1.  Such a kernel holds three or four
+# of them at once, which together fit the 2 MiB L2 cache of one core of the
+# 2-core x86 VM this was sized on, and the allocator hands the same blocks
+# back from its heap on every call.  Measured there, one N-body force at
+# M = 32, N = 256 took 12.5 ms and no minor page faults at 2^15 pairs; at
+# 2^16 and up every call mapped its temporaries afresh (7,296 faults at
+# 2^16, 8,448 and 29.4 ms at 2^18), and 2^14 or fewer only added loop trips.
+PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -23,7 +35,8 @@ class Potential:
     ``eval`` maps (..., d) -> (...,) and ``grad`` maps (..., d) -> (..., d),
     both vectorized over leading axes.  ``sup_grad`` bounds |grad V|,
     ``lip_grad`` bounds the spectral norm of the Hessian, ``sup_abs``
-    bounds |V|.  Instances are immutable and safe to share across workers.
+    bounds |V|; all three must be finite.  Instances are immutable and safe
+    to share across workers.
     """
 
     name: str
@@ -33,6 +46,18 @@ class Potential:
     sup_grad: float
     lip_grad: float
     sup_abs: float
+
+    def __post_init__(self):
+        bad = [
+            key
+            for key in ("sup_grad", "lip_grad", "sup_abs")
+            if not math.isfinite(getattr(self, key))
+        ]
+        if bad:
+            raise ValueError(
+                f"certified constants of the {self.name} potential are not finite: "
+                + ", ".join(f"{key} = {getattr(self, key)}" for key in bad)
+            )
 
     def __call__(self, z):
         return self.eval(np.asarray(z, dtype=float))
@@ -82,7 +107,7 @@ def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential
         eval=_eval,
         grad=_grad,
         sup_grad=a * float(np.exp(-0.5)) / float(width),
-        lip_grad=a / w2,
+        lip_grad=a / w2 if w2 else math.inf,  # width^2 underflows to 0
         sup_abs=a,
     )
 

@@ -103,7 +103,9 @@ class SinkhornResult(NamedTuple):
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
-    return cdist(mu.points, nu.points) ** p
+    C = cdist(mu.points, nu.points)
+    C **= p  # in place: one n x n array per solve, not two
+    return C
 
 
 def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from mflab.bounds import (
     read_reports_jsonl,
     write_reports_jsonl,
 )
-from mflab.potentials import make_cosine_potential, make_gaussian_potential
+from mflab.potentials import PAIR_BLOCK, make_cosine_potential, make_gaussian_potential
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)  # sup_grad = e^{-1/2}, lip_grad = 1
 
@@ -223,6 +223,26 @@ def test_combineq_mc_deterministic():
     a = combineq_mc(field, dist, 2.0, 4, 5000, seed=7)
     b = combineq_mc(field, dist, 2.0, 4, 5000, seed=7)
     assert a == b
+
+
+def test_combineq_mc_row_blocks_match_the_unblocked_sum():
+    # N = 48 gives blocks of 682 samples: the first 4096-sample chunk ends in
+    # a block of 4, and the second chunk of 904 samples in one of 222
+    from mflab.bounds import _tabulated_convolution
+
+    field, dist, N, n_mc, seed = _field_of(GAUSS), StandardNormal(), 48, 5000, 17
+    rows = PAIR_BLOCK // N
+    assert rows < 4096 and 4096 % rows and (n_mc - 4096) % rows
+    conv = _tabulated_convolution(field, dist, 12.0, 4097)
+    values = []
+    for ss in np.random.SeedSequence(seed).spawn(2):
+        size = min(4096, n_mc - len(values))
+        X = dist.rvs(size=(size, N), random_state=np.random.default_rng(ss))
+        emp = field((X[:, :1] - X).ravel()).reshape(size, N).mean(axis=1)
+        values.extend(np.abs(conv(X[:, 0]) - emp) ** 2.0)
+    values = np.array(values)
+    oracle = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_mc)))
+    assert combineq_mc(field, dist, 2.0, N, n_mc, seed) == oracle
 
 
 def _brute_convolution(field, dist, x, quad_span, quad_points):

@@ -1,11 +1,11 @@
 """Particle dynamics: Verlet oracles, forces, coupled flow, functionals."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mflab.classical import (
-    PAIR_BLOCK,
     CoupledEnsemble,
     PhaseState,
     _exact_field,
@@ -22,7 +22,7 @@ from mflab.classical import (
     verlet_step,
     vlasov_advance,
 )
-from mflab.potentials import make_cosine_potential, make_gaussian_potential
+from mflab.potentials import PAIR_BLOCK, make_cosine_potential, make_gaussian_potential
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)
 FLAT = make_gaussian_potential(0.0, 1.0, 1)
@@ -131,9 +131,9 @@ def _potential(family, d):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("M, N", [(150, 64), (3, 600)])
 def test_nbody_force_blocks_match_unblocked_oracle(family, d, M, N):
-    if N * N <= PAIR_BLOCK:  # whole samples per block, and a short last block
+    if N * N <= PAIR_BLOCK:  # whole samples per block (8), and a short last block
         assert M % (PAIR_BLOCK // (N * N))
-    else:  # row blocks within each sample, and a short last one
+    else:  # row blocks within each sample (54 rows), and a short last one
         assert N % (PAIR_BLOCK // N)
     V = _potential(family, d)
     X = np.random.default_rng(21).normal(scale=1.5, size=(M, N, d))
@@ -144,14 +144,30 @@ def test_nbody_force_blocks_match_unblocked_oracle(family, d, M, N):
 @pytest.mark.parametrize("family", ["gaussian", "cosine"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_exact_field_blocks_match_unblocked_oracle(family, d):
-    # 5000 sources give blocks of 52 queries, which 130 queries do not fill
+    # 5000 sources give blocks of 6 queries: 130 queries fill 21 of them
+    # and leave a short last block of 4
     rng = np.random.default_rng(22)
     V = _potential(family, d)
     y, q = rng.normal(size=(5000, d)), rng.normal(scale=2.0, size=(130, d))
     w = rng.dirichlet(np.ones(len(y)))
-    assert len(q) % (PAIR_BLOCK // len(y))
+    assert PAIR_BLOCK // len(y) == 6 and len(q) % 6 == 4
     oracle = -np.sum(w[:, None] * V.grad(q[:, None, :] - y[None, :, :]), axis=1)
     np.testing.assert_array_equal(_exact_field(V, y, w)(q), oracle)
+
+
+def test_nbody_force_peak_memory_stays_within_the_pair_budget():
+    # at the benchmark's shape every temporary is one row block of PAIR_BLOCK
+    # pair terms, and the kernel holds at most four of them beside its output
+    X = np.random.default_rng(23).normal(size=(32, 256, 1))
+    _nbody_force_batch(GAUSS, X)
+    tracemalloc.start()
+    try:
+        out = _nbody_force_batch(GAUSS, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * PAIR_BLOCK * 8
+    assert 4 * PAIR_BLOCK * 8 <= 2**20  # four temporaries in half a 2 MiB L2
 
 
 def test_mean_field_force_single_point_cloud():

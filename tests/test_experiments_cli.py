@@ -419,6 +419,7 @@ BAD_KNOBS = {
         ("samples", 1),
         ("reference_size", "x"),
         ("repeats", "x"),
+        ("repeats", 1),
         ("w2_tolerance", None),
         ("reference_size", 10),
         ("sample", 32, "sample: not a parameter of classical-dobrushin"),
@@ -459,6 +460,48 @@ def test_validate_numeric_knobs(tmp_path, capsys, experiment):
         want = said[0] if said else f"{key}: {value!r} must be"
         assert f"config error: {want}" in capsys.readouterr().err, (key, value)
     assert validate_config({"experiment": experiment}) == []
+
+
+def test_validate_classical_dobrushin_needs_two_repeats():
+    # one repeat has no spread, so its marginal row would have stderr 0
+    assert validate_config({"experiment": "classical-dobrushin", "repeats": 2}) == []
+
+
+def _rejected(tmp_path, capsys, raw, said):
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+    assert f"config error: potential: {said}" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_width_whose_lipschitz_constant_is_not_finite(tmp_path, capsys):
+    raw = {"experiment": "classical-dobrushin", "potential": {"width": 1e-300}}
+    _rejected(tmp_path, capsys, raw, "certified constants of the gaussian potential")
+
+
+def test_validate_rejects_an_amplitude_whose_growth_rate_overflows(tmp_path, capsys):
+    raw = {"experiment": "quantum-dobrushin", "potential": {"amplitude": 1e300}}
+    _rejected(tmp_path, capsys, raw, "Lambda = 3 + 4 Lip(grad V)^2 is not finite")
+
+
+def test_validate_rejects_an_exponent_whose_growth_rate_overflows(tmp_path, capsys):
+    raw = {"experiment": "classical-dobrushin", "p": 1e6}
+    _rejected(tmp_path, capsys, raw, "Lambda_p = 2 K_p (1 + 2^(p-1) Lip(grad V)^p) at p=1000000.0")
+
+
+@pytest.mark.parametrize(
+    "raw, said",
+    [
+        # finite rates whose bounds overflow: e^(Lambda_p t), (2 sup_grad)^p and
+        # the moment growth factor
+        ({"experiment": "classical-dobrushin", "p": 1000}, "the coupling bound at p=1000"),
+        ({"experiment": "combineq", "p": 1e4}, "the general constant at p=10000.0"),
+        ({"experiment": "vlasov-moments", "p": 1e4}, "the moment growth factor"),
+    ],
+)
+def test_validate_rejects_a_bound_that_overflows(tmp_path, capsys, raw, said):
+    _rejected(tmp_path, capsys, raw, said)
+    assert validate_config(dict(raw, p=2.0)) == []
 
 
 def test_validate_ot_selftest_max_support_upper_end():

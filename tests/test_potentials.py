@@ -173,3 +173,10 @@ def test_constructor_rejections():
         make_gaussian_potential(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         make_cosine_potential(1.0, [1.0, 0.0], d=1)
+    # certified constants that are not finite certify nothing
+    with pytest.raises(ValueError, match="lip_grad = inf"):
+        make_gaussian_potential(1.0, 1e-300, 1)  # width^2 underflows to 0
+    with pytest.raises(ValueError, match="sup_grad = inf, lip_grad = inf"):
+        make_gaussian_potential(1e300, 1e-10, 1)
+    with pytest.raises(ValueError, match="sup_abs = inf"):
+        make_cosine_potential(float("inf"), [0.0], d=1)
