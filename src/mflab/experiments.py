@@ -154,13 +154,13 @@ def _potential_diagnostics(pot, exp) -> list:
     return diags
 
 
-def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set) -> list:
+def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set, seed) -> list:
     """The potential's certified constants, the growth rate of the runner's
     bounds and the largest bound it evaluates, each checked finite: a
     constant that overflows certifies nothing, and the run would end in an
     arithmetic error or a row that cannot be written.  `pot` has passed
-    `_potential_diagnostics`; a check whose parameters are in `bad` is
-    skipped."""
+    `_potential_diagnostics`; a check whose parameters are in `bad`, or that
+    needs a `seed` that is None (not valid), is skipped."""
     try:
         V = make_potential(pot)
     except ValueError as err:
@@ -200,19 +200,26 @@ def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set) -> list:
                 lambda: bounds.combineq_rhs(V.sup_grad, p, N),
             )
         ]
-    elif exp == "vlasov-moments" and ok("p", "times"):
+    elif exp == "vlasov-moments" and seed is not None and ok("p", "times", "cloud_size"):
         p, t = params["p"], _sample_times(params)[-1]
+
+        def moment_bound():  # M0 of the runner's own deterministic initial cloud
+            cloud = sample_gaussian_cloud(int(params["cloud_size"]), V.dim, seed)
+            with np.errstate(over="ignore"):
+                return bounds.moment_rhs(float(point_moments(cloud, float(p)).mean()), p, lip, t)
+
+        rate = f"e^((p-1)(1 + 2 Lip(grad V)) t) at p={p}, t={t}"
         checks = [
-            (
-                f"the moment growth factor e^((p-1)(1 + 2 Lip(grad V)) t) at p={p}, t={t}",
-                lambda: bounds.moment_rhs(1.0, p, lip, t),
-            )
+            (f"the moment growth factor {rate}", lambda: bounds.moment_rhs(1.0, p, lip, t)),
+            (f"the moment bound M0 {rate}, M0 from the runner's initial cloud", moment_bound),
         ]
     for what, value in checks:
         try:
             value = value()
         except OverflowError:
             value = math.inf
+        except MemoryError:
+            continue  # a cloud too large to draw: the run ends in exit 3 on it
         if not math.isfinite(value):
             return [
                 f"potential: {what} is not finite, with sup_grad = {V.sup_grad} "
@@ -415,17 +422,14 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
         except ValueError as err:
             diags.append(str(err))  # no check that needs the cap, no grid built
     if exp == "quantum-dobrushin" and cap is not None and ok("grid_points", "n_particles"):
-        # the runner holds N one-particle X factors and one n^N Y factor; only
-        # a checkpoint builds the doubled n^(2N) state, to save it
+        # the runner holds N one-particle X factors and one n^N Y factor, the
+        # largest array it builds; a checkpoint saves the same factors
         n_pts, n_part = params["grid_points"], params["n_particles"]
-        key, what, axes = "grid_points", "N-body Y factor", n_part
-        if params["checkpoint"] and ok("checkpoint"):
-            key, what, axes = "checkpoint", "the doubled state it saves", 2 * n_part
-        state_bytes = 16 * n_pts**axes
+        state_bytes = 16 * n_pts**n_part
         if state_bytes > cap:
             bad.add("n_particles")  # no centre check on a state that cannot be built
             diags.append(
-                f"{key}: {what} needs 16*{n_pts}^{axes} = "
+                f"grid_points: N-body Y factor needs 16*{n_pts}^{n_part} = "
                 f"{state_bytes} bytes, over the memory cap {cap}"
             )
     if exp == "classical-dobrushin" and ok("N"):
@@ -515,8 +519,10 @@ def validate_config(raw: dict) -> list:
         )
     pot_diags = _potential_diagnostics(raw.get("potential", {}), exp)
     diags += pot_diags
-    if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
+    seed = raw.get("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
         diags.append("seed: must be a nonnegative integer")
+        seed = None
     if "out" in raw and not (raw["out"] is None or isinstance(raw["out"], str)):
         diags.append("out: must be a string or null")
     if exp not in PARAMS:
@@ -530,7 +536,7 @@ def validate_config(raw: dict) -> list:
     bad = {key for key in spec if found[key]}
     diags += _cross_field_diagnostics(exp, params, bad)
     if not pot_diags:
-        diags += _constant_diagnostics(exp, raw.get("potential", {}), params, bad)
+        diags += _constant_diagnostics(exp, raw.get("potential", {}), params, bad, seed)
     return diags
 
 
@@ -1108,6 +1114,11 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Coupling-cost growth and Husimi lower-chain rows per epsilon and
     sample time, then the unitarity row of the coupled evolution.
 
+    A husimi-lower-chain row checks the chain's consistency, not the
+    mean-field error: its lhs is the Husimi W2^2 of the two one-particle
+    marginals minus 2 d eps, and that W2^2 is far below 2 d eps, so the lhs
+    is about -2 d eps at every sample time and sits under any coupling cost.
+
     The lower chain's lattices are built on the sweep thread at each sample
     time and their transport solve is queued on one pool while the
     evolution goes on; the rows are read back in sweep order at the end.
@@ -1130,7 +1141,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         # product symbol with every particle at z0; its diagonal coupling
         # is symmetric, so the symmetrized Toeplitz lift is a single pure
         # coherent product, which the coupled flow keeps a product: it is
-        # evolved and measured as its factors, never as the doubled grid
+        # evolved, measured and saved as its factors
         atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
         symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
         _, plan = wasserstein_exact(symbol, symbol, p=2.0)
@@ -1199,7 +1210,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             )
         )
         if checkpoint:
-            save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1].doubled())
+            save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1])
         return rows
 
     tasks = len(eps_list) * len(schedule)

@@ -10,6 +10,8 @@ because the final phase factor does not change the density.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import fft as sfft
 
@@ -58,8 +60,6 @@ def split_step_nbody(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = psi.grid
-    if grid.doubled:
-        raise ValueError("a coupling evolves as its factors: use factored_coupled_advance")
     if grid.d != 1:
         raise NotImplementedError("quantum propagators are implemented for d = 1")
     _check_kinetic_resolution(grid, dt)
@@ -103,7 +103,7 @@ def hartree_potential(psi: WaveFunction, V: Potential) -> np.ndarray:
     """V_rho(x) = sum_z V(x - z) |psi(z)|^2 h on the grid, by linear
     convolution (no periodic wrap)."""
     grid = psi.grid
-    if grid.n_particles != 1 or grid.d != 1 or grid.doubled:
+    if grid.n_particles != 1 or grid.d != 1:
         raise ValueError("hartree_potential expects a single-particle d = 1 state")
     return _density_potential(np.abs(psi.values) ** 2 * grid.h, grid, V)
 
@@ -119,7 +119,7 @@ def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = psi.grid
-    if grid.n_particles != 1 or grid.d != 1 or grid.doubled:
+    if grid.n_particles != 1 or grid.d != 1:
         raise ValueError("hartree_step expects a single-particle d = 1 state")
     _check_kinetic_resolution(grid, dt)
     eps = grid.epsilon
@@ -144,8 +144,9 @@ def _check_same_axes(a: GridSpec, b: GridSpec) -> None:
 def coupled_quantum_advance(
     R_state: WaveFunction, hartree_ref: WaveFunction, V: Potential, dt: float
 ):
-    """One Strang step of the coupled flow on the whole doubled grid; returns
-    (R_state, hartree_ref) both advanced.
+    """One Strang step of the coupled flow on the coupled state as one array;
+    returns (R_state, hartree_ref) both advanced.  R_state lives on the
+    2N-particle grid GridSpec(d, 2N, ...), X slots first.
 
     The X block feels the Hartree potential of `hartree_ref` (start-of-step
     density for the first half phase, end-of-step density for the second);
@@ -159,11 +160,11 @@ def coupled_quantum_advance(
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = R_state.grid
-    if not grid.doubled:
-        raise ValueError("R_state must live on a doubled grid")
+    if grid.n_particles % 2:
+        raise ValueError("R_state must hold N X slots and N Y slots: an even particle count")
     if grid.d != 1:
         raise NotImplementedError("quantum propagators are implemented for d = 1")
-    N = grid.n_particles
+    N = grid.n_particles // 2
     if N * grid.d > 2:
         raise ResourceCapError("coupled systems are limited to N*d <= 2")
     _check_same_axes(grid, hartree_ref.grid)
@@ -188,8 +189,8 @@ def factored_coupled_advance(
 
     Each X factor takes the mean-field phases of `hartree_ref` (start-of-step
     potential, then end-of-step potential) around a kinetic step; the Y factor
-    takes split_step_nbody, whose pair coefficient dt/(2N eps) is the doubled
-    flow's.  No array larger than the Y factor's n^N is formed."""
+    takes split_step_nbody, whose pair coefficient dt/(2N eps) is the one-array
+    route's.  No array larger than the Y factor's n^N is formed."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     base = state.xs[0].grid
@@ -213,9 +214,10 @@ def factored_coupled_advance(
 def _apply_coupled_half_potential(
     vals: np.ndarray, grid: GridSpec, V: Potential, v_mf: np.ndarray, dt_half: float
 ) -> None:
-    """Half-step potential phases of the doubled flow, in place: mean field on
-    the X axes, pair potential on the Y axes.  Used by the oracle route only."""
-    N = grid.n_particles
+    """Half-step potential phases of the coupled flow on one array, in place:
+    mean field on the X axes, pair potential on the Y axes.  Used by the
+    oracle route only."""
+    N = grid.n_particles // 2
     eps = grid.epsilon
     mf_phase = np.exp(-1j * dt_half * v_mf / eps)
     for k in range(N):
@@ -244,12 +246,4 @@ def partial_trace(psi: WaveFunction, n: int):
         )
     A = psi.values.reshape(dim_keep, -1)
     rho = (A @ A.conj().T) * grid.h ** (d * (total - n))
-    out_grid = GridSpec(
-        d=d,
-        n_particles=n,
-        points_per_axis=grid.points_per_axis,
-        box_half_width=grid.box_half_width,
-        epsilon=grid.epsilon,
-        doubled=False,
-    )
-    return DensityMatrix(out_grid, rho)
+    return DensityMatrix(replace(grid, n_particles=n), rho)

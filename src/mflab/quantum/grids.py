@@ -5,6 +5,10 @@ with a guard band: states are required to keep mass >= 1 - 1e-10 inside half
 the box, so the periodic wrap never sees appreciable amplitude.  Wavefunction
 values are continuum-normalized (sum |psi|^2 h^axes = 1), density matrices are
 continuum kernels (trace = h^axes * sum of the diagonal).
+
+A coupling of two N-particle systems is held as its factors
+(`FactoredCoupling`); the single array it stands for would be a plain state
+on a 2N-particle grid, X slots first, which the package never builds.
 """
 from __future__ import annotations
 
@@ -12,13 +16,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ..errors import ResourceCapError
 
-MAGIC = b"MFLABST1"
+MAGIC = b"MFLABST2"
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 MEMORY_CAP_ENV = "MFLAB_MEMORY_CAP_BYTES"
 GUARD_BAND_TOL = 1e-10
@@ -43,11 +47,9 @@ def memory_cap_bytes() -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a periodic spectral grid.
-
-    `doubled` marks coupled two-copy systems (X_N, Y_N), which square the
-    state size.  The semiclassical parameter epsilon rides along because every
-    transform and propagator needs it.
+    """Geometry of a periodic spectral grid of n_particles particles in d
+    dimensions.  The semiclassical parameter epsilon rides along because
+    every transform and propagator needs it.
     """
 
     d: int
@@ -55,7 +57,6 @@ class GridSpec:
     points_per_axis: int
     box_half_width: float
     epsilon: float
-    doubled: bool = False
 
     def __post_init__(self):
         n = self.points_per_axis
@@ -73,7 +74,7 @@ class GridSpec:
 
     @property
     def n_axes(self) -> int:
-        return self.d * self.n_particles * (2 if self.doubled else 1)
+        return self.d * self.n_particles
 
     @property
     def h(self) -> float:
@@ -121,8 +122,8 @@ class FactoredCoupling:
     evolves, measures and reduces.
 
     The coupled flow keeps a product a product (see factored_coupled_advance),
-    so the n^(2N) doubled-grid array is only built on request by `doubled()`,
-    which checkpoints write.  Slots count X factors first, then y's particles.
+    so the n^(2N) array on the 2N-particle grid is never built; checkpoints
+    save the factors.  Slots count X factors first, then y's particles.
     """
 
     xs: tuple
@@ -131,8 +132,8 @@ class FactoredCoupling:
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(self.xs))
         yg = self.y.grid
-        if yg.doubled or yg.n_particles != len(self.xs):
-            raise ValueError("y must be a plain grid with one particle per X factor")
+        if yg.n_particles != len(self.xs):
+            raise ValueError("y must hold one particle per X factor")
         if any(x.grid != replace(yg, n_particles=1) for x in self.xs):
             raise ValueError("X factors must be single-particle states on y's axes")
 
@@ -144,18 +145,11 @@ class FactoredCoupling:
         return math.prod(f.norm() for f in self.factors)
 
     def guard_band_mass(self) -> float:
-        """guard_band_mass of the doubled state: the product of the factors'."""
+        """guard_band_mass of the coupled state: the product of the factors'."""
         return math.prod(guard_band_mass(f) for f in self.factors)
 
     def check_guard_band(self) -> float:
         return _require_guard_band(self.guard_band_mass())
-
-    def doubled(self) -> WaveFunction:
-        """The doubled-grid state as one array (16 n^(2dN) bytes)."""
-        values = np.ones((), dtype=complex)
-        for f in self.factors:
-            values = np.multiply.outer(values, f.values)
-        return WaveFunction(replace(self.y.grid, doubled=True), values, self.y.time)
 
 
 @dataclass(frozen=True)
@@ -220,47 +214,43 @@ def _require_guard_band(mass: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# binary checkpoint container: MAGIC | uint64 LE header length | JSON header
-# (utf-8) | raw payload, little-endian complex, C order (slowest axis first).
+# binary checkpoint container, version 2: MAGIC | uint64 LE header length |
+# JSON header (utf-8) | payload.  The payload is the coupling's factors in
+# slot order, X factors x_1 .. x_N then the Y factor, each little-endian
+# complex128 in C order (slowest axis first).
 
 
-def save_state(path, psi: WaveFunction, dtype: str = "complex128") -> None:
-    np_dtype = {"complex128": "<c16", "complex64": "<c8"}.get(dtype)
-    if np_dtype is None:
-        raise ValueError("dtype must be complex128 or complex64")
-    g = psi.grid
+def save_state(path, state: FactoredCoupling) -> None:
     header = {
-        "kind": "wavefunction",
-        "dtype": np_dtype,
-        "shape": list(psi.values.shape),
+        "kind": "factored-coupling",
+        "dtype": "<c16",
         "order": "C",
-        "axis_order": "row-major, slowest axis first: x_1 .. x_{dN}"
-        + (" then y_1 .. y_{dN}" if g.doubled else ""),
-        "grid": {
-            "d": g.d,
-            "n_particles": g.n_particles,
-            "points_per_axis": g.points_per_axis,
-            "box_half_width": g.box_half_width,
-            "epsilon": g.epsilon,
-            "doubled": g.doubled,
-        },
-        "time": psi.time,
+        "slots": "x_1 .. x_N (one particle each), then y's particles y_1 .. y_N",
+        "grid": asdict(state.y.grid),
+        "time": state.y.time,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(psi.values).astype(np_dtype).tobytes(order="C"))
+        for f in state.factors:
+            fh.write(f.values.astype("<c16").tobytes(order="C"))
 
 
-def load_state(path) -> WaveFunction:
+def load_state(path) -> FactoredCoupling:
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
+        magic = fh.read(8)
+        if magic == b"MFLABST1":
+            raise ValueError("checkpoint is container version 1 (MFLABST1); this reads version 2")
+        if magic != MAGIC:
             raise ValueError("not an mflab state container")
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    values = np.frombuffer(payload, dtype=header["dtype"]).reshape(header["shape"])
-    grid = GridSpec(**header["grid"])
-    return WaveFunction(grid, values.astype(complex), header["time"])
+        payload = np.frombuffer(fh.read(), dtype="<c16").astype(complex)
+    yg, t = GridSpec(**header["grid"]), header["time"]
+    xg = replace(yg, n_particles=1)
+    # N X factors, then the Y factor; a payload of the wrong length fails a reshape
+    parts = np.split(payload, xg.points_per_axis**xg.n_axes * np.arange(1, yg.n_particles + 1))
+    xs = [WaveFunction(xg, v.reshape(xg.shape()), t) for v in parts[:-1]]
+    return FactoredCoupling(xs, WaveFunction(yg, parts[-1].reshape(yg.shape()), t))

@@ -160,7 +160,7 @@ def husimi_lattices(state1, state2, eps: float | None = None):
     for state in (state1, state2):
         if not isinstance(state, (WaveFunction, DensityMatrix)):
             raise TypeError("Husimi lattices need WaveFunction or DensityMatrix states")
-        if state.grid.d != 1 or state.grid.n_particles != 1 or state.grid.doubled:
+        if state.grid.d != 1 or state.grid.n_particles != 1:
             raise ValueError("Husimi lattices need single-particle d = 1 states")
     if abs(state1.grid.epsilon - state2.grid.epsilon) > 1e-12:
         raise ValueError("states have different epsilon")

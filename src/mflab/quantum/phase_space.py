@@ -87,7 +87,8 @@ def coherent_state(grid: GridSpec, q, p) -> WaveFunction:
     """Product of Gaussian coherent factors, one per grid axis:
     (pi eps)^{-1/4} e^{-(x-q_a)^2/2eps} e^{ip_a x/eps} on axis a, renormalized
     on the discrete grid.  q and p hold one coordinate per axis (scalars on
-    a one-axis grid); the grid may be plain or doubled.
+    a one-axis grid).  A coupled state of two N-particle systems is a state
+    on a 2N-particle grid, X slots first.
 
     Rejects centers whose Gaussian tail outside the box (or outside the
     resolvable wavenumber band) exceeds 1e-12.

@@ -1,12 +1,14 @@
 """Doubled-grid oracle for the factored coupling routes.
 
 The package holds a coupling of two N-particle states as a FactoredCoupling
-and never builds the n^(2dN) doubled-grid array it stands for.  This module
-keeps that array's brute-force routes, at test sizes only: the trace cost
-read off joint densities (pure state and density matrix), the Toeplitz lift
-of a coupling symbol as one doubled array per atom, and the particle-slot
-relabeling behind the reduced densities.  The doubled-grid propagator stays
-in the package as `mflab.quantum.dynamics.coupled_quantum_advance`.
+and never builds the n^(2dN) array it stands for: a plain state on the
+2N-particle grid `doubled(base, N)`, X slots first.  This module keeps that
+array's brute-force routes, at test sizes only: the product of a coupling's
+factors, the trace cost read off joint densities (pure state and density
+matrix), the Toeplitz lift of a coupling symbol as one doubled array per
+atom, and the particle-slot relabeling behind the reduced densities.  The
+one-array propagator stays in the package as
+`mflab.quantum.dynamics.coupled_quantum_advance`.
 """
 from dataclasses import replace
 
@@ -14,19 +16,27 @@ import numpy as np
 from scipy import fft as sfft
 
 from mflab.quantum.dynamics import partial_trace
-from mflab.quantum.grids import DensityMatrix, GridSpec, WaveFunction
+from mflab.quantum.grids import DensityMatrix, FactoredCoupling, GridSpec, WaveFunction
 from mflab.quantum.phase_space import SymbolMeasure, coherent_state
 
 
-def doubled(base: GridSpec, n_particles: int) -> GridSpec:
-    """Grid of the coupled (X_N, Y_N) system on `base`'s axes."""
-    return replace(base, n_particles=n_particles, doubled=True)
+def doubled(base: GridSpec, N: int) -> GridSpec:
+    """Grid of the coupled (X_N, Y_N) system on `base`'s axes: 2N particles."""
+    return replace(base, n_particles=2 * N)
+
+
+def doubled_state(coupling: FactoredCoupling) -> WaveFunction:
+    """The product of a coupling's factors as one array (16 n^(2dN) bytes)."""
+    values = np.ones((), dtype=complex)
+    for f in coupling.factors:
+        values = np.multiply.outer(values, f.values)
+    return WaveFunction(doubled(coupling.y.grid, len(coupling.xs)), values, coupling.y.time)
 
 
 def _slot_pairs(grid: GridSpec) -> list:
-    if not grid.doubled:
-        raise ValueError("coupling costs need a doubled-grid state")
-    N, d = grid.n_particles, grid.d
+    if grid.n_particles % 2:
+        raise ValueError("coupling costs need a state on a 2N-particle grid")
+    N, d = grid.n_particles // 2, grid.d
     return [(j * d + c, (N + j) * d + c) for j in range(N) for c in range(d)]
 
 
@@ -88,8 +98,8 @@ def coupling_to_state_mixture(grid: GridSpec, coupling: SymbolMeasure) -> list:
 
     The oracle twin of coupling_to_factored_mixture, which holds the same
     components as their factors."""
-    if not grid.doubled:
-        raise ValueError("coupling lifts live on doubled grids")
+    if grid.n_particles % 2:
+        raise ValueError("coupling lifts live on 2N-particle grids")
     return [
         (float(w), coherent_state(grid, atom[: grid.n_axes], atom[grid.n_axes :]))
         for w, atom in zip(coupling.weights, coupling.points)

@@ -29,7 +29,7 @@ from mflab.experiments import (
     time_schedule,
     validate_config,
 )
-from mflab.quantum import GridSpec, coherent_state, guard_band_mass, metrics
+from mflab.quantum import FactoredCoupling, GridSpec, coherent_state, guard_band_mass, metrics
 from mflab.quantum.grids import load_state
 from mflab.transport import SUPPORT_CAP
 
@@ -107,12 +107,12 @@ def test_validate_empty_sweep_list():
 
 
 def test_validate_quantum_memory_estimate(monkeypatch):
-    raw = {"experiment": "quantum-dobrushin", "grid_points": 128, "n_particles": 2}
-    # only a checkpoint builds the doubled state; the run itself holds the
-    # 16*128^2-byte Y factor (dt 0.01 keeps the Nyquist phase below pi)
-    diags = validate_config(dict(raw, checkpoint="state"))
-    assert any(str(16 * 128**4) in d for d in diags)
-    assert validate_config(dict(raw, dt=0.01)) == []
+    raw = {"experiment": "quantum-dobrushin", "grid_points": 128, "n_particles": 2, "dt": 0.01}
+    # the run holds the 16*128^2-byte Y factor, and a checkpoint saves the
+    # factors, so neither is near the cap (dt 0.01 keeps the Nyquist phase
+    # below pi)
+    assert validate_config(raw) == []
+    assert validate_config(dict(raw, checkpoint="state")) == []
     # under a cap below even one grid line, validation still reports, not raises
     monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", "1000")
     diags = validate_config({"experiment": "quantum-dobrushin"})
@@ -504,6 +504,14 @@ def test_validate_rejects_a_bound_that_overflows(tmp_path, capsys, raw, said):
     assert validate_config(dict(raw, p=2.0)) == []
 
 
+def test_validate_rejects_a_moment_bound_that_overflows_on_the_runners_cloud(tmp_path, capsys):
+    # at p = 200 the growth factor is e^597 and the runner's own initial
+    # cloud has M0 = e^263.8, so their product overflows; p = 150 still runs
+    raw = {"experiment": "vlasov-moments", "p": 200}
+    _rejected(tmp_path, capsys, raw, "the moment bound M0 e^((p-1)(1 + 2 Lip(grad V)) t) at p=200")
+    assert validate_config(dict(raw, p=150)) == []
+
+
 def test_validate_ot_selftest_max_support_upper_end():
     # the top of the range the permutation oracle can enumerate
     assert validate_config({"experiment": "ot-selftest", "max_support": 9}) == []
@@ -787,9 +795,9 @@ def test_quantum_dobrushin_tiny_with_checkpoint(tmp_path):
     # the t = 0 coupling cost sits on the Heisenberg floor 2*d*N*eps / N
     t0 = next(r for r in rows if r.inequality_id == "coupling-cost-growth")
     assert t0.lhs_measured == pytest.approx(1.0, abs=1e-9)
-    psi = load_state(f"{ckpt}.eps0.5.mflabst")
-    assert psi.grid.doubled
-    assert psi.norm() == pytest.approx(1.0, abs=1e-10)
+    state = load_state(f"{ckpt}.eps0.5.mflabst")
+    assert isinstance(state, FactoredCoupling)
+    assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_toeplitz_identities_small_grid_passes():

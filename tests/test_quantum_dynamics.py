@@ -1,9 +1,13 @@
 """Propagators against dense matrix-exponential and closed-form oracles."""
+import os
+import struct
+
 import doubled_oracle as oracle
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mflab import experiments
 from mflab.experiments import build_config, run_experiment
 from mflab.potentials import make_gaussian_potential
 from mflab.quantum import (
@@ -22,6 +26,7 @@ from mflab.quantum import (
     partial_trace,
     qp_cost_trace,
     reduced_density,
+    save_state,
     split_step_linear,
     split_step_nbody,
     state_density_matrix,
@@ -308,7 +313,7 @@ def test_factored_coupling_matches_doubled_oracle():
             psi, ref_d = coupled_quantum_advance(psi, ref_d, GAUSS, 0.02)
         factored[i], doubled[i] = (w, state), (w, psi)
         np.testing.assert_array_equal(ref_f.values, ref_d.values)
-        product = state.doubled()
+        product = oracle.doubled_state(state)
         assert product.grid == psi.grid and product.time == pytest.approx(psi.time)
         assert np.max(np.abs(product.values - psi.values)) <= 1e-12
         assert state.guard_band_mass() == pytest.approx(guard_band_mass(psi), abs=1e-12)
@@ -335,21 +340,30 @@ def test_factored_coupling_matches_doubled_oracle():
     )
     for slot in (0, N):
         got = reduced_density(tilted, [slot]).matrix
-        want = oracle.reduced_density(tilted.doubled(), [slot]).matrix
+        want = oracle.reduced_density(oracle.doubled_state(tilted), [slot]).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_factored_runner_checkpoint_is_the_doubled_state(tmp_path):
+def test_factored_runner_checkpoint_holds_the_final_factors(tmp_path, monkeypatch):
     ckpt = tmp_path / "qd"
-    q0, p0, dt = 0.3, -0.2, 0.02
+    # at 32 points only a centred state passes both the centre check and the
+    # guard band
+    N, n, box, q0, p0, dt = 2, 32, 6.5, 0.0, 0.0, 0.02
+    saved = []
+
+    def record(path, state):
+        saved.append(state)
+        save_state(path, state)
+
+    monkeypatch.setattr(experiments, "save_state", record)
     cfg = build_config(
         {
             "experiment": "quantum-dobrushin",
             "potential": {"family": "gaussian", "amplitude": 1.0, "width": 1.0},
             "epsilon": [0.5],
-            "n_particles": 1,
-            "grid_points": 64,
-            "box": 8.0,
+            "n_particles": N,
+            "grid_points": n,
+            "box": box,
             "dt": dt,
             "t_final": 0.06,
             "n_times": 2,
@@ -358,13 +372,29 @@ def test_factored_runner_checkpoint_is_the_doubled_state(tmp_path):
         }
     )
     assert all(r.passed for r in run_experiment(cfg))
-    loaded = load_state(f"{ckpt}.eps0.5.mflabst")
+    path = f"{ckpt}.eps0.5.mflabst"
+    loaded = load_state(path)
 
-    base = GridSpec(1, 1, 64, 8.0, 0.5)
-    psi = coherent_state(oracle.doubled(base, 1), [q0, q0], [p0, p0])
+    # the runner's final factors, bit for bit
+    [final] = saved
+    assert len(loaded.factors) == len(final.factors) == N + 1
+    for got, want in zip(loaded.factors, final.factors):
+        assert got.grid == want.grid and got.time == want.time
+        np.testing.assert_array_equal(got.values, want.values)
+
+    # their product is the state the one-array coupled flow reaches
+    base = GridSpec(1, 1, n, box, 0.5)
+    psi = coherent_state(oracle.doubled(base, N), [q0] * 2 * N, [p0] * 2 * N)
     ref = coherent_state(base, q0, p0)
     for _ in range(3):
         psi, ref = coupled_quantum_advance(psi, ref, GAUSS, dt)
-    assert loaded.grid == psi.grid
-    assert loaded.time == pytest.approx(psi.time)
-    assert np.max(np.abs(loaded.values - psi.values)) <= 1e-12
+    product = oracle.doubled_state(loaded)
+    assert product.grid == psi.grid
+    assert product.time == pytest.approx(psi.time)
+    assert np.max(np.abs(product.values - psi.values)) <= 1e-12
+
+    # 16 bytes a value: N X factors of n values and one Y factor of n^N
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        (header_len,) = struct.unpack("<Q", fh.read(8))
+    assert os.path.getsize(path) == 16 * (N * n + n**N) + 16 + header_len

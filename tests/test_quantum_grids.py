@@ -1,9 +1,12 @@
 """Grid containers, the guard band, memory caps, and the checkpoint format."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mflab.quantum import (
     DensityMatrix,
+    FactoredCoupling,
     GridSpec,
     GuardBandError,
     ResourceCapError,
@@ -31,7 +34,7 @@ def test_grid_geometry():
     np.testing.assert_allclose(g.wavenumbers(), 2 * np.pi * np.fft.fftfreq(8, d=1.0))
     assert g.shape() == (8,)
     assert g.n_axes == 1
-    assert GridSpec(1, 2, 8, 4.0, 0.25, doubled=True).n_axes == 4
+    assert GridSpec(1, 4, 8, 4.0, 0.25).n_axes == 4
 
 
 def test_grid_validation():
@@ -48,9 +51,9 @@ def test_grid_validation():
 def test_memory_cap_env_override(monkeypatch):
     monkeypatch.setenv(MEMORY_CAP_ENV, "1000000")
     assert memory_cap_bytes() == 1_000_000
-    # 16 * 128^4 bytes = 4.3 GB needs a doubled two-particle 128-point grid
+    # 16 * 128^4 bytes = 4.3 GB needs a four-particle 128-point grid
     with pytest.raises(ResourceCapError):
-        GridSpec(1, 2, 128, 6.0, 0.25, doubled=True)
+        GridSpec(1, 4, 128, 6.0, 0.25)
     monkeypatch.setenv(MEMORY_CAP_ENV, "-3")
     with pytest.raises(ValueError):
         memory_cap_bytes()
@@ -122,19 +125,29 @@ def test_coherent_center_near_edge_rejected():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    psi = coherent_state(_grid(), 0.2, 0.4)
+    base = _grid()
+    xs = [
+        WaveFunction(base, coherent_state(base, q, p).values, 0.5)
+        for q, p in ((0.2, 0.4), (-0.3, 0.1))
+    ]
+    y = coherent_state(replace(base, n_particles=2), [0.1, -0.2], [0.0, 0.3])
+    state = FactoredCoupling(xs, WaveFunction(y.grid, y.values, 0.5))
     path = tmp_path / "state.mflabst"
-    save_state(path, psi)
+    save_state(path, state)
     back = load_state(path)
-    assert back.grid == psi.grid
-    assert back.time == psi.time
-    np.testing.assert_array_equal(back.values, psi.values)  # lossless
+    assert isinstance(back, FactoredCoupling) and len(back.xs) == 2
+    for got, want in zip(back.factors, state.factors):
+        assert got.grid == want.grid
+        assert got.time == want.time
+        np.testing.assert_array_equal(got.values, want.values)  # lossless
 
-    save_state(path, psi, dtype="complex64")
-    lossy = load_state(path)
-    np.testing.assert_allclose(lossy.values, psi.values, atol=1e-6)
-    with pytest.raises(ValueError):
-        save_state(path, psi, dtype="float64")
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    # version 1 held one array on the 2N-particle grid
+    path = tmp_path / "old.mflabst"
+    path.write_bytes(b"MFLABST1" + b"\x00" * 64)
+    with pytest.raises(ValueError, match="version 1"):
+        load_state(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

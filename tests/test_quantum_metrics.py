@@ -64,15 +64,15 @@ def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
 
 def test_pure_coupling_cost_closed_form():
     z1, z2 = (0.4, 0.5), (-0.3, 0.2)
-    state = _pair_coupling(z1, z2)
-    assert qp_cost_trace(state) == pytest.approx(_coherent_cost(z1, z2), abs=1e-9)
-    assert oracle.cost(state.doubled()) == pytest.approx(_coherent_cost(z1, z2), abs=1e-9)
+    state, want = _pair_coupling(z1, z2), _coherent_cost(z1, z2)
+    assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
+    assert oracle.cost(oracle.doubled_state(state)) == pytest.approx(want, abs=1e-9)
 
 
 def test_matrix_route_matches_pure_route():
     z1, z2 = (0.5, -0.2), (-0.1, 0.3)
     state = _pair_coupling(z1, z2)
-    rho = state_density_matrix(state.doubled())
+    rho = state_density_matrix(oracle.doubled_state(state))
     assert oracle.cost(rho) == pytest.approx(qp_cost_trace(state), abs=1e-10)
 
 
@@ -86,7 +86,7 @@ def test_mixture_route_is_weighted_sum():
 
 def test_cost_requires_a_factored_coupling():
     psi = coherent_state(BASE, 0.2, 0.1)
-    for R in (psi, [(1.0, psi)], _pair_coupling((0.2, 0.1), (0.2, 0.1)).doubled()):
+    for R in (psi, [(1.0, psi)], oracle.doubled_state(_pair_coupling((0.2, 0.1), (0.2, 0.1)))):
         with pytest.raises(TypeError):
             qp_cost_trace(R)
         with pytest.raises(TypeError):
@@ -108,7 +108,7 @@ def test_two_particle_cost_and_per_particle_average():
     [(_, state)] = coupling_to_factored_mixture(BASE, 2, SymbolMeasure(atom[None, :], np.ones(1)))
     want = float(np.sum((qx - qy) ** 2 + (px - py) ** 2)) + 4 * EPS
     assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
-    assert oracle.cost(state.doubled()) == pytest.approx(want, abs=1e-9)
+    assert oracle.cost(oracle.doubled_state(state)) == pytest.approx(want, abs=1e-9)
 
 
 def test_diagonal_coupling_sits_on_heisenberg_floor():
@@ -243,8 +243,9 @@ def test_mk_eps_lower_validations():
     with pytest.raises(ValueError):
         mk_eps_lower(rho, rho, eps=0.25)
     coupling = _pair_coupling((0.0, 0.0), (0.0, 0.0))
-    dbl = state_density_matrix(coupling.doubled())
-    for pair in ((dbl, dbl), (rho, dbl), (coherent_state(BASE, 0.0, 0.0), coupling.doubled())):
+    psi2 = oracle.doubled_state(coupling)
+    dbl = state_density_matrix(psi2)
+    for pair in ((dbl, dbl), (rho, dbl), (coherent_state(BASE, 0.0, 0.0), psi2)):
         with pytest.raises(ValueError):
             mk_eps_lower(*pair)
     with pytest.raises(TypeError):
@@ -338,7 +339,7 @@ def test_coupling_to_factored_mixture_matches_doubled_lift():
     comps = coupling_to_factored_mixture(BASE, 1, coup)
     assert [w for w, _ in comps] == [0.25, 0.75]
     for (_, state), (_, psi) in zip(comps, oracle.coupling_to_state_mixture(oracle.doubled(BASE, 1), coup)):
-        product = state.doubled()
+        product = oracle.doubled_state(state)
         assert product.grid == psi.grid
         assert np.allclose(product.values, psi.values, atol=1e-14)
     with pytest.raises(ValueError):
@@ -392,7 +393,7 @@ def test_free_flow_coupling_cost_law():
             t = (step + 1) * dt
             D = qp_cost_trace(state)
             assert D == pytest.approx(2 * eps + eps * t**2, abs=1e-8)
-            pos_prob = np.abs(state.doubled().values) ** 2
+            pos_prob = np.abs(oracle.doubled_state(state).values) ** 2
             pos_part = float(np.sum(pos_prob * diff2) / np.sum(pos_prob))
             assert D - pos_part == pytest.approx(eps, abs=1e-9)
     # the cost visibly grows: constancy would need a transported coupling
