@@ -349,6 +349,13 @@ PARAMS = {
     },
 }
 
+#: Most time-step work a config may plan: the steps `time_schedule` takes to
+#: its last sample time, times grid_points for quantum-dobrushin.  It stops a
+#: runaway dt (1e-9 plans 10^7 to 10^8 steps, hours of work) at validation;
+#: the defaults plan at most 40 classical steps and 25 * 64 quantum ones.
+MAX_STEP_WORK = 10**5
+
+
 def time_schedule(times, dt: float) -> list:
     """(t, n_steps) for each sample time t: n_steps = round((t - t_prev)/dt)
     steps take the state from the previous sample time (0 at first) to t.
@@ -449,13 +456,21 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
             # more intervals than steps cannot all be whole: no need to list them
             if "n_times" in params and params["n_times"] - 1 > params["t_final"] / dt + 0.5:
                 raise ValueError(f"n_times - 1 is more than t_final/dt = {params['t_final'] / dt}")
-            time_schedule(_sample_times(params), dt)
+            steps = sum(n for _, n in time_schedule(_sample_times(params), dt))
         except ValueError as err:
             diags.append(
                 f"times: {err}"
                 if "times" in params
                 else f"n_times: sample times must be an integer multiple of dt apart; {err}"
             )
+        else:
+            points = params["grid_points"] if exp == "quantum-dobrushin" else 1
+            if ok("grid_points") and steps * points > MAX_STEP_WORK:
+                on = f" on {points} grid points" if points > 1 else ""
+                diags.append(
+                    f"dt: {dt!r} plans {steps} steps{on}, more work than the bound "
+                    f"of {MAX_STEP_WORK} steps times grid points"
+                )
     if "grid_points" in params and ok("grid_points", "box"):
         n_pts, box = params["grid_points"], params["box"]
         at = f"box={box}, grid_points={n_pts}"

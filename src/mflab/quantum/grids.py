@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..errors import ResourceCapError
+from ..potentials import PAIR_BLOCK
 
 MAGIC = b"MFLABST2"
 DEFAULT_MEMORY_CAP = 2 * 1024**3
@@ -165,8 +166,17 @@ class DensityMatrix:
         dim = self.grid.points_per_axis**self.grid.n_axes
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} != ({dim}, {dim})")
-        scale = max(float(np.max(np.abs(m))), 1e-300)
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * scale:
+        # max|m| and max|m - m^H| over row blocks of PAIR_BLOCK entries, so
+        # the check's scratch is a block, not three dim x dim arrays
+        scale, skew = 1e-300, 0.0
+        step = max(1, PAIR_BLOCK // dim)
+        for i in range(0, dim, step):
+            rows = m[i : i + step]
+            diff = m[:, i : i + step].T.conj()
+            np.subtract(rows, diff, out=diff)
+            scale = max(scale, float(np.max(np.abs(rows))))
+            skew = max(skew, float(np.max(np.abs(diff))))
+        if skew > 1e-10 * scale:
             raise ValueError("density matrix is not Hermitian")
         object.__setattr__(self, "matrix", m)
         tr = self.trace()

@@ -9,6 +9,11 @@ estimator used on large empirical measures.  Ground cost is |x-y|^p with the
 Euclidean norm on the concatenated phase coordinates; reported distances are
 p-th roots of the plan cost.
 
+The LP route never builds the m x n cost matrix: its candidates come from k-d
+tree queries, and its costs, its pricing and the dual check in
+kantorovich_gap go through row blocks of at most PAIR_BLOCK pairs.  The
+assignment route and Sinkhorn work on the dense matrix.
+
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
 marginal equalities.  It releases the GIL while it solves, so exact solves
@@ -22,10 +27,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .errors import ResourceCapError
+from .potentials import PAIR_BLOCK
 
 #: Largest support allowed in the exact solver; desk-scale guard, not a limit
 #: of the algorithm.
@@ -100,23 +107,46 @@ class SinkhornResult(NamedTuple):
     iterations: int
 
 
-def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
+def _cost_matrix(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, rows=slice(None)
+) -> np.ndarray:
+    """The rows `rows` of the cost matrix C_ij = |x_i - y_j|^p; each entry is
+    computed on its own, so a row block is bitwise the same rows of C."""
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
-    C = cdist(mu.points, nu.points)
-    C **= p  # in place: one n x n array per solve, not two
+    C = cdist(mu.points[rows], nu.points)
+    C **= p  # in place: one array per call, not two
     return C
 
 
-def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat indices i*n + j of the k smallest entries of M in each row of
-    `rows` and in each column of `cols`."""
-    m, n = M.shape
-    in_row = np.argpartition(M[rows], min(k, n) - 1, axis=1)[:, :k]
-    in_col = np.argpartition(M[:, cols], min(k, m) - 1, axis=0)[:k, :]
-    return np.concatenate(
-        [(rows[:, None] * n + in_row).ravel(), (in_col * n + cols[None, :]).ravel()]
-    )
+def _cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, rows: np.ndarray):
+    """(r, C[r]) for consecutive runs r of the row indices `rows`, each block
+    at most PAIR_BLOCK pairs (one row if a row is longer)."""
+    step = max(1, PAIR_BLOCK // nu.size)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
+        yield r, _cost_matrix(mu, nu, p, r)
+
+
+def _reduced_cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b):
+    """(r, C[r] - a[r] - b) over the row blocks of `_cost_blocks`."""
+    for r, R in _cost_blocks(mu, nu, p, np.arange(mu.size)):
+        R -= a[r, None]
+        R -= b[None, :]
+        yield r, R
+
+
+def _edge_costs(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, edges: np.ndarray
+) -> np.ndarray:
+    """C.ravel()[edges] for sorted flat indices i*n + j, gathered from row
+    blocks of C over the rows the edges use."""
+    rows, cols = np.divmod(edges, nu.size)
+    out = np.empty(edges.size)
+    for r, block in _cost_blocks(mu, nu, p, np.unique(rows)):
+        lo, hi = np.searchsorted(rows, [r[0], r[-1] + 1])
+        out[lo:hi] = block[np.searchsorted(r, rows[lo:hi]), cols[lo:hi]]
+    return out
 
 
 def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -124,14 +154,23 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
 
     Each atom keeps its CANDIDATES_PER_ATOM nearest atoms on the other side
     after nu is shifted onto mu's mean (for p = 2 the shift changes the cost
-    only by a + b terms, so it moves no optimal plan), plus the north-west
-    corner staircase of the index order, which makes the restricted LP
-    feasible whatever else it holds.
+    only by a + b terms, so it moves no optimal plan), found by k-d tree
+    queries in both directions, plus the north-west corner staircase of the
+    index order, which makes the restricted LP feasible whatever else it
+    holds.  Memory is O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
     """
     m, n = mu.size, nu.size
-    shift = mu.weights @ mu.points - nu.weights @ nu.points
-    S = cdist(mu.points, nu.points + shift, "sqeuclidean")
-    near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(m), np.arange(n))
+    k = CANDIDATES_PER_ATOM
+    y = nu.points + (mu.weights @ mu.points - nu.weights @ nu.points)
+    _, in_row = cKDTree(y).query(mu.points, k=min(k, n))
+    _, in_col = cKDTree(mu.points).query(y, k=min(k, m))
+    # a query for one neighbour returns a vector, not an (atoms, 1) array
+    near = np.concatenate(
+        [
+            (np.arange(m)[:, None] * n + in_row.reshape(m, -1)).ravel(),
+            (in_col.reshape(n, -1) * n + np.arange(n)[:, None]).ravel(),
+        ]
+    )
     cw = np.cumsum(mu.weights)
     cv = np.cumsum(nu.weights)
     starts = np.union1d([0.0], np.union1d(cw[:-1], cv[:-1]))
@@ -140,21 +179,57 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return np.unique(np.concatenate([near, nw_row * n + nw_col]))
 
 
+def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b) -> np.ndarray:
+    """Flat indices i*n + j of the CANDIDATES_PER_ATOM most violated pairs
+    (reduced cost C - a - b below -DUAL_SLACK) of each violated row and of
+    each violated column; empty when (a, b) is feasible on all pairs.
+
+    C - a - b is priced in row blocks of `_reduced_cost_blocks`: a row's
+    picks come from its block, a column's are merged across blocks, so the
+    scratch is one block plus O(n * CANDIDATES_PER_ATOM).
+    """
+    n = nu.size
+    k = CANDIDATES_PER_ATOM
+    picks = []
+    col_val = np.zeros((k, n))  # each column's k smallest so far; 0 is feasible
+    col_row = np.zeros((k, n), dtype=np.int64)
+    for r, R in _reduced_cost_blocks(mu, nu, p, a, b):
+        bad = R < -DUAL_SLACK
+        if not bad.any():
+            continue
+        # a violated pair ranks below every feasible one, so partial sorts of
+        # R itself pick the same violated pairs as sorts of the violations
+        rows = np.flatnonzero(bad.any(axis=1))
+        in_row = np.argpartition(R[rows], min(k, n) - 1, axis=1)[:, :k]
+        hit = bad[rows[:, None], in_row]
+        picks.append((r[rows, None] * n + in_row)[hit])
+        cols = np.flatnonzero(bad.any(axis=0))
+        val = np.concatenate([col_val[:, cols], R[:, cols]])
+        row = np.concatenate([col_row[:, cols], np.broadcast_to(r[:, None], (r.size, cols.size))])
+        keep = np.argpartition(val, k - 1, axis=0)[:k]
+        col_val[:, cols] = np.take_along_axis(val, keep, axis=0)
+        col_row[:, cols] = np.take_along_axis(row, keep, axis=0)
+    hit = col_val < -DUAL_SLACK
+    picks.append((col_row * n + np.arange(n))[hit])
+    return np.concatenate(picks)
+
+
 #: HiGHS set up for transportation LPs: presolve finds nothing to remove from
 #: a marginal system, and devex dual pricing beats the default on them.
 _HIGHS_OPTIONS = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
 
 
-def _restricted_lp(C: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):
-    """min <C, gamma> over couplings supported on `edges`, via HiGHS's dual
-    simplex with `_HIGHS_OPTIONS`.
+def _restricted_lp(cost: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):
+    """min sum cost * gamma over couplings supported on `edges` (flat indices
+    i*n + j, with `cost` their costs), via HiGHS's dual simplex with
+    `_HIGHS_OPTIONS`.
 
     The m+n marginal equalities are linearly dependent (both blocks sum to
     total mass); HiGHS mislabels the full system as infeasible on some
     instances, so the last column constraint is dropped and its dual pinned
     to zero.
     """
-    m, n = C.shape
+    m, n = w.size, v.size
     rows, cols = np.divmod(edges, n)
     var = np.arange(edges.size)
     keep = cols < n - 1
@@ -166,7 +241,7 @@ def _restricted_lp(C: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarra
         shape=(m + n - 1, edges.size),
     )
     res = linprog(
-        C.ravel()[edges],
+        cost,
         A_eq=A,
         b_eq=np.concatenate([w, v[:-1]]),
         bounds=(0, None),
@@ -188,35 +263,32 @@ class _LPSolution(NamedTuple):
     rounds: int  # restricted solves, the first one included
 
 
-def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray) -> _LPSolution:
-    """Transportation LP solved on a candidate edge set and certified on all pairs.
+def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _LPSolution:
+    """Transportation LP for cost |x - y|^p, solved on a candidate edge set
+    and certified on all pairs.
 
-    The LP is solved on `_candidate_edges` only; its duals are then priced
-    against every pair.  While some reduced cost C - a - b is below
+    The LP is solved on `_candidate_edges` only, with costs from
+    `_edge_costs`; its duals are then priced against every pair by
+    `_violated_pairs`.  While some reduced cost C - a - b is below
     -DUAL_SLACK, the CANDIDATES_PER_ATOM most violated pairs of each violated
     row and column join the set and the LP is solved again.  On exit (a, b)
     is feasible for the full problem within the slack kantorovich_gap allows,
     so the restricted optimum is the full optimum (Schmitzer's sparse OT
     certificate).  The loop also stops if every violated pair is already a
     candidate: the LP then holds every pair the duals reject, as the dense LP
-    would, and the violation is HiGHS round-off.
+    would, and the violation is HiGHS round-off.  No m x n array is built:
+    memory is O((m + n) * CANDIDATES_PER_ATOM) plus one PAIR_BLOCK block.
     """
+    if mu.k != nu.k:
+        raise ValueError("measures live on different-dimensional spaces")
     edges = _candidate_edges(mu, nu)
     rounds = 0
     while True:
-        cost, mass, a, b = _restricted_lp(C, mu.weights, nu.weights, edges)
-        rounds += 1
-        R = C - a[:, None] - b[None, :]
-        bad = R < -DUAL_SLACK
-        if not bad.any():
-            break
-        worst = _smallest_per_line(
-            np.where(bad, R, 0.0),
-            CANDIDATES_PER_ATOM,
-            np.flatnonzero(bad.any(axis=1)),
-            np.flatnonzero(bad.any(axis=0)),
+        cost, mass, a, b = _restricted_lp(
+            _edge_costs(mu, nu, p, edges), mu.weights, nu.weights, edges
         )
-        new = np.setdiff1d(worst[bad.ravel()[worst]], edges)
+        rounds += 1
+        new = np.setdiff1d(_violated_pairs(mu, nu, p, a, b), edges)
         if new.size == 0:
             break
         edges = np.union1d(edges, new)
@@ -227,8 +299,9 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
     """Exact MK distance and optimal plan; returns (dist, plan), dist^p = cost.
 
     Equal-size equal-weight inputs are solved as an assignment problem
-    (deterministic; cost ties resolve to the solver's fixed pivot order),
-    everything else as the certified sparse transportation LP.
+    (deterministic; cost ties resolve to the solver's fixed pivot order) on
+    the dense cost matrix, everything else as the certified sparse
+    transportation LP, which builds no m x n array.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
@@ -236,8 +309,8 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
         raise ValueError("weight-sum mismatch between measures")
     if mu.size > SUPPORT_CAP or nu.size > SUPPORT_CAP:
         raise ResourceCapError(f"support exceeds cap {SUPPORT_CAP}")
-    C = _cost_matrix(mu, nu, p)
     if mu.size == nu.size and mu.has_equal_weights() and nu.has_equal_weights():
+        C = _cost_matrix(mu, nu, p)
         row, col = linear_sum_assignment(C)
         mass = np.full(mu.size, 1.0 / mu.size)
         cost = float(C[row, col] @ mass)
@@ -249,7 +322,7 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
             float(p),
         )
     else:
-        lp = _solve_transport_lp(mu, nu, C)
+        lp = _solve_transport_lp(mu, nu, p)
         cost = lp.cost
         used = lp.mass > 1e-15
         src, tgt = np.divmod(lp.edges[used], nu.size)
@@ -264,7 +337,7 @@ def dual_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
     because the duals come from the LP solver; they are checked against every
     pair of atoms, not only the LP's candidate pairs.
     """
-    lp = _solve_transport_lp(mu, nu, _cost_matrix(mu, nu, p))
+    lp = _solve_transport_lp(mu, nu, p)
     return lp.a, lp.b
 
 
@@ -272,16 +345,22 @@ def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
     """Primal cost of `plan` minus the dual value of (a, b).
 
     The pair must satisfy a(x) + b(y) <= |x-y|^p on all support pairs (checked
-    with 1e-9 slack); a gap <= 1e-9 certifies optimality of the plan.
+    with 1e-9 slack, in row blocks of `_reduced_cost_blocks`); a gap <= 1e-9
+    certifies optimality of the plan.  The plan's costs are gathered by
+    `_edge_costs`, so no m x n array is built.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (mu.size,) or b.shape != (nu.size,):
         raise ValueError("potentials must be defined on the supports")
-    C = _cost_matrix(mu, nu, p)
-    if float(np.min(C - a[:, None] - b[None, :])) < -DUAL_SLACK:
-        raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^p somewhere")
-    primal = float(np.sum(plan.mass * C[plan.source_index, plan.target_index]))
+    for _, R in _reduced_cost_blocks(mu, nu, p, a, b):
+        if float(np.min(R)) < -DUAL_SLACK:
+            raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^p somewhere")
+    pairs = plan.source_index * nu.size + plan.target_index
+    order = np.argsort(pairs, kind="stable")
+    cost = np.empty(pairs.size)
+    cost[order] = _edge_costs(mu, nu, p, pairs[order])
+    primal = float(np.sum(plan.mass * cost))
     dual = float(a @ mu.weights + b @ nu.weights)
     return max(primal - dual, 0.0)
 

@@ -17,6 +17,7 @@ from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
 from mflab.errors import ResourceCapError
 from mflab.experiments import (
+    MAX_STEP_WORK,
     PARAMS,
     ExperimentConfig,
     _empirical_chaos_sq,
@@ -402,7 +403,8 @@ def test_validate_grid_points_power_of_two(tmp_path, capsys, experiment):
 
 
 # parameters each runner would use, with values it cannot use; a third
-# entry is the diagnostic expected in place of "<key>: <value> must be"
+# entry is the diagnostic expected in place of "<key>: <value> must be".  A
+# tuple of keys sets each to its value in the tuple of values
 BAD_KNOBS = {
     "ot-selftest": [
         ("n_clouds", "x"),
@@ -423,8 +425,14 @@ BAD_KNOBS = {
         ("w2_tolerance", None),
         ("reference_size", 10),
         ("sample", 32, "sample: not a parameter of classical-dobrushin"),
+        (("dt", "times"), (1e-9, [0.25]), "dt: 1e-09 plans 250000000 steps, more work"),
     ],
-    "vlasov-moments": [("cloud_size", "x"), ("cloud_size", 2.0), ("p", "x")],
+    "vlasov-moments": [
+        ("cloud_size", "x"),
+        ("cloud_size", 2.0),
+        ("p", "x"),
+        (("dt", "times"), (1e-9, [0.25]), "dt: 1e-09 plans 250000000 steps, more work"),
+    ],
     "mk-bracket": [
         ("box", "x"),
         ("box", 0),
@@ -447,6 +455,11 @@ BAD_KNOBS = {
         ("center", [7.9, 0.0]),
         ("checkpoint", 3),
         ("center_scale", 0.35, "center_scale: not a parameter of quantum-dobrushin"),
+        (
+            ("dt", "t_final", "n_times"),
+            (1e-9, 0.04, 3),
+            "dt: 1e-09 plans 40000000 steps on 64 grid points, more work",
+        ),
     ],
 }
 
@@ -454,12 +467,27 @@ BAD_KNOBS = {
 @pytest.mark.parametrize("experiment", sorted(BAD_KNOBS))
 def test_validate_numeric_knobs(tmp_path, capsys, experiment):
     for key, value, *said in BAD_KNOBS[experiment]:
-        path = _write_cfg(tmp_path, {"experiment": experiment, key: value})
+        knobs = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
+        path = _write_cfg(tmp_path, {"experiment": experiment, **knobs})
         assert main(["validate", path]) == 4, (key, value)
         assert main(["run", path]) == 64, (key, value)
         want = said[0] if said else f"{key}: {value!r} must be"
         assert f"config error: {want}" in capsys.readouterr().err, (key, value)
     assert validate_config({"experiment": experiment}) == []
+
+
+def test_validate_work_bound_boundary():
+    # the bound counts steps to the last sample time, times grid_points for
+    # the quantum runner, and admits a plan of exactly MAX_STEP_WORK
+    at = {"experiment": "vlasov-moments", "times": [1.0], "dt": 1.0 / MAX_STEP_WORK}
+    assert validate_config(at) == []
+    over = validate_config(dict(at, dt=1.0 / (MAX_STEP_WORK + 1)))
+    assert len(over) == 1 and f"plans {MAX_STEP_WORK + 1} steps, more work" in over[0]
+    quantum = {"experiment": "quantum-dobrushin", "grid_points": 64, "t_final": 1.0, "n_times": 2}
+    assert 1000 * 64 <= MAX_STEP_WORK < 2000 * 64
+    assert validate_config(dict(quantum, dt=1e-3)) == []
+    over = validate_config(dict(quantum, dt=5e-4))
+    assert len(over) == 1 and "plans 2000 steps on 64 grid points, more work" in over[0]
 
 
 def test_validate_classical_dobrushin_needs_two_repeats():

@@ -83,6 +83,25 @@ def test_density_matrix_checks():
         DensityMatrix(g, np.eye(64, dtype=complex))  # trace h*64 != 1
 
 
+def test_hermitian_check_in_row_blocks_matches_the_dense_rule():
+    # 512 points: row blocks of PAIR_BLOCK // 512 = 64 rows.  A skew entry
+    # in the first or the last block is judged as max|m - m^H| against
+    # 1e-10 * max|m| over the whole matrix judges it
+    g = _grid(n=512)
+    base = state_density_matrix(coherent_state(g, 0.2, -0.1)).matrix
+    scale = np.max(np.abs(base))
+    for i, j in [(0, 1), (511, 3), (500, 510)]:
+        for factor, hermitian in [(0.9, True), (1.1, False)]:
+            m = base.copy()
+            m[i, j] += 1e-10 * scale * factor
+            assert (np.max(np.abs(m - m.conj().T)) <= 1e-10 * np.max(np.abs(m))) == hermitian
+            if hermitian:
+                DensityMatrix(g, m)
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    DensityMatrix(g, m)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_trace_product_matches_the_matrix_product(n):
     g = _grid(n=n)

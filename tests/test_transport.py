@@ -1,5 +1,6 @@
 """Optimal transport: exact solver vs independent oracles, duals, Sinkhorn."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,20 @@ from scipy.optimize import linprog
 
 from mflab import transport
 from mflab.errors import ResourceCapError
+from mflab.potentials import PAIR_BLOCK
 from mflab.quantum import GridSpec, coherent_state, husimi_lattices, state_density_matrix
 from mflab.transport import (
+    CANDIDATES_PER_ATOM,
+    DUAL_SLACK,
     SUPPORT_CAP,
     DiscreteMeasure,
     TransportPlan,
+    _candidate_edges,
     _cost_matrix,
+    _edge_costs,
+    _restricted_lp,
     _solve_transport_lp,
+    _violated_pairs,
     dual_potentials,
     kantorovich_gap,
     subsample_distance,
@@ -62,7 +70,7 @@ def _dense_lp_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
 
 def _assert_matches_dense_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
     """Sparse LP against the dense oracle; returns the restricted solves used."""
-    lp = _solve_transport_lp(mu, nu, _cost_matrix(mu, nu, 2.0))
+    lp = _solve_transport_lp(mu, nu, 2.0)
     _, plan = wasserstein_exact(mu, nu, 2.0)
     a, b = dual_potentials(mu, nu, 2.0)
     dense = _dense_lp_cost(mu, nu, 2.0)
@@ -113,6 +121,125 @@ def test_sparse_lp_matches_dense_oracle_on_husimi_lattices():
     mu, nu = husimi_lattices(rho1, rho2, 0.25)
     assert min(mu.size, nu.size) > 100 and not mu.has_equal_weights()
     _assert_matches_dense_oracle(mu, nu)
+
+
+def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices i*n + j of the k smallest entries of M in each row of
+    `rows` and in each column of `cols`; the dense selection oracle."""
+    m, n = M.shape
+    in_row = np.argpartition(M[rows], min(k, n) - 1, axis=1)[:, :k]
+    in_col = np.argpartition(M[:, cols], min(k, m) - 1, axis=0)[:k, :]
+    return np.concatenate(
+        [(rows[:, None] * n + in_row).ravel(), (in_col * n + cols[None, :]).ravel()]
+    )
+
+
+def _dense_violated_pairs(mu, nu, p, a, b) -> np.ndarray:
+    """The pricing step on the whole m x n reduced-cost matrix."""
+    R = _cost_matrix(mu, nu, p) - a[:, None] - b[None, :]
+    bad = R < -DUAL_SLACK
+    worst = _smallest_per_line(
+        np.where(bad, R, 0.0),
+        CANDIDATES_PER_ATOM,
+        np.flatnonzero(bad.any(axis=1)),
+        np.flatnonzero(bad.any(axis=0)),
+    )
+    return np.unique(worst[bad.ravel()[worst]])
+
+
+# row blocks of one row, of 7 rows, and the package's own (one block here)
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+def test_blocked_pricing_adds_the_dense_selection(monkeypatch, rows_per_block):
+    rounds = []
+    for seed, (m, n) in enumerate([(40, 50), (60, 30), (70, 70)]):
+        for modes in (2, 3):
+            mu, nu = _unequal_clouds(seed, m, n, modes)
+            if rows_per_block is not None:
+                monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * n)
+            edges = _candidate_edges(mu, nu)
+            for rnd in itertools.count(1):
+                costs = _edge_costs(mu, nu, 2.0, edges)
+                _, _, a, b = _restricted_lp(costs, mu.weights, nu.weights, edges)
+                blocked = _violated_pairs(mu, nu, 2.0, a, b)
+                np.testing.assert_array_equal(
+                    np.unique(blocked), _dense_violated_pairs(mu, nu, 2.0, a, b)
+                )
+                new = np.setdiff1d(blocked, edges)
+                if new.size == 0:
+                    break
+                edges = np.union1d(edges, new)
+            rounds.append(rnd)
+            # the whole solve does not depend on the blocking
+            lp = _solve_transport_lp(mu, nu, 2.0)
+            monkeypatch.undo()
+            ref = _solve_transport_lp(mu, nu, 2.0)
+            assert lp.cost == ref.cost and lp.rounds == ref.rounds == rnd
+            np.testing.assert_array_equal(lp.edges, ref.edges)
+            np.testing.assert_array_equal(lp.mass, ref.mass)
+    assert max(rounds) >= 3
+
+
+def test_candidate_edges_match_dense_nearest_partners():
+    # k-d tree queries pick the same partners as partial sorts of the dense
+    # shifted squared distances (continuous data: no ties)
+    for seed, (m, n) in enumerate([(40, 50), (3, 25), (25, 3), (70, 70)]):
+        mu, nu = _unequal_clouds(seed, m, n, 2)
+        shift = mu.weights @ mu.points - nu.weights @ nu.points
+        S = _cost_matrix(mu, DiscreteMeasure(nu.points + shift, nu.weights), 2.0)
+        near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(m), np.arange(n))
+        edges = _candidate_edges(mu, nu)
+        assert np.isin(near, edges).all()
+        staircase = np.setdiff1d(edges, near)
+        assert staircase.size < m + n  # the rest is the north-west staircase
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(12)
+    mu, nu = _unequal_clouds(12, 41, 29, 2)
+    if rows_per_block is not None:
+        monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * nu.size)
+    for p in (1.0, 2.0, 3.5):
+        C = _cost_matrix(mu, nu, p)
+        for edges in (
+            np.arange(C.size),
+            np.sort(rng.choice(C.size, size=200, replace=False)),
+            np.array([C.size - 1]),
+        ):
+            np.testing.assert_array_equal(_edge_costs(mu, nu, p, edges), C.ravel()[edges])
+
+
+def _gaussian_lattice(side: int, centre, offset) -> DiscreteMeasure:
+    # side^2 points of a square lattice of spacing 6/side, shifted by
+    # `offset` spacings, under a unit Gaussian centred at `centre`
+    h = 6.0 / side
+    g = (np.arange(side) - (side - 1) / 2) * h
+    pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = pts + h * np.asarray(offset)
+    w = np.exp(-0.5 * np.sum((pts - np.asarray(centre)) ** 2, axis=1))
+    return DiscreteMeasure(pts, w / w.sum())
+
+
+def test_lp_route_builds_no_dense_scratch():
+    # 1024 atoms a side: one m x n float64 array is 8 MiB, and the dense
+    # route held C and the shifted S at once, four times the budget
+    budget = 4 * 2**20
+    mu = _gaussian_lattice(32, (0.3, -0.2), (0.0, 0.0))
+    nu = _gaussian_lattice(32, (0.3, -0.2), (0.5, 0.25))
+    assert 4 * budget <= 2 * 8 * mu.size * nu.size
+    assert not mu.has_equal_weights()
+    tracemalloc.start()
+    try:
+        _, plan = wasserstein_exact(mu, nu, 2.0)
+        a, b = dual_potentials(mu, nu, 2.0)
+        gap = kantorovich_gap(mu, nu, 2.0, plan, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB"
+    # HiGHS's feasibility tolerances are absolute, against weights near 1e-6
+    assert gap <= 1e-8
+    assert _max_marginal_error(plan, mu, nu) < 1e-7
 
 
 def test_exact_matches_permutation_oracle_2d():
@@ -180,6 +307,27 @@ def test_kantorovich_gap_rejects_infeasible_dual():
     _, plan = wasserstein_exact(mu, nu, 2.0)
     with pytest.raises(ValueError):
         kantorovich_gap(mu, nu, 2.0, plan, np.array([10.0, 10.0]), np.array([10.0, 10.0]))
+
+
+def test_kantorovich_gap_checks_the_last_short_row_block():
+    # 300 columns give row blocks of PAIR_BLOCK // 300 = 109 rows, so rows
+    # 218..249 form a short last block; its last row holds the one pair
+    # that a + b overshoots
+    mu, nu = _unequal_clouds(5, 250, 300, 1)
+    rows = PAIR_BLOCK // nu.size
+    assert mu.size % rows and mu.size - 1 >= (mu.size // rows) * rows
+    _, plan = wasserstein_exact(mu, nu, 2.0)
+    C = _cost_matrix(mu, nu, 2.0)
+    a, b = np.zeros(mu.size), np.zeros(nu.size)
+    nearest = np.sort(C[-1])[:2]
+    assert nearest[1] - nearest[0] > 1e-6
+    a[-1] = nearest[0] - 1e-6
+    assert kantorovich_gap(mu, nu, 2.0, plan, a, b) > 0
+    a[-1] = nearest[0] + 1e-6
+    R = C - a[:, None] - b[None, :]
+    assert np.argwhere(R < -DUAL_SLACK).tolist() == [[mu.size - 1, int(np.argmin(C[-1]))]]
+    with pytest.raises(ValueError, match="infeasible dual pair"):
+        kantorovich_gap(mu, nu, 2.0, plan, a, b)
 
 
 def test_sinkhorn_upper_bounds_exact_and_is_feasible():
