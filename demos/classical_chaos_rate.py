@@ -6,8 +6,10 @@ a Vlasov reference cloud, which the ensemble carries and advances with it),
 measures the per-particle coupling functional D^2_N(t), and checks it against
 the closed-form Gronwall envelope (8/N) ||grad V||^2 (e^{Lambda t} - 1)/Lambda.
 The fitted log-log slope of the coupling distance sqrt(D^2_N) should sit near
--1/2.
+-1/2.  Exits 1 after any VIOLATION line.
 """
+import sys
+
 import numpy as np
 
 from mflab import classical_rhs, make_gaussian_potential
@@ -18,6 +20,7 @@ M, dt, t_end = 400, 0.025, 1.0
 N_list = [8, 32, 128]
 
 finals = []
+violations = 0
 for N in N_list:
     reference = sample_gaussian_cloud(2048, 1, seed=7)
     ens = diagonal_ensemble(M, N, reference, seed=100 + N)
@@ -25,9 +28,11 @@ for N in N_list:
     print(f"== N = {N}")
     for t, d in zip(times, dvals):
         envelope = classical_rhs(V, 2.0, N, 1, t)
+        violations += d > envelope
         flag = "ok" if d <= envelope else "VIOLATION"
         print(f"   t={t:5.2f}   D^2={d:.3e}   envelope={envelope:.3e}   {flag}")
     finals.append(dvals[-1])
 
 slope = np.polyfit(np.log(N_list), 0.5 * np.log(finals), 1)[0]
 print(f"== coupling-distance slope vs N: {slope:+.3f}   (mean-field rate: -0.5)")
+sys.exit(1 if violations else 0)

@@ -9,11 +9,13 @@ the oracle the product of the factors is checked against.  The trace
 coupling cost D_eps(t) starts at the Heisenberg floor 2*eps (diagonal
 coherent coupling) and may grow at most like
 
-    (2 eps + 4 ||grad V||^2 (1 - e^{-Lambda t}) / Lambda) e^{Lambda t}.
+    (2 eps + 8 ||grad V||^2 (1 - e^{-Lambda t}) / Lambda) e^{Lambda t},
 
-The Husimi picture gives an independent lower rail: W2(Husimi marginals)^2
-- 2 eps can never exceed the trace cost.
+the factorized bound at N = 1.  The Husimi picture gives an independent
+lower rail: W2(Husimi marginals)^2 - 2 eps can never exceed the trace cost.
+Exits 1 after any VIOLATION line.
 """
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,9 +46,10 @@ dt, legs, steps_per_leg = 0.02, 5, 5
 
 print(f"eps = {eps}   initial cost (Heisenberg floor 2*eps) = {qp_cost_trace(state, eps):.6f}")
 t = 0.0
+violations = 0
 for _ in range(legs):
+    state, ref = factored_coupled_advance(state, ref, V, dt, steps_per_leg)
     for _ in range(steps_per_leg):
-        state, ref = factored_coupled_advance(state, ref, V, dt)
         psi, ref_oracle = coupled_quantum_advance(psi, ref_oracle, V, dt)
     t += dt * steps_per_leg
     D = qp_cost_trace(state, eps)
@@ -54,8 +57,11 @@ for _ in range(legs):
     rail = mk_eps_lower(reduced_density(state, [0]), reduced_density(state, [1]), eps)
     product = np.multiply.outer(state.xs[0].values, state.y.values)
     gap = np.max(np.abs(product - psi.values))
+    ok = rail <= D <= env and gap < 1e-12
+    violations += not ok
     print(
         f"t={t:4.2f}   D={D:.6f}   envelope={env:.6f}   husimi rail={rail:+.6f}   "
-        f"oracle gap={gap:.1e}   {'ok' if rail <= D <= env and gap < 1e-12 else 'VIOLATION'}"
+        f"oracle gap={gap:.1e}   {'ok' if ok else 'VIOLATION'}"
     )
 print(f"norm drift after {legs * steps_per_leg} steps: {abs(state.norm() - 1.0):.2e}")
+sys.exit(1 if violations else 0)

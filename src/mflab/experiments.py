@@ -1156,15 +1156,14 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         # product symbol with every particle at z0; its diagonal coupling
         # is symmetric, so the symmetrized Toeplitz lift is a single pure
         # coherent product, which the coupled flow keeps a product: it is
-        # evolved, measured and saved as its factors
+        # evolved, measured and saved as its factors, all under the one
+        # Hartree reference of the run
         atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
         symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
         _, plan = wasserstein_exact(symbol, symbol, p=2.0)
         coupling = symmetrize_initial_coupling(plan, symbol, symbol, N)
-        components = [
-            (w, state, coherent_state(base, q0, p0))
-            for w, state in coupling_to_factored_mixture(base, N, coupling)
-        ]
+        mixture = coupling_to_factored_mixture(base, N, coupling)
+        ref = coherent_state(base, q0, p0)
         consts = _potential_constants(V, eps=eps, N=N, n=1, dt=dt, Lambda=lam, grid_points=n_pts)
         rows = []
         drift_max = 0.0
@@ -1172,16 +1171,11 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         steps_taken = 0
         for t, n_steps in schedule:
             solves.check()
-            advanced = []
-            for w, state, ref in components:
-                for _ in range(n_steps):
-                    state, ref = factored_coupled_advance(state, ref, V, dt)
-                advanced.append((w, state, ref))
-            components = advanced
+            mixture, ref = factored_coupled_advance(mixture, ref, V, dt, n_steps)
             t_reached = t
             steps_taken += n_steps
             try:
-                for w, state, _ in components:
+                for _, state in mixture:
                     state.check_guard_band()
                     drift_max = max(drift_max, abs(state.norm() - 1.0))
             except GuardBandError as err:
@@ -1192,7 +1186,6 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 )
                 print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
                 break
-            mixture = [(w, state) for w, state, _ in components]
             D = qp_cost_trace(mixture, eps) / N
             rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
             rows.append(
@@ -1225,7 +1218,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             )
         )
         if checkpoint:
-            save_state(f"{checkpoint}.eps{eps}.mflabst", components[0][1])
+            save_state(f"{checkpoint}.eps{eps}.mflabst", mixture[0][1])
         return rows
 
     tasks = len(eps_list) * len(schedule)

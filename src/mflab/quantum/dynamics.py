@@ -1,12 +1,17 @@
 """Split-step spectral propagators: N-body, Hartree, and the coupled flow.
 
 Conventions: the evolution is i*eps*d_t psi = H psi, so every factor applies
-exp(-i*dt*(.)/eps).  Kinetic symbol (eps^2/2)|kappa|^2 acts as the per-axis
-Fourier phase exp(-i*dt*eps*kappa^2/2); the N-body potential is
-(1/2N) sum_{k != l} V(x_k - x_l) (the k = l constant is dropped -- a global
-phase); the Hartree potential is V_rho = V * |psi|^2, recomputed from the
-post-kinetic density for the second half step, which keeps Strang order
-because the final phase factor does not change the density.
+exp(-i*dt*(.)/eps).  Every propagator is one `_strang_step` (half potential
+phase, kinetic step, half potential phase; Lubich, Math. Comp. 77 (2008) for
+Hartree), which alone checks dt; each propagator supplies only its phases.
+Kinetic symbol (eps^2/2)|kappa|^2 acts as the per-axis Fourier phase
+exp(-i*dt*eps*kappa^2/2); the N-body potential is (1/2N) sum_{k != l}
+V(x_k - x_l) (the k = l constant is dropped -- a global phase); the Hartree
+potential is V_rho = V * |psi|^2, recomputed from the post-kinetic density
+for the second half step, which keeps Strang order because the final phase
+factor does not change the density.  The coupled flow runs the tensor power
+of one Hartree solution on X, so a run steps every component of its
+coupling under one shared reference (factored_coupled_advance).
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from scipy import fft as sfft
 
 from ..convolution import offset_convolution
 from ..potentials import Potential
-from .grids import FactoredCoupling, GridSpec, ResourceCapError, WaveFunction, memory_cap_bytes
+from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
+from .grids import coupling_components, memory_cap_bytes
 
 
 def _check_kinetic_resolution(grid: GridSpec, dt: float) -> None:
@@ -39,11 +45,20 @@ def _apply_kinetic(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     return sfft.ifftn(out, overwrite_x=True)
 
 
-def _pair_phase_matrix(grid: GridSpec, V: Potential, coef: float) -> np.ndarray:
-    """exp(-1j * coef * V(x_a - x_b)) as an (n, n) factor (d = 1)."""
-    x = grid.axis_points()
-    Vd = V.eval((x[:, None] - x[None, :])[..., None])
-    return np.exp(-1j * coef * Vd)
+def _strang_step(psi: WaveFunction, dt: float, first, second) -> WaveFunction:
+    """second(kinetic(first(psi.values))) at time psi.time + dt.  `first`
+    must leave psi's values as they are; `second` may work in place on the
+    kinetic step's fresh array."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    grid = psi.grid
+    _check_kinetic_resolution(grid, dt)
+    vals = _apply_kinetic(first(psi.values), grid, dt)
+    return WaveFunction(grid, second(vals), psi.time + dt)
+
+
+def _times(factor: np.ndarray):
+    return lambda values: values * factor
 
 
 def _multiply_on_axes(values: np.ndarray, factor: np.ndarray, axes: tuple) -> None:
@@ -53,30 +68,32 @@ def _multiply_on_axes(values: np.ndarray, factor: np.ndarray, axes: tuple) -> No
     values *= factor.reshape(shape)
 
 
+def _pair_phases(grid: GridSpec, V: Potential, coef: float, axes: range):
+    """In-place phase exp(-1j * coef * V(x_a - x_b)) on every pair a < b of
+    `axes` (d = 1); the identity when there is no pair or V vanishes."""
+    if len(axes) < 2 or not V.sup_abs > 0.0:
+        return lambda values: values
+    x = grid.axis_points()
+    P = np.exp(-1j * coef * V.eval((x[:, None] - x[None, :])[..., None]))
+
+    def apply(values):
+        for i, a in enumerate(axes):
+            for b in axes[i + 1 :]:
+                _multiply_on_axes(values, P, (a, b))
+        return values
+
+    return apply
+
+
 def split_step_nbody(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
-    """One Strang step of the N-body flow (d = 1): half pair-potential phase,
-    full kinetic step, half pair-potential phase.  Exactly unitary up to
-    round-off."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One Strang step of the N-body flow (d = 1) with half pair-potential
+    phases.  Exactly unitary up to round-off."""
     grid = psi.grid
     if grid.d != 1:
         raise NotImplementedError("quantum propagators are implemented for d = 1")
-    _check_kinetic_resolution(grid, dt)
     N = grid.n_particles
-    vals = psi.values.copy()
-    if N >= 2 and V.sup_abs > 0.0:
-        P = _pair_phase_matrix(grid, V, dt / (2.0 * N * grid.epsilon))
-        for a in range(N):
-            for b in range(a + 1, N):
-                _multiply_on_axes(vals, P, (a, b))
-        vals = _apply_kinetic(vals, grid, dt)
-        for a in range(N):
-            for b in range(a + 1, N):
-                _multiply_on_axes(vals, P, (a, b))
-    else:
-        vals = _apply_kinetic(vals, grid, dt)
-    return WaveFunction(grid, vals, psi.time + dt)
+    pairs = _pair_phases(grid, V, dt / (2.0 * N * grid.epsilon), range(N))
+    return _strang_step(psi, dt, lambda vals: pairs(vals.copy()), pairs)
 
 
 def split_step_linear(psi: WaveFunction, potential_values: np.ndarray, dt: float) -> WaveFunction:
@@ -85,18 +102,11 @@ def split_step_linear(psi: WaveFunction, potential_values: np.ndarray, dt: float
 
     The frozen-potential building block of every propagator here; its local
     error against the exact flow exp(-i dt H/eps) is O(dt^3)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = psi.grid
-    _check_kinetic_resolution(grid, dt)
     W = np.asarray(potential_values, dtype=float)
     if W.shape != psi.values.shape:
         raise ValueError("potential table must match the grid shape")
-    half = np.exp(-0.5j * dt * W / grid.epsilon)
-    vals = psi.values * half
-    vals = _apply_kinetic(vals, grid, dt)
-    vals *= half
-    return WaveFunction(grid, vals, psi.time + dt)
+    half = np.exp(-0.5j * dt * W / psi.grid.epsilon)
+    return _strang_step(psi, dt, _times(half), _times(half))
 
 
 def hartree_potential(psi: WaveFunction, V: Potential) -> np.ndarray:
@@ -116,49 +126,36 @@ def _density_potential(density: np.ndarray, grid: GridSpec, V: Potential) -> np.
 
 
 def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One Strang step of the Hartree flow: the first half phase takes the
+    potential of psi's density, the second that of the post-kinetic one."""
     grid = psi.grid
     if grid.n_particles != 1 or grid.d != 1:
         raise ValueError("hartree_step expects a single-particle d = 1 state")
-    _check_kinetic_resolution(grid, dt)
     eps = grid.epsilon
+
+    def second(vals):
+        v1 = _density_potential(np.abs(vals) ** 2 * grid.h, grid, V)
+        vals *= np.exp(-0.5j * dt * v1 / eps)
+        return vals
+
     v0 = hartree_potential(psi, V)
-    vals = psi.values * np.exp(-0.5j * dt * v0 / eps)
-    vals = _apply_kinetic(vals, grid, dt)
-    v1 = _density_potential(np.abs(vals) ** 2 * grid.h, grid, V)
-    vals *= np.exp(-0.5j * dt * v1 / eps)
-    return WaveFunction(grid, vals, psi.time + dt)
-
-
-def _check_same_axes(a: GridSpec, b: GridSpec) -> None:
-    if (a.d, a.points_per_axis, a.box_half_width, a.epsilon) != (
-        b.d,
-        b.points_per_axis,
-        b.box_half_width,
-        b.epsilon,
-    ):
-        raise ValueError("grids do not share axis geometry / epsilon")
+    return _strang_step(psi, dt, _times(np.exp(-0.5j * dt * v0 / eps)), second)
 
 
 def coupled_quantum_advance(
     R_state: WaveFunction, hartree_ref: WaveFunction, V: Potential, dt: float
 ):
-    """One Strang step of the coupled flow on the coupled state as one array;
-    returns (R_state, hartree_ref) both advanced.  R_state lives on the
-    2N-particle grid GridSpec(d, 2N, ...), X slots first.
+    """One Strang step of the coupled flow on the coupled state as one array
+    on GridSpec(d, 2N, ...), X slots first; returns (R_state, hartree_ref)
+    both advanced.  The X axes take the mean-field phases of `hartree_ref`
+    (start-of-step, then end-of-step density), the Y axes their pair phases,
+    so the step factorizes exactly as (Hartree tensor power on X) x (N-body
+    on Y).
 
-    The X block feels the Hartree potential of `hartree_ref` (start-of-step
-    density for the first half phase, end-of-step density for the second);
-    the Y block feels its own pairwise potential; the kinetic phase acts on
-    all 2N axes.  The propagator therefore factorizes exactly as (Hartree
-    tensor power on X) x (N-body on Y), which factored_coupled_advance
-    exploits.  The package never calls this n^(2N) route: it is the tests'
-    oracle for factored_coupled_advance, and it stays here only because
+    The package never calls this n^(2N) route: it is the tests' oracle for
+    factored_coupled_advance, and it stays here only because
     perfbench/tracing.py binds `experiments.coupled_quantum_advance` by name.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     grid = R_state.grid
     if grid.n_particles % 2:
         raise ValueError("R_state must hold N X slots and N Y slots: an even particle count")
@@ -167,73 +164,61 @@ def coupled_quantum_advance(
     N = grid.n_particles // 2
     if N * grid.d > 2:
         raise ResourceCapError("coupled systems are limited to N*d <= 2")
-    _check_same_axes(grid, hartree_ref.grid)
-    _check_kinetic_resolution(grid, dt)
+    if hartree_ref.grid != replace(grid, n_particles=1):
+        raise ValueError("hartree_ref must be a single-particle state on R_state's axes")
+    eps = grid.epsilon
+    pairs = _pair_phases(grid, V, (dt / 2.0) / (N * eps), range(N, 2 * N))
+
+    def phases(vals, v_mf):
+        mf_phase = np.exp(-1j * (dt / 2.0) * v_mf / eps)
+        for k in range(N):
+            _multiply_on_axes(vals, mf_phase, (k,))
+        return pairs(vals)
 
     v_now = hartree_potential(hartree_ref, V)
     ref_next = hartree_step(hartree_ref, V, dt)
     v_next = hartree_potential(ref_next, V)
-
-    vals = R_state.values.copy()
-    _apply_coupled_half_potential(vals, grid, V, v_now, dt / 2.0)
-    vals = _apply_kinetic(vals, grid, dt)
-    _apply_coupled_half_potential(vals, grid, V, v_next, dt / 2.0)
-    return WaveFunction(grid, vals, R_state.time + dt), ref_next
+    first, second = lambda vals: phases(vals.copy(), v_now), lambda vals: phases(vals, v_next)
+    return _strang_step(R_state, dt, first, second), ref_next
 
 
 def factored_coupled_advance(
-    state: FactoredCoupling, hartree_ref: WaveFunction, V: Potential, dt: float
+    coupling, hartree_ref: WaveFunction, V: Potential, dt: float, n_steps: int
 ):
-    """One Strang step of the coupled flow on a product coupling, factor by
-    factor; returns (state, hartree_ref) both advanced.
+    """n_steps Strang steps of the coupled flow, factor by factor, under one
+    Hartree reference.  `coupling` is a FactoredCoupling or a list of
+    (weight, FactoredCoupling), as qp_cost_trace takes; returns it in that
+    shape, and the reference, both advanced.
 
-    Each X factor takes the mean-field phases of `hartree_ref` (start-of-step
-    potential, then end-of-step potential) around a kinetic step; the Y factor
-    takes split_step_nbody, whose pair coefficient dt/(2N eps) is the one-array
-    route's.  No array larger than the Y factor's n^N is formed."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    base = state.xs[0].grid
-    _check_same_axes(base, hartree_ref.grid)
-    _check_kinetic_resolution(base, dt)
-    eps = base.epsilon
-
-    v_now = hartree_potential(hartree_ref, V)
-    ref_next = hartree_step(hartree_ref, V, dt)
-    v_next = hartree_potential(ref_next, V)
-
-    first = np.exp(-1j * (dt / 2.0) * v_now / eps)
-    second = np.exp(-1j * (dt / 2.0) * v_next / eps)
-    xs = tuple(
-        WaveFunction(base, _apply_kinetic(x.values * first, base, dt) * second, x.time + dt)
-        for x in state.xs
-    )
-    return FactoredCoupling(xs, split_step_nbody(state.y, V, dt)), ref_next
-
-
-def _apply_coupled_half_potential(
-    vals: np.ndarray, grid: GridSpec, V: Potential, v_mf: np.ndarray, dt_half: float
-) -> None:
-    """Half-step potential phases of the coupled flow on one array, in place:
-    mean field on the X axes, pair potential on the Y axes.  Used by the
-    oracle route only."""
-    N = grid.n_particles // 2
-    eps = grid.epsilon
-    mf_phase = np.exp(-1j * dt_half * v_mf / eps)
-    for k in range(N):
-        _multiply_on_axes(vals, mf_phase, (k,))
-    if N >= 2 and V.sup_abs > 0.0:
-        P = _pair_phase_matrix(grid, V, dt_half / (N * eps))
-        for a in range(N):
-            for b in range(a + 1, N):
-                _multiply_on_axes(vals, P, (N + a, N + b))
+    The reference takes hartree_step; every X factor takes its mean-field
+    phases (start-of-step, then end-of-step potential); each Y factor takes
+    split_step_nbody, whose pair coefficient dt/(2N eps) is the one-array
+    route's.  A step's end potential starts the next, so n >= 1 steps
+    evaluate `_density_potential` 3n + 1 times whatever the component count,
+    and 0 steps evaluate nothing.  No array larger than a Y factor's n^N is
+    formed."""
+    components = coupling_components(coupling)
+    if any(x.grid != hartree_ref.grid for _, state in components for x in state.xs):
+        raise ValueError("X factors must be single-particle states on hartree_ref's grid")
+    eps = hartree_ref.grid.epsilon
+    v_now = hartree_potential(hartree_ref, V) if n_steps > 0 else None
+    for _ in range(n_steps):
+        hartree_ref = hartree_step(hartree_ref, V, dt)
+        v_next = hartree_potential(hartree_ref, V)
+        first = _times(np.exp(-1j * (dt / 2.0) * v_now / eps))
+        second = _times(np.exp(-1j * (dt / 2.0) * v_next / eps))
+        for i, (w, state) in enumerate(components):
+            xs = [_strang_step(x, dt, first, second) for x in state.xs]
+            components[i] = (w, FactoredCoupling(xs, split_step_nbody(state.y, V, dt)))
+        v_now = v_next
+    if isinstance(coupling, FactoredCoupling):
+        return components[0][1], hartree_ref
+    return components, hartree_ref
 
 
 def partial_trace(psi: WaveFunction, n: int):
     """Reduced density matrix of the first n particle slots:
     rho^n(x, y) = integral psi(x, z) conj(psi(y, z)) dz."""
-    from .grids import DensityMatrix  # local import to avoid cycle at module load
-
     grid = psi.grid
     d = grid.d
     total = grid.n_axes // d

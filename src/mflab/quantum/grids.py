@@ -122,9 +122,11 @@ class FactoredCoupling:
     N-particle Y factor.  It is the only coupling state the package builds,
     evolves, measures and reduces.
 
-    The coupled flow keeps a product a product (see factored_coupled_advance),
-    so the n^(2N) array on the 2N-particle grid is never built; checkpoints
-    save the factors.  Slots count X factors first, then y's particles.
+    The coupled flow keeps a product a product (see factored_coupled_advance,
+    which advances one of these, or a weighted list of them, under one
+    Hartree reference), so the n^(2N) array on the 2N-particle grid is never
+    built; checkpoints save the factors.  Slots count X factors first, then
+    y's particles.
     """
 
     xs: tuple
@@ -151,6 +153,15 @@ class FactoredCoupling:
 
     def check_guard_band(self) -> float:
         return _require_guard_band(self.guard_band_mass())
+
+
+def coupling_components(R) -> list:
+    """A FactoredCoupling, or a list of (weight, FactoredCoupling), as the
+    list: the two shapes a coupling takes in the propagators and the costs."""
+    components = [(1.0, R)] if isinstance(R, FactoredCoupling) else list(R)
+    if not all(isinstance(state, FactoredCoupling) for _, state in components):
+        raise TypeError("a coupling is a FactoredCoupling or a list of (weight, FactoredCoupling)")
+    return components
 
 
 @dataclass(frozen=True)

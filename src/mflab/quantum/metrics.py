@@ -23,7 +23,14 @@ from scipy import fft as sfft
 
 from ..transport import SUPPORT_CAP, DiscreteMeasure, TransportPlan, wasserstein_exact
 from .dynamics import partial_trace
-from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
+from .grids import (
+    DensityMatrix,
+    FactoredCoupling,
+    GridSpec,
+    ResourceCapError,
+    WaveFunction,
+    coupling_components,
+)
 from .phase_space import SymbolMeasure, coherent_state, husimi_values
 
 
@@ -52,20 +59,12 @@ def _factored_cost(state: FactoredCoupling) -> float:
     return total
 
 
-def _components(R) -> list:
-    """A FactoredCoupling, or a list of (weight, FactoredCoupling), as the list."""
-    components = [(1.0, R)] if isinstance(R, FactoredCoupling) else list(R)
-    if not all(isinstance(state, FactoredCoupling) for _, state in components):
-        raise TypeError("a coupling is a FactoredCoupling or a list of (weight, FactoredCoupling)")
-    return components
-
-
 def qp_cost_trace(R, eps: float | None = None) -> float:
     """trace((Q*Q + P*P) R) for a product coupling (a FactoredCoupling) or a
     finite convex combination of them, given as (weight, FactoredCoupling)
     pairs."""
     total = 0.0
-    for w, state in _components(R):
+    for w, state in coupling_components(R):
         if eps is not None and abs(eps - state.y.grid.epsilon) > 1e-12:
             raise ValueError("eps disagrees with the state's grid")
         total += w * _factored_cost(state)
@@ -315,7 +314,7 @@ def reduced_density(components, keep_slots) -> DensityMatrix:
     if len(keep) != 1:
         raise NotImplementedError("factored couplings reduce to one slot")
     acc = None
-    for w, state in _components(components):
+    for w, state in coupling_components(components):
         matrix, grid = _factored_block(state, keep[0])
         acc = w * matrix if acc is None else acc + w * matrix
     return DensityMatrix(grid, acc)

@@ -31,6 +31,7 @@ from mflab.quantum import (
     split_step_nbody,
     state_density_matrix,
 )
+from mflab.quantum import dynamics
 from mflab.quantum.dynamics import _density_potential, coupled_quantum_advance
 from mflab.quantum.grids import ResourceCapError
 from mflab.transport import DiscreteMeasure
@@ -157,15 +158,6 @@ def test_unitarity_over_thousand_steps():
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
-def test_kinetic_resolution_guard():
-    grid = GridSpec(1, 1, 64, 6.0, 0.25)
-    psi = coherent_state(grid, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        split_step_nbody(psi, GAUSS, 0.5)
-    with pytest.raises(ValueError):
-        split_step_nbody(psi, GAUSS, -0.01)
-
-
 def test_hartree_potential_matches_direct_sum():
     grid = GridSpec(1, 1, 64, 6.0, 0.25)
     psi = coherent_state(grid, 0.4, 0.1)
@@ -253,8 +245,8 @@ def _coupled_pair(base, atom, V, n_steps, dt=0.02):
     [(_, state)] = coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1)))
     phi = coherent_state(oracle.doubled(base, N), atom[: 2 * N], atom[2 * N :])
     ref = ref_d = coherent_state(base, atom[0], atom[len(atom) // 2])
+    state, ref = factored_coupled_advance(state, ref, V, dt, n_steps)
     for _ in range(n_steps):
-        state, ref = factored_coupled_advance(state, ref, V, dt)
         phi, ref_d = coupled_quantum_advance(phi, ref_d, V, dt)
     np.testing.assert_array_equal(ref.values, ref_d.values)
     return state, phi, ref
@@ -291,27 +283,33 @@ def test_coupled_advance_free_flow_keeps_marginals_matched():
     assert np.max(np.abs(rho_x.matrix - rho_y.matrix)) < 1e-12
 
 
-def test_factored_coupling_matches_doubled_oracle():
-    # two coherent atoms (layout q_x, q_y, p_x, p_y) whose X centres differ
-    # from the reference state's, so the mean-field phases are not symmetric
-    base = GridSpec(1, 1, 32, 5.0, 0.5)
-    N = 2
+def _two_atom_coupling():
+    """Two coherent N = 2 atoms (layout q_x, q_y, p_x, p_y) whose X centres
+    differ from the reference state's, so the mean-field phases are not
+    symmetric."""
     atoms = np.array(
         [
             [0.4, -0.3, 0.1, 0.2, -0.2, 0.3, 0.05, -0.1],
             [-0.5, 0.2, 0.0, -0.3, 0.1, -0.2, 0.2, 0.15],
         ]
     )
-    coupling = DiscreteMeasure(atoms, np.array([0.3, 0.7]))
+    return DiscreteMeasure(atoms, np.array([0.3, 0.7]))
+
+
+def test_factored_coupling_matches_doubled_oracle():
+    base = GridSpec(1, 1, 32, 5.0, 0.5)
+    N = 2
+    coupling = _two_atom_coupling()
     factored = coupling_to_factored_mixture(base, N, coupling)
     doubled = oracle.coupling_to_state_mixture(oracle.doubled(base, N), coupling)
     ref0 = coherent_state(base, 0.0, 0.1)
+    # the whole mixture in one call, under one reference
+    factored, ref_f = factored_coupled_advance(factored, ref0, GAUSS, 0.02, 25)
     for i, ((w, state), (_, psi)) in enumerate(zip(factored, doubled)):
-        ref_f = ref_d = ref0
+        ref_d = ref0
         for _ in range(25):
-            state, ref_f = factored_coupled_advance(state, ref_f, GAUSS, 0.02)
             psi, ref_d = coupled_quantum_advance(psi, ref_d, GAUSS, 0.02)
-        factored[i], doubled[i] = (w, state), (w, psi)
+        doubled[i] = (w, psi)
         np.testing.assert_array_equal(ref_f.values, ref_d.values)
         product = oracle.doubled_state(state)
         assert product.grid == psi.grid and product.time == pytest.approx(psi.time)
@@ -342,6 +340,67 @@ def test_factored_coupling_matches_doubled_oracle():
         got = reduced_density(tilted, [slot]).matrix
         want = oracle.reduced_density(oracle.doubled_state(tilted), [slot]).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_mixture_shares_one_hartree_reference(monkeypatch):
+    # one call over the whole mixture under one reference equals each
+    # component advanced alone with its own copy of the reference, bit for bit
+    base = GridSpec(1, 1, 32, 5.0, 0.5)
+    mixture = coupling_to_factored_mixture(base, 2, _two_atom_coupling())
+    ref0 = coherent_state(base, 0.0, 0.1)
+    n_steps = 7
+    together, ref = factored_coupled_advance(mixture, ref0, GAUSS, 0.02, n_steps)
+    assert [w for w, _ in together] == [w for w, _ in mixture]
+    for (_, state), (_, got) in zip(mixture, together):
+        alone, own_ref = factored_coupled_advance(state, ref0, GAUSS, 0.02, n_steps)
+        np.testing.assert_array_equal(own_ref.values, ref.values)
+        assert own_ref.time == ref.time
+        for a, b in zip(alone.factors, got.factors):
+            assert a.grid == b.grid and a.time == b.time
+            np.testing.assert_array_equal(a.values, b.values)
+
+    # the reference advances once per step, and each step's end potential
+    # starts the next: 3n + 1 convolutions whatever the component count
+    calls = []
+    density_potential = dynamics._density_potential
+
+    def counted(*args):
+        calls.append(1)
+        return density_potential(*args)
+
+    monkeypatch.setattr(dynamics, "_density_potential", counted)
+    for coupling in (mixture[0][1], mixture):
+        for n in (0, 1, n_steps):
+            calls.clear()
+            factored_coupled_advance(coupling, ref0, GAUSS, 0.02, n)
+            assert len(calls) == (3 * n + 1 if n else 0)
+
+
+def _propagator_calls():
+    """Each propagator as a function of dt, on a 32-point grid."""
+    base = GridSpec(1, 1, 32, 5.0, 0.5)
+    psi = coherent_state(base, 0.1, -0.2)
+    pair = coherent_state(oracle.doubled(base, 1), [0.1, 0.1], [-0.2, -0.2])
+    state = FactoredCoupling((psi,), psi)
+    table = GAUSS(base.axis_points()[:, None])
+    return {
+        "split_step_linear": lambda dt: split_step_linear(psi, table, dt),
+        "split_step_nbody": lambda dt: split_step_nbody(pair, GAUSS, dt),
+        "hartree_step": lambda dt: hartree_step(psi, GAUSS, dt),
+        "factored_coupled_advance": lambda dt: factored_coupled_advance(state, psi, GAUSS, dt, 1),
+        "coupled_quantum_advance": lambda dt: coupled_quantum_advance(pair, psi, GAUSS, dt),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_propagator_calls()))
+def test_every_propagator_rejects_bad_dt(name):
+    step = _propagator_calls()[name]
+    step(0.01)
+    # 32 points on [-5, 5) at eps 0.5: the kinetic phase at the Nyquist mode
+    # reaches pi at dt = 2 h^2 / (pi eps), about 0.124
+    for dt in (0.0, -0.01, 0.125, 1.0):
+        with pytest.raises(ValueError):
+            step(dt)
 
 
 def test_factored_runner_checkpoint_holds_the_final_factors(tmp_path, monkeypatch):
