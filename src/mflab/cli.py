@@ -3,10 +3,11 @@
     mflab run <config.json> [--seed S] [--jobs J] [--out DIR]
     mflab validate <config.json>
 
-`--jobs J` runs J points of an experiment's sweep at once.  The exact
-transport solves of classical-dobrushin, mk-bracket and quantum-dobrushin run
-on the cores `--jobs` leaves free (usable CPUs // min(J, sweep length)) while
-the sweep goes on; neither changes a byte of the output.
+`--jobs J` (at least 1) runs J points of an experiment's sweep at once.
+The exact transport solves of classical-dobrushin, mk-bracket and
+quantum-dobrushin run on the cores `--jobs` leaves free (usable CPUs //
+min(J, sweep length)) while the sweep goes on; neither changes a byte of
+the output.
 
 `--seed` and `--out` replace the config's `seed` and `out` and are checked
 as those keys are.
@@ -91,6 +92,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if args.command == "run" and args.jobs < 1:
+        print(f"--jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
 
     raw = _load_json(args.config)
     if raw is None:
@@ -122,7 +126,7 @@ def main(argv=None) -> int:
             print(f"cannot create {what} directory: {err}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        reports = run_experiment(cfg, jobs=max(1, args.jobs))
+        reports = run_experiment(cfg, jobs=args.jobs)
     except (ResourceCapError, MemoryError) as err:
         print(f"resource error: {err}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -355,6 +355,13 @@ PARAMS = {
 #: the defaults plan at most 40 classical steps and 25 * 64 quantum ones.
 MAX_STEP_WORK = 10**5
 
+#: Most pair-force work a classical-dobrushin config may plan: its steps
+#: times `samples` times sum N^2 pair terms, since every step of every
+#: sample evaluates all N^2 pairs of each N.  The defaults plan 5.6e9 pair
+#: terms, which take about 19 s on a 2-core VM; N = SUPPORT_CAP at the
+#: defaults plans 3.4e11, and dt = 1e-5 plans 1.4e13, half a day.
+MAX_PAIR_WORK = 10**12
+
 
 def time_schedule(times, dt: float) -> list:
     """(t, n_steps) for each sample time t: n_steps = round((t - t_prev)/dt)
@@ -471,6 +478,15 @@ def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
                     f"dt: {dt!r} plans {steps} steps{on}, more work than the bound "
                     f"of {MAX_STEP_WORK} steps times grid points"
                 )
+            elif exp == "classical-dobrushin" and ok("samples", "N"):
+                samples = params["samples"]
+                terms = steps * samples * sum(n * n for n in _as_list(params["N"]))
+                if terms > MAX_PAIR_WORK:
+                    diags.append(
+                        f"dt: {dt!r} plans {steps} steps of {samples} samples, {terms} pair "
+                        f"terms, more work than the bound of {MAX_PAIR_WORK} steps times "
+                        "samples times sum N^2"
+                    )
     if "grid_points" in params and ok("grid_points", "box"):
         n_pts, box = params["grid_points"], params["box"]
         at = f"box={box}, grid_points={n_pts}"

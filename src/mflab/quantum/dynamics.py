@@ -11,7 +11,10 @@ potential is V_rho = V * |psi|^2, recomputed from the post-kinetic density
 for the second half step, which keeps Strang order because the final phase
 factor does not change the density.  The coupled flow runs the tensor power
 of one Hartree solution on X, so a run steps every component of its
-coupling under one shared reference (factored_coupled_advance).
+coupling under one shared reference (factored_coupled_advance).  The
+advances reuse what they hold: the Hartree step starts from the potential
+the previous step ended on (_hartree_step_from), and the N-body step builds
+its n x n pair factor once for every Y factor of a call (_nbody_step).
 """
 from __future__ import annotations
 
@@ -68,11 +71,15 @@ def _multiply_on_axes(values: np.ndarray, factor: np.ndarray, axes: tuple) -> No
     values *= factor.reshape(shape)
 
 
-def _pair_phases(grid: GridSpec, V: Potential, coef: float, axes: range):
-    """In-place phase exp(-1j * coef * V(x_a - x_b)) on every pair a < b of
-    `axes` (d = 1); the identity when there is no pair or V vanishes."""
-    if len(axes) < 2 or not V.sup_abs > 0.0:
+def _pair_phases(grid: GridSpec, V: Potential, dt: float, axes: range):
+    """In-place half pair-potential phase exp(-i dt V(x_a - x_b) / (2 N eps))
+    on every pair a < b of `axes` (d = 1), N = len(axes); the identity when
+    there is no pair or V vanishes.  The n x n factor is built here, once,
+    for every array the returned function is applied to."""
+    N = len(axes)
+    if N < 2 or not V.sup_abs > 0.0:
         return lambda values: values
+    coef = dt / (2.0 * N * grid.epsilon)
     x = grid.axis_points()
     P = np.exp(-1j * coef * V.eval((x[:, None] - x[None, :])[..., None]))
 
@@ -85,15 +92,20 @@ def _pair_phases(grid: GridSpec, V: Potential, coef: float, axes: range):
     return apply
 
 
+def _nbody_step(grid: GridSpec, V: Potential, dt: float):
+    """One Strang step of the N-body flow on `grid` (d = 1), as a function
+    of the state, with half pair-potential phases whose factor is built
+    once for every state it steps."""
+    if grid.d != 1:
+        raise NotImplementedError("quantum propagators are implemented for d = 1")
+    pairs = _pair_phases(grid, V, dt, range(grid.n_particles))
+    return lambda psi: _strang_step(psi, dt, lambda vals: pairs(vals.copy()), pairs)
+
+
 def split_step_nbody(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
     """One Strang step of the N-body flow (d = 1) with half pair-potential
     phases.  Exactly unitary up to round-off."""
-    grid = psi.grid
-    if grid.d != 1:
-        raise NotImplementedError("quantum propagators are implemented for d = 1")
-    N = grid.n_particles
-    pairs = _pair_phases(grid, V, dt / (2.0 * N * grid.epsilon), range(N))
-    return _strang_step(psi, dt, lambda vals: pairs(vals.copy()), pairs)
+    return _nbody_step(psi.grid, V, dt)(psi)
 
 
 def split_step_linear(psi: WaveFunction, potential_values: np.ndarray, dt: float) -> WaveFunction:
@@ -125,12 +137,11 @@ def _density_potential(density: np.ndarray, grid: GridSpec, V: Potential) -> np.
     return offset_convolution(density, kernel)
 
 
-def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
-    """One Strang step of the Hartree flow: the first half phase takes the
-    potential of psi's density, the second that of the post-kinetic one."""
+def _hartree_step_from(psi: WaveFunction, V: Potential, dt: float, v0: np.ndarray):
+    """One Strang step of the Hartree flow from v0, the potential of psi's
+    density: the first half phase takes v0, the second the potential of
+    the post-kinetic density."""
     grid = psi.grid
-    if grid.n_particles != 1 or grid.d != 1:
-        raise ValueError("hartree_step expects a single-particle d = 1 state")
     eps = grid.epsilon
 
     def second(vals):
@@ -138,8 +149,13 @@ def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
         vals *= np.exp(-0.5j * dt * v1 / eps)
         return vals
 
-    v0 = hartree_potential(psi, V)
     return _strang_step(psi, dt, _times(np.exp(-0.5j * dt * v0 / eps)), second)
+
+
+def hartree_step(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
+    """One Strang step of the Hartree flow: the first half phase takes the
+    potential of psi's density, the second that of the post-kinetic one."""
+    return _hartree_step_from(psi, V, dt, hartree_potential(psi, V))
 
 
 def coupled_quantum_advance(
@@ -167,7 +183,7 @@ def coupled_quantum_advance(
     if hartree_ref.grid != replace(grid, n_particles=1):
         raise ValueError("hartree_ref must be a single-particle state on R_state's axes")
     eps = grid.epsilon
-    pairs = _pair_phases(grid, V, (dt / 2.0) / (N * eps), range(N, 2 * N))
+    pairs = _pair_phases(grid, V, dt, range(N, 2 * N))
 
     def phases(vals, v_mf):
         mf_phase = np.exp(-1j * (dt / 2.0) * v_mf / eps)
@@ -176,7 +192,7 @@ def coupled_quantum_advance(
         return pairs(vals)
 
     v_now = hartree_potential(hartree_ref, V)
-    ref_next = hartree_step(hartree_ref, V, dt)
+    ref_next = _hartree_step_from(hartree_ref, V, dt, v_now)
     v_next = hartree_potential(ref_next, V)
     first, second = lambda vals: phases(vals.copy(), v_now), lambda vals: phases(vals, v_next)
     return _strang_step(R_state, dt, first, second), ref_next
@@ -190,26 +206,32 @@ def factored_coupled_advance(
     (weight, FactoredCoupling), as qp_cost_trace takes; returns it in that
     shape, and the reference, both advanced.
 
-    The reference takes hartree_step; every X factor takes its mean-field
-    phases (start-of-step, then end-of-step potential); each Y factor takes
-    split_step_nbody, whose pair coefficient dt/(2N eps) is the one-array
-    route's.  A step's end potential starts the next, so n >= 1 steps
-    evaluate `_density_potential` 3n + 1 times whatever the component count,
-    and 0 steps evaluate nothing.  No array larger than a Y factor's n^N is
+    The reference takes the Hartree step from the potential the advance
+    holds; every X factor takes its mean-field phases (start-of-step, then
+    end-of-step potential); every Y factor takes the N-body step, whose pair
+    factor is built once per call, so the Y factors must share one grid.  A
+    step's end potential starts the next, so n >= 1 steps evaluate
+    `_density_potential` 2n + 1 times whatever the component count, and 0
+    steps evaluate nothing.  No array larger than a Y factor's n^N is
     formed."""
     components = coupling_components(coupling)
     if any(x.grid != hartree_ref.grid for _, state in components for x in state.xs):
         raise ValueError("X factors must be single-particle states on hartree_ref's grid")
+    y_grids = {state.y.grid for _, state in components}
+    if len(y_grids) > 1:
+        raise ValueError("Y factors must share one grid: one particle count, one pair factor")
     eps = hartree_ref.grid.epsilon
-    v_now = hartree_potential(hartree_ref, V) if n_steps > 0 else None
+    if n_steps > 0:
+        v_now = hartree_potential(hartree_ref, V)
+        y_step = _nbody_step(*y_grids, V, dt) if y_grids else None
     for _ in range(n_steps):
-        hartree_ref = hartree_step(hartree_ref, V, dt)
+        hartree_ref = _hartree_step_from(hartree_ref, V, dt, v_now)
         v_next = hartree_potential(hartree_ref, V)
         first = _times(np.exp(-1j * (dt / 2.0) * v_now / eps))
         second = _times(np.exp(-1j * (dt / 2.0) * v_next / eps))
         for i, (w, state) in enumerate(components):
             xs = [_strang_step(x, dt, first, second) for x in state.xs]
-            components[i] = (w, FactoredCoupling(xs, split_step_nbody(state.y, V, dt)))
+            components[i] = (w, FactoredCoupling(xs, y_step(state.y)))
         v_now = v_next
     if isinstance(coupling, FactoredCoupling):
         return components[0][1], hartree_ref

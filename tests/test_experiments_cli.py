@@ -17,6 +17,7 @@ from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
 from mflab.errors import ResourceCapError
 from mflab.experiments import (
+    MAX_PAIR_WORK,
     MAX_STEP_WORK,
     PARAMS,
     ExperimentConfig,
@@ -426,6 +427,7 @@ BAD_KNOBS = {
         ("reference_size", 10),
         ("sample", 32, "sample: not a parameter of classical-dobrushin"),
         (("dt", "times"), (1e-9, [0.25]), "dt: 1e-09 plans 250000000 steps, more work"),
+        ("dt", 1e-5, "dt: 1e-05 plans 100000 steps of 2000 samples, 13977600000000 pair terms"),
     ],
     "vlasov-moments": [
         ("cloud_size", "x"),
@@ -488,6 +490,20 @@ def test_validate_work_bound_boundary():
     assert validate_config(dict(quantum, dt=1e-3)) == []
     over = validate_config(dict(quantum, dt=5e-4))
     assert len(over) == 1 and "plans 2000 steps on 64 grid points, more work" in over[0]
+
+
+def test_validate_pair_work_bound_boundary():
+    # classical-dobrushin's steps also count samples times sum N^2 pair
+    # terms, and a plan of exactly MAX_PAIR_WORK is admitted
+    at = {"experiment": "classical-dobrushin", "N": [100], "times": [1.0], "dt": 1e-3}
+    assert 1000 * 100**2 * 10**5 == MAX_PAIR_WORK
+    assert validate_config(dict(at, samples=10**5)) == []
+    over = validate_config(dict(at, samples=10**5 + 1))
+    assert len(over) == 1 and "plans 1000 steps of 100001 samples, 1000010000000 pair" in over[0]
+    # the same plan split over two N of equal sum N^2
+    split = dict(at, N=[60, 80], samples=10**5)
+    assert validate_config(split) == []
+    assert len(validate_config(dict(split, dt=1.0 / 1001))) == 1
 
 
 def test_validate_classical_dobrushin_needs_two_repeats():
@@ -904,6 +920,20 @@ def test_cli_run_rejects_unusable_seed_and_out_overrides(tmp_path, capsys, monke
     monkeypatch.setattr("mflab.cli.run_experiment", never_run)
     assert main(["run", cfg_path, "--out", str(tmp_path / "afile" / "sub")]) == 64
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    cfg_path = _write_cfg(tmp_path, OT_TINY)
+
+    def never_run(*args, **kwargs):
+        raise AssertionError("the experiment ran with an unusable --jobs")
+
+    monkeypatch.setattr("mflab.cli.run_experiment", never_run)
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", cfg_path, "--jobs", jobs, "--out", str(out)]) == 64, jobs
+        assert f"--jobs must be at least 1, not {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_run_makes_the_checkpoint_directory_before_the_run(tmp_path, capsys, monkeypatch):

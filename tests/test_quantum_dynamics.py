@@ -359,21 +359,43 @@ def test_mixture_shares_one_hartree_reference(monkeypatch):
             assert a.grid == b.grid and a.time == b.time
             np.testing.assert_array_equal(a.values, b.values)
 
-    # the reference advances once per step, and each step's end potential
-    # starts the next: 3n + 1 convolutions whatever the component count
-    calls = []
-    density_potential = dynamics._density_potential
+    # the reference advances once per step from the potential the advance
+    # holds, and each step's end potential starts the next: 2n + 1
+    # convolutions whatever the component count; the pair factor is built
+    # once per call for every Y factor
+    calls = {"_density_potential": 0, "_pair_phases": 0}
 
-    def counted(*args):
-        calls.append(1)
-        return density_potential(*args)
+    def counted(name):
+        inner = getattr(dynamics, name)
 
-    monkeypatch.setattr(dynamics, "_density_potential", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
     for coupling in (mixture[0][1], mixture):
         for n in (0, 1, n_steps):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             factored_coupled_advance(coupling, ref0, GAUSS, 0.02, n)
-            assert len(calls) == (3 * n + 1 if n else 0)
+            want = {"_density_potential": 2 * n + 1 if n else 0, "_pair_phases": min(n, 1)}
+            assert calls == want, (n, coupling is mixture)
+
+
+def test_factored_advance_rejects_y_factors_on_two_grids():
+    # one pair factor serves every Y factor of a call, so a mixture whose
+    # components hold different particle counts is refused
+    base = GridSpec(1, 1, 32, 5.0, 0.5)
+    two = coupling_to_factored_mixture(base, 2, _two_atom_coupling())
+    [(_, three)] = coupling_to_factored_mixture(
+        base, 3, DiscreteMeasure(np.zeros((1, 12)), np.ones(1))
+    )
+    ref0 = coherent_state(base, 0.0, 0.1)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="one grid"):
+            factored_coupled_advance([two[0], (0.5, three)], ref0, GAUSS, 0.02, n)
 
 
 def _propagator_calls():
