@@ -7,6 +7,7 @@ byte-identical output no matter how many worker threads execute the sweep.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
@@ -608,6 +609,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _find_malloc_trim():
+    """The C library's `malloc_trim`, or None where it has none (any libc
+    but glibc, or no C library ctypes can open).
+
+    glibc hands threads malloc arenas of their own, so what a `_SolvePool`
+    thread frees stays in its arena, out of the main thread's reach, until
+    `malloc_trim(0)` hands every arena's free heap back.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
 class _SolvePool:
     """`workers` threads that run solve blocks while the threads that submit
     them go on with their sweep.
@@ -616,8 +636,9 @@ class _SolvePool:
     block raised or the `with` block exited with, and the pool calls it
     before it starts each block, as the sweep does before each segment and a
     block of several solves before each solve.  Leaving the `with` block
-    cancels the blocks still queued (on success none are) and waits for the
-    running ones.
+    cancels the blocks still queued (on success none are), waits for the
+    running ones and hands the heap their threads freed back to the system
+    (`_MALLOC_TRIM`).
     """
 
     def __init__(self, workers: int):
@@ -632,6 +653,8 @@ class _SolvePool:
         if exc is not None:
             self._errors.append(exc)  # running blocks stop at their next solve
         self._pool.shutdown(cancel_futures=True)
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
     def submit(self, block):
         return self._pool.submit(self._run, block)
@@ -1050,46 +1073,17 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # toeplitz-identities
 
 
-def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
-    params = cfg.params
-    eps = float(params["epsilon"])
-    n_pts = int(params["grid_points"])
-    box = float(params["box"])
-    n_symbols = int(params["symbols"])
-    grid = GridSpec(1, 1, n_pts, box, eps)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    rows = []
-
-    # (a) Wigner of a coherent state against its closed form
-    q0, p0 = TOEPLITZ_CENTER
+def _toeplitz_trace_rows(grid: GridSpec, rho_c, rng, n_symbols: int, consts: dict) -> list:
+    """toeplitz-identities' part (b): the Toeplitz trace identity, matrix
+    route vs atom route, for random symbols against the coherent state
+    `rho_c` and a three-atom Toeplitz mixture, in turn.  The mixture is
+    freed on return, before part (c) builds its Husimi lattice."""
     mixed_range, symbol_range = TOEPLITZ_ATOM_RANGES
-    rho_c = state_density_matrix(coherent_state(grid, q0, p0))
-    W = wigner_transform(rho_c)
-    X, XI = np.meshgrid(W.x_nodes, W.xi_nodes, indexing="ij")
-    exact = np.exp(-((X - q0) ** 2 + (XI - p0) ** 2) / eps) / (np.pi * eps)
-    consts = {"eps": eps, "d": 1, "grid_points": n_pts}
-    rows.append(
-        bounds.make_report(
-            "wigner-coherent-closed-form",
-            0.0,
-            float(np.max(np.abs(W.values - exact))),
-            0.0,
-            tolerance=1e-6,
-            constants=consts,
-        )
-    )
-    norm_err = abs(W.integral() - 1.0)
-    rows.append(
-        bounds.make_report(
-            "wigner-normalization", 0.0, norm_err, 0.0, tolerance=1e-6, constants=consts
-        )
-    )
-
-    # (b) Toeplitz trace identity, matrix route vs atom route
     mixed_symbol = DiscreteMeasure(
         rng.uniform(-mixed_range, mixed_range, (3, 2)), np.full(3, 1.0 / 3.0)
     )
     rho_mixed = toeplitz_operator(grid, mixed_symbol)
+    rows = []
     for i in range(n_symbols):
         k = int(rng.integers(1, 7))
         pts = rng.uniform(-symbol_range, symbol_range, (k, 2))
@@ -1108,12 +1102,50 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 constants=dict(consts, atoms=k),
             )
         )
+    return rows
+
+
+def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    params = cfg.params
+    eps = float(params["epsilon"])
+    n_pts = int(params["grid_points"])
+    box = float(params["box"])
+    n_symbols = int(params["symbols"])
+    grid = GridSpec(1, 1, n_pts, box, eps)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rows = []
+
+    # (a) Wigner of a coherent state against its closed form
+    q0, p0 = TOEPLITZ_CENTER
+    rho_c = state_density_matrix(coherent_state(grid, q0, p0))
+    W = wigner_transform(rho_c)
+    X, XI = W.x_nodes[:, None], W.xi_nodes[None, :]
+    exact = np.exp(-((X - q0) ** 2 + (XI - p0) ** 2) / eps) / (np.pi * eps)
+    consts = {"eps": eps, "d": 1, "grid_points": n_pts}
+    rows.append(
+        bounds.make_report(
+            "wigner-coherent-closed-form",
+            0.0,
+            float(np.max(np.abs(W.values - exact))),
+            0.0,
+            tolerance=1e-6,
+            constants=consts,
+        )
+    )
+    norm_err = abs(W.integral() - 1.0)
+    del W, exact  # (b) and (c) build n x n arrays of their own
+    rows.append(
+        bounds.make_report(
+            "wigner-normalization", 0.0, norm_err, 0.0, tolerance=1e-6, constants=consts
+        )
+    )
+
+    rows += _toeplitz_trace_rows(grid, rho_c, rng, n_symbols, consts)
 
     # (c) quadratic-symbol expectation: integral of q^2 against the Husimi
     # function, minus the eps/2 quantization shift, recovers <x^2> = q0^2+eps/2
     H = husimi_transform(rho_c, nx=128, nxi=128)
-    XH, _ = np.meshgrid(H.x_nodes, H.xi_nodes, indexing="ij")
-    lift_expectation = float(np.sum(XH**2 * H.values) * H.dx * H.dxi)
+    lift_expectation = float(np.sum(H.x_nodes[:, None] ** 2 * H.values) * H.dx * H.dxi)
     rows.append(
         bounds.make_report(
             "quadratic-symbol-expectation",

@@ -144,6 +144,19 @@ def toeplitz_trace_against(symbol: SymbolMeasure, rho: DensityMatrix) -> float:
     return total
 
 
+def _folded_diagonals(matrix: np.ndarray, r: int) -> np.ndarray:
+    """`husimi_values`' S for the parity r of l = i + j: row a is l = 2a + r
+    and column b is m = j - i = 2b + r, so S[a, b] = matrix[i, j] +
+    conj(matrix[j, i]) at i = a - b, j = a + b + r, and zero where i or j is
+    off the grid.  Column b is thus the folded m-th diagonal, from row b on."""
+    n = matrix.shape[0]
+    S = np.zeros((n - r, n // 2), dtype=complex)
+    for b in range(n // 2):
+        m = 2 * b + r
+        S[b : b + n - m, b] = matrix.diagonal(m) + matrix.diagonal(-m).conj()
+    return S
+
+
 def husimi_values(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
     """<z, eps| rho |z, eps> / (2 pi eps)^d at phase points z (m, 2d); d = 1.
 
@@ -184,17 +197,10 @@ def husimi_values(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
     s = grid.axis_points()[0] + 0.5 * h * np.arange(2 * n - 1)
     d2 = (s[None, :] - qs[:, None]) ** 2
     H = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / eps)
-    # parity r: row a is l = 2a + r, column b is m = 2b + r, so i = a - b and
-    # j = a + b + r; entries with i or j off the grid are zero
+    del d2  # as large as H: free it before the products below
     D = np.empty((qs.size, n), dtype=complex)
-    b = np.arange(n // 2)
     for r in (0, 1):
-        a = np.arange(n - r)[:, None]
-        i, j = a - b, a + b + r
-        on_grid = (i >= 0) & (j < n)
-        i, j = np.where(on_grid, i, 0), np.where(on_grid, j, 0)
-        S = np.where(on_grid, rho.matrix[i, j] + rho.matrix[j, i].conj(), 0.0)
-        D[:, r::2] = (H[:, r::2] @ S.view(float)).view(complex)
+        D[:, r::2] = (H[:, r::2] @ _folded_diagonals(rho.matrix, r).view(float)).view(complex)
     m = np.arange(n)
     w = np.exp(-((m * h) ** 2) / (4 * eps))
     w[0] = 0.5  # the fold counted the diagonal twice
@@ -236,6 +242,18 @@ def husimi_transform(
     return PhaseSpaceFunction(xs, xis, vals.reshape(nx, nxi), eps)
 
 
+def _wigner_shear(matrix: np.ndarray) -> np.ndarray:
+    """shear[j, k] = matrix[j + m, j - m] for the signed offset m of column k
+    in FFT order, and zero where j + m or j - m is off the grid: column k is
+    the (-2m)-th diagonal, from row |m| on."""
+    n = matrix.shape[0]
+    shear = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        m = (k + n // 2) % n - n // 2
+        shear[abs(m) : n - abs(m), k] = matrix.diagonal(-2 * m)
+    return shear
+
+
 def wigner_transform(rho: DensityMatrix) -> PhaseSpaceFunction:
     """Wigner function by the even-shear sampling rule (d = 1).
 
@@ -252,13 +270,7 @@ def wigner_transform(rho: DensityMatrix) -> PhaseSpaceFunction:
         raise NotImplementedError("Wigner transform implemented for d = 1, single particle")
     n = grid.points_per_axis
     eps = grid.epsilon
-    idx = np.arange(n)
-    ms = (idx + n // 2) % n - n // 2
-    rows = idx[:, None] + ms[None, :]
-    cols = idx[:, None] - ms[None, :]
-    valid = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    shear = np.where(valid, rho.matrix[rows.clip(0, n - 1), cols.clip(0, n - 1)], 0.0)
-    W = np.real(np.fft.fft(shear, axis=1)) * (grid.h / (np.pi * eps))
+    W = np.real(np.fft.fft(_wigner_shear(rho.matrix), axis=1)) * (grid.h / (np.pi * eps))
     W = np.fft.fftshift(W, axes=1)
     xi = eps * np.pi / (2 * grid.box_half_width) * (np.arange(n) - n // 2)
     return PhaseSpaceFunction(grid.axis_points(), xi, W, eps)
