@@ -39,22 +39,23 @@ base = GridSpec(1, 1, 64, 8.0, eps)
 pair = replace(base, n_particles=2)
 
 q0, p0 = 0.3, -0.2
-state = FactoredCoupling((coherent_state(base, q0, p0),), coherent_state(base, q0, p0))
+coupling = [(1.0, FactoredCoupling((coherent_state(base, q0, p0),), coherent_state(base, q0, p0)))]
 psi = coherent_state(pair, [q0, q0], [p0, p0])  # the same diagonal coupling
 ref = ref_oracle = coherent_state(base, q0, p0)
 dt, legs, steps_per_leg = 0.02, 5, 5
 
-print(f"eps = {eps}   initial cost (Heisenberg floor 2*eps) = {qp_cost_trace(state, eps):.6f}")
+print(f"eps = {eps}   initial cost (Heisenberg floor 2*eps) = {qp_cost_trace(coupling):.6f}")
 t = 0.0
 violations = 0
 for _ in range(legs):
-    state, ref = factored_coupled_advance(state, ref, V, dt, steps_per_leg)
+    coupling, ref = factored_coupled_advance(coupling, ref, V, dt, steps_per_leg)
+    [(_, state)] = coupling
     for _ in range(steps_per_leg):
         psi, ref_oracle = coupled_quantum_advance(psi, ref_oracle, V, dt)
     t += dt * steps_per_leg
-    D = qp_cost_trace(state, eps)
+    D = qp_cost_trace(coupling)
     env = quantum_rhs("factorized", V, eps, 1, 1, t)
-    rail = mk_eps_lower(reduced_density(state, [0]), reduced_density(state, [1]), eps)
+    rail = mk_eps_lower(reduced_density(coupling, 0), reduced_density(coupling, 1))
     product = np.multiply.outer(state.xs[0].values, state.y.values)
     gap = np.max(np.abs(product - psi.values))
     ok = rail <= D <= env and gap < 1e-12

@@ -29,8 +29,8 @@ print(f"{'eps':>6} {'husimi lower':>14} {'trace cost':>12} {'symbol upper':>14} 
 for eps in (0.5, 0.25, 0.1):
     grid = GridSpec(1, 1, 256, 6.0, eps)
     x, y = coherent_state(grid, z1[0], z1[1]), coherent_state(grid, z2[0], z2[1])
-    cost = qp_cost_trace(FactoredCoupling((x,), y), eps)
-    lower = mk_eps_lower(x, y, eps)
+    cost = qp_cost_trace([(1.0, FactoredCoupling((x,), y))])
+    lower = mk_eps_lower(x, y)
     s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
     s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
     upper = mk_eps_upper(s1, s2, eps)
@@ -42,5 +42,6 @@ for eps in (0.5, 0.25, 0.1):
 # the trace cost cannot drop below 2*d*eps
 eps = 0.25
 grid = GridSpec(1, 1, 128, 5.0, eps)
-diag = FactoredCoupling((coherent_state(grid, 0.4, -0.3),), coherent_state(grid, 0.4, -0.3))
-print(f"diagonal coupling at eps={eps}: cost = {qp_cost_trace(diag, eps):.9f}  floor = {2 * eps}")
+z0 = coherent_state(grid, 0.4, -0.3)
+diag = [(1.0, FactoredCoupling((z0,), z0))]
+print(f"diagonal coupling at eps={eps}: cost = {qp_cost_trace(diag):.9f}  floor = {2 * eps}")

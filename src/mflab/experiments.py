@@ -686,15 +686,16 @@ def _resolved(entries: list) -> list:
 
 
 def _queue_husimi_lower_row(
-    solves: _SolvePool, state1, state2, eps: float, row_id: str, t: float, rhs: float, **row
+    solves: _SolvePool, state1, state2, row_id: str, t: float, rhs: float, **row
 ):
-    """Future of the row comparing mk_eps_lower(state1, state2, eps) with `rhs`.
+    """Future of the row comparing mk_eps_lower(state1, state2) with `rhs`.
 
     The Husimi lattices are built here, on the sweep thread, and only their
     transport solve goes on `solves`: the states (wave functions or density
     matrices) stay off the queue, so the sweep frees them as it goes on.
     """
-    mu1, mu2 = husimi_lattices(state1, state2, eps)
+    mu1, mu2 = husimi_lattices(state1, state2)
+    eps = state1.grid.epsilon
     return solves.submit(
         lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
     )
@@ -1033,7 +1034,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             _, plan = wasserstein_exact(s1, s2, p=2.0)
             coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
             mixture = coupling_to_factored_mixture(sgrid, 1, coupling)
-            qp = qp_cost_trace(mixture, eps)
+            qp = qp_cost_trace(mixture)
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
             psi1 = coherent_state(sgrid, z1[0], z1[1])
             psi2 = coherent_state(sgrid, z2[0], z2[1])
@@ -1052,7 +1053,6 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
                     solves,
                     psi1,
                     psi2,
-                    eps,
                     "husimi-lower-vs-coupling-cost",
                     t_tag,
                     qp,
@@ -1234,7 +1234,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 )
                 print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
                 break
-            D = qp_cost_trace(mixture, eps) / N
+            D = qp_cost_trace(mixture) / N
             rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
             rows.append(
                 bounds.make_report(
@@ -1244,9 +1244,8 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             rows.append(
                 _queue_husimi_lower_row(
                     solves,
-                    reduced_density(mixture, [0]),
-                    reduced_density(mixture, [N]),
-                    eps,
+                    reduced_density(mixture, 0),
+                    reduced_density(mixture, N),
                     "husimi-lower-chain",
                     t,
                     D,

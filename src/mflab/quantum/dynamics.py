@@ -10,11 +10,12 @@ V(x_k - x_l) (the k = l constant is dropped -- a global phase); the Hartree
 potential is V_rho = V * |psi|^2, recomputed from the post-kinetic density
 for the second half step, which keeps Strang order because the final phase
 factor does not change the density.  The coupled flow runs the tensor power
-of one Hartree solution on X, so a run steps every component of its
-coupling under one shared reference (factored_coupled_advance).  The
-advances reuse what they hold: the Hartree step starts from the potential
-the previous step ended on (_hartree_step_from), and the N-body step builds
-its n x n pair factor once for every Y factor of a call (_nbody_step).
+of one Hartree solution on X and the N-body flow on Y, so a run steps every
+(weight, FactoredCoupling) component of its coupling under one shared
+reference (factored_coupled_advance).  The advances reuse what they hold:
+the Hartree step starts from the potential the previous step ended on
+(_hartree_step_from), and the N-body step builds its n x n pair factor once
+for every Y factor of a call (_nbody_step).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from scipy import fft as sfft
 from ..convolution import offset_convolution
 from ..potentials import Potential
 from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
-from .grids import coupling_components, memory_cap_bytes
+from .grids import memory_cap_bytes
 
 
 def _check_kinetic_resolution(grid: GridSpec, dt: float) -> None:
@@ -100,12 +101,6 @@ def _nbody_step(grid: GridSpec, V: Potential, dt: float):
         raise NotImplementedError("quantum propagators are implemented for d = 1")
     pairs = _pair_phases(grid, V, dt, range(grid.n_particles))
     return lambda psi: _strang_step(psi, dt, lambda vals: pairs(vals.copy()), pairs)
-
-
-def split_step_nbody(psi: WaveFunction, V: Potential, dt: float) -> WaveFunction:
-    """One Strang step of the N-body flow (d = 1) with half pair-potential
-    phases.  Exactly unitary up to round-off."""
-    return _nbody_step(psi.grid, V, dt)(psi)
 
 
 def split_step_linear(psi: WaveFunction, potential_values: np.ndarray, dt: float) -> WaveFunction:
@@ -202,9 +197,8 @@ def factored_coupled_advance(
     coupling, hartree_ref: WaveFunction, V: Potential, dt: float, n_steps: int
 ):
     """n_steps Strang steps of the coupled flow, factor by factor, under one
-    Hartree reference.  `coupling` is a FactoredCoupling or a list of
-    (weight, FactoredCoupling), as qp_cost_trace takes; returns it in that
-    shape, and the reference, both advanced.
+    Hartree reference.  `coupling` is a list of (weight, FactoredCoupling),
+    as qp_cost_trace takes; returns it and the reference, both advanced.
 
     The reference takes the Hartree step from the potential the advance
     holds; every X factor takes its mean-field phases (start-of-step, then
@@ -214,10 +208,10 @@ def factored_coupled_advance(
     `_density_potential` 2n + 1 times whatever the component count, and 0
     steps evaluate nothing.  No array larger than a Y factor's n^N is
     formed."""
-    components = coupling_components(coupling)
-    if any(x.grid != hartree_ref.grid for _, state in components for x in state.xs):
+    coupling = list(coupling)
+    if any(x.grid != hartree_ref.grid for _, state in coupling for x in state.xs):
         raise ValueError("X factors must be single-particle states on hartree_ref's grid")
-    y_grids = {state.y.grid for _, state in components}
+    y_grids = {state.y.grid for _, state in coupling}
     if len(y_grids) > 1:
         raise ValueError("Y factors must share one grid: one particle count, one pair factor")
     eps = hartree_ref.grid.epsilon
@@ -229,13 +223,11 @@ def factored_coupled_advance(
         v_next = hartree_potential(hartree_ref, V)
         first = _times(np.exp(-1j * (dt / 2.0) * v_now / eps))
         second = _times(np.exp(-1j * (dt / 2.0) * v_next / eps))
-        for i, (w, state) in enumerate(components):
+        for i, (w, state) in enumerate(coupling):
             xs = [_strang_step(x, dt, first, second) for x in state.xs]
-            components[i] = (w, FactoredCoupling(xs, y_step(state.y)))
+            coupling[i] = (w, FactoredCoupling(xs, y_step(state.y)))
         v_now = v_next
-    if isinstance(coupling, FactoredCoupling):
-        return components[0][1], hartree_ref
-    return components, hartree_ref
+    return coupling, hartree_ref
 
 
 def partial_trace(psi: WaveFunction, n: int):

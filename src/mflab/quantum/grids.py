@@ -6,9 +6,9 @@ the box, so the periodic wrap never sees appreciable amplitude.  Wavefunction
 values are continuum-normalized (sum |psi|^2 h^axes = 1), density matrices are
 continuum kernels (trace = h^axes * sum of the diagonal).
 
-A coupling of two N-particle systems is held as its factors
-(`FactoredCoupling`); the single array it stands for would be a plain state
-on a 2N-particle grid, X slots first, which the package never builds.
+A coupling of two N-particle systems is a list of (weight, FactoredCoupling)
+pairs; each product is held as its factors, and the array it stands for, a
+state on a 2N-particle grid, X slots first, is never built.
 """
 from __future__ import annotations
 
@@ -119,14 +119,14 @@ class WaveFunction:
 class FactoredCoupling:
     """Pure coupling state x_1 (x) ... (x) x_N (x) y of two N-particle
     systems, held as its factors: N single-particle X factors and one
-    N-particle Y factor.  It is the only coupling state the package builds,
-    evolves, measures and reduces.
+    N-particle Y factor.  A coupling is a list of (weight, FactoredCoupling)
+    pairs, one pair for a product; it is the only coupling the package
+    builds, evolves, measures and reduces.
 
     The coupled flow keeps a product a product (see factored_coupled_advance,
-    which advances one of these, or a weighted list of them, under one
-    Hartree reference), so the n^(2N) array on the 2N-particle grid is never
-    built; checkpoints save the factors.  Slots count X factors first, then
-    y's particles.
+    which advances a coupling under one Hartree reference), so the n^(2N)
+    array on the 2N-particle grid is never built; checkpoints save the
+    factors.  Slots count X factors first, then y's particles.
     """
 
     xs: tuple
@@ -153,15 +153,6 @@ class FactoredCoupling:
 
     def check_guard_band(self) -> float:
         return _require_guard_band(self.guard_band_mass())
-
-
-def coupling_components(R) -> list:
-    """A FactoredCoupling, or a list of (weight, FactoredCoupling), as the
-    list: the two shapes a coupling takes in the propagators and the costs."""
-    components = [(1.0, R)] if isinstance(R, FactoredCoupling) else list(R)
-    if not all(isinstance(state, FactoredCoupling) for _, state in components):
-        raise TypeError("a coupling is a FactoredCoupling or a list of (weight, FactoredCoupling)")
-    return components
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 bracket it certifies, and the symbol-level machinery for symmetrized initial
 couplings.
 
-A coupling of two N-particle states is a FactoredCoupling: N single-particle
-X factors and one N-particle Y factor, whose product is the coupling state.
-The trace cost pairs X factor j with y's particle j:
+A coupling of two N-particle states is a list of (weight, FactoredCoupling)
+pairs, each product holding N single-particle X factors and one N-particle
+Y factor.  The trace cost of a product pairs X factor j with y's particle j:
 
     sum_j <|x_j - y_j|^2> + <|p_j - p_j'|^2>,   p = eps * kappa,
 
@@ -29,7 +29,6 @@ from .grids import (
     GridSpec,
     ResourceCapError,
     WaveFunction,
-    coupling_components,
 )
 from .phase_space import SymbolMeasure, coherent_state, husimi_values
 
@@ -59,16 +58,18 @@ def _factored_cost(state: FactoredCoupling) -> float:
     return total
 
 
-def qp_cost_trace(R, eps: float | None = None) -> float:
-    """trace((Q*Q + P*P) R) for a product coupling (a FactoredCoupling) or a
-    finite convex combination of them, given as (weight, FactoredCoupling)
-    pairs."""
-    total = 0.0
-    for w, state in coupling_components(R):
-        if eps is not None and abs(eps - state.y.grid.epsilon) > 1e-12:
-            raise ValueError("eps disagrees with the state's grid")
-        total += w * _factored_cost(state)
-    return total
+def _products(coupling):
+    """The (weight, FactoredCoupling) pairs of a coupling, checked."""
+    for w, state in coupling:
+        if not isinstance(state, FactoredCoupling):
+            raise TypeError("a coupling is a list of (weight, FactoredCoupling) pairs")
+        yield w, state
+
+
+def qp_cost_trace(R) -> float:
+    """trace((Q*Q + P*P) R) for a coupling R: a finite convex combination of
+    product couplings, as (weight, FactoredCoupling) pairs."""
+    return sum(w * _factored_cost(state) for w, state in _products(R))
 
 
 def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> float:
@@ -105,56 +106,32 @@ def _marginal_window(state, n_sigma: float = 4.2):
     return windows  # [(x_lo, x_hi), (p_lo, p_hi)]
 
 
-def _bargmann_husimi(psi: WaveFunction, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Husimi function of a pure state on the lattice xs x ps, (len(xs), len(ps)):
-
-        Q(q, p) = |h sum_x conj(phi_{q,p}(x)) psi(x)|^2 / (2 pi eps),
-
-    with phi_{q,p} the grid-normalized coherent vector of `husimi_values`.
-    The Bargmann amplitudes are one (n_q x n) (n x n_p) product.  Each
-    Gaussian row is scaled by its largest entry, which cancels against the
-    row's grid norm and keeps q far off the grid from underflowing.
-    """
-    grid = psi.grid
-    eps, x = grid.epsilon, grid.axis_points()
-    d2 = (x[None, :] - xs[:, None]) ** 2
-    G = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2.0 * eps))
-    amp = (G * psi.values) @ np.exp(-1j / eps * np.outer(x, ps))
-    scale = grid.h / (2 * np.pi * eps) / np.sum(G**2, axis=1)
-    return (amp.real**2 + amp.imag**2) * scale[:, None]
-
-
 def _lattice_cloud(state, xs: np.ndarray, ps: np.ndarray, prune: float):
     X, P = np.meshgrid(xs, ps, indexing="ij")
     z = np.column_stack([X.ravel(), P.ravel()])
-    if isinstance(state, WaveFunction):
-        vals = _bargmann_husimi(state, xs, ps).ravel()
-    else:
-        vals = husimi_values(state, z)
-    w = np.clip(vals, 0.0, None) * (xs[1] - xs[0]) * (ps[1] - ps[0])
+    w = np.clip(husimi_values(state, z), 0.0, None) * (xs[1] - xs[0]) * (ps[1] - ps[0])
     keep = w > prune * w.sum()
     w = w[keep]
     return DiscreteMeasure(z[keep], w / w.sum())
 
 
-def husimi_lattices(state1, state2, eps: float | None = None):
+def husimi_lattices(state1, state2):
     """Both Husimi functions discretized on one shared phase-space lattice,
     as the pair of pruned DiscreteMeasures `lattice_lower` solves between.
 
     Each state is a single-particle d = 1 WaveFunction (a pure state) or
-    DensityMatrix, and the two may differ in type.  The lattice has spacing
-    ~ 0.35*sqrt(eps) over the union of the two 4.2-sigma marginal boxes;
-    atoms below 1e-4 of the mass are pruned, which trims the square lattice
-    to a disk.  It is coarsened by 1.5x steps while either support would
-    exceed the solver cap, and ResourceCapError is raised after four tries.
+    DensityMatrix; the two may differ in type but share the eps of their
+    grids.  The lattice has spacing ~ 0.35*sqrt(eps) over the union of the
+    two 4.2-sigma marginal boxes; atoms below 1e-4 of the mass are pruned,
+    which trims the square lattice to a disk.  It is coarsened by 1.5x steps
+    while either support would exceed the solver cap, and ResourceCapError
+    is raised after four tries.
 
-    The route is chosen per state.  For n grid points and an n_q x n_p
-    lattice, a WaveFunction's marginals are |psi|^2 and |FFT psi|^2 (O(n log
-    n)) and its lattice values one product of Bargmann amplitudes (O(n_q n
-    n_p), `_bargmann_husimi`).  A DensityMatrix's momentum marginal takes two
-    n x n FFTs (O(n^2 log n)) and `husimi_values` fills its lattice in
-    O(n_q n^2 + n_q n n_p).  Either way the transport solve, not the Husimi
-    values, dominates the cost of the bound.
+    `husimi_values` fills each lattice by the route of its state's type.
+    For n grid points, a WaveFunction's marginals are |psi|^2 and
+    |FFT psi|^2 (O(n log n)); a DensityMatrix's momentum marginal takes two
+    n x n FFTs (O(n^2 log n)).  Either way the transport solve, not the
+    Husimi values, dominates the cost of the bound.
     """
     for state in (state1, state2):
         if not isinstance(state, (WaveFunction, DensityMatrix)):
@@ -163,10 +140,7 @@ def husimi_lattices(state1, state2, eps: float | None = None):
             raise ValueError("Husimi lattices need single-particle d = 1 states")
     if abs(state1.grid.epsilon - state2.grid.epsilon) > 1e-12:
         raise ValueError("states have different epsilon")
-    if eps is None:
-        eps = state1.grid.epsilon
-    elif abs(eps - state1.grid.epsilon) > 1e-12:
-        raise ValueError("eps disagrees with the states' grids")
+    eps = state1.grid.epsilon
 
     w1 = _marginal_window(state1)
     w2 = _marginal_window(state2)
@@ -195,17 +169,17 @@ def lattice_lower(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eps: float) -> flo
     return dist**2 - 2.0 * eps
 
 
-def mk_eps_lower(state1, state2, eps: float | None = None) -> float:
+def mk_eps_lower(state1, state2) -> float:
     """Squared-distance lower bound dist_2(Husimi_1, Husimi_2)^2 - 2*d*eps:
     `lattice_lower` on the `husimi_lattices` of the two states, each a
-    single-particle WaveFunction or DensityMatrix (see `husimi_lattices` for
+    single-particle WaveFunction or DensityMatrix (see `husimi_values` for
     the cost of each route).
 
     The lattice and pruning errors are below ~5e-3, far inside the 4*d*eps
     slack of the bracket checks this feeds.  May be negative.
     """
-    mu1, mu2 = husimi_lattices(state1, state2, eps)
-    return lattice_lower(mu1, mu2, state1.grid.epsilon if eps is None else eps)
+    mu1, mu2 = husimi_lattices(state1, state2)
+    return lattice_lower(mu1, mu2, state1.grid.epsilon)
 
 
 def state_density_matrix(psi: WaveFunction) -> DensityMatrix:
@@ -306,15 +280,12 @@ def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
     return block, reduced.grid
 
 
-def reduced_density(components, keep_slots) -> DensityMatrix:
-    """Reduced density matrix of one particle slot of a product coupling or of
-    a list of (weight, FactoredCoupling); slots count the X factors first,
-    then y's particles."""
-    keep = list(keep_slots)
-    if len(keep) != 1:
-        raise NotImplementedError("factored couplings reduce to one slot")
+def reduced_density(coupling, slot: int) -> DensityMatrix:
+    """Reduced density matrix of one particle slot of a coupling, a list of
+    (weight, FactoredCoupling); slots count the X factors first, then y's
+    particles."""
     acc = None
-    for w, state in coupling_components(components):
-        matrix, grid = _factored_block(state, keep[0])
+    for w, state in _products(coupling):
+        matrix, grid = _factored_block(state, slot)
         acc = w * matrix if acc is None else acc + w * matrix
     return DensityMatrix(grid, acc)

@@ -157,11 +157,14 @@ def _folded_diagonals(matrix: np.ndarray, r: int) -> np.ndarray:
     return S
 
 
-def husimi_values(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
-    """<z, eps| rho |z, eps> / (2 pi eps)^d at phase points z (m, 2d); d = 1.
+def husimi_values(state, z: np.ndarray) -> np.ndarray:
+    """<z, eps| rho |z, eps> / (2 pi eps)^d at phase points z (m, 2d); d = 1,
+    for a DensityMatrix rho or a WaveFunction psi, rho = |psi><psi|.
 
     |z, eps> is the coherent vector of `coherent_state`, normalized on the
-    grid, but it is never built.  On nodes x_i = x_0 + i h,
+    grid, but it is never built.  Values are found on the lattice of the
+    distinct q and p of z and gathered back to the points, a WaveFunction's
+    by `_bargmann_table`; for a DensityMatrix, on nodes x_i = x_0 + i h,
 
         (x_i - q)^2 + (x_j - q)^2 = 2 (s_l - q)^2 + (m h)^2 / 2,
 
@@ -173,34 +176,36 @@ def husimi_values(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
 
     where S[l, m] = rho[i, j], w_m = e^{-(m h)^2 / (4 eps)} and
     N(q) = sum_i H[q, 2i] is the squared grid norm of the unnormalized
-    vector, up to constant factors.  Folding conj(rho[j, i]) onto rho[i, j] keeps m >= 0 without changing the
-    real part (Hermitian or not), and l has the parity of m, so D is one
-    real-times-complex matrix product per parity.  D is built once per
-    distinct q of z, the phase table once per distinct p; their product is
-    gathered back to the points.  Each row of H is scaled by its largest
-    entry, which cancels in D / N and keeps far-off q from underflowing.
+    vector, up to constant factors.  Folding conj(rho[j, i]) onto rho[i, j]
+    keeps m >= 0 without changing the real part (Hermitian or not), and l
+    has the parity of m, so D is one real-times-complex matrix product per
+    parity.  Each row of H is scaled by its largest entry, which cancels in
+    D / N and keeps far-off q from underflowing.
 
     Cost for n grid points, n_q distinct positions and n_p distinct momenta:
-    O(n_q n^2 + n_q n n_p) multiply-adds and O(n (n_q + n_p)) exponentials.
-    On a full n_q x n_p lattice that is n per point plus n^2 per row,
+    O(n_q n^2 + n_q n n_p) multiply-adds for a DensityMatrix, O(n_q n n_p)
+    for a WaveFunction, and O(n (n_q + n_p)) exponentials.  On a full
+    n_q x n_p lattice that is n per point plus n^2 per row for a matrix,
     against n^2 per point for one matrix-vector product each.  Scattered
     points stay exact, but P of them make n_q = n_p = P: P^2 n work and a
     P x P table.
     """
-    grid = rho.grid
+    grid = state.grid
     if grid.d != 1 or grid.n_particles != 1:
         raise NotImplementedError("Husimi values implemented for d = 1, single particle")
     z = np.atleast_2d(np.asarray(z, dtype=float))
     eps, h, n = grid.epsilon, grid.h, grid.points_per_axis
     qs, iq = np.unique(z[:, 0], return_inverse=True)
     ps, ip = np.unique(z[:, 1], return_inverse=True)
+    if isinstance(state, WaveFunction):
+        return _bargmann_table(state, qs, ps)[iq, ip]
     s = grid.axis_points()[0] + 0.5 * h * np.arange(2 * n - 1)
     d2 = (s[None, :] - qs[:, None]) ** 2
     H = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / eps)
     del d2  # as large as H: free it before the products below
     D = np.empty((qs.size, n), dtype=complex)
     for r in (0, 1):
-        D[:, r::2] = (H[:, r::2] @ _folded_diagonals(rho.matrix, r).view(float)).view(complex)
+        D[:, r::2] = (H[:, r::2] @ _folded_diagonals(state.matrix, r).view(float)).view(complex)
     m = np.arange(n)
     w = np.exp(-((m * h) ** 2) / (4 * eps))
     w[0] = 0.5  # the fold counted the diagonal twice
@@ -208,6 +213,21 @@ def husimi_values(rho: DensityMatrix, z: np.ndarray) -> np.ndarray:
     norm = H[:, ::2].sum(axis=1)
     table = np.real(D @ phases) * (h / (2 * np.pi * eps)) / norm[:, None]
     return table[iq, ip]
+
+
+def _bargmann_table(psi: WaveFunction, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """`husimi_values` of a pure state on the lattice qs x ps, as
+    |h sum_x conj(phi_{q,p}(x)) psi(x)|^2 / (2 pi eps): the amplitudes are
+    one (n_q x n) (n x n_p) product.  Each Gaussian row is scaled by its
+    largest entry, which cancels against the row's grid norm and keeps q
+    far off the grid from underflowing."""
+    grid = psi.grid
+    eps, x = grid.epsilon, grid.axis_points()
+    d2 = (x[None, :] - qs[:, None]) ** 2
+    G = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / (2.0 * eps))
+    amp = (G * psi.values) @ np.exp(-1j / eps * np.outer(x, ps))
+    scale = grid.h / (2 * np.pi * eps) / np.sum(G**2, axis=1)
+    return (amp.real**2 + amp.imag**2) * scale[:, None]
 
 
 def husimi_transform(

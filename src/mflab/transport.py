@@ -215,8 +215,11 @@ def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b) ->
 
 
 #: HiGHS set up for transportation LPs: presolve finds nothing to remove from
-#: a marginal system, and devex dual pricing beats the default on them.
+#: a marginal system, devex dual pricing beats the default on them, and the
+#: absolute feasibility tolerances are 1e-10, not 1e-7, against atom weights
+#: near 1e-6 (at 1e-7 marginals miss by ~1e-7 and pricing rounds multiply).
 _HIGHS_OPTIONS = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
+_HIGHS_OPTIONS |= {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _restricted_lp(cost: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):

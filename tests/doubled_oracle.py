@@ -120,17 +120,16 @@ def permute_particles(psi: WaveFunction, perm) -> WaveFunction:
     return WaveFunction(grid, np.ascontiguousarray(np.transpose(psi.values, axes)), psi.time)
 
 
-def reduced_density(components, keep_slots) -> DensityMatrix:
-    """Reduced density matrix of the named slots of a doubled-grid
-    WaveFunction or a list of (weight, WaveFunction); slots count across both
-    blocks (X block first)."""
+def reduced_density(components, slot: int) -> DensityMatrix:
+    """Reduced density matrix of one slot of a doubled-grid WaveFunction or a
+    list of (weight, WaveFunction); slots count across both blocks (X block
+    first)."""
     if isinstance(components, WaveFunction):
         components = [(1.0, components)]
-    keep = list(keep_slots)
     acc = None
     for w, psi in components:
         total = psi.grid.n_axes // psi.grid.d
-        rest = [s for s in range(total) if s not in keep]
-        block = partial_trace(permute_particles(psi, keep + rest), len(keep))
+        rest = [s for s in range(total) if s != slot]
+        block = partial_trace(permute_particles(psi, [slot] + rest), 1)
         acc = w * block.matrix if acc is None else acc + w * block.matrix
     return DensityMatrix(block.grid, acc)

@@ -28,11 +28,10 @@ from mflab.quantum import (
     reduced_density,
     save_state,
     split_step_linear,
-    split_step_nbody,
     state_density_matrix,
 )
 from mflab.quantum import dynamics
-from mflab.quantum.dynamics import _density_potential, coupled_quantum_advance
+from mflab.quantum.dynamics import _density_potential, _nbody_step, coupled_quantum_advance
 from mflab.quantum.grids import ResourceCapError
 from mflab.transport import DiscreteMeasure
 
@@ -103,7 +102,7 @@ def test_split_step_linear_matches_expm_to_third_order():
     assert slope == pytest.approx(3.0, abs=0.3)
 
 
-def test_split_step_nbody_matches_expm_two_particles():
+def test_nbody_step_matches_expm_two_particles():
     grid = GridSpec(1, 2, 16, 4.0, 0.5)
     psi = _random_state(grid, seed=2)
     x = grid.axis_points()
@@ -115,7 +114,7 @@ def test_split_step_nbody_matches_expm_two_particles():
     dts = np.array([4e-2, 2e-2, 1e-2])
     errs = []
     for dt in dts:
-        approx = split_step_nbody(psi, GAUSS, dt).values
+        approx = _nbody_step(grid, GAUSS, dt)(psi).values
         exact = _expm_step(H, psi.values, dt, grid.epsilon)
         errs.append(np.linalg.norm((approx - exact).ravel()) * grid.h)
     slope = _richardson_slope(np.array(errs), dts)
@@ -128,8 +127,9 @@ def test_free_coherent_evolution_closed_form():
     q, p = 0.3, 0.4
     psi = coherent_state(grid, q, p)
     dt, n_steps = 0.01, 50
+    step = _nbody_step(grid, FLAT, dt)
     for _ in range(n_steps):
-        psi = split_step_nbody(psi, FLAT, dt)
+        psi = step(psi)
     t = dt * n_steps
     eps = grid.epsilon
     x = grid.axis_points()
@@ -153,8 +153,9 @@ def test_free_coherent_evolution_closed_form():
 def test_unitarity_over_thousand_steps():
     grid = GridSpec(1, 1, 64, 6.0, 0.25)
     psi = coherent_state(grid, 0.2, -0.3)
+    step = _nbody_step(grid, GAUSS, 0.005)
     for _ in range(1000):
-        psi = split_step_nbody(psi, GAUSS, 0.005)
+        psi = step(psi)
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
@@ -171,7 +172,7 @@ def test_hartree_potential_matches_direct_sum():
 def test_hartree_mass_conserved_and_free_limit():
     grid = GridSpec(1, 1, 64, 6.0, 0.25)
     psi = coherent_state(grid, 0.3, -0.2)
-    free = split_step_nbody(psi, FLAT, 0.01)
+    free = _nbody_step(grid, FLAT, 0.01)(psi)
     hart = hartree_step(psi, FLAT, 0.01)
     np.testing.assert_array_equal(free.values, hart.values)  # V=0: same flow
     for _ in range(1000):
@@ -240,16 +241,16 @@ def test_permute_particles_product_structure():
 
 def _coupled_pair(base, atom, V, n_steps, dt=0.02):
     """The coherent coupling of one atom, advanced n_steps on both routes:
-    (factored state, doubled oracle state, reference state)."""
+    (factored coupling, doubled oracle state, reference state)."""
     N = len(atom) // 4
-    [(_, state)] = coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1)))
+    mixture = coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1)))
     phi = coherent_state(oracle.doubled(base, N), atom[: 2 * N], atom[2 * N :])
     ref = ref_d = coherent_state(base, atom[0], atom[len(atom) // 2])
-    state, ref = factored_coupled_advance(state, ref, V, dt, n_steps)
+    mixture, ref = factored_coupled_advance(mixture, ref, V, dt, n_steps)
     for _ in range(n_steps):
         phi, ref_d = coupled_quantum_advance(phi, ref_d, V, dt)
     np.testing.assert_array_equal(ref.values, ref_d.values)
-    return state, phi, ref
+    return mixture, phi, ref
 
 
 def test_coupled_advance_marginal_matches_hartree_tensor_power():
@@ -259,23 +260,23 @@ def test_coupled_advance_marginal_matches_hartree_tensor_power():
     z0 = (0.3, -0.2)
     atom = np.array([z0[0], z0[0], z0[0], z0[0], z0[1], z0[1], z0[1], z0[1]])
     dt = 0.02
-    state, phi, ref = _coupled_pair(base, atom, GAUSS, 5, dt)
+    coupling, phi, ref = _coupled_pair(base, atom, GAUSS, 5, dt)
     psi_h = coherent_state(base, *z0)
     for _ in range(5):
         psi_h = hartree_step(psi_h, GAUSS, dt)
     np.testing.assert_array_equal(ref.values, psi_h.values)  # lockstep reference
     expected = state_density_matrix(psi_h)
-    for rho_x in (reduced_density(state, [0]), partial_trace(phi, 1)):
+    for rho_x in (reduced_density(coupling, 0), partial_trace(phi, 1)):
         assert np.max(np.abs(rho_x.matrix - expected.matrix)) < 1e-10
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(coupling[0][1].norm() - 1.0) < 1e-12
     assert abs(phi.norm() - 1.0) < 1e-12
 
 
 def test_coupled_advance_free_flow_keeps_marginals_matched():
     base = GridSpec(1, 1, 32, 5.0, 0.5)
     atom = np.array([0.2, 0.2, 0.2, 0.2, -0.1, -0.1, -0.1, -0.1])
-    state, phi, _ = _coupled_pair(base, atom, FLAT, 5)
-    rho_x, rho_y = reduced_density(state, [0]), reduced_density(state, [2])
+    coupling, phi, _ = _coupled_pair(base, atom, FLAT, 5)
+    rho_x, rho_y = reduced_density(coupling, 0), reduced_density(coupling, 2)
     assert np.max(np.abs(rho_x.matrix - rho_y.matrix)) < 1e-12
     rho_x = partial_trace(phi, 1)
     y_first = oracle.permute_particles(phi, [2, 3, 0, 1])
@@ -322,11 +323,10 @@ def test_factored_coupling_matches_doubled_oracle():
         with pytest.raises(GuardBandError):
             check_guard_band(psi)
 
-    eps = base.epsilon
-    assert qp_cost_trace(factored, eps) == pytest.approx(oracle.cost(doubled), abs=1e-12)
+    assert qp_cost_trace(factored) == pytest.approx(oracle.cost(doubled), abs=1e-12)
     for slot in (0, N):
-        got = reduced_density(factored, [slot]).matrix
-        want = oracle.reduced_density(doubled, [slot]).matrix
+        got = reduced_density(factored, slot).matrix
+        want = oracle.reduced_density(doubled, slot).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
     # factor norms off 1 (inside the density-matrix trace check) must weigh
@@ -337,8 +337,8 @@ def test_factored_coupling_matches_doubled_oracle():
         (x0, WaveFunction(x1.grid, x1.values * grow)), WaveFunction(y.grid, y.values * grow)
     )
     for slot in (0, N):
-        got = reduced_density(tilted, [slot]).matrix
-        want = oracle.reduced_density(oracle.doubled_state(tilted), [slot]).matrix
+        got = reduced_density([(1.0, tilted)], slot).matrix
+        want = oracle.reduced_density(oracle.doubled_state(tilted), slot).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -351,8 +351,8 @@ def test_mixture_shares_one_hartree_reference(monkeypatch):
     n_steps = 7
     together, ref = factored_coupled_advance(mixture, ref0, GAUSS, 0.02, n_steps)
     assert [w for w, _ in together] == [w for w, _ in mixture]
-    for (_, state), (_, got) in zip(mixture, together):
-        alone, own_ref = factored_coupled_advance(state, ref0, GAUSS, 0.02, n_steps)
+    for component, (_, got) in zip(mixture, together):
+        [(_, alone)], own_ref = factored_coupled_advance([component], ref0, GAUSS, 0.02, n_steps)
         np.testing.assert_array_equal(own_ref.values, ref.values)
         assert own_ref.time == ref.time
         for a, b in zip(alone.factors, got.factors):
@@ -376,7 +376,7 @@ def test_mixture_shares_one_hartree_reference(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name))
-    for coupling in (mixture[0][1], mixture):
+    for coupling in (mixture[:1], mixture):
         for n in (0, 1, n_steps):
             calls.update(dict.fromkeys(calls, 0))
             factored_coupled_advance(coupling, ref0, GAUSS, 0.02, n)
@@ -403,13 +403,13 @@ def _propagator_calls():
     base = GridSpec(1, 1, 32, 5.0, 0.5)
     psi = coherent_state(base, 0.1, -0.2)
     pair = coherent_state(oracle.doubled(base, 1), [0.1, 0.1], [-0.2, -0.2])
-    state = FactoredCoupling((psi,), psi)
+    mix = [(1.0, FactoredCoupling((psi,), psi))]
     table = GAUSS(base.axis_points()[:, None])
     return {
         "split_step_linear": lambda dt: split_step_linear(psi, table, dt),
-        "split_step_nbody": lambda dt: split_step_nbody(pair, GAUSS, dt),
+        "_nbody_step": lambda dt: _nbody_step(pair.grid, GAUSS, dt)(pair),
         "hartree_step": lambda dt: hartree_step(psi, GAUSS, dt),
-        "factored_coupled_advance": lambda dt: factored_coupled_advance(state, psi, GAUSS, dt, 1),
+        "factored_coupled_advance": lambda dt: factored_coupled_advance(mix, psi, GAUSS, dt, 1),
         "coupled_quantum_advance": lambda dt: coupled_quantum_advance(pair, psi, GAUSS, dt),
     }
 

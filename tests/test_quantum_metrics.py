@@ -65,7 +65,7 @@ def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
 def test_pure_coupling_cost_closed_form():
     z1, z2 = (0.4, 0.5), (-0.3, 0.2)
     state, want = _pair_coupling(z1, z2), _coherent_cost(z1, z2)
-    assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
+    assert qp_cost_trace([(1.0, state)]) == pytest.approx(want, abs=1e-9)
     assert oracle.cost(oracle.doubled_state(state)) == pytest.approx(want, abs=1e-9)
 
 
@@ -73,32 +73,26 @@ def test_matrix_route_matches_pure_route():
     z1, z2 = (0.5, -0.2), (-0.1, 0.3)
     state = _pair_coupling(z1, z2)
     rho = state_density_matrix(oracle.doubled_state(state))
-    assert oracle.cost(rho) == pytest.approx(qp_cost_trace(state), abs=1e-10)
+    assert oracle.cost(rho) == pytest.approx(qp_cost_trace([(1.0, state)]), abs=1e-10)
 
 
 def test_mixture_route_is_weighted_sum():
     psi_a = _pair_coupling((0.4, 0.1), (0.4, 0.1))
     psi_b = _pair_coupling((-0.3, 0.2), (0.5, -0.4))
-    ca, cb = qp_cost_trace(psi_a), qp_cost_trace(psi_b)
+    ca, cb = qp_cost_trace([(1.0, psi_a)]), qp_cost_trace([(1.0, psi_b)])
     got = qp_cost_trace([(0.3, psi_a), (0.7, psi_b)])
     assert got == pytest.approx(0.3 * ca + 0.7 * cb, abs=1e-12)
 
 
 def test_cost_requires_a_factored_coupling():
+    # a coupling is a list of (weight, FactoredCoupling), even for one product
     psi = coherent_state(BASE, 0.2, 0.1)
-    for R in (psi, [(1.0, psi)], oracle.doubled_state(_pair_coupling((0.2, 0.1), (0.2, 0.1)))):
+    state = _pair_coupling((0.2, 0.1), (0.2, 0.1))
+    for R in (psi, [(1.0, psi)], oracle.doubled_state(state), state):
         with pytest.raises(TypeError):
             qp_cost_trace(R)
         with pytest.raises(TypeError):
-            reduced_density(R, [0])
-
-
-def test_cost_eps_mismatch_rejected():
-    state = _pair_coupling((0.2, 0.0), (0.0, 0.1))
-    with pytest.raises(ValueError):
-        qp_cost_trace(state, eps=0.25)
-    with pytest.raises(ValueError):
-        qp_cost_trace([(1.0, state)], eps=0.25)
+            reduced_density(R, 0)
 
 
 def test_two_particle_cost_and_per_particle_average():
@@ -107,14 +101,13 @@ def test_two_particle_cost_and_per_particle_average():
     atom = np.concatenate([qx, qy, px, py])
     [(_, state)] = coupling_to_factored_mixture(BASE, 2, SymbolMeasure(atom[None, :], np.ones(1)))
     want = float(np.sum((qx - qy) ** 2 + (px - py) ** 2)) + 4 * EPS
-    assert qp_cost_trace(state) == pytest.approx(want, abs=1e-9)
+    assert qp_cost_trace([(1.0, state)]) == pytest.approx(want, abs=1e-9)
     assert oracle.cost(oracle.doubled_state(state)) == pytest.approx(want, abs=1e-9)
 
 
 def test_diagonal_coupling_sits_on_heisenberg_floor():
     z0 = (0.3, -0.2)
-    state = _pair_coupling(z0, z0)
-    D = qp_cost_trace(state)
+    D = qp_cost_trace([(1.0, _pair_coupling(z0, z0))])
     assert D == pytest.approx(2 * EPS, abs=1e-9)
     assert D >= 2 * EPS - 1e-12
 
@@ -156,7 +149,7 @@ def test_bracket_sandwich_on_coherent_pair():
     s1 = SymbolMeasure.equal_weights(np.array([z1]))
     s2 = SymbolMeasure.equal_weights(np.array([z2]))
     upper = mk_eps_upper(s1, s2, EPS)
-    cost = qp_cost_trace(_pair_coupling(z1, z2))
+    cost = qp_cost_trace([(1.0, _pair_coupling(z1, z2))])
     dz2 = (z1[0] - z2[0]) ** 2 + (z1[1] - z2[1]) ** 2
     # Husimi distance between equal-covariance Gaussians: |dz|^2 up to lattice error
     assert lower == pytest.approx(dz2 - 2 * EPS, abs=0.02)
@@ -168,11 +161,12 @@ def _density_route(state):
     return state_density_matrix(state) if isinstance(state, WaveFunction) else state
 
 
-def _assert_lattices_match_density_route(state1, state2, eps):
+def _assert_lattices_match_density_route(state1, state2):
     """husimi_lattices as given against the same states as density matrices,
-    the route that fills lattices with `husimi_values`."""
-    got = husimi_lattices(state1, state2, eps)
-    want = husimi_lattices(_density_route(state1), _density_route(state2), eps)
+    whose lattices `husimi_values` fills by its midpoint route."""
+    eps = state1.grid.epsilon
+    got = husimi_lattices(state1, state2)
+    want = husimi_lattices(_density_route(state1), _density_route(state2))
     for mu, nu in zip(got, want):
         assert mu.size == nu.size
         np.testing.assert_allclose(mu.points, nu.points, rtol=0, atol=1e-12)
@@ -195,14 +189,14 @@ def _superposition(grid, z1, z2):
 def test_wavefunction_lattices_match_density_route_on_coherent_pairs(grid):
     psi1 = coherent_state(grid, 0.4, -0.3)
     psi2 = coherent_state(grid, -0.5, 0.6)
-    _assert_lattices_match_density_route(psi1, psi2, grid.epsilon)
+    _assert_lattices_match_density_route(psi1, psi2)
 
 
 def test_wavefunction_lattices_match_density_route_on_a_superposition():
     # a cat state: two coherent bumps and interference fringes, not a Gaussian
     grid = GridSpec(1, 1, 128, 6.0, 0.25)
     cat = _superposition(grid, (-1.0, 0.5), (1.2, -0.3))
-    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.2, 0.1), grid.epsilon)
+    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.2, 0.1))
 
 
 def test_wavefunction_lattices_match_density_route_far_off_the_grid():
@@ -216,7 +210,7 @@ def test_wavefunction_lattices_match_density_route_far_off_the_grid():
     mean = x @ dens
     q_lo = mean - 4.2 * np.sqrt((x - mean) ** 2 @ dens)
     assert not np.any(np.exp(-((x - q_lo) ** 2) / (2 * grid.epsilon)))
-    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.0, 0.0), grid.epsilon)
+    _assert_lattices_match_density_route(cat, coherent_state(grid, 0.0, 0.0))
 
 
 def test_pure_and_mixed_states_pair_in_husimi_lattices():
@@ -224,8 +218,8 @@ def test_pure_and_mixed_states_pair_in_husimi_lattices():
         BASE, SymbolMeasure(np.array([[0.5, -0.2], [-0.4, 0.3]]), np.array([0.3, 0.7]))
     )
     psi = coherent_state(BASE, 0.2, 0.1)
-    _assert_lattices_match_density_route(psi, mixed, EPS)
-    _assert_lattices_match_density_route(mixed, psi, EPS)
+    _assert_lattices_match_density_route(psi, mixed)
+    _assert_lattices_match_density_route(mixed, psi)
     assert mk_eps_lower(psi, mixed) == pytest.approx(mk_eps_lower(mixed, psi), abs=1e-12)
 
 
@@ -240,8 +234,6 @@ def test_mk_eps_lower_validations():
     )
     with pytest.raises(ValueError):
         mk_eps_lower(rho, other)
-    with pytest.raises(ValueError):
-        mk_eps_lower(rho, rho, eps=0.25)
     coupling = _pair_coupling((0.0, 0.0), (0.0, 0.0))
     psi2 = oracle.doubled_state(coupling)
     dbl = state_density_matrix(psi2)
@@ -349,24 +341,22 @@ def test_coupling_to_factored_mixture_matches_doubled_lift():
 def test_reduced_density_of_product_coupling():
     z1, z2 = (0.4, -0.1), (-0.2, 0.3)
     state = _pair_coupling(z1, z2)
-    rho_x = reduced_density(state, [0])
-    rho_y = reduced_density(state, [1])
+    rho_x = reduced_density([(1.0, state)], 0)
+    rho_y = reduced_density([(1.0, state)], 1)
     want_x = state_density_matrix(coherent_state(BASE, *z1))
     want_y = state_density_matrix(coherent_state(BASE, *z2))
     assert np.max(np.abs(rho_x.matrix - want_x.matrix)) < 1e-10
     assert np.max(np.abs(rho_y.matrix - want_y.matrix)) < 1e-10
     assert rho_x.trace() == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(NotImplementedError):
-        reduced_density(state, [0, 1])
     with pytest.raises(ValueError):
-        reduced_density(state, [2])
+        reduced_density([(1.0, state)], 2)
 
 
 def test_reduced_density_of_mixture_is_convex():
     psi_a = _pair_coupling((0.4, 0.1), (0.0, 0.0))
     psi_b = _pair_coupling((-0.3, 0.2), (0.0, 0.0))
     mix = [(0.6, psi_a), (0.4, psi_b)]
-    rho = reduced_density(mix, [0])
+    rho = reduced_density(mix, 0)
     ra = state_density_matrix(coherent_state(BASE, 0.4, 0.1)).matrix
     rb = state_density_matrix(coherent_state(BASE, -0.3, 0.2)).matrix
     assert np.max(np.abs(rho.matrix - (0.6 * ra + 0.4 * rb))) < 1e-10
@@ -381,21 +371,21 @@ def test_free_flow_coupling_cost_law():
     base = GridSpec(d=1, n_particles=1, points_per_axis=64, box_half_width=6.0, epsilon=0.25)
     eps = base.epsilon
     z0 = (0.3, 0.4)
-    state = _pair_coupling(z0, z0, base)
+    coupling = [(1.0, _pair_coupling(z0, z0, base))]
     ref = coherent_state(base, *z0)
     V0 = make_gaussian_potential(0.0, 1.0, 1)
     dt = 0.02
     x = base.axis_points()
     diff2 = (x[:, None] - x[None, :]) ** 2
     for leg in range(4):
-        state, ref = factored_coupled_advance(state, ref, V0, dt, 10)
+        coupling, ref = factored_coupled_advance(coupling, ref, V0, dt, 10)
         t = (leg + 1) * 10 * dt
-        D = qp_cost_trace(state)
+        D = qp_cost_trace(coupling)
         assert D == pytest.approx(2 * eps + eps * t**2, abs=1e-8)
-        pos_prob = np.abs(oracle.doubled_state(state).values) ** 2
+        pos_prob = np.abs(oracle.doubled_state(coupling[0][1]).values) ** 2
         pos_part = float(np.sum(pos_prob * diff2) / np.sum(pos_prob))
         assert D - pos_part == pytest.approx(eps, abs=1e-9)
     # the cost visibly grows: constancy would need a transported coupling
-    assert qp_cost_trace(state) - 2 * eps == pytest.approx(
+    assert qp_cost_trace(coupling) - 2 * eps == pytest.approx(
         eps * 0.8**2, abs=1e-8
     )

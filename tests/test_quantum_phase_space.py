@@ -179,9 +179,10 @@ def test_husimi_values_coherent_closed_form():
     assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
-def _husimi_oracle(rho, z):
+def _husimi_oracle(state, z):
     """Brute-force route: one grid-normalized coherent vector per point, then
     <phi| rho |phi> / (2 pi eps) by a matrix-vector product each."""
+    rho = state_density_matrix(state) if isinstance(state, WaveFunction) else state
     grid = rho.grid
     x = grid.axis_points()
     eps = grid.epsilon
@@ -195,20 +196,27 @@ def _husimi_oracle(rho, z):
     return vals / (2 * np.pi * eps)
 
 
-def _rank3_state(n, seed):
-    """Mixture of three rough (white-noise in a Gaussian envelope) pure
-    states: no structure for the midpoint factorisation to lean on."""
+def _rough_states(n, seed):
+    """The `husimi_values` oracle inputs, built from rough (white-noise in a
+    Gaussian envelope) pure states, with no structure for either route to
+    lean on: a mixture of three, then one pure state as a WaveFunction (the
+    Bargmann route) and as its density matrix (the midpoint route)."""
     grid = GridSpec(d=1, n_particles=1, points_per_axis=n, box_half_width=6.0, epsilon=EPS)
     rng = np.random.default_rng(seed)
     x = grid.axis_points()
-    matrix = np.zeros((n, n), dtype=complex)
-    for w, center in zip(rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)):
+
+    def rough(center):
         v = np.exp(-((x - center) ** 2) / 2) * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
-        v /= np.sqrt(np.sum(np.abs(v) ** 2) * grid.h)
+        return v / np.sqrt(np.sum(np.abs(v) ** 2) * grid.h)
+
+    matrix = np.zeros((n, n), dtype=complex)
+    for w, center in zip(rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)):
+        v = rough(center)
         matrix += w * np.outer(v, v.conj())
-    return DensityMatrix(grid, matrix)
+    psi = WaveFunction(grid, rough(0.3))
+    return [DensityMatrix(grid, matrix), psi, state_density_matrix(psi)]
 
 
 def _lattice(xs, ps):
@@ -219,28 +227,29 @@ def _lattice(xs, ps):
 # x_half = 7.5 puts lattice nodes past the box edge at 6
 @pytest.mark.parametrize("n, x_half", [(64, 4.0), (128, 4.0), (512, 4.0), (128, 7.5)])
 def test_husimi_values_match_coherent_vector_oracle(n, x_half):
-    rho = _rank3_state(n, seed=n)
-    xi_max = EPS * np.pi / rho.grid.h
+    states = _rough_states(n, seed=n)
+    xi_max = EPS * np.pi / states[0].grid.h
     z = _lattice(np.linspace(-x_half, x_half, 23), np.linspace(-xi_max, xi_max, 29))
-    want = _husimi_oracle(rho, z)
-    assert np.max(np.abs(husimi_values(rho, z) - want)) <= 1e-13 * want.max()
+    for state in states:
+        want = _husimi_oracle(state, z)
+        assert np.max(np.abs(husimi_values(state, z) - want)) <= 1e-13 * want.max()
 
 
 def test_husimi_values_oracle_on_scattered_and_single_points():
-    rho = _rank3_state(128, seed=9)
     rng = np.random.default_rng(11)
     z = np.column_stack([rng.uniform(-3.0, 3.0, 300), rng.uniform(-2.0, 2.0, 300)])
-    want = _husimi_oracle(rho, z)
-    got = husimi_values(rho, z)
-    assert got.shape == (300,)
-    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
-    one = husimi_values(rho, z[7])
-    assert one.shape == (1,)
-    assert abs(one[0] - want[7]) <= 1e-13 * want.max()
-    # far outside the box the unnormalized coherent vector underflows, but
-    # the grid-normalized one is still defined
-    far = husimi_values(rho, [[30.0, 0.5], [-40.0, 1.0]])
-    assert np.all(np.isfinite(far)) and far.min() >= -1e-13 * want.max()
+    for state in _rough_states(128, seed=9):
+        want = _husimi_oracle(state, z)
+        got = husimi_values(state, z)
+        assert got.shape == (300,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+        one = husimi_values(state, z[7])
+        assert one.shape == (1,)
+        assert abs(one[0] - want[7]) <= 1e-13 * want.max()
+        # far outside the box the unnormalized coherent vector underflows,
+        # but the grid-normalized one is still defined
+        far = husimi_values(state, [[30.0, 0.5], [-40.0, 1.0]])
+        assert np.all(np.isfinite(far)) and far.min() >= -1e-13 * want.max()
 
 
 def test_husimi_transform_nonnegative_and_normalized():
