@@ -31,9 +31,7 @@ from .transport import (
     DiscreteMeasure,
     TransportPlan,
     kantorovich_gap,
-    subsample_distance,
     wasserstein_exact,
-    wasserstein_sinkhorn,
 )
 
 __version__ = "0.1.0"
@@ -62,9 +60,7 @@ __all__ = [
     "quantum",
     "quantum_rhs",
     "run_experiment",
-    "subsample_distance",
     "transport",
     "validate_config",
     "wasserstein_exact",
-    "wasserstein_sinkhorn",
 ]

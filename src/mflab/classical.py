@@ -288,13 +288,6 @@ def point_moments(cloud: PhaseState, p: float) -> np.ndarray:
     )
 
 
-def moment_p(cloud: PhaseState, p: float) -> float:
-    """Mean of |x|^p + |xi|^p over the equal-weight cloud."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(point_moments(cloud, p).mean())
-
-
 # ---------------------------------------------------------------------------
 # initial data
 

@@ -14,8 +14,8 @@ as those keys are.
 
 Exit codes: 0 success; 2 at least one bound report failed; 3 resource or
 guard error; 4 validate found diagnostics; 64 unusable config or arguments,
-or an output or checkpoint directory that cannot be created (both are made
-before the run).
+an output or checkpoint directory that cannot be created (both are made
+before the run), or an output or checkpoint file that cannot be written.
 Result rows go to <out>/<experiment>.jsonl and .csv; the JSONL stream carries
 no timestamps, so a (config, seed) pair reproduces byte-identical output.
 """
@@ -127,11 +127,13 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         reports = run_experiment(cfg, jobs=args.jobs)
+        jsonl_path, csv_path = _write_outputs(reports, out, cfg.experiment)
     except (ResourceCapError, MemoryError) as err:
         print(f"resource error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-
-    jsonl_path, csv_path = _write_outputs(reports, out, cfg.experiment)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
     n_failed = sum(1 for r in reports if not r.passed)
     print(
         f"{cfg.experiment}: {len(reports)} checks, {n_failed} failed; "

@@ -825,7 +825,9 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     subsample of the reference flow and subtracts the reference-vs-reference
     floor measured against the *same* anchor subsample, so the finite-sample
     floor cancels in expectation and is strongly variance-reduced.  What is
-    left is the chaos deviation of the empirical marginal.
+    left is the chaos deviation of the empirical marginal.  This is the
+    package's only subsample estimator: a plain mean over subsample pairs
+    would keep that floor, which never reaches zero.
 
     The repeats run in `solves.workers` contiguous blocks (the assignment
     solver releases the GIL).  Repeat r draws only from its own child of

@@ -3,16 +3,14 @@
 Exact Monge-Kantorovich distances (assignment fast path for equal-weight
 clouds, otherwise a HiGHS linear program on a sparse candidate set of pairs,
 grown until its duals are feasible on all pairs, so its optimum is the dense
-one), a log-domain Sinkhorn with feasibility rounding (so its value is a
-certified upper bound), Kantorovich dual certificates, and the subsample
-estimator used on large empirical measures.  Ground cost is |x-y|^p with the
+one) and Kantorovich dual certificates.  Ground cost is |x-y|^p with the
 Euclidean norm on the concatenated phase coordinates; reported distances are
 p-th roots of the plan cost.
 
 The LP route never builds the m x n cost matrix: its candidates come from k-d
 tree queries, and its costs, its pricing and the dual check in
-kantorovich_gap go through row blocks of at most PAIR_BLOCK pairs.  The
-assignment route and Sinkhorn work on the dense matrix.
+kantorovich_gap go through row blocks of at most PAIR_BLOCK pairs.  Only the
+assignment route works on the dense matrix.
 
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
@@ -29,7 +27,6 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .errors import ResourceCapError
 from .potentials import PAIR_BLOCK
@@ -96,15 +93,6 @@ class TransportPlan:
     target_index: np.ndarray
     mass: np.ndarray
     cost_value: float
-    exponent: float
-
-
-class SinkhornResult(NamedTuple):
-    dist: float
-    plan: TransportPlan
-    converged: bool
-    marginal_gap: float
-    iterations: int
 
 
 def _cost_matrix(
@@ -318,18 +306,14 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
         mass = np.full(mu.size, 1.0 / mu.size)
         cost = float(C[row, col] @ mass)
         plan = TransportPlan(
-            np.asarray(row, dtype=np.int64),
-            np.asarray(col, dtype=np.int64),
-            mass,
-            cost,
-            float(p),
+            np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64), mass, cost
         )
     else:
         lp = _solve_transport_lp(mu, nu, p)
         cost = lp.cost
         used = lp.mass > 1e-15
         src, tgt = np.divmod(lp.edges[used], nu.size)
-        plan = TransportPlan(src, tgt, lp.mass[used], cost, float(p))
+        plan = TransportPlan(src, tgt, lp.mass[used], cost)
     return max(cost, 0.0) ** (1.0 / p), plan
 
 
@@ -366,101 +350,3 @@ def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
     primal = float(np.sum(plan.mass * cost))
     dual = float(a @ mu.weights + b @ nu.weights)
     return max(primal - dual, 0.0)
-
-
-def _round_to_feasible(pi: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Altschuler-Niles-Weed-Rigollet rounding: scale rows then columns down to
-    # their targets, then patch the remaining deficit with a rank-one plan.
-    r = pi.sum(axis=1)
-    pi = pi * np.minimum(1.0, w / np.maximum(r, 1e-300))[:, None]
-    c = pi.sum(axis=0)
-    pi = pi * np.minimum(1.0, v / np.maximum(c, 1e-300))[None, :]
-    err_r = np.maximum(w - pi.sum(axis=1), 0.0)
-    err_c = np.maximum(v - pi.sum(axis=0), 0.0)
-    total = err_r.sum()
-    if total > 1e-300:
-        pi = pi + np.outer(err_r, err_c) / err_c.sum()
-    return pi
-
-
-def wasserstein_sinkhorn(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    p: float = 2.0,
-    reg: float = 1e-2,
-    max_iter: int = 20000,
-    tol: float = 1e-9,
-) -> SinkhornResult:
-    """Entropic OT in the log domain, rounded to an exactly feasible plan.
-
-    Because the returned plan is feasible, its cost upper-bounds the true
-    optimum regardless of reg; `marginal_gap` is the L1 marginal violation
-    before rounding, and non-convergence is reported through `converged`
-    rather than raised.
-    """
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    if p < 1:
-        raise ValueError("exponent p must be >= 1")
-    C = _cost_matrix(mu, nu, p)
-    logw = np.log(np.maximum(mu.weights, 1e-300))
-    logv = np.log(np.maximum(nu.weights, 1e-300))
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        f = -reg * logsumexp((g[None, :] - C) / reg + logv[None, :], axis=1)
-        g = -reg * logsumexp((f[:, None] - C) / reg + logw[:, None], axis=0)
-        if it % 10 == 0 or it == max_iter:
-            pi = np.exp((f[:, None] + g[None, :] - C) / reg + logw[:, None] + logv[None, :])
-            gap = float(
-                np.abs(pi.sum(axis=1) - mu.weights).sum()
-                + np.abs(pi.sum(axis=0) - nu.weights).sum()
-            )
-            if gap <= tol:
-                break
-    pi = np.exp((f[:, None] + g[None, :] - C) / reg + logw[:, None] + logv[None, :])
-    pi = _round_to_feasible(pi, mu.weights, nu.weights)
-    cost = float(np.sum(pi * C))
-    src, tgt = np.nonzero(pi > 1e-15)
-    plan = TransportPlan(
-        src.astype(np.int64), tgt.astype(np.int64), pi[src, tgt], cost, float(p)
-    )
-    return SinkhornResult(max(cost, 0.0) ** (1.0 / p), plan, gap <= tol, gap, it)
-
-
-def subsample_distance(
-    cloud_a: DiscreteMeasure,
-    cloud_b: DiscreteMeasure,
-    p: float,
-    subsample_size: int,
-    repeats: int,
-    seed: int,
-):
-    """Mean exact distance over equal-weight subsample pairs, with stderr.
-
-    The estimator is biased (a same-law pair does not give zero); callers are
-    expected to run the same-law baseline and report it, not subtract it
-    silently.  Repeats use independent child streams of `seed`, so the result
-    does not depend on execution order.
-    """
-    if not (cloud_a.has_equal_weights() and cloud_b.has_equal_weights()):
-        raise ValueError("subsample estimator requires equal-weight clouds")
-    m = int(subsample_size)
-    if m < 1 or m > min(cloud_a.size, cloud_b.size):
-        raise ValueError("subsample size out of range")
-    vals = np.empty(repeats)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
-        rng = np.random.default_rng(child)
-        ia = rng.choice(cloud_a.size, size=m, replace=False)
-        ib = rng.choice(cloud_b.size, size=m, replace=False)
-        d, _ = wasserstein_exact(
-            DiscreteMeasure.equal_weights(cloud_a.points[ia]),
-            DiscreteMeasure.equal_weights(cloud_b.points[ib]),
-            p,
-        )
-        vals[i] = d
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(repeats)) if repeats > 1 else 0.0
-    return mean, stderr

@@ -16,7 +16,7 @@ from mflab.classical import (
     coupled_advance,
     diagonal_ensemble,
     dobrushin_functional,
-    moment_p,
+    point_moments,
     run_coupled_trajectory,
     sample_gaussian_cloud,
     verlet_step,
@@ -247,9 +247,9 @@ def test_dobrushin_functional_hand_value():
     assert dobrushin_functional(ens, 2.0) == pytest.approx(2.5, rel=1e-14)
 
 
-def test_moment_p_hand_value():
+def test_point_moments_hand_value():
     cloud = PhaseState(np.array([[2.0], [0.0]]), np.array([[0.0], [3.0]]))  # d = 1
-    assert moment_p(cloud, 2.0) == pytest.approx(0.5 * 4.0 + 0.5 * 9.0, rel=1e-14)
+    assert point_moments(cloud, 2.0).mean() == pytest.approx(0.5 * 4.0 + 0.5 * 9.0, rel=1e-14)
 
 
 def test_samplers_deterministic_and_shaped():

@@ -1027,6 +1027,32 @@ def test_cli_run_makes_the_checkpoint_directory_before_the_run(tmp_path, capsys,
     assert not (tmp_path / "r2" / "quantum-dobrushin.jsonl").exists()
 
 
+def test_cli_run_exits_64_on_an_output_file_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "r"
+    (out / "ot-selftest.jsonl").mkdir(parents=True)
+    assert main(["run", _write_cfg(tmp_path, OT_TINY), "--out", str(out)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write output: ")
+    assert "ot-selftest.jsonl" in err[0]
+
+
+def test_cli_run_exits_64_on_a_checkpoint_file_it_cannot_write(tmp_path, capsys):
+    raw = {
+        "experiment": "quantum-dobrushin",
+        "grid_points": 64,
+        "t_final": 0.04,
+        "n_times": 3,
+        "epsilon": [0.5],
+        "checkpoint": str(tmp_path / "ck"),
+    }
+    (tmp_path / "ck.eps0.5.mflabst").mkdir()
+    assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path / "r")]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write output: ")
+    assert "ck.eps0.5.mflabst" in err[0]
+    assert not (tmp_path / "r" / "quantum-dobrushin.jsonl").exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 64
     assert "cannot read config" in capsys.readouterr().err
@@ -1060,6 +1086,17 @@ def test_import_loads_no_heavy_scipy_subpackages():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its binding is deleted breaks star imports
+    import mflab
+    from mflab import bounds, quantum
+
+    for module in (mflab, quantum, bounds):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], (module.__name__, missing)
+    exec("from mflab import *", {})
 
 
 def test_cli_module_entry_point(tmp_path):
