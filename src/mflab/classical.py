@@ -4,11 +4,13 @@ Implements the N-body Newton flow with force -(1/N) sum_l grad V(x_k - x_l),
 the self-consistent Vlasov particle method (mean-field characteristics over a
 reference cloud), the coupled product flow whose first marginal follows the
 mean-field dynamics and second marginal the N-body dynamics, and the
-functionals measured on them: the p-Dobrushin coupling functional and phase
-moments.  One phase-point type, `PhaseState`, holds either one N-particle
-system or an equal-weight Vlasov cloud; the coupled ensemble carries its
-reference cloud as one.  All integrators are velocity Verlet with the force
-field frozen within each step.
+functionals measured on them: the p-Dobrushin functional per sample
+(`dobrushin_per_sample`, whose mean is D_N^p) and phase moments.
+`coupled_advance` takes one coupled step; `vlasov_advance` and
+`run_coupled_trajectory` take n_steps and return the advanced state.  One
+phase-point type, `PhaseState`, holds either one N-particle system or an
+equal-weight Vlasov cloud; the coupled ensemble carries its reference cloud
+as one.  All integrators are velocity Verlet, force field frozen per step.
 """
 from __future__ import annotations
 
@@ -88,18 +90,6 @@ class CoupledEnsemble:
     @property
     def time(self) -> float:
         return self.reference.time
-
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[2]
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +233,12 @@ def coupled_advance(ens: CoupledEnsemble, V: Potential, dt: float) -> CoupledEns
 
 
 def run_coupled_trajectory(
-    ens: CoupledEnsemble,
-    V: Potential,
-    dt: float,
-    n_steps: int,
-    p: float = 2.0,
-    record_every: int = 1,
-):
-    """Advance the coupled flow, recording t |-> D_N^p; returns
-    (ensemble, times, dvals)."""
-    times = [ens.time]
-    dvals = [dobrushin_functional(ens, p)]
-    for step in range(1, n_steps + 1):
+    ens: CoupledEnsemble, V: Potential, dt: float, n_steps: int
+) -> CoupledEnsemble:
+    """n_steps steps of the coupled flow (coupled_advance)."""
+    for _ in range(n_steps):
         ens = coupled_advance(ens, V, dt)
-        if step % record_every == 0 or step == n_steps:
-            times.append(ens.time)
-            dvals.append(dobrushin_functional(ens, p))
-    return ens, np.asarray(times), np.asarray(dvals)
+    return ens
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +252,6 @@ def dobrushin_per_sample(ens: CoupledEnsemble, p: float) -> Array:
     dx = np.linalg.norm(ens.X - ens.Y, axis=-1)
     dxi = np.linalg.norm(ens.Xi - ens.H, axis=-1)
     return (dx**p + dxi**p).mean(axis=1)
-
-
-def dobrushin_functional(ens: CoupledEnsemble, p: float) -> float:
-    """Monte-Carlo value of (1/N) sum_j (|x_j-y_j|^p + |xi_j-eta_j|^p)."""
-    return float(dobrushin_per_sample(ens, p).mean())
 
 
 def point_moments(cloud: PhaseState, p: float) -> np.ndarray:

@@ -896,11 +896,12 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     ref_seed, *per_n = root.spawn(1 + len(N_list))
 
     lambda_p = bounds.lambda_p_constant(p, V.lip_grad)
+    # one reference cloud for every N: a PhaseState is immutable, so threads share it
+    reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
 
     def one(idx):
         N = N_list[idx]
         ens_seed, sub_seed = per_n[idx].spawn(2)
-        reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
         ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
         consts = _potential_constants(
             V, p=p, N=N, n=1, samples=M, dt=dt, Lambda_p=lambda_p, K_p=bounds.k_constant(p)
@@ -909,9 +910,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         sub_children = sub_seed.spawn(len(schedule))
         for j, (t, n_steps) in enumerate(schedule):
             solves.check()
-            ens, _, _ = run_coupled_trajectory(
-                ens, V, dt, n_steps, p=p, record_every=max(n_steps, 1)
-            )
+            ens = run_coupled_trajectory(ens, V, dt, n_steps)
             per = dobrushin_per_sample(ens, p)
             growth = bounds.make_report(
                 GROWTH_ROW,
@@ -1035,11 +1034,10 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
             _, plan = wasserstein_exact(s1, s2, p=2.0)
             coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
+            # one pure product: its factors are the coherent states at z1, z2
             mixture = coupling_to_factored_mixture(sgrid, 1, coupling)
             qp = qp_cost_trace(mixture)
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
-            psi1 = coherent_state(sgrid, z1[0], z1[1])
-            psi2 = coherent_state(sgrid, z2[0], z2[1])
             consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
             t_tag = float(idx * per_eps + k)
             rows += [
@@ -1053,8 +1051,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 ),
                 _queue_husimi_lower_row(
                     solves,
-                    psi1,
-                    psi2,
+                    *mixture[0][1].factors,
                     "husimi-lower-vs-coupling-cost",
                     t_tag,
                     qp,
@@ -1199,6 +1196,14 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     checkpoint = params["checkpoint"]
     schedule = time_schedule(_sample_times(params), dt)
     lam = bounds.lambda_constant(V.lip_grad)
+    # every checkpoint file is opened before any epsilon is integrated, so one
+    # that cannot be written ends the run first; a file only the probe made is removed
+    saves = [f"{checkpoint}.eps{eps}.mflabst" for eps in eps_list] if checkpoint else []
+    for path in saves:
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
 
     def one(idx):
         eps = eps_list[idx]
@@ -1266,8 +1271,8 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 constants={"eps": eps, "dt": dt, "steps": steps_taken},
             )
         )
-        if checkpoint:
-            save_state(f"{checkpoint}.eps{eps}.mflabst", mixture[0][1])
+        if saves:
+            save_state(saves[idx], mixture[0][1])
         return rows
 
     tasks = len(eps_list) * len(schedule)

@@ -810,6 +810,20 @@ def test_classical_dobrushin_free_dynamics_passes():
     assert all(r.passed for r in rows)
 
 
+def test_classical_dobrushin_draws_its_reference_once(monkeypatch):
+    # every N starts from the one reference cloud of the run
+    draws = []
+    sample = experiments.sample_gaussian_cloud
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_gaussian_cloud", counted)
+    run_experiment(build_config(dict(CLASSICAL_FREE, N=[8, 16], repeats=8)), jobs=2)
+    assert len(draws) == 1
+
+
 def test_combineq_tiny_sweep_passes():
     cfg = build_config(
         {
@@ -1036,21 +1050,29 @@ def test_cli_run_exits_64_on_an_output_file_it_cannot_write(tmp_path, capsys):
     assert "ot-selftest.jsonl" in err[0]
 
 
-def test_cli_run_exits_64_on_a_checkpoint_file_it_cannot_write(tmp_path, capsys):
+def test_cli_run_exits_64_on_a_checkpoint_file_it_cannot_write(tmp_path, capsys, monkeypatch):
+    # every checkpoint path is checked before any epsilon is integrated,
+    # and the check leaves no file behind
     raw = {
         "experiment": "quantum-dobrushin",
         "grid_points": 64,
         "t_final": 0.04,
         "n_times": 3,
-        "epsilon": [0.5],
+        "epsilon": [0.5, 0.25],
         "checkpoint": str(tmp_path / "ck"),
     }
-    (tmp_path / "ck.eps0.5.mflabst").mkdir()
+    (tmp_path / "ck.eps0.25.mflabst").mkdir()
+
+    def never_advance(*args, **kwargs):
+        raise AssertionError("an epsilon was integrated before its checkpoint path was checked")
+
+    monkeypatch.setattr(experiments, "factored_coupled_advance", never_advance)
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path / "r")]) == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cannot write output: ")
-    assert "ck.eps0.5.mflabst" in err[0]
+    assert "ck.eps0.25.mflabst" in err[0]
     assert not (tmp_path / "r" / "quantum-dobrushin.jsonl").exists()
+    assert not (tmp_path / "ck.eps0.5.mflabst").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
