@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import permutations
 
@@ -30,11 +30,11 @@ from .classical import (
 )
 from .potentials import Potential, make_cosine_potential, make_gaussian_potential
 from .quantum import (
+    FactoredCoupling,
     GridSpec,
     GuardBandError,
     check_guard_band,
     coherent_state,
-    coupling_to_factored_mixture,
     factored_coupled_advance,
     guard_band_mass,
     husimi_lattices,
@@ -44,7 +44,6 @@ from .quantum import (
     reduced_density,
     save_state,
     state_density_matrix,
-    symmetrize_initial_coupling,
     toeplitz_operator,
     toeplitz_trace_against,
     trace_product,
@@ -1030,13 +1029,9 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             solves.check()
             z1 = rng.uniform(-scale, scale, 2)
             z2 = rng.uniform(-scale, scale, 2)
-            s1 = DiscreteMeasure(z1[None, :], np.array([1.0]))
-            s2 = DiscreteMeasure(z2[None, :], np.array([1.0]))
-            _, plan = wasserstein_exact(s1, s2, p=2.0)
-            coupling = symmetrize_initial_coupling(plan, s1, s2, 1)
             # one pure product: its factors are the coherent states at z1, z2
-            mixture = coupling_to_factored_mixture(sgrid, 1, coupling)
-            qp = qp_cost_trace(mixture)
+            x, y = coherent_state(sgrid, *z1), coherent_state(sgrid, *z2)
+            qp = qp_cost_trace([(1.0, FactoredCoupling((x,), y))])
             expected = float(np.sum((z1 - z2) ** 2)) + 2.0 * eps
             consts = {"eps": eps, "d": 1, "instance": k, "expected": expected}
             t_tag = float(idx * per_eps + k)
@@ -1051,7 +1046,8 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
                 ),
                 _queue_husimi_lower_row(
                     solves,
-                    *mixture[0][1].factors,
+                    x,
+                    y,
                     "husimi-lower-vs-coupling-cost",
                     t_tag,
                     qp,
@@ -1208,17 +1204,14 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     def one(idx):
         eps = eps_list[idx]
         base = GridSpec(1, 1, n_pts, box, eps)
-        # product symbol with every particle at z0; its diagonal coupling
-        # is symmetric, so the symmetrized Toeplitz lift is a single pure
-        # coherent product, which the coupled flow keeps a product: it is
-        # evolved, measured and saved as its factors, all under the one
-        # Hartree reference of the run
-        atom = np.concatenate([np.full(N, q0), np.full(N, p0)])
-        symbol = DiscreteMeasure(atom[None, :], np.array([1.0]))
-        _, plan = wasserstein_exact(symbol, symbol, p=2.0)
-        coupling = symmetrize_initial_coupling(plan, symbol, symbol, N)
-        mixture = coupling_to_factored_mixture(base, N, coupling)
+        # every particle starts at z0 on both sides, so the coupling is one
+        # coherent product, built directly: the Hartree reference for each
+        # X factor and an N-particle coherent state for y.  The coupled flow
+        # keeps it a product: it is evolved, measured and saved as its
+        # factors, all under the one Hartree reference of the run
         ref = coherent_state(base, q0, p0)
+        y = coherent_state(replace(base, n_particles=N), np.full(N, q0), np.full(N, p0))
+        mixture = [(1.0, FactoredCoupling((ref,) * N, y))]
         consts = _potential_constants(V, eps=eps, N=N, n=1, dt=dt, Lambda=lam, grid_points=n_pts)
         rows = []
         drift_max = 0.0

@@ -1,6 +1,5 @@
 """Quantum coupling costs: the (Q*Q + P*P) trace cost, the squared-distance
-bracket it certifies, and the symbol-level machinery for symmetrized initial
-couplings.
+bracket it certifies, and the Toeplitz lift of a coupling symbol.
 
 A coupling of two N-particle states is a list of (weight, FactoredCoupling)
 pairs, each product holding N single-particle X factors and one N-particle
@@ -16,12 +15,11 @@ m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import permutations
 
 import numpy as np
 from scipy import fft as sfft
 
-from ..transport import SUPPORT_CAP, DiscreteMeasure, TransportPlan, wasserstein_exact
+from ..transport import SUPPORT_CAP, DiscreteMeasure, wasserstein_exact
 from .dynamics import partial_trace
 from .grids import (
     DensityMatrix,
@@ -107,12 +105,12 @@ def _marginal_window(state, n_sigma: float = 4.2):
 
 
 def _lattice_cloud(state, xs: np.ndarray, ps: np.ndarray, prune: float):
-    X, P = np.meshgrid(xs, ps, indexing="ij")
-    z = np.column_stack([X.ravel(), P.ravel()])
-    w = np.clip(husimi_values(state, z), 0.0, None) * (xs[1] - xs[0]) * (ps[1] - ps[0])
+    w = np.clip(husimi_values(state, xs, ps).ravel(), 0.0, None)
+    w = w * (xs[1] - xs[0]) * (ps[1] - ps[0])
     keep = w > prune * w.sum()
     w = w[keep]
-    return DiscreteMeasure(z[keep], w / w.sum())
+    i, j = np.divmod(np.flatnonzero(keep), ps.size)
+    return DiscreteMeasure(np.column_stack([xs[i], ps[j]]), w / w.sum())
 
 
 def husimi_lattices(state1, state2):
@@ -188,54 +186,6 @@ def state_density_matrix(psi: WaveFunction) -> DensityMatrix:
     return DensityMatrix(psi.grid, np.outer(vec, vec.conj()))
 
 
-def _coupling_atoms(
-    plan: TransportPlan,
-    symbol1: SymbolMeasure,
-    symbol2: SymbolMeasure,
-    n_particles: int,
-    perms,
-):
-    dN = symbol1.k // 2
-    if symbol2.k != symbol1.k:
-        raise ValueError("symbols live on different phase spaces")
-    if dN % n_particles:
-        raise ValueError("symbol dimension is not a multiple of the particle count")
-    d = dN // n_particles
-    rows = []
-    weights = []
-    scale = 1.0 / len(perms)
-    for i, j, w in zip(plan.source_index, plan.target_index, plan.mass):
-        qx, px = symbol1.points[i, :dN], symbol1.points[i, dN:]
-        qy, py = symbol2.points[j, :dN], symbol2.points[j, dN:]
-        for sigma in perms:
-            idx = np.asarray(sigma)
-            blocks = [
-                arr.reshape(n_particles, d)[idx].ravel() for arr in (qx, qy, px, py)
-            ]
-            rows.append(np.concatenate(blocks))
-            weights.append(w * scale)
-    pts = np.asarray(rows)
-    wts = np.asarray(weights)
-    # merge exact duplicates so symmetric inputs come back unchanged
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    wts = np.bincount(inverse, weights=wts, minlength=uniq.shape[0])
-    return DiscreteMeasure(uniq, wts / wts.sum())
-
-
-def symmetrize_initial_coupling(
-    plan: TransportPlan, symbol1: SymbolMeasure, symbol2: SymbolMeasure, n_particles: int
-) -> SymbolMeasure:
-    """Average of jointly particle-permuted product couplings (1/N!) sum_sigma.
-
-    The resulting symbol is exchange-symmetric under joint relabeling of the
-    x- and y-blocks, and its per-particle transport cost is unchanged."""
-    if n_particles > 6:
-        raise ValueError("N! enumeration limited to N <= 6")
-    return _coupling_atoms(
-        plan, symbol1, symbol2, n_particles, list(permutations(range(n_particles)))
-    )
-
-
 def coupling_to_factored_mixture(
     base: GridSpec, n_particles: int, coupling: SymbolMeasure
 ) -> list:
@@ -274,8 +224,9 @@ def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
         values = np.moveaxis(own.values, range(k * d, (k + 1) * d), range(d))
         reduced = partial_trace(WaveFunction(own.grid, values, own.time), 1)
     block = reduced.matrix
-    for f in state.factors:
-        if f is not own:
+    # skip the slot's factor by its index: X factors may be one object
+    for i, f in enumerate(state.factors):
+        if i != min(slot, N):
             block = block * f.norm() ** 2
     return block, reduced.grid
 

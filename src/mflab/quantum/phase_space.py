@@ -157,14 +157,14 @@ def _folded_diagonals(matrix: np.ndarray, r: int) -> np.ndarray:
     return S
 
 
-def husimi_values(state, z: np.ndarray) -> np.ndarray:
-    """<z, eps| rho |z, eps> / (2 pi eps)^d at phase points z (m, 2d); d = 1,
-    for a DensityMatrix rho or a WaveFunction psi, rho = |psi><psi|.
+def husimi_values(state, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """<z, eps| rho |z, eps> / (2 pi eps)^d on the lattice z = (q, p), q in
+    qs, p in ps, as the (len(qs), len(ps)) table; d = 1, for a DensityMatrix
+    rho or a WaveFunction psi, rho = |psi><psi|.
 
     |z, eps> is the coherent vector of `coherent_state`, normalized on the
-    grid, but it is never built.  Values are found on the lattice of the
-    distinct q and p of z and gathered back to the points, a WaveFunction's
-    by `_bargmann_table`; for a DensityMatrix, on nodes x_i = x_0 + i h,
+    grid, but it is never built.  A WaveFunction's table comes from
+    `_bargmann_table`; for a DensityMatrix, on nodes x_i = x_0 + i h,
 
         (x_i - q)^2 + (x_j - q)^2 = 2 (s_l - q)^2 + (m h)^2 / 2,
 
@@ -182,23 +182,20 @@ def husimi_values(state, z: np.ndarray) -> np.ndarray:
     parity.  Each row of H is scaled by its largest entry, which cancels in
     D / N and keeps far-off q from underflowing.
 
-    Cost for n grid points, n_q distinct positions and n_p distinct momenta:
-    O(n_q n^2 + n_q n n_p) multiply-adds for a DensityMatrix, O(n_q n n_p)
-    for a WaveFunction, and O(n (n_q + n_p)) exponentials.  On a full
-    n_q x n_p lattice that is n per point plus n^2 per row for a matrix,
-    against n^2 per point for one matrix-vector product each.  Scattered
-    points stay exact, but P of them make n_q = n_p = P: P^2 n work and a
-    P x P table.
+    Cost for n grid points, n_q positions and n_p momenta: O(n_q n^2 +
+    n_q n n_p) multiply-adds for a DensityMatrix, O(n_q n n_p) for a
+    WaveFunction, and O(n (n_q + n_p)) exponentials: n per lattice point
+    plus n^2 per row for a matrix, against n^2 per point for one
+    matrix-vector product each.
     """
     grid = state.grid
     if grid.d != 1 or grid.n_particles != 1:
         raise NotImplementedError("Husimi values implemented for d = 1, single particle")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    qs = np.asarray(qs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
     eps, h, n = grid.epsilon, grid.h, grid.points_per_axis
-    qs, iq = np.unique(z[:, 0], return_inverse=True)
-    ps, ip = np.unique(z[:, 1], return_inverse=True)
     if isinstance(state, WaveFunction):
-        return _bargmann_table(state, qs, ps)[iq, ip]
+        return _bargmann_table(state, qs, ps)
     s = grid.axis_points()[0] + 0.5 * h * np.arange(2 * n - 1)
     d2 = (s[None, :] - qs[:, None]) ** 2
     H = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / eps)
@@ -211,8 +208,7 @@ def husimi_values(state, z: np.ndarray) -> np.ndarray:
     w[0] = 0.5  # the fold counted the diagonal twice
     phases = w[:, None] * np.exp(1j * (h / eps) * np.outer(m, ps))
     norm = H[:, ::2].sum(axis=1)
-    table = np.real(D @ phases) * (h / (2 * np.pi * eps)) / norm[:, None]
-    return table[iq, ip]
+    return np.real(D @ phases) * (h / (2 * np.pi * eps)) / norm[:, None]
 
 
 def _bargmann_table(psi: WaveFunction, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -257,9 +253,7 @@ def husimi_transform(
     xi_lo, xi_hi = xi_window if xi_window else (-xi_max, xi_max)
     xs = np.linspace(x_lo, x_hi, nx)
     xis = np.linspace(xi_lo, xi_hi, nxi)
-    X, XI = np.meshgrid(xs, xis, indexing="ij")
-    vals = husimi_values(rho, np.column_stack([X.ravel(), XI.ravel()]))
-    return PhaseSpaceFunction(xs, xis, vals.reshape(nx, nxi), eps)
+    return PhaseSpaceFunction(xs, xis, husimi_values(rho, xs, xis), eps)
 
 
 def _wigner_shear(matrix: np.ndarray) -> np.ndarray:

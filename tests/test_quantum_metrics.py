@@ -1,10 +1,12 @@
 """Coupling-cost tests: the (Q*Q + P*P) trace cost against coherent closed
-forms, the squared-distance bracket, and the symbol-level coupling machinery.
+forms, the squared-distance bracket, and the Toeplitz lift of coupling symbols.
 
 Coherent oracle: a product coupling of coherent factors centered at z_x, z_y
 costs |q_x - q_y|^2 + |p_x - p_y|^2 + 2*(dN)*eps -- the squared center
 displacement plus one Heisenberg floor per coupled axis pair.
 """
+from dataclasses import replace
+
 import doubled_oracle as oracle
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from mflab.potentials import make_gaussian_potential
 from mflab.quantum.dynamics import factored_coupled_advance
 from mflab.quantum.grids import FactoredCoupling, GridSpec, WaveFunction
 from mflab.quantum.metrics import (
-    _coupling_atoms,
     coupling_to_factored_mixture,
     husimi_lattices,
     lattice_lower,
@@ -22,10 +23,8 @@ from mflab.quantum.metrics import (
     qp_cost_trace,
     reduced_density,
     state_density_matrix,
-    symmetrize_initial_coupling,
 )
 from mflab.quantum.phase_space import SymbolMeasure, coherent_state, toeplitz_operator
-from mflab.transport import wasserstein_exact
 
 BASE = GridSpec(d=1, n_particles=1, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
 EPS = BASE.epsilon
@@ -38,25 +37,6 @@ def _pair_coupling(z1, z2, base=BASE):
 def _coherent_cost(z1, z2, eps=EPS):
     dz = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     return float(np.sum(dz**2)) + 2 * eps
-
-
-def product_coupling_symbol(plan, symbol1, symbol2, n_particles):
-    """Coupling symbol on R^{4dN} (doubled layout q_x, q_y, p_x, p_y) whose
-    Toeplitz lift is the product coupling of the plan."""
-    return _coupling_atoms(plan, symbol1, symbol2, n_particles, [tuple(range(n_particles))])
-
-
-def symbol_dobrushin_cost(coupling: SymbolMeasure, n_particles: int) -> float:
-    """(1/N) sum_j (|q_xj - q_yj|^2 + |p_xj - p_yj|^2) averaged over atoms."""
-    if coupling.k % (4 * n_particles):
-        raise ValueError("coupling must live on R^{4dN}")
-    dN = coupling.k // 4
-    qx = coupling.points[:, :dN]
-    qy = coupling.points[:, dN : 2 * dN]
-    px = coupling.points[:, 2 * dN : 3 * dN]
-    py = coupling.points[:, 3 * dN :]
-    per_atom = np.sum((qx - qy) ** 2 + (px - py) ** 2, axis=1) / n_particles
-    return float(coupling.weights @ per_atom)
 
 
 # ------------------------------------------------------------- trace cost routes
@@ -244,84 +224,6 @@ def test_mk_eps_lower_validations():
         mk_eps_lower(coupling, rho)
 
 
-# ------------------------------------------------------------- coupling symbols
-
-
-def _plan_between(pts1, pts2):
-    s1 = SymbolMeasure.equal_weights(np.asarray(pts1, dtype=float))
-    s2 = SymbolMeasure.equal_weights(np.asarray(pts2, dtype=float))
-    _, plan = wasserstein_exact(s1, s2, p=2.0)
-    return plan, s1, s2
-
-
-def test_product_coupling_single_pair_layout():
-    # one atom per side on R^4 (N = 2, d = 1): coupling atom is (qx, qy, px, py)
-    plan, s1, s2 = _plan_between(
-        [[0.3, -0.2, 0.1, 0.0]], [[0.1, 0.2, -0.1, 0.3]]
-    )
-    coup = product_coupling_symbol(plan, s1, s2, n_particles=2)
-    assert coup.points.shape == (1, 8)
-    want = np.concatenate(
-        [[0.3, -0.2], [0.1, 0.2], [0.1, 0.0], [-0.1, 0.3]]
-    )
-    assert np.allclose(coup.points[0], want)
-    cost = symbol_dobrushin_cost(coup, 2)
-    hand = ((0.3 - 0.1) ** 2 + (-0.2 - 0.2) ** 2 + (0.1 + 0.1) ** 2 + (0.0 - 0.3) ** 2) / 2
-    assert cost == pytest.approx(hand, abs=1e-12)
-
-
-def test_symmetrize_two_particles_averages_relabelings():
-    plan, s1, s2 = _plan_between(
-        [[0.3, -0.2, 0.1, 0.0]], [[0.1, 0.2, -0.1, 0.3]]
-    )
-    prod = product_coupling_symbol(plan, s1, s2, n_particles=2)
-    sym = symmetrize_initial_coupling(plan, s1, s2, n_particles=2)
-    assert sym.points.shape == (2, 8)
-    assert np.allclose(sym.weights, 0.5)
-    # joint relabeling of both blocks maps the atom set to itself
-    def swap(atom):
-        a = atom.reshape(4, 2)[:, ::-1]
-        return a.ravel()
-
-    swapped = np.array([swap(row) for row in sym.points])
-    assert np.allclose(np.sort(swapped, axis=0), np.sort(sym.points, axis=0))
-    # per-particle transport cost is unchanged by symmetrization
-    assert symbol_dobrushin_cost(sym, 2) == pytest.approx(
-        symbol_dobrushin_cost(prod, 2), abs=1e-12
-    )
-
-
-def test_symmetrize_single_particle_is_identity():
-    plan, s1, s2 = _plan_between([[0.2, 0.1]], [[-0.3, 0.0]])
-    prod = product_coupling_symbol(plan, s1, s2, n_particles=1)
-    sym = symmetrize_initial_coupling(plan, s1, s2, n_particles=1)
-    assert np.array_equal(prod.points, sym.points)
-    assert np.array_equal(prod.weights, sym.weights)
-
-
-def test_symmetrize_merges_symmetric_atoms():
-    # both particles identical on both sides: the two relabelings coincide
-    plan, s1, s2 = _plan_between(
-        [[0.2, 0.2, -0.1, -0.1]], [[0.0, 0.0, 0.1, 0.1]]
-    )
-    sym = symmetrize_initial_coupling(plan, s1, s2, n_particles=2)
-    assert sym.points.shape == (1, 8)
-    assert sym.weights[0] == pytest.approx(1.0)
-
-
-def test_symmetrize_factorial_cap():
-    pts = np.zeros((1, 14))
-    plan, s1, s2 = _plan_between(pts, pts)
-    with pytest.raises(ValueError):
-        symmetrize_initial_coupling(plan, s1, s2, n_particles=7)
-
-
-def test_symbol_dobrushin_cost_dimension_check():
-    coup = SymbolMeasure.equal_weights(np.zeros((2, 8)))
-    with pytest.raises(ValueError):
-        symbol_dobrushin_cost(coup, 3)
-
-
 # ------------------------------------------------------------- lifts and marginals
 
 
@@ -336,6 +238,42 @@ def test_coupling_to_factored_mixture_matches_doubled_lift():
         assert np.allclose(product.values, psi.values, atol=1e-14)
     with pytest.raises(ValueError):
         coupling_to_factored_mixture(BASE, 2, coup)
+
+
+Z0 = (-0.3, 0.3)
+
+
+@pytest.mark.parametrize(
+    "N, zx, zy", [(1, Z0, Z0), (2, Z0, Z0), (3, Z0, Z0), (1, (0.4, -0.1), (-0.2, 0.3))]
+)
+def test_direct_coherent_product_matches_lift_of_its_symbol(N, zx, zy):
+    # the runners build their initial coupling directly: one X factor for
+    # every slot (quantum-dobrushin, zx = zy) or a coherent pair (mk-bracket);
+    # the Toeplitz lift of its one-atom coupling symbol, laid out
+    # (q_x.., q_y.., p_x.., p_y..), is the same product bit for bit
+    x = coherent_state(BASE, *zx)
+    y = coherent_state(replace(BASE, n_particles=N), np.full(N, zy[0]), np.full(N, zy[1]))
+    atom = np.repeat([zx[0], zy[0], zx[1], zy[1]], N)
+    [(w, lift)] = coupling_to_factored_mixture(BASE, N, SymbolMeasure(atom[None, :], np.ones(1)))
+    assert w == 1.0
+    for f, g in zip(FactoredCoupling((x,) * N, y).factors, lift.factors, strict=True):
+        assert f.grid == g.grid and f.time == g.time
+        assert f.values.tobytes() == g.values.tobytes()
+
+
+def test_reduced_density_of_aliased_x_factors():
+    # X factors that are one object count once per slot: each copy's squared
+    # grid norm (1 + 4e-16 here, not 1) multiplies every other slot's block
+    base = GridSpec(d=1, n_particles=1, points_per_axis=64, box_half_width=8.0, epsilon=0.5)
+    N = 2
+    ref = coherent_state(base, *Z0)
+    assert ref.norm() != 1.0
+    y = coherent_state(replace(base, n_particles=N), np.full(N, Z0[0]), np.full(N, Z0[1]))
+    aliased = [(1.0, FactoredCoupling((ref,) * N, y))]
+    distinct = [(1.0, FactoredCoupling([coherent_state(base, *Z0) for _ in range(N)], y))]
+    for slot in range(2 * N):
+        got = reduced_density(aliased, slot).matrix
+        assert got.tobytes() == reduced_density(distinct, slot).matrix.tobytes()
 
 
 def test_reduced_density_of_product_coupling():

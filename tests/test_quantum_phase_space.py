@@ -173,10 +173,10 @@ def test_wigner_rejects_multiparticle():
 def test_husimi_values_coherent_closed_form():
     z0 = np.array([0.4, -0.3])
     rho = state_density_matrix(coherent_state(GRID, z0[0], z0[1]))
-    pts = np.array([[0.4, -0.3], [0.0, 0.0], [1.0, 0.5], [-0.7, 0.2]])
-    got = husimi_values(rho, pts)
-    want = np.array([_overlap_sq(z, z0, EPS) for z in pts]) / (2 * np.pi * EPS)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
+    qs, ps = np.array([0.4, 0.0, 1.0, -0.7]), np.array([-0.3, 0.0, 0.5])
+    got = husimi_values(rho, qs, ps)
+    want = np.array([[_overlap_sq((q, p), z0, EPS) for p in ps] for q in qs])
+    assert np.allclose(got, want / (2 * np.pi * EPS), rtol=1e-10, atol=1e-14)
 
 
 def _husimi_oracle(state, z):
@@ -229,26 +229,27 @@ def _lattice(xs, ps):
 def test_husimi_values_match_coherent_vector_oracle(n, x_half):
     states = _rough_states(n, seed=n)
     xi_max = EPS * np.pi / states[0].grid.h
-    z = _lattice(np.linspace(-x_half, x_half, 23), np.linspace(-xi_max, xi_max, 29))
+    xs, ps = np.linspace(-x_half, x_half, 23), np.linspace(-xi_max, xi_max, 29)
     for state in states:
-        want = _husimi_oracle(state, z)
-        assert np.max(np.abs(husimi_values(state, z) - want)) <= 1e-13 * want.max()
+        want = _husimi_oracle(state, _lattice(xs, ps)).reshape(xs.size, ps.size)
+        assert np.max(np.abs(husimi_values(state, xs, ps) - want)) <= 1e-13 * want.max()
 
 
 def test_husimi_values_oracle_on_scattered_and_single_points():
+    # lattices on unsorted, unevenly spaced axes drawn at random, and a 1 x 1 one
     rng = np.random.default_rng(11)
-    z = np.column_stack([rng.uniform(-3.0, 3.0, 300), rng.uniform(-2.0, 2.0, 300)])
+    qs, ps = rng.uniform(-3.0, 3.0, 17), rng.uniform(-2.0, 2.0, 13)
     for state in _rough_states(128, seed=9):
-        want = _husimi_oracle(state, z)
-        got = husimi_values(state, z)
-        assert got.shape == (300,)
+        want = _husimi_oracle(state, _lattice(qs, ps)).reshape(qs.size, ps.size)
+        got = husimi_values(state, qs, ps)
+        assert got.shape == (17, 13)
         assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
-        one = husimi_values(state, z[7])
-        assert one.shape == (1,)
-        assert abs(one[0] - want[7]) <= 1e-13 * want.max()
+        one = husimi_values(state, qs[7:8], ps[3:4])
+        assert one.shape == (1, 1)
+        assert abs(one[0, 0] - want[7, 3]) <= 1e-13 * want.max()
         # far outside the box the unnormalized coherent vector underflows,
         # but the grid-normalized one is still defined
-        far = husimi_values(state, [[30.0, 0.5], [-40.0, 1.0]])
+        far = husimi_values(state, [30.0, -40.0], [0.5, 1.0])
         assert np.all(np.isfinite(far)) and far.min() >= -1e-13 * want.max()
 
 
