@@ -7,10 +7,12 @@ one) and Kantorovich dual certificates.  Ground cost is |x-y|^p with the
 Euclidean norm on the concatenated phase coordinates; reported distances are
 p-th roots of the plan cost.
 
-The LP route never builds the m x n cost matrix: its candidates come from k-d
-tree queries, and its costs, its pricing and the dual check in
-kantorovich_gap go through row blocks of at most PAIR_BLOCK pairs.  Only the
-assignment route works on the dense matrix.
+The LP route never builds the m x n cost matrix: its candidates are the
+nearest partners of each atom's image under the affine map that matches the
+two measures' means and covariances, found by k-d tree queries, and its
+costs, its pricing and the dual check in kantorovich_gap go through row
+blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on the
+dense matrix.
 
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
@@ -36,7 +38,7 @@ from .potentials import PAIR_BLOCK
 SUPPORT_CAP = 2048
 #: Nearest partners each atom brings into the first restricted LP, and most
 #: violated pairs each violated row or column brings into the next one.
-CANDIDATES_PER_ATOM = 8
+CANDIDATES_PER_ATOM = 3
 #: Most negative reduced cost C - a - b a dual pair may have and still count
 #: as feasible, here and in kantorovich_gap.
 DUAL_SLACK = 1e-9
@@ -137,21 +139,60 @@ def _edge_costs(
     return out
 
 
+def _moments(measure: DiscreteMeasure):
+    """Weighted mean and covariance of a measure's atoms."""
+    mean = measure.weights @ measure.points
+    centred = measure.points - mean
+    return mean, (centred * measure.weights[:, None]).T @ centred
+
+
+def _gaussian_brenier_matrix(s_mu: np.ndarray, s_nu: np.ndarray):
+    """A = S_mu^(-1/2) (S_mu^(1/2) S_nu S_mu^(1/2))^(1/2) S_mu^(-1/2), the
+    symmetric positive definite linear part of the W2-optimal map between
+    Gaussians of covariances s_mu and s_nu (Givens-Shortt), so that
+    A s_mu A = s_nu; None when either covariance is singular to round-off."""
+    lam, u = np.linalg.eigh(s_mu)
+    lam_nu = np.linalg.eigvalsh(s_nu)
+    tol = 1e-12 * s_mu.shape[0]
+    if lam[0] <= tol * lam[-1] or lam_nu[0] <= tol * lam_nu[-1]:
+        return None
+    root = (u * np.sqrt(lam)) @ u.T
+    inv_root = (u / np.sqrt(lam)) @ u.T
+    mid, v = np.linalg.eigh(root @ s_nu @ root)
+    A = inv_root @ ((v * np.sqrt(np.maximum(mid, 0.0))) @ v.T) @ inv_root
+    return 0.5 * (A + A.T)
+
+
+def _moment_image(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """T(x_i) for the atoms x_i of mu, where T(x) = m_nu + A (x - m_mu) with
+    A from `_gaussian_brenier_matrix` of the two weighted covariances, so
+    that T carries mu's mean and covariance onto nu's; T is the shift
+    x + m_nu - m_mu when either covariance is singular (one atom, collinear
+    atoms, fewer atoms than dimensions)."""
+    m_mu, s_mu = _moments(mu)
+    m_nu, s_nu = _moments(nu)
+    A = _gaussian_brenier_matrix(s_mu, s_nu)
+    if A is None:
+        return mu.points + (m_nu - m_mu)
+    return m_nu + (mu.points - m_mu) @ A
+
+
 def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Flat indices i*n + j of the pairs the first restricted LP may use.
 
     Each atom keeps its CANDIDATES_PER_ATOM nearest atoms on the other side
-    after nu is shifted onto mu's mean (for p = 2 the shift changes the cost
-    only by a + b terms, so it moves no optimal plan), found by k-d tree
+    in the distances |T(x_i) - y_j| of `_moment_image`, found by k-d tree
     queries in both directions, plus the north-west corner staircase of the
     index order, which makes the restricted LP feasible whatever else it
-    holds.  Memory is O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
+    holds.  T only picks the candidates: pricing checks every pair against
+    the true cost, so the optimum does not depend on it.  Memory is
+    O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
     """
     m, n = mu.size, nu.size
     k = CANDIDATES_PER_ATOM
-    y = nu.points + (mu.weights @ mu.points - nu.weights @ nu.points)
-    _, in_row = cKDTree(y).query(mu.points, k=min(k, n))
-    _, in_col = cKDTree(mu.points).query(y, k=min(k, m))
+    tx = _moment_image(mu, nu)
+    _, in_row = cKDTree(nu.points).query(tx, k=min(k, n))
+    _, in_col = cKDTree(tx).query(nu.points, k=min(k, m))
     # a query for one neighbour returns a vector, not an (atoms, 1) array
     near = np.concatenate(
         [

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,8 +13,16 @@ from scipy.optimize import linprog
 
 from mflab import transport
 from mflab.errors import ResourceCapError
-from mflab.potentials import PAIR_BLOCK
-from mflab.quantum import GridSpec, coherent_state, husimi_lattices, state_density_matrix
+from mflab.potentials import PAIR_BLOCK, make_gaussian_potential
+from mflab.quantum import (
+    FactoredCoupling,
+    GridSpec,
+    coherent_state,
+    factored_coupled_advance,
+    husimi_lattices,
+    reduced_density,
+    state_density_matrix,
+)
 from mflab.transport import (
     CANDIDATES_PER_ATOM,
     DUAL_SLACK,
@@ -212,18 +221,112 @@ def test_blocked_pricing_adds_the_dense_selection(monkeypatch, rows_per_block):
     assert max(rounds) >= 3
 
 
-def test_candidate_edges_match_dense_nearest_partners():
+def _weighted_moments(points: np.ndarray, weights: np.ndarray):
+    mean = weights @ points
+    centred = points - mean
+    return mean, (weights[:, None] * centred).T @ centred
+
+
+def _moment_map_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """T(x) = m_nu + A (x - m_mu) with A = S^-1 (S cov_nu S)^(1/2) S^-1,
+    S = cov_mu^(1/2), by scipy's general matrix square root."""
+    m_mu, c_mu = _weighted_moments(mu.points, mu.weights)
+    m_nu, c_nu = _weighted_moments(nu.points, nu.weights)
+    root = np.real(scipy.linalg.sqrtm(c_mu))
+    inv = np.linalg.inv(root)
+    A = inv @ np.real(scipy.linalg.sqrtm(root @ c_nu @ root)) @ inv
+    return lambda x: m_nu + (x - m_mu) @ A.T
+
+
+def _assert_candidates_are_nearest_partners(mu, nu, image) -> None:
     # k-d tree queries pick the same partners as partial sorts of the dense
-    # shifted squared distances (continuous data: no ties)
+    # squared distances |T(x_i) - y_j|^2 (continuous data: no ties)
+    S = _cost_matrix(DiscreteMeasure(image, mu.weights), nu, 2.0)
+    near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(mu.size), np.arange(nu.size))
+    edges = _candidate_edges(mu, nu)
+    assert np.isin(near, edges).all()
+    staircase = np.setdiff1d(edges, near)
+    assert staircase.size < mu.size + nu.size  # the rest is the north-west staircase
+
+
+def test_candidate_edges_match_dense_nearest_partners():
     for seed, (m, n) in enumerate([(40, 50), (3, 25), (25, 3), (70, 70)]):
         mu, nu = _unequal_clouds(seed, m, n, 2)
-        shift = mu.weights @ mu.points - nu.weights @ nu.points
-        S = _cost_matrix(mu, DiscreteMeasure(nu.points + shift, nu.weights), 2.0)
-        near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(m), np.arange(n))
-        edges = _candidate_edges(mu, nu)
-        assert np.isin(near, edges).all()
-        staircase = np.setdiff1d(edges, near)
-        assert staircase.size < m + n  # the rest is the north-west staircase
+        _assert_candidates_are_nearest_partners(mu, nu, _moment_map_oracle(mu, nu)(mu.points))
+
+
+def test_moment_map_carries_mean_and_covariance():
+    rng = np.random.default_rng(21)
+    for k, (m, n) in [(1, (30, 40)), (2, (40, 50)), (3, (60, 35)), (4, (50, 80))]:
+        mix = rng.normal(size=(k, k))
+        mu = DiscreteMeasure(rng.normal(size=(m, k)) @ mix, rng.dirichlet(np.ones(m)))
+        nu = DiscreteMeasure(
+            1.5 + rng.standard_t(5, size=(n, k)) @ rng.normal(size=(k, k)),
+            rng.dirichlet(np.ones(n)),
+        )
+        image = transport._moment_image(mu, nu)
+        got_mean, got_cov = _weighted_moments(image, mu.weights)
+        want_mean, want_cov = _weighted_moments(nu.points, nu.weights)
+        np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got_cov, want_cov, rtol=0, atol=1e-10)
+        A = transport._gaussian_brenier_matrix(
+            _weighted_moments(mu.points, mu.weights)[1], want_cov
+        )
+        np.testing.assert_array_equal(A, A.T)
+        assert np.linalg.eigvalsh(A).min() > 0
+        np.testing.assert_allclose(image, _moment_map_oracle(mu, nu)(mu.points), atol=1e-10)
+
+
+def test_moment_map_falls_back_to_the_mean_shift_on_singular_covariances():
+    rng = np.random.default_rng(22)
+    direction = rng.normal(size=2)
+    cases = {
+        "one atom": (rng.normal(size=(1, 2)), rng.normal(size=(30, 2))),
+        "collinear atoms": (rng.normal(size=(20, 1)) * direction, rng.normal(size=(30, 2))),
+        "collinear targets": (rng.normal(size=(30, 2)), rng.normal(size=(20, 1)) * direction),
+        "3 atoms in 4-D": (rng.normal(size=(3, 4)), rng.normal(size=(25, 4))),
+    }
+    for name, (x, y) in cases.items():
+        mu = DiscreteMeasure(x, rng.dirichlet(np.ones(len(x))))
+        nu = DiscreteMeasure(y, rng.dirichlet(np.ones(len(y))))
+        c_mu = _weighted_moments(x, mu.weights)[1]
+        c_nu = _weighted_moments(y, nu.weights)[1]
+        assert transport._gaussian_brenier_matrix(c_mu, c_nu) is None, name
+        shifted = x + (nu.weights @ y - mu.weights @ x)
+        np.testing.assert_allclose(transport._moment_image(mu, nu), shifted, atol=1e-14)
+        _assert_candidates_are_nearest_partners(mu, nu, shifted)
+        _assert_matches_dense_oracle(mu, nu)
+
+
+def _runner_lattices():
+    """The Husimi lattice pairs of the runners' LP rows: mk-bracket's
+    coherent pairs at its three epsilons, and quantum-dobrushin's reduced
+    X and Y densities at t = 0.08 (64 points, N = 2, eps 0.25, dt 0.02)."""
+    rng = np.random.default_rng(0)
+    for eps in (0.5, 0.25, 0.1):
+        grid = GridSpec(1, 1, 256, 6.0, eps)
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 2))
+        yield f"mk-bracket eps {eps}", coherent_state(grid, *z1), coherent_state(grid, *z2)
+    N, (q0, p0) = 2, (0.3, -0.2)
+    base = GridSpec(1, 1, 64, 8.0, 0.25)
+    ref = coherent_state(base, q0, p0)
+    y = coherent_state(GridSpec(1, N, 64, 8.0, 0.25), [q0] * N, [p0] * N)
+    V = make_gaussian_potential(1.0, 1.0, 1)
+    mixture, _ = factored_coupled_advance([(1.0, FactoredCoupling((ref,) * N, y))], ref, V, 0.02, 4)
+    yield "quantum-dobrushin", reduced_density(mixture, 0), reduced_density(mixture, N)
+
+
+@pytest.mark.parametrize(
+    "state1, state2", [pytest.param(s1, s2, id=name) for name, s1, s2 in _runner_lattices()]
+)
+def test_runner_lattice_lps_solve_in_one_round(state1, state2):
+    # the moment-matched candidates hold the whole optimal support of every
+    # Husimi lattice LP the runners solve, so pricing adds no pair
+    mu, nu = husimi_lattices(state1, state2)
+    assert min(mu.size, nu.size) > 100 and not mu.has_equal_weights()
+    lp = _solve_transport_lp(mu, nu, 2.0)
+    assert lp.rounds == 1
+    assert lp.cost == pytest.approx(_dense_lp_cost(mu, nu, 2.0), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
