@@ -18,7 +18,7 @@ for _ in range(5):
     n = int(rng.integers(3, 7))
     mu = DiscreteMeasure.equal_weights(rng.normal(size=(n, 2)))
     nu = DiscreteMeasure.equal_weights(rng.normal(size=(n, 2)))
-    dist, plan = wasserstein_exact(mu, nu, p=2.0)
+    dist, plan = wasserstein_exact(mu, nu)
     C = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(-1)
     rows = np.arange(n)
     brute = min(float(C[rows, list(s)].mean()) for s in itertools.permutations(range(n)))
@@ -27,6 +27,6 @@ for _ in range(5):
 print("== duality-gap certificate on an unequal-weight instance")
 mu = DiscreteMeasure(rng.normal(size=(7, 2)), np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]))
 nu = DiscreteMeasure.equal_weights(rng.normal(size=(5, 2)))
-dist, plan = wasserstein_exact(mu, nu, p=2.0)
-a, b = dual_potentials(mu, nu, 2.0)
-print(f"   W2 = {dist:.6f}   gap = {kantorovich_gap(mu, nu, 2.0, plan, a, b):.2e}")
+dist, plan = wasserstein_exact(mu, nu)
+a, b = dual_potentials(mu, nu)
+print(f"   W2 = {dist:.6f}   gap = {kantorovich_gap(mu, nu, plan, a, b):.2e}")

@@ -78,7 +78,10 @@ def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential
     if d < 1:
         raise ValueError("dimension must be >= 1")
     amplitude = float(amplitude)
-    w2 = float(width) ** 2
+    try:
+        w2 = float(width) ** 2
+    except OverflowError:  # width^2 past the float range: V is flat to round-off
+        w2 = math.inf
 
     def _eval(z, _a=amplitude, _w2=w2):
         z = np.asarray(z, dtype=float)

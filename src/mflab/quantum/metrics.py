@@ -76,7 +76,7 @@ def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> 
     if symbol1.k != symbol2.k:
         raise ValueError("symbols live on different phase spaces")
     axes = symbol1.k // 2
-    dist, _ = wasserstein_exact(symbol1, symbol2, p=2.0)
+    dist, _ = wasserstein_exact(symbol1, symbol2)
     return dist**2 + 2.0 * axes * eps
 
 
@@ -163,7 +163,7 @@ def lattice_lower(mu1: DiscreteMeasure, mu2: DiscreteMeasure, eps: float) -> flo
     The two lattices carry unequal weights, so the distance comes from the
     certified sparse LP of `wasserstein_exact`.  May be negative.
     """
-    dist, _ = wasserstein_exact(mu1, mu2, p=2.0)
+    dist, _ = wasserstein_exact(mu1, mu2)
     return dist**2 - 2.0 * eps
 
 

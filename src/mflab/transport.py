@@ -3,9 +3,10 @@
 Exact Monge-Kantorovich distances (assignment fast path for equal-weight
 clouds, otherwise a HiGHS linear program on a sparse candidate set of pairs,
 grown until its duals are feasible on all pairs, so its optimum is the dense
-one) and Kantorovich dual certificates.  Ground cost is |x-y|^p with the
-Euclidean norm on the concatenated phase coordinates; reported distances are
-p-th roots of the plan cost.
+one) and Kantorovich dual certificates.  Every problem is the quadratic
+Monge-Kantorovich one, MK2: the ground cost is |x-y|^2 with the Euclidean
+norm on the concatenated phase coordinates, and the reported distance is the
+square root of the plan cost.
 
 The LP route never builds the m x n cost matrix: its candidates are the
 nearest partners of each atom's image under the affine map that matches the
@@ -97,43 +98,39 @@ class TransportPlan:
     cost_value: float
 
 
-def _cost_matrix(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, rows=slice(None)
-) -> np.ndarray:
-    """The rows `rows` of the cost matrix C_ij = |x_i - y_j|^p; each entry is
+def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, rows=slice(None)) -> np.ndarray:
+    """The rows `rows` of the cost matrix C_ij = |x_i - y_j|^2; each entry is
     computed on its own, so a row block is bitwise the same rows of C."""
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
     C = cdist(mu.points[rows], nu.points)
-    C **= p  # in place: one array per call, not two
+    C *= C  # in place: one array per call, not two
     return C
 
 
-def _cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, rows: np.ndarray):
+def _cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, rows: np.ndarray):
     """(r, C[r]) for consecutive runs r of the row indices `rows`, each block
     at most PAIR_BLOCK pairs (one row if a row is longer)."""
     step = max(1, PAIR_BLOCK // nu.size)
     for start in range(0, rows.size, step):
         r = rows[start : start + step]
-        yield r, _cost_matrix(mu, nu, p, r)
+        yield r, _cost_matrix(mu, nu, r)
 
 
-def _reduced_cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b):
+def _reduced_cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b):
     """(r, C[r] - a[r] - b) over the row blocks of `_cost_blocks`."""
-    for r, R in _cost_blocks(mu, nu, p, np.arange(mu.size)):
+    for r, R in _cost_blocks(mu, nu, np.arange(mu.size)):
         R -= a[r, None]
         R -= b[None, :]
         yield r, R
 
 
-def _edge_costs(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, edges: np.ndarray
-) -> np.ndarray:
+def _edge_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, edges: np.ndarray) -> np.ndarray:
     """C.ravel()[edges] for sorted flat indices i*n + j, gathered from row
     blocks of C over the rows the edges use."""
     rows, cols = np.divmod(edges, nu.size)
     out = np.empty(edges.size)
-    for r, block in _cost_blocks(mu, nu, p, np.unique(rows)):
+    for r, block in _cost_blocks(mu, nu, np.unique(rows)):
         lo, hi = np.searchsorted(rows, [r[0], r[-1] + 1])
         out[lo:hi] = block[np.searchsorted(r, rows[lo:hi]), cols[lo:hi]]
     return out
@@ -208,7 +205,7 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return np.unique(np.concatenate([near, nw_row * n + nw_col]))
 
 
-def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b) -> np.ndarray:
+def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b) -> np.ndarray:
     """Flat indices i*n + j of the CANDIDATES_PER_ATOM most violated pairs
     (reduced cost C - a - b below -DUAL_SLACK) of each violated row and of
     each violated column; empty when (a, b) is feasible on all pairs.
@@ -222,7 +219,7 @@ def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, a, b) ->
     picks = []
     col_val = np.zeros((k, n))  # each column's k smallest so far; 0 is feasible
     col_row = np.zeros((k, n), dtype=np.int64)
-    for r, R in _reduced_cost_blocks(mu, nu, p, a, b):
+    for r, R in _reduced_cost_blocks(mu, nu, a, b):
         bad = R < -DUAL_SLACK
         if not bad.any():
             continue
@@ -295,8 +292,8 @@ class _LPSolution(NamedTuple):
     rounds: int  # restricted solves, the first one included
 
 
-def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _LPSolution:
-    """Transportation LP for cost |x - y|^p, solved on a candidate edge set
+def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _LPSolution:
+    """Transportation LP for cost |x - y|^2, solved on a candidate edge set
     and certified on all pairs.
 
     The LP is solved on `_candidate_edges` only, with costs from
@@ -316,33 +313,29 @@ def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _
     edges = _candidate_edges(mu, nu)
     rounds = 0
     while True:
-        cost, mass, a, b = _restricted_lp(
-            _edge_costs(mu, nu, p, edges), mu.weights, nu.weights, edges
-        )
+        cost, mass, a, b = _restricted_lp(_edge_costs(mu, nu, edges), mu.weights, nu.weights, edges)
         rounds += 1
-        new = np.setdiff1d(_violated_pairs(mu, nu, p, a, b), edges)
+        new = np.setdiff1d(_violated_pairs(mu, nu, a, b), edges)
         if new.size == 0:
             break
         edges = np.union1d(edges, new)
     return _LPSolution(cost, edges, mass, a, b, rounds)
 
 
-def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
-    """Exact MK distance and optimal plan; returns (dist, plan), dist^p = cost.
+def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Exact MK2 distance and optimal plan; returns (dist, plan), dist^2 = cost.
 
     Equal-size equal-weight inputs are solved as an assignment problem
     (deterministic; cost ties resolve to the solver's fixed pivot order) on
     the dense cost matrix, everything else as the certified sparse
     transportation LP, which builds no m x n array.
     """
-    if p < 1:
-        raise ValueError("exponent p must be >= 1")
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > 1e-12:
         raise ValueError("weight-sum mismatch between measures")
     if mu.size > SUPPORT_CAP or nu.size > SUPPORT_CAP:
         raise ResourceCapError(f"support exceeds cap {SUPPORT_CAP}")
     if mu.size == nu.size and mu.has_equal_weights() and nu.has_equal_weights():
-        C = _cost_matrix(mu, nu, p)
+        C = _cost_matrix(mu, nu)
         row, col = linear_sum_assignment(C)
         mass = np.full(mu.size, 1.0 / mu.size)
         cost = float(C[row, col] @ mass)
@@ -350,29 +343,29 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
             np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64), mass, cost
         )
     else:
-        lp = _solve_transport_lp(mu, nu, p)
+        lp = _solve_transport_lp(mu, nu)
         cost = lp.cost
         used = lp.mass > 1e-15
         src, tgt = np.divmod(lp.edges[used], nu.size)
         plan = TransportPlan(src, tgt, lp.mass[used], cost)
-    return max(cost, 0.0) ** (1.0 / p), plan
+    return max(cost, 0.0) ** 0.5, plan
 
 
-def dual_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0):
-    """Optimal Kantorovich potentials (a, b) with a_i + b_j <= |x_i - y_j|^p.
+def dual_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Optimal Kantorovich potentials (a, b) with a_i + b_j <= |x_i - y_j|^2.
 
     Solves the transportation LP even when the assignment fast path applies,
     because the duals come from the LP solver; they are checked against every
     pair of atoms, not only the LP's candidate pairs.
     """
-    lp = _solve_transport_lp(mu, nu, p)
+    lp = _solve_transport_lp(mu, nu)
     return lp.a, lp.b
 
 
-def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
+def kantorovich_gap(mu, nu, plan: TransportPlan, a, b) -> float:
     """Primal cost of `plan` minus the dual value of (a, b).
 
-    The pair must satisfy a(x) + b(y) <= |x-y|^p on all support pairs (checked
+    The pair must satisfy a(x) + b(y) <= |x-y|^2 on all support pairs (checked
     with 1e-9 slack, in row blocks of `_reduced_cost_blocks`); a gap <= 1e-9
     certifies optimality of the plan.  The plan's costs are gathered by
     `_edge_costs`, so no m x n array is built.
@@ -381,13 +374,13 @@ def kantorovich_gap(mu, nu, p, plan: TransportPlan, a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != (mu.size,) or b.shape != (nu.size,):
         raise ValueError("potentials must be defined on the supports")
-    for _, R in _reduced_cost_blocks(mu, nu, p, a, b):
+    for _, R in _reduced_cost_blocks(mu, nu, a, b):
         if float(np.min(R)) < -DUAL_SLACK:
-            raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^p somewhere")
+            raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^2 somewhere")
     pairs = plan.source_index * nu.size + plan.target_index
     order = np.argsort(pairs, kind="stable")
     cost = np.empty(pairs.size)
-    cost[order] = _edge_costs(mu, nu, p, pairs[order])
+    cost[order] = _edge_costs(mu, nu, pairs[order])
     primal = float(np.sum(plan.mass * cost))
     dual = float(a @ mu.weights + b @ nu.weights)
     return max(primal - dual, 0.0)

@@ -5,6 +5,7 @@ contract (0 ok / 2 failed bound / 4 diagnostics / 64 unusable input) and the
 byte-level determinism of the JSONL output for a fixed (config, seed) pair.
 """
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mflab import experiments
+from mflab import bounds, experiments
 from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
 from mflab.errors import ResourceCapError
@@ -414,18 +415,23 @@ BAD_KNOBS = {
         ("max_support", 1),
         ("max_support", 14),
         ("dims", ["x"]),
-        ("p", "2"),
+        ("p", 2.0, "p: not a parameter of ot-selftest"),
         ("seed", True, "seed: must be a nonnegative integer"),
         ("out", 5, "out: must be a string or null"),
     ],
-    "combineq": [("mc_samples", "x"), ("mc_samples", 0), ("p", 0.5), ("slope_tolerance", "x")],
+    "combineq": [
+        ("mc_samples", "x"),
+        ("mc_samples", 0),
+        ("p", 0.5),
+        ("slope_tolerance", 0.15, "slope_tolerance: not a parameter of combineq"),
+    ],
     "classical-dobrushin": [
         ("samples", "x"),
         ("samples", 1),
         ("reference_size", "x"),
         ("repeats", "x"),
         ("repeats", 1),
-        ("w2_tolerance", None),
+        ("w2_tolerance", 2e-3, "w2_tolerance: not a parameter of classical-dobrushin"),
         ("reference_size", 10),
         ("sample", 32, "sample: not a parameter of classical-dobrushin"),
         (("dt", "times"), (1e-9, [0.25]), "dt: 1e-09 plans 250000000 steps, more work"),
@@ -556,6 +562,50 @@ def test_validate_rejects_a_moment_bound_that_overflows_on_the_runners_cloud(tmp
     raw = {"experiment": "vlasov-moments", "p": 200}
     _rejected(tmp_path, capsys, raw, "the moment bound M0 e^((p-1)(1 + 2 Lip(grad V)) t) at p=200")
     assert validate_config(dict(raw, p=150)) == []
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # a step count (t - t_prev)/dt that overflows, from finite t_final and dt
+        {"experiment": "quantum-dobrushin", "t_final": 1e300, "dt": 1e-300},
+        # a grid spacing too small for a finite Nyquist wavenumber, or its square
+        {"experiment": "mk-bracket", "box": 5e-324},
+        {"experiment": "toeplitz-identities", "box": 1e-300},
+        # NaN and Infinity, which Python's json reads as floats
+        {"experiment": "classical-dobrushin", "times": math.inf},
+        {"experiment": "classical-dobrushin", "dt": math.nan},
+        {"experiment": "vlasov-moments", "times": [0.25, math.inf]},
+        {"experiment": "quantum-dobrushin", "center": [0.3, math.nan]},
+        {"experiment": "mk-bracket", "center_scale": math.inf},
+        {"experiment": "toeplitz-identities", "epsilon": math.inf},
+        {"experiment": "combineq", "p": math.inf},
+        {"experiment": "ot-selftest", "potential": {"amplitude": math.nan}},
+    ],
+)
+def test_validate_rejects_non_finite_numbers_and_overflowing_steps(tmp_path, capsys, raw):
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_validate_a_gaussian_width_whose_square_overflows():
+    # V is flat to round-off: Lip(grad V) = 0, and every bound is finite
+    raw = {"experiment": "combineq", "potential": {"width": 1e300}}
+    assert validate_config(raw) == []
+    assert make_potential(raw["potential"]).lip_grad == 0.0
+
+
+def test_validate_checks_the_marginal_rows_p2_bound():
+    # at p = 1 the growth bound is finite, but the marginal rows' MK2 bound
+    # at p = 2 overflows: e^(Lambda_2 t) with Lambda_2 = 2 (1 + 2 * 20^2)
+    raw = {"experiment": "classical-dobrushin", "p": 1, "potential": {"amplitude": 20.0}}
+    diags = validate_config(raw)
+    assert len(diags) == 1 and "the coupling bound at p=2.0, N=16, t=1.0 is not finite" in diags[0]
+    assert validate_config(dict(raw, potential={"amplitude": 1.0})) == []
 
 
 def test_validate_ot_selftest_max_support_upper_end():
@@ -773,7 +823,7 @@ def test_build_config_overrides_and_params():
     assert cfg.params["n_clouds"] == 4
     assert "experiment" not in cfg.params
     # every parameter a runner reads is filled in, and nothing else
-    assert cfg.params["max_support"] == 5 and cfg.params["p"] == PARAMS["ot-selftest"]["p"][0]
+    assert cfg.params["max_support"] == 5 and "p" not in cfg.params
     for experiment, spec in PARAMS.items():
         params = build_config({"experiment": experiment}).params
         assert params == {key: default for key, (default, _, _) in spec.items()}, experiment
@@ -808,6 +858,35 @@ def test_classical_dobrushin_free_dynamics_passes():
     assert growth.lhs_measured == 0.0
     assert growth.rhs == 0.0
     assert all(r.passed for r in rows)
+
+
+def test_classical_dobrushin_marginal_rows_carry_the_mk2_bound():
+    # the chaos repeats solve MK2 whatever p the growth rows use, so at p = 3
+    # the marginal rows take the p = 2 bound and constants
+    raw = dict(
+        CLASSICAL_FREE,
+        potential={"family": "gaussian"},
+        p=3,
+        N=[8, 16],
+        samples=8,
+        reference_size=64,
+        times=[0.25],
+        repeats=4,
+    )
+    rows = run_experiment(build_config(raw))
+    V = make_potential(raw["potential"])
+    growth = [r for r in rows if r.inequality_id == "dobrushin-functional-growth"]
+    marginal = [r for r in rows if r.inequality_id == "marginal-transport-convergence"]
+    slope = [r for r in rows if r.inequality_id == "coupling-distance-scaling-slope"]
+    assert len(growth) == len(marginal) == 2 and len(slope) == 1
+    for N, g, m in zip(raw["N"], growth, marginal):
+        assert g.rhs == bounds.classical_rhs(V, 3.0, N, 1, 0.25)
+        assert g.constants["p"] == 3.0 and g.constants["K_p"] == 2.0
+        assert m.rhs == bounds.classical_rhs(V, 2.0, N, 1, 0.25) < g.rhs
+        assert m.constants["p"] == 2.0 and m.constants["K_p"] == 1.0
+        assert m.constants["Lambda_p"] == bounds.lambda_p_constant(2.0, V.lip_grad)
+        assert m.tolerance == experiments.W2_TOLERANCE
+    assert slope[0].tolerance == experiments.SLOPE_TOLERANCE
 
 
 def test_classical_dobrushin_draws_its_reference_once(monkeypatch):

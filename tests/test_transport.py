@@ -1,4 +1,5 @@
 """Optimal transport: exact solver vs independent oracles, duals."""
+import inspect
 import itertools
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from mflab import transport
 from mflab.errors import ResourceCapError
@@ -49,19 +51,19 @@ def _max_marginal_error(plan: TransportPlan, mu: DiscreteMeasure, nu: DiscreteMe
     return float(max(np.max(np.abs(row - mu.weights)), np.max(np.abs(col - nu.weights))))
 
 
-def _brute_force_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
+def _brute_force_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exhaustive equal-weight matching minimum; oracle for small clouds."""
     m = mu.size
-    C = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1) ** p
+    C = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1) ** 2
     best = np.inf
     for perm in itertools.permutations(range(m)):
         best = min(best, C[np.arange(m), perm].sum() / m)
     return best
 
 
-def _dense_lp_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
+def _dense_lp_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Transportation LP over all m*n pairs; oracle for the sparse solver."""
-    C = _cost_matrix(mu, nu, p)
+    C = _cost_matrix(mu, nu)
     m, n = C.shape
     A = sparse.vstack(
         [
@@ -79,14 +81,14 @@ def _dense_lp_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
 
 def _assert_matches_dense_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
     """Sparse LP against the dense oracle; returns the restricted solves used."""
-    lp = _solve_transport_lp(mu, nu, 2.0)
-    _, plan = wasserstein_exact(mu, nu, 2.0)
-    a, b = dual_potentials(mu, nu, 2.0)
-    dense = _dense_lp_cost(mu, nu, 2.0)
+    lp = _solve_transport_lp(mu, nu)
+    _, plan = wasserstein_exact(mu, nu)
+    a, b = dual_potentials(mu, nu)
+    dense = _dense_lp_cost(mu, nu)
     assert lp.cost == pytest.approx(dense, rel=1e-12, abs=1e-15)
     assert plan.cost_value == lp.cost
     assert _max_marginal_error(plan, mu, nu) < 1e-12
-    assert kantorovich_gap(mu, nu, 2.0, plan, a, b) <= 1e-9
+    assert kantorovich_gap(mu, nu, plan, a, b) <= 1e-9
     return lp.rounds
 
 
@@ -157,7 +159,7 @@ def test_sparse_lp_prices_marginals_of_different_widths_in_one_round():
     # first LP then priced out pairs the optimum needs, and the 1500-point
     # pair took 8 restricted solves and missed the optimum by ~7e-7
     mu, nu = _gaussian_line(1500, 0.3, 1.0), _gaussian_line(1501, -0.4, 0.8)
-    lp = _solve_transport_lp(mu, nu, 2.0)
+    lp = _solve_transport_lp(mu, nu)
     assert lp.rounds == 1
     assert lp.cost == pytest.approx(_monotone_cost(mu, nu), rel=0, abs=1e-12)
     # and W2^2 within 1e-12 relative of the dense LP at a size it can take
@@ -176,9 +178,9 @@ def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray
     )
 
 
-def _dense_violated_pairs(mu, nu, p, a, b) -> np.ndarray:
+def _dense_violated_pairs(mu, nu, a, b) -> np.ndarray:
     """The pricing step on the whole m x n reduced-cost matrix."""
-    R = _cost_matrix(mu, nu, p) - a[:, None] - b[None, :]
+    R = _cost_matrix(mu, nu) - a[:, None] - b[None, :]
     bad = R < -DUAL_SLACK
     worst = _smallest_per_line(
         np.where(bad, R, 0.0),
@@ -200,11 +202,11 @@ def test_blocked_pricing_adds_the_dense_selection(monkeypatch, rows_per_block):
                 monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * n)
             edges = _candidate_edges(mu, nu)
             for rnd in itertools.count(1):
-                costs = _edge_costs(mu, nu, 2.0, edges)
+                costs = _edge_costs(mu, nu, edges)
                 _, _, a, b = _restricted_lp(costs, mu.weights, nu.weights, edges)
-                blocked = _violated_pairs(mu, nu, 2.0, a, b)
+                blocked = _violated_pairs(mu, nu, a, b)
                 np.testing.assert_array_equal(
-                    np.unique(blocked), _dense_violated_pairs(mu, nu, 2.0, a, b)
+                    np.unique(blocked), _dense_violated_pairs(mu, nu, a, b)
                 )
                 new = np.setdiff1d(blocked, edges)
                 if new.size == 0:
@@ -212,9 +214,9 @@ def test_blocked_pricing_adds_the_dense_selection(monkeypatch, rows_per_block):
                 edges = np.union1d(edges, new)
             rounds.append(rnd)
             # the whole solve does not depend on the blocking
-            lp = _solve_transport_lp(mu, nu, 2.0)
+            lp = _solve_transport_lp(mu, nu)
             monkeypatch.undo()
-            ref = _solve_transport_lp(mu, nu, 2.0)
+            ref = _solve_transport_lp(mu, nu)
             assert lp.cost == ref.cost and lp.rounds == ref.rounds == rnd
             np.testing.assert_array_equal(lp.edges, ref.edges)
             np.testing.assert_array_equal(lp.mass, ref.mass)
@@ -241,7 +243,7 @@ def _moment_map_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure):
 def _assert_candidates_are_nearest_partners(mu, nu, image) -> None:
     # k-d tree queries pick the same partners as partial sorts of the dense
     # squared distances |T(x_i) - y_j|^2 (continuous data: no ties)
-    S = _cost_matrix(DiscreteMeasure(image, mu.weights), nu, 2.0)
+    S = _cost_matrix(DiscreteMeasure(image, mu.weights), nu)
     near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(mu.size), np.arange(nu.size))
     edges = _candidate_edges(mu, nu)
     assert np.isin(near, edges).all()
@@ -324,9 +326,9 @@ def test_runner_lattice_lps_solve_in_one_round(state1, state2):
     # Husimi lattice LP the runners solve, so pricing adds no pair
     mu, nu = husimi_lattices(state1, state2)
     assert min(mu.size, nu.size) > 100 and not mu.has_equal_weights()
-    lp = _solve_transport_lp(mu, nu, 2.0)
+    lp = _solve_transport_lp(mu, nu)
     assert lp.rounds == 1
-    assert lp.cost == pytest.approx(_dense_lp_cost(mu, nu, 2.0), rel=1e-12, abs=1e-15)
+    assert lp.cost == pytest.approx(_dense_lp_cost(mu, nu), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -335,14 +337,15 @@ def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block)
     mu, nu = _unequal_clouds(12, 41, 29, 2)
     if rows_per_block is not None:
         monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * nu.size)
-    for p in (1.0, 2.0, 3.5):
-        C = _cost_matrix(mu, nu, p)
-        for edges in (
-            np.arange(C.size),
-            np.sort(rng.choice(C.size, size=200, replace=False)),
-            np.array([C.size - 1]),
-        ):
-            np.testing.assert_array_equal(_edge_costs(mu, nu, p, edges), C.ravel()[edges])
+    C = _cost_matrix(mu, nu)
+    # the in-place square is the power 2.0 to the bit
+    np.testing.assert_array_equal(C, cdist(mu.points, nu.points) ** 2.0)
+    for edges in (
+        np.arange(C.size),
+        np.sort(rng.choice(C.size, size=200, replace=False)),
+        np.array([C.size - 1]),
+    ):
+        np.testing.assert_array_equal(_edge_costs(mu, nu, edges), C.ravel()[edges])
 
 
 def _gaussian_lattice(side: int, centre, offset) -> DiscreteMeasure:
@@ -366,9 +369,9 @@ def test_lp_route_builds_no_dense_scratch():
     assert not mu.has_equal_weights()
     tracemalloc.start()
     try:
-        _, plan = wasserstein_exact(mu, nu, 2.0)
-        a, b = dual_potentials(mu, nu, 2.0)
-        gap = kantorovich_gap(mu, nu, 2.0, plan, a, b)
+        _, plan = wasserstein_exact(mu, nu)
+        a, b = dual_potentials(mu, nu)
+        gap = kantorovich_gap(mu, nu, plan, a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -384,8 +387,8 @@ def test_exact_matches_permutation_oracle_2d():
         m = rng.integers(2, 7)
         mu = DiscreteMeasure.equal_weights(rng.normal(size=(m, 2)))
         nu = DiscreteMeasure.equal_weights(rng.normal(size=(m, 2)))
-        dist, plan = wasserstein_exact(mu, nu, p=2.0)
-        assert dist**2 == pytest.approx(_brute_force_cost(mu, nu, 2.0), abs=1e-12)
+        dist, plan = wasserstein_exact(mu, nu)
+        assert dist**2 == pytest.approx(_brute_force_cost(mu, nu), abs=1e-12)
         assert _max_marginal_error(plan, mu, nu) < 1e-12
 
 
@@ -399,8 +402,8 @@ def test_lp_route_agrees_with_assignment_route():
     w = np.full(5, 0.2)
     w[0] += 1e-13  # break the equal-weight detection, keep the optimum
     nu_lp = DiscreteMeasure(pts_b, w / w.sum())
-    d_fast, _ = wasserstein_exact(mu, nu, 2.0)
-    d_lp, plan = wasserstein_exact(mu, nu_lp, 2.0)
+    d_fast, _ = wasserstein_exact(mu, nu)
+    d_lp, plan = wasserstein_exact(mu, nu_lp)
     assert d_lp == pytest.approx(d_fast, abs=1e-9)
     assert _max_marginal_error(plan, mu, nu_lp) < 1e-12
 
@@ -412,7 +415,7 @@ def test_1d_sorted_quantile_oracle():
     y = rng.normal(size=40)
     mu = DiscreteMeasure.equal_weights(x[:, None])
     nu = DiscreteMeasure.equal_weights(y[:, None])
-    dist, _ = wasserstein_exact(mu, nu, 2.0)
+    dist, _ = wasserstein_exact(mu, nu)
     oracle = np.mean((np.sort(x) - np.sort(y)) ** 2)
     assert dist**2 == pytest.approx(oracle, rel=1e-12)
 
@@ -421,7 +424,7 @@ def test_unbalanced_support_lp():
     # 2-vs-3 support sizes force the LP; the optimum is known by hand.
     mu = DiscreteMeasure.equal_weights(np.array([[0.0], [1.0]]))
     nu = DiscreteMeasure.equal_weights(np.array([[0.0], [0.5], [1.0]]))
-    dist, plan = wasserstein_exact(mu, nu, 2.0)
+    dist, plan = wasserstein_exact(mu, nu)
     # mass 1/3 at matching endpoints is free; the middle 1/3 splits to the
     # nearer endpoint at cost (1/2)^2 * 1/3 in total.
     assert dist**2 == pytest.approx((0.5**2) * (1.0 / 3.0), rel=1e-9)
@@ -432,17 +435,24 @@ def test_duality_gap_certifies_optimality():
     rng = np.random.default_rng(6)
     mu = DiscreteMeasure.equal_weights(rng.normal(size=(6, 2)))
     nu = DiscreteMeasure.equal_weights(rng.normal(size=(6, 2)))
-    dist, plan = wasserstein_exact(mu, nu, 2.0)
-    a, b = dual_potentials(mu, nu, 2.0)
-    assert kantorovich_gap(mu, nu, 2.0, plan, a, b) <= 1e-9
+    dist, plan = wasserstein_exact(mu, nu)
+    a, b = dual_potentials(mu, nu)
+    assert kantorovich_gap(mu, nu, plan, a, b) <= 1e-9
+
+
+def test_transport_takes_no_exponent():
+    # every problem is MK2: cost |x - y|^2, distance its square root
+    assert list(inspect.signature(wasserstein_exact).parameters) == ["mu", "nu"]
+    assert list(inspect.signature(dual_potentials).parameters) == ["mu", "nu"]
+    assert list(inspect.signature(kantorovich_gap).parameters) == ["mu", "nu", "plan", "a", "b"]
 
 
 def test_kantorovich_gap_rejects_infeasible_dual():
     mu = DiscreteMeasure.equal_weights(np.array([[0.0], [1.0]]))
     nu = DiscreteMeasure.equal_weights(np.array([[0.0], [1.0]]))
-    _, plan = wasserstein_exact(mu, nu, 2.0)
+    _, plan = wasserstein_exact(mu, nu)
     with pytest.raises(ValueError):
-        kantorovich_gap(mu, nu, 2.0, plan, np.array([10.0, 10.0]), np.array([10.0, 10.0]))
+        kantorovich_gap(mu, nu, plan, np.array([10.0, 10.0]), np.array([10.0, 10.0]))
 
 
 def test_kantorovich_gap_checks_the_last_short_row_block():
@@ -452,18 +462,18 @@ def test_kantorovich_gap_checks_the_last_short_row_block():
     mu, nu = _unequal_clouds(5, 250, 300, 1)
     rows = PAIR_BLOCK // nu.size
     assert mu.size % rows and mu.size - 1 >= (mu.size // rows) * rows
-    _, plan = wasserstein_exact(mu, nu, 2.0)
-    C = _cost_matrix(mu, nu, 2.0)
+    _, plan = wasserstein_exact(mu, nu)
+    C = _cost_matrix(mu, nu)
     a, b = np.zeros(mu.size), np.zeros(nu.size)
     nearest = np.sort(C[-1])[:2]
     assert nearest[1] - nearest[0] > 1e-6
     a[-1] = nearest[0] - 1e-6
-    assert kantorovich_gap(mu, nu, 2.0, plan, a, b) > 0
+    assert kantorovich_gap(mu, nu, plan, a, b) > 0
     a[-1] = nearest[0] + 1e-6
     R = C - a[:, None] - b[None, :]
     assert np.argwhere(R < -DUAL_SLACK).tolist() == [[mu.size - 1, int(np.argmin(C[-1]))]]
     with pytest.raises(ValueError, match="infeasible dual pair"):
-        kantorovich_gap(mu, nu, 2.0, plan, a, b)
+        kantorovich_gap(mu, nu, plan, a, b)
 
 
 def test_support_cap_enforced():
@@ -499,7 +509,7 @@ finite_cloud = arrays(
 @given(finite_cloud)
 def test_distance_to_self_is_zero(pts):
     mu = DiscreteMeasure.equal_weights(pts)
-    dist, _ = wasserstein_exact(mu, mu, 2.0)
+    dist, _ = wasserstein_exact(mu, mu)
     assert dist == pytest.approx(0.0, abs=1e-9)
 
 
@@ -510,10 +520,10 @@ def test_triangle_inequality_and_symmetry(seed):
     a, b, c = (
         DiscreteMeasure.equal_weights(rng.normal(size=(4, 2))) for _ in range(3)
     )
-    dab, _ = wasserstein_exact(a, b, 2.0)
-    dba, _ = wasserstein_exact(b, a, 2.0)
-    dbc, _ = wasserstein_exact(b, c, 2.0)
-    dac, _ = wasserstein_exact(a, c, 2.0)
+    dab, _ = wasserstein_exact(a, b)
+    dba, _ = wasserstein_exact(b, a)
+    dbc, _ = wasserstein_exact(b, c)
+    dac, _ = wasserstein_exact(a, c)
     assert dab == pytest.approx(dba, abs=1e-10)
     assert dac <= dab + dbc + 1e-9
 
@@ -524,11 +534,9 @@ def test_distance_scales_linearly(seed, scale):
     rng = np.random.default_rng(seed)
     pts_a, pts_b = rng.normal(size=(2, 4, 2))
     d1, _ = wasserstein_exact(
-        DiscreteMeasure.equal_weights(pts_a), DiscreteMeasure.equal_weights(pts_b), 2.0
+        DiscreteMeasure.equal_weights(pts_a), DiscreteMeasure.equal_weights(pts_b)
     )
     d2, _ = wasserstein_exact(
-        DiscreteMeasure.equal_weights(scale * pts_a),
-        DiscreteMeasure.equal_weights(scale * pts_b),
-        2.0,
+        DiscreteMeasure.equal_weights(scale * pts_a), DiscreteMeasure.equal_weights(scale * pts_b)
     )
     assert d2 == pytest.approx(scale * d1, rel=1e-9, abs=1e-12)
