@@ -267,6 +267,12 @@ def _int_at_least(lo: int):
     return (lambda x: _is_int(x) and x >= lo), f"an integer >= {lo}"
 
 
+def _count(lo: int, hi: int):
+    """A count of repeated work: an integer from lo to hi, where hi is the
+    work bound, at least 100 times the default and every value in use."""
+    return (lambda x: _is_int(x) and lo <= x <= hi), f"an integer from {lo} to {hi}, the work bound"
+
+
 def _number_at_least(lo: float):
     return (lambda x: _is_number(x) and x >= lo), f"a number >= {lo}"
 
@@ -306,7 +312,7 @@ PARAMS = {
         "reference_size": (4096, *_int_at_least(2)),
         "dt": (0.025, *_POSITIVE),
         "times": ([0.25, 0.5, 1.0], *_SAMPLE_TIMES),
-        "repeats": (256, *_int_at_least(2)),
+        "repeats": (256, *_count(2, 10**5)),
     },
     "quantum-dobrushin": {
         "epsilon": ([0.5, 0.25], *_EPSILONS),
@@ -321,7 +327,7 @@ PARAMS = {
     },
     "mk-bracket": {
         "epsilon": ([0.5, 0.25, 0.1], *_EPSILONS),
-        "pairs": (20, *_int_at_least(1)),
+        "pairs": (20, *_count(1, 10**4)),
         "grid_points": (256, *_GRID_POINTS),
         "box": (6.0, *_POSITIVE),
         "center_scale": (1.0, *_number_at_least(0)),
@@ -330,15 +336,15 @@ PARAMS = {
         "epsilon": (0.25, *_POSITIVE),
         "grid_points": (256, *_GRID_POINTS),
         "box": (6.0, *_POSITIVE),
-        "symbols": (10, *_int_at_least(0)),
+        "symbols": (10, *_count(0, 10**4)),
     },
     "combineq": {
         "p": (2.0, *_EXPONENT),
         "N": ([4, 16, 64], *_PARTICLE_COUNTS),
-        "mc_samples": (100_000, *_int_at_least(1)),
+        "mc_samples": (100_000, *_count(1, 10**8)),
     },
     "ot-selftest": {
-        "n_clouds": (50, *_int_at_least(1)),
+        "n_clouds": (50, *_count(1, 10**4)),
         "max_support": (
             6,
             lambda x: _is_int(x) and 2 <= x <= 9,

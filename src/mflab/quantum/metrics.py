@@ -7,10 +7,10 @@ Y factor.  The trace cost of a product pairs X factor j with y's particle j:
 
     sum_j <|x_j - y_j|^2> + <|p_j - p_j'|^2>,   p = eps * kappa,
 
-with both expectations read off densities (position density directly,
-momentum density through the FFT), so no operator matrices are ever formed.
-The pair densities are products, so each expectation is
-m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.
+and the pair densities are products, so each expectation is
+m2_x - 2 m1_x m1_y + m2_y from the factors' own marginal moments.  Those
+come from one table, `factor_moments`, which also sets the Husimi lattice
+windows; it reads momenta by 1-D FFTs, slab by slab, with no n^N copy.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import fft as sfft
 
+from ..potentials import PAIR_BLOCK
 from ..transport import SUPPORT_CAP, DiscreteMeasure, wasserstein_exact
 from .dynamics import partial_trace
 from .grids import (
@@ -31,29 +32,43 @@ from .grids import (
 from .phase_space import SymbolMeasure, coherent_state, husimi_values
 
 
-def _axis_moments(prob: np.ndarray, coords: np.ndarray) -> list:
-    """(E[u], E[u^2]) of every axis's marginal of the (unnormalized) density."""
-    total = prob.sum()
-    moments = []
-    for ax in range(prob.ndim):
-        marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != ax))
-        moments.append((coords @ marg / total, coords**2 @ marg / total))
-    return moments
+def factor_moments(state) -> np.ndarray:
+    """(n_axes, 4) table of <q>, <q^2>, <p>, <p^2>, p = eps * kappa, one row per
+    grid axis of a WaveFunction or a single-particle DensityMatrix (one axis).
+
+    A WaveFunction's momentum marginal on axis a is the sum over the other
+    axes of |FFT_a psi|^2 (Parseval), read in slabs of about PAIR_BLOCK
+    entries split along another axis.  Each marginal is normalized by its mass.
+    """
+    grid = state.grid
+    coords = (grid.axis_points(), grid.epsilon * grid.wavenumbers())
+    if isinstance(state, DensityMatrix):
+        if grid.n_axes != 1:
+            raise ValueError("factor_moments needs a DensityMatrix on a one-axis grid")
+        tilde = sfft.ifft(sfft.fft(state.matrix, axis=0), axis=1)
+        marginals = np.real([[state.matrix.diagonal(), tilde.diagonal()]]).clip(0.0, None)
+    else:
+        values = state.values
+        marginals = np.zeros((values.ndim, 2, grid.points_per_axis))
+        for a in range(values.ndim):
+            rest = tuple(i for i in range(values.ndim) if i != a)
+            b = rest[0] if rest else a  # a one-axis state is one slab
+            sections = min(values.shape[b], values.size // PAIR_BLOCK) if rest else 1
+            for slab in np.array_split(values, max(1, sections), axis=b):
+                marginals[a, 0] += np.sum(np.abs(slab) ** 2, axis=rest)
+                marginals[a, 1] += np.sum(np.abs(sfft.fft(slab, axis=a)) ** 2, axis=rest)
+    return np.array(
+        [[c @ m / m.sum() for m, u in zip(row, coords) for c in (u, u**2)] for row in marginals]
+    )
 
 
 def _factored_cost(state: FactoredCoupling) -> float:
-    grid = state.y.grid
-    total = 0.0
-    for coords, density in (
-        (grid.axis_points(), lambda f: np.abs(f.values) ** 2),
-        (grid.epsilon * grid.wavenumbers(), lambda f: np.abs(sfft.fftn(f.values)) ** 2),
-    ):
-        # X factor j's axis c pairs with y's axis j*d + c
-        x_moments = [m for f in state.xs for m in _axis_moments(density(f), coords)]
-        y_moments = _axis_moments(density(state.y), coords)
-        for (m1x, m2x), (m1y, m2y) in zip(x_moments, y_moments):
-            total += float(m2x - 2.0 * m1x * m1y + m2y)
-    return total
+    # X factor j's axis c pairs with y's axis j*d + c; columns q, q^2, p, p^2.
+    # X factors held N times are one object, read once
+    tables = {id(f): factor_moments(f) for f in state.xs}
+    x = np.concatenate([tables[id(f)] for f in state.xs])
+    y = factor_moments(state.y)
+    return float(np.sum(x[:, 1::2] - 2.0 * x[:, ::2] * y[:, ::2] + y[:, 1::2]))
 
 
 def _products(coupling):
@@ -80,30 +95,6 @@ def mk_eps_upper(symbol1: SymbolMeasure, symbol2: SymbolMeasure, eps: float) -> 
     return dist**2 + 2.0 * axes * eps
 
 
-def _marginal_densities(state):
-    """Position and momentum densities of a WaveFunction or DensityMatrix,
-    each up to a constant factor, the momenta in `wavenumbers()` order."""
-    if isinstance(state, WaveFunction):
-        return np.abs(state.values) ** 2, np.abs(sfft.fft(state.values)) ** 2
-    tilde = sfft.ifft(sfft.fft(state.matrix, axis=0), axis=1)
-    return (
-        np.clip(np.real(state.matrix.diagonal()), 0.0, None),
-        np.clip(np.real(tilde.diagonal()), 0.0, None),
-    )
-
-
-def _marginal_window(state, n_sigma: float = 4.2):
-    x = state.grid.axis_points()
-    p = state.grid.epsilon * state.grid.wavenumbers()
-    windows = []
-    for coords, dens in zip((x, p), _marginal_densities(state)):
-        total = dens.sum()
-        mean = float(coords @ dens / total)
-        std = float(np.sqrt(np.clip((coords - mean) ** 2 @ dens / total, 0.0, None)))
-        windows.append((mean - n_sigma * std, mean + n_sigma * std))
-    return windows  # [(x_lo, x_hi), (p_lo, p_hi)]
-
-
 def _lattice_cloud(state, xs: np.ndarray, ps: np.ndarray, prune: float):
     w = np.clip(husimi_values(state, xs, ps).ravel(), 0.0, None)
     w = w * (xs[1] - xs[0]) * (ps[1] - ps[0])
@@ -125,11 +116,12 @@ def husimi_lattices(state1, state2):
     while either support would exceed the solver cap, and ResourceCapError
     is raised after four tries.
 
-    `husimi_values` fills each lattice by the route of its state's type.
-    For n grid points, a WaveFunction's marginals are |psi|^2 and
-    |FFT psi|^2 (O(n log n)); a DensityMatrix's momentum marginal takes two
-    n x n FFTs (O(n^2 log n)).  Either way the transport solve, not the
-    Husimi values, dominates the cost of the bound.
+    The marginal boxes come from `factor_moments`, and `husimi_values`
+    fills each lattice by the route of its state's type.  For n grid
+    points, a WaveFunction's moments take one n-point FFT (O(n log n)); a
+    DensityMatrix's momentum marginal takes two n x n FFTs (O(n^2 log n)).
+    Either way the transport solve, not the Husimi values, dominates the
+    cost of the bound.
     """
     for state in (state1, state2):
         if not isinstance(state, (WaveFunction, DensityMatrix)):
@@ -140,10 +132,10 @@ def husimi_lattices(state1, state2):
         raise ValueError("states have different epsilon")
     eps = state1.grid.epsilon
 
-    w1 = _marginal_window(state1)
-    w2 = _marginal_window(state2)
-    x_lo, x_hi = min(w1[0][0], w2[0][0]), max(w1[0][1], w2[0][1])
-    p_lo, p_hi = min(w1[1][0], w2[1][0]), max(w1[1][1], w2[1][1])
+    # the union of the two mean +- 4.2 sigma boxes, columns q, q^2, p, p^2
+    m = np.concatenate([factor_moments(state1), factor_moments(state2)])
+    spread = 4.2 * np.sqrt(np.clip(m[:, 1::2] - m[:, ::2] ** 2, 0.0, None))
+    (x_lo, p_lo), (x_hi, p_hi) = (m[:, ::2] - spread).min(0), (m[:, ::2] + spread).max(0)
 
     spacing = 0.35 * np.sqrt(eps)
     for _ in range(4):

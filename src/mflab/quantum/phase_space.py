@@ -7,6 +7,7 @@ by (2 pi eps)^{dN}, so probability weights lift to trace-one operators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +53,17 @@ class PhaseSpaceFunction:
         return float(self.values.sum() * self.dx * self.dxi)
 
 
-def _check_center_inside(grid: GridSpec, q: np.ndarray, p: np.ndarray) -> None:
+def _check_center_inside(grid: GridSpec, q, p) -> None:
     eps = grid.epsilon
     L = grid.box_half_width
-    # position tail beyond the box edge, per axis (X ~ N(q, eps/2))
-    pos_tail = float(np.sum(erfc((L - np.abs(q)) / np.sqrt(eps))))
+    root = math.sqrt(eps)
+    k_max = math.pi / grid.h
+    # per axis on Python floats, which overflow to inf silently where numpy
+    # would print a warning; erfc is 0 at +inf and 2 at -inf
+    # position tail beyond the box edge (X ~ N(q, eps/2))
+    pos_tail = sum(float(erfc((L - abs(a)) / root)) for a in np.ravel(q).tolist())
     # wavenumber tail beyond the Nyquist edge (K ~ N(p/eps, 1/(2 eps)))
-    k_max = np.pi / grid.h
-    mom_tail = float(np.sum(erfc((k_max - np.abs(p) / eps) * np.sqrt(eps))))
+    mom_tail = sum(float(erfc((k_max - abs(b) / eps) * root)) for b in np.ravel(p).tolist())
     if pos_tail > BOUNDARY_TAIL_TOL or mom_tail > BOUNDARY_TAIL_TOL:
         raise ValueError(
             f"coherent center q={q}, p={p} too near the grid boundary "

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -512,6 +513,50 @@ def test_validate_pair_work_bound_boundary():
     split = dict(at, N=[60, 80], samples=10**5)
     assert validate_config(split) == []
     assert len(validate_config(dict(split, dt=1.0 / 1001))) == 1
+
+
+#: Each count parameter and its work bound.
+COUNT_BOUNDS = [
+    ("mk-bracket", "pairs", 10**4),
+    ("toeplitz-identities", "symbols", 10**4),
+    ("ot-selftest", "n_clouds", 10**4),
+    ("classical-dobrushin", "repeats", 10**5),
+    ("combineq", "mc_samples", 10**8),
+]
+
+
+@pytest.mark.parametrize("experiment, key, bound", COUNT_BOUNDS)
+def test_count_parameters_have_a_work_bound(tmp_path, capsys, experiment, key, bound):
+    # every default, test, demo, CI step and workload uses at most the default;
+    # the values at and past the bound are only validated, never run
+    default, _, what = PARAMS[experiment][key]
+    assert bound >= 100 * default and what.endswith(f"to {bound}, the work bound")
+    assert validate_config({"experiment": experiment, key: bound}) == []
+    over = validate_config({"experiment": experiment, key: bound + 1})
+    assert over == [f"{key}: {bound + 1} must be {what}"]
+    path = _write_cfg(tmp_path, {"experiment": experiment, key: 10**12})
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+    assert f"config error: {key}: {10**12} must be {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, epsilons",
+    [
+        ({"experiment": "quantum-dobrushin", "epsilon": 5e-324}, 1),
+        ({"experiment": "toeplitz-identities", "epsilon": 5e-324}, 1),
+        ({"experiment": "mk-bracket", "box": 1e308}, 3),
+        ({"experiment": "mk-bracket", "center_scale": 1e308}, 3),
+    ],
+)
+def test_center_check_warns_of_no_overflow(raw, epsilons):
+    # the tail arguments overflow to inf on Python floats, silently: the
+    # diagnostics, one per epsilon, are the only output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diags = validate_config(raw)
+    assert len(diags) == epsilons
+    assert all("must be clear of the box edge and the momentum edge" in d for d in diags)
 
 
 def test_validate_classical_dobrushin_needs_two_repeats():

@@ -1,21 +1,28 @@
 """Coupling-cost tests: the (Q*Q + P*P) trace cost against coherent closed
-forms, the squared-distance bracket, and the Toeplitz lift of coupling symbols.
+forms, the moment table it reads against the full-array FFT route, the
+squared-distance bracket, the Toeplitz lift of coupling symbols, and the
+coupled flow's cost against the harmonic closed form of `harmonic_oracle`.
 
 Coherent oracle: a product coupling of coherent factors centered at z_x, z_y
 costs |q_x - q_y|^2 + |p_x - p_y|^2 + 2*(dN)*eps -- the squared center
 displacement plus one Heisenberg floor per coupled axis pair.
 """
+import tracemalloc
 from dataclasses import replace
 
 import doubled_oracle as oracle
 import numpy as np
 import pytest
+from harmonic_oracle import harmonic_potential, n_delta
+from scipy import fft as sfft
 
 from mflab.potentials import make_gaussian_potential
+from mflab.quantum import metrics
 from mflab.quantum.dynamics import factored_coupled_advance
 from mflab.quantum.grids import FactoredCoupling, GridSpec, WaveFunction
 from mflab.quantum.metrics import (
     coupling_to_factored_mixture,
+    factor_moments,
     husimi_lattices,
     lattice_lower,
     mk_eps_lower,
@@ -28,10 +35,16 @@ from mflab.quantum.phase_space import SymbolMeasure, coherent_state, toeplitz_op
 
 BASE = GridSpec(d=1, n_particles=1, points_per_axis=32, box_half_width=5.0, epsilon=0.5)
 EPS = BASE.epsilon
+Z0 = (-0.3, 0.3)
 
 
 def _pair_coupling(z1, z2, base=BASE):
     return FactoredCoupling((coherent_state(base, *z1),), coherent_state(base, *z2))
+
+
+def _superposition(grid, z1, z2):
+    vals = coherent_state(grid, *z1).values + coherent_state(grid, *z2).values
+    return WaveFunction(grid, vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.h))
 
 
 def _coherent_cost(z1, z2, eps=EPS):
@@ -90,6 +103,82 @@ def test_diagonal_coupling_sits_on_heisenberg_floor():
     D = qp_cost_trace([(1.0, _pair_coupling(z0, z0))])
     assert D == pytest.approx(2 * EPS, abs=1e-9)
     assert D >= 2 * EPS - 1e-12
+
+
+# ------------------------------------------------------------- moment table
+
+
+def _fftn_moments(psi: WaveFunction) -> np.ndarray:
+    """The moment table from the full n^N arrays |psi|^2 and |fftn psi|^2."""
+    grid = psi.grid
+    table = np.zeros((psi.values.ndim, 4))
+    for col, (coords, prob) in enumerate(
+        (
+            (grid.axis_points(), np.abs(psi.values) ** 2),
+            (grid.epsilon * grid.wavenumbers(), np.abs(sfft.fftn(psi.values)) ** 2),
+        )
+    ):
+        for ax in range(prob.ndim):
+            marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != ax))
+            table[ax, 2 * col : 2 * col + 2] = coords @ marg, coords**2 @ marg
+        table[:, 2 * col : 2 * col + 2] /= prob.sum()
+    return table
+
+
+def _interacting_y(N: int, base=BASE, steps: int = 5):
+    """The Y factor of a coherent product after `steps` coupled steps: no
+    longer a product state."""
+    ref = coherent_state(base, *Z0)
+    y = coherent_state(replace(base, n_particles=N), np.full(N, Z0[0]), np.full(N, Z0[1]))
+    V = make_gaussian_potential(1.0, 1.0, 1)
+    coupling = [(1.0, FactoredCoupling((ref,) * N, y))]
+    [(_, state)], _ = factored_coupled_advance(coupling, ref, V, 0.05, steps)
+    return state.y
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        coherent_state(BASE, 0.4, -0.3),
+        _superposition(GridSpec(1, 1, 128, 6.0, 0.25), (-1.0, 0.5), (1.2, -0.3)),
+    ],
+)
+def test_wavefunction_moments_match_its_density_matrix(psi):
+    table = factor_moments(psi)
+    assert table.shape == (1, 4)
+    np.testing.assert_allclose(table, factor_moments(state_density_matrix(psi)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_slab_moments_match_the_fftn_route(monkeypatch, block):
+    # N = 2 at 32 points is one slab at PAIR_BLOCK; a block of 100 entries
+    # splits it into 10 uneven slabs along the other axis
+    if block is not None:
+        monkeypatch.setattr(metrics, "PAIR_BLOCK", block)
+    y = _interacting_y(2)
+    table = factor_moments(y)
+    assert table.shape == (2, 4)
+    np.testing.assert_allclose(table, _fftn_moments(y), rtol=1e-13, atol=0)
+
+
+def test_factor_moments_of_a_multi_axis_density_matrix_is_refused():
+    with pytest.raises(ValueError):
+        factor_moments(state_density_matrix(_interacting_y(2, steps=1)))
+
+
+def test_cost_reads_no_n_to_the_N_copy():
+    # N = 3 at 64 points: slabs of PAIR_BLOCK entries, not |fftn y|^2
+    base = GridSpec(d=1, n_particles=1, points_per_axis=64, box_half_width=8.0, epsilon=0.25)
+    y = _interacting_y(3, base, steps=2)
+    coupling = [(1.0, FactoredCoupling((coherent_state(base, *Z0),) * 3, y))]
+    qp_cost_trace(coupling)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        qp_cost_trace(coupling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * y.values.nbytes
 
 
 # ------------------------------------------------------------- bracket bounds
@@ -152,11 +241,6 @@ def _assert_lattices_match_density_route(state1, state2):
         np.testing.assert_allclose(mu.points, nu.points, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mu.weights, nu.weights, rtol=0, atol=1e-12)
     assert lattice_lower(*got, eps) == pytest.approx(lattice_lower(*want, eps), abs=1e-12)
-
-
-def _superposition(grid, z1, z2):
-    vals = coherent_state(grid, *z1).values + coherent_state(grid, *z2).values
-    return WaveFunction(grid, vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.h))
 
 
 @pytest.mark.parametrize(
@@ -238,9 +322,6 @@ def test_coupling_to_factored_mixture_matches_doubled_lift():
         assert np.allclose(product.values, psi.values, atol=1e-14)
     with pytest.raises(ValueError):
         coupling_to_factored_mixture(BASE, 2, coup)
-
-
-Z0 = (-0.3, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -327,3 +408,39 @@ def test_free_flow_coupling_cost_law():
     assert qp_cost_trace(coupling) - 2 * eps == pytest.approx(
         eps * 0.8**2, abs=1e-8
     )
+
+
+# ------------------------------------------------------------- harmonic oracle
+
+
+def _harmonic_n_delta(kappa, eps, N, dt, t=0.4):
+    """N * (D_N - D_H) at time t by the grid route: the per-slot cost of the
+    coupled flow from a coherent product, less one X factor's cost against
+    the Hartree reference."""
+    base = GridSpec(d=1, n_particles=1, points_per_axis=64, box_half_width=8.0, epsilon=eps)
+    q0, p0 = 0.3, -0.2
+    ref = coherent_state(base, q0, p0)
+    y = coherent_state(replace(base, n_particles=N), np.full(N, q0), np.full(N, p0))
+    V = harmonic_potential(kappa, base.box_half_width)
+    coupling, ref = factored_coupled_advance(
+        [(1.0, FactoredCoupling((ref,) * N, y))], ref, V, dt, round(t / dt)
+    )
+    D_N = qp_cost_trace(coupling) / N
+    D_H = qp_cost_trace([(1.0, FactoredCoupling((coupling[0][1].xs[0],), ref))])
+    return N * (D_N - D_H)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_harmonic_excess_matches_closed_form(N, eps):
+    # kappa = 1: the closed form is eps * t^2 / 2 (0.04 and 0.02 at t = 0.4)
+    assert _harmonic_n_delta(1.0, eps, N, 0.02) == pytest.approx(n_delta(1.0, eps, 0.4), abs=1e-9)
+
+
+def test_harmonic_excess_converges_at_second_order():
+    # kappa = 4: Strang's error in dt shows, and halving dt quarters it
+    want = n_delta(4.0, 0.25, 0.4)
+    coarse = abs(_harmonic_n_delta(4.0, 0.25, 2, 0.02) - want)
+    fine = abs(_harmonic_n_delta(4.0, 0.25, 2, 0.01) - want)
+    assert coarse < 1e-4
+    assert 3.5 < coarse / fine < 4.5
