@@ -752,7 +752,8 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
         dist, plan = wasserstein_exact(mu, nu)
         # plan.cost_value and the oracle evaluate the same dot product, so
         # the comparison is exact; dist**2 would reintroduce root roundoff
-        err = abs(plan.cost_value - _brute_assignment_cost(cdist(mu.points, nu.points) ** 2))
+        C = cdist(mu.points, nu.points, "sqeuclidean")
+        err = abs(plan.cost_value - _brute_assignment_cost(C))
         a, b = dual_potentials(mu, nu)
         gap = kantorovich_gap(mu, nu, plan, a, b)
         consts = {"p": 2.0, "d": k, "support": m, "instance": i}

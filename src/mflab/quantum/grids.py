@@ -169,15 +169,20 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} != ({dim}, {dim})")
         # max|m| and max|m - m^H| over row blocks of PAIR_BLOCK entries, so
-        # the check's scratch is a block, not three dim x dim arrays
+        # the check's scratch is one complex and one float block, reused (dim
+        # and PAIR_BLOCK are powers of two, so every block is full)
         scale, skew = 1e-300, 0.0
         step = max(1, PAIR_BLOCK // dim)
+        diff = np.empty((min(step, dim), dim), dtype=complex)
+        mag = np.empty(diff.shape)
         for i in range(0, dim, step):
             rows = m[i : i + step]
-            diff = m[:, i : i + step].T.conj()
+            np.abs(rows, out=mag)
+            scale = max(scale, float(mag.max()))
+            np.conjugate(m[:, i : i + step].T, out=diff)
             np.subtract(rows, diff, out=diff)
-            scale = max(scale, float(np.max(np.abs(rows))))
-            skew = max(skew, float(np.max(np.abs(diff))))
+            np.abs(diff, out=mag)
+            skew = max(skew, float(mag.max()))
         if skew > 1e-10 * scale:
             raise ValueError("density matrix is not Hermitian")
         object.__setattr__(self, "matrix", m)

@@ -5,15 +5,16 @@ clouds, otherwise a HiGHS linear program on a sparse candidate set of pairs,
 grown until its duals are feasible on all pairs, so its optimum is the dense
 one) and Kantorovich dual certificates.  Every problem is the quadratic
 Monge-Kantorovich one, MK2: the ground cost is |x-y|^2 with the Euclidean
-norm on the concatenated phase coordinates, and the reported distance is the
-square root of the plan cost.
+norm on the concatenated phase coordinates, computed directly as a squared
+distance, and the reported distance is the square root of the plan cost.
 
 The LP route never builds the m x n cost matrix: its candidates are the
 nearest partners of each atom's image under the affine map that matches the
-two measures' means and covariances, found by k-d tree queries, and its
-costs, its pricing and the dual check in kantorovich_gap go through row
-blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on the
-dense matrix.
+two measures' means and covariances, found by k-d tree queries, and their
+costs are computed pair by pair, equal to the dense entries to the bit.
+Only its pricing and the dual check in kantorovich_gap scan every pair, in
+row blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on
+the dense matrix.
 
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
@@ -99,40 +100,36 @@ class TransportPlan:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, rows=slice(None)) -> np.ndarray:
-    """The rows `rows` of the cost matrix C_ij = |x_i - y_j|^2; each entry is
-    computed on its own, so a row block is bitwise the same rows of C."""
+    """The rows `rows` of the cost matrix C_ij = |x_i - y_j|^2, each entry
+    computed directly as a squared distance and on its own, so a row block
+    is bitwise the same rows of C."""
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
-    C = cdist(mu.points[rows], nu.points)
-    C *= C  # in place: one array per call, not two
-    return C
-
-
-def _cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, rows: np.ndarray):
-    """(r, C[r]) for consecutive runs r of the row indices `rows`, each block
-    at most PAIR_BLOCK pairs (one row if a row is longer)."""
-    step = max(1, PAIR_BLOCK // nu.size)
-    for start in range(0, rows.size, step):
-        r = rows[start : start + step]
-        yield r, _cost_matrix(mu, nu, r)
+    return cdist(mu.points[rows], nu.points, "sqeuclidean")
 
 
 def _reduced_cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b):
-    """(r, C[r] - a[r] - b) over the row blocks of `_cost_blocks`."""
-    for r, R in _cost_blocks(mu, nu, np.arange(mu.size)):
+    """(r, C[r] - a[r] - b) for consecutive runs r of all row indices, each
+    block at most PAIR_BLOCK pairs (one row if a row is longer)."""
+    step = max(1, PAIR_BLOCK // nu.size)
+    for start in range(0, mu.size, step):
+        r = np.arange(start, min(start + step, mu.size))
+        R = _cost_matrix(mu, nu, r)
         R -= a[r, None]
         R -= b[None, :]
         yield r, R
 
 
 def _edge_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, edges: np.ndarray) -> np.ndarray:
-    """C.ravel()[edges] for sorted flat indices i*n + j, gathered from row
-    blocks of C over the rows the edges use."""
+    """C.ravel()[edges] for flat indices i*n + j in any order, computed per
+    edge: the squared coordinate differences summed coordinate by
+    coordinate, the order in which `_cost_matrix` adds them, so each cost is
+    the dense entry to the bit.  Scratch is O(len(edges))."""
     rows, cols = np.divmod(edges, nu.size)
-    out = np.empty(edges.size)
-    for r, block in _cost_blocks(mu, nu, np.unique(rows)):
-        lo, hi = np.searchsorted(rows, [r[0], r[-1] + 1])
-        out[lo:hi] = block[np.searchsorted(r, rows[lo:hi]), cols[lo:hi]]
+    out = np.zeros(edges.size)
+    for x, y in zip(mu.points.T, nu.points.T):
+        d = x[rows] - y[cols]
+        out += d * d
     return out
 
 
@@ -365,10 +362,11 @@ def dual_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure):
 def kantorovich_gap(mu, nu, plan: TransportPlan, a, b) -> float:
     """Primal cost of `plan` minus the dual value of (a, b).
 
-    The pair must satisfy a(x) + b(y) <= |x-y|^2 on all support pairs (checked
-    with 1e-9 slack, in row blocks of `_reduced_cost_blocks`); a gap <= 1e-9
-    certifies optimality of the plan.  The plan's costs are gathered by
-    `_edge_costs`, so no m x n array is built.
+    The pair must satisfy a(x) + b(y) <= |x-y|^2 on all support pairs
+    (checked with 1e-9 slack by this function's own scan of every pair, in
+    row blocks of `_reduced_cost_blocks`); a gap <= 1e-9 certifies
+    optimality of the plan.  The plan's costs come from `_edge_costs`, per
+    pair and in the plan's own order, so no m x n array is built.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -377,10 +375,7 @@ def kantorovich_gap(mu, nu, plan: TransportPlan, a, b) -> float:
     for _, R in _reduced_cost_blocks(mu, nu, a, b):
         if float(np.min(R)) < -DUAL_SLACK:
             raise ValueError("infeasible dual pair: a(x) + b(y) > |x-y|^2 somewhere")
-    pairs = plan.source_index * nu.size + plan.target_index
-    order = np.argsort(pairs, kind="stable")
-    cost = np.empty(pairs.size)
-    cost[order] = _edge_costs(mu, nu, pairs[order])
+    cost = _edge_costs(mu, nu, plan.source_index * nu.size + plan.target_index)
     primal = float(np.sum(plan.mass * cost))
     dual = float(a @ mu.weights + b @ nu.weights)
     return max(primal - dual, 0.0)

@@ -1,4 +1,5 @@
 """Grid containers, the guard band, memory caps, and the checkpoint format."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,34 @@ def test_hermitian_check_in_row_blocks_matches_the_dense_rule():
             else:
                 with pytest.raises(ValueError, match="not Hermitian"):
                     DensityMatrix(g, m)
+
+
+def test_hermitian_check_judges_each_reused_block_at_the_threshold():
+    # 256 points: two row blocks of 128 rows share one complex and one float
+    # scratch block.  A skew just above 1e-10 of the largest entry, in either
+    # block and after a clean one, is rejected; just below it is accepted
+    g = _grid(n=256)
+    base = state_density_matrix(coherent_state(g, 0.4, -0.3)).matrix
+    scale = np.max(np.abs(base))
+    for i, j in [(5, 200), (200, 5), (255, 254)]:
+        for factor, hermitian in [(1 - 1e-6, True), (1 + 1e-6, False)]:
+            m = base.copy()
+            m[i, j] += 1e-10 * scale * factor
+            assert (np.max(np.abs(m - m.conj().T)) <= 1e-10 * np.max(np.abs(m))) == hermitian
+            if hermitian:
+                DensityMatrix(g, m)
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    DensityMatrix(g, m)
+    # the scratch is the two 128-row blocks, 0.75 MiB; a fresh conjugate
+    # block and two np.abs arrays a block peaked at 1.13 MiB
+    tracemalloc.start()
+    try:
+        DensityMatrix(g, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -338,14 +338,60 @@ def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block)
     if rows_per_block is not None:
         monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * nu.size)
     C = _cost_matrix(mu, nu)
-    # the in-place square is the power 2.0 to the bit
-    np.testing.assert_array_equal(C, cdist(mu.points, nu.points) ** 2.0)
+    np.testing.assert_array_equal(C, cdist(mu.points, nu.points, "sqeuclidean"))
     for edges in (
         np.arange(C.size),
         np.sort(rng.choice(C.size, size=200, replace=False)),
         np.array([C.size - 1]),
     ):
         np.testing.assert_array_equal(_edge_costs(mu, nu, edges), C.ravel()[edges])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_edge_costs_match_the_dense_costs_in_any_order(monkeypatch, k):
+    # per-edge sums of squared coordinate differences, in any edge order and
+    # with repeats, give cdist's "sqeuclidean" entries to the bit; a sum over
+    # the last axis of the differences squared does not from k = 8.  Row
+    # blocks of 3 rows, so the edges span 13 of them
+    rng = np.random.default_rng(40 + k)
+    mu = DiscreteMeasure.equal_weights(3.0 * rng.normal(size=(37, k)))
+    nu = DiscreteMeasure.equal_weights(rng.normal(size=(23, k)) - 1.0)
+    monkeypatch.setattr(transport, "PAIR_BLOCK", 3 * nu.size)
+    C = cdist(mu.points, nu.points, "sqeuclidean")
+    np.testing.assert_array_equal(_cost_matrix(mu, nu), C)
+    for edges in (
+        rng.permutation(C.size),
+        rng.integers(C.size, size=3 * C.size),
+        np.arange(C.size)[::-1],
+    ):
+        np.testing.assert_array_equal(_edge_costs(mu, nu, edges), C.ravel()[edges])
+
+
+def test_kantorovich_gap_takes_the_plan_pairs_in_any_order(monkeypatch):
+    # integer points and masses 1/8: every cost, product and partial sum is
+    # exact, so the gap is the same to the bit whatever order the plan lists
+    # its pairs in, and with zero duals it is the plan's cost.  Row blocks
+    # of one row
+    rng = np.random.default_rng(41)
+    mu = DiscreteMeasure.equal_weights(rng.integers(-9, 10, size=(8, 3)))
+    nu = DiscreteMeasure.equal_weights(rng.integers(-9, 10, size=(8, 3)))
+    monkeypatch.setattr(transport, "PAIR_BLOCK", nu.size)
+    _, plan = wasserstein_exact(mu, nu)
+    zero_a, zero_b = np.zeros(8), np.zeros(8)
+    flip = TransportPlan(
+        plan.source_index[::-1], plan.target_index[::-1], plan.mass[::-1], plan.cost_value
+    )
+    gap = kantorovich_gap(mu, nu, plan, zero_a, zero_b)
+    assert gap == plan.cost_value > 0
+    assert kantorovich_gap(mu, nu, flip, zero_a, zero_b) == gap
+    a, b = dual_potentials(mu, nu)
+    assert kantorovich_gap(mu, nu, flip, a, b) == kantorovich_gap(mu, nu, plan, a, b) <= 1e-9
+    # still rejects a dual pair that overshoots one cost
+    C = _cost_matrix(mu, nu)
+    a = np.zeros(8)
+    a[3] = C[3].min() + 1e-6
+    with pytest.raises(ValueError, match="infeasible dual pair"):
+        kantorovich_gap(mu, nu, flip, a, zero_b)
 
 
 def _gaussian_lattice(side: int, centre, offset) -> DiscreteMeasure:
