@@ -199,10 +199,10 @@ def combineq_mc(
     linear interpolation between nodes adds an error of at most
     (h / TABLE_REFINE)^2 / 8 * sup|(F*rho)''|, below 1e-7 here and far below
     the Monte-Carlo stderr.  Samples x_1 outside [-quad_span, quad_span]
-    get the same trapezoid sum evaluated directly.  The estimate is chunked
-    with independent child streams, so results do not depend on chunk
-    scheduling; within a chunk the empirical sums run in blocks of at most
-    PAIR_BLOCK offsets, each sample's sum in one reduction.
+    get the same trapezoid sum directly, and both that sum and the empirical
+    sums run in blocks of at most PAIR_BLOCK pairs, each sample's empirical
+    sum in one reduction.  The estimate is chunked with independent child
+    streams, so results do not depend on chunk scheduling.
     """
     conv = _tabulated_convolution(field, dist, quad_span, quad_points)
     children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
@@ -246,7 +246,7 @@ def _tabulated_convolution(field, dist, quad_span: float, quad_points: int):
 
     def direct(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
-        chunk = max(1, 4_000_000 // quad_points)
+        chunk = max(1, PAIR_BLOCK // quad_points)
         for s in range(0, x.size, chunk):
             q = x[s : s + chunk]
             kernel_q = field((q[:, None] - y[None, :]).ravel()).reshape(q.size, -1)

@@ -1235,6 +1235,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         ref = coherent_state(base, q0, p0)
         y = coherent_state(replace(base, n_particles=N), np.full(N, q0), np.full(N, p0))
         mixture = [(1.0, FactoredCoupling((ref,) * N, y))]
+        del y  # held by the coupling alone, so the first step frees it
         consts = _potential_constants(V, eps=eps, N=N, n=1, dt=dt, Lambda=lam, grid_points=n_pts)
         rows = []
         drift_max = 0.0

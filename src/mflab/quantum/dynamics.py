@@ -3,7 +3,8 @@
 Conventions: the evolution is i*eps*d_t psi = H psi, so every factor applies
 exp(-i*dt*(.)/eps).  Every propagator is one `_strang_step` (half potential
 phase, kinetic step, half potential phase; Lubich, Math. Comp. 77 (2008) for
-Hartree), which alone checks dt; each propagator supplies only its phases.
+Hartree), which alone checks dt and alone copies the state: each propagator
+supplies only its phases, which, like the FFTs, work in place on that copy.
 Kinetic symbol (eps^2/2)|kappa|^2 acts as the per-axis Fourier phase
 exp(-i*dt*eps*kappa^2/2); the N-body potential is (1/2N) sum_{k != l}
 V(x_k - x_l) (the k = l constant is dropped -- a global phase); the Hartree
@@ -41,28 +42,26 @@ def _check_kinetic_resolution(grid: GridSpec, dt: float) -> None:
 def _apply_kinetic(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     kappa = grid.wavenumbers()
     phase = np.exp(-0.5j * dt * grid.epsilon * kappa**2)
-    out = sfft.fftn(values)
+    out = sfft.fftn(values, overwrite_x=True)
     for ax in range(grid.n_axes):
-        shape = [1] * grid.n_axes
-        shape[ax] = kappa.size
-        out *= phase.reshape(shape)
+        _multiply_on_axes(out, phase, (ax,))
     return sfft.ifftn(out, overwrite_x=True)
 
 
 def _strang_step(psi: WaveFunction, dt: float, first, second) -> WaveFunction:
-    """second(kinetic(first(psi.values))) at time psi.time + dt.  `first`
-    must leave psi's values as they are; `second` may work in place on the
-    kinetic step's fresh array."""
+    """second(kinetic(first(copy of psi.values))) at time psi.time + dt.
+    The copy is the step's one working array: both phases and both FFTs
+    work in place on it, and psi's values are left as they are."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = psi.grid
     _check_kinetic_resolution(grid, dt)
-    vals = _apply_kinetic(first(psi.values), grid, dt)
+    vals = _apply_kinetic(first(psi.values.copy()), grid, dt)
     return WaveFunction(grid, second(vals), psi.time + dt)
 
 
 def _times(factor: np.ndarray):
-    return lambda values: values * factor
+    return lambda values: np.multiply(values, factor, out=values)
 
 
 def _multiply_on_axes(values: np.ndarray, factor: np.ndarray, axes: tuple) -> None:
@@ -100,7 +99,7 @@ def _nbody_step(grid: GridSpec, V: Potential, dt: float):
     if grid.d != 1:
         raise NotImplementedError("quantum propagators are implemented for d = 1")
     pairs = _pair_phases(grid, V, dt, range(grid.n_particles))
-    return lambda psi: _strang_step(psi, dt, lambda vals: pairs(vals.copy()), pairs)
+    return lambda psi: _strang_step(psi, dt, pairs, pairs)
 
 
 def split_step_linear(psi: WaveFunction, potential_values: np.ndarray, dt: float) -> WaveFunction:
@@ -189,7 +188,7 @@ def coupled_quantum_advance(
     v_now = hartree_potential(hartree_ref, V)
     ref_next = _hartree_step_from(hartree_ref, V, dt, v_now)
     v_next = hartree_potential(ref_next, V)
-    first, second = lambda vals: phases(vals.copy(), v_now), lambda vals: phases(vals, v_next)
+    first, second = lambda vals: phases(vals, v_now), lambda vals: phases(vals, v_next)
     return _strang_step(R_state, dt, first, second), ref_next
 
 

@@ -214,7 +214,7 @@ def guard_band_mass(psi: WaveFunction) -> float:
     for ax in range(grid.n_axes):
         shape = [1] * grid.n_axes
         shape[ax] = grid.points_per_axis
-        prob = prob * inside_axis.reshape(shape)
+        prob *= inside_axis.reshape(shape)
     return float(prob.sum() * grid.h**grid.n_axes)
 
 

@@ -84,7 +84,7 @@ def _coherent_array(grid: GridSpec, centers: np.ndarray) -> np.ndarray:
     out = np.ones((), dtype=complex)
     for q, p in centers:
         out = np.multiply.outer(out, _coherent_axis_values(x, grid.epsilon, q, p))
-    return out / np.sqrt(np.sum(np.abs(out) ** 2) * grid.h**grid.n_axes)
+    return np.divide(out, np.sqrt(np.sum(np.abs(out) ** 2) * grid.h**grid.n_axes), out=out)
 
 
 def coherent_state(grid: GridSpec, q, p) -> WaveFunction:

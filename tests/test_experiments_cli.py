@@ -267,6 +267,34 @@ def test_guard_band_abort_exits_3_at_the_integrated_time(tmp_path, capsys):
     assert len((out / "quantum-dobrushin.csv").read_text().splitlines()) == 5
 
 
+def test_quantum_dobrushin_holds_few_copies_of_the_y_factor():
+    # N = 3 at 64 points, a 4 MiB Y factor: the coupling alone holds the
+    # initial factor, each step copies it once, and the guard band and the
+    # coherent state mask and normalize in place, so the traced peak is
+    # about 2.6 factors; each spare copy adds up to one more
+    cfg = build_config(
+        {
+            "experiment": "quantum-dobrushin",
+            "seed": 0,
+            "n_particles": 3,
+            "grid_points": 64,
+            "epsilon": [0.25],
+            "t_final": 0.04,
+            "n_times": 3,
+        }
+    )
+    y_bytes = 16 * 64**3
+    run_experiment(cfg)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        rows = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak <= 3.0 * y_bytes, f"traced peak {peak / y_bytes:.2f} Y factors"
+
+
 @pytest.mark.parametrize("experiment", ["classical-dobrushin", "vlasov-moments"])
 def test_validate_classical_schedule(tmp_path, experiment):
     base = {"experiment": experiment, "dt": 0.05}

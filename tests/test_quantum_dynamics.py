@@ -1,6 +1,8 @@
 """Propagators against dense matrix-exponential and closed-form oracles."""
 import os
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import doubled_oracle as oracle
 import numpy as np
@@ -430,13 +432,17 @@ def test_factored_advance_rejects_y_factors_on_two_grids():
             factored_coupled_advance([two[0], (0.5, three)], ref0, GAUSS, 0.02, n)
 
 
-def _propagator_calls():
-    """Each propagator as a function of dt, on a 32-point grid."""
+def _propagator_states():
+    """A one-particle and a two-particle coherent state on a 32-point grid."""
     base = GridSpec(1, 1, 32, 5.0, 0.5)
-    psi = coherent_state(base, 0.1, -0.2)
     pair = coherent_state(oracle.doubled(base, 1), [0.1, 0.1], [-0.2, -0.2])
+    return coherent_state(base, 0.1, -0.2), pair
+
+
+def _propagator_calls(psi, pair):
+    """Each propagator as a function of dt, stepping psi, pair or both."""
     mix = [(1.0, FactoredCoupling((psi,), psi))]
-    table = GAUSS(base.axis_points()[:, None])
+    table = GAUSS(psi.grid.axis_points()[:, None])
     return {
         "split_step_linear": lambda dt: split_step_linear(psi, table, dt),
         "_nbody_step": lambda dt: _nbody_step(pair.grid, GAUSS, dt)(pair),
@@ -446,15 +452,43 @@ def _propagator_calls():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_propagator_calls()))
+@pytest.mark.parametrize("name", sorted(_propagator_calls(*_propagator_states())))
 def test_every_propagator_rejects_bad_dt(name):
-    step = _propagator_calls()[name]
+    step = _propagator_calls(*_propagator_states())[name]
     step(0.01)
     # 32 points on [-5, 5) at eps 0.5: the kinetic phase at the Nyquist mode
     # reaches pi at dt = 2 h^2 / (pi eps), about 0.124
     for dt in (0.0, -0.01, 0.125, 1.0):
         with pytest.raises(ValueError):
             step(dt)
+
+
+@pytest.mark.parametrize("name", sorted(_propagator_calls(*_propagator_states())))
+def test_every_propagator_leaves_the_states_it_steps_as_they_are(name):
+    # _strang_step copies a state's values once and both phases and both
+    # FFTs work in place on that copy, so the caller's arrays keep their bits
+    states = _propagator_states()
+    before = [state.values.tobytes() for state in states]
+    _propagator_calls(*states)[name](0.01)
+    assert [state.values.tobytes() for state in states] == before
+
+
+def test_one_advance_step_holds_one_working_copy_of_the_y_factor():
+    # N = 3 at 64 points: the step's one working copy of the Y factor plus
+    # the norm check's |values|^2 is 1.5 factors; a second copy, in a phase
+    # or as the forward FFT's output, makes it 2
+    base = GridSpec(1, 1, 64, 8.0, 0.25)
+    ref = coherent_state(base, 0.3, -0.2)
+    y = coherent_state(replace(base, n_particles=3), [0.3] * 3, [-0.2] * 3)
+    coupling = [(1.0, FactoredCoupling((ref,) * 3, y))]
+    factored_coupled_advance(coupling, ref, GAUSS, 0.01, 1)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        factored_coupled_advance(coupling, ref, GAUSS, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * y.values.nbytes, f"traced peak {peak / y.values.nbytes:.2f} Y factors"
 
 
 def test_factored_runner_checkpoint_holds_the_final_factors(tmp_path, monkeypatch):

@@ -165,6 +165,21 @@ def test_guard_band_trips_on_shifted_state():
         check_guard_band(psi)
 
 
+def test_guard_band_mass_masks_one_probability_array():
+    # N = 3 at 64 points: |values|^2 is half the state's bytes and is masked
+    # in place; a masked copy per axis makes the peak one state
+    g = GridSpec(1, 3, 64, 8.0, 0.25)
+    psi = coherent_state(g, [0.3] * 3, [-0.2] * 3)
+    tracemalloc.start()
+    try:
+        mass = guard_band_mass(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mass == pytest.approx(1.0, abs=1e-10)
+    assert peak <= 0.6 * psi.values.nbytes, f"traced peak {peak / psi.values.nbytes:.2f} states"
+
+
 def test_coherent_center_near_edge_rejected():
     with pytest.raises((ValueError, GuardBandError)):
         coherent_state(_grid(), 5.7, 0.0)  # position tail leaves the box

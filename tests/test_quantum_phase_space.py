@@ -5,6 +5,8 @@ Oracles are closed forms for Gaussian states: overlap |<z1|z2>|^2 =
 exp(-|dz|^2/(2 eps)), Wigner W(x,xi) = (pi eps)^{-1} exp(-((x-q)^2 +
 (xi-p)^2)/eps), Husimi H(z) = (2 pi eps)^{-1} exp(-|z-z0|^2/(2 eps)).
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_coherent_product_state_two_factors():
     a = coherent_state(g1, 0.4, 0.1).values
     b = coherent_state(g1, -0.3, 0.2).values
     assert np.allclose(phi.values, np.outer(a, b), atol=1e-12)
+
+
+def test_coherent_state_normalizes_in_place():
+    # N = 3 at 64 points: the product array plus the norm check's |values|^2
+    # is 1.5 times the state; a normalized copy of the product makes it 2
+    grid3 = GridSpec(d=1, n_particles=3, points_per_axis=64, box_half_width=8.0, epsilon=EPS)
+    coherent_state(grid3, [0.3] * 3, [-0.2] * 3)
+    tracemalloc.start()
+    try:
+        psi = coherent_state(grid3, [0.3] * 3, [-0.2] * 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * psi.values.nbytes, f"traced peak {peak / psi.values.nbytes:.2f} states"
 
 
 # ---------------------------------------------------------------- Wigner transform

@@ -331,12 +331,9 @@ def test_runner_lattice_lps_solve_in_one_round(state1, state2):
     assert lp.cost == pytest.approx(_dense_lp_cost(mu, nu), rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 3, None])
-def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block):
+def test_edge_costs_are_the_dense_costs_bit_for_bit():
     rng = np.random.default_rng(12)
     mu, nu = _unequal_clouds(12, 41, 29, 2)
-    if rows_per_block is not None:
-        monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * nu.size)
     C = _cost_matrix(mu, nu)
     np.testing.assert_array_equal(C, cdist(mu.points, nu.points, "sqeuclidean"))
     for edges in (
@@ -348,15 +345,13 @@ def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
-def test_edge_costs_match_the_dense_costs_in_any_order(monkeypatch, k):
+def test_edge_costs_match_the_dense_costs_in_any_order(k):
     # per-edge sums of squared coordinate differences, in any edge order and
     # with repeats, give cdist's "sqeuclidean" entries to the bit; a sum over
-    # the last axis of the differences squared does not from k = 8.  Row
-    # blocks of 3 rows, so the edges span 13 of them
+    # the last axis of the differences squared does not from k = 8
     rng = np.random.default_rng(40 + k)
     mu = DiscreteMeasure.equal_weights(3.0 * rng.normal(size=(37, k)))
     nu = DiscreteMeasure.equal_weights(rng.normal(size=(23, k)) - 1.0)
-    monkeypatch.setattr(transport, "PAIR_BLOCK", 3 * nu.size)
     C = cdist(mu.points, nu.points, "sqeuclidean")
     np.testing.assert_array_equal(_cost_matrix(mu, nu), C)
     for edges in (
