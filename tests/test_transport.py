@@ -34,6 +34,7 @@ from mflab.transport import (
     _candidate_edges,
     _cost_matrix,
     _edge_costs,
+    _reduced_cost_blocks,
     _restricted_lp,
     _solve_transport_lp,
     _violated_pairs,
@@ -331,11 +332,20 @@ def test_runner_lattice_lps_solve_in_one_round(state1, state2):
     assert lp.cost == pytest.approx(_dense_lp_cost(mu, nu), rel=1e-12, abs=1e-15)
 
 
-def test_edge_costs_are_the_dense_costs_bit_for_bit():
+# row blocks of one row, of 3 rows, and the package's own (one block here)
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_edge_costs_are_the_dense_costs_bit_for_bit(monkeypatch, rows_per_block):
     rng = np.random.default_rng(12)
     mu, nu = _unequal_clouds(12, 41, 29, 2)
+    if rows_per_block is not None:
+        monkeypatch.setattr(transport, "PAIR_BLOCK", rows_per_block * nu.size)
     C = _cost_matrix(mu, nu)
     np.testing.assert_array_equal(C, cdist(mu.points, nu.points, "sqeuclidean"))
+    # the pricing scan's row blocks at zero duals tile C to the bit
+    blocks = list(_reduced_cost_blocks(mu, nu, np.zeros(mu.size), np.zeros(nu.size)))
+    assert len(blocks) == (1 if rows_per_block is None else -(-mu.size // rows_per_block))
+    np.testing.assert_array_equal(np.concatenate([r for r, _ in blocks]), np.arange(mu.size))
+    np.testing.assert_array_equal(np.vstack([R for _, R in blocks]), C)
     for edges in (
         np.arange(C.size),
         np.sort(rng.choice(C.size, size=200, replace=False)),
