@@ -193,31 +193,33 @@ def combineq_mc(
     one-dimensional distribution exposing .pdf and .rvs (scipy.stats style).
     The convolution F*rho is the trapezoid sum over `quad_points` nodes y_j
     on [-quad_span, quad_span].  That sum is tabulated once, on nodes
-    TABLE_REFINE times finer than the quadrature step h: one FFT convolution
-    of the zero-stuffed weights rho(y_j) w_j with F sampled at the table's
-    offsets gives the sum exactly (to round-off) at every table node, and
-    linear interpolation between nodes adds an error of at most
+    TABLE_REFINE times finer than the quadrature step h: the table nodes of
+    each residue r modulo TABLE_REFINE sit a whole quadrature step apart,
+    so one FFT convolution of quadrature length, of the weights
+    rho(y_j) w_j with F sampled at the offsets h (TABLE_REFINE s + r), gives
+    the sum exactly (to round-off) at every node of that residue.  Linear
+    interpolation between nodes adds an error of at most
     (h / TABLE_REFINE)^2 / 8 * sup|(F*rho)''|, below 1e-7 here and far below
     the Monte-Carlo stderr.  Samples x_1 outside [-quad_span, quad_span]
-    get the same trapezoid sum directly, and both that sum and the empirical
-    sums run in blocks of at most PAIR_BLOCK pairs, each sample's empirical
-    sum in one reduction.  The estimate is chunked with independent child
-    streams, so results do not depend on chunk scheduling.
+    get the same trapezoid sum directly, in blocks of at most PAIR_BLOCK
+    pairs.  The estimate is chunked with independent child streams, so
+    results do not depend on chunk scheduling.  Each chunk draws its samples
+    max(1, PAIR_BLOCK // N) at a time from its stream, the same draws as one
+    (4096, N) array, and takes a block's empirical sums (one reduction per
+    sample) and F*rho values before it draws the next block.
     """
     conv = _tabulated_convolution(field, dist, quad_span, quad_points)
     children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
-    rows = max(1, PAIR_BLOCK // N)  # samples per block of the empirical sums
+    rows = max(1, PAIR_BLOCK // N)  # samples per block drawn
     values = np.empty(n_mc)
     done = 0
     for ss in children:
         size = min(4096, n_mc - done)
         rng = np.random.default_rng(ss)
-        X = dist.rvs(size=(size, N), random_state=rng)
-        emp = np.empty(size)
-        for r in range(0, size, rows):
-            block = X[r : r + rows]
-            emp[r : r + rows] = field((block[:, :1] - block).ravel()).reshape(-1, N).mean(axis=1)
-        values[done : done + size] = np.abs(conv(X[:, 0]) - emp) ** p
+        for r in range(done, done + size, rows):
+            X = dist.rvs(size=(min(rows, done + size - r), N), random_state=rng)
+            emp = field((X[:, :1] - X).ravel()).reshape(-1, N).mean(axis=1)
+            values[r : r + len(X)] = np.abs(conv(X[:, 0]) - emp) ** p
         done += size
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
@@ -235,14 +237,18 @@ def _tabulated_convolution(field, dist, quad_span: float, quad_points: int):
     rho_w = dist.pdf(y) * quad_w
 
     # table node k sits at -quad_span + k h and quadrature node j at table
-    # node TABLE_REFINE j, so the sum is a discrete convolution on the table
+    # node R j (R = TABLE_REFINE), so node R i + r holds
+    # sum_j rho_w[j] F(h (R (i - j) + r)): for each residue r the nodes
+    # r, r + R, ... are one discrete convolution of the weights with F
+    # sampled at the offsets h (R s + r), s = 1 - quad_points .. quad_points - 1
     n_table = TABLE_REFINE * (quad_points - 1) + 1
     h = dy / TABLE_REFINE
     nodes = -quad_span + h * np.arange(n_table)
-    stuffed = np.zeros(n_table)
-    stuffed[::TABLE_REFINE] = rho_w
-    kernel = field(h * np.arange(1 - n_table, n_table))
-    table = offset_convolution(stuffed, kernel)
+    table = np.empty(n_table)
+    offsets = TABLE_REFINE * np.arange(1 - quad_points, quad_points)
+    for r in range(TABLE_REFINE):
+        residue = table[r::TABLE_REFINE]
+        residue[:] = offset_convolution(rho_w, field(h * (offsets + r)))[: residue.size]
 
     def direct(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)

@@ -18,8 +18,9 @@ the dense matrix.
 
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
-marginal equalities.  It releases the GIL while it solves, so exact solves
-queued on threads run in parallel.
+marginal equalities.  It holds the GIL while it solves (scipy 1.17.1), so
+the HiGHS solves of LPs queued on threads run one at a time; the assignment
+solver releases it, so assignment solves queued on threads run in parallel.
 """
 from __future__ import annotations
 

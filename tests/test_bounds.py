@@ -1,5 +1,6 @@
 """Right-hand-side evaluators: frozen values, 50-digit twins, MC estimator."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mflab.bounds import (
     read_reports_jsonl,
     write_reports_jsonl,
 )
+from mflab.convolution import offset_convolution
 from mflab.potentials import PAIR_BLOCK, make_cosine_potential, make_gaussian_potential
 
 GAUSS = make_gaussian_potential(1.0, 1.0, 1)  # sup_grad = e^{-1/2}, lip_grad = 1
@@ -285,15 +287,15 @@ def _field_of(V):
     return lambda z: V.grad(np.asarray(z, dtype=float)[:, None])[:, 0]
 
 
-@pytest.mark.parametrize(
-    "field, dist, span, points",
-    [
-        (_field_of(GAUSS), scipy.stats.norm(), 12.0, 4097),
-        (_field_of(make_cosine_potential(0.7, [1.3], 1)), scipy.stats.norm(0.3, 1.2), 12.0, 4097),
-        # a wide law against a short span: about 1 sample in 9 falls outside
-        (_field_of(make_gaussian_potential(1.5, 0.6, 1)), scipy.stats.norm(scale=3.8), 6.0, 1025),
-    ],
-)
+TABULATED_CASES = [
+    (_field_of(GAUSS), scipy.stats.norm(), 12.0, 4097),
+    (_field_of(make_cosine_potential(0.7, [1.3], 1)), scipy.stats.norm(0.3, 1.2), 12.0, 4097),
+    # a wide law against a short span: about 1 sample in 9 falls outside
+    (_field_of(make_gaussian_potential(1.5, 0.6, 1)), scipy.stats.norm(scale=3.8), 6.0, 1025),
+]
+
+
+@pytest.mark.parametrize("field, dist, span, points", TABULATED_CASES)
 def test_combineq_mc_tabulated_matches_brute_quadrature(field, dist, span, points):
     from mflab.bounds import _tabulated_convolution
 
@@ -308,6 +310,54 @@ def test_combineq_mc_tabulated_matches_brute_quadrature(field, dist, span, point
     assert np.max(np.abs(conv - brute)) <= 1e-7
     if span == 6.0:
         assert np.mean(np.abs(x1) > span) > 0.05
+
+
+def _zero_stuffed_table(field, dist, quad_span, quad_points, refine):
+    # oracle: the whole table as one convolution of the weights, stuffed with
+    # refine - 1 zeros between quadrature nodes, with F at every table offset
+    y = np.linspace(-quad_span, quad_span, quad_points)
+    dy = y[1] - y[0]
+    quad_w = np.full(quad_points, dy)
+    quad_w[0] = quad_w[-1] = dy / 2.0
+    n_table = refine * (quad_points - 1) + 1
+    h = dy / refine
+    stuffed = np.zeros(n_table)
+    stuffed[::refine] = dist.pdf(y) * quad_w
+    table = offset_convolution(stuffed, field(h * np.arange(1 - n_table, n_table)))
+    return -quad_span + h * np.arange(n_table), table
+
+
+@pytest.mark.parametrize("refine", [1, 3, 8])
+@pytest.mark.parametrize("field, dist, span, points", TABULATED_CASES)
+def test_tabulated_convolution_matches_the_zero_stuffed_table(
+    monkeypatch, field, dist, span, points, refine
+):
+    # one residue (1), an odd residue count (3) and the default (8); at a
+    # table node the interpolation returns the node's value
+    from mflab import bounds
+
+    monkeypatch.setattr(bounds, "TABLE_REFINE", refine)
+    nodes, table = _zero_stuffed_table(field, dist, span, points, refine)
+    assert np.all(np.abs(nodes) <= span)
+    conv = bounds._tabulated_convolution(field, dist, span, points)(nodes)
+    assert np.max(np.abs(conv - table)) <= 1e-15
+    if refine == 1:
+        assert np.array_equal(conv, table)
+
+
+def test_combineq_mc_allocates_under_2_mib_at_64_particles():
+    # the samples are drawn block by block, so no (4096, N) array (2 MiB at
+    # N = 64) is held, and the table takes short convolutions, not one over
+    # the zero-stuffed table; the first call warms up what a run loads once
+    field, dist = _field_of(GAUSS), StandardNormal()
+    combineq_mc(field, dist, 2.0, 64, 10_000, 0)
+    tracemalloc.start()
+    try:
+        combineq_mc(field, dist, 2.0, 64, 10_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_moment_rhs_and_twin():
