@@ -11,7 +11,7 @@ import ctypes
 import math
 import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import permutations
@@ -607,17 +607,6 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _run_sweep(one, n: int, jobs: int) -> list:
-    """The entries of one(0), ..., one(n - 1), concatenated in sweep order
-    whatever order the `jobs` worker threads finish in."""
-    if jobs <= 1 or n <= 1:
-        chunks = map(one, range(n))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, range(n)))
-    return [r for chunk in chunks for r in chunk]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's count."""
@@ -647,21 +636,22 @@ _MALLOC_TRIM = _find_malloc_trim()
 
 
 class _SolvePool:
-    """`workers` threads that run solve blocks while the threads that submit
-    them go on with their sweep.
+    """Up to `workers` threads that run queued solves while the sweep that
+    queued them goes on.  A thread starts only when a solve waits and no
+    thread is idle, so a run that queues nothing starts none.
 
     The first error stops the run early: `check` raises the first error a
-    block raised or the `with` block exited with, and the pool calls it
-    before it starts each block, as the sweep does before each segment and a
-    block of several solves before each solve.  Leaving the `with` block
-    cancels the blocks still queued (on success none are), waits for the
-    running ones and hands the heap their threads freed back to the system
-    (`_MALLOC_TRIM`).
+    solve or sweep point raised or the `with` block exited with, and `run`
+    calls it before each solve and sweep point, as the sweep does before
+    each segment, so a solve still queued when an error comes never starts.
+    Leaving the `with` block cancels the queued solves if an error has come,
+    waits for the others and, once a solve has been queued, hands the heap
+    the pool's threads freed back to the system (`_MALLOC_TRIM`).
     """
 
     def __init__(self, workers: int):
-        self.workers = workers
         self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._queued = False
         self._errors = []  # list.append is atomic: the first error stays first
 
     def __enter__(self):
@@ -669,18 +659,21 @@ class _SolvePool:
 
     def __exit__(self, exc_type, exc, tb):
         if exc is not None:
-            self._errors.append(exc)  # running blocks stop at their next solve
-        self._pool.shutdown(cancel_futures=True)
-        if _MALLOC_TRIM is not None:
+            self._errors.append(exc)  # later solves and sweep points stop at their check
+        self._pool.shutdown(cancel_futures=bool(self._errors))
+        if self._queued and _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
 
-    def submit(self, block):
-        return self._pool.submit(self._run, block)
+    def submit(self, solve):
+        self._queued = True
+        return self._pool.submit(self.run, solve)
 
-    def _run(self, block):
-        self.check()  # a block still queued when an error comes never starts
+    def run(self, task):
+        """task(), on the calling thread, unless an error came first; an
+        error it raises stops the rest of the run."""
+        self.check()
         try:
-            return block()
+            return task()
         except Exception as err:
             self._errors.append(err)
             raise
@@ -690,23 +683,37 @@ class _SolvePool:
             raise self._errors[0]
 
 
-def _solve_workers(tasks: int, jobs: int, sweep: int) -> int:
-    """Threads of a run's `_SolvePool`: the cores its sweep threads leave
-    free, at least one, and no more than the `tasks` the run queues.  A
-    sweep of `sweep` points runs on min(jobs, sweep) threads."""
-    return min(tasks, max(1, _usable_cpus() // min(jobs, sweep)))
+def _run_sweep(one, n: int, jobs: int) -> list:
+    """The rows of one(0, solves), ..., one(n - 1, solves), in sweep order
+    whatever order the `jobs` sweep threads finish in.
 
+    `solves` is the run's one `_SolvePool`, with the cores the sweep threads
+    leave free.  Each entry a sweep point returns is a row, or a
+    zero-argument function that gives the row once the pool has closed and
+    every solve it queued is done.  A sweep point runs under the pool's
+    error rule: the first error of any sweep point or solve stops the others
+    at their next check.
+    """
+    with _SolvePool(max(1, _usable_cpus() // min(jobs, n))) as solves:
 
-def _resolved(entries: list) -> list:
-    """The rows of a pipelined sweep, in sweep order: each entry is a row, or
-    the future of one queued on a `_SolvePool`."""
-    return [e.result() if isinstance(e, Future) else e for e in entries]
+        def point(i):
+            return solves.run(partial(one, i, solves))
+
+        if jobs <= 1 or n <= 1:
+            chunks = map(point, range(n))
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                chunks = list(pool.map(point, range(n)))
+        entries = [e for chunk in chunks for e in chunk]
+    solves.check()  # a solve may fail after the sweep is done
+    return [e() if callable(e) else e for e in entries]
 
 
 def _queue_husimi_lower_row(
     solves: _SolvePool, state1, state2, row_id: str, t: float, rhs: float, **row
 ):
-    """Future of the row comparing mk_eps_lower(state1, state2) with `rhs`.
+    """The row comparing mk_eps_lower(state1, state2) with `rhs`, deferred:
+    the `result` of the solve queued on `solves`.
 
     The Husimi lattices are built here, on the sweep thread, and only their
     transport solve goes on `solves`: the states (wave functions or density
@@ -716,7 +723,7 @@ def _queue_husimi_lower_row(
     eps = state1.grid.epsilon
     return solves.submit(
         lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
-    )
+    ).result
 
 
 def _potential_constants(V: Potential, **extra) -> dict:
@@ -743,7 +750,7 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
     dims = [int(k) for k in _as_list(params["dims"])]
     children = np.random.SeedSequence(cfg.seed).spawn(n_clouds)
 
-    def one(i):
+    def one(i, solves):
         rng = np.random.default_rng(children[i])
         k = dims[i % len(dims)]
         m = int(rng.integers(2, max_support + 1))
@@ -785,7 +792,7 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
     def f_scalar(z):
         return V.grad(np.asarray(z, dtype=float)[:, None])[:, 0]
 
-    def one(idx):
+    def one(idx, solves):
         N = N_list[idx]
         mean, se = bounds.combineq_mc(
             f_scalar, dist, p, N, n_mc, int(children[idx].generate_state(1)[0])
@@ -833,11 +840,12 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # classical-dobrushin
 
 
-def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed_seq) -> list:
+def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed_seq):
     """Queue on `solves` the repeats of the baseline-corrected mean W2^2
     between per-configuration empirical clouds (N-body positions Y and
     momenta H, each (M, N, d)) and same-size reference subsamples; returns
-    the futures `_empirical_chaos_sq` reduces.
+    the (repeats, 2) array of (excess, floor) pairs they fill in, for
+    `_empirical_chaos_sq` to reduce once `solves` has closed.
 
     Each repeat matches one N-body configuration against a fresh N-point
     subsample of the reference flow and subtracts the reference-vs-reference
@@ -847,15 +855,17 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     package's only subsample estimator: a plain mean over subsample pairs
     would keep that floor, which never reaches zero.
 
-    The repeats run in `solves.workers` contiguous blocks (the assignment
-    solver releases the GIL).  Repeat r draws only from its own child of
-    `seed_seq`, and the futures are listed in repeat order, so the reduced
-    (mean, standard error, floor) is bit-identical for every worker count.
-    The arrays are only read, so the caller may advance its ensemble while
-    the blocks run.
+    Each repeat is one solve on `solves` (the assignment solver releases
+    the GIL), so every pool thread takes the next repeat as it comes free.
+    Repeat r draws only from its own child of `seed_seq` and fills row r,
+    so the reduced (mean, standard error, floor) is bit-identical for every
+    pool size.  No future is kept: a done repeat holds 16 bytes.  Y, H and
+    `ref_pool` are only read, so the caller may advance its ensemble while
+    the repeats run.
     """
     n_samples, n_points, _ = Y.shape
     children = seed_seq.spawn(repeats)
+    pairs = np.empty((repeats, 2))
 
     def repeat(r):
         rng = np.random.default_rng(children[r])
@@ -866,27 +876,17 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
         control = DiscreteMeasure.equal_weights(ref_pool[idx[n_points:]])
         d_nb, _ = wasserstein_exact(DiscreteMeasure.equal_weights(cloud), anchor)
         d_ff, _ = wasserstein_exact(control, anchor)
-        return d_nb**2 - d_ff**2, d_ff**2
+        pairs[r] = d_nb**2 - d_ff**2, d_ff**2
 
-    def block(lo, hi):
-        # one task per block, not per repeat: a small solve costs less than a future
-        out = []
-        for r in range(lo, hi):
-            solves.check()
-            out.append(repeat(r))
-        return out
-
-    blocks = solves.workers
-    return [
-        solves.submit(partial(block, b * repeats // blocks, (b + 1) * repeats // blocks))
-        for b in range(blocks)
-    ]
+    for r in range(repeats):
+        solves.submit(partial(repeat, r))
+    return pairs
 
 
-def _empirical_chaos_sq(futures: list):
-    """(mean, standard error, floor) of the repeats `_submit_chaos_repeats`
-    queued, read back in repeat order."""
-    diffs, bases = np.array([pair for f in futures for pair in f.result()]).T
+def _empirical_chaos_sq(pairs: np.ndarray):
+    """(mean, standard error, floor) of the (excess, floor) pairs
+    `_submit_chaos_repeats` filled in."""
+    diffs, bases = pairs.T
     se = float(diffs.std(ddof=1) / math.sqrt(diffs.size)) if diffs.size > 1 else 0.0
     return float(diffs.mean()), se, float(bases.mean())
 
@@ -896,9 +896,9 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     N-rate fit.
 
     The run is a pipeline: after integrating a sample time, the sweep queues
-    that time's subsample solves on one pool and goes straight on to the
-    next segment and the next N; the marginal rows are built from the solves
-    once the sweep is done, in sweep order.
+    that time's subsample solves on the run's pool and goes straight on to
+    the next segment and the next N; each marginal row is built from its
+    solves once they are all done.
     """
     V = make_potential(cfg.potential)
     params = cfg.params
@@ -917,53 +917,51 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         lam, k = bounds.lambda_p_constant(q, V.lip_grad), bounds.k_constant(q)
         return _potential_constants(V, p=q, N=N, n=1, samples=M, dt=dt, Lambda_p=lam, K_p=k)
 
+    def marginal_row(pairs: np.ndarray, t: float, N: int):
+        debiased, deb_se, floor = _empirical_chaos_sq(pairs)
+        # the chaos repeats solve MK2, so the marginal row takes the p = 2
+        # bound and constants whatever p the growth row uses
+        return bounds.make_report(
+            "marginal-transport-convergence",
+            t,
+            debiased,
+            bounds.classical_rhs(V, 2.0, N, 1, t),
+            lhs_stderr=deb_se,
+            tolerance=W2_TOLERANCE,
+            constants=dict(constants(2.0, N), repeats=repeats, baseline=floor),
+        )
+
     # one reference cloud for every N: a PhaseState is immutable, so threads share it
     reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
 
-    def one(idx):
+    def one(idx, solves):
         N = N_list[idx]
         ens_seed, sub_seed = per_n[idx].spawn(2)
         ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
         consts = constants(p, N)
-        segments = []
+        rows = []
         sub_children = sub_seed.spawn(len(schedule))
         for j, (t, n_steps) in enumerate(schedule):
             solves.check()
             ens = run_coupled_trajectory(ens, V, dt, n_steps)
             per = dobrushin_per_sample(ens, p)
-            growth = bounds.make_report(
-                GROWTH_ROW,
-                t,
-                float(per.mean()),
-                bounds.classical_rhs(V, p, N, 1, t),
-                lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
-                constants=consts,
+            rows.append(
+                bounds.make_report(
+                    GROWTH_ROW,
+                    t,
+                    float(per.mean()),
+                    bounds.classical_rhs(V, p, N, 1, t),
+                    lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
+                    constants=consts,
+                )
             )
             # each Verlet step makes fresh arrays, so the solves need no copy
             f_pool = np.hstack([ens.reference.positions, ens.reference.momenta])
-            blocks = _submit_chaos_repeats(solves, ens.Y, ens.H, f_pool, repeats, sub_children[j])
-            segments.append((growth, blocks))
-        return segments
+            pairs = _submit_chaos_repeats(solves, ens.Y, ens.H, f_pool, repeats, sub_children[j])
+            rows.append(partial(marginal_row, pairs, t, N))
+        return rows
 
-    reports = []
-    with _SolvePool(_solve_workers(repeats, jobs, len(N_list))) as solves:
-        for growth, blocks in _run_sweep(one, len(N_list), jobs):
-            debiased, deb_se, floor = _empirical_chaos_sq(blocks)
-            # the chaos repeats solve MK2, so the marginal row takes the p = 2
-            # bound and constants whatever p the growth row uses
-            N = growth.constants["N"]
-            reports.append(growth)
-            reports.append(
-                bounds.make_report(
-                    "marginal-transport-convergence",
-                    growth.time,
-                    debiased,
-                    bounds.classical_rhs(V, 2.0, N, 1, growth.time),
-                    lhs_stderr=deb_se,
-                    tolerance=W2_TOLERANCE,
-                    constants=dict(constants(2.0, N), repeats=repeats, baseline=floor),
-                )
-            )
+    reports = _run_sweep(one, len(N_list), jobs)
     if len(N_list) >= 2:
         # The N-rate is fit on the directly measured coupling distance
         # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
@@ -1031,8 +1029,8 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
     identity, the Husimi lower bound against that cost, and the cost floor.
 
     Each pair's Husimi lattices are built on the sweep thread and their
-    transport solve is queued on one pool; the sweep goes straight on to
-    the next pair, and the rows are read back in sweep order at the end.
+    transport solve is queued on the run's pool; the sweep goes straight on
+    to the next pair, and the rows are read back in sweep order at the end.
     """
     params = cfg.params
     eps_list = [float(e) for e in _as_list(params["epsilon"])]
@@ -1043,7 +1041,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
     scale = float(params["center_scale"])
     children = np.random.SeedSequence(cfg.seed).spawn(len(eps_list))
 
-    def one(idx):
+    def one(idx, solves):
         eps = eps_list[idx]
         rng = np.random.default_rng(children[idx])
         sgrid = GridSpec(1, 1, n_pts, box, eps)
@@ -1083,8 +1081,7 @@ def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
             ]
         return rows
 
-    with _SolvePool(_solve_workers(len(eps_list) * per_eps, jobs, len(eps_list))) as solves:
-        return _resolved(_run_sweep(one, len(eps_list), jobs))
+    return _run_sweep(one, len(eps_list), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,7 +1198,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     is about -2 d eps at every sample time and sits under any coupling cost.
 
     The lower chain's lattices are built on the sweep thread at each sample
-    time and their transport solve is queued on one pool while the
+    time and their transport solve is queued on the run's pool while the
     evolution goes on; the rows are read back in sweep order at the end.
     """
     V = make_potential(cfg.potential)
@@ -1224,7 +1221,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         if not existed:
             os.remove(path)
 
-    def one(idx):
+    def one(idx, solves):
         eps = eps_list[idx]
         base = GridSpec(1, 1, n_pts, box, eps)
         # every particle starts at z0 on both sides, so the coupling is one
@@ -1292,9 +1289,7 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             save_state(saves[idx], mixture[0][1])
         return rows
 
-    tasks = len(eps_list) * len(schedule)
-    with _SolvePool(_solve_workers(tasks, jobs, len(eps_list))) as solves:
-        return _resolved(_run_sweep(one, len(eps_list), jobs))
+    return _run_sweep(one, len(eps_list), jobs)
 
 
 # ---------------------------------------------------------------------------

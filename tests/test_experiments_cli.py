@@ -27,7 +27,6 @@ from mflab.experiments import (
     ExperimentConfig,
     _empirical_chaos_sq,
     _SolvePool,
-    _solve_workers,
     _submit_chaos_repeats,
     build_config,
     make_potential,
@@ -718,70 +717,127 @@ def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path, monkeypatch):
 
 
 def test_empirical_chaos_sq_independent_of_workers():
-    # 7 repeats split unevenly over 2 and 3 blocks; each repeat has its own
-    # seed child, so the mean, standard error and floor are bit-identical
+    # 7 repeats, one queued solve each, on 1 to 3 pool threads; each repeat
+    # has its own seed child, so the mean, standard error and floor are
+    # bit-identical
     rng = np.random.default_rng(0)
     Y, H = rng.standard_normal((2, 5, 6, 1))
     pool = rng.standard_normal((40, 2))
     triples = []
     for workers in (1, 2, 3):
         with _SolvePool(workers) as solves:
-            blocks = _submit_chaos_repeats(solves, Y, H, pool, 7, np.random.SeedSequence(9))
-            assert len(blocks) == workers
-            triples.append(_empirical_chaos_sq(blocks))
+            pairs = _submit_chaos_repeats(solves, Y, H, pool, 7, np.random.SeedSequence(9))
+        triples.append(_empirical_chaos_sq(pairs))
     assert triples[0] == triples[1] == triples[2]
     assert triples[0][1] > 0.0
 
 
-def _record_solve_workers(monkeypatch) -> list:
-    """Patch the solve pool to log the thread count of each run."""
-    seen = []
+def _solve_threads(raw: dict, cpus: int, jobs: int, threads: int) -> set:
+    """Run `raw` under `jobs` on `cpus` usable CPUs; the ids of the threads
+    its exact-transport solves ran on.  Each new solve thread waits until
+    `threads` of them have started, so a run whose solves cannot run on
+    that many threads at once fails."""
+    ids = set()
+    lock = threading.Lock()
+    started = threading.Barrier(threads)
 
-    class Recording(_SolvePool):
-        def __init__(self, workers):
-            seen.append(workers)
-            super().__init__(workers)
+    def recording(solver):
+        def solve(*args, **kwargs):
+            with lock:
+                new = threading.get_ident() not in ids
+                ids.add(threading.get_ident())
+            if new:
+                started.wait(timeout=30)
+            return solver(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_SolvePool", Recording)
-    return seen
+        return solve
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        for name in ("wasserstein_exact", "lattice_lower"):
+            patch.setattr(experiments, name, recording(getattr(experiments, name)))
+        run_experiment(build_config(raw), jobs=jobs)
+    return ids
+
+
+#: One config per runner that queues solves, each a sweep of two points.
+SOLVE_SWEEPS = dict(
+    HUSIMI_PIPELINES, **{"classical-dobrushin": dict(CLASSICAL_FREE, N=[4, 8], repeats=8)}
+)
+
+
+@pytest.mark.parametrize("experiment", sorted(SOLVE_SWEEPS))
+def test_solve_threads_share_the_cores_the_sweep_leaves_free(experiment):
+    # 1 to 4 usable CPUs, shared by 1 or 2 sweep threads
+    for cpus in (1, 2, 3, 4):
+        for jobs in (1, 2):
+            threads = max(1, cpus // jobs)
+            assert len(_solve_threads(SOLVE_SWEEPS[experiment], cpus, jobs, threads)) == threads
 
 
 def test_solve_workers_use_the_cores_a_short_sweep_leaves_free(monkeypatch):
     # --jobs 2 on one N runs one sweep thread, so the solves get every core
-    seen = _record_solve_workers(monkeypatch)
+    for N, jobs, threads in (
+        ([8], 2, 4),
+        ([8], 1, 4),
+        ([4, 8], 2, 2),
+        ([4, 8, 4], 2, 2),
+        ([4, 8, 4], 4, 1),
+    ):
+        raw = dict(CLASSICAL_FREE, N=N, repeats=8)
+        assert len(_solve_threads(raw, 4, jobs, threads)) == threads
+    # a pool of four threads starts one for a run's only solve
+    counts = []
+    solve = experiments.lattice_lower
+
+    def counting(*args, **kwargs):
+        counts.append(threading.active_count())
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    for N, jobs in (([8], 2), ([8], 1), ([4, 8], 2), ([4, 8, 4], 2), ([4, 8, 4], 4)):
-        run_experiment(build_config(dict(CLASSICAL_FREE, N=N, repeats=8)), jobs=jobs)
-    assert seen == [4, 4, 2, 2, 1]
+    monkeypatch.setattr(experiments, "lattice_lower", counting)
+    before = threading.active_count()
+    raw = {"experiment": "mk-bracket", "seed": 4, "epsilon": [0.5], "pairs": 1}
+    assert len(run_experiment(build_config(raw))) == 3
+    assert counts == [before + 1]
 
 
 def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
-    # the solve blocks run on pool threads; their error must still reach
-    # main, and the first error stops the run: the blocks still queued and
-    # the later segments never call the solver
+    # the solves run on pool threads; their error must still reach main, and
+    # the first error stops the run: no pool thread starts another solve, and
+    # the solves still queued and the later segments never call the solver
     calls = []
 
     def capped(*args, **kwargs):
-        calls.append(1)
+        calls.append(threading.get_ident())
         raise ResourceCapError("support exceeds cap")
 
-    seen = _record_solve_workers(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(experiments, "wasserstein_exact", capped)
     raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
-    assert seen == [3] and 1 <= len(calls) <= 3
+    assert 1 <= len(calls) <= 3 and len(set(calls)) == len(calls)
 
 
-def test_solve_workers_share_the_cores_the_sweep_leaves_free(monkeypatch):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    assert [_solve_workers(8, jobs, 3) for jobs in (1, 2, 4)] == [1, 1, 1]
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    # --jobs above the sweep length runs one thread per sweep point
-    assert [_solve_workers(8, jobs, 2) for jobs in (1, 2, 3, 8)] == [4, 2, 2, 2]
-    assert _solve_workers(8, 8, 1) == 4
-    # no thread without a task to run
-    assert [_solve_workers(tasks, 1, 2) for tasks in (1, 2, 3)] == [1, 2, 3]
+def test_a_failing_sweep_point_stops_its_siblings_under_jobs_2(tmp_path, monkeypatch):
+    # N = 8 runs out of memory in its first segment once N = 16 has begun
+    # its own; N = 16 stops at its next check, not after all six segments
+    started = threading.Event()
+    segments = []
+    advance = experiments.run_coupled_trajectory
+
+    def failing(ens, *args, **kwargs):
+        if ens.Y.shape[1] == 8:
+            assert started.wait(timeout=30)
+            raise MemoryError("segment")
+        segments.append(1)
+        started.set()
+        return advance(ens, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_coupled_trajectory", failing)
+    raw = dict(CLASSICAL_FREE, N=[8, 16], times=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+    assert main(["run", _write_cfg(tmp_path, raw), "--jobs", "2", "--out", str(tmp_path)]) == 3
+    assert 1 <= len(segments) <= 2
 
 
 @pytest.mark.parametrize("experiment", sorted(HUSIMI_PIPELINES))
@@ -796,17 +852,48 @@ def test_husimi_pipeline_jsonl_independent_of_cores(tmp_path, monkeypatch, exper
     assert len(set(blobs)) == 1
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [OT_TINY, {"experiment": "combineq", "seed": 3, "mc_samples": 2000}],
+    ids=lambda raw: raw["experiment"],
+)
+def test_sweeps_that_queue_no_solve_start_no_pool_thread(tmp_path, monkeypatch, raw):
+    # the same rows on 1 or 4 usable CPUs under --jobs 1 or 2; no thread but
+    # the sweep's own runs, and no pool hands a heap back
+    before = threading.active_count()
+    counts, trims = [], []
+    make_report = bounds.make_report
+
+    def counting(*args, **kwargs):
+        counts.append(threading.active_count())
+        return make_report(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "make_report", counting)
+    monkeypatch.setattr(experiments, "_MALLOC_TRIM", trims.append)
+    path = _write_cfg(tmp_path, raw)
+    blobs = []
+    for cpus, jobs in ((1, 1), (4, 1), (1, 2), (4, 2)):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        counts.clear()
+        out = tmp_path / f"cpus{cpus}-jobs{jobs}"
+        assert main(["run", path, "--jobs", str(jobs), "--out", str(out)]) in (0, 2)
+        blobs.append((out / f"{raw['experiment']}.jsonl").read_bytes())
+        # --jobs 1 sweeps on the calling thread, --jobs 2 on two threads
+        assert counts and max(counts) <= before + (jobs if jobs > 1 else 0)
+    assert len(set(blobs)) == 1 and trims == []
+
+
 @pytest.mark.parametrize("experiment", sorted(HUSIMI_PIPELINES))
 def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch, experiment):
     # one pool thread: the first solve fails once the sweep has queued every
     # solve, and the solves queued behind it never reach the solver
     calls = []
     swept = threading.Event()
-    resolved = experiments._resolved
 
-    def after_the_sweep(entries):
-        swept.set()
-        return resolved(entries)
+    class Closing(_SolvePool):
+        def __exit__(self, *exc):
+            swept.set()  # the pool closes once the sweep is done
+            return super().__exit__(*exc)
 
     def capped(*args, **kwargs):
         calls.append(1)
@@ -814,7 +901,7 @@ def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch,
         raise ResourceCapError("support exceeds cap")
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(experiments, "_resolved", after_the_sweep)
+    monkeypatch.setattr(experiments, "_SolvePool", Closing)
     monkeypatch.setattr(metrics, "wasserstein_exact", capped)
     path = _write_cfg(tmp_path, HUSIMI_PIPELINES[experiment])
     assert main(["run", path, "--out", str(tmp_path)]) == 3
