@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product as iter_product
 
 import numpy as np
@@ -307,8 +307,10 @@ def moment_rhs(M0: float, p: float, lip: float, t: float) -> float:
 class BoundReport:
     """One measured quantity against one bound at one time.
 
-    passed <=> lhs_measured <= rhs + 3 * lhs_stderr + tolerance; margin is the
-    slack of that comparison (negative means failure by that much)."""
+    The row holds only what was measured; `margin` and `passed` are computed
+    from it: passed <=> lhs_measured <= rhs + 3 * lhs_stderr + tolerance,
+    and margin is the slack of that comparison (negative means failure by
+    that much)."""
 
     inequality_id: str
     time: float
@@ -317,21 +319,17 @@ class BoundReport:
     rhs: float
     tolerance: float
     constants: dict = field(default_factory=dict)
-    passed: bool = False
-    margin: float = 0.0
+
+    @property
+    def margin(self) -> float:
+        return self.rhs + 3.0 * self.lhs_stderr + self.tolerance - self.lhs_measured
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
     def to_json(self) -> str:
-        payload = {
-            "inequality_id": self.inequality_id,
-            "time": self.time,
-            "lhs_measured": self.lhs_measured,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "constants": {k: self.constants[k] for k in sorted(self.constants)},
-            "pass": self.passed,
-            "margin": self.margin,
-        }
+        payload = {**vars(self), "pass": self.passed, "margin": self.margin}
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
@@ -344,17 +342,10 @@ def make_report(
     tolerance: float = 0.0,
     constants: dict | None = None,
 ) -> BoundReport:
-    slack = rhs + 3.0 * lhs_stderr + tolerance - lhs_measured
     return BoundReport(
-        inequality_id=inequality_id,
-        time=float(time),
-        lhs_measured=float(lhs_measured),
-        lhs_stderr=float(lhs_stderr),
-        rhs=float(rhs),
-        tolerance=float(tolerance),
-        constants=dict(constants or {}),
-        passed=bool(slack >= 0.0),
-        margin=float(slack),
+        inequality_id,
+        *map(float, (time, lhs_measured, lhs_stderr, rhs, tolerance)),
+        dict(constants or {}),
     )
 
 
@@ -365,23 +356,9 @@ def write_reports_jsonl(reports, path) -> None:
 
 
 def read_reports_jsonl(path) -> list:
-    out = []
+    """The rows `write_reports_jsonl` wrote to `path`; `pass` and `margin`
+    are computed again from each row's numbers, not read."""
+    names = [f.name for f in fields(BoundReport)]
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(
-                BoundReport(
-                    inequality_id=d["inequality_id"],
-                    time=d["time"],
-                    lhs_measured=d["lhs_measured"],
-                    lhs_stderr=d["lhs_stderr"],
-                    rhs=d["rhs"],
-                    tolerance=d["tolerance"],
-                    constants=d["constants"],
-                    passed=d["pass"],
-                    margin=d["margin"],
-                )
-            )
-    return out
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return [BoundReport(**{name: d[name] for name in names}) for d in rows]

@@ -94,26 +94,16 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-#: The potential's fields and their defaults; a cosine `wavevector` defaults
-#: to ones in each of `dim` components.
-POTENTIAL_DEFAULTS = {"family": "gaussian", "dim": 1, "amplitude": 1.0, "width": 1.0}
-
-#: The fields each potential family reads.
-_POTENTIAL_FIELDS = {
-    "gaussian": ("family", "dim", "amplitude", "width"),
-    "cosine": ("family", "dim", "amplitude", "wavevector"),
-}
-
-
 def make_potential(spec: dict) -> Potential:
-    pot = {**POTENTIAL_DEFAULTS, **spec}
-    family = pot["family"]
+    family = spec.get("family", "gaussian")
+    if not isinstance(family, str) or family not in POTENTIALS:
+        raise ValueError(f"unknown potential family {family!r}")
+    pot = _resolve(spec, POTENTIALS[family])
     d = int(pot["dim"])
     if family == "gaussian":
         return make_gaussian_potential(float(pot["amplitude"]), float(pot["width"]), d)
-    if family == "cosine":
-        return make_cosine_potential(float(pot["amplitude"]), pot.get("wavevector", [1.0] * d), d)
-    raise ValueError(f"unknown potential family {family!r}")
+    k = pot["wavevector"]
+    return make_cosine_potential(float(pot["amplitude"]), [1.0] * d if k is None else k, d)
 
 
 #: The experiments whose runners are one-dimensional, and why: a potential of
@@ -126,38 +116,30 @@ _ONE_DIMENSIONAL = {
 
 
 def _potential_diagnostics(pot, exp) -> list:
-    """The fields `make_potential` reads, checked for type and range, and
-    the dimension experiment `exp` can run."""
+    """The fields `make_potential` reads, checked against `POTENTIALS`, and
+    the two rules that tie them: the dimension experiment `exp` can run,
+    and a `wavevector` with `dim` entries."""
     if not isinstance(pot, dict):
         return ["potential: must be an object"]
-    fam = pot.get("family", POTENTIAL_DEFAULTS["family"])
-    if not isinstance(fam, str) or fam not in _POTENTIAL_FIELDS:
+    fam = pot.get("family", "gaussian")
+    if not isinstance(fam, str) or fam not in POTENTIALS:
         return [f"potential.family: unknown family {fam!r}"]
+    spec = POTENTIALS[fam]
     diags = [
         f"potential.{key}: not a field of the {fam} potential"
         for key in pot
-        if key not in _POTENTIAL_FIELDS[fam]
+        if key not in ("family", *spec)
     ]
-    pot = {**POTENTIAL_DEFAULTS, **pot}
-    d = pot["dim"]
-    if not (_is_int(d) and d >= 1):
-        diags.append(f"potential.dim: {d!r} must be a positive integer")
-        d = None
-    elif exp in _ONE_DIMENSIONAL and d != 1:
-        diags.append(f"potential.dim: {d!r} must be 1 for {exp}, {_ONE_DIMENSIONAL[exp]}")
-    if not _is_number(pot["amplitude"]):
-        diags.append("potential.amplitude: must be a number")
-    if fam == "gaussian" and not _positive(pot["width"]):
-        diags.append("potential.width: must be a positive number")
-    if fam == "cosine" and "wavevector" in pot:
-        k = pot["wavevector"]
-        if not (
-            isinstance(k, list)
-            and all(_is_number(c) for c in k)
-            and (d is None or len(k) == d)
-        ):
-            diags.append(f"potential.wavevector: {k!r} must be a list of dim numbers")
-    return diags
+    pot = _resolve(pot, spec)
+    found = {key: _value_diagnostics(f"potential.{key}", pot[key], *spec[key][1:]) for key in spec}
+    d, k = pot["dim"], pot.get("wavevector")
+    if not found["dim"]:
+        if exp in _ONE_DIMENSIONAL and d != 1:
+            why = _ONE_DIMENSIONAL[exp]
+            found["dim"].append(f"potential.dim: {d!r} must be 1 for {exp}, {why}")
+        if k is not None and not found["wavevector"] and len(k) != d:
+            found["wavevector"].append(f"potential.wavevector: {k!r} must be a list of dim numbers")
+    return diags + [msg for key_diags in found.values() for msg in key_diags]
 
 
 def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set, seed) -> list:
@@ -299,6 +281,27 @@ _CENTER = (
     lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
     "a list of two numbers [q, p]",
 )
+_DIM = (lambda d: _is_int(d) and d >= 1, "a positive integer")
+
+#: Every field of each potential family but `family` itself (which defaults
+#: to gaussian), in `PARAMS`' format; `make_potential` fills in the defaults,
+#: and a cosine `wavevector` of None is ones in each of `dim` components.
+POTENTIALS = {
+    "gaussian": {
+        "dim": (1, *_DIM),
+        "amplitude": (1.0, _is_number, "a number"),
+        "width": (1.0, *_POSITIVE),
+    },
+    "cosine": {
+        "dim": (1, *_DIM),
+        "amplitude": (1.0, _is_number, "a number"),
+        "wavevector": (
+            None,
+            lambda k: k is None or (isinstance(k, list) and all(map(_is_number, k))),
+            "a list of dim numbers",
+        ),
+    },
+}
 
 #: Every parameter each runner reads, as key: (default, accepts, description).
 #: `build_config` fills in the defaults, so a runner reads `cfg.params[key]`;
@@ -641,9 +644,11 @@ class _SolvePool:
     thread is idle, so a run that queues nothing starts none.
 
     The first error stops the run early: `check` raises the first error a
-    solve or sweep point raised or the `with` block exited with, and `run`
-    calls it before each solve and sweep point, as the sweep does before
-    each segment, so a solve still queued when an error comes never starts.
+    solve or sweep point raised or the `with` block exited with, each time
+    with the traceback recorded with it, so repeated checks do not lengthen
+    it.  `run` calls `check` before each solve and sweep point, as the sweep
+    does before each segment, so a solve still queued when an error comes
+    never starts.
     Leaving the `with` block cancels the queued solves if an error has come,
     waits for the others and, once a solve has been queued, hands the heap
     the pool's threads freed back to the system (`_MALLOC_TRIM`).
@@ -652,14 +657,14 @@ class _SolvePool:
     def __init__(self, workers: int):
         self._pool = ThreadPoolExecutor(max_workers=workers)
         self._queued = False
-        self._errors = []  # list.append is atomic: the first error stays first
+        self._errors = []  # (error, traceback); list.append is atomic: the first stays first
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc is not None:
-            self._errors.append(exc)  # later solves and sweep points stop at their check
+            self._errors.append((exc, tb))  # later solves and sweep points stop at their check
         self._pool.shutdown(cancel_futures=bool(self._errors))
         if self._queued and _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
@@ -675,12 +680,13 @@ class _SolvePool:
         try:
             return task()
         except Exception as err:
-            self._errors.append(err)
+            self._errors.append((err, err.__traceback__))
             raise
 
     def check(self) -> None:
         if self._errors:
-            raise self._errors[0]
+            err, tb = self._errors[0]
+            raise err.with_traceback(tb)
 
 
 def _run_sweep(one, n: int, jobs: int) -> list:
@@ -724,6 +730,21 @@ def _queue_husimi_lower_row(
     return solves.submit(
         lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
     ).result
+
+
+def _rate_rows(row_id: str, t: float, N_list, log_values, slope: float, p: float) -> list:
+    """The N-rate row: the slope of `log_values` fitted over log N against
+    the predicted `slope`, within SLOPE_TOLERANCE.  There is none unless N
+    holds two distinct values, the least a fit over log N needs."""
+    if len(set(N_list)) < 2:
+        return []
+    fit = float(np.polyfit(np.log(N_list), log_values, 1)[0])
+    consts = {"slope": fit, "p": p}
+    return [
+        bounds.make_report(
+            row_id, t, abs(fit - slope), 0.0, tolerance=SLOPE_TOLERANCE, constants=consts
+        )
+    ]
 
 
 def _potential_constants(V: Potential, **extra) -> dict:
@@ -820,20 +841,8 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
         ]
 
     reports = _run_sweep(one, len(N_list), jobs)
-    if len(N_list) >= 2:
-        means = [r.lhs_measured for r in reports if r.inequality_id == "consistency-vs-even-constant"]
-        slope = float(np.polyfit(np.log(N_list), np.log(means), 1)[0])
-        reports.append(
-            bounds.make_report(
-                "consistency-scaling-slope",
-                0.0,
-                abs(slope - (-1.0)),
-                0.0,
-                tolerance=SLOPE_TOLERANCE,
-                constants={"slope": slope, "p": p},
-            )
-        )
-    return reports
+    means = [r.lhs_measured for r in reports if r.inequality_id == "consistency-vs-even-constant"]
+    return reports + _rate_rows("consistency-scaling-slope", 0.0, N_list, np.log(means), -1.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -962,26 +971,16 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
         return rows
 
     reports = _run_sweep(one, len(N_list), jobs)
-    if len(N_list) >= 2:
-        # The N-rate is fit on the directly measured coupling distance
-        # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
-        # excess over the finite-sample floor is indistinguishable from zero
-        # at desk scale, so only the former can carry a log-log fit.  Each N
-        # emits one growth row per sample time; the last is the final D^p_N.
-        growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
-        finals = np.array([max(d, 1e-300) for d in growth[len(schedule) - 1 :: len(schedule)]])
-        slope = float(np.polyfit(np.log(N_list), np.log(finals) / p, 1)[0])
-        reports.append(
-            bounds.make_report(
-                "coupling-distance-scaling-slope",
-                schedule[-1][0],
-                abs(slope - (-0.5)),
-                0.0,
-                tolerance=SLOPE_TOLERANCE,
-                constants={"slope": slope, "p": p},
-            )
-        )
-    return reports
+    # The N-rate is fit on the directly measured coupling distance
+    # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
+    # excess over the finite-sample floor is indistinguishable from zero at
+    # desk scale, so only the former can carry a log-log fit.  Each N emits
+    # one growth row per sample time; the last is the final D^p_N.
+    growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
+    finals = np.array([max(d, 1e-300) for d in growth[len(schedule) - 1 :: len(schedule)]])
+    return reports + _rate_rows(
+        "coupling-distance-scaling-slope", schedule[-1][0], N_list, np.log(finals) / p, -0.5, p
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mflab.bounds import (
+    BoundReport,
     StandardNormal,
     classical_rhs,
     combineq_mc,
@@ -413,6 +414,20 @@ def test_report_json_shape_and_round_trip(tmp_path):
     back = read_reports_jsonl(path)
     assert back[0] == r
     assert back[1].passed is False
+    # every line, `pass` and `margin` included, is the row read back, written again
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(back) == 2
+    assert all(line == row.to_json() for line, row in zip(lines, back))
+    assert '"margin": -1.0' in lines[1] and '"pass": false' in lines[1]
+
+
+def test_a_directly_built_report_computes_its_verdict():
+    # not through make_report: passed and margin follow the row's own numbers
+    r = BoundReport("direct", 0.0, lhs_measured=1.25, lhs_stderr=0.125, rhs=1.0, tolerance=0.0)
+    assert r.passed and r.margin == 0.125
+    r = BoundReport("direct", 0.0, lhs_measured=2.0, lhs_stderr=0.0, rhs=1.0, tolerance=0.5)
+    assert not r.passed and r.margin == -0.5
+    assert '"margin": -0.5' in r.to_json() and '"pass": false' in r.to_json()
 
 
 def test_report_rejects_non_finite():

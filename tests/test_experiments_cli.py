@@ -24,6 +24,7 @@ from mflab.experiments import (
     MAX_PAIR_WORK,
     MAX_STEP_WORK,
     PARAMS,
+    POTENTIALS,
     ExperimentConfig,
     _empirical_chaos_sq,
     _SolvePool,
@@ -358,6 +359,19 @@ def test_validate_bad_potential_family_and_width():
         {"experiment": "ot-selftest", "potential": {"family": "gaussian", "widht": 3.0}}
     )
     assert diags == ["potential.widht: not a field of the gaussian potential"]
+    # like every parameter diagnostic, the amplitude and width ones name the value
+    for pot, diag in (
+        ({"width": -1}, "potential.width: -1 must be a positive number"),
+        ({"amplitude": "1"}, "potential.amplitude: '1' must be a number"),
+    ):
+        assert validate_config({"experiment": "ot-selftest", "potential": pot}) == [diag]
+
+
+def test_potential_defaults_pass_their_own_checks():
+    for family, spec in POTENTIALS.items():
+        for key, (default, accepts, _) in spec.items():
+            assert accepts(default), (family, key)
+        assert validate_config({"experiment": "ot-selftest", "potential": {"family": family}}) == []
 
 
 def test_validate_potential_field_types(tmp_path, capsys):
@@ -716,6 +730,39 @@ def test_classical_dobrushin_jsonl_independent_of_jobs(tmp_path, monkeypatch):
     assert slope[0]["constants"]["slope"] == fit
 
 
+@pytest.mark.parametrize(
+    "raw, rate_id",
+    [
+        (
+            {
+                "experiment": "classical-dobrushin",
+                "seed": 1,
+                "N": [8, 8],
+                "samples": 32,
+                "reference_size": 256,
+                "times": [0.25],
+                "repeats": 8,
+            },
+            "coupling-distance-scaling-slope",
+        ),
+        (
+            {"experiment": "combineq", "seed": 1, "N": [16, 16], "mc_samples": 2000},
+            "consistency-scaling-slope",
+        ),
+    ],
+    ids=["classical-dobrushin", "combineq"],
+)
+def test_repeated_particle_counts_write_no_rate_row(raw, rate_id):
+    # a fit over log N needs two distinct N: over one repeated N, np.polyfit
+    # warns and fits noise, so no N-rate row is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_experiment(build_config(raw))
+    assert rows and rate_id not in {r.inequality_id for r in rows}
+    rows = run_experiment(build_config(dict(raw, N=[8, 16])))
+    assert [r.inequality_id for r in rows].count(rate_id) == 1
+
+
 def test_empirical_chaos_sq_independent_of_workers():
     # 7 repeats, one queued solve each, on 1 to 3 pool threads; each repeat
     # has its own seed child, so the mean, standard error and floor are
@@ -930,6 +977,29 @@ def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
         with _SolvePool(2) as solves:
             solves.submit(capped).result()
     assert trims == [before, before]
+
+
+def test_solve_pool_raises_each_time_with_the_recorded_traceback():
+    # a check re-raises the first error from the traceback recorded with
+    # it, so the thousandth check's traceback is as long as the first's
+    def failing():
+        raise MemoryError("solve")
+
+    def depth(tb):
+        n = 0
+        while tb is not None:
+            n, tb = n + 1, tb.tb_next
+        return n
+
+    lengths = []
+    with _SolvePool(1) as solves:
+        with pytest.raises(MemoryError):
+            solves.run(failing)
+        for _ in range(1000):
+            with pytest.raises(MemoryError) as info:
+                solves.check()
+            lengths.append(depth(info.value.__traceback__))
+    assert lengths[-1] == lengths[0]
 
 
 @pytest.mark.parametrize(
