@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .convolution import offset_convolution
+from .convolution import kernel_table, table_lookup
 from .potentials import PAIR_BLOCK, Potential
 
 __all__ = [
@@ -158,7 +158,10 @@ def combineq_rhs_even(F_sup: float, p: float, N: int) -> float:
     return p / N * (2.0 * F_sup) ** p
 
 
-#: Table nodes per quadrature step in `combineq_mc`'s tabulated F*rho.
+#: `combineq_mc`'s trapezoid rule for F*rho: QUAD_POINTS nodes on
+#: [-QUAD_SPAN, QUAD_SPAN], tabulated TABLE_REFINE nodes per quadrature step.
+QUAD_SPAN = 12.0
+QUAD_POINTS = 4097
 TABLE_REFINE = 8
 
 
@@ -176,39 +179,28 @@ class StandardNormal:
         return random_state.standard_normal(size)
 
 
-def combineq_mc(
-    field,
-    dist,
-    p: float,
-    N: int,
-    n_mc: int,
-    seed: int,
-    quad_span: float = 12.0,
-    quad_points: int = 4097,
-):
+def combineq_mc(field, dist, p: float, N: int, n_mc: int, seed: int):
     """Monte-Carlo mean of |F*rho(x_1) - (1/N) sum_k F(x_1 - x_k)|^p with
     x_1..x_N i.i.d. ~ rho; returns (mean, stderr).
 
     `field` maps a 1-D array of offsets to field values; `dist` is a frozen
     one-dimensional distribution exposing .pdf and .rvs (scipy.stats style).
-    The convolution F*rho is the trapezoid sum over `quad_points` nodes y_j
-    on [-quad_span, quad_span].  That sum is tabulated once, on nodes
-    TABLE_REFINE times finer than the quadrature step h: the table nodes of
-    each residue r modulo TABLE_REFINE sit a whole quadrature step apart,
-    so one FFT convolution of quadrature length, of the weights
-    rho(y_j) w_j with F sampled at the offsets h (TABLE_REFINE s + r), gives
-    the sum exactly (to round-off) at every node of that residue.  Linear
-    interpolation between nodes adds an error of at most
+    The convolution F*rho is the trapezoid sum over QUAD_POINTS nodes y_j
+    on [-QUAD_SPAN, QUAD_SPAN].  `kernel_table` tabulates that sum once, on
+    nodes TABLE_REFINE times finer than the quadrature step h, with one FFT
+    convolution of quadrature length per residue modulo TABLE_REFINE, so
+    each node holds the sum exactly (to round-off).  Linear interpolation
+    between nodes (`table_lookup`) adds an error of at most
     (h / TABLE_REFINE)^2 / 8 * sup|(F*rho)''|, below 1e-7 here and far below
-    the Monte-Carlo stderr.  Samples x_1 outside [-quad_span, quad_span]
-    get the same trapezoid sum directly, in blocks of at most PAIR_BLOCK
-    pairs.  The estimate is chunked with independent child streams, so
-    results do not depend on chunk scheduling.  Each chunk draws its samples
+    the Monte-Carlo stderr.  Samples x_1 outside the table get the same
+    trapezoid sum directly, in blocks of at most PAIR_BLOCK pairs.  The
+    estimate is chunked with independent child streams, so results do not
+    depend on chunk scheduling.  Each chunk draws its samples
     max(1, PAIR_BLOCK // N) at a time from its stream, the same draws as one
     (4096, N) array, and takes a block's empirical sums (one reduction per
     sample) and F*rho values before it draws the next block.
     """
-    conv = _tabulated_convolution(field, dist, quad_span, quad_points)
+    conv = _tabulated_convolution(field, dist)
     children = np.random.SeedSequence(seed).spawn(max(1, (n_mc + 4095) // 4096))
     rows = max(1, PAIR_BLOCK // N)  # samples per block drawn
     values = np.empty(n_mc)
@@ -226,47 +218,28 @@ def combineq_mc(
     return mean, stderr
 
 
-def _tabulated_convolution(field, dist, quad_span: float, quad_points: int):
+def _tabulated_convolution(field, dist):
     """x -> sum_j field(x - y_j) rho(y_j) w_j, the trapezoid sum over the
-    nodes y_j of [-quad_span, quad_span]: read off a table inside the span,
+    nodes y_j of [-QUAD_SPAN, QUAD_SPAN]: read off a table inside the span,
     summed directly outside it (see `combineq_mc`)."""
-    y = np.linspace(-quad_span, quad_span, quad_points)
+    y = np.linspace(-QUAD_SPAN, QUAD_SPAN, QUAD_POINTS)
     dy = y[1] - y[0]
-    quad_w = np.full(quad_points, dy)
+    quad_w = np.full(QUAD_POINTS, dy)
     quad_w[0] = quad_w[-1] = dy / 2.0
     rho_w = dist.pdf(y) * quad_w
-
-    # table node k sits at -quad_span + k h and quadrature node j at table
-    # node R j (R = TABLE_REFINE), so node R i + r holds
-    # sum_j rho_w[j] F(h (R (i - j) + r)): for each residue r the nodes
-    # r, r + R, ... are one discrete convolution of the weights with F
-    # sampled at the offsets h (R s + r), s = 1 - quad_points .. quad_points - 1
-    n_table = TABLE_REFINE * (quad_points - 1) + 1
     h = dy / TABLE_REFINE
-    nodes = -quad_span + h * np.arange(n_table)
-    table = np.empty(n_table)
-    offsets = TABLE_REFINE * np.arange(1 - quad_points, quad_points)
-    for r in range(TABLE_REFINE):
-        residue = table[r::TABLE_REFINE]
-        residue[:] = offset_convolution(rho_w, field(h * (offsets + r)))[: residue.size]
+    table = kernel_table(rho_w, field, h, TABLE_REFINE)
 
     def direct(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
-        chunk = max(1, PAIR_BLOCK // quad_points)
+        chunk = max(1, PAIR_BLOCK // QUAD_POINTS)
         for s in range(0, x.size, chunk):
             q = x[s : s + chunk]
             kernel_q = field((q[:, None] - y[None, :]).ravel()).reshape(q.size, -1)
             out[s : s + chunk] = kernel_q @ rho_w
         return out
 
-    def conv(x: np.ndarray) -> np.ndarray:
-        out = np.interp(x, nodes, table)
-        outside = np.abs(x) > quad_span
-        if np.any(outside):
-            out[outside] = direct(x[outside])
-        return out
-
-    return conv
+    return table_lookup(-QUAD_SPAN + h * np.arange(table.size), table, direct)
 
 
 def count_S_Np(N: int, p: int) -> int:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convolution import offset_convolution
+from .convolution import kernel_table, table_lookup
 from .potentials import PAIR_BLOCK, Potential
 
 Array = np.ndarray
@@ -129,10 +129,13 @@ def _exact_field(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]:
     return field
 
 
-def _grid_field_1d(
-    V: Potential, y: Array, w: Array, n_grid: int = 8192
-) -> Callable[[Array], Array]:
-    """Tabulated 1-D mean-field force: CIC deposit + discrete convolution.
+#: Table nodes of `_grid_field_1d`'s force table.
+FIELD_TABLE_POINTS = 8192
+
+
+def _grid_field_1d(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]:
+    """Tabulated 1-D mean-field force: CIC deposit on FIELD_TABLE_POINTS
+    nodes, then `kernel_table` of -grad V, read back by `table_lookup`.
 
     Error is O(h^2) in the table spacing (~1e-6 at desk scale), far below the
     Monte-Carlo noise of the experiments that use it.  Queries outside the
@@ -142,31 +145,19 @@ def _grid_field_1d(
     lo, hi = float(y1.min()), float(y1.max())
     pad = 0.05 * (hi - lo) + 1.0
     lo, hi = lo - pad, hi + pad
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, FIELD_TABLE_POINTS)
     h = grid[1] - grid[0]
 
     # cloud-in-cell deposit of the weights onto the grid
     pos = (y1 - lo) / h
-    idx = np.clip(pos.astype(int), 0, n_grid - 2)
+    idx = np.clip(pos.astype(int), 0, FIELD_TABLE_POINTS - 2)
     frac = pos - idx
-    dep = np.bincount(idx, weights=w * (1 - frac), minlength=n_grid)
-    dep += np.bincount(idx + 1, weights=w * frac, minlength=n_grid)
+    dep = np.bincount(idx, weights=w * (1 - frac), minlength=FIELD_TABLE_POINTS)
+    dep += np.bincount(idx + 1, weights=w * frac, minlength=FIELD_TABLE_POINTS)
 
-    offsets = (np.arange(2 * n_grid - 1) - (n_grid - 1)) * h
-    kernel = V.grad(offsets[:, None])[:, 0]
-    table = -offset_convolution(dep, kernel)
-
+    table = -kernel_table(dep, lambda z: V.grad(z[:, None])[:, 0], h)
     exact = _exact_field(V, y, w)
-
-    def field(q: Array) -> Array:
-        q1 = q.reshape(-1)
-        out = np.interp(q1, grid, table)
-        outside = (q1 < lo) | (q1 > hi)
-        if np.any(outside):
-            out[outside] = exact(q1[outside, None])[:, 0]
-        return out.reshape(q.shape)
-
-    return field
+    return table_lookup(grid, table, lambda q: exact(q[:, None])[:, 0])
 
 
 def _frozen_field(V: Potential, y: Array) -> Callable[[Array], Array]:

@@ -732,13 +732,16 @@ def _queue_husimi_lower_row(
     ).result
 
 
-def _rate_rows(row_id: str, t: float, N_list, log_values, slope: float, p: float) -> list:
-    """The N-rate row: the slope of `log_values` fitted over log N against
-    the predicted `slope`, within SLOPE_TOLERANCE.  There is none unless N
-    holds two distinct values, the least a fit over log N needs."""
-    if len(set(N_list)) < 2:
+def _rate_rows(
+    row_id: str, t: float, N_list, values, exponent: float, slope: float, p: float
+) -> list:
+    """The N-rate row: the slope of log(values) / exponent fitted over log N
+    against the predicted `slope`, within SLOPE_TOLERANCE.  There is none
+    unless N holds two distinct values, the least a fit over log N needs,
+    and every value is positive, so that its log is finite."""
+    if len(set(N_list)) < 2 or not all(v > 0 for v in values):
         return []
-    fit = float(np.polyfit(np.log(N_list), log_values, 1)[0])
+    fit = float(np.polyfit(np.log(N_list), np.log(values) / exponent, 1)[0])
     consts = {"slope": fit, "p": p}
     return [
         bounds.make_report(
@@ -842,7 +845,7 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
     reports = _run_sweep(one, len(N_list), jobs)
     means = [r.lhs_measured for r in reports if r.inequality_id == "consistency-vs-even-constant"]
-    return reports + _rate_rows("consistency-scaling-slope", 0.0, N_list, np.log(means), -1.0, p)
+    return reports + _rate_rows("consistency-scaling-slope", 0.0, N_list, means, 1.0, -1.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +982,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
     finals = np.array([max(d, 1e-300) for d in growth[len(schedule) - 1 :: len(schedule)]])
     return reports + _rate_rows(
-        "coupling-distance-scaling-slope", schedule[-1][0], N_list, np.log(finals) / p, -0.5, p
+        "coupling-distance-scaling-slope", schedule[-1][0], N_list, finals, p, -0.5, p
     )
 
 

@@ -62,9 +62,6 @@ class Potential:
     def __call__(self, z):
         return self.eval(np.asarray(z, dtype=float))
 
-    def gradient(self, z):
-        return self.grad(np.asarray(z, dtype=float))
-
 
 def make_gaussian_potential(amplitude: float, width: float, d: int) -> Potential:
     """Gaussian bump V(z) = amplitude * exp(-|z|^2 / (2 width^2)).

@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import fft as sfft
 
-from ..convolution import offset_convolution
+from ..convolution import kernel_table
 from ..potentials import Potential
 from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
 from .grids import memory_cap_bytes
@@ -125,10 +125,7 @@ def hartree_potential(psi: WaveFunction, V: Potential) -> np.ndarray:
 
 
 def _density_potential(density: np.ndarray, grid: GridSpec, V: Potential) -> np.ndarray:
-    n = grid.points_per_axis
-    offsets = (np.arange(2 * n - 1) - (n - 1)) * grid.h
-    kernel = V.eval(offsets[:, None])
-    return offset_convolution(density, kernel)
+    return kernel_table(density, lambda z: V.eval(z[:, None]), grid.h)
 
 
 def _hartree_step_from(psi: WaveFunction, V: Potential, dt: float, v0: np.ndarray):

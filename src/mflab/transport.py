@@ -86,8 +86,8 @@ class DiscreteMeasure:
         m = points.shape[0]
         return cls(points, np.full(m, 1.0 / m))
 
-    def has_equal_weights(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= tol))
+    def has_equal_weights(self) -> bool:
+        return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= 1e-12))
 
 
 @dataclass(frozen=True)

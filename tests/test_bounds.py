@@ -236,7 +236,7 @@ def test_combineq_mc_row_blocks_match_the_unblocked_sum():
     field, dist, N, n_mc, seed = _field_of(GAUSS), StandardNormal(), 48, 5000, 17
     rows = PAIR_BLOCK // N
     assert rows < 4096 and 4096 % rows and (n_mc - 4096) % rows
-    conv = _tabulated_convolution(field, dist, 12.0, 4097)
+    conv = _tabulated_convolution(field, dist)
     values = []
     for ss in np.random.SeedSequence(seed).spawn(2):
         size = min(4096, n_mc - len(values))
@@ -296,17 +296,24 @@ TABULATED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("field, dist, span, points", TABULATED_CASES)
-def test_combineq_mc_tabulated_matches_brute_quadrature(field, dist, span, points):
-    from mflab.bounds import _tabulated_convolution
+def _set_quadrature(monkeypatch, span, points):
+    from mflab import bounds
 
+    monkeypatch.setattr(bounds, "QUAD_SPAN", span)
+    monkeypatch.setattr(bounds, "QUAD_POINTS", points)
+    return bounds
+
+
+@pytest.mark.parametrize("field, dist, span, points", TABULATED_CASES)
+def test_combineq_mc_tabulated_matches_brute_quadrature(monkeypatch, field, dist, span, points):
+    bounds = _set_quadrature(monkeypatch, span, points)
     n_mc, seed = 6000, 31
-    mean, stderr = combineq_mc(field, dist, 2.0, 8, n_mc, seed, span, points)
+    mean, stderr = combineq_mc(field, dist, 2.0, 8, n_mc, seed)
     mean_o, stderr_o, x1 = _combineq_brute(field, dist, 2.0, 8, n_mc, seed, span, points)
     assert abs(mean - mean_o) <= 1e-7 and abs(stderr - stderr_o) <= 1e-7
     # per sample, plus the span's ends and points past them
     x = np.concatenate([x1, [-1.5 * span, -span, span, 1.01 * span]])
-    conv = _tabulated_convolution(field, dist, span, points)(x)
+    conv = bounds._tabulated_convolution(field, dist)(x)
     brute = _brute_convolution(field, dist, x, span, points)
     assert np.max(np.abs(conv - brute)) <= 1e-7
     if span == 6.0:
@@ -335,12 +342,11 @@ def test_tabulated_convolution_matches_the_zero_stuffed_table(
 ):
     # one residue (1), an odd residue count (3) and the default (8); at a
     # table node the interpolation returns the node's value
-    from mflab import bounds
-
+    bounds = _set_quadrature(monkeypatch, span, points)
     monkeypatch.setattr(bounds, "TABLE_REFINE", refine)
     nodes, table = _zero_stuffed_table(field, dist, span, points, refine)
     assert np.all(np.abs(nodes) <= span)
-    conv = bounds._tabulated_convolution(field, dist, span, points)(nodes)
+    conv = bounds._tabulated_convolution(field, dist)(nodes)
     assert np.max(np.abs(conv - table)) <= 1e-15
     if refine == 1:
         assert np.array_equal(conv, table)

@@ -763,6 +763,26 @@ def test_repeated_particle_counts_write_no_rate_row(raw, rate_id):
     assert [r.inequality_id for r in rows].count(rate_id) == 1
 
 
+@pytest.mark.parametrize("N", [[4, 16], [4]])
+def test_combineq_with_a_zero_potential_writes_no_rate_row(tmp_path, N):
+    # every mean is 0, so log(mean) is -inf and a fit over it is nan, which
+    # the JSON writer refuses: no N-rate row is written, and the run exits 0
+    raw = {
+        "experiment": "combineq",
+        "seed": 1,
+        "mc_samples": 200,
+        "N": N,
+        "potential": {"amplitude": 0},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_experiment(build_config(raw))
+        assert rows and all(r.lhs_measured == 0.0 for r in rows)
+        assert "consistency-scaling-slope" not in {r.inequality_id for r in rows}
+        assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 0
+    assert "consistency-scaling-slope" not in (tmp_path / "combineq.jsonl").read_text()
+
+
 def test_empirical_chaos_sq_independent_of_workers():
     # 7 repeats, one queued solve each, on 1 to 3 pool threads; each repeat
     # has its own seed child, so the mean, standard error and floor are

@@ -61,7 +61,7 @@ def test_gaussian_gradient_matches_finite_differences():
     V = make_gaussian_potential(amplitude=-2.0, width=1.3, d=3)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(20, 3))
-    np.testing.assert_allclose(V.gradient(z), _fd_gradient(V, z), atol=1e-8)
+    np.testing.assert_allclose(V.grad(z), _fd_gradient(V, z), atol=1e-8)
 
 
 def test_gaussian_gradient_d1_path_is_bit_identical():
@@ -102,10 +102,10 @@ def test_gaussian_constants_attained_on_dense_scan():
     a, w = 0.8, 1.1
     V = make_gaussian_potential(a, w, 1)
     r = np.linspace(-6, 6, 20001)[:, None]
-    g = np.abs(V.gradient(r)[:, 0])
+    g = np.abs(V.grad(r)[:, 0])
     assert g.max() <= V.sup_grad * (1 + 1e-12)
     assert g.max() == pytest.approx(V.sup_grad, rel=1e-6)
-    hess = np.gradient(V.gradient(r)[:, 0], r[:, 0])
+    hess = np.gradient(V.grad(r)[:, 0], r[:, 0])
     assert np.abs(hess).max() <= V.lip_grad * (1 + 1e-6)
     assert np.abs(hess).max() == pytest.approx(V.lip_grad, rel=1e-6)
     assert V.sup_grad == pytest.approx(a * np.exp(-0.5) / w, rel=1e-14)
@@ -117,7 +117,7 @@ def test_cosine_values_and_constants():
     V = make_cosine_potential(0.5, k, d=2)
     z = np.array([[0.1, 0.2], [-1.0, 0.5]])
     np.testing.assert_allclose(V(z), 0.5 * np.cos(z @ k), rtol=1e-14)
-    np.testing.assert_allclose(V.gradient(z), _fd_gradient(V, z), atol=1e-8)
+    np.testing.assert_allclose(V.grad(z), _fd_gradient(V, z), atol=1e-8)
     assert V.sup_grad == pytest.approx(0.5 * np.sqrt(5.0), rel=1e-14)
     assert V.lip_grad == pytest.approx(0.5 * 5.0, rel=1e-14)
 
@@ -130,7 +130,7 @@ def test_potentials_are_even():
         make_cosine_potential(0.7, [1.0, 2.0], 2),
     ):
         np.testing.assert_allclose(V(z), V(-z), rtol=1e-14)
-        np.testing.assert_allclose(V.gradient(z), -V.gradient(-z), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(V.grad(z), -V.grad(-z), rtol=1e-12, atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,7 +144,7 @@ def test_gradient_never_exceeds_declared_sup(amplitude, width, z0, z1):
     V = make_gaussian_potential(amplitude, width, 2)
     # hypot instead of linalg.norm: squaring components of a ~1e-160
     # amplitude gradient underflows to subnormals and corrupts the norm.
-    g = float(np.hypot(*V.gradient(np.array([z0, z1]))))
+    g = float(np.hypot(*V.grad(np.array([z0, z1]))))
     assert g <= V.sup_grad * (1 + 1e-12) + 1e-300
 
 
