@@ -980,7 +980,7 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     # desk scale, so only the former can carry a log-log fit.  Each N emits
     # one growth row per sample time; the last is the final D^p_N.
     growth = [r.lhs_measured for r in reports if r.inequality_id == GROWTH_ROW]
-    finals = np.array([max(d, 1e-300) for d in growth[len(schedule) - 1 :: len(schedule)]])
+    finals = np.array(growth[len(schedule) - 1 :: len(schedule)])
     return reports + _rate_rows(
         "coupling-distance-scaling-slope", schedule[-1][0], N_list, finals, p, -0.5, p
     )

@@ -783,6 +783,20 @@ def test_combineq_with_a_zero_potential_writes_no_rate_row(tmp_path, N):
     assert "consistency-scaling-slope" not in (tmp_path / "combineq.jsonl").read_text()
 
 
+def test_classical_dobrushin_with_a_zero_potential_writes_no_rate_row(tmp_path):
+    # identical free flows: every final D_N^p is 0 and has no finite log, so
+    # no N-rate is fit on them, and every row the run writes passes
+    raw = dict(CLASSICAL_FREE, N=[8, 32], samples=16, repeats=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_experiment(build_config(raw))
+        growth = [r.lhs_measured for r in rows if r.inequality_id == "dobrushin-functional-growth"]
+        assert growth == [0.0, 0.0]
+        assert "coupling-distance-scaling-slope" not in {r.inequality_id for r in rows}
+        assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 0
+    assert "coupling-distance-scaling-slope" not in (tmp_path / "classical-dobrushin.jsonl").read_text()
+
+
 def test_empirical_chaos_sq_independent_of_workers():
     # 7 repeats, one queued solve each, on 1 to 3 pool threads; each repeat
     # has its own seed child, so the mean, standard error and floor are

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from mflab import transport
@@ -457,6 +457,92 @@ def test_lp_route_agrees_with_assignment_route():
     d_lp, plan = wasserstein_exact(mu, nu_lp)
     assert d_lp == pytest.approx(d_fast, abs=1e-9)
     assert _max_marginal_error(plan, mu, nu_lp) < 1e-12
+
+
+def _assert_warm_start_matches_plain_solve(monkeypatch, mu, nu, same_permutation: bool):
+    """wasserstein_exact with the warm start forced on against a plain
+    linear_sum_assignment of the cost matrix C: the same permutation and
+    the cost bit for bit when the optimum is unique, else the same cost
+    within 1e-12.  Returns the plan."""
+    monkeypatch.setattr(transport, "WARM_START_ATOMS", 0)
+    C = _cost_matrix(mu, nu)
+    row, col = linear_sum_assignment(C)
+    plain = float(C[row, col] @ np.full(mu.size, 1.0 / mu.size))
+    _, plan = wasserstein_exact(mu, nu)
+    assert np.array_equal(plan.source_index, row)
+    if same_permutation:
+        assert np.array_equal(plan.target_index, col)
+        assert plan.cost_value == plain
+    else:
+        assert plan.cost_value == pytest.approx(plain, rel=1e-12, abs=1e-12)
+    assert np.array_equal(np.sort(plan.target_index), np.arange(nu.size))
+    return plan
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_warm_started_assignment_is_the_plain_assignment(monkeypatch, n, k, scale):
+    # subtracting a column potential v shifts every permutation's cost by
+    # sum(v), so on random clouds, whose optimum is unique, the solve on
+    # C - v finds C's permutation, and the cost read from C keeps its bits
+    rng = np.random.default_rng(n + k)
+    mu = DiscreteMeasure.equal_weights(scale * rng.normal(size=(n, k)))
+    nu = DiscreteMeasure.equal_weights(scale * (1.3 * rng.normal(size=(n, k)) + 0.2))
+    C = _cost_matrix(mu, nu)
+    v = transport._sinkhorn_column_potential(C, np.empty_like(C))
+    # a live warm start, not the zero fallback, and eta scales with C, so v
+    # does too
+    assert np.all(np.isfinite(v)) and np.ptp(v) > 0.0
+    unit = transport._sinkhorn_column_potential(C / scale**2, np.empty_like(C))
+    assert v == pytest.approx(scale**2 * unit, rel=1e-6, abs=1e-6 * scale**2 * np.ptp(unit))
+    _assert_warm_start_matches_plain_solve(monkeypatch, mu, nu, same_permutation=True)
+
+
+def _lattice(side: int) -> np.ndarray:
+    g = np.arange(side, dtype=float)
+    return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _tied_and_underflowing_inputs():
+    rng = np.random.default_rng(21)
+    twice = np.repeat(rng.normal(size=(64, 2)), 2, axis=0)
+    far = rng.normal(size=(128, 2))
+    far[0] = (1e4, 0.0)
+    return {
+        "duplicated atoms": (twice, rng.normal(size=(128, 2))),
+        "lattice against its half-spacing shift": (_lattice(12), _lattice(12) + (0.5, 0.0)),
+        "lattice against itself permuted": (_lattice(10), rng.permutation(_lattice(10))),
+        "one far atom": (far, rng.normal(size=(128, 2))),
+    }
+
+
+TIED_AND_UNDERFLOWING = _tied_and_underflowing_inputs()
+
+
+@pytest.mark.parametrize("case", list(TIED_AND_UNDERFLOWING))
+def test_warm_started_assignment_cost_on_ties_and_underflow(monkeypatch, case):
+    # ties resolve on C - v, so the permutation may differ from the plain
+    # solve's, but not the optimal cost; a far atom underflows its kernel
+    # row, and the zero potential it falls back to is still exact
+    x, y = TIED_AND_UNDERFLOWING[case]
+    mu, nu = DiscreteMeasure.equal_weights(x), DiscreteMeasure.equal_weights(y)
+    C = _cost_matrix(mu, nu)
+    v = transport._sinkhorn_column_potential(C, np.empty_like(C))
+    assert np.all(np.isfinite(v))
+    if case == "one far atom":
+        assert not np.any(v)
+    _assert_warm_start_matches_plain_solve(monkeypatch, mu, nu, same_permutation=False)
+
+
+@pytest.mark.parametrize("n, k", [(128, 2), (256, 2), (128, 4)])
+def test_warm_started_assignment_matches_the_lp_route(monkeypatch, n, k):
+    # the second route: the certified sparse LP on the same clouds
+    rng = np.random.default_rng(100 + n + k)
+    mu = DiscreteMeasure.equal_weights(rng.normal(size=(n, k)))
+    nu = DiscreteMeasure.equal_weights(0.7 * rng.normal(size=(n, k)) - 0.4)
+    plan = _assert_warm_start_matches_plain_solve(monkeypatch, mu, nu, same_permutation=True)
+    assert plan.cost_value == pytest.approx(_solve_transport_lp(mu, nu).cost, rel=1e-12)
 
 
 def test_1d_sorted_quantile_oracle():
