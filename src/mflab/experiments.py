@@ -59,6 +59,7 @@ from .quantum.phase_space import _check_center_inside
 from .transport import (
     SUPPORT_CAP,
     DiscreteMeasure,
+    assignment_cost,
     dual_potentials,
     kantorovich_gap,
     wasserstein_exact,
@@ -867,8 +868,12 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     package's only subsample estimator: a plain mean over subsample pairs
     would keep that floor, which never reaches zero.
 
-    Each repeat is one solve on `solves` (the assignment solver releases
-    the GIL), so every pool thread takes the next repeat as it comes free.
+    Each repeat is one task on `solves` holding two solves of
+    `transport.assignment_cost` on the point arrays themselves, with no
+    measure or plan objects: the assignment solver releases the GIL, and
+    the solves of one size reuse the pool thread's per-thread workspace
+    (2 * 8 * N^2 bytes a thread), so every pool thread takes the next
+    repeat as it comes free and allocates no cost matrix for it.
     Repeat r draws only from its own child of `seed_seq` and fills row r,
     so the reduced (mean, standard error, floor) is bit-identical for every
     pool size.  No future is kept: a done repeat holds 16 bytes.  Y, H and
@@ -879,16 +884,19 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     children = seed_seq.spawn(repeats)
     pairs = np.empty((repeats, 2))
 
+    def w2_sq(x, y):
+        # the square of the distance sqrt(cost), not the cost itself, so
+        # the rows keep the bits wasserstein_exact's distance gave them
+        return (assignment_cost(x, y)[0] ** 0.5) ** 2
+
     def repeat(r):
         rng = np.random.default_rng(children[r])
         i = rng.integers(n_samples)
-        cloud = np.hstack([Y[i], H[i]])
         idx = rng.choice(ref_pool.shape[0], size=2 * n_points, replace=False)
-        anchor = DiscreteMeasure.equal_weights(ref_pool[idx[:n_points]])
-        control = DiscreteMeasure.equal_weights(ref_pool[idx[n_points:]])
-        d_nb, _ = wasserstein_exact(DiscreteMeasure.equal_weights(cloud), anchor)
-        d_ff, _ = wasserstein_exact(control, anchor)
-        pairs[r] = d_nb**2 - d_ff**2, d_ff**2
+        anchor = ref_pool[idx[:n_points]]
+        nb = w2_sq(np.hstack([Y[i], H[i]]), anchor)
+        ff = w2_sq(ref_pool[idx[n_points:]], anchor)
+        pairs[r] = nb - ff, ff
 
     for r in range(repeats):
         solves.submit(partial(repeat, r))

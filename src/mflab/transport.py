@@ -16,6 +16,14 @@ Only its pricing and the dual check in kantorovich_gap scan every pair, in
 row blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on
 the dense matrix.
 
+The assignment route is one array-level kernel, assignment_cost, on two
+(n, k) point arrays; wasserstein_exact's equal-weight branch calls it, and
+callers that hold plain arrays call it directly.  It writes C and C - v
+into a reused per-thread workspace: two n x n float64 buffers
+(2 * 8 * n^2 bytes, 1 MiB at 256 atoms) that each thread allocates once
+and again only when n changes, so repeated solves of one size touch no new
+memory.  The buffers live as long as their thread.
+
 From WARM_START_ATOMS atoms up the assignment solver (scipy's shortest
 augmenting path, Crouse 2016) is warm-started: it solves C - v, where the
 column potential v comes from a few Sinkhorn sweeps on exp(-C/eta) (Cuturi
@@ -23,8 +31,7 @@ column potential v comes from a few Sinkhorn sweeps on exp(-C/eta) (Cuturi
 augmenting paths.  Subtracting v_j from column j changes every permutation's
 cost by the same sum of v, so the optimum is C's; a unique optimum is the
 same permutation, and the cost, read from C, keeps its bits.  Cost ties
-resolve on C - v.  The route then holds two n x n float64 matrices, C and
-C - v (2 * 8 * n^2 bytes), where the plain call holds C alone.
+resolve on C - v.
 
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
@@ -34,6 +41,7 @@ solver releases it, so assignment solves queued on threads run in parallel.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -380,43 +388,78 @@ def _sinkhorn_column_potential(C: np.ndarray, K: np.ndarray) -> np.ndarray:
     return v if np.isfinite(v).all() else np.zeros(n)
 
 
-def _assignment(C: np.ndarray):
+def _assignment(C: np.ndarray, shifted: np.ndarray):
     """(row, col) of an optimal assignment of the n x n cost C, rows in
     order.  From WARM_START_ATOMS atoms up the solver runs on C - v, v from
-    `_sinkhorn_column_potential`, in one n x n scratch, which has C's
-    optimum (see the module docstring); the caller reads the cost from C."""
+    `_sinkhorn_column_potential`, written into the n x n scratch `shifted`,
+    which has C's optimum (see the module docstring); the caller reads the
+    cost from C."""
     if C.shape[0] < WARM_START_ATOMS:
         return linear_sum_assignment(C)
-    shifted = np.empty_like(C)
     v = _sinkhorn_column_potential(C, shifted)
     return linear_sum_assignment(np.subtract(C, v, out=shifted))
+
+
+_workspace = threading.local()
+
+
+def _workspace_buffers(n: int):
+    """The calling thread's two n x n float64 buffers, C and C - v; made
+    anew only when n differs from the last call's on this thread."""
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].shape[0] != n:
+        buffers = _workspace.buffers = (np.empty((n, n)), np.empty((n, n)))
+    return buffers
+
+
+def assignment_cost(x, y):
+    """Exact equal-weight MK2 assignment of two (n, k) point arrays: returns
+    (cost, col), the mean of |x_i - y_col[i]|^2 over i and the optimal
+    permutation col.
+
+    The points must be finite and the arrays of one shape, with at most
+    SUPPORT_CAP rows (ResourceCapError past it).  C is written by `cdist`
+    into the calling thread's workspace (`_workspace_buffers`) and solved
+    by `_assignment` there, so a solve allocates no n x n array unless n
+    changed; the cost is read from C in row order.  The assignment is
+    deterministic: cost ties resolve to the solver's fixed pivot order on
+    the matrix it solves, C below WARM_START_ATOMS atoms and C minus a
+    Sinkhorn column potential, which has C's optimum, from there up.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"point arrays must be (n, k) of one shape, got {x.shape} and {y.shape}")
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("empty support")
+    if n > SUPPORT_CAP:
+        raise ResourceCapError(f"support exceeds cap {SUPPORT_CAP}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("points must be finite")
+    C, shifted = _workspace_buffers(n)
+    cdist(x, y, "sqeuclidean", out=C)
+    row, col = _assignment(C, shifted)
+    return float(C[row, col] @ np.full(n, 1.0 / n)), np.asarray(col, dtype=np.int64)
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Exact MK2 distance and optimal plan; returns (dist, plan), dist^2 = cost.
 
-    Equal-size equal-weight inputs are solved as an assignment problem on
-    the dense cost matrix C by `_assignment`, everything else as the
-    certified sparse transportation LP, which builds no m x n array.  The
-    assignment is deterministic: cost ties resolve to the solver's fixed
-    pivot order on the matrix it solves, C below WARM_START_ATOMS atoms and
-    C minus a Sinkhorn column potential, which has C's optimum, from there
-    up.  The cost is read from C in row order, so a unique optimum gives
-    the same permutation and cost bits either way.  From the cut up the
-    route holds 2 * 8 * n^2 bytes: C and its shifted copy.
+    Equal-size equal-weight inputs are solved as an assignment problem by
+    `assignment_cost`, in its reused per-thread workspace of
+    2 * 8 * n^2 bytes (C and its shifted copy); everything else as the
+    certified sparse transportation LP, which builds no m x n array.
     """
     if abs(float(mu.weights.sum()) - float(nu.weights.sum())) > 1e-12:
         raise ValueError("weight-sum mismatch between measures")
     if mu.size > SUPPORT_CAP or nu.size > SUPPORT_CAP:
         raise ResourceCapError(f"support exceeds cap {SUPPORT_CAP}")
+    if mu.k != nu.k:
+        raise ValueError("measures live on different-dimensional spaces")
     if mu.size == nu.size and mu.has_equal_weights() and nu.has_equal_weights():
-        C = _cost_matrix(mu, nu)
-        row, col = _assignment(C)
-        mass = np.full(mu.size, 1.0 / mu.size)
-        cost = float(C[row, col] @ mass)
-        plan = TransportPlan(
-            np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64), mass, cost
-        )
+        cost, col = assignment_cost(mu.points, nu.points)
+        plan = TransportPlan(np.arange(mu.size), col, np.full(mu.size, 1.0 / mu.size), cost)
     else:
         lp = _solve_transport_lp(mu, nu)
         cost = lp.cost

@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,7 @@ from mflab.experiments import (
 )
 from mflab.quantum import FactoredCoupling, GridSpec, coherent_state, guard_band_mass, metrics
 from mflab.quantum.grids import load_state
+from mflab import transport
 from mflab.transport import SUPPORT_CAP
 
 OT_TINY = {"experiment": "ot-selftest", "seed": 3, "n_clouds": 4, "max_support": 5, "dims": [2]}
@@ -835,7 +837,7 @@ def _solve_threads(raw: dict, cpus: int, jobs: int, threads: int) -> set:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        for name in ("wasserstein_exact", "lattice_lower"):
+        for name in ("assignment_cost", "lattice_lower"):
             patch.setattr(experiments, name, recording(getattr(experiments, name)))
         run_experiment(build_config(raw), jobs=jobs)
     return ids
@@ -894,7 +896,7 @@ def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
         raise ResourceCapError("support exceeds cap")
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(experiments, "wasserstein_exact", capped)
+    monkeypatch.setattr(experiments, "assignment_cost", capped)
     raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
     assert 1 <= len(calls) <= 3 and len(set(calls)) == len(calls)
@@ -1011,6 +1013,27 @@ def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
         with _SolvePool(2) as solves:
             solves.submit(capped).result()
     assert trims == [before, before]
+
+
+def test_pool_threads_take_their_assignment_workspace_with_them(monkeypatch):
+    # each pool thread solves in its own buffers; once the pool has closed,
+    # before the heap is trimmed, no buffer of theirs is left
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 128, 2))
+    held, freed_at_trim = [], []
+
+    def solve():
+        transport.assignment_cost(x, y)
+        held.extend(weakref.ref(buffer) for buffer in transport._workspace.buffers)
+
+    def trim(pad):
+        freed_at_trim.append(all(ref() is None for ref in held))
+
+    monkeypatch.setattr(experiments, "_MALLOC_TRIM", trim)
+    with _SolvePool(2) as solves:
+        for _ in range(4):
+            solves.submit(solve)
+    assert len(held) == 8 and freed_at_trim == [True]
 
 
 def test_solve_pool_raises_each_time_with_the_recorded_traceback():

@@ -7,6 +7,11 @@ under every fault: the ids of the rows that fail, RAISES when
 failing row.  A row that stops catching a fault changes its entry and fails
 this test, and so does a fault that some row newly catches.
 
+`_cost_matrix` builds the cost blocks of the LP route's pricing and of
+`kantorovich_gap`'s dual check; the assignment route writes its cost
+matrix with `cdist` in `assignment_cost`'s own workspace, so the fault
+without the square does not reach it.
+
 The empty entries are blind spots.  With pricing patched out
 (`_violated_pairs` returning no pair) every runner row still passes, because
 the Husimi lattice LPs of mk-bracket and quantum-dobrushin certify in one
@@ -57,12 +62,12 @@ CONFIGS = {
 _edge_costs = transport._edge_costs
 
 
-def _assignment_shifting_its_input(C):
-    """`transport._assignment` with C - v written over C instead of into a
-    scratch matrix, so that the caller reads the cost from the shifted
-    matrix: off by the mean of v."""
+def _assignment_shifting_its_input(C, shifted):
+    """`transport._assignment` with C - v written over C instead of into
+    the scratch `shifted`, so that the caller reads the cost from the
+    shifted matrix: off by the mean of v."""
     if C.shape[0] >= transport.WARM_START_ATOMS:
-        C -= transport._sinkhorn_column_potential(C, np.empty_like(C))
+        C -= transport._sinkhorn_column_potential(C, shifted)
     return linear_sum_assignment(C)
 
 

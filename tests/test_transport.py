@@ -1,6 +1,8 @@
 """Optimal transport: exact solver vs independent oracles, duals."""
 import inspect
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -38,6 +40,7 @@ from mflab.transport import (
     _restricted_lp,
     _solve_transport_lp,
     _violated_pairs,
+    assignment_cost,
     dual_potentials,
     kantorovich_gap,
     wasserstein_exact,
@@ -543,6 +546,135 @@ def test_warm_started_assignment_matches_the_lp_route(monkeypatch, n, k):
     nu = DiscreteMeasure.equal_weights(0.7 * rng.normal(size=(n, k)) - 0.4)
     plan = _assert_warm_start_matches_plain_solve(monkeypatch, mu, nu, same_permutation=True)
     assert plan.cost_value == pytest.approx(_solve_transport_lp(mu, nu).cost, rel=1e-12)
+
+
+def _point_pair(n: int, seed: int, k: int = 4):
+    """Two (n, k) clouds, the second scaled and shifted: random atoms, so
+    the optimal assignment is unique."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, k)), 1.3 * rng.normal(size=(n, k)) + 0.2
+
+
+def _plain_assignment(x, y):
+    """(cost, col) of a plain linear_sum_assignment of the dense cost
+    matrix, with the cost read from it in row order."""
+    C = cdist(x, y, "sqeuclidean")
+    row, col = linear_sum_assignment(C)
+    return float(C[row, col] @ np.full(len(x), 1.0 / len(x))), col
+
+
+def _assert_same_solve(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+ASSIGNMENT_SIZES = [2, 16, 95, 96, 256]
+
+
+@pytest.mark.parametrize("n", ASSIGNMENT_SIZES)
+def test_assignment_cost_is_the_plain_assignment_and_wasserstein_exact(n):
+    # below and from WARM_START_ATOMS up: the cost and permutation of a plain
+    # solve and of the measure-level route, bit for bit
+    assert transport.WARM_START_ATOMS in ASSIGNMENT_SIZES
+    x, y = _point_pair(n, n)
+    cost, col = assignment_cost(x, y)
+    _assert_same_solve((cost, col), _plain_assignment(x, y))
+    _, plan = wasserstein_exact(DiscreteMeasure.equal_weights(x), DiscreteMeasure.equal_weights(y))
+    assert plan.cost_value == cost
+    assert np.array_equal(plan.source_index, np.arange(n))
+    assert np.array_equal(plan.target_index, col)
+
+
+def test_assignment_cost_across_size_changes_on_one_thread():
+    # the workspace is made anew whenever n changes and reused while it
+    # does not, so alternating sizes keep every solve's bits
+    problems = {n: _point_pair(n, 7 * n) for n in (16, 256)}
+    want = {n: _plain_assignment(*problems[n]) for n in problems}
+    for n in (16, 256, 256, 16, 16, 256):
+        _assert_same_solve(assignment_cost(*problems[n]), want[n])
+
+
+def test_assignment_cost_reuses_its_workspace():
+    # a repeat solve of one size allocates no n x n array; the first one
+    # on a thread, or one after a size change, allocates the two buffers
+    n = 256
+    matrix = 8 * n * n
+    problems = {m: _point_pair(m, m) for m in (16, n)}
+    peaks = []
+
+    def solve_traced(m):
+        tracemalloc.start()
+        try:
+            assignment_cost(*problems[m])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    # a fresh thread starts with no workspace
+    worker = threading.Thread(target=lambda: [solve_traced(m) for m in (n, n, 16, n)])
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    first, repeat, _, after_change = peaks
+    assert first >= 2 * matrix and after_change >= 2 * matrix
+    assert repeat < matrix / 4, f"a repeat solve allocated {repeat / 2**10:.0f} KiB"
+
+
+@pytest.mark.parametrize("second", ["reversed", "same order"])
+def test_concurrent_assignment_solves_keep_the_serial_bits(second):
+    # two threads, each solving sizes 96 and 256 in turn, the second in
+    # reverse order (different sizes at once) or in the same order (one
+    # size at once); the solver releases the GIL, so their solves overlap,
+    # and each thread's C must stay its own; a short switch interval makes
+    # the threads trade the GIL between numpy calls
+    sizes = [96, 256] * 6
+    problems = [_point_pair(n, 1000 + i) for i, n in enumerate(sizes)]
+    want = [_plain_assignment(x, y) for x, y in problems]
+    got = [[None] * len(problems) for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def solve_all(t, order):
+        start.wait(timeout=30)
+        for i in order:
+            got[t][i] = assignment_cost(*problems[i])
+
+    forward = range(len(problems))
+    orders = [forward, forward[::-1] if second == "reversed" else forward]
+    threads = [threading.Thread(target=solve_all, args=(t, orders[t])) for t in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in (0, 1):
+        for i in range(len(problems)):
+            _assert_same_solve(got[t][i], want[i])
+
+
+def test_assignment_cost_checks_its_inputs():
+    x, y = _point_pair(4, 0, k=2)
+    big = np.zeros((SUPPORT_CAP + 1, 2))
+    with pytest.raises(ResourceCapError):
+        assignment_cost(big, big)
+    for bad in (np.nan, np.inf, -np.inf):
+        z = y.copy()
+        z[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            assignment_cost(x, z)
+        with pytest.raises(ValueError, match="finite"):
+            assignment_cost(z, x)
+    for a, b in ((x, y[:3]), (x, y[:, :1]), (x[:, 0], y[:, 0])):
+        with pytest.raises(ValueError, match="one shape"):
+            assignment_cost(a, b)
+    with pytest.raises(ValueError, match="empty support"):
+        assignment_cost(np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="measures live on different-dimensional spaces"):
+        wasserstein_exact(DiscreteMeasure.equal_weights(x), DiscreteMeasure.equal_weights(y[:, :1]))
 
 
 def test_1d_sorted_quantile_oracle():
