@@ -133,7 +133,7 @@ def quantum_rhs(
             + (8.0 * n / N) * sup2 * t * _expm1_over(lam * t)
         )
     if variant == "factorized":
-        decay = -math.expm1(-lam * t) / lam if lam > 0 else t
+        decay = -math.expm1(-lam * t) / lam  # lam >= 3, so never 0 / 0
         return n * (2.0 * d * eps + (8.0 / N) * sup2 * decay) * growth
     raise ValueError(f"unknown variant {variant!r}; expected one of {QUANTUM_VARIANTS}")
 

@@ -6,11 +6,12 @@ reference cloud), the coupled product flow whose first marginal follows the
 mean-field dynamics and second marginal the N-body dynamics, and the
 functionals measured on them: the p-Dobrushin functional per sample
 (`dobrushin_per_sample`, whose mean is D_N^p) and phase moments.
-`coupled_advance` takes one coupled step; `vlasov_advance` and
+`coupled_advance` takes one coupled step of a list of ensembles and the one
+Vlasov reference cloud that drives them all; `vlasov_advance` and
 `run_coupled_trajectory` take n_steps and return the advanced state.  One
 phase-point type, `PhaseState`, holds either one N-particle system or an
-equal-weight Vlasov cloud; the coupled ensemble carries its reference cloud
-as one.  All integrators are velocity Verlet, force field frozen per step.
+equal-weight Vlasov cloud, such as that reference.  All integrators are
+velocity Verlet, force field frozen per step.
 """
 from __future__ import annotations
 
@@ -61,19 +62,17 @@ class CoupledEnsemble:
     """Monte-Carlo sample of the coupled mean-field/N-body flow.
 
     Each of the M sample pairs carries a mean-field system (X, Xi), driven
-    slot-by-slot by the reference cloud, and an N-body system (Y, H) evolving
-    under its own pairwise forces; each of the four is an (M, N, d) array.
-    `reference` is that cloud; it advances in lockstep with the ensemble, so
-    the ensemble's time is the reference's.  `force`, when set, is the N-body
-    force at Y under `force_potential`: the force that ended the last Verlet
-    step, which starts the next one.
+    slot-by-slot by a Vlasov reference cloud that `coupled_advance` holds
+    beside it, and an N-body system (Y, H) evolving under its own pairwise
+    forces; each of the four is an (M, N, d) array.  `force`, when set, is
+    the N-body force at Y under `force_potential`: the force that ended the
+    last Verlet step, which starts the next one.
     """
 
     X: Array
     Xi: Array
     Y: Array
     H: Array
-    reference: PhaseState
     force: Array | None = None
     force_potential: Potential | None = None
 
@@ -86,10 +85,6 @@ class CoupledEnsemble:
             raise ValueError("phase state entries must be finite")
         for name, a in zip(("X", "Xi", "Y", "H"), arrays):
             object.__setattr__(self, name, a)
-
-    @property
-    def time(self) -> float:
-        return self.reference.time
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +196,37 @@ def vlasov_advance(cloud: PhaseState, V: Potential, dt: float, n_steps: int) -> 
     return cloud
 
 
-def coupled_advance(ens: CoupledEnsemble, V: Potential, dt: float) -> CoupledEnsemble:
-    """One step of the coupled product flow.
+def coupled_advance(ensembles, reference: PhaseState, V: Potential, dt: float):
+    """One step of the coupled product flow for every ensemble in the list
+    `ensembles`, under one Vlasov `reference`; returns both, advanced.
 
-    The mean-field side feels the force generated by the reference cloud at
-    each of its N slots independently; the N-body side feels its own
-    pairwise forces; the reference itself takes one Vlasov step under the
-    same frozen field, in lockstep.
+    The reference's force field is built once and frozen for the step: the
+    mean-field side of every ensemble feels it at each of its N slots
+    independently, and the reference itself takes one Vlasov step under it.
+    Each N-body side feels its own pairwise forces.
 
     The N-body force that ends the step is kept in the returned ensemble and
     starts the next step under the same `V`, so each step evaluates it once;
     under any other potential it is recomputed.
     """
-    field = _frozen_field(V, ens.reference.positions)
-    reference = verlet_step(ens.reference, field, dt)
-    X, Xi, _ = _verlet_arrays(ens.X, ens.Xi, field, dt)
-    f0 = ens.force if ens.force_potential is V else None
-    Y, H, force = _verlet_arrays(
-        ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos), dt, f0
-    )
-    return CoupledEnsemble(X, Xi, Y, H, reference, force, V)
+    field = _frozen_field(V, reference.positions)
+    nbody = lambda pos: _nbody_force_batch(V, pos)
+    stepped = []
+    for ens in ensembles:
+        X, Xi, _ = _verlet_arrays(ens.X, ens.Xi, field, dt)
+        f0 = ens.force if ens.force_potential is V else None
+        Y, H, force = _verlet_arrays(ens.Y, ens.H, nbody, dt, f0)
+        stepped.append(CoupledEnsemble(X, Xi, Y, H, force, V))
+    return stepped, verlet_step(reference, field, dt)
 
 
 def run_coupled_trajectory(
-    ens: CoupledEnsemble, V: Potential, dt: float, n_steps: int
-) -> CoupledEnsemble:
+    ensembles, reference: PhaseState, V: Potential, dt: float, n_steps: int
+):
     """n_steps steps of the coupled flow (coupled_advance)."""
     for _ in range(n_steps):
-        ens = coupled_advance(ens, V, dt)
-    return ens
+        ensembles, reference = coupled_advance(ensembles, reference, V, dt)
+    return ensembles, reference
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +262,14 @@ def sample_gaussian_cloud(m: int, d: int, seed: int) -> PhaseState:
     return PhaseState(x, xi)
 
 
-def diagonal_ensemble(
-    n_samples: int, n_particles: int, reference: PhaseState, seed: int
-) -> CoupledEnsemble:
+def diagonal_ensemble(n_samples: int, n_particles: int, d: int, seed: int) -> CoupledEnsemble:
     """Diagonal initial coupling: both sides start from the same iid draw of
-    N particles per sample, so every Dobrushin functional starts at zero."""
+    N particles in d dimensions per sample, so every Dobrushin functional
+    starts at zero."""
     draws = [
-        sample_gaussian_cloud(n_particles, reference.d, child)
+        sample_gaussian_cloud(n_particles, d, child)
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ]
     X = np.stack([sub.positions for sub in draws])
     Xi = np.stack([sub.momenta for sub in draws])
-    return CoupledEnsemble(X, Xi, X.copy(), Xi.copy(), reference)
+    return CoupledEnsemble(X, Xi, X.copy(), Xi.copy())

@@ -915,10 +915,11 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Growth and marginal-transport rows per N and sample time, then the
     N-rate fit.
 
-    The run is a pipeline: after integrating a sample time, the sweep queues
-    that time's subsample solves on the run's pool and goes straight on to
-    the next segment and the next N; each marginal row is built from its
-    solves once they are all done.
+    The sweep is one point: every N's ensemble advances together under the
+    run's one Vlasov reference, one segment at a time.  After integrating a
+    sample time, the run queues each N's subsample solves on its pool and
+    goes straight on to the next segment; each marginal row is built from
+    its solves once they are all done, and the rows come out N by N.
     """
     V = make_potential(cfg.potential)
     params = cfg.params
@@ -951,37 +952,40 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
             constants=dict(constants(2.0, N), repeats=repeats, baseline=floor),
         )
 
-    # one reference cloud for every N: a PhaseState is immutable, so threads share it
-    reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
-
-    def one(idx, solves):
-        N = N_list[idx]
-        ens_seed, sub_seed = per_n[idx].spawn(2)
-        ens = diagonal_ensemble(M, N, reference, int(ens_seed.generate_state(1)[0]))
-        consts = constants(p, N)
-        rows = []
-        sub_children = sub_seed.spawn(len(schedule))
+    def sweep(_, solves):
+        # one reference cloud drives every N, so each step builds one field
+        reference = sample_gaussian_cloud(ref_size, 1, ref_seed)
+        seeds = [s.spawn(2) for s in per_n]
+        ensembles = [
+            diagonal_ensemble(M, N, 1, int(ens_seed.generate_state(1)[0]))
+            for N, (ens_seed, _) in zip(N_list, seeds)
+        ]
+        sub_children = [sub_seed.spawn(len(schedule)) for _, sub_seed in seeds]
+        rows = [[] for _ in N_list]
         for j, (t, n_steps) in enumerate(schedule):
             solves.check()
-            ens = run_coupled_trajectory(ens, V, dt, n_steps)
-            per = dobrushin_per_sample(ens, p)
-            rows.append(
-                bounds.make_report(
-                    GROWTH_ROW,
-                    t,
-                    float(per.mean()),
-                    bounds.classical_rhs(V, p, N, 1, t),
-                    lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
-                    constants=consts,
-                )
-            )
+            ensembles, reference = run_coupled_trajectory(ensembles, reference, V, dt, n_steps)
             # each Verlet step makes fresh arrays, so the solves need no copy
-            f_pool = np.hstack([ens.reference.positions, ens.reference.momenta])
-            pairs = _submit_chaos_repeats(solves, ens.Y, ens.H, f_pool, repeats, sub_children[j])
-            rows.append(partial(marginal_row, pairs, t, N))
-        return rows
+            f_pool = np.hstack([reference.positions, reference.momenta])
+            for i, (N, ens) in enumerate(zip(N_list, ensembles)):
+                per = dobrushin_per_sample(ens, p)
+                rows[i].append(
+                    bounds.make_report(
+                        GROWTH_ROW,
+                        t,
+                        float(per.mean()),
+                        bounds.classical_rhs(V, p, N, 1, t),
+                        lhs_stderr=float(per.std(ddof=1) / math.sqrt(M)),
+                        constants=constants(p, N),
+                    )
+                )
+                pairs = _submit_chaos_repeats(
+                    solves, ens.Y, ens.H, f_pool, repeats, sub_children[i][j]
+                )
+                rows[i].append(partial(marginal_row, pairs, t, N))
+        return [row for per_N in rows for row in per_N]
 
-    reports = _run_sweep(one, len(N_list), jobs)
+    reports = _run_sweep(sweep, 1, jobs)
     # The N-rate is fit on the directly measured coupling distance
     # (D^p_N)^(1/p): its Monte-Carlo error is ~1e-5 while the subsample-W2
     # excess over the finite-sample floor is indistinguishable from zero at

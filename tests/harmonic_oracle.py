@@ -6,7 +6,9 @@ stays Gaussian and the coupling cost's excess over its Hartree baseline has
 a closed form.  The package has no harmonic family: sup|grad V| is infinite,
 so no certified bound applies, and `Potential` takes finite constants only.
 The constants here are placeholders on the box [-L, L] (sup|grad V| read as
-kappa * 2L); the grid propagators read none of them but the sign of sup|V|.
+|kappa| * 2L); the grid propagators read none of them but whether sup|V| is
+positive, so they are taken from |kappa| and the inverted oscillator
+(kappa < 0) keeps its pair phase.
 """
 import numpy as np
 
@@ -28,9 +30,9 @@ def harmonic_potential(kappa: float, box: float) -> Potential:
         dim=1,
         eval=_eval,
         grad=_grad,
-        sup_grad=kappa * 2.0 * box,
-        lip_grad=kappa,
-        sup_abs=0.5 * kappa * (2.0 * box) ** 2,
+        sup_grad=abs(kappa) * 2.0 * box,
+        lip_grad=abs(kappa),
+        sup_abs=0.5 * abs(kappa) * (2.0 * box) ** 2,
     )
 
 
@@ -41,8 +43,17 @@ def n_delta(kappa: float, eps: float, t: float) -> float:
     less that of one X factor against the Hartree reference.  The means of
     the two flows agree, so it is the excess of the N-body particle's
     variances over the Hartree particle's, q part then p part, with
-    omega = sqrt(kappa) the Hartree trap frequency.
+    omega = sqrt(kappa) the Hartree trap frequency.  For kappa < 0 the trap
+    is inverted, cos(omega t) becomes cosh(lambda t) and sin(omega t)^2
+    becomes -sinh(lambda t)^2, lambda = sqrt(-kappa); at kappa = 0 both flows
+    are free and the excess is 0.
     """
-    w = np.sqrt(kappa)
-    c2, s2 = np.cos(w * t) ** 2, np.sin(w * t) ** 2
+    if kappa == 0:
+        return 0.0
+    if kappa > 0:
+        w = np.sqrt(kappa)
+        c2, s2 = np.cos(w * t) ** 2, np.sin(w * t) ** 2
+    else:
+        lam = np.sqrt(-kappa)
+        c2, s2 = np.cosh(lam * t) ** 2, -np.sinh(lam * t) ** 2
     return 0.5 * eps * ((1.0 + t * t - c2 - s2 / kappa) + (1.0 - c2 - kappa * s2))

@@ -223,26 +223,24 @@ def test_nbody_energy_and_momentum_conserved():
 
 
 def test_diagonal_ensemble_starts_at_zero_dobrushin():
-    ref = sample_gaussian_cloud(128, 1, seed=5)
-    ens = diagonal_ensemble(16, 8, ref, seed=6)
+    ens = diagonal_ensemble(16, 8, 1, seed=6)
     assert ens.X.shape == (16, 8, 1)
     np.testing.assert_array_equal(dobrushin_per_sample(ens, 2.0), np.zeros(16))
 
 
 def test_coupled_flow_zero_potential_stays_diagonal():
     ref = sample_gaussian_cloud(128, 1, seed=7)
-    ens = diagonal_ensemble(8, 4, ref, seed=8)
+    ens = [diagonal_ensemble(8, 4, 1, seed=8)]
     for _ in range(10):
-        ens = run_coupled_trajectory(ens, FLAT, 0.05, 1)
-        np.testing.assert_array_equal(dobrushin_per_sample(ens, 2.0), np.zeros(8))
-    assert ens.time == pytest.approx(0.5)
+        ens, ref = run_coupled_trajectory(ens, ref, FLAT, 0.05, 1)
+        np.testing.assert_array_equal(dobrushin_per_sample(ens[0], 2.0), np.zeros(8))
+    assert ref.time == pytest.approx(0.5)
 
 
 def test_dobrushin_functional_hand_value():
     X, Xi = np.array([[[0.0], [1.0]]]), np.array([[[0.0], [0.0]]])
     Y, H = np.array([[[1.0], [1.0]]]), np.array([[[0.0], [2.0]]])
-    ref = sample_gaussian_cloud(8, 1, seed=11)
-    ens = CoupledEnsemble(X, Xi, Y, H, ref)
+    ens = CoupledEnsemble(X, Xi, Y, H)
     # (1/2)(|0-1|^2 + |1-1|^2) + (1/2)(|0-0|^2 + |0-2|^2) = 1/2 + 2
     assert dobrushin_per_sample(ens, 2.0).mean() == pytest.approx(2.5, rel=1e-14)
 
@@ -268,34 +266,35 @@ def test_coupled_trajectory_seeds_reproducible():
     ref = sample_gaussian_cloud(256, 1, seed=14)
     out = []
     for _ in range(2):
-        ens = diagonal_ensemble(8, 4, ref, seed=15)
-        out.append(dobrushin_per_sample(run_coupled_trajectory(ens, GAUSS, 0.05, 6), 2.0))
+        [ens], _ = run_coupled_trajectory([diagonal_ensemble(8, 4, 1, seed=15)], ref, GAUSS, 0.05, 6)
+        out.append(dobrushin_per_sample(ens, 2.0))
     np.testing.assert_array_equal(out[0], out[1])
     assert out[0].mean() > 0  # interacting flow actually separates the sides
 
 
 def test_coupled_trajectory_is_n_coupled_steps():
-    # bit for bit the ensemble n coupled_advance calls return, force cache
-    # and time included; no steps returns the ensemble it was given
+    # bit for bit the ensembles and reference n coupled_advance calls
+    # return, force cache and time included; no steps returns what it was given
     V = make_gaussian_potential(1.0, 0.8, 1)
-    ens = diagonal_ensemble(6, 5, sample_gaussian_cloud(64, 1, seed=27), seed=28)
-    assert run_coupled_trajectory(ens, V, 0.05, 0) is ens
-    want = ens
+    ens = [diagonal_ensemble(6, 5, 1, seed=28)]
+    ref = sample_gaussian_cloud(64, 1, seed=27)
+    same, same_ref = run_coupled_trajectory(ens, ref, V, 0.05, 0)
+    assert same is ens and same_ref is ref
+    want, want_ref = ens, ref
     for _ in range(7):
-        want = coupled_advance(want, V, 0.05)
-    got = run_coupled_trajectory(ens, V, 0.05, 7)
+        want, want_ref = coupled_advance(want, want_ref, V, 0.05)
+    [got], got_ref = run_coupled_trajectory(ens, ref, V, 0.05, 7)
     assert isinstance(got, CoupledEnsemble)
     for a in ("X", "Xi", "Y", "H", "force"):
-        np.testing.assert_array_equal(getattr(got, a), getattr(want, a))
-    np.testing.assert_array_equal(got.reference.positions, want.reference.positions)
-    np.testing.assert_array_equal(got.reference.momenta, want.reference.momenta)
+        np.testing.assert_array_equal(getattr(got, a), getattr(want[0], a))
+    np.testing.assert_array_equal(got_ref.positions, want_ref.positions)
+    np.testing.assert_array_equal(got_ref.momenta, want_ref.momenta)
     assert got.force_potential is V
-    assert got.time == want.time
+    assert got_ref.time == want_ref.time
 
 
-def _advance_without_reuse(ens, V, dt):
+def _advance_without_reuse(ens, ref, V, dt):
     # oracle: the coupled step with both N-body half-kicks evaluated afresh
-    ref = ens.reference
     field = _frozen_field(V, ref.positions)
 
     def step(x, xi, f):
@@ -306,58 +305,63 @@ def _advance_without_reuse(ens, V, dt):
     X, Xi = step(ens.X, ens.Xi, field)
     Y, H = step(ens.Y, ens.H, lambda pos: _nbody_force_batch(V, pos))
     rx, rxi = step(ref.positions, ref.momenta, field)
-    return CoupledEnsemble(X, Xi, Y, H, PhaseState(rx, rxi, ref.time + dt))
+    return CoupledEnsemble(X, Xi, Y, H), PhaseState(rx, rxi, ref.time + dt)
 
 
 @pytest.mark.parametrize("N, d", [(5, 1), (3, 2)])
 def test_coupled_force_reuse_matches_fresh_force_oracle(N, d):
     V = make_gaussian_potential(1.0, 0.8, d)
-    ref0 = sample_gaussian_cloud(64, d, seed=16)
-    ens = oracle = diagonal_ensemble(6, N, ref0, seed=17)
+    ref = oracle_ref = sample_gaussian_cloud(64, d, seed=16)
+    ens = oracle = diagonal_ensemble(6, N, d, seed=17)
     for _ in range(12):
-        ens = coupled_advance(ens, V, 0.05)
-        oracle = _advance_without_reuse(oracle, V, 0.05)
+        [ens], ref = coupled_advance([ens], ref, V, 0.05)
+        oracle, oracle_ref = _advance_without_reuse(oracle, oracle_ref, V, 0.05)
         for a in ("X", "Xi", "Y", "H"):
             np.testing.assert_array_equal(getattr(ens, a), getattr(oracle, a))
         np.testing.assert_array_equal(ens.force, _nbody_force_batch(V, ens.Y))
         assert ens.force_potential is V
-    np.testing.assert_array_equal(ens.reference.positions, oracle.reference.positions)
-    np.testing.assert_array_equal(ens.reference.momenta, oracle.reference.momenta)
-    assert ens.time == oracle.time
+    np.testing.assert_array_equal(ref.positions, oracle_ref.positions)
+    np.testing.assert_array_equal(ref.momenta, oracle_ref.momenta)
+    assert ref.time == oracle_ref.time
     assert dobrushin_per_sample(ens, 2.0).mean() > 0  # the sides did separate
 
 
 @pytest.mark.parametrize("M, d", [(64, 2), (1024, 1)])  # exact, then gridded field
 def test_coupled_reference_is_the_vlasov_flow(M, d):
-    # the reference inside the coupled step is one vlasov_advance step, bit for bit
+    # the reference inside the coupled step is one vlasov_advance step, bit
+    # for bit, whatever number of ensembles it drives
     V = make_gaussian_potential(1.0, 0.8, d)
-    ens = diagonal_ensemble(4, 3, sample_gaussian_cloud(M, d, seed=25), seed=26)
+    ens = [diagonal_ensemble(4, N, d, seed=26 + N) for N in (3, 5)]
+    ref = sample_gaussian_cloud(M, d, seed=25)
     for _ in range(3):
-        want = vlasov_advance(ens.reference, V, 0.05, 1)
-        ens = coupled_advance(ens, V, 0.05)
-        np.testing.assert_array_equal(ens.reference.positions, want.positions)
-        np.testing.assert_array_equal(ens.reference.momenta, want.momenta)
-        assert ens.time == want.time
-    assert not np.array_equal(ens.reference.momenta, sample_gaussian_cloud(M, d, seed=25).momenta)
+        want = vlasov_advance(ref, V, 0.05, 1)
+        alone = [coupled_advance([e], ref, V, 0.05)[0][0] for e in ens]
+        ens, ref = coupled_advance(ens, ref, V, 0.05)
+        for e, a in zip(ens, alone):  # each ensemble steps as it would alone
+            for name in ("X", "Xi", "Y", "H", "force"):
+                np.testing.assert_array_equal(getattr(e, name), getattr(a, name))
+        np.testing.assert_array_equal(ref.positions, want.positions)
+        np.testing.assert_array_equal(ref.momenta, want.momenta)
+        assert ref.time == want.time
+    assert not np.array_equal(ref.momenta, sample_gaussian_cloud(M, d, seed=25).momenta)
 
 
 def test_coupled_force_is_recomputed_for_another_potential():
     weak, strong = make_gaussian_potential(0.1, 1.0, 1), make_gaussian_potential(2.0, 0.5, 1)
     ref = sample_gaussian_cloud(64, 1, seed=18)
-    ens = coupled_advance(diagonal_ensemble(4, 5, ref, seed=19), weak, 0.05)
-    out = coupled_advance(ens, strong, 0.05)
-    expected = _advance_without_reuse(ens, strong, 0.05)
+    [ens], ref = coupled_advance([diagonal_ensemble(4, 5, 1, seed=19)], ref, weak, 0.05)
+    [out], _ = coupled_advance([ens], ref, strong, 0.05)
+    expected, _ = _advance_without_reuse(ens, ref, strong, 0.05)
     np.testing.assert_array_equal(out.H, expected.H)
     np.testing.assert_array_equal(out.Y, expected.Y)
     assert out.force_potential is strong
 
 
 def test_coupled_ensemble_rejects_bad_arrays():
-    ref = sample_gaussian_cloud(8, 1, seed=20)
     z = np.zeros((2, 3, 1))
     with pytest.raises(ValueError):
-        CoupledEnsemble(z, z, z, np.zeros((2, 4, 1)), ref)
+        CoupledEnsemble(z, z, z, np.zeros((2, 4, 1)))
     with pytest.raises(ValueError):
-        CoupledEnsemble(z[0], z[0], z[0], z[0], ref)
+        CoupledEnsemble(z[0], z[0], z[0], z[0])
     with pytest.raises(ValueError):
-        CoupledEnsemble(z, z, z + np.nan, z, ref)
+        CoupledEnsemble(z, z, z + np.nan, z)

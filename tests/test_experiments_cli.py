@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mflab import bounds, experiments
+from mflab import bounds, classical, experiments
 from mflab.bounds import write_reports_jsonl
 from mflab.cli import main
 from mflab.errors import ResourceCapError
@@ -843,32 +843,39 @@ def _solve_threads(raw: dict, cpus: int, jobs: int, threads: int) -> set:
     return ids
 
 
-#: One config per runner that queues solves, each a sweep of two points.
-SOLVE_SWEEPS = dict(
-    HUSIMI_PIPELINES, **{"classical-dobrushin": dict(CLASSICAL_FREE, N=[4, 8], repeats=8)}
-)
+#: One config per runner that queues solves, with its sweep's point count:
+#: the Husimi pipelines sweep two epsilons, while classical-dobrushin
+#: advances every N together, so its sweep is one point whatever N holds.
+SOLVE_SWEEPS = {
+    **{exp: (raw, 2) for exp, raw in HUSIMI_PIPELINES.items()},
+    "classical-dobrushin": (dict(CLASSICAL_FREE, N=[4, 8], repeats=8), 1),
+}
 
 
 @pytest.mark.parametrize("experiment", sorted(SOLVE_SWEEPS))
 def test_solve_threads_share_the_cores_the_sweep_leaves_free(experiment):
     # 1 to 4 usable CPUs, shared by 1 or 2 sweep threads
+    raw, points = SOLVE_SWEEPS[experiment]
     for cpus in (1, 2, 3, 4):
         for jobs in (1, 2):
-            threads = max(1, cpus // jobs)
-            assert len(_solve_threads(SOLVE_SWEEPS[experiment], cpus, jobs, threads)) == threads
+            threads = max(1, cpus // min(jobs, points))
+            assert len(_solve_threads(raw, cpus, jobs, threads)) == threads
 
 
 def test_solve_workers_use_the_cores_a_short_sweep_leaves_free(monkeypatch):
-    # --jobs 2 on one N runs one sweep thread, so the solves get every core
-    for N, jobs, threads in (
-        ([8], 2, 4),
-        ([8], 1, 4),
-        ([4, 8], 2, 2),
-        ([4, 8, 4], 2, 2),
-        ([4, 8, 4], 4, 1),
+    # --jobs 2 on one epsilon runs one sweep thread, so the solves get every core
+    for eps, jobs, threads in (
+        ([0.5], 2, 4),
+        ([0.5], 1, 4),
+        ([0.5, 0.25], 2, 2),
+        ([0.5, 0.25, 0.5], 2, 2),
+        ([0.5, 0.25, 0.5], 4, 1),
     ):
-        raw = dict(CLASSICAL_FREE, N=N, repeats=8)
+        raw = dict(HUSIMI_PIPELINES["mk-bracket"], epsilon=eps, pairs=4 * len(eps))
         assert len(_solve_threads(raw, 4, jobs, threads)) == threads
+    # classical-dobrushin's sweep is one point, so every N list gets every core
+    for N in ([8], [4, 8, 4]):
+        assert len(_solve_threads(dict(CLASSICAL_FREE, N=N, repeats=8), 4, 4, 4)) == 4
     # a pool of four threads starts one for a run's only solve
     counts = []
     solve = experiments.lattice_lower
@@ -903,22 +910,23 @@ def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
 
 
 def test_a_failing_sweep_point_stops_its_siblings_under_jobs_2(tmp_path, monkeypatch):
-    # N = 8 runs out of memory in its first segment once N = 16 has begun
-    # its own; N = 16 stops at its next check, not after all six segments
+    # epsilon = 0.5 runs out of memory in its first segment once epsilon =
+    # 0.25 has begun its own; 0.25 stops at its next check, not after all
+    # six segments
     started = threading.Event()
     segments = []
-    advance = experiments.run_coupled_trajectory
+    advance = experiments.factored_coupled_advance
 
-    def failing(ens, *args, **kwargs):
-        if ens.Y.shape[1] == 8:
+    def failing(coupling, ref, *args, **kwargs):
+        if ref.grid.epsilon == 0.5:
             assert started.wait(timeout=30)
             raise MemoryError("segment")
         segments.append(1)
         started.set()
-        return advance(ens, *args, **kwargs)
+        return advance(coupling, ref, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_coupled_trajectory", failing)
-    raw = dict(CLASSICAL_FREE, N=[8, 16], times=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+    monkeypatch.setattr(experiments, "factored_coupled_advance", failing)
+    raw = dict(HUSIMI_PIPELINES["quantum-dobrushin"], epsilon=[0.5, 0.25], t_final=0.12, n_times=7)
     assert main(["run", _write_cfg(tmp_path, raw), "--jobs", "2", "--out", str(tmp_path)]) == 3
     assert 1 <= len(segments) <= 2
 
@@ -1078,6 +1086,23 @@ def test_runs_complete_where_libc_has_no_malloc_trim(tmp_path, monkeypatch, libc
     assert main(["run", path, "--out", str(tmp_path / "untrimmed")]) == 0
     jsonl = [(tmp_path / out / "mk-bracket.jsonl").read_bytes() for out in ("trimmed", "untrimmed")]
     assert jsonl[0] == jsonl[1]
+
+
+@pytest.mark.parametrize("N", [[8], [8, 16, 32]])
+def test_classical_run_builds_one_field_per_step(monkeypatch, N):
+    # every N's ensemble steps under the run's one Vlasov reference, so a
+    # run of 10 steps builds its frozen field 10 times whatever N holds
+    calls = []
+    frozen = classical._frozen_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return frozen(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "_frozen_field", counting)
+    raw = dict(CLASSICAL_FREE, N=N, samples=8, times=[0.25, 0.5], repeats=4)
+    run_experiment(build_config(raw))
+    assert len(calls) == 10
 
 
 def test_error_in_a_trajectory_segment_exits_3(tmp_path, monkeypatch):
@@ -1465,11 +1490,13 @@ def test_cli_no_arguments_is_usage_error():
 
 def test_import_loads_no_heavy_scipy_subpackages():
     # the convolutions use scipy.fft and combineq its own normal law, so the
-    # command line starts without scipy.signal, scipy.stats or scipy.interpolate
+    # package and its command line start without these subpackages: each
+    # would add 20-510 ms to every run's start, so a function that needs
+    # one (say scipy.integrate.solve_ivp) imports it in its own body
+    heavy = [["scipy", sub] for sub in ("stats", "signal", "integrate", "interpolate", "ndimage")]
     code = (
-        "import sys, mflab.cli, mflab.experiments; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'interpolate'])))"
+        "import sys, mflab, mflab.cli, mflab.experiments; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {heavy!r}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

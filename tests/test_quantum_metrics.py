@@ -444,3 +444,29 @@ def test_harmonic_excess_converges_at_second_order():
     fine = abs(_harmonic_n_delta(4.0, 0.25, 2, 0.01) - want)
     assert coarse < 1e-4
     assert 3.5 < coarse / fine < 4.5
+
+
+def test_inverted_harmonic_closed_form_is_the_complex_continuation():
+    # kappa = -1: the real branch is the kappa > 0 form at omega = i, and
+    # the closed form is continuous through kappa = 0, where it vanishes
+    w = np.sqrt(-1.0 + 0j)
+    c2, s2 = np.cos(w * 0.4) ** 2, np.sin(w * 0.4) ** 2
+    continued = 0.5 * ((1.0 + 0.16 - c2 + s2) + (1.0 - c2 + s2))
+    assert abs(continued.imag) < 1e-15
+    for eps in (1.0, 0.25):
+        assert n_delta(-1.0, eps, 0.4) == pytest.approx(-0.2574349 * eps, abs=1e-7)
+        assert n_delta(-1.0, eps, 0.4) == pytest.approx(continued.real * eps, abs=1e-12)
+    assert n_delta(0.0, 1.0, 0.4) == 0.0
+    for kappa in (1e-8, -1e-8):
+        assert abs(n_delta(kappa, 1.0, 0.4)) < 1e-8
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_inverted_harmonic_excess_matches_closed_form(N):
+    # kappa = -1 (the default Gaussian's V''(0)): the N-body flow keeps its
+    # pair phase, and Strang's error in dt is second order
+    want = n_delta(-1.0, 0.25, 0.4)
+    coarse = abs(_harmonic_n_delta(-1.0, 0.25, N, 0.02) - want)
+    fine = abs(_harmonic_n_delta(-1.0, 0.25, N, 0.01) - want)
+    assert coarse < 1e-5
+    assert 3.5 < coarse / fine < 4.5

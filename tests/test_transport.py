@@ -709,6 +709,16 @@ def test_duality_gap_certifies_optimality():
     assert kantorovich_gap(mu, nu, plan, a, b) <= 1e-9
 
 
+def test_measures_whose_sums_differ_within_the_measure_tolerance_solve():
+    # each weight sum is within DiscreteMeasure's 1e-12 of one, so the two
+    # differ by 1.8e-12; both routes take the pair, and the plan certifies
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.array([0.3 + 0.9e-12, 0.3, 0.4]))
+    nu = DiscreteMeasure(np.array([[0.5], [1.5]]), np.array([0.5 - 0.9e-12, 0.5]))
+    dist, plan = wasserstein_exact(mu, nu)
+    assert dist == pytest.approx(0.5, rel=1e-9)  # every unit of mass moves 1/2
+    assert kantorovich_gap(mu, nu, plan, *dual_potentials(mu, nu)) <= 1e-9
+
+
 def test_transport_takes_no_exponent():
     # every problem is MK2: cost |x - y|^2, distance its square root
     assert list(inspect.signature(wasserstein_exact).parameters) == ["mu", "nu"]
