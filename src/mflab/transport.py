@@ -2,18 +2,22 @@
 
 Exact Monge-Kantorovich distances (assignment fast path for equal-weight
 clouds, otherwise a HiGHS linear program on a sparse candidate set of pairs,
-grown until its duals are feasible on all pairs, so its optimum is the dense
-one) and Kantorovich dual certificates.  Every problem is the quadratic
-Monge-Kantorovich one, MK2: the ground cost is |x-y|^2 with the Euclidean
-norm on the concatenated phase coordinates, computed directly as a squared
-distance, and the reported distance is the square root of the plan cost.
+grown until the LP is feasible and its duals are feasible on all pairs, so
+its optimum is the dense one) and Kantorovich dual certificates.  Every
+problem is the quadratic Monge-Kantorovich one, MK2: the ground cost is
+|x-y|^2 with the Euclidean norm on the concatenated phase coordinates,
+computed directly as a squared distance, and the reported distance is the
+square root of the plan cost.
 
-The LP route never builds the m x n cost matrix: its candidates are the
-nearest partners of each atom's image under the affine map that matches the
-two measures' means and covariances, found by k-d tree queries, and their
-costs are computed pair by pair, equal to the dense entries to the bit.
-Only its pricing and the dual check in kantorovich_gap scan every pair, in
-row blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on
+The LP route never builds the m x n cost matrix: its first candidates are
+only the nearest partners of each atom's image under the affine map that
+matches the two measures' means and covariances, found by k-d tree queries,
+and their costs are computed pair by pair, equal to the dense entries to the
+bit.  Should those pairs not carry the marginals (HiGHS reports the
+restricted LP infeasible), the north-west corner staircase of the index
+order, which always does, joins them once as a feasibility repair.  Only
+the pricing and the dual check in kantorovich_gap scan every pair, in row
+blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on
 the dense matrix.
 
 The assignment route is one array-level kernel, assignment_cost, on two
@@ -213,11 +217,11 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
 
     Each atom keeps its CANDIDATES_PER_ATOM nearest atoms on the other side
     in the distances |T(x_i) - y_j| of `_moment_image`, found by k-d tree
-    queries in both directions, plus the north-west corner staircase of the
-    index order, which makes the restricted LP feasible whatever else it
-    holds.  T only picks the candidates: pricing checks every pair against
-    the true cost, so the optimum does not depend on it.  Memory is
-    O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
+    queries in both directions, and nothing else: these pairs need not carry
+    the marginals, and when they do not, `_solve_transport_lp` adds
+    `_staircase_edges`.  T only picks the candidates: pricing checks every
+    pair against the true cost, so the optimum does not depend on it.
+    Memory is O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
     """
     m, n = mu.size, nu.size
     k = CANDIDATES_PER_ATOM
@@ -231,12 +235,21 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
             (in_col.reshape(n, -1) * n + np.arange(n)[:, None]).ravel(),
         ]
     )
+    return np.unique(near)
+
+
+def _staircase_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Flat indices i*n + j of the north-west corner staircase of the index
+    order, at most m + n - 1 indices: the support of the coupling that pairs
+    the two cumulative weights, so a restricted LP holding them is feasible
+    whatever else it holds."""
+    m, n = mu.size, nu.size
     cw = np.cumsum(mu.weights)
     cv = np.cumsum(nu.weights)
     starts = np.union1d([0.0], np.union1d(cw[:-1], cv[:-1]))
     nw_row = np.minimum(np.searchsorted(cw, starts, side="right"), m - 1)
     nw_col = np.minimum(np.searchsorted(cv, starts, side="right"), n - 1)
-    return np.unique(np.concatenate([near, nw_row * n + nw_col]))
+    return nw_row * n + nw_col
 
 
 def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b) -> np.ndarray:
@@ -285,7 +298,9 @@ _HIGHS_OPTIONS |= {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tole
 def _restricted_lp(cost: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):
     """min sum cost * gamma over couplings supported on `edges` (flat indices
     i*n + j, with `cost` their costs), via HiGHS's dual simplex with
-    `_HIGHS_OPTIONS`.
+    `_HIGHS_OPTIONS`: (cost, mass on `edges`, a, b), or None when HiGHS
+    reports the LP infeasible (linprog status 2), that is when the edges
+    cannot carry the marginals.  Any other failure raises RuntimeError.
 
     The m+n marginal equalities are linearly dependent (both blocks sum to
     total mass); HiGHS mislabels the full system as infeasible on some
@@ -311,6 +326,8 @@ def _restricted_lp(cost: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.nda
         method="highs-ds",
         options=_HIGHS_OPTIONS,
     )
+    if res.status == 2:
+        return None
     if res.status != 0:
         raise RuntimeError(f"transport LP did not solve: {res.message}")
     y = np.asarray(res.eqlin.marginals, dtype=float)
@@ -323,7 +340,7 @@ class _LPSolution(NamedTuple):
     mass: np.ndarray  # plan mass on `edges`
     a: np.ndarray
     b: np.ndarray
-    rounds: int  # restricted solves, the first one included
+    rounds: int  # restricted solves, the first and any infeasible one included
 
 
 def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _LPSolution:
@@ -331,29 +348,41 @@ def _solve_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _LPSolution
     and certified on all pairs.
 
     The LP is solved on `_candidate_edges` only, with costs from
-    `_edge_costs`; its duals are then priced against every pair by
-    `_violated_pairs`.  While some reduced cost C - a - b is below
-    -DUAL_SLACK, the CANDIDATES_PER_ATOM most violated pairs of each violated
-    row and column join the set and the LP is solved again.  On exit (a, b)
-    is feasible for the full problem within the slack kantorovich_gap allows,
-    so the restricted optimum is the full optimum (Schmitzer's sparse OT
-    certificate).  The loop also stops if every violated pair is already a
-    candidate: the LP then holds every pair the duals reject, as the dense LP
-    would, and the violation is HiGHS round-off.  No m x n array is built:
-    memory is O((m + n) * CANDIDATES_PER_ATOM) plus one PAIR_BLOCK block.
+    `_edge_costs`, and the set grows until the restricted LP is feasible and
+    its duals are feasible on every pair.  If HiGHS reports the restricted
+    LP infeasible, the nearest partners cannot carry the marginals, and
+    `_staircase_edges` joins the set; that repair is made once, and a
+    restricted LP still infeasible with the staircase in raises
+    RuntimeError.  A feasible LP's duals are priced against every pair by
+    `_violated_pairs`: while some reduced cost C - a - b is below
+    -DUAL_SLACK, the CANDIDATES_PER_ATOM most violated pairs of each
+    violated row and column join the set and the LP is solved again.  On
+    exit (a, b) is feasible for the full problem within the slack
+    kantorovich_gap allows, so the restricted optimum is the full optimum
+    (Schmitzer's sparse OT certificate), whatever the first set held.  The
+    loop also stops if every violated pair is already a candidate: the LP
+    then holds every pair the duals reject, as the dense LP would, and the
+    violation is HiGHS round-off.  No m x n array is built: memory is
+    O((m + n) * CANDIDATES_PER_ATOM) plus one PAIR_BLOCK block.
     """
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
     edges = _candidate_edges(mu, nu)
+    repaired = False
     rounds = 0
     while True:
-        cost, mass, a, b = _restricted_lp(_edge_costs(mu, nu, edges), mu.weights, nu.weights, edges)
+        solved = _restricted_lp(_edge_costs(mu, nu, edges), mu.weights, nu.weights, edges)
         rounds += 1
-        new = np.setdiff1d(_violated_pairs(mu, nu, a, b), edges)
-        if new.size == 0:
-            break
+        if solved is None:
+            if repaired:
+                raise RuntimeError("transport LP is infeasible with the north-west staircase in")
+            new, repaired = _staircase_edges(mu, nu), True
+        else:
+            cost, mass, a, b = solved
+            new = np.setdiff1d(_violated_pairs(mu, nu, a, b), edges)
+            if new.size == 0:
+                return _LPSolution(cost, edges, mass, a, b, rounds)
         edges = np.union1d(edges, new)
-    return _LPSolution(cost, edges, mass, a, b, rounds)
 
 
 def _sinkhorn_column_potential(C: np.ndarray, K: np.ndarray) -> np.ndarray:

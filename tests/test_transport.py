@@ -39,6 +39,7 @@ from mflab.transport import (
     _reduced_cost_blocks,
     _restricted_lp,
     _solve_transport_lp,
+    _staircase_edges,
     _violated_pairs,
     assignment_cost,
     dual_potentials,
@@ -120,13 +121,58 @@ def test_sparse_lp_matches_dense_oracle():
     assert max(rounds) >= 2
 
 
+def _spy_on_the_repair(monkeypatch):
+    """Patch the solver's restricted LP and staircase with recorders: the
+    first list gets each restricted LP's verdict (True when feasible), the
+    second the number of verdicts so far at each staircase call."""
+    verdicts, repairs = [], []
+    restricted_lp, staircase = transport._restricted_lp, transport._staircase_edges
+
+    def spy_lp(*args):
+        solved = restricted_lp(*args)
+        verdicts.append(solved is not None)
+        return solved
+
+    def spy_staircase(mu, nu):
+        repairs.append(len(verdicts))
+        return staircase(mu, nu)
+
+    monkeypatch.setattr(transport, "_restricted_lp", spy_lp)
+    monkeypatch.setattr(transport, "_staircase_edges", spy_staircase)
+    return verdicts, repairs
+
+
 def test_sparse_lp_single_candidate_still_exact(monkeypatch):
     # one nearest partner per atom cannot carry Dirichlet weights on its own:
-    # the first LP is feasible only through the north-west staircase, and
-    # pricing has to find most of the optimal support
+    # the first restricted LP is infeasible, the north-west staircase joins
+    # once, and pricing has to find most of the optimal support
     monkeypatch.setattr(transport, "CANDIDATES_PER_ATOM", 1)
+    verdicts, repairs = _spy_on_the_repair(monkeypatch)
     for seed in range(4):
-        _assert_matches_dense_oracle(*_unequal_clouds(seed, 30, 20, 2))
+        mu, nu = _unequal_clouds(seed, 30, 20, 2)
+        verdicts.clear()
+        repairs.clear()
+        lp = _solve_transport_lp(mu, nu)
+        assert verdicts[0] is False and all(verdicts[1:])
+        assert repairs == [1]
+        assert lp.rounds == len(verdicts) >= 2  # the infeasible solve counts
+        _assert_matches_dense_oracle(mu, nu)
+
+
+def test_lp_still_infeasible_after_the_repair_raises(monkeypatch):
+    # a staircase that adds no edge leaves the first LP's infeasible set:
+    # the solver raises after its second solve instead of repairing again
+    monkeypatch.setattr(transport, "CANDIDATES_PER_ATOM", 1)
+    verdicts, repairs = _spy_on_the_repair(monkeypatch)
+
+    def no_staircase(mu, nu):
+        repairs.append(len(verdicts))
+        return np.empty(0, dtype=np.int64)
+
+    monkeypatch.setattr(transport, "_staircase_edges", no_staircase)
+    with pytest.raises(RuntimeError, match="infeasible"):
+        _solve_transport_lp(*_unequal_clouds(0, 30, 20, 2))
+    assert verdicts == [False, False] and repairs == [1]
 
 
 def test_sparse_lp_matches_dense_oracle_on_husimi_lattices():
@@ -157,18 +203,24 @@ def _monotone_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.diff(cuts) @ (mu.points[i, 0] - nu.points[j, 0]) ** 2)
 
 
-def test_sparse_lp_prices_marginals_of_different_widths_in_one_round():
+def test_sparse_lp_prices_marginals_of_different_widths_in_one_round(monkeypatch):
     # shifting nu onto mu's mean does not line up marginals of different
     # widths; at HiGHS's default feasibility tolerances the duals of the
-    # first LP then priced out pairs the optimum needs, and the 1500-point
-    # pair took 8 restricted solves and missed the optimum by ~7e-7
+    # first feasible LP then priced out pairs the optimum needs, and the
+    # 1500-point pair took 8 restricted solves and missed the optimum by
+    # ~7e-7.  The affine moment map misses the monotone coupling in the
+    # truncated tails, so the nearest partners alone cannot carry the
+    # marginals: one infeasible solve, then the staircase of the index order
+    # (the monotone order here), then one feasible LP that pricing certifies
+    verdicts, repairs = _spy_on_the_repair(monkeypatch)
     mu, nu = _gaussian_line(1500, 0.3, 1.0), _gaussian_line(1501, -0.4, 0.8)
     lp = _solve_transport_lp(mu, nu)
-    assert lp.rounds == 1
+    assert verdicts == [False, True] and repairs == [1]
+    assert lp.rounds == 2
     assert lp.cost == pytest.approx(_monotone_cost(mu, nu), rel=0, abs=1e-12)
     # and W2^2 within 1e-12 relative of the dense LP at a size it can take
     small = _gaussian_line(150, 0.3, 1.0), _gaussian_line(151, -0.4, 0.8)
-    assert _assert_matches_dense_oracle(*small) == 1
+    assert _assert_matches_dense_oracle(*small) == 2
 
 
 def _smallest_per_line(M: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -207,7 +259,12 @@ def test_blocked_pricing_adds_the_dense_selection(monkeypatch, rows_per_block):
             edges = _candidate_edges(mu, nu)
             for rnd in itertools.count(1):
                 costs = _edge_costs(mu, nu, edges)
-                _, _, a, b = _restricted_lp(costs, mu.weights, nu.weights, edges)
+                solved = _restricted_lp(costs, mu.weights, nu.weights, edges)
+                if solved is None:
+                    # the solver's feasibility repair, as in _solve_transport_lp
+                    edges = np.union1d(edges, _staircase_edges(mu, nu))
+                    continue
+                _, _, a, b = solved
                 blocked = _violated_pairs(mu, nu, a, b)
                 np.testing.assert_array_equal(
                     np.unique(blocked), _dense_violated_pairs(mu, nu, a, b)
@@ -249,10 +306,7 @@ def _assert_candidates_are_nearest_partners(mu, nu, image) -> None:
     # squared distances |T(x_i) - y_j|^2 (continuous data: no ties)
     S = _cost_matrix(DiscreteMeasure(image, mu.weights), nu)
     near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(mu.size), np.arange(nu.size))
-    edges = _candidate_edges(mu, nu)
-    assert np.isin(near, edges).all()
-    staircase = np.setdiff1d(edges, near)
-    assert staircase.size < mu.size + nu.size  # the rest is the north-west staircase
+    np.testing.assert_array_equal(_candidate_edges(mu, nu), np.unique(near))
 
 
 def test_candidate_edges_match_dense_nearest_partners():
