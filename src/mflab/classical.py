@@ -155,15 +155,21 @@ def _grid_field_1d(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]
     return table_lookup(grid, table, lambda q: exact(q[:, None])[:, 0])
 
 
+def sums_field_exactly(size: int, d: int) -> bool:
+    """Whether `_frozen_field` sums the field of a cloud of `size` points in
+    d dimensions exactly: it tabulates only 1-D clouds of at least 1024."""
+    return d != 1 or size < 1024
+
+
 def _frozen_field(V: Potential, y: Array) -> Callable[[Array], Array]:
     """Force field generated by the equal-weight cloud at positions y (M, d),
-    frozen for one integrator step: tabulated for a 1-D cloud of at least
-    1024 points, else summed exactly."""
+    frozen for one integrator step: summed exactly or tabulated, as
+    `sums_field_exactly` says."""
     M, d = y.shape
     w = np.full(M, 1.0 / M)
-    if d == 1 and M >= 1024:
-        return _grid_field_1d(V, y, w)
-    return _exact_field(V, y, w)
+    if sums_field_exactly(M, d):
+        return _exact_field(V, y, w)
+    return _grid_field_1d(V, y, w)
 
 
 # ---------------------------------------------------------------------------

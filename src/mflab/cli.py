@@ -45,7 +45,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as err:
         print(f"cannot read config: {err}", file=sys.stderr)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer of over 4300 digits
         print(f"config is not valid JSON: {err}", file=sys.stderr)
     return None
 

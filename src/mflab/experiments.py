@@ -26,6 +26,7 @@ from .classical import (
     point_moments,
     run_coupled_trajectory,
     sample_gaussian_cloud,
+    sums_field_exactly,
     vlasov_advance,
 )
 from .potentials import Potential, make_cosine_potential, make_gaussian_potential
@@ -143,82 +144,6 @@ def _potential_diagnostics(pot, exp) -> list:
     return diags + [msg for key_diags in found.values() for msg in key_diags]
 
 
-def _constant_diagnostics(exp: str, pot: dict, params: dict, bad: set, seed) -> list:
-    """The potential's certified constants, the growth rate of the runner's
-    bounds and the largest bound it evaluates, each checked finite: a
-    constant that overflows certifies nothing, and the run would end in an
-    arithmetic error or a row that cannot be written.  `pot` has passed
-    `_potential_diagnostics`; a check whose parameters are in `bad`, or that
-    needs a `seed` that is None (not valid), is skipped."""
-    try:
-        V = make_potential(pot)
-    except ValueError as err:
-        return [f"potential: {err}"]
-
-    def ok(*keys):
-        return bad.isdisjoint(keys)
-
-    lip = V.lip_grad
-    checks = []  # (what, thunk of its value), the growth rate first
-    if exp == "classical-dobrushin" and ok("p", "N", "times"):
-        N, t = min(_as_list(params["N"])), _sample_times(params)[-1]
-        # the growth rows' p, then p = 2 for the marginal rows' MK2
-        for p in dict.fromkeys([params["p"], 2.0]):
-            checks += [
-                (
-                    f"Lambda_p = 2 K_p (1 + 2^(p-1) Lip(grad V)^p) at p={p}",
-                    partial(bounds.lambda_p_constant, p, lip),
-                ),
-                (
-                    f"the coupling bound at p={p}, N={N}, t={t}",
-                    partial(bounds.classical_rhs, V, p, N, 1, t),
-                ),
-            ]
-    elif exp == "quantum-dobrushin" and ok("epsilon", "n_particles", "t_final"):
-        eps, N, t = max(_as_list(params["epsilon"])), params["n_particles"], params["t_final"]
-        checks = [
-            ("Lambda = 3 + 4 Lip(grad V)^2", lambda: bounds.lambda_constant(lip)),
-            (
-                f"the factorized bound at epsilon={eps}, t={t}",
-                lambda: bounds.quantum_rhs("factorized", V, eps, N, 1, t),
-            ),
-        ]
-    elif exp == "combineq" and ok("p", "N"):
-        p, N = params["p"], min(_as_list(params["N"]))
-        checks = [
-            (
-                f"the general constant at p={p}, N={N}",
-                lambda: bounds.combineq_rhs(V.sup_grad, p, N),
-            )
-        ]
-    elif exp == "vlasov-moments" and seed is not None and ok("p", "times", "cloud_size"):
-        p, t = params["p"], _sample_times(params)[-1]
-
-        def moment_bound():  # M0 of the runner's own deterministic initial cloud
-            cloud = sample_gaussian_cloud(int(params["cloud_size"]), V.dim, seed)
-            with np.errstate(over="ignore"):
-                return bounds.moment_rhs(float(point_moments(cloud, float(p)).mean()), p, lip, t)
-
-        rate = f"e^((p-1)(1 + 2 Lip(grad V)) t) at p={p}, t={t}"
-        checks = [
-            (f"the moment growth factor {rate}", lambda: bounds.moment_rhs(1.0, p, lip, t)),
-            (f"the moment bound M0 {rate}, M0 from the runner's initial cloud", moment_bound),
-        ]
-    for what, value in checks:
-        try:
-            value = value()
-        except OverflowError:
-            value = math.inf
-        except MemoryError:
-            continue  # a cloud too large to draw: the run ends in exit 3 on it
-        if not math.isfinite(value):
-            return [
-                f"potential: {what} is not finite, with sup_grad = {V.sup_grad} "
-                f"and lip_grad = {lip}"
-            ]
-    return []
-
-
 def _power_of_two(n) -> bool:
     """The grid sizes `GridSpec` accepts: integer powers of two >= 2."""
     return _is_int(n) and n >= 2 and n & (n - 1) == 0
@@ -270,7 +195,10 @@ class _Each:
 
 _POSITIVE = (_positive, "a positive number")
 _EXPONENT = _number_at_least(1)
-_GRID_POINTS = (_power_of_two, "an integer power of two >= 2")
+# grid_points and n_particles stop where the smallest state they allow, 2^30
+# points of one particle or 30 particles on 2 points, takes 16 GiB, 8 times
+# the default memory cap, so no state size is computed past them
+_GRID_POINTS = (lambda n: _power_of_two(n) and n <= 2**30, "an integer power of two from 2 to 2^30")
 _PARTICLE_COUNTS = (_Each(lambda n: _is_int(n) and n >= 1), "a positive integer")
 _EPSILONS = (_Each(_positive), "a positive number")
 _SAMPLE_TIMES = (_increasing_times, "a positive number or a strictly increasing list of them")
@@ -320,7 +248,7 @@ PARAMS = {
     },
     "quantum-dobrushin": {
         "epsilon": ([0.5, 0.25], *_EPSILONS),
-        "n_particles": (2, *_int_at_least(1)),
+        "n_particles": (2, lambda n: _is_int(n) and 1 <= n <= 30, "an integer from 1 to 30"),
         "grid_points": (64, *_GRID_POINTS),
         "box": (8.0, *_POSITIVE),
         "dt": (0.02, *_POSITIVE),
@@ -370,11 +298,15 @@ PARAMS = {
 #: the defaults plan at most 40 classical steps and 25 * 64 quantum ones.
 MAX_STEP_WORK = 10**5
 
-#: Most pair-force work a classical-dobrushin config may plan: its steps
-#: times `samples` times sum N^2 pair terms, since every step of every
-#: sample evaluates all N^2 pairs of each N.  The defaults plan 5.6e9 pair
-#: terms, which take about 19 s on a 2-core VM; N = SUPPORT_CAP at the
-#: defaults plans 3.4e11, and dt = 1e-5 plans 1.4e13, half a day.
+#: Most pair-force work a config may plan, in each of two sums.  A
+#: classical-dobrushin step evaluates all N^2 pairs of each N in every
+#: sample: steps times `samples` times sum N^2 pair terms.  The defaults plan
+#: 5.6e9, which take about 19 s on a 2-core VM; N = SUPPORT_CAP at the
+#: defaults plans 3.4e11, and dt = 1e-5 plans 1.4e13, half a day.  And each
+#: Verlet step evaluates a cloud's mean field twice, summed exactly over its
+#: points unless `sums_field_exactly` says it is tabulated: vlasov-moments'
+#: cloud and classical-dobrushin's reference.  The default dim-2
+#: vlasov-moments plans 6.7e8 such terms, and 200000 points plan 1.6e12.
 MAX_PAIR_WORK = 10**12
 
 
@@ -420,140 +352,96 @@ def _value_diagnostics(key: str, value, accepts, what: str) -> list:
     return [f"{key}: entry {v!r} must be {what}" for v in entries if not accepts.ok(v)]
 
 
-def _coherent_centres(exp: str, params: dict, ok) -> list:
-    """(label, q, p) of the coherent centres a grid runner will place, with
-    q and p stacked the way its largest coherent product holds them."""
-    if exp == "quantum-dobrushin" and ok("center", "n_particles"):
-        # the Y factor holds n_particles copies of the centre
-        copies = np.ones(params["n_particles"])
-        q0, p0 = params["center"]
-        return [(f"center: {params['center']!r}", q0 * copies, p0 * copies)]
-    if exp == "mk-bracket" and ok("center_scale"):
-        # each coherent factor of a pair (z1, z2) is single-particle; the
-        # worst sits at the corner (s, s)
-        s = params["center_scale"]
-        return [(f"center_scale: {s!r}", s, s)]
-    if exp == "toeplitz-identities":
-        # the fixed centre, and the corners of the squares atoms are drawn from
-        centres = [TOEPLITZ_CENTER, *((r, r) for r in TOEPLITZ_ATOM_RANGES)]
-        return [(f"the fixed coherent centre ({q}, {p})", q, p) for q, p in centres]
-    return []
+def _schedule_steps(params: dict, ok, points: int = 1) -> tuple:
+    """(diagnostics, steps to the last sample time or None): at most
+    MAX_STEP_WORK steps times `points`, 1 with no grid, 0 where it is reported."""
+    if not ok("dt", "times", "t_final", "n_times"):
+        return [], None
+    dt = float(params["dt"])
+    try:
+        # more intervals than steps cannot all be whole: no need to list them
+        if "n_times" in params and params["n_times"] - 1 > params["t_final"] / dt + 0.5:
+            raise ValueError(f"n_times - 1 is more than t_final/dt = {params['t_final'] / dt}")
+        steps = sum(n for _, n in time_schedule(_sample_times(params), dt))
+    except ValueError as err:
+        if "times" in params:
+            return [f"times: {err}"], None
+        return [f"n_times: sample times must be an integer multiple of dt apart; {err}"], None
+    if steps * points <= MAX_STEP_WORK:
+        return [], steps
+    on, bound = (f" on {points} grid points", " times grid points") if points > 1 else ("", "")
+    plan = f"dt: {dt!r} plans {steps} steps{on}"
+    return [f"{plan}, more work than the bound of {MAX_STEP_WORK} steps{bound}"], None
 
 
-def _cross_field_diagnostics(exp: str, params: dict, bad: set) -> list:
-    """Checks that tie resolved parameters together; each skips when one of
-    its inputs is already reported."""
-
-    def ok(*keys):
-        return bad.isdisjoint(keys)
-
+def _grid_diagnostics(params: dict, ok, cap, centres=(), dt=0.0, guard=None) -> list:
+    """At each positive epsilon: the kinetic phase of a `dt` step at the
+    Nyquist mode, coherent_state's rule on each (label, q, p) of `centres`,
+    then the t = 0 guard band of `copies` coherent states at (q0, p0), for a
+    `guard` (label, q0, p0, copies).  The last two need a usable `cap`."""
+    if not ok("grid_points", "box"):
+        return []
+    n_pts, box = params["grid_points"], params["box"]
+    at = f"box={box}, grid_points={n_pts}"
+    k_max = math.pi * n_pts / (2 * box)  # Python floats overflow to inf, silently
+    if not math.isfinite(k_max):
+        return [f"box: {box!r} leaves a grid spacing with no finite Nyquist wavenumber"]
     diags = []
-    cap = None
-    if "grid_points" in params:
-        try:
-            cap = memory_cap_bytes()
-        except ValueError as err:
-            diags.append(str(err))  # no check that needs the cap, no grid built
-    if exp == "quantum-dobrushin" and cap is not None and ok("grid_points", "n_particles"):
-        # the runner holds N one-particle X factors and one n^N Y factor, the
-        # largest array it builds; a checkpoint saves the same factors
-        n_pts, n_part = params["grid_points"], params["n_particles"]
-        state_bytes = 16 * n_pts**n_part
-        if state_bytes > cap:
-            bad.add("n_particles")  # no centre check on a state that cannot be built
-            diags.append(
-                f"grid_points: N-body Y factor needs 16*{n_pts}^{n_part} = "
-                f"{state_bytes} bytes, over the memory cap {cap}"
-            )
-    if exp == "classical-dobrushin" and ok("N"):
-        for n in _as_list(params["N"]):
-            if n > SUPPORT_CAP:
-                diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
-        need = 2 * max(_as_list(params["N"]))
-        if ok("reference_size") and params["reference_size"] < need:
-            diags.append(
-                f"reference_size: {params['reference_size']!r} must be at least "
-                f"2*max(N) = {need}: each repeat draws two N-point subsamples of "
-                "the reference cloud without replacement"
-            )
-    if "dt" in params and ok("dt", "times", "t_final", "n_times"):
-        dt = float(params["dt"])
-        try:
-            # more intervals than steps cannot all be whole: no need to list them
-            if "n_times" in params and params["n_times"] - 1 > params["t_final"] / dt + 0.5:
-                raise ValueError(f"n_times - 1 is more than t_final/dt = {params['t_final'] / dt}")
-            steps = sum(n for _, n in time_schedule(_sample_times(params), dt))
-        except ValueError as err:
-            diags.append(
-                f"times: {err}"
-                if "times" in params
-                else f"n_times: sample times must be an integer multiple of dt apart; {err}"
-            )
+    for eps in filter(_positive, _as_list(params["epsilon"])):
+        if dt * eps * k_max * k_max / 2.0 >= math.pi:
+            phase = f"dt={dt}: kinetic phase at the Nyquist mode exceeds pi"
+            diags.append(f"{phase} for epsilon={eps}, {at}")
+        if cap is None or 16 * n_pts > cap:
+            continue
+        grid = GridSpec(1, 1, n_pts, float(box), float(eps))
+        for label, q, p in centres:
+            try:
+                _check_center_inside(grid, q, p)
+            except ValueError as err:
+                edges = "must be clear of the box edge and the momentum edge"
+                diags.append(f"{label} {edges} at epsilon={eps}, {at} ({err})")
+                break
         else:
-            points = params["grid_points"] if exp == "quantum-dobrushin" else 1
-            if ok("grid_points") and steps * points > MAX_STEP_WORK:
-                on = f" on {points} grid points" if points > 1 else ""
+            if guard is None:
+                continue
+            label, q0, p0, copies = guard
+            mass = guard_band_mass(coherent_state(grid, q0, p0)) ** copies
+            if mass < 1.0 - GUARD_BAND_TOL:
                 diags.append(
-                    f"dt: {dt!r} plans {steps} steps{on}, more work than the bound "
-                    f"of {MAX_STEP_WORK} steps times grid points"
+                    f"{label} leaves mass {mass:.15f} of the initial state inside half the box, "
+                    f"below the guard band's 1 - {GUARD_BAND_TOL}, at epsilon={grid.epsilon}, {at}"
                 )
-            elif exp == "classical-dobrushin" and ok("samples", "N"):
-                samples = params["samples"]
-                terms = steps * samples * sum(n * n for n in _as_list(params["N"]))
-                if terms > MAX_PAIR_WORK:
-                    diags.append(
-                        f"dt: {dt!r} plans {steps} steps of {samples} samples, {terms} pair "
-                        f"terms, more work than the bound of {MAX_PAIR_WORK} steps times "
-                        "samples times sum N^2"
-                    )
-    if "grid_points" in params and ok("grid_points", "box"):
-        n_pts, box = params["grid_points"], params["box"]
-        at = f"box={box}, grid_points={n_pts}"
-        epsilons = filter(_positive, _as_list(params["epsilon"]))
-        k_max = math.pi * n_pts / (2 * box)  # Python floats overflow to inf, silently
-        if not math.isfinite(k_max):
-            diags.append(f"box: {box!r} leaves a grid spacing with no finite Nyquist wavenumber")
-            epsilons = ()
-        for eps in epsilons:
-            step = params["dt"] if exp == "quantum-dobrushin" and ok("dt") else 0.0
-            if step * eps * k_max * k_max / 2.0 >= math.pi:
-                diags.append(
-                    f"dt={step}: kinetic phase at the Nyquist mode exceeds pi "
-                    f"for epsilon={eps}, {at}"
-                )
-            if cap is None or 16 * n_pts > cap:
-                break  # no usable cap, or the runner's own grid is over it
-            grid = GridSpec(1, 1, n_pts, float(box), float(eps))
-            # the rule coherent_state applies, on the runner's grid
-            for label, q, p in _coherent_centres(exp, params, ok):
-                try:
-                    _check_center_inside(grid, q, p)
-                except ValueError as err:
-                    diags.append(
-                        f"{label} must be clear of the box edge and the momentum edge "
-                        f"at epsilon={eps}, {at} ({err})"
-                    )
-                    break
-            else:
-                # every centre can be placed: then the guard band at t = 0
-                if exp == "quantum-dobrushin" and ok("center", "n_particles"):
-                    diags += _initial_guard_band(grid, params, at)
     return diags
 
 
-def _initial_guard_band(grid: GridSpec, params: dict, at: str) -> list:
-    """The guard band the runner checks at t = 0, on its grid: the coupled
-    state holds 2 * n_particles copies of the coherent state at `center`, so
-    its mass inside the half box is that state's to the power 2N."""
-    q0, p0 = params["center"]
-    mass = guard_band_mass(coherent_state(grid, q0, p0)) ** (2 * params["n_particles"])
-    if mass >= 1.0 - GUARD_BAND_TOL:
+def _exact_field_work(key: str, size: int, d: int, queries: int, steps: int) -> list:
+    """The pair terms of `steps` Verlet steps under the mean field of the
+    cloud of `size` points in d dimensions, each evaluating it twice at
+    `queries` points, bounded by MAX_PAIR_WORK where it is summed exactly."""
+    terms = 2 * steps * size * queries
+    if not sums_field_exactly(size, d) or terms <= MAX_PAIR_WORK:
         return []
     return [
-        f"center: {params['center']!r} leaves mass {mass:.15f} of the initial state inside "
-        f"half the box, below the guard band's 1 - {GUARD_BAND_TOL}, "
-        f"at epsilon={grid.epsilon}, {at}"
+        f"{key}: {size!r} plans {steps} steps of an exact mean-field sum in d = {d}, "
+        f"{terms} pair terms, more work than the bound of {MAX_PAIR_WORK} pair terms"
     ]
+
+
+def _finite_constants(V: Potential, *checks) -> list:
+    """The first of `checks`, (what, function, *its arguments), whose value
+    is not finite: a constant that overflows certifies nothing, and the run
+    would end in an arithmetic error or a row that cannot be written."""
+    for what, value, *args in checks:
+        try:
+            value = value(*args)
+        except OverflowError:
+            value = math.inf
+        except MemoryError:
+            continue  # a cloud too large to draw: the run ends in exit 3 on it
+        if not math.isfinite(value):
+            why = f"with sup_grad = {V.sup_grad} and lip_grad = {V.lip_grad}"
+            return [f"potential: {what} is not finite, {why}"]
+    return []
 
 
 def _resolve(raw: dict, spec: dict) -> dict:
@@ -562,7 +450,10 @@ def _resolve(raw: dict, spec: dict) -> dict:
 
 
 def validate_config(raw: dict) -> list:
-    """Schema and cross-field checks; returns human-readable diagnostics."""
+    """Schema checks, then the experiment's check function in `EXPERIMENTS`,
+    check(params, ok, V, cap, seed): ok(*keys) holds unless a key ("potential"
+    and "seed" among them) is already reported, and cap is the memory cap, None
+    without a grid or a usable cap.  Returns human-readable diagnostics."""
     if not isinstance(raw, dict):
         return ["config must be a JSON object"]
     diags = []
@@ -574,9 +465,9 @@ def validate_config(raw: dict) -> list:
     pot_diags = _potential_diagnostics(raw.get("potential", {}), exp)
     diags += pot_diags
     seed = raw.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
+    seed_ok = _is_int(seed) and seed >= 0
+    if not seed_ok:
         diags.append("seed: must be a nonnegative integer")
-        seed = None
     if "out" in raw and not (raw["out"] is None or isinstance(raw["out"], str)):
         diags.append("out: must be a string or null")
     if exp not in PARAMS:
@@ -587,11 +478,21 @@ def validate_config(raw: dict) -> list:
     params = _resolve(raw, spec)
     found = {key: _value_diagnostics(key, params[key], *spec[key][1:]) for key in spec}
     diags += [d for key_diags in found.values() for d in key_diags]
+    V, pot_error = None, []
+    try:
+        V = None if pot_diags else make_potential(raw.get("potential", {}))
+    except ValueError as err:
+        pot_error = [f"potential: {err}"]
     bad = {key for key in spec if found[key]}
-    diags += _cross_field_diagnostics(exp, params, bad)
-    if not pot_diags:
-        diags += _constant_diagnostics(exp, raw.get("potential", {}), params, bad, seed)
-    return diags
+    bad.update(k for k, fine in (("potential", V is not None), ("seed", seed_ok)) if not fine)
+    cap = None
+    if "grid_points" in spec:
+        try:
+            cap = memory_cap_bytes()
+        except ValueError as err:
+            diags.append(str(err))  # no check that needs the cap, no grid built
+    diags += EXPERIMENTS[exp][1](params, lambda *keys: bad.isdisjoint(keys), V, cap, seed)
+    return diags + pot_error
 
 
 def build_config(raw: dict) -> ExperimentConfig:
@@ -768,6 +669,10 @@ def _brute_assignment_cost(C: np.ndarray) -> float:
     return min(float(C[rows, perm] @ mass) for perm in permutations(range(m)))
 
 
+def _check_ot_selftest(params: dict, ok, V, cap, seed) -> list:
+    return []  # its parameters are independent, and it evaluates no bound
+
+
 def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
     params = cfg.params
     n_clouds = int(params["n_clouds"])
@@ -803,6 +708,14 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 # ---------------------------------------------------------------------------
 # combineq
+
+
+def _check_combineq(params: dict, ok, V, cap, seed) -> list:
+    if not ok("potential", "p", "N"):
+        return []
+    p, N = params["p"], min(_as_list(params["N"]))
+    what = f"the general constant at p={p}, N={N}"
+    return _finite_constants(V, (what, bounds.combineq_rhs, V.sup_grad, p, N))
 
 
 def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -911,6 +824,52 @@ def _empirical_chaos_sq(pairs: np.ndarray):
     return float(diffs.mean()), se, float(bases.mean())
 
 
+def _check_classical_dobrushin(params: dict, ok, V, cap, seed) -> list:
+    diags = []
+    ref_ok = ok("reference_size", "samples", "N")
+    if ok("N"):
+        for n in _as_list(params["N"]):
+            if n > SUPPORT_CAP:
+                diags.append(f"N: entry {n} exceeds the transport support cap {SUPPORT_CAP}")
+        need = 2 * max(_as_list(params["N"]))
+        if ok("reference_size") and params["reference_size"] < need:
+            ref_ok = False  # no work check on a reference the run cannot subsample
+            diags.append(
+                f"reference_size: {params['reference_size']!r} must be at least "
+                f"2*max(N) = {need}: each repeat draws two N-point subsamples of "
+                "the reference cloud without replacement"
+            )
+    found, steps = _schedule_steps(params, ok)
+    diags += found
+    if steps is not None and ok("samples", "N"):
+        samples = params["samples"]
+        terms = steps * samples * sum(n * n for n in _as_list(params["N"]))
+        if terms > MAX_PAIR_WORK:
+            diags.append(
+                f"dt: {float(params['dt'])!r} plans {steps} steps of {samples} samples, "
+                f"{terms} pair terms, more work than the bound of {MAX_PAIR_WORK} steps "
+                "times samples times sum N^2"
+            )
+    if steps is not None and ref_ok:
+        # the reference's own Vlasov step and every mean-field particle query
+        # its field: the reference is one-dimensional, like every cloud here
+        size = params["reference_size"]
+        queries = size + params["samples"] * sum(_as_list(params["N"]))
+        diags += _exact_field_work("reference_size", size, 1, queries, steps)
+    if not ok("potential", "p", "N", "times"):
+        return diags
+    N, t = min(_as_list(params["N"])), _sample_times(params)[-1]
+    rate = "Lambda_p = 2 K_p (1 + 2^(p-1) Lip(grad V)^p)"
+    checks = []
+    # the growth rows' p, then p = 2 for the marginal rows' MK2
+    for p in dict.fromkeys([params["p"], 2.0]):
+        checks += [
+            (f"{rate} at p={p}", bounds.lambda_p_constant, p, V.lip_grad),
+            (f"the coupling bound at p={p}, N={N}, t={t}", bounds.classical_rhs, V, p, N, 1, t),
+        ]
+    return diags + _finite_constants(V, *checks)
+
+
 def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Growth and marginal-transport rows per N and sample time, then the
     N-rate fit.
@@ -1002,6 +961,28 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # vlasov-moments
 
 
+def _check_vlasov_moments(params: dict, ok, V, cap, seed) -> list:
+    diags, steps = _schedule_steps(params, ok)
+    if steps is not None and ok("potential", "cloud_size"):
+        size = params["cloud_size"]
+        diags += _exact_field_work("cloud_size", size, V.dim, size, steps)
+    if not ok("potential", "seed", "p", "times", "cloud_size"):
+        return diags
+    p, t = params["p"], _sample_times(params)[-1]
+
+    def moment_bound():  # M0 of the runner's own deterministic initial cloud
+        cloud = sample_gaussian_cloud(int(params["cloud_size"]), V.dim, seed)
+        with np.errstate(over="ignore"):
+            return bounds.moment_rhs(float(point_moments(cloud, float(p)).mean()), p, V.lip_grad, t)
+
+    rate = f"e^((p-1)(1 + 2 Lip(grad V)) t) at p={p}, t={t}"
+    return diags + _finite_constants(
+        V,
+        (f"the moment growth factor {rate}", bounds.moment_rhs, 1.0, p, V.lip_grad, t),
+        (f"the moment bound M0 {rate}, M0 from the runner's initial cloud", moment_bound),
+    )
+
+
 def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     V = make_potential(cfg.potential)
     params = cfg.params
@@ -1036,6 +1017,14 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 # ---------------------------------------------------------------------------
 # mk-bracket
+
+
+def _check_mk_bracket(params: dict, ok, V, cap, seed) -> list:
+    # each coherent factor of a pair (z1, z2) is single-particle; the worst
+    # sits at the corner (s, s)
+    s = params["center_scale"]
+    centres = [(f"center_scale: {s!r}", s, s)] if ok("center_scale") else []
+    return _grid_diagnostics(params, ok, cap, centres)
 
 
 def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -1134,6 +1123,13 @@ def _toeplitz_trace_rows(grid: GridSpec, rho_c, rng, n_symbols: int, consts: dic
     return rows
 
 
+def _check_toeplitz_identities(params: dict, ok, V, cap, seed) -> list:
+    # the fixed centre, and the corners of the squares atoms are drawn from
+    centres = [TOEPLITZ_CENTER, *((r, r) for r in TOEPLITZ_ATOM_RANGES)]
+    labelled = [(f"the fixed coherent centre ({q}, {p})", q, p) for q, p in centres]
+    return _grid_diagnostics(params, ok, cap, labelled)
+
+
 def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
     params = cfg.params
     eps = float(params["epsilon"])
@@ -1200,6 +1196,39 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 # ---------------------------------------------------------------------------
 # quantum-dobrushin
+
+
+def _check_quantum_dobrushin(params: dict, ok, V, cap, seed) -> list:
+    diags = []
+    if cap is not None and ok("grid_points", "n_particles"):
+        # the runner holds N one-particle X factors and one n^N Y factor, the
+        # largest array it builds; a checkpoint saves the same factors
+        n_pts, n_part = params["grid_points"], params["n_particles"]
+        state_bytes = 16 * n_pts**n_part
+        if state_bytes > cap:
+            need = f"16*{n_pts}^{n_part} = {state_bytes} bytes"
+            diags.append(f"grid_points: N-body Y factor needs {need}, over the memory cap {cap}")
+            cap = None  # no centre check on a state that cannot be built
+    diags += _schedule_steps(params, ok, params["grid_points"] if ok("grid_points") else 0)[0]
+    centres, guard = [], None
+    if cap is not None and ok("center", "n_particles"):
+        # the Y factor holds n_particles copies of the centre, and the coupled
+        # state 2 * n_particles copies of the coherent state there
+        copies = np.ones(params["n_particles"])
+        q0, p0 = params["center"]
+        label = f"center: {params['center']!r}"
+        centres = [(label, q0 * copies, p0 * copies)]
+        guard = (label, q0, p0, 2 * params["n_particles"])
+    diags += _grid_diagnostics(params, ok, cap, centres, params["dt"] if ok("dt") else 0.0, guard)
+    if not ok("potential", "epsilon", "n_particles", "t_final"):
+        return diags
+    eps, N, t = max(_as_list(params["epsilon"])), params["n_particles"], params["t_final"]
+    bound = f"the factorized bound at epsilon={eps}, t={t}"
+    return diags + _finite_constants(
+        V,
+        ("Lambda = 3 + 4 Lip(grad V)^2", bounds.lambda_constant, V.lip_grad),
+        (bound, bounds.quantum_rhs, "factorized", V, eps, N, 1, t),
+    )
 
 
 def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -1309,15 +1338,18 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 
-EXPERIMENT_RUNNERS = {
-    "ot-selftest": run_ot_selftest,
-    "combineq": run_combineq,
-    "classical-dobrushin": run_classical_dobrushin,
-    "vlasov-moments": run_vlasov_moments,
-    "mk-bracket": run_mk_bracket,
-    "toeplitz-identities": run_toeplitz_identities,
-    "quantum-dobrushin": run_quantum_dobrushin,
+#: Each experiment's runner and check function (see `validate_config`).
+EXPERIMENTS = {
+    "ot-selftest": (run_ot_selftest, _check_ot_selftest),
+    "combineq": (run_combineq, _check_combineq),
+    "classical-dobrushin": (run_classical_dobrushin, _check_classical_dobrushin),
+    "vlasov-moments": (run_vlasov_moments, _check_vlasov_moments),
+    "mk-bracket": (run_mk_bracket, _check_mk_bracket),
+    "toeplitz-identities": (run_toeplitz_identities, _check_toeplitz_identities),
+    "quantum-dobrushin": (run_quantum_dobrushin, _check_quantum_dobrushin),
 }
+#: The runners alone: the table `run_experiment` reads and perfbench/tracing.py wraps.
+EXPERIMENT_RUNNERS = {exp: runner for exp, (runner, _) in EXPERIMENTS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:

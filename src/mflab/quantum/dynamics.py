@@ -28,7 +28,7 @@ from scipy import fft as sfft
 from ..convolution import kernel_table
 from ..potentials import Potential
 from .grids import DensityMatrix, FactoredCoupling, GridSpec, ResourceCapError, WaveFunction
-from .grids import memory_cap_bytes
+from .grids import check_matrix_bytes
 
 
 def _check_kinetic_resolution(grid: GridSpec, dt: float) -> None:
@@ -240,10 +240,7 @@ def partial_trace(psi: WaveFunction, n: int):
     if not 1 <= n < total:
         raise ValueError(f"marginal order {n} out of range 1..{total - 1}")
     dim_keep = grid.points_per_axis ** (d * n)
-    if 16 * dim_keep * dim_keep > memory_cap_bytes():
-        raise ResourceCapError(
-            f"reduced matrix needs {16 * dim_keep * dim_keep} bytes > cap"
-        )
+    check_matrix_bytes(dim_keep, "reduced matrix")
     A = psi.values.reshape(dim_keep, -1)
     rho = (A @ A.conj().T) * grid.h ** (d * (total - n))
     return DensityMatrix(replace(grid, n_particles=n), rho)

@@ -46,6 +46,14 @@ def memory_cap_bytes() -> int:
     return cap
 
 
+def check_matrix_bytes(dim: int, what: str) -> None:
+    """Raise ResourceCapError, before it is allocated, if `what`, a dim x dim
+    complex matrix, is over the memory cap."""
+    need, cap = 16 * dim * dim, memory_cap_bytes()
+    if need > cap:
+        raise ResourceCapError(f"{what} needs {need} bytes > cap {cap}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic spectral grid of n_particles particles in d

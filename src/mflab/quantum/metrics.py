@@ -28,6 +28,7 @@ from .grids import (
     GridSpec,
     ResourceCapError,
     WaveFunction,
+    check_matrix_bytes,
 )
 from .phase_space import SymbolMeasure, coherent_state, husimi_values
 
@@ -175,6 +176,7 @@ def mk_eps_lower(state1, state2) -> float:
 def state_density_matrix(psi: WaveFunction) -> DensityMatrix:
     """|psi><psi| as a grid matrix (for single-particle diagnostics)."""
     vec = psi.values.ravel()
+    check_matrix_bytes(vec.size, "density matrix")
     return DensityMatrix(psi.grid, np.outer(vec, vec.conj()))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erfc
 
 from ..transport import DiscreteMeasure
-from .grids import DensityMatrix, GridSpec, ResourceCapError, WaveFunction, memory_cap_bytes
+from .grids import DensityMatrix, GridSpec, WaveFunction, check_matrix_bytes
 
 #: A Toeplitz symbol: DiscreteMeasure on R^{2dN}, layout (q_1..q_N, p_1..p_N).
 SymbolMeasure = DiscreteMeasure
@@ -120,11 +120,7 @@ def _split_symbol_atoms(grid: GridSpec, symbol: SymbolMeasure) -> np.ndarray:
 def toeplitz_operator(grid: GridSpec, symbol: SymbolMeasure) -> DensityMatrix:
     """Toeplitz lift sum_m w_m |z_m, eps><z_m, eps| as a grid matrix (trace 1)."""
     centers = _split_symbol_atoms(grid, symbol)
-    dim = grid.points_per_axis**grid.n_axes
-    if 16 * dim * dim > memory_cap_bytes():
-        raise ResourceCapError(
-            f"Toeplitz matrix needs {16 * dim * dim} bytes > cap {memory_cap_bytes()}"
-        )
+    check_matrix_bytes(grid.points_per_axis**grid.n_axes, "Toeplitz matrix")
     for atom_centers in centers:
         _check_center_inside(grid, atom_centers[:, 0], atom_centers[:, 1])
     # one row per atom: sum_m w_m phi_m phi_m^* is a single weighted product

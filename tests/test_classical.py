@@ -19,6 +19,7 @@ from mflab.classical import (
     point_moments,
     run_coupled_trajectory,
     sample_gaussian_cloud,
+    sums_field_exactly,
     verlet_step,
     vlasov_advance,
 )
@@ -196,6 +197,7 @@ def test_frozen_field_grids_only_large_one_dimensional_clouds(size, d, gridded):
     q = np.random.default_rng(24).normal(size=(50, d))
     want = _grid_field_1d(V, y, w) if gridded else _exact_field(V, y, w)
     np.testing.assert_array_equal(_frozen_field(V, y)(q), want(q))
+    assert sums_field_exactly(size, d) is not gridded  # the rule validation bounds work by
     if d == 1:  # the two routes differ in the last bits, so the check tells them apart
         assert not np.array_equal(_grid_field_1d(V, y, w)(q), _exact_field(V, y, w)(q))
 

@@ -157,6 +157,22 @@ def test_validate_mk_bracket_centre_scale_is_the_runner_rule(tmp_path):
     assert main(["run", path, "--out", str(tmp_path)]) == 0
 
 
+def test_a_density_matrix_over_the_memory_cap_is_refused_before_it_is_built(monkeypatch):
+    # toeplitz-identities at 512 points holds a 4 MiB density matrix; under
+    # a 1 MiB cap, which holds its grid, it validates clean and stops at the
+    # first matrix, state_density_matrix's, having allocated little
+    monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", str(2**20))
+    cfg = build_config({"experiment": "toeplitz-identities", "grid_points": 512})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"density matrix needs 4194304 bytes > cap"):
+            run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak} bytes"
+
+
 def test_validate_quantum_grid_power_of_two():
     diags = validate_config({"experiment": "quantum-dobrushin", "grid_points": 96})
     assert any("power of two" in d for d in diags)
@@ -556,6 +572,146 @@ def test_validate_pair_work_bound_boundary():
     split = dict(at, N=[60, 80], samples=10**5)
     assert validate_config(split) == []
     assert len(validate_config(dict(split, dt=1.0 / 1001))) == 1
+
+
+def test_validate_exact_field_pair_work_bound_boundary():
+    # a Verlet step evaluates a cloud's mean field twice; a 2-D cloud sums it
+    # exactly, so 50 steps of 10^5 points plan exactly MAX_PAIR_WORK terms
+    at = {"experiment": "vlasov-moments", "potential": {"dim": 2}, "times": [1.0], "dt": 0.02}
+    assert 2 * 50 * (10**5) ** 2 == MAX_PAIR_WORK
+    assert validate_config(dict(at, cloud_size=10**5)) == []
+    assert validate_config(dict(at, cloud_size=10**5 + 1)) == [
+        "cloud_size: 100001 plans 50 steps of an exact mean-field sum in d = 2, "
+        "1000020000100 pair terms, more work than the bound of 1000000000000 pair terms"
+    ]
+    # the default dim-2 config plans 20 * 2 * 4096^2 = 6.7e8 terms
+    assert validate_config({"experiment": "vlasov-moments", "potential": {"dim": 2}}) == []
+    # a 1-D cloud of 1024 points or more is tabulated, so it has no such bound
+    assert validate_config({"experiment": "vlasov-moments", "cloud_size": 200000}) == []
+
+
+def test_validate_bounds_classical_dobrushins_exact_reference_field():
+    # below classical.sums_field_exactly's threshold the reference field is
+    # summed exactly at the reference and at every mean-field particle
+    raw = {"experiment": "classical-dobrushin", "N": [8], "samples": 10**7}
+    assert classical.sums_field_exactly(1023, 1) and not classical.sums_field_exactly(1024, 1)
+    diags = validate_config(dict(raw, reference_size=1023))
+    assert len(diags) == 1 and diags[0].startswith("reference_size: 1023 plans 40 steps")
+    assert validate_config(dict(raw, reference_size=1024)) == []
+
+
+def test_validate_step_work_message_names_grid_points_only_with_a_grid():
+    raw = {"experiment": "vlasov-moments", "dt": 1e-9, "times": [0.25]}
+    assert validate_config(raw) == [
+        "dt: 1e-09 plans 250000000 steps, more work than the bound of 100000 steps"
+    ]
+    raw = {"experiment": "quantum-dobrushin", "dt": 1e-9, "t_final": 0.04, "n_times": 3}
+    assert validate_config(raw) == [
+        "dt: 1e-09 plans 40000000 steps on 64 grid points, more work than the bound of "
+        "100000 steps times grid points"
+    ]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "quantum-dobrushin", "n_particles": 2400},
+        {"experiment": "quantum-dobrushin", "n_particles": 2300},
+        {"experiment": "quantum-dobrushin", "n_particles": 10**9},
+        {"experiment": "mk-bracket", "grid_points": 2**1024},
+        {"experiment": "toeplitz-identities", "grid_points": 2**1024},
+    ],
+)
+def test_huge_grids_and_particle_counts_are_schema_diagnostics(tmp_path, capsys, raw):
+    # no state size is computed for them: 16*64^2400 has more digits than
+    # Python prints, and pi * 2^1024 overflows
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert main(["run", path]) == 64
+    captured = capsys.readouterr()
+    key = "n_particles" if "n_particles" in raw else "grid_points"
+    assert captured.out.startswith(f"{key}: ") and len(captured.out.splitlines()) == 1
+    assert f"config error: {key}: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "raw, key, top",
+    [
+        ({"experiment": "quantum-dobrushin", "grid_points": 2}, "n_particles", 30),
+        ({"experiment": "quantum-dobrushin", "n_particles": 1}, "grid_points", 2**30),
+        ({"experiment": "mk-bracket"}, "grid_points", 2**30),
+    ],
+)
+def test_schema_bounds_of_grids_and_particle_counts(raw, key, top):
+    # the bounds sit past what the default cap admits: at the bound a state
+    # is left to the memory checks, past it the schema reports the value
+    diags = validate_config(dict(raw, **{key: top}))
+    assert not any(d.startswith(f"{key}: {top} must be") for d in diags), diags
+    over = top + 1 if key == "n_particles" else 2 * top
+    assert validate_config(dict(raw, **{key: over})) == [
+        f"{key}: {over} must be {PARAMS[raw['experiment']][key][2]}"
+    ]
+
+
+def test_cli_rejects_an_integer_python_cannot_read(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "quantum-dobrushin", "n_particles": ' + "1" * 5000 + "}")
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 64
+        assert "config is not valid JSON: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["abc", "100"])
+def test_validate_checks_the_kinetic_phase_whatever_the_epsilon_order(monkeypatch, cap):
+    # the centre checks need a usable cap that holds a grid line; the
+    # kinetic phase does not, so it is checked at every epsilon
+    monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", cap)
+    raw = {"experiment": "quantum-dobrushin", "dt": 0.1}
+    ascending = validate_config(dict(raw, epsilon=[0.25, 1.0]))
+    descending = validate_config(dict(raw, epsilon=[1.0, 0.25]))
+    assert sorted(ascending) == sorted(descending) and len(ascending) == 2
+    assert any(d.startswith("dt=0.1: kinetic phase") and "epsilon=1.0," in d for d in ascending)
+
+
+def test_validate_orders_the_diagnostics_of_each_check():
+    # the schedule, then each epsilon's Nyquist phase, centre and guard band
+    raw = {
+        "experiment": "quantum-dobrushin",
+        "dt": 0.2,
+        "epsilon": [0.25, 1.0],
+        "t_final": 0.5,
+        "n_times": 4,
+        "center": [3.9, 0.0],
+    }
+    at = "box=8.0, grid_points=64"
+    assert validate_config(raw) == [
+        "n_times: sample times must be an integer multiple of dt apart; "
+        "[0.16666666666666666, 0.3333333333333333, 0.5] are not integer multiples of dt=0.2",
+        f"dt=0.2: kinetic phase at the Nyquist mode exceeds pi for epsilon=0.25, {at}",
+        "center: [3.9, 0.0] leaves mass 0.303503301119272 of the initial state inside half "
+        f"the box, below the guard band's 1 - 1e-10, at epsilon=0.25, {at}",
+        f"dt=0.2: kinetic phase at the Nyquist mode exceeds pi for epsilon=1.0, {at}",
+        "center: [3.9, 0.0] must be clear of the box edge and the momentum edge at "
+        f"epsilon=1.0, {at} (coherent center q=[3.9 3.9], p=[0. 0.] too near the grid "
+        "boundary (tail mass 1.340e-08 > 1e-12))",
+    ]
+    # the support cap, the reference size, then the pair work; a reference
+    # too small to subsample has no work check of its own
+    raw = {"experiment": "classical-dobrushin", "N": [8, 4096], "reference_size": 100, "dt": 1e-5}
+    assert validate_config(raw) == [
+        f"N: entry 4096 exceeds the transport support cap {SUPPORT_CAP}",
+        "reference_size: 100 must be at least 2*max(N) = 8192: each repeat draws two "
+        "N-point subsamples of the reference cloud without replacement",
+        "dt: 1e-05 plans 100000 steps of 2000 samples, 3355456000000000 pair terms, more "
+        "work than the bound of 1000000000000 steps times samples times sum N^2",
+    ]
+
+
+def test_every_experiment_has_a_runner_and_a_check_function():
+    assert set(experiments.EXPERIMENTS) == set(PARAMS) == set(experiments.EXPERIMENT_RUNNERS)
+    for experiment, (runner, check) in experiments.EXPERIMENTS.items():
+        assert experiments.EXPERIMENT_RUNNERS[experiment] is runner
+        assert callable(runner) and callable(check), experiment
 
 
 #: Each count parameter and its work bound.
