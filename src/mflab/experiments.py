@@ -343,13 +343,29 @@ def _sample_times(params: dict) -> list:
     return np.linspace(0.0, float(params["t_final"]), int(params["n_times"]))
 
 
+def _compact(value) -> str:
+    """repr(value) for a diagnostic that echoes a config value or a byte
+    count, but an integer of more than 30 digits, also inside a list, reads
+    2^k when it is a power of two and otherwise its leading digits and its
+    digit count, so no number takes more than about 30 characters."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_compact, value)) + "]"
+    if not _is_int(value) or abs(value) < 10**30:
+        return repr(value)
+    sign, mag = "-" * (value < 0), abs(value)
+    if mag & (mag - 1) == 0:
+        return f"{sign}2^{mag.bit_length() - 1}"
+    digits = str(mag)
+    return f"{sign}{digits[:12]}... ({len(digits)} digits)"
+
+
 def _value_diagnostics(key: str, value, accepts, what: str) -> list:
     if not isinstance(accepts, _Each):
-        return [] if accepts(value) else [f"{key}: {value!r} must be {what}"]
+        return [] if accepts(value) else [f"{key}: {_compact(value)} must be {what}"]
     entries = _as_list(value)
     if not entries:
         return [f"{key}: list must be nonempty"]
-    return [f"{key}: entry {v!r} must be {what}" for v in entries if not accepts.ok(v)]
+    return [f"{key}: entry {_compact(v)} must be {what}" for v in entries if not accepts.ok(v)]
 
 
 def _schedule_steps(params: dict, ok, points: int = 1) -> tuple:
@@ -374,6 +390,18 @@ def _schedule_steps(params: dict, ok, points: int = 1) -> tuple:
     return [f"{plan}, more work than the bound of {MAX_STEP_WORK} steps{bound}"], None
 
 
+def _over_cap(what: str, n_pts: int, axes: int, cap) -> list:
+    """The diagnostic of a runner's largest array, `what`, of n_pts^axes
+    complex entries, when its 16 * n_pts^axes bytes (GridSpec's rule for a
+    state, and check_matrix_bytes' for an n x n matrix at axes = 2) are over
+    the memory cap `cap`; [] under it or when cap is None."""
+    need = 16 * n_pts**axes
+    if cap is None or need <= cap:
+        return []
+    formula = f"16*{n_pts}^{axes} = {_compact(need)} bytes"
+    return [f"grid_points: {what} needs {formula}, over the memory cap {cap}"]
+
+
 def _grid_diagnostics(params: dict, ok, cap, centres=(), dt=0.0, guard=None) -> list:
     """At each positive epsilon: the kinetic phase of a `dt` step at the
     Nyquist mode, coherent_state's rule on each (label, q, p) of `centres`,
@@ -382,7 +410,7 @@ def _grid_diagnostics(params: dict, ok, cap, centres=(), dt=0.0, guard=None) -> 
     if not ok("grid_points", "box"):
         return []
     n_pts, box = params["grid_points"], params["box"]
-    at = f"box={box}, grid_points={n_pts}"
+    at = f"box={_compact(box)}, grid_points={n_pts}"
     k_max = math.pi * n_pts / (2 * box)  # Python floats overflow to inf, silently
     if not math.isfinite(k_max):
         return [f"box: {box!r} leaves a grid spacing with no finite Nyquist wavenumber"]
@@ -1021,10 +1049,11 @@ def run_vlasov_moments(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def _check_mk_bracket(params: dict, ok, V, cap, seed) -> list:
     # each coherent factor of a pair (z1, z2) is single-particle; the worst
-    # sits at the corner (s, s)
+    # sits at the corner (s, s), in floats as the runner draws it
     s = params["center_scale"]
-    centres = [(f"center_scale: {s!r}", s, s)] if ok("center_scale") else []
-    return _grid_diagnostics(params, ok, cap, centres)
+    centres = [(f"center_scale: {_compact(s)}", float(s), float(s))] if ok("center_scale") else []
+    diags = _over_cap("grid line", params["grid_points"], 1, cap) if ok("grid_points") else []
+    return diags + _grid_diagnostics(params, ok, None if diags else cap, centres)
 
 
 def run_mk_bracket(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -1127,7 +1156,10 @@ def _check_toeplitz_identities(params: dict, ok, V, cap, seed) -> list:
     # the fixed centre, and the corners of the squares atoms are drawn from
     centres = [TOEPLITZ_CENTER, *((r, r) for r in TOEPLITZ_ATOM_RANGES)]
     labelled = [(f"the fixed coherent centre ({q}, {p})", q, p) for q, p in centres]
-    return _grid_diagnostics(params, ok, cap, labelled)
+    # its largest arrays are n x n: the density matrices and Toeplitz operators
+    matrix = "n x n density matrix"
+    diags = _over_cap(matrix, params["grid_points"], 2, cap) if ok("grid_points") else []
+    return diags + _grid_diagnostics(params, ok, None if diags else cap, labelled)
 
 
 def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -1200,15 +1232,12 @@ def run_toeplitz_identities(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def _check_quantum_dobrushin(params: dict, ok, V, cap, seed) -> list:
     diags = []
-    if cap is not None and ok("grid_points", "n_particles"):
+    if ok("grid_points", "n_particles"):
         # the runner holds N one-particle X factors and one n^N Y factor, the
         # largest array it builds; a checkpoint saves the same factors
         n_pts, n_part = params["grid_points"], params["n_particles"]
-        state_bytes = 16 * n_pts**n_part
-        if state_bytes > cap:
-            need = f"16*{n_pts}^{n_part} = {state_bytes} bytes"
-            diags.append(f"grid_points: N-body Y factor needs {need}, over the memory cap {cap}")
-            cap = None  # no centre check on a state that cannot be built
+        diags = _over_cap("N-body Y factor", n_pts, n_part, cap)
+    cap = None if diags else cap  # no centre check on a state that cannot be built
     diags += _schedule_steps(params, ok, params["grid_points"] if ok("grid_points") else 0)[0]
     centres, guard = [], None
     if cap is not None and ok("center", "n_particles"):
@@ -1216,7 +1245,7 @@ def _check_quantum_dobrushin(params: dict, ok, V, cap, seed) -> list:
         # state 2 * n_particles copies of the coherent state there
         copies = np.ones(params["n_particles"])
         q0, p0 = params["center"]
-        label = f"center: {params['center']!r}"
+        label = f"center: {_compact(params['center'])}"
         centres = [(label, q0 * copies, p0 * copies)]
         guard = (label, q0, p0, 2 * params["n_particles"])
     diags += _grid_diagnostics(params, ok, cap, centres, params["dt"] if ok("dt") else 0.0, guard)

@@ -37,6 +37,13 @@ cost by the same sum of v, so the optimum is C's; a unique optimum is the
 same permutation, and the cost, read from C, keeps its bits.  Cost ties
 resolve on C - v.
 
+Each restricted LP goes to HiGHS directly: `_restricted_lp` fills one
+column-wise HighsLp by hand and solves it on a fresh instance of scipy's
+HiGHS binding (scipy.optimize._highspy._core, scipy >= 1.15), with one
+HighsOptions built at import.  The model and the options are the ones
+scipy's "highs-ds" method would build for this LP with the same settings,
+so the solve returns the same bits, without that front end's per-call
+option checks, input cleaning, sparse conversion and bound-marginal loop.
 HiGHS is set up for transportation LPs: it runs its dual simplex with devex
 pricing and without presolve, which finds nothing to remove from a system of
 marginal equalities.  It holds the GIL while it solves (scipy 1.17.1), so
@@ -50,8 +57,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy._core import (
+    HighsDebugLevel,
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -287,51 +304,77 @@ def _violated_pairs(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b) -> np.ndarra
     return np.concatenate(picks)
 
 
-#: HiGHS set up for transportation LPs: presolve finds nothing to remove from
-#: a marginal system, devex dual pricing beats the default on them, and the
-#: absolute feasibility tolerances are 1e-10, not 1e-7, against atom weights
-#: near 1e-6 (at 1e-7 marginals miss by ~1e-7 and pricing rounds multiply).
-_HIGHS_OPTIONS = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
-_HIGHS_OPTIONS |= {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+#: HiGHS set up for transportation LPs, as scipy's "highs-ds" method sets it
+#: up with these settings: dual simplex without presolve, which finds nothing
+#: to remove from a marginal system, devex dual pricing, which beats the
+#: default on them, absolute feasibility tolerances of 1e-10, not 1e-7,
+#: against atom weights near 1e-6 (at 1e-7 marginals miss by ~1e-7 and
+#: pricing rounds multiply), and no output.
+_HIGHS_OPTIONS = HighsOptions()
+_HIGHS_OPTIONS.presolve = "off"
+_HIGHS_OPTIONS.solver = "simplex"
+_HIGHS_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.simplex_dual_edge_weight_strategy = (
+    simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
+)
+_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
 
 
 def _restricted_lp(cost: np.ndarray, w: np.ndarray, v: np.ndarray, edges: np.ndarray):
     """min sum cost * gamma over couplings supported on `edges` (flat indices
     i*n + j, with `cost` their costs), via HiGHS's dual simplex with
     `_HIGHS_OPTIONS`: (cost, mass on `edges`, a, b), or None when HiGHS
-    reports the LP infeasible (linprog status 2), that is when the edges
-    cannot carry the marginals.  Any other failure raises RuntimeError.
+    reports the LP infeasible, that is when the edges cannot carry the
+    marginals.  Any other outcome raises RuntimeError naming HiGHS's model
+    status.
 
-    The m+n marginal equalities are linearly dependent (both blocks sum to
-    total mass); HiGHS mislabels the full system as infeasible on some
-    instances, so the last column constraint is dropped and its dual pinned
-    to zero.
+    The model goes to a fresh HiGHS instance as one column-wise HighsLp:
+    edge (i, j) is a column with a 1 in row i and, for j < n - 1, a 1 in
+    row m + j.  The m+n marginal equalities are linearly dependent (both
+    blocks sum to total mass); HiGHS mislabels the full system as infeasible
+    on some instances, so the last column constraint is dropped and its dual
+    pinned to zero.
     """
     m, n = w.size, v.size
     rows, cols = np.divmod(edges, n)
-    var = np.arange(edges.size)
     keep = cols < n - 1
-    A = sparse.csc_matrix(
-        (
-            np.ones(edges.size + int(keep.sum())),
-            (np.concatenate([rows, m + cols[keep]]), np.concatenate([var, var[keep]])),
-        ),
-        shape=(m + n - 1, edges.size),
+    start = np.zeros(edges.size + 1, dtype=np.int32)
+    np.cumsum(1 + keep, out=start[1:])
+    index = np.empty(start[-1], dtype=np.int32)
+    index[start[:-1]] = rows
+    index[start[:-1][keep] + 1] = m + cols[keep]
+    b = np.concatenate([w, v[:-1]])
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = edges.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(edges.size)
+    lp.col_upper_ = np.full(edges.size, kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = np.ones(index.size)
+    highs = _Highs()
+    loaded = (
+        highs.passOptions(_HIGHS_OPTIONS) != HighsStatus.kError
+        and highs.passModel(lp) != HighsStatus.kError
+        and highs.run() != HighsStatus.kError
     )
-    res = linprog(
-        cost,
-        A_eq=A,
-        b_eq=np.concatenate([w, v[:-1]]),
-        bounds=(0, None),
-        method="highs-ds",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status == 2:
+    status = highs.getModelStatus()
+    if loaded and status == HighsModelStatus.kInfeasible:
         return None
-    if res.status != 0:
-        raise RuntimeError(f"transport LP did not solve: {res.message}")
-    y = np.asarray(res.eqlin.marginals, dtype=float)
-    return float(res.fun), res.x, y[:m], np.concatenate([y[m:], [0.0]])
+    if not loaded or status != HighsModelStatus.kOptimal:
+        said = highs.modelStatusToString(status)
+        raise RuntimeError(f"transport LP did not solve: HiGHS status {said}")
+    solution = highs.getSolution()
+    y = np.asarray(solution.row_dual, dtype=float)
+    x = np.asarray(solution.col_value, dtype=float)
+    return highs.getInfo().objective_function_value, x, y[:m], np.concatenate([y[m:], [0.0]])
 
 
 class _LPSolution(NamedTuple):

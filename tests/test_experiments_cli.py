@@ -6,6 +6,7 @@ byte-level determinism of the JSONL output for a fixed (config, seed) pair.
 """
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -125,7 +126,14 @@ def test_validate_quantum_memory_estimate(monkeypatch):
     monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", "1000")
     diags = validate_config({"experiment": "quantum-dobrushin"})
     assert len(diags) == 1 and "over the memory cap 1000" in diags[0]
-    assert validate_config({"experiment": "toeplitz-identities"}) == []
+    # the other grid runners report their own largest array against it
+    assert validate_config({"experiment": "toeplitz-identities"}) == [
+        "grid_points: n x n density matrix needs 16*256^2 = 1048576 bytes, "
+        "over the memory cap 1000"
+    ]
+    assert validate_config({"experiment": "mk-bracket"}) == [
+        "grid_points: grid line needs 16*256^1 = 4096 bytes, over the memory cap 1000"
+    ]
 
 
 def test_bad_memory_cap_is_a_diagnostic(tmp_path, capsys, monkeypatch):
@@ -158,11 +166,17 @@ def test_validate_mk_bracket_centre_scale_is_the_runner_rule(tmp_path):
 
 
 def test_a_density_matrix_over_the_memory_cap_is_refused_before_it_is_built(monkeypatch):
-    # toeplitz-identities at 512 points holds a 4 MiB density matrix; under
-    # a 1 MiB cap, which holds its grid, it validates clean and stops at the
-    # first matrix, state_density_matrix's, having allocated little
+    # toeplitz-identities at 512 points holds a 4 MiB density matrix; a
+    # 1 MiB cap, which holds its grid, fails it at validation.  Should the
+    # cap drop to 1 MiB after validation, the run stops at the first matrix,
+    # state_density_matrix's, having allocated little
+    raw = {"experiment": "toeplitz-identities", "grid_points": 512}
+    cfg = build_config(raw)
     monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", str(2**20))
-    cfg = build_config({"experiment": "toeplitz-identities", "grid_points": 512})
+    assert validate_config(raw) == [
+        "grid_points: n x n density matrix needs 16*512^2 = 4194304 bytes, "
+        "over the memory cap 1048576"
+    ]
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match=r"density matrix needs 4194304 bytes > cap"):
@@ -632,6 +646,63 @@ def test_huge_grids_and_particle_counts_are_schema_diagnostics(tmp_path, capsys,
     key = "n_particles" if "n_particles" in raw else "grid_points"
     assert captured.out.startswith(f"{key}: ") and len(captured.out.splitlines()) == 1
     assert f"config error: {key}: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "raw, said",
+    [
+        (
+            {"experiment": "mk-bracket", "grid_points": 268435456},
+            "grid_points: grid line needs 16*268435456^1 = 4294967296 bytes, "
+            "over the memory cap 2147483648",
+        ),
+        (
+            {"experiment": "toeplitz-identities", "grid_points": 16384},
+            "grid_points: n x n density matrix needs 16*16384^2 = 4294967296 bytes, "
+            "over the memory cap 2147483648",
+        ),
+    ],
+)
+def test_a_runners_largest_array_over_the_cap_is_a_diagnostic(tmp_path, capsys, raw, said):
+    # at the default cap both held their grid as a schema value and then
+    # stopped the run with exit 3 at the first array the cap refused
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert capsys.readouterr().out == said + "\n"
+    assert main(["run", path, "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err == f"config error: {said}\n"
+    # the largest size under the cap validates without a memory diagnostic
+    smaller = dict(raw, grid_points=raw["grid_points"] // 2)
+    assert not any("memory cap" in d for d in validate_config(smaller))
+
+
+@pytest.mark.parametrize(
+    "raw, key, number",
+    [
+        (
+            {"experiment": "quantum-dobrushin", "grid_points": 2**30, "n_particles": 30},
+            "grid_points",
+            "= 2^904 bytes",
+        ),
+        ({"experiment": "mk-bracket", "grid_points": 2**1024}, "grid_points", "2^1024"),
+        ({"experiment": "mk-bracket", "grid_points": 3**600}, "grid_points", "(287 digits)"),
+        ({"experiment": "combineq", "N": [4, -(3**600)]}, "N", "-187392770388... (287 digits)"),
+        ({"experiment": "quantum-dobrushin", "center": [2**100, 0.5]}, "center", "[2^100, 0.5]"),
+        ({"experiment": "mk-bracket", "center_scale": 3**70}, "center_scale", "(34 digits)"),
+    ],
+)
+def test_diagnostics_print_huge_integers_compactly(raw, key, number):
+    # a 2^904-byte state and grid sizes of 2^1024 and 3^600 print as a power
+    # of two or as leading digits and a digit count, after the key
+    said = validate_config(raw)[0]
+    assert said.startswith(f"{key}: ") and number in said, said
+    assert not re.search(r"\d{31}", said), said
+
+
+def test_compact_numbers_print_as_repr_up_to_30_digits():
+    for value in (10**30 - 1, -(10**30) + 1, 2**64, 1.5e300, "x" * 40, [1, 2.5, None], True):
+        assert experiments._compact(value) == repr(value)
+    assert experiments._compact(10**30) == "100000000000... (31 digits)"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 from scipy.spatial.distance import cdist
 
 from mflab import transport
@@ -173,6 +174,130 @@ def test_lp_still_infeasible_after_the_repair_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="infeasible"):
         _solve_transport_lp(*_unequal_clouds(0, 30, 20, 2))
     assert verdicts == [False, False] and repairs == [1]
+
+
+def _linprog_restricted_lp(cost, w, v, edges):
+    """The restricted LP of `_restricted_lp` through scipy's
+    linprog(method="highs-ds") with the settings of `transport._HIGHS_OPTIONS`;
+    the reference for the HiGHS model `_restricted_lp` passes directly."""
+    m, n = w.size, v.size
+    rows, cols = np.divmod(edges, n)
+    var = np.arange(edges.size)
+    keep = cols < n - 1
+    A = sparse.csc_matrix(
+        (
+            np.ones(edges.size + int(keep.sum())),
+            (np.concatenate([rows, m + cols[keep]]), np.concatenate([var, var[keep]])),
+        ),
+        shape=(m + n - 1, edges.size),
+    )
+    options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
+    options |= {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        cost,
+        A_eq=A,
+        b_eq=np.concatenate([w, v[:-1]]),
+        bounds=(0, None),
+        method="highs-ds",
+        options=options,
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    return float(res.fun), res.x, y[:m], np.concatenate([y[m:], [0.0]])
+
+
+def _husimi_lattice_pairs():
+    grid = GridSpec(1, 1, 256, 6.0, 0.25)
+    rho1 = state_density_matrix(coherent_state(grid, 0.4, -0.3))
+    rho2 = state_density_matrix(coherent_state(grid, -0.5, 0.6))
+    return [husimi_lattices(rho1, rho2)]
+
+
+def _ot_selftest_pairs():
+    # the runner's shapes: equal-weight normal clouds of 2 to 6 atoms in 2-D
+    # and 4-D, whose duals dual_potentials reads from the LP
+    rng = np.random.default_rng(7)
+    return [
+        tuple(DiscreteMeasure.equal_weights(rng.standard_normal((m, k))) for _ in range(2))
+        for m in range(2, 7)
+        for k in (2, 4)
+    ]
+
+
+def _equal_cost_pairs():
+    # every pair costs exactly 1, so every coupling is optimal: the LP's
+    # solution is whichever vertex the simplex stops at
+    rng = np.random.default_rng(8)
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return [
+        (
+            DiscreteMeasure(square, rng.dirichlet(np.ones(4))),
+            DiscreteMeasure(np.zeros((n, 2)), rng.dirichlet(np.ones(n))),
+        )
+        for n in (2, 3, 5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [_husimi_lattice_pairs, _ot_selftest_pairs, _equal_cost_pairs],
+    ids=lambda f: f.__name__,
+)
+def test_restricted_lp_is_linprog_bit_for_bit(monkeypatch, pairs):
+    # the direct HiGHS model and options are the ones linprog builds, so
+    # every restricted LP the solver makes returns the same bits both ways
+    restricted_lp, calls = transport._restricted_lp, []
+
+    def spy(*args):
+        calls.append(args)
+        return restricted_lp(*args)
+
+    monkeypatch.setattr(transport, "_restricted_lp", spy)
+    for mu, nu in pairs():
+        _solve_transport_lp(mu, nu)
+    assert calls
+    for args in calls:
+        got, want = restricted_lp(*args), _linprog_restricted_lp(*args)
+        assert got is not None and want is not None
+        assert type(got[0]) is float and got[0] == want[0]
+        for x, y in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_restricted_lp_is_infeasible_on_both_routes(monkeypatch):
+    # one nearest partner per atom cannot carry Dirichlet weights
+    monkeypatch.setattr(transport, "CANDIDATES_PER_ATOM", 1)
+    mu, nu = _unequal_clouds(0, 30, 20, 2)
+    edges = _candidate_edges(mu, nu)
+    args = (_edge_costs(mu, nu, edges), mu.weights, nu.weights, edges)
+    assert _restricted_lp(*args) is None
+    assert _linprog_restricted_lp(*args) is None
+
+
+@pytest.mark.parametrize(
+    "run, status, said",
+    [
+        (HighsStatus.kOk, HighsModelStatus.kTimeLimit, "Time limit reached"),
+        (HighsStatus.kError, HighsModelStatus.kInfeasible, "Infeasible"),
+    ],
+)
+def test_restricted_lp_raises_on_any_other_highs_outcome(monkeypatch, run, status, said):
+    # a HiGHS instance that stops at a time limit, or whose run fails, has no
+    # optimum to read, and only a clean infeasible verdict means None
+    class FakeHighs(transport._Highs):
+        def run(self):
+            return run
+
+        def getModelStatus(self):
+            return status
+
+    monkeypatch.setattr(transport, "_Highs", FakeHighs)
+    mu, nu = _unequal_clouds(0, 30, 20, 2)
+    edges = _candidate_edges(mu, nu)
+    with pytest.raises(RuntimeError, match=f"HiGHS status {said}"):
+        _restricted_lp(_edge_costs(mu, nu, edges), mu.weights, nu.weights, edges)
 
 
 def test_sparse_lp_matches_dense_oracle_on_husimi_lattices():
