@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
 
@@ -36,6 +36,7 @@ from .quantum import (
     GuardBandError,
     check_guard_band,
     coherent_state,
+    coupling_to_factored_mixture,
     factored_coupled_advance,
     guard_band_mass,
     husimi_lattices,
@@ -210,7 +211,10 @@ _CENTER = (
     lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
     "a list of two numbers [q, p]",
 )
-_DIM = (lambda d: _is_int(d) and d >= 1, "a positive integer")
+# dim stops at 2^20, where the list of ones a cosine potential without a
+# wavevector is built from takes 8 MiB: validation builds the potential, and a
+# dim past numpy's largest array dimension cannot even draw a one-point cloud
+_DIM = (lambda d: _is_int(d) and 1 <= d <= 2**20, "an integer from 1 to 2^20")
 
 #: Every field of each potential family but `family` itself (which defaults
 #: to gaussian), in `PARAMS`' format; `make_potential` fills in the defaults,
@@ -241,7 +245,7 @@ PARAMS = {
         "p": (2.0, *_EXPONENT),
         "N": ([16, 64, 256], *_PARTICLE_COUNTS),
         "samples": (2000, *_int_at_least(2)),
-        "reference_size": (4096, *_int_at_least(2)),
+        "reference_size": (4096, *_count(2, 10**6)),
         "dt": (0.025, *_POSITIVE),
         "times": ([0.25, 0.5, 1.0], *_SAMPLE_TIMES),
         "repeats": (256, *_count(2, 10**5)),
@@ -286,7 +290,7 @@ PARAMS = {
     },
     "vlasov-moments": {
         "p": (2.0, *_EXPONENT),
-        "cloud_size": (4096, *_int_at_least(2)),
+        "cloud_size": (4096, *_count(2, 10**6)),
         "dt": (0.05, *_POSITIVE),
         "times": ([0.25, 0.5, 0.75, 1.0], *_SAMPLE_TIMES),
     },
@@ -787,7 +791,9 @@ def run_combineq(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
     reports = _run_sweep(one, len(N_list), jobs)
     means = [r.lhs_measured for r in reports if r.inequality_id == "consistency-vs-even-constant"]
-    return reports + _rate_rows("consistency-scaling-slope", 0.0, N_list, means, 1.0, -1.0, p)
+    # F*mu_N - F*rho is a mean of N centred terms, of size N^(-1/2), so its
+    # p-th moment falls like N^(-p/2)
+    return reports + _rate_rows("consistency-scaling-slope", 0.0, N_list, means, 1.0, -p / 2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1260,6 +1266,43 @@ def _check_quantum_dobrushin(params: dict, ok, V, cap, seed) -> list:
     )
 
 
+def _coupled_run(mixture, ref, V, schedule, dt, solves, consts, measure) -> tuple:
+    """(rows, mixture): `mixture` advanced under the Hartree reference `ref`
+    through `schedule`, the rows measure(t, mixture) yields at each sample
+    time, then the unitarity row at the time reached.  A guard-band leak ends
+    the run with a failed GUARD_BAND_ROW: a leaking state certifies no bound."""
+    rows = []
+    drift_max = 0.0
+    t = 0.0  # after the loop, the time actually reached: an abort stops short
+    steps_taken = 0
+    for t, n_steps in schedule:
+        solves.check()
+        mixture, ref = factored_coupled_advance(mixture, ref, V, dt, n_steps)
+        steps_taken += n_steps
+        try:
+            for _, state in mixture:
+                state.check_guard_band()
+                drift_max = max(drift_max, abs(state.norm() - 1.0))
+        except GuardBandError as err:
+            rows.append(
+                bounds.make_report(GUARD_BAND_ROW, t, 1.0, 0.0, tolerance=0.0, constants=consts)
+            )
+            print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
+            break
+        rows += measure(t, mixture)
+    rows.append(
+        bounds.make_report(
+            "doubled-evolution-unitarity",
+            float(t),
+            drift_max,
+            0.0,
+            tolerance=1e-10,
+            constants={"eps": consts["eps"], "dt": dt, "steps": steps_taken},
+        )
+    )
+    return rows, mixture
+
+
 def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Coupling-cost growth and Husimi lower-chain rows per epsilon and
     sample time, then the unitarity row of the coupled evolution.
@@ -1296,66 +1339,37 @@ def run_quantum_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
     def one(idx, solves):
         eps = eps_list[idx]
         base = GridSpec(1, 1, n_pts, box, eps)
-        # every particle starts at z0 on both sides, so the coupling is one
-        # coherent product, built directly: the Hartree reference for each
-        # X factor and an N-particle coherent state for y.  The coupled flow
-        # keeps it a product: it is evolved, measured and saved as its
-        # factors, all under the one Hartree reference of the run
-        ref = coherent_state(base, q0, p0)
-        y = coherent_state(replace(base, n_particles=N), np.full(N, q0), np.full(N, p0))
-        mixture = [(1.0, FactoredCoupling((ref,) * N, y))]
-        del y  # held by the coupling alone, so the first step frees it
         consts = _potential_constants(V, eps=eps, N=N, n=1, dt=dt, Lambda=lam, grid_points=n_pts)
-        rows = []
-        drift_max = 0.0
-        t_reached = 0.0
-        steps_taken = 0
-        for t, n_steps in schedule:
-            solves.check()
-            mixture, ref = factored_coupled_advance(mixture, ref, V, dt, n_steps)
-            t_reached = t
-            steps_taken += n_steps
-            try:
-                for _, state in mixture:
-                    state.check_guard_band()
-                    drift_max = max(drift_max, abs(state.norm() - 1.0))
-            except GuardBandError as err:
-                # abort policy: a bound evaluated on a leaking state is
-                # meaningless, so mark the row failed and stop the sweep
-                rows.append(
-                    bounds.make_report(GUARD_BAND_ROW, t, 1.0, 0.0, tolerance=0.0, constants=consts)
-                )
-                print(f"guard band tripped at t={t}: {err}", file=sys.stderr)
-                break
+
+        def measure(t, mixture):
             D = qp_cost_trace(mixture) / N
             rhs = bounds.quantum_rhs("factorized", V, eps, N, 1, t)
-            rows.append(
-                bounds.make_report(
-                    "coupling-cost-growth", t, D, rhs, tolerance=1e-2 * rhs, constants=consts
-                )
+            yield bounds.make_report(
+                "coupling-cost-growth", t, D, rhs, tolerance=1e-2 * rhs, constants=consts
             )
-            rows.append(
-                _queue_husimi_lower_row(
-                    solves,
-                    reduced_density(mixture, 0),
-                    reduced_density(mixture, N),
-                    "husimi-lower-chain",
-                    t,
-                    D,
-                    tolerance=1e-2,
-                    constants=consts,
-                )
+            yield _queue_husimi_lower_row(
+                solves,
+                reduced_density(mixture, 0),
+                reduced_density(mixture, N),
+                "husimi-lower-chain",
+                t,
+                D,
+                tolerance=1e-2,
+                constants=consts,
             )
-        # labelled with the time actually integrated: an abort stops short
-        rows.append(
-            bounds.make_report(
-                "doubled-evolution-unitarity",
-                float(t_reached),
-                drift_max,
-                0.0,
-                tolerance=1e-10,
-                constants={"eps": eps, "dt": dt, "steps": steps_taken},
-            )
+
+        # the coupling is the Toeplitz lift of one atom, q0 at every X and Y slot,
+        # then p0 at every slot; passed, not named, so the first step frees its Y factor
+        atom = np.repeat([q0, p0], 2 * N)
+        rows, mixture = _coupled_run(
+            coupling_to_factored_mixture(base, N, DiscreteMeasure(atom[None, :], np.ones(1))),
+            coherent_state(base, q0, p0),
+            V,
+            schedule,
+            dt,
+            solves,
+            consts,
+            measure,
         )
         if saves:
             save_state(saves[idx], mixture[0][1])

@@ -198,13 +198,11 @@ def factored_coupled_advance(
 
     The reference takes the Hartree step from the potential the advance
     holds; every X factor takes its mean-field phases (start-of-step, then
-    end-of-step potential), once per step however many times the coupling
-    holds it, so aliased factors such as (ref,) * N stay one object; every Y
-    factor takes the N-body step, whose pair factor is built once per call,
-    so the Y factors must share one grid.  A step's end potential starts the
-    next, so n >= 1 steps evaluate `_density_potential` 2n + 1 times
-    whatever the component count, and 0 steps evaluate nothing.  No array
-    larger than a Y factor's n^N is formed."""
+    end-of-step potential); every Y factor takes the N-body step, whose pair
+    factor is built once per call, so the Y factors must share one grid.  A
+    step's end potential starts the next, so n >= 1 steps evaluate
+    `_density_potential` 2n + 1 times whatever the component count, and 0
+    steps evaluate nothing.  No array larger than a Y factor's n^N is formed."""
     coupling = list(coupling)
     if any(x.grid != hartree_ref.grid for _, state in coupling for x in state.xs):
         raise ValueError("X factors must be single-particle states on hartree_ref's grid")
@@ -220,12 +218,8 @@ def factored_coupled_advance(
         v_next = hartree_potential(hartree_ref, V)
         first = _times(np.exp(-1j * (dt / 2.0) * v_now / eps))
         second = _times(np.exp(-1j * (dt / 2.0) * v_next / eps))
-        stepped = {}  # id(x) -> (x, x stepped); holding x keeps its id unique
         for i, (w, state) in enumerate(coupling):
-            for x in state.xs:
-                if id(x) not in stepped:
-                    stepped[id(x)] = (x, _strang_step(x, dt, first, second))
-            xs = [stepped[id(x)][1] for x in state.xs]
+            xs = [_strang_step(x, dt, first, second) for x in state.xs]
             coupling[i] = (w, FactoredCoupling(xs, y_step(state.y)))
         v_now = v_next
     return coupling, hartree_ref

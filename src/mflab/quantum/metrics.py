@@ -64,10 +64,8 @@ def factor_moments(state) -> np.ndarray:
 
 
 def _factored_cost(state: FactoredCoupling) -> float:
-    # X factor j's axis c pairs with y's axis j*d + c; columns q, q^2, p, p^2.
-    # X factors held N times are one object, read once
-    tables = {id(f): factor_moments(f) for f in state.xs}
-    x = np.concatenate([tables[id(f)] for f in state.xs])
+    # X factor j's axis c pairs with y's axis j*d + c; columns q, q^2, p, p^2
+    x = np.concatenate([factor_moments(f) for f in state.xs])
     y = factor_moments(state.y)
     return float(np.sum(x[:, 1::2] - 2.0 * x[:, ::2] * y[:, ::2] + y[:, 1::2]))
 
@@ -218,7 +216,6 @@ def _factored_block(state: FactoredCoupling, slot: int) -> tuple:
         values = np.moveaxis(own.values, range(k * d, (k + 1) * d), range(d))
         reduced = partial_trace(WaveFunction(own.grid, values, own.time), 1)
     block = reduced.matrix
-    # skip the slot's factor by its index: X factors may be one object
     for i, f in enumerate(state.factors):
         if i != min(slot, N):
             block = block * f.norm() ** 2

@@ -327,6 +327,45 @@ def test_quantum_dobrushin_holds_few_copies_of_the_y_factor():
     assert peak <= 3.0 * y_bytes, f"traced peak {peak / y_bytes:.2f} Y factors"
 
 
+def test_coupled_run_with_a_cost_only_measure_reproduces_the_growth_rows():
+    # quantum-dobrushin's loop with a measure that records D alone: the same
+    # Toeplitz-lifted datum gives the growth rows' lhs bit for bit, and the
+    # same unitarity drift at the same time
+    cfg = build_config(
+        {"experiment": "quantum-dobrushin", "epsilon": [0.5], "t_final": 0.08, "n_times": 3}
+    )
+    rows = run_experiment(cfg)
+    params, eps = cfg.params, 0.5
+    N, (q0, p0) = params["n_particles"], params["center"]
+    base = GridSpec(1, 1, params["grid_points"], params["box"], eps)
+    lift = metrics.coupling_to_factored_mixture(
+        base, N, transport.DiscreteMeasure(np.repeat([q0, p0], 2 * N)[None, :], np.ones(1))
+    )
+    costs = []
+
+    def measure(t, mixture):
+        costs.append(metrics.qp_cost_trace(mixture) / N)
+        return []
+
+    schedule = time_schedule(experiments._sample_times(params), params["dt"])
+    with _SolvePool(1) as solves:
+        own, _ = experiments._coupled_run(
+            lift,
+            coherent_state(base, q0, p0),
+            make_potential(cfg.potential),
+            schedule,
+            params["dt"],
+            solves,
+            {"eps": eps},
+            measure,
+        )
+    growth = [r.lhs_measured for r in rows if r.inequality_id == "coupling-cost-growth"]
+    assert len(growth) == 3 and [c.hex() for c in costs] == [g.hex() for g in growth]
+    [unitarity] = own
+    assert unitarity.inequality_id == rows[-1].inequality_id == "doubled-evolution-unitarity"
+    assert (unitarity.time, unitarity.lhs_measured) == (rows[-1].time, rows[-1].lhs_measured)
+
+
 @pytest.mark.parametrize("experiment", ["classical-dobrushin", "vlasov-moments"])
 def test_validate_classical_schedule(tmp_path, experiment):
     base = {"experiment": experiment, "dt": 0.05}
@@ -644,6 +683,40 @@ def test_huge_grids_and_particle_counts_are_schema_diagnostics(tmp_path, capsys,
     assert main(["run", path]) == 64
     captured = capsys.readouterr()
     key = "n_particles" if "n_particles" in raw else "grid_points"
+    assert captured.out.startswith(f"{key}: ") and len(captured.out.splitlines()) == 1
+    assert f"config error: {key}: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        (
+            {"experiment": "ot-selftest", "potential": {"family": "cosine", "dim": 10**400}},
+            "potential.dim",
+        ),
+        ({"experiment": "vlasov-moments", "potential": {"dim": 2**63}}, "potential.dim"),
+        ({"experiment": "vlasov-moments", "cloud_size": 10**21}, "cloud_size"),
+        (
+            {
+                "experiment": "classical-dobrushin",
+                "reference_size": 10**21,
+                "samples": 2,
+                "N": [2],
+                "times": [0.025],
+            },
+            "reference_size",
+        ),
+    ],
+)
+def test_sizes_past_their_schema_bound_are_diagnostics(tmp_path, capsys, raw, key):
+    # a dim of 10^400 overflowed the cosine potential's list of ones, and a
+    # dim of 2^63 or a cloud of 10^21 points is past numpy's largest array
+    # dimension: validation, or the run that drew the cloud, ended in a
+    # traceback.  Each is rejected by the schema before anything is built
+    path = _write_cfg(tmp_path, raw)
+    assert main(["validate", path]) == 4
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    captured = capsys.readouterr()
     assert captured.out.startswith(f"{key}: ") and len(captured.out.splitlines()) == 1
     assert f"config error: {key}: " in captured.err and "Traceback" not in captured.err
 
@@ -1456,6 +1529,16 @@ def test_combineq_tiny_sweep_passes():
     assert all(r.passed for r in rows)
     ids = {r.inequality_id for r in rows}
     assert "consistency-scaling-slope" in ids
+
+
+@pytest.mark.parametrize("p, fit", [(1.0, -0.4548), (3.0, -1.4285)])
+def test_combineq_predicts_slope_minus_p_over_2(p, fit):
+    # E|F*mu_N - F*rho|^p falls like N^(-p/2): a prediction of -1 at every p
+    # failed these rows on correct code, with lhs 0.545 and 0.428
+    cfg = build_config({"experiment": "combineq", "seed": 0, "p": p, "mc_samples": 500})
+    [row] = [r for r in run_experiment(cfg) if r.inequality_id == "consistency-scaling-slope"]
+    assert row.constants["slope"] == pytest.approx(fit, abs=1e-4)
+    assert row.lhs_measured == pytest.approx(abs(fit + p / 2), abs=1e-4) and row.passed
 
 
 def test_vlasov_moments_tiny_passes():
