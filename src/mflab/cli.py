@@ -6,9 +6,10 @@
 `--jobs J` (at least 1) runs J points of an experiment's sweep at once.
 The exact transport solves of classical-dobrushin, mk-bracket and
 quantum-dobrushin run on the cores `--jobs` leaves free while the sweep
-goes on: a pool of usable CPUs // min(J, sweep length) threads, each
-started only when a solve waits and no thread is idle.  Neither changes a
-byte of the output.
+goes on: a pool of usable CPUs - min(J, sweep length) threads (none on one
+CPU), each started only when a solve waits and no thread is idle.  Once
+the sweep is done the calling thread runs the solves still queued beside
+them.  Neither changes a byte of the output.
 
 `--seed` and `--out` replace the config's `seed` and `out` and are checked
 as those keys are.

@@ -11,7 +11,9 @@ import ctypes
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
@@ -64,6 +66,7 @@ from .transport import (
     assignment_cost,
     dual_potentials,
     kantorovich_gap,
+    release_workspace,
     wasserstein_exact,
 )
 
@@ -216,6 +219,16 @@ _CENTER = (
 # dim past numpy's largest array dimension cannot even draw a one-point cloud
 _DIM = (lambda d: _is_int(d) and 1 <= d <= 2**20, "an integer from 1 to 2^20")
 
+# combineq's p stops at 3: its consistency-scaling-slope row fits the
+# N^(-p/2) law over N = 4, 16, 64 by default, which past p = 3 is still
+# preasymptotic, and the row fails on correct code (seeds 0-4 at the default
+# mc_samples: lhs 0.137-0.149 at p = 4 and 0.181-0.198 at p = 5, against a
+# tolerance of 0.15; 0.096-0.106 at p = 3)
+_COMBINEQ_EXPONENT = (
+    lambda p: _is_number(p) and 1 <= p <= 3,
+    "a number from 1 to 3: past 3 the N-rate fit over N = 4, 16, 64 is preasymptotic",
+)
+
 #: Every field of each potential family but `family` itself (which defaults
 #: to gaussian), in `PARAMS`' format; `make_potential` fills in the defaults,
 #: and a cosine `wavevector` of None is ones in each of `dim` components.
@@ -275,7 +288,7 @@ PARAMS = {
         "symbols": (10, *_count(0, 10**4)),
     },
     "combineq": {
-        "p": (2.0, *_EXPONENT),
+        "p": (2.0, *_COMBINEQ_EXPONENT),
         "N": ([4, 16, 64], *_PARTICLE_COUNTS),
         "mc_samples": (100_000, *_count(1, 10**8)),
     },
@@ -574,22 +587,35 @@ _MALLOC_TRIM = _find_malloc_trim()
 
 class _SolvePool:
     """Up to `workers` threads that run queued solves while the sweep that
-    queued them goes on.  A thread starts only when a solve waits and no
-    thread is idle, so a run that queues nothing starts none.
+    queued them goes on, and the thread that closes the pool, which runs the
+    solves still queued once the sweep is done.  `_run_sweep` counts its
+    sweep threads among the cores, so on one core the pool has no thread
+    and the closing thread runs every solve.  A thread starts only when a
+    solve waits and no thread is idle, so a run that queues nothing starts
+    none.  A solve's future is read once the pool has closed: before that,
+    a pool with no thread has run none.
 
     The first error stops the run early: `check` raises the first error a
     solve or sweep point raised or the `with` block exited with, each time
     with the traceback recorded with it, so repeated checks do not lengthen
-    it.  `run` calls `check` before each solve and sweep point, as the sweep
-    does before each segment, so a solve still queued when an error comes
-    never starts.
-    Leaving the `with` block cancels the queued solves if an error has come,
-    waits for the others and, once a solve has been queued, hands the heap
+    it.  No thread takes a queued solve once an error has come, and `run`
+    calls `check` before each solve and sweep point, as the sweep does
+    before each segment.
+    Leaving the `with` block runs the queued solves on the closing thread
+    until none is left (none once an error has come), waits for the pool's
+    threads, cancels the solves an error left queued, drops the closing
+    thread's assignment workspace (`release_workspace`; the pool's threads
+    take theirs with them) and, once a solve has been queued, hands the heap
     the pool's threads freed back to the system (`_MALLOC_TRIM`).
     """
 
     def __init__(self, workers: int):
-        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._workers = workers
+        self._threads = []
+        self._queue = deque()  # (future, solve) pairs no thread has taken
+        self._ready = threading.Condition()  # guards the queue, the threads and the counts
+        self._idle = 0  # threads waiting for a solve that no submit has woken yet
+        self._closing = False
         self._queued = False
         self._errors = []  # (error, traceback); list.append is atomic: the first stays first
 
@@ -599,13 +625,62 @@ class _SolvePool:
     def __exit__(self, exc_type, exc, tb):
         if exc is not None:
             self._errors.append((exc, tb))  # later solves and sweep points stop at their check
-        self._pool.shutdown(cancel_futures=bool(self._errors))
+        try:
+            while (taken := self._take(wait=False)) is not None:
+                self._solve(*taken)
+        finally:
+            with self._ready:
+                self._closing = True
+                self._ready.notify_all()
+            for thread in self._threads:
+                thread.join()
+            for future, _ in self._queue:  # what an error left queued
+                future.cancel()
+            self._queue.clear()
+            release_workspace()
         if self._queued and _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
 
-    def submit(self, solve):
-        self._queued = True
-        return self._pool.submit(self.run, solve)
+    def submit(self, solve) -> Future:
+        future = Future()
+        with self._ready:
+            self._queued = True
+            self._queue.append((future, solve))
+            if self._idle:
+                self._idle -= 1
+                self._ready.notify()
+            elif len(self._threads) < self._workers:
+                name = f"mflab-solve-{len(self._threads)}"
+                thread = threading.Thread(target=self._work, name=name)
+                thread.start()
+                self._threads.append(thread)
+        return future
+
+    def _take(self, wait: bool):
+        """The next queued (future, solve); None once an error has come, or
+        when none is queued and the caller does not `wait` or the pool is
+        closing."""
+        with self._ready:
+            while not self._errors:
+                if self._queue:
+                    return self._queue.popleft()
+                if self._closing or not wait:
+                    break
+                self._idle += 1
+                self._ready.wait()
+        return None
+
+    def _work(self):
+        while (taken := self._take(wait=True)) is not None:
+            self._solve(*taken)
+
+    def _solve(self, future: Future, solve) -> None:
+        if not future.set_running_or_notify_cancel():
+            return
+        try:
+            future.set_result(self.run(solve))
+        except Exception as err:
+            future.set_exception(err)
 
     def run(self, task):
         """task(), on the calling thread, unless an error came first; an
@@ -613,7 +688,7 @@ class _SolvePool:
         self.check()
         try:
             return task()
-        except Exception as err:
+        except BaseException as err:
             self._errors.append((err, err.__traceback__))
             raise
 
@@ -627,14 +702,17 @@ def _run_sweep(one, n: int, jobs: int) -> list:
     """The rows of one(0, solves), ..., one(n - 1, solves), in sweep order
     whatever order the `jobs` sweep threads finish in.
 
-    `solves` is the run's one `_SolvePool`, with the cores the sweep threads
-    leave free.  Each entry a sweep point returns is a row, or a
-    zero-argument function that gives the row once the pool has closed and
-    every solve it queued is done.  A sweep point runs under the pool's
-    error rule: the first error of any sweep point or solve stops the others
-    at their next check.
+    `solves` is the run's one `_SolvePool`, with a thread for each core the
+    min(jobs, n) sweep threads leave free, so sweep and pool threads never
+    outnumber the usable CPUs (on one core the pool has none).  The thread
+    that called `_run_sweep` closes the pool once the sweep is done and runs
+    the solves still queued on the core the sweep has left.  Each entry a
+    sweep point returns is a row, or a zero-argument function that gives the
+    row once the pool has closed and every solve it queued is done.  A sweep
+    point runs under the pool's error rule: the first error of any sweep
+    point or solve stops the others at their next check.
     """
-    with _SolvePool(max(1, _usable_cpus() // min(jobs, n))) as solves:
+    with _SolvePool(max(0, _usable_cpus() - min(jobs, n))) as solves:
 
         def point(i):
             return solves.run(partial(one, i, solves))
@@ -818,9 +896,9 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     Each repeat is one task on `solves` holding two solves of
     `transport.assignment_cost` on the point arrays themselves, with no
     measure or plan objects: the assignment solver releases the GIL, and
-    the solves of one size reuse the pool thread's per-thread workspace
-    (2 * 8 * N^2 bytes a thread), so every pool thread takes the next
-    repeat as it comes free and allocates no cost matrix for it.
+    the solves of one size reuse the solving thread's workspace
+    (2 * 8 * N^2 bytes a thread), so every thread that solves takes the
+    next repeat as it comes free and allocates no cost matrix for it.
     Repeat r draws only from its own child of `seed_seq` and fills row r,
     so the reduced (mean, standard error, floor) is bit-identical for every
     pool size.  No future is kept: a done repeat holds 16 bytes.  Y, H and

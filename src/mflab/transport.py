@@ -26,7 +26,8 @@ callers that hold plain arrays call it directly.  It writes C and C - v
 into a reused per-thread workspace: two n x n float64 buffers
 (2 * 8 * n^2 bytes, 1 MiB at 256 atoms) that each thread allocates once
 and again only when n changes, so repeated solves of one size touch no new
-memory.  The buffers live as long as their thread.
+memory.  The buffers live as long as their thread, or until the thread
+calls release_workspace.
 
 From WARM_START_ATOMS atoms up the assignment solver (scipy's shortest
 augmenting path, Crouse 2016) is warm-started: it solves C - v, where the
@@ -482,6 +483,12 @@ def _workspace_buffers(n: int):
     if buffers is None or buffers[0].shape[0] != n:
         buffers = _workspace.buffers = (np.empty((n, n)), np.empty((n, n)))
     return buffers
+
+
+def release_workspace() -> None:
+    """Drop the calling thread's workspace buffers, if it has any; its next
+    solve makes them anew.  A thread that ends drops its own with it."""
+    vars(_workspace).pop("buffers", None)
 
 
 def assignment_cost(x, y):

@@ -11,8 +11,10 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import time
 import warnings
 import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -536,6 +538,7 @@ BAD_KNOBS = {
         ("mc_samples", "x"),
         ("mc_samples", 0),
         ("p", 0.5),
+        ("p", 5, "p: 5 must be a number from 1 to 3: past 3 the N-rate fit over N = 4, 16, 64"),
         ("slope_tolerance", 0.15, "slope_tolerance: not a parameter of combineq"),
     ],
     "classical-dobrushin": [
@@ -935,7 +938,11 @@ def test_validate_rejects_an_exponent_whose_growth_rate_overflows(tmp_path, caps
         # finite rates whose bounds overflow: e^(Lambda_p t), (2 sup_grad)^p and
         # the moment growth factor
         ({"experiment": "classical-dobrushin", "p": 1000}, "the coupling bound at p=1000"),
-        ({"experiment": "combineq", "p": 1e4}, "the general constant at p=10000.0"),
+        # (combineq's p stops at 3, so its constant overflows on the force)
+        (
+            {"experiment": "combineq", "p": 3, "potential": {"amplitude": 1e120}},
+            "the general constant at p=3, N=4",
+        ),
         ({"experiment": "vlasov-moments", "p": 1e4}, "the moment growth factor"),
     ],
 )
@@ -1117,20 +1124,27 @@ def test_empirical_chaos_sq_independent_of_workers():
 
 def _solve_threads(raw: dict, cpus: int, jobs: int, threads: int) -> set:
     """Run `raw` under `jobs` on `cpus` usable CPUs; the ids of the threads
-    its exact-transport solves ran on.  Each new solve thread waits until
-    `threads` of them have started, so a run whose solves cannot run on
-    that many threads at once fails."""
+    its exact-transport solves ran on, the closing thread (the caller) among
+    them if it ran one.  Each new pool thread waits until `threads` pool
+    threads have started, so a run whose solves cannot run on that many pool
+    threads at once fails; the closing thread waits for them too before its
+    first solve, so it cannot run every solve before they start."""
     ids = set()
     lock = threading.Lock()
-    started = threading.Barrier(threads)
+    closing = threading.get_ident()
+    all_started = threading.Event()
+    started = threading.Barrier(max(1, threads), action=all_started.set)
 
     def recording(solver):
         def solve(*args, **kwargs):
+            me = threading.get_ident()
             with lock:
-                new = threading.get_ident() not in ids
-                ids.add(threading.get_ident())
-            if new:
+                new = me not in ids
+                ids.add(me)
+            if new and me != closing:
                 started.wait(timeout=30)
+            elif new and threads:
+                assert all_started.wait(timeout=30)
             return solver(*args, **kwargs)
 
         return solve
@@ -1154,48 +1168,63 @@ SOLVE_SWEEPS = {
 
 @pytest.mark.parametrize("experiment", sorted(SOLVE_SWEEPS))
 def test_solve_threads_share_the_cores_the_sweep_leaves_free(experiment):
-    # 1 to 4 usable CPUs, shared by 1 or 2 sweep threads
+    # 1 to 4 usable CPUs, less one for each of the 1 or 2 sweep threads: the
+    # pool has a thread for each core left, none on one core, where the
+    # closing thread runs every solve
     raw, points = SOLVE_SWEEPS[experiment]
+    closing = threading.get_ident()
     for cpus in (1, 2, 3, 4):
         for jobs in (1, 2):
-            threads = max(1, cpus // min(jobs, points))
-            assert len(_solve_threads(raw, cpus, jobs, threads)) == threads
+            threads = max(0, cpus - min(jobs, points))
+            ids = _solve_threads(raw, cpus, jobs, threads)
+            assert len(ids - {closing}) == threads, (cpus, jobs)
+            if not threads:
+                assert ids == {closing}, (cpus, jobs)
 
 
 def test_solve_workers_use_the_cores_a_short_sweep_leaves_free(monkeypatch):
-    # --jobs 2 on one epsilon runs one sweep thread, so the solves get every core
+    # --jobs 2 on one epsilon runs one sweep thread, so the pool gets every
+    # core but that one
+    closing = threading.get_ident()
     for eps, jobs, threads in (
-        ([0.5], 2, 4),
-        ([0.5], 1, 4),
+        ([0.5], 2, 3),
+        ([0.5], 1, 3),
         ([0.5, 0.25], 2, 2),
         ([0.5, 0.25, 0.5], 2, 2),
         ([0.5, 0.25, 0.5], 4, 1),
     ):
         raw = dict(HUSIMI_PIPELINES["mk-bracket"], epsilon=eps, pairs=4 * len(eps))
-        assert len(_solve_threads(raw, 4, jobs, threads)) == threads
-    # classical-dobrushin's sweep is one point, so every N list gets every core
+        assert len(_solve_threads(raw, 4, jobs, threads) - {closing}) == threads
+    # classical-dobrushin's sweep is one point, so every N list gets every
+    # core but the sweep's
     for N in ([8], [4, 8, 4]):
-        assert len(_solve_threads(dict(CLASSICAL_FREE, N=N, repeats=8), 4, 4, 4)) == 4
-    # a pool of four threads starts one for a run's only solve
-    counts = []
+        ids = _solve_threads(dict(CLASSICAL_FREE, N=N, repeats=8), 4, 4, 3)
+        assert len(ids - {closing}) == 3
+    # a pool of three threads starts one for a run's only solve, and a pool
+    # on one core none: the closing thread runs it
     solve = experiments.lattice_lower
-
-    def counting(*args, **kwargs):
-        counts.append(threading.active_count())
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(experiments, "lattice_lower", counting)
     before = threading.active_count()
     raw = {"experiment": "mk-bracket", "seed": 4, "epsilon": [0.5], "pairs": 1}
-    assert len(run_experiment(build_config(raw))) == 3
-    assert counts == [before + 1]
+    for cpus, threads in ((4, 1), (1, 0)):
+        counts = []
+
+        def counting(*args, **kwargs):
+            counts.append((threading.active_count(), threading.get_ident() == closing))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "lattice_lower", counting)
+        assert len(run_experiment(build_config(raw))) == 3
+        assert len(counts) == 1 and counts[0][0] == before + threads
+        if not threads:
+            assert counts == [(before, True)]
 
 
 def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
-    # the solves run on pool threads; their error must still reach main, and
-    # the first error stops the run: no pool thread starts another solve, and
-    # the solves still queued and the later segments never call the solver
+    # the solves run on two pool threads beside the sweep thread and then on
+    # the closing thread; their error must still reach main, and the first
+    # error stops the run: no thread starts another solve, and the solves
+    # still queued and the later segments never call the solver
     calls = []
 
     def capped(*args, **kwargs):
@@ -1207,6 +1236,7 @@ def test_resource_error_in_a_solve_block_exits_3(tmp_path, monkeypatch):
     raw = dict(CLASSICAL_FREE, N=[8, 8], times=[0.05, 0.1, 0.15, 0.2])
     assert main(["run", _write_cfg(tmp_path, raw), "--out", str(tmp_path)]) == 3
     assert 1 <= len(calls) <= 3 and len(set(calls)) == len(calls)
+    assert len(set(calls) - {threading.get_ident()}) <= 2
 
 
 def test_a_failing_sweep_point_stops_its_siblings_under_jobs_2(tmp_path, monkeypatch):
@@ -1276,8 +1306,9 @@ def test_sweeps_that_queue_no_solve_start_no_pool_thread(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("experiment", sorted(HUSIMI_PIPELINES))
 def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch, experiment):
-    # one pool thread: the first solve fails once the sweep has queued every
-    # solve, and the solves queued behind it never reach the solver
+    # one core, so no pool thread: the closing thread takes the first solve
+    # once the sweep has queued every solve, it fails, and the solves queued
+    # behind it never reach the solver
     calls = []
     swept = threading.Event()
 
@@ -1287,8 +1318,8 @@ def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch,
             return super().__exit__(*exc)
 
     def capped(*args, **kwargs):
-        calls.append(1)
-        assert swept.wait(timeout=30)
+        calls.append(threading.get_ident())
+        assert swept.is_set()
         raise ResourceCapError("support exceeds cap")
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
@@ -1296,12 +1327,13 @@ def test_resource_error_in_a_queued_lattice_solve_exits_3(tmp_path, monkeypatch,
     monkeypatch.setattr(metrics, "wasserstein_exact", capped)
     path = _write_cfg(tmp_path, HUSIMI_PIPELINES[experiment])
     assert main(["run", path, "--out", str(tmp_path)]) == 3
-    assert len(calls) == 1
+    assert calls == [threading.get_ident()]
 
 
 def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
     # the trim sees only the threads that were there before the pool, on
-    # success and when a block raised
+    # success and when a block raised; a pool of no thread starts none, and
+    # its closing thread runs the solves in submit order before the trim
     before = threading.active_count()
     trims = []
 
@@ -1322,10 +1354,22 @@ def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
             solves.submit(capped).result()
     assert trims == [before, before]
 
+    def where(k):
+        return k, threading.get_ident(), threading.active_count(), len(trims)
+
+    with _SolvePool(0) as solves:
+        futures = [solves.submit(partial(where, k)) for k in range(3)]
+        assert not any(f.done() for f in futures)
+    closing = threading.get_ident()
+    assert [f.result() for f in futures] == [(k, closing, before, 2) for k in range(3)]
+    assert trims == [before] * 3
+
 
 def test_pool_threads_take_their_assignment_workspace_with_them(monkeypatch):
-    # each pool thread solves in its own buffers; once the pool has closed,
-    # before the heap is trimmed, no buffer of theirs is left
+    # each thread that solves, the closing thread among them, solves in its
+    # own buffers; once the pool has closed, before the heap is trimmed, no
+    # buffer of theirs is left, and the closing thread holds none.  With no
+    # pool thread the closing thread runs every solve
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(2, 128, 2))
     held, freed_at_trim = [], []
@@ -1338,10 +1382,121 @@ def test_pool_threads_take_their_assignment_workspace_with_them(monkeypatch):
         freed_at_trim.append(all(ref() is None for ref in held))
 
     monkeypatch.setattr(experiments, "_MALLOC_TRIM", trim)
-    with _SolvePool(2) as solves:
-        for _ in range(4):
-            solves.submit(solve)
-    assert len(held) == 8 and freed_at_trim == [True]
+    for workers in (2, 0):
+        held.clear()
+        transport.assignment_cost(x, y)  # the closing thread's own workspace
+        held.extend(weakref.ref(buffer) for buffer in transport._workspace.buffers)
+        with _SolvePool(workers) as solves:
+            for _ in range(4):
+                solves.submit(solve)
+        assert len(held) == 10 and not hasattr(transport._workspace, "buffers")
+    assert freed_at_trim == [True, True]
+
+
+@pytest.mark.parametrize("experiment", sorted(SOLVE_SWEEPS))
+def test_sweep_and_solve_threads_never_outnumber_the_cores(monkeypatch, experiment):
+    # every sweep point and solve runs through the pool's `run`: at no moment
+    # do more threads run in it than the usable CPUs, unless --jobs itself
+    # asks for more sweep threads than that
+    raw, points = SOLVE_SWEEPS[experiment]
+    lock = threading.Lock()
+    running, most = [0], [0]
+
+    class Counting(_SolvePool):
+        def run(self, task):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(1e-3)  # long enough for the others to overlap it
+                return super().run(task)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+    monkeypatch.setattr(experiments, "_SolvePool", Counting)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        for jobs in (1, 2):
+            most[0] = 0
+            run_experiment(build_config(raw), jobs=jobs)
+            assert 1 <= most[0] <= max(cpus, min(jobs, points)), (cpus, jobs, most[0])
+
+
+def _joined(target, timeout=60.0):
+    """target() on a thread of its own, joined within `timeout` seconds:
+    its result, or the error it raised."""
+    out = {}
+
+    def call():
+        try:
+            out["result"] = target()
+        except Exception as err:
+            out["error"] = err
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the sweep did not end within the timeout"
+    return out
+
+
+def test_solve_queue_under_thread_churn(monkeypatch):
+    # eight usable CPUs, so seven pool threads beside the sweep thread, on
+    # fewer cores, switching every microsecond: each of 2000 queued solves
+    # runs exactly once, the rows come back in submit order, every join ends
+    # within its timeout and no pool thread outlives its pool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    count = 2000
+    ran = []
+
+    def solve(k):
+        ran.append(k)  # list.append is atomic: a solve run twice shows twice
+        return k
+
+    def sweep(_, solves):
+        return [solves.submit(partial(solve, k)).result for k in range(count)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _joined(lambda: experiments._run_sweep(sweep, 1, 1))
+        assert out == {"result": list(range(count))}
+        assert sorted(ran) == list(range(count))
+        assert not [t for t in threading.enumerate() if t.name.startswith("mflab-solve-")]
+
+        # one failing solve: the solves the pool threads had taken before its
+        # error was recorded finish, and no solve still queued starts
+        started, futures = [], []
+        release = threading.Event()
+
+        def blocked(k):
+            started.append(k)
+            if k == 0:
+                raise ResourceCapError("support exceeds cap")
+            assert release.wait(timeout=30)
+            return k
+
+        def failing_sweep(_, solves):
+            futures.extend(solves.submit(partial(blocked, k)) for k in range(count))
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    solves.check()
+                except ResourceCapError:
+                    break
+                time.sleep(1e-3)
+            release.set()  # the error is recorded: let the taken solves end
+            return [f.result for f in futures]
+
+        out = _joined(lambda: experiments._run_sweep(failing_sweep, 1, 1))
+        assert isinstance(out.get("error"), ResourceCapError)
+    finally:
+        sys.setswitchinterval(interval)
+    # each pool thread holds at most one solve while the error is recorded
+    assert 0 in started and len(started) <= 7 and len(set(started)) == len(started)
+    assert sum(f.cancelled() for f in futures) >= count - 7
+    assert all(f.result() == k for k, f in enumerate(futures) if k in started and k)
 
 
 def test_solve_pool_raises_each_time_with_the_recorded_traceback():
