@@ -13,7 +13,7 @@ import os
 import sys
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
@@ -206,10 +206,6 @@ _GRID_POINTS = (lambda n: _power_of_two(n) and n <= 2**30, "an integer power of 
 _PARTICLE_COUNTS = (_Each(lambda n: _is_int(n) and n >= 1), "a positive integer")
 _EPSILONS = (_Each(_positive), "a positive number")
 _SAMPLE_TIMES = (_increasing_times, "a positive number or a strictly increasing list of them")
-_DIMS = (
-    lambda x: bool(_as_list(x)) and all(_is_int(k) and k >= 1 for k in _as_list(x)),
-    "a positive integer or a nonempty list of them",
-)
 _CENTER = (
     lambda x: isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)),
     "a list of two numbers [q, p]",
@@ -218,6 +214,12 @@ _CENTER = (
 # wavevector is built from takes 8 MiB: validation builds the potential, and a
 # dim past numpy's largest array dimension cannot even draw a one-point cloud
 _DIM = (lambda d: _is_int(d) and 1 <= d <= 2**20, "an integer from 1 to 2^20")
+# ot-selftest's dims stop there too, so no covariance size is computed past
+# them; the memory cap stops them far below (`_check_ot_selftest`)
+_DIMS = (
+    lambda x: bool(_as_list(x)) and all(map(_DIM[0], _as_list(x))),
+    "an integer from 1 to 2^20 or a nonempty list of them",
+)
 
 # combineq's p stops at 3: its consistency-scaling-slope row fits the
 # N^(-p/2) law over N = 4, 16, 64 by default, which past p = 3 is still
@@ -324,6 +326,8 @@ MAX_STEP_WORK = 10**5
 #: points unless `sums_field_exactly` says it is tabulated: vlasov-moments'
 #: cloud and classical-dobrushin's reference.  The default dim-2
 #: vlasov-moments plans 6.7e8 such terms, and 200000 points plan 1.6e12.
+#: A combineq sample sums the field over its N points: `mc_samples` times
+#: sum N terms, 8.4e6 at the defaults.
 MAX_PAIR_WORK = 10**12
 
 
@@ -407,16 +411,16 @@ def _schedule_steps(params: dict, ok, points: int = 1) -> tuple:
     return [f"{plan}, more work than the bound of {MAX_STEP_WORK} steps{bound}"], None
 
 
-def _over_cap(what: str, n_pts: int, axes: int, cap) -> list:
-    """The diagnostic of a runner's largest array, `what`, of n_pts^axes
-    complex entries, when its 16 * n_pts^axes bytes (GridSpec's rule for a
-    state, and check_matrix_bytes' for an n x n matrix at axes = 2) are over
-    the memory cap `cap`; [] under it or when cap is None."""
+def _over_cap(what: str, n_pts: int, axes: int, cap, key: str = "grid_points") -> list:
+    """The diagnostic of `key` for a runner's largest array, `what`, of
+    n_pts^axes complex entries, when its 16 * n_pts^axes bytes (GridSpec's
+    rule for a state, and check_matrix_bytes' for an n x n matrix at
+    axes = 2) are over the memory cap `cap`; [] under it or when cap is None."""
     need = 16 * n_pts**axes
     if cap is None or need <= cap:
         return []
     formula = f"16*{n_pts}^{axes} = {_compact(need)} bytes"
-    return [f"grid_points: {what} needs {formula}, over the memory cap {cap}"]
+    return [f"{key}: {what} needs {formula}, over the memory cap {cap}"]
 
 
 def _grid_diagnostics(params: dict, ok, cap, centres=(), dt=0.0, guard=None) -> list:
@@ -531,7 +535,7 @@ def validate_config(raw: dict) -> list:
     bad = {key for key in spec if found[key]}
     bad.update(k for k, fine in (("potential", V is not None), ("seed", seed_ok)) if not fine)
     cap = None
-    if "grid_points" in spec:
+    if "grid_points" in spec or "dims" in spec:  # the keys that size an array against the cap
         try:
             cap = memory_cap_bytes()
         except ValueError as err:
@@ -592,8 +596,12 @@ class _SolvePool:
     sweep threads among the cores, so on one core the pool has no thread
     and the closing thread runs every solve.  A thread starts only when a
     solve waits and no thread is idle, so a run that queues nothing starts
-    none.  A solve's future is read once the pool has closed: before that,
-    a pool with no thread has run none.
+    none.
+
+    A solve is a bare zero-argument callable: the queue holds it and
+    nothing else, and what it returns is dropped, so a solve writes its
+    result where its caller reads it, once the pool has closed and `check`
+    has passed (before that, a pool with no thread has run none).
 
     The first error stops the run early: `check` raises the first error a
     solve or sweep point raised or the `with` block exited with, each time
@@ -603,7 +611,7 @@ class _SolvePool:
     before each segment.
     Leaving the `with` block runs the queued solves on the closing thread
     until none is left (none once an error has come), waits for the pool's
-    threads, cancels the solves an error left queued, drops the closing
+    threads, drops the solves an error left queued, drops the closing
     thread's assignment workspace (`release_workspace`; the pool's threads
     take theirs with them) and, once a solve has been queued, hands the heap
     the pool's threads freed back to the system (`_MALLOC_TRIM`).
@@ -612,7 +620,7 @@ class _SolvePool:
     def __init__(self, workers: int):
         self._workers = workers
         self._threads = []
-        self._queue = deque()  # (future, solve) pairs no thread has taken
+        self._queue = deque()  # solves no thread has taken
         self._ready = threading.Condition()  # guards the queue, the threads and the counts
         self._idle = 0  # threads waiting for a solve that no submit has woken yet
         self._closing = False
@@ -626,26 +634,23 @@ class _SolvePool:
         if exc is not None:
             self._errors.append((exc, tb))  # later solves and sweep points stop at their check
         try:
-            while (taken := self._take(wait=False)) is not None:
-                self._solve(*taken)
+            while (solve := self._take(wait=False)) is not None:
+                self._solve(solve)
         finally:
             with self._ready:
                 self._closing = True
                 self._ready.notify_all()
             for thread in self._threads:
                 thread.join()
-            for future, _ in self._queue:  # what an error left queued
-                future.cancel()
-            self._queue.clear()
+            self._queue.clear()  # what an error left queued
             release_workspace()
         if self._queued and _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
 
-    def submit(self, solve) -> Future:
-        future = Future()
+    def submit(self, solve) -> None:
         with self._ready:
             self._queued = True
-            self._queue.append((future, solve))
+            self._queue.append(solve)
             if self._idle:
                 self._idle -= 1
                 self._ready.notify()
@@ -654,12 +659,10 @@ class _SolvePool:
                 thread = threading.Thread(target=self._work, name=name)
                 thread.start()
                 self._threads.append(thread)
-        return future
 
     def _take(self, wait: bool):
-        """The next queued (future, solve); None once an error has come, or
-        when none is queued and the caller does not `wait` or the pool is
-        closing."""
+        """The next queued solve; None once an error has come, or when none
+        is queued and the caller does not `wait` or the pool is closing."""
         with self._ready:
             while not self._errors:
                 if self._queue:
@@ -671,16 +674,14 @@ class _SolvePool:
         return None
 
     def _work(self):
-        while (taken := self._take(wait=True)) is not None:
-            self._solve(*taken)
+        while (solve := self._take(wait=True)) is not None:
+            self._solve(solve)
 
-    def _solve(self, future: Future, solve) -> None:
-        if not future.set_running_or_notify_cancel():
-            return
+    def _solve(self, solve) -> None:
         try:
-            future.set_result(self.run(solve))
-        except Exception as err:
-            future.set_exception(err)
+            self.run(solve)
+        except Exception:
+            pass  # `run` recorded it: `check` raises it, and no solve is taken after it
 
     def run(self, task):
         """task(), on the calling thread, unless an error came first; an
@@ -731,7 +732,9 @@ def _queue_husimi_lower_row(
     solves: _SolvePool, state1, state2, row_id: str, t: float, rhs: float, **row
 ):
     """The row comparing mk_eps_lower(state1, state2) with `rhs`, deferred:
-    the `result` of the solve queued on `solves`.
+    a zero-argument function that reads the row the solve queued on `solves`
+    writes into its one-element slot.  `_run_sweep` calls it only once
+    `solves` has closed and `check` has passed, so the solve has run.
 
     The Husimi lattices are built here, on the sweep thread, and only their
     transport solve goes on `solves`: the states (wave functions or density
@@ -739,9 +742,13 @@ def _queue_husimi_lower_row(
     """
     mu1, mu2 = husimi_lattices(state1, state2)
     eps = state1.grid.epsilon
-    return solves.submit(
-        lambda: bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
-    ).result
+    slot = []
+    solves.submit(
+        lambda: slot.append(
+            bounds.make_report(row_id, t, lattice_lower(mu1, mu2, eps), rhs, **row)
+        )
+    )
+    return lambda: slot[0]
 
 
 def _rate_rows(
@@ -780,7 +787,12 @@ def _brute_assignment_cost(C: np.ndarray) -> float:
 
 
 def _check_ot_selftest(params: dict, ok, V, cap, seed) -> list:
-    return []  # its parameters are independent, and it evaluates no bound
+    # dual_potentials seeds its LP through the two clouds' k x k covariances,
+    # 2 * 8 * k^2 bytes, and an eigh of each; it evaluates no bound
+    if not ok("dims"):
+        return []
+    k = max(_as_list(params["dims"]))
+    return _over_cap(f"the LP seed's pair of {k} x {k} covariances", k, 2, cap, key="dims")
 
 
 def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -821,6 +833,14 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def _check_combineq(params: dict, ok, V, cap, seed) -> list:
+    if ok("N", "mc_samples"):
+        samples, sum_n = params["mc_samples"], sum(_as_list(params["N"]))
+        if samples * sum_n > MAX_PAIR_WORK:
+            return [
+                f"N: {_compact(params['N'])} plans {samples} samples of sum N = "
+                f"{_compact(sum_n)} field terms, {_compact(samples * sum_n)} in all, "
+                f"more work than the bound of {MAX_PAIR_WORK} pair terms"
+            ]
     if not ok("potential", "p", "N"):
         return []
     p, N = params["p"], min(_as_list(params["N"]))
@@ -899,14 +919,16 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
     the solves of one size reuse the solving thread's workspace
     (2 * 8 * N^2 bytes a thread), so every thread that solves takes the
     next repeat as it comes free and allocates no cost matrix for it.
-    Repeat r draws only from its own child of `seed_seq` and fills row r,
-    so the reduced (mean, standard error, floor) is bit-identical for every
-    pool size.  No future is kept: a done repeat holds 16 bytes.  Y, H and
+    Repeat r draws only from its own child of `seed_seq` (the one
+    `seed_seq.spawn(repeats)[r]` would give a fresh `seed_seq`), built
+    where the repeat runs, and fills row r, so the reduced (mean, standard
+    error, floor) is bit-identical for every pool size.  A queued
+    repeat is one bare callable on the pool's queue (no future, no seed
+    object), and a done one holds its 16 bytes of `pairs`.  Y, H and
     `ref_pool` are only read, so the caller may advance its ensemble while
     the repeats run.
     """
     n_samples, n_points, _ = Y.shape
-    children = seed_seq.spawn(repeats)
     pairs = np.empty((repeats, 2))
 
     def w2_sq(x, y):
@@ -915,7 +937,10 @@ def _submit_chaos_repeats(solves: _SolvePool, Y, H, ref_pool, repeats: int, seed
         return (assignment_cost(x, y)[0] ** 0.5) ** 2
 
     def repeat(r):
-        rng = np.random.default_rng(children[r])
+        child = np.random.SeedSequence(
+            seed_seq.entropy, spawn_key=seed_seq.spawn_key + (r,), pool_size=seed_seq.pool_size
+        )
+        rng = np.random.default_rng(child)
         i = rng.integers(n_samples)
         idx = rng.choice(ref_pool.shape[0], size=2 * n_points, replace=False)
         anchor = ref_pool[idx[:n_points]]

@@ -6,14 +6,19 @@ float, nan, infinities, strings, objects, empty and nested lists) and the
 boundary values of the key's accept rule, read off the numbers its
 description names (an integer "from 2 to 9" gives 1, 2, 3, 8, 9 and 10).
 Whatever the mix, validation must return a list of strings and never raise.
+A config that validates clean must also run to a documented exit code: the
+run half sets each key of a tiny config to one such value and runs it.
 """
+import json
 import math
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mflab.cli import main
 from mflab.experiments import PARAMS, POTENTIALS, validate_config
 
 HOSTILE = [
@@ -120,3 +125,87 @@ def test_validate_config_returns_diagnostics_and_never_raises(experiment, data):
     )
     raw.update(data.draw(extra))
     _check(raw)
+
+
+# The run half: configs that validate clean must run to a documented exit.
+
+#: A small base config of each experiment, so that a run takes milliseconds
+TINY = {
+    "ot-selftest": {"n_clouds": 3},
+    "combineq": {"mc_samples": 200},
+    "classical-dobrushin": {
+        "N": [4, 8],
+        "samples": 32,
+        "reference_size": 64,
+        "times": [0.25],
+        "repeats": 4,
+    },
+    "vlasov-moments": {"cloud_size": 64, "times": [0.25]},
+    "mk-bracket": {"epsilon": [0.5], "pairs": 2, "grid_points": 64},
+    "toeplitz-identities": {"grid_points": 64, "symbols": 2},
+    "quantum-dobrushin": {"t_final": 0.04, "n_times": 3, "epsilon": [0.5]},
+}
+
+#: Keys the run half leaves at their TINY value: counts of repeated work and
+#: cloud sizes, whose schema extremes cost time in proportion and take no
+#: code path a small count does not
+REPEATED = {
+    "n_clouds",
+    "mc_samples",
+    "samples",
+    "repeats",
+    "reference_size",
+    "cloud_size",
+    "pairs",
+    "symbols",
+}
+
+#: Rows that fail on correct code at TINY's sizes: N-rate fits over a few
+#: small samples (a classical-dobrushin slope over N = 4, 8 from 32 samples,
+#: a combineq slope from a handful of Monte Carlo samples)
+STATISTICAL_ROWS = {"coupling-distance-scaling-slope", "consistency-scaling-slope"}
+
+#: A lowered memory cap, so that the grid runners' own cap checks reject the
+#: large grids the schema allows
+RUN_CAP = 2**24
+
+
+def _run_configs(seed: int) -> list:
+    """For each experiment and each key it fuzzes, TINY with that key set to
+    one value, drawn with `seed`, of those of its fuzz values that validate
+    clean on TINY and differ from TINY's own."""
+    rng = random.Random(seed)
+    configs = []
+    for experiment, base in sorted(TINY.items()):
+        tiny = {"experiment": experiment, **base}
+        assert validate_config(tiny) == [], experiment
+        for key, (default, _, what) in PARAMS[experiment].items():
+            if key in REPEATED:
+                continue
+            clean = []
+            for value in [default, *HOSTILE, *boundary_values(what)]:
+                raw = dict(tiny, **{key: value})
+                if raw != tiny and raw not in clean and validate_config(raw) == []:
+                    clean.append(raw)
+            if clean:
+                configs.append(rng.choice(clean))
+    return configs
+
+
+def test_configs_that_validate_clean_run_to_a_documented_exit(tmp_path, monkeypatch):
+    # exit 0, 2 (a statistical row failed at these sizes) or 3 (a resource
+    # or guard-band abort), never 1: a config the schema and the check
+    # functions accept must not end in a traceback
+    monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", str(RUN_CAP))
+    monkeypatch.chdir(tmp_path)  # a checkpoint prefix writes where it points
+    for k, raw in enumerate(_run_configs(seed=0)):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{k}"
+        code = main(["run", str(path), "--out", str(out)])
+        assert code in (0, 2, 3), raw
+        if code == 2:
+            jsonl = (out / f"{raw['experiment']}.jsonl").read_text()
+            rows = [json.loads(line) for line in jsonl.splitlines()]
+            failed = {r["inequality_id"] for r in rows if not r["pass"]}
+            assert failed <= STATISTICAL_ROWS, (raw, failed)

@@ -530,6 +530,8 @@ BAD_KNOBS = {
         ("max_support", 1),
         ("max_support", 14),
         ("dims", ["x"]),
+        ("dims", [10**20]),
+        ("dims", [2, 11586], "dims: the LP seed's pair of 11586 x 11586 covariances needs 16*11586^2"),
         ("p", 2.0, "p: not a parameter of ot-selftest"),
         ("seed", True, "seed: must be a nonnegative integer"),
         ("out", 5, "out: must be a string or null"),
@@ -539,6 +541,7 @@ BAD_KNOBS = {
         ("mc_samples", 0),
         ("p", 0.5),
         ("p", 5, "p: 5 must be a number from 1 to 3: past 3 the N-rate fit over N = 4, 16, 64"),
+        ("N", [4, 2**63], "N: [4, 9223372036854775808] plans 100000 samples of sum N ="),
         ("slope_tolerance", 0.15, "slope_tolerance: not a parameter of combineq"),
     ],
     "classical-dobrushin": [
@@ -1122,6 +1125,26 @@ def test_empirical_chaos_sq_independent_of_workers():
     assert triples[0][1] > 0.0
 
 
+def test_a_queued_chaos_repeat_holds_at_most_512_bytes():
+    # a pool with no thread runs nothing before it closes, so what 2048
+    # queued repeats hold is traced while they wait: the queue holds bare
+    # callables, with no future and no seed object per repeat
+    rng = np.random.default_rng(0)
+    Y, H = rng.standard_normal((2, 5, 6, 1))
+    pool = rng.standard_normal((40, 2))
+    repeats = 2048
+    with _SolvePool(0) as solves:
+        tracemalloc.start()
+        try:
+            pairs = _submit_chaos_repeats(solves, Y, H, pool, repeats, np.random.SeedSequence(9))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    solves.check()
+    assert held / repeats <= 512, held / repeats
+    assert np.isfinite(pairs).all()
+
+
 def _solve_threads(raw: dict, cpus: int, jobs: int, threads: int) -> set:
     """Run `raw` under `jobs` on `cpus` usable CPUs; the ids of the threads
     its exact-transport solves ran on, the closing thread (the caller) among
@@ -1342,8 +1365,12 @@ def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
         trims.append(threading.active_count())
 
     monkeypatch.setattr(experiments, "_MALLOC_TRIM", trim)
+    done = [None] * 3
     with _SolvePool(2) as solves:
-        assert [solves.submit(lambda k=k: k).result() for k in range(3)] == [0, 1, 2]
+        for k in range(3):
+            solves.submit(partial(done.__setitem__, k, k))
+    solves.check()
+    assert done == [0, 1, 2]
     assert trims == [before]
 
     def capped():
@@ -1351,17 +1378,22 @@ def test_solve_pool_trims_the_heap_once_its_threads_have_joined(monkeypatch):
 
     with pytest.raises(ResourceCapError):
         with _SolvePool(2) as solves:
-            solves.submit(capped).result()
+            solves.submit(capped)
+            for _ in range(10**4):  # the block raises once a pool thread has run it
+                solves.check()
+                time.sleep(1e-3)
     assert trims == [before, before]
 
     def where(k):
-        return k, threading.get_ident(), threading.active_count(), len(trims)
+        ran.append((k, threading.get_ident(), threading.active_count(), len(trims)))
 
+    ran = []
     with _SolvePool(0) as solves:
-        futures = [solves.submit(partial(where, k)) for k in range(3)]
-        assert not any(f.done() for f in futures)
+        for k in range(3):
+            solves.submit(partial(where, k))
+        assert ran == []
     closing = threading.get_ident()
-    assert [f.result() for f in futures] == [(k, closing, before, 2) for k in range(3)]
+    assert ran == [(k, closing, before, 2) for k in range(3)]
     assert trims == [before] * 3
 
 
@@ -1455,7 +1487,14 @@ def test_solve_queue_under_thread_churn(monkeypatch):
         return k
 
     def sweep(_, solves):
-        return [solves.submit(partial(solve, k)).result for k in range(count)]
+        rows = [None] * count
+
+        def queued(k):
+            rows[k] = solve(k)
+
+        for k in range(count):
+            solves.submit(partial(queued, k))
+        return [partial(rows.__getitem__, k) for k in range(count)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1467,7 +1506,7 @@ def test_solve_queue_under_thread_churn(monkeypatch):
 
         # one failing solve: the solves the pool threads had taken before its
         # error was recorded finish, and no solve still queued starts
-        started, futures = [], []
+        started, finished = [], []
         release = threading.Event()
 
         def blocked(k):
@@ -1475,10 +1514,11 @@ def test_solve_queue_under_thread_churn(monkeypatch):
             if k == 0:
                 raise ResourceCapError("support exceeds cap")
             assert release.wait(timeout=30)
-            return k
+            finished.append(k)
 
         def failing_sweep(_, solves):
-            futures.extend(solves.submit(partial(blocked, k)) for k in range(count))
+            for k in range(count):
+                solves.submit(partial(blocked, k))
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
                 try:
@@ -1487,16 +1527,16 @@ def test_solve_queue_under_thread_churn(monkeypatch):
                     break
                 time.sleep(1e-3)
             release.set()  # the error is recorded: let the taken solves end
-            return [f.result for f in futures]
+            return []
 
         out = _joined(lambda: experiments._run_sweep(failing_sweep, 1, 1))
         assert isinstance(out.get("error"), ResourceCapError)
     finally:
         sys.setswitchinterval(interval)
-    # each pool thread holds at most one solve while the error is recorded
+    # each pool thread holds at most one solve while the error is recorded,
+    # every solve taken before it finishes, and no solve queued behind it starts
     assert 0 in started and len(started) <= 7 and len(set(started)) == len(started)
-    assert sum(f.cancelled() for f in futures) >= count - 7
-    assert all(f.result() == k for k, f in enumerate(futures) if k in started and k)
+    assert sorted(finished) == sorted(k for k in started if k)
 
 
 def test_solve_pool_raises_each_time_with_the_recorded_traceback():
