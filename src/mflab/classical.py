@@ -109,13 +109,22 @@ def _nbody_force_batch(V: Potential, X: Array) -> Array:
     return out
 
 
+def field_block_rows(size: int, d: int) -> int:
+    """Query rows in each block of `_exact_field` over a cloud of `size`
+    points in d dimensions: at most PAIR_BLOCK pair-coordinate entries
+    (rows * size * d), or one row if a row holds more."""
+    return max(1, PAIR_BLOCK // max(size * d, 1))
+
+
 def _exact_field(V: Potential, y: Array, w: Array) -> Callable[[Array], Array]:
     """Mean-field force -sum_m w_m grad V(q - y_m) of the weighted points y,
-    by exact summation at each query point q (..., d)."""
+    by exact summation at each query point q (..., d), in blocks of
+    `field_block_rows` query rows.  Each row still sums over every y_m at
+    once, so blocking leaves the round-off as is."""
     def field(q: Array) -> Array:
         q2 = q.reshape(-1, q.shape[-1])
         out = np.empty_like(q2)
-        chunk = max(1, PAIR_BLOCK // max(len(y), 1))
+        chunk = field_block_rows(*y.shape)
         for s in range(0, len(q2), chunk):
             diff = q2[s : s + chunk, None, :] - y[None, :, :]
             out[s : s + chunk] = -np.sum(w[:, None] * V.grad(diff), axis=1)

@@ -19,12 +19,12 @@ from functools import partial
 from itertools import permutations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import bounds
 from .classical import (
     diagonal_ensemble,
     dobrushin_per_sample,
+    field_block_rows,
     point_moments,
     run_coupled_trajectory,
     sample_gaussian_cloud,
@@ -63,6 +63,7 @@ from .quantum.phase_space import _check_center_inside
 from .transport import (
     SUPPORT_CAP,
     DiscreteMeasure,
+    _cost_matrix,
     assignment_cost,
     dual_potentials,
     kantorovich_gap,
@@ -330,6 +331,16 @@ MAX_STEP_WORK = 10**5
 #: sum N terms, 8.4e6 at the defaults.
 MAX_PAIR_WORK = 10**12
 
+#: Most LP-seed work an ot-selftest config may plan.  Each cloud's
+#: `dual_potentials` seeds its LP from eigendecompositions of k x k
+#: covariances, k its `dims` entry, each of about k^3 flops: the config plans
+#: the sum of k^3 over its n_clouds clouds.  Two clouds at k = 1024 (2.1e9)
+#: took 0.78 s and at k = 2048 (1.7e10) 4.4 s on a 2-core x86 VM with one
+#: BLAS thread, so the bound stops near half a minute; the defaults plan
+#: 1800, and k = 11585, which the default memory cap allows, plans 7.8e13
+#: at the default 50 clouds, hours of work.
+MAX_EIGH_WORK = 10**11
+
 
 def time_schedule(times, dt: float) -> list:
     """(t, n_steps) for each sample time t: n_steps = round((t - t_prev)/dt)
@@ -535,7 +546,7 @@ def validate_config(raw: dict) -> list:
     bad = {key for key in spec if found[key]}
     bad.update(k for k, fine in (("potential", V is not None), ("seed", seed_ok)) if not fine)
     cap = None
-    if "grid_points" in spec or "dims" in spec:  # the keys that size an array against the cap
+    if {"grid_points", "dims", "cloud_size"} & spec.keys():  # keys that size an array
         try:
             cap = memory_cap_bytes()
         except ValueError as err:
@@ -791,8 +802,20 @@ def _check_ot_selftest(params: dict, ok, V, cap, seed) -> list:
     # 2 * 8 * k^2 bytes, and an eigh of each; it evaluates no bound
     if not ok("dims"):
         return []
-    k = max(_as_list(params["dims"]))
-    return _over_cap(f"the LP seed's pair of {k} x {k} covariances", k, 2, cap, key="dims")
+    dims = _as_list(params["dims"])
+    k = max(dims)
+    diags = _over_cap(f"the LP seed's pair of {k} x {k} covariances", k, 2, cap, key="dims")
+    if not ok("n_clouds"):
+        return diags
+    n_clouds = params["n_clouds"]
+    work = sum(dims[i % len(dims)] ** 3 for i in range(n_clouds))  # cloud i runs dims[i % len]
+    if work > MAX_EIGH_WORK:
+        diags.append(
+            f"dims: {_compact(params['dims'])} over {n_clouds} clouds plans sum k^3 = {work} for "
+            f"the LP seeds' covariance eigendecompositions, more work than the bound of "
+            f"{MAX_EIGH_WORK}"
+        )
+    return diags
 
 
 def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -811,7 +834,7 @@ def run_ot_selftest(cfg: ExperimentConfig, jobs: int = 1) -> list:
         dist, plan = wasserstein_exact(mu, nu)
         # plan.cost_value and the oracle evaluate the same dot product, so
         # the comparison is exact; dist**2 would reintroduce root roundoff
-        C = cdist(mu.points, nu.points, "sqeuclidean")
+        C = _cost_matrix(mu, nu)
         err = abs(plan.cost_value - _brute_assignment_cost(C))
         a, b = dual_potentials(mu, nu)
         gap = kantorovich_gap(mu, nu, plan, a, b)
@@ -1100,9 +1123,18 @@ def run_classical_dobrushin(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 def _check_vlasov_moments(params: dict, ok, V, cap, seed) -> list:
     diags, steps = _schedule_steps(params, ok)
-    if steps is not None and ok("potential", "cloud_size"):
-        size = params["cloud_size"]
-        diags += _exact_field_work("cloud_size", size, V.dim, size, steps)
+    if ok("potential", "cloud_size"):
+        size, d = params["cloud_size"], V.dim
+        if steps is not None:
+            diags += _exact_field_work("cloud_size", size, d, size, steps)
+        # the cloud's positions and momenta, and one block of the exact
+        # mean field's pair differences, weighed before either is drawn
+        cloud, block = 16 * size * d, 8 * field_block_rows(size, d) * size * d
+        if cap is not None and cloud + block > cap:
+            return diags + [
+                f"cloud_size: {size} points in d = {d} need {cloud} bytes of positions and "
+                f"momenta and {block} for one exact mean-field block, over the memory cap {cap}"
+            ]
     if not ok("potential", "seed", "p", "times", "cloud_size"):
         return diags
     p, t = params["p"], _sample_times(params)[-1]

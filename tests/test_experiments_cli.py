@@ -138,10 +138,36 @@ def test_validate_quantum_memory_estimate(monkeypatch):
     ]
 
 
+def test_vlasov_moments_cloud_is_weighed_before_it_is_drawn(monkeypatch):
+    # 64 points in d = 2^20 - 1 hold 1 GiB of positions and momenta, and one
+    # exact mean-field block, a single query row against every point, holds
+    # 512 MiB; under a 16 MiB cap validation reports them and draws nothing
+    def no_draw(*args):
+        raise AssertionError("validation drew the cloud")
+
+    monkeypatch.setattr(experiments, "sample_gaussian_cloud", no_draw)
+    monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", str(2**24))
+    raw = {
+        "experiment": "vlasov-moments",
+        "cloud_size": 64,
+        "times": [0.25],
+        "potential": {"family": "gaussian", "dim": 2**20 - 1},
+    }
+    assert validate_config(raw) == [
+        "cloud_size: 64 points in d = 1048575 need 1073740800 bytes of positions and momenta "
+        "and 536870400 for one exact mean-field block, over the memory cap 16777216"
+    ]
+    # the block counts pair coordinates: 2^15 of them in d = 2 is 128 rows
+    # against 128 points
+    assert classical.field_block_rows(128, 2) == 128
+    assert classical.field_block_rows(64, 2**20 - 1) == 1
+
+
 def test_bad_memory_cap_is_a_diagnostic(tmp_path, capsys, monkeypatch):
     for cap in ("abc", "-5", "0"):
         monkeypatch.setenv("MFLAB_MEMORY_CAP_BYTES", cap)
-        for experiment in ("quantum-dobrushin", "mk-bracket", "toeplitz-identities"):
+        runners = ("quantum-dobrushin", "mk-bracket", "toeplitz-identities", "vlasov-moments")
+        for experiment in runners:
             path = _write_cfg(tmp_path, {"experiment": experiment})
             assert main(["validate", path]) == 4, (cap, experiment)
             out = capsys.readouterr().out
@@ -532,6 +558,11 @@ BAD_KNOBS = {
         ("dims", ["x"]),
         ("dims", [10**20]),
         ("dims", [2, 11586], "dims: the LP seed's pair of 11586 x 11586 covariances needs 16*11586^2"),
+        (
+            ("dims", "n_clouds"),
+            ([4096], 2),
+            "dims: [4096] over 2 clouds plans sum k^3 = 137438953472 for the LP seeds'",
+        ),
         ("p", 2.0, "p: not a parameter of ot-selftest"),
         ("seed", True, "seed: must be a nonnegative integer"),
         ("out", 5, "out: must be a string or null"),
@@ -561,6 +592,11 @@ BAD_KNOBS = {
         ("cloud_size", 2.0),
         ("p", "x"),
         (("dt", "times"), (1e-9, [0.25]), "dt: 1e-09 plans 250000000 steps, more work"),
+        (
+            ("cloud_size", "potential"),
+            (128, {"family": "gaussian", "dim": 2**20}),
+            "cloud_size: 128 points in d = 1048576 need 2147483648 bytes of positions and momenta",
+        ),
     ],
     "mk-bracket": [
         ("box", "x"),
@@ -1997,15 +2033,31 @@ def test_import_loads_no_heavy_scipy_subpackages():
     # the convolutions use scipy.fft and combineq its own normal law, so the
     # package and its command line start without these subpackages: each
     # would add 20-510 ms to every run's start, so a function that needs
-    # one (say scipy.integrate.solve_ivp) imports it in its own body
-    heavy = [["scipy", sub] for sub in ("stats", "signal", "integrate", "interpolate", "ndimage")]
+    # one (say scipy.integrate.solve_ivp) imports it in its own body.
+    # transport.py loads the four compiled kernels it calls from
+    # scipy.optimize and scipy.spatial without their packages' __init__,
+    # which import scipy.linalg and together add about 17 MiB and 0.13 s, so
+    # of those three subpackages only the kernels and their own submodules
+    # may load.  scipy.fft (the split-step and convolution FFTs) and
+    # scipy.special (erfc) stay public imports, and scipy.sparse stays
+    # because the k-d tree extension imports it
+    subs = ("stats", "signal", "integrate", "interpolate", "ndimage", "optimize", "spatial", "linalg")
+    heavy = [["scipy", sub] for sub in subs]
+    kernels = (
+        "scipy.optimize._lsap",
+        "scipy.optimize._highspy._core",
+        "scipy.spatial._ckdtree",
+        "scipy.spatial._distance_pybind",
+    )
     code = (
-        "import sys, mflab, mflab.cli, mflab.experiments; "
-        f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {heavy!r}))"
+        "import json, sys, mflab, mflab.cli, mflab.experiments; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in {heavy!r})))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = json.loads(proc.stdout)
+    assert set(kernels) <= set(loaded)
+    assert [m for m in loaded if not m.startswith(kernels)] == []
 
 
 def test_every_exported_name_resolves():

@@ -1,7 +1,9 @@
 """Optimal transport: exact solver vs independent oracles, duals."""
 import inspect
 import itertools
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -854,6 +856,68 @@ def test_assignment_cost_checks_its_inputs():
         assignment_cost(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="measures live on different-dimensional spaces"):
         wasserstein_exact(DiscreteMeasure.equal_weights(x), DiscreteMeasure.equal_weights(y[:, :1]))
+
+
+def test_loaded_kernels_are_scipys_own():
+    # transport.py loads its four compiled kernels without the __init__ of
+    # scipy.optimize or scipy.spatial; a later import of either reuses the
+    # very objects, its front end still works, and the sqeuclidean kernel
+    # gives cdist's bits on any memory layout and on integer points
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from mflab import transport
+        assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+        import scipy.optimize, scipy.spatial
+        from scipy.optimize._highspy import _core
+        from scipy.spatial import _distance_pybind
+        from scipy.spatial.distance import cdist
+
+        assert transport.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+        for name in ("_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus"):
+            assert getattr(transport, name) is getattr(_core, name), name
+        assert transport.cKDTree is scipy.spatial.cKDTree
+        assert transport.cdist_sqeuclidean is _distance_pybind.cdist_sqeuclidean
+
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((40, 3)), rng.standard_normal((30, 3))
+        wide = rng.standard_normal((90, 7))
+        cases = {
+            "C order": (x, y),
+            "Fortran order": (np.asfortranarray(x), np.asfortranarray(y)),
+            "strided": (wide[::2, 1:4], wide[1::3, 2:5]),
+            "integer": (rng.integers(-50, 50, (40, 3)), rng.integers(-50, 50, (30, 3))),
+        }
+        for name, (a, b) in cases.items():
+            mu, nu = (transport.DiscreteMeasure.equal_weights(z) for z in (a, b))
+            assert a.dtype.kind == "i" or mu.points is a, name  # the layout reaches the kernel
+            C = transport._cost_matrix(mu, nu)
+            assert np.array_equal(C, cdist(a, b, "sqeuclidean")), name
+            assert np.array_equal(C, cdist(mu.points, nu.points, "sqeuclidean")), name
+
+        res = scipy.optimize.linprog(
+            [1.0, 2.0, 2.0, 1.0],
+            A_eq=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]],
+            b_eq=[0.5, 0.5, 0.5],
+            bounds=(0, None),
+            method="highs-ds",
+        )
+        assert res.status == 0 and res.fun == 1.0 and res.x.tolist() == [0.5, 0.0, 0.0, 0.5], res
+        print("ok")
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_a_missing_scipy_kernel_names_itself_and_the_scipy_version():
+    import scipy
+
+    said = rf"scipy\.optimize\._no_such_kernel not found in scipy {scipy.__version__}"
+    with pytest.raises(ImportError, match=said):
+        transport._scipy_extension("scipy.optimize", "_no_such_kernel")
 
 
 def test_1d_sorted_quantile_oracle():
