@@ -5,13 +5,28 @@ V * |psi|^2 (`quantum.dynamics._density_potential`), the gridded Vlasov force
 field (`classical._grid_field_1d`) and the tabulated F*rho of the consistency
 estimator (`bounds._tabulated_convolution`).  All three build their table
 with `kernel_table`, the only caller of `offset_convolution`; the last two
-read it back through `table_lookup`.  The module takes `scipy.fft` only, so
-importing the package does not pull in `scipy.signal`.
+read it back through `table_lookup`.  The transforms are numpy's, which
+run the same pocketfft code as `scipy.fft` and give its bits, so importing
+the package loads neither `scipy.signal` nor `scipy.fft`.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth number (2^a 3^b 5^c) >= n >= 1:
+    `scipy.fft.next_fast_len(n, True)`, the length fftconvolve pads to."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def offset_convolution(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -25,8 +40,8 @@ def offset_convolution(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     n = len(values)
     size = len(values) + len(kernel) - 1
-    fast = sfft.next_fast_len(size, True)
-    full = sfft.irfft(sfft.rfft(values, fast) * sfft.rfft(kernel, fast), fast)
+    fast = _next_fast_len(size)
+    full = np.fft.irfft(np.fft.rfft(values, fast) * np.fft.rfft(kernel, fast), fast)
     return full[n - 1 : 2 * n - 1].copy()
 
 

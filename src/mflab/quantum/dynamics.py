@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..convolution import kernel_table
 from ..potentials import Potential
@@ -42,10 +41,14 @@ def _check_kinetic_resolution(grid: GridSpec, dt: float) -> None:
 def _apply_kinetic(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     kappa = grid.wavenumbers()
     phase = np.exp(-0.5j * dt * grid.epsilon * kappa**2)
-    out = sfft.fftn(values, overwrite_x=True)
-    for ax in range(grid.n_axes):
-        _multiply_on_axes(out, phase, (ax,))
-    return sfft.ifftn(out, overwrite_x=True)
+    axes = range(grid.n_axes)
+    for ax in axes:
+        np.fft.fft(values, axis=ax, out=values)
+    for ax in axes:
+        _multiply_on_axes(values, phase, (ax,))
+    for ax in axes:
+        np.fft.ifft(values, axis=ax, out=values)
+    return values
 
 
 def _strang_step(psi: WaveFunction, dt: float, first, second) -> WaveFunction:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..potentials import PAIR_BLOCK
 from ..transport import SUPPORT_CAP, DiscreteMeasure, wasserstein_exact
@@ -46,7 +45,7 @@ def factor_moments(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         if grid.n_axes != 1:
             raise ValueError("factor_moments needs a DensityMatrix on a one-axis grid")
-        tilde = sfft.ifft(sfft.fft(state.matrix, axis=0), axis=1)
+        tilde = np.fft.ifft(np.fft.fft(state.matrix, axis=0), axis=1)
         marginals = np.real([[state.matrix.diagonal(), tilde.diagonal()]]).clip(0.0, None)
     else:
         values = state.values
@@ -57,7 +56,7 @@ def factor_moments(state) -> np.ndarray:
             sections = min(values.shape[b], values.size // PAIR_BLOCK) if rest else 1
             for slab in np.array_split(values, max(1, sections), axis=b):
                 marginals[a, 0] += np.sum(np.abs(slab) ** 2, axis=rest)
-                marginals[a, 1] += np.sum(np.abs(sfft.fft(slab, axis=a)) ** 2, axis=rest)
+                marginals[a, 1] += np.sum(np.abs(np.fft.fft(slab, axis=a)) ** 2, axis=rest)
     return np.array(
         [[c @ m / m.sum() for m, u in zip(row, coords) for c in (u, u**2)] for row in marginals]
     )

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from ..transport import DiscreteMeasure
 from .grids import DensityMatrix, GridSpec, WaveFunction, check_matrix_bytes
@@ -61,9 +60,9 @@ def _check_center_inside(grid: GridSpec, q, p) -> None:
     # per axis on Python floats, which overflow to inf silently where numpy
     # would print a warning; erfc is 0 at +inf and 2 at -inf
     # position tail beyond the box edge (X ~ N(q, eps/2))
-    pos_tail = sum(float(erfc((L - abs(a)) / root)) for a in np.ravel(q).tolist())
+    pos_tail = sum(math.erfc((L - abs(a)) / root) for a in np.ravel(q).tolist())
     # wavenumber tail beyond the Nyquist edge (K ~ N(p/eps, 1/(2 eps)))
-    mom_tail = sum(float(erfc((k_max - abs(b) / eps) * root)) for b in np.ravel(p).tolist())
+    mom_tail = sum(math.erfc((k_max - abs(b) / eps) * root) for b in np.ravel(p).tolist())
     if pos_tail > BOUNDARY_TAIL_TOL or mom_tail > BOUNDARY_TAIL_TOL:
         raise ValueError(
             f"coherent center q={q}, p={p} too near the grid boundary "

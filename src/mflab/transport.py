@@ -11,14 +11,14 @@ square root of the plan cost.
 
 The LP route never builds the m x n cost matrix: its first candidates are
 only the nearest partners of each atom's image under the affine map that
-matches the two measures' means and covariances, found by k-d tree queries,
-and their costs are computed pair by pair, equal to the dense entries to the
-bit.  Should those pairs not carry the marginals (HiGHS reports the
-restricted LP infeasible), the north-west corner staircase of the index
-order, which always does, joins them once as a feasibility repair.  Only
-the pricing and the dual check in kantorovich_gap scan every pair, in row
-blocks of at most PAIR_BLOCK pairs.  Only the assignment route works on
-the dense matrix.
+matches the two measures' means and covariances, and their costs are
+computed pair by pair, equal to the dense entries to the bit.  Should those
+pairs not carry the marginals (HiGHS reports the restricted LP infeasible),
+the north-west corner staircase of the index order, which always does,
+joins them once as a feasibility repair.  The partner search, the pricing
+and the dual check in kantorovich_gap scan every pair, in row blocks of at
+most PAIR_BLOCK pairs.  Only the assignment route works on the dense
+matrix.
 
 The assignment route is one array-level kernel, assignment_cost, on two
 (n, k) point arrays; wasserstein_exact's equal-weight branch calls it, and
@@ -51,18 +51,19 @@ marginal equalities.  It holds the GIL while it solves (scipy 1.17.1), so
 the HiGHS solves of LPs queued on threads run one at a time; the assignment
 solver releases it, so assignment solves queued on threads run in parallel.
 
-The module calls four compiled scipy kernels and no Python front end:
-linear_sum_assignment (scipy.optimize._lsap), the HiGHS binding, cKDTree
-(scipy.spatial._ckdtree) and cdist_sqeuclidean (scipy.spatial._distance_pybind),
-the kernel cdist(x, y, "sqeuclidean") calls, which computes each entry as a
-squared distance.  `_scipy_extension` loads each one from its package's
-directory without running the package's __init__, so importing this module
-loads neither scipy.optimize's front end (minimize, shgo, ...) nor
-scipy.spatial's (Delaunay, Rotation, ...) nor the scipy.linalg both import:
-with numpy and scipy, importing the command line holds about 64 MiB, not
-81 MiB, and takes a median 0.36 s, not 0.48 s (2-core x86 VM).  A later
-import of either package reuses the loaded modules, so its names are these
-very objects.
+The module calls three compiled scipy kernels and no Python front end:
+linear_sum_assignment (scipy.optimize._lsap), the HiGHS binding and
+cdist_sqeuclidean (scipy.spatial._distance_pybind), the kernel
+cdist(x, y, "sqeuclidean") calls, which computes each entry as a squared
+distance.  `_scipy_extension` loads each one from its package's directory
+without running the package's __init__, so importing this module loads
+neither scipy.optimize's front end (minimize, shgo, ...) nor scipy.spatial's
+(Delaunay, Rotation, ...) nor the scipy.linalg both import.  The nearest
+partners come from that squared-distance kernel too, not from scipy's k-d
+tree, whose extension imports scipy.sparse and scipy's array-API layer
+(array_api_compat, numpy.f2py, numpy.testing, ...).  A later import of
+either package reuses the loaded modules, so its names are these very
+objects.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ def _scipy_extension(package: str, name: str):
     return module
 
 
-#: The four compiled scipy kernels this module calls, without the Python
+#: The three compiled scipy kernels this module calls, without the Python
 #: front ends of scipy.optimize and scipy.spatial (see the module docstring).
 linear_sum_assignment = _scipy_extension("scipy.optimize", "_lsap").linear_sum_assignment
 _highspy = _scipy_extension("scipy.optimize", "_highspy._core")
@@ -129,7 +130,6 @@ MatrixFormat = _highspy.MatrixFormat
 _Highs = _highspy._Highs
 kHighsInf = _highspy.kHighsInf
 simplex_constants = _highspy.simplex_constants
-cKDTree = _scipy_extension("scipy.spatial", "_ckdtree").cKDTree
 cdist_sqeuclidean = _scipy_extension("scipy.spatial", "_distance_pybind").cdist_sqeuclidean
 
 
@@ -291,26 +291,45 @@ def _candidate_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Flat indices i*n + j of the pairs the first restricted LP may use.
 
     Each atom keeps its CANDIDATES_PER_ATOM nearest atoms on the other side
-    in the distances |T(x_i) - y_j| of `_moment_image`, found by k-d tree
-    queries in both directions, and nothing else: these pairs need not carry
+    in the distances |T(x_i) - y_j| of `_moment_image`, found by `_nearest`
+    in both directions, and nothing else: these pairs need not carry
     the marginals, and when they do not, `_solve_transport_lp` adds
     `_staircase_edges`.  T only picks the candidates: pricing checks every
     pair against the true cost, so the optimum does not depend on it.
-    Memory is O((m + n) * CANDIDATES_PER_ATOM); no m x n array.
+    Memory is O((m + n) * CANDIDATES_PER_ATOM) plus one PAIR_BLOCK block;
+    no m x n array.
     """
     m, n = mu.size, nu.size
-    k = CANDIDATES_PER_ATOM
     tx = _moment_image(mu, nu)
-    _, in_row = cKDTree(nu.points).query(tx, k=min(k, n))
-    _, in_col = cKDTree(tx).query(nu.points, k=min(k, m))
-    # a query for one neighbour returns a vector, not an (atoms, 1) array
+    in_row = _nearest(tx, nu.points, CANDIDATES_PER_ATOM)
+    in_col = _nearest(nu.points, tx, CANDIDATES_PER_ATOM)
     near = np.concatenate(
         [
-            (np.arange(m)[:, None] * n + in_row.reshape(m, -1)).ravel(),
-            (in_col.reshape(n, -1) * n + np.arange(n)[:, None]).ravel(),
+            (np.arange(m)[:, None] * n + in_row).ravel(),
+            (in_col * n + np.arange(n)[:, None]).ravel(),
         ]
     )
     return np.unique(near)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """(len(a), min(k, len(b))) indices of the points of `b` nearest to each
+    row of `a`, nearest first, in squared distances from `cdist_sqeuclidean`
+    on row blocks of at most PAIR_BLOCK pairs (one row if a row is longer).
+    Each of the k rounds takes every row's argmin, which breaks a tie to the
+    lower index, and writes inf over it; argpartition is about 2x slower at
+    these k."""
+    k = min(k, len(b))
+    out = np.empty((len(a), k), dtype=np.intp)
+    step = max(1, PAIR_BLOCK // len(b))
+    for start in range(0, len(a), step):
+        D = cdist_sqeuclidean(a[start : start + step], b)
+        rows = np.arange(len(D))
+        for c in range(k):
+            pick = D.argmin(axis=1)
+            out[start : start + step, c] = pick
+            D[rows, pick] = np.inf
+    return out
 
 
 def _staircase_edges(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -96,17 +97,69 @@ def _check(raw) -> None:
     assert isinstance(diags, list) and all(isinstance(d, str) for d in diags), raw
 
 
-@pytest.mark.parametrize("experiment", sorted(PARAMS))
-def test_validate_config_takes_each_value_of_each_key_alone(experiment):
-    # each key of the experiment and of each potential family set alone to
-    # each of its values: a single hostile knob is the commonest bad config
+def _single_key_configs(experiment: str):
+    """Configs of `experiment` that set one key, of the experiment or of one
+    potential family, to one of its default, hostile and boundary values."""
     for key, (default, _, what) in PARAMS[experiment].items():
         for value in [default, *HOSTILE, *boundary_values(what)]:
-            _check({"experiment": experiment, key: value})
+            yield {"experiment": experiment, key: value}
     for family, spec in POTENTIALS.items():
         for key, (default, _, what) in spec.items():
             for value in [default, *HOSTILE, *boundary_values(what)]:
-                _check({"experiment": experiment, "potential": {"family": family, key: value}})
+                yield {"experiment": experiment, "potential": {"family": family, key: value}}
+
+
+@pytest.mark.parametrize("experiment", sorted(PARAMS))
+def test_validate_config_takes_each_value_of_each_key_alone(experiment):
+    # a single hostile knob is the commonest bad config
+    for raw in _single_key_configs(experiment):
+        _check(raw)
+
+
+def test_centre_check_decides_as_with_scipys_erfc(monkeypatch):
+    # the coherent-centre check sums math.erfc tails.  On every argument the
+    # single-key configs send it, scipy.special.erfc differs from it in the
+    # last bits more often than not, but by at most 1e-13 relative, and the
+    # check's verdict and the tail mass it prints are the same with either
+    from scipy.special import erfc
+
+    from mflab import experiments
+    from mflab.quantum import phase_space
+
+    args = []
+
+    def scipys_erfc(x):
+        args.append(x)
+        return float(erfc(x))
+
+    scipys = types.SimpleNamespace(sqrt=math.sqrt, pi=math.pi, erfc=scipys_erfc)
+    check = phase_space._check_center_inside
+    verdicts = []
+
+    def outcome(grid, q, p):
+        try:
+            check(grid, q, p)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    def both(grid, q, p):
+        got = outcome(grid, q, p)
+        with monkeypatch.context() as m:
+            m.setattr(phase_space, "math", scipys)
+            want = outcome(grid, q, p)
+        assert got == want, (grid, q, p)
+        verdicts.append(got is None)
+        if got is not None:
+            raise ValueError(got)
+
+    monkeypatch.setattr(experiments, "_check_center_inside", both)
+    for experiment in ("mk-bracket", "quantum-dobrushin", "toeplitz-identities"):
+        for raw in _single_key_configs(experiment):
+            validate_config(raw)
+    assert len(verdicts) > 1000 and True in verdicts and False in verdicts
+    for x in args:
+        assert math.isclose(math.erfc(x), float(erfc(x)), rel_tol=1e-13), x
 
 
 @pytest.mark.parametrize("experiment", sorted(PARAMS))

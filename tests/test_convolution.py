@@ -2,9 +2,10 @@
 kernel table and lookup built on it against direct sums."""
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from mflab.convolution import kernel_table, offset_convolution, table_lookup
+from mflab.convolution import _next_fast_len, kernel_table, offset_convolution, table_lookup
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 100, 257, 4097, 32769])
@@ -16,6 +17,13 @@ def test_offset_convolution_is_fftconvolve_bit_for_bit(n):
     out = offset_convolution(values, kernel)
     assert out.shape == (n,)
     assert np.array_equal(out, fftconvolve(values, kernel)[n - 1 : 2 * n - 1])
+
+
+def test_next_fast_len_is_scipys_real_transform_length():
+    # fftconvolve pads to scipy's next_fast_len(size, True); the same length
+    # is what makes offset_convolution its bits
+    sizes = range(1, 200_000)
+    assert [_next_fast_len(n) for n in sizes] == [next_fast_len(n, True) for n in sizes]
 
 
 def test_offset_convolution_matches_the_direct_sum():

@@ -2030,28 +2030,31 @@ def test_cli_no_arguments_is_usage_error():
 
 
 def test_import_loads_no_heavy_scipy_subpackages():
-    # the convolutions use scipy.fft and combineq its own normal law, so the
-    # package and its command line start without these subpackages: each
-    # would add 20-510 ms to every run's start, so a function that needs
-    # one (say scipy.integrate.solve_ivp) imports it in its own body.
-    # transport.py loads the four compiled kernels it calls from
-    # scipy.optimize and scipy.spatial without their packages' __init__,
-    # which import scipy.linalg and together add about 17 MiB and 0.13 s, so
-    # of those three subpackages only the kernels and their own submodules
-    # may load.  scipy.fft (the split-step and convolution FFTs) and
-    # scipy.special (erfc) stay public imports, and scipy.sparse stays
-    # because the k-d tree extension imports it
-    subs = ("stats", "signal", "integrate", "interpolate", "ndimage", "optimize", "spatial", "linalg")
+    # the convolutions and the split-step use numpy's FFT, the centre check
+    # math.erfc and combineq its own normal law, so the package and its
+    # command line start without these subpackages: each would add 20-510 ms
+    # to every run's start, so a function that needs one (say
+    # scipy.integrate.solve_ivp) imports it in its own body.  transport.py
+    # loads the three compiled kernels it calls from scipy.optimize and
+    # scipy.spatial without their packages' __init__, which import
+    # scipy.linalg, so of those subpackages only the kernels and their own
+    # submodules may load.  scipy.fft, scipy.special and the k-d tree each
+    # pull in scipy's array-API layer (array_api_compat, numpy.f2py,
+    # numpy.testing, ...), and the k-d tree scipy.sparse too
+    subs = (
+        "stats", "signal", "integrate", "interpolate", "ndimage", "optimize", "spatial", "linalg",
+        "fft", "special", "sparse",
+    )
     heavy = [["scipy", sub] for sub in subs]
     kernels = (
         "scipy.optimize._lsap",
         "scipy.optimize._highspy._core",
-        "scipy.spatial._ckdtree",
         "scipy.spatial._distance_pybind",
     )
     code = (
         "import json, sys, mflab, mflab.cli, mflab.experiments; "
-        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in {heavy!r})))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in {heavy!r} "
+        "or m.startswith('scipy._lib._array_api'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

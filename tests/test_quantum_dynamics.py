@@ -8,6 +8,7 @@ import doubled_oracle as oracle
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import fft as sfft
 
 from mflab import experiments
 from mflab.experiments import build_config, run_experiment
@@ -87,6 +88,26 @@ def _richardson_slope(errors, dts):
     A = np.vstack([np.log(dts), np.ones(len(dts))]).T
     slope, _ = np.linalg.lstsq(A, np.log(errors), rcond=None)[0]
     return slope
+
+
+@pytest.mark.parametrize("n_axes, points", [(1, 64), (2, 64), (3, 128), (4, 32)])
+def test_kinetic_step_is_scipys_fftn_bit_for_bit(n_axes, points):
+    # numpy's FFT along each axis in turn, in place, gives scipy.fft.fftn's
+    # and ifftn's bits on the power-of-two grids the package allows
+    grid = GridSpec(1, n_axes, points, 4.0, 0.25)
+    rng = np.random.default_rng(n_axes)
+    values = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
+    dt = 0.01
+    phase = np.exp(-0.5j * dt * grid.epsilon * grid.wavenumbers() ** 2)
+    want = sfft.fftn(values)
+    for ax in range(n_axes):
+        shape = [1] * n_axes
+        shape[ax] = points
+        want *= phase.reshape(shape)
+    want = sfft.ifftn(want)
+    got = dynamics._apply_kinetic(values.copy(), grid, dt)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_split_step_linear_matches_expm_to_third_order():

@@ -8,6 +8,7 @@ costs |q_x - q_y|^2 + |p_x - p_y|^2 + 2*(dN)*eps -- the squared center
 displacement plus one Heisenberg floor per coupled axis pair.
 """
 import tracemalloc
+import types
 from dataclasses import replace
 
 import doubled_oracle as oracle
@@ -159,6 +160,23 @@ def test_slab_moments_match_the_fftn_route(monkeypatch, block):
     table = factor_moments(y)
     assert table.shape == (2, 4)
     np.testing.assert_allclose(table, _fftn_moments(y), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(lambda: coherent_state(BASE, 0.4, -0.3), id="one-axis wave function"),
+        pytest.param(lambda: _interacting_y(2), id="two-axis wave function"),
+        pytest.param(lambda: state_density_matrix(coherent_state(BASE, 0.4, -0.3)), id="density matrix"),
+    ],
+)
+def test_factor_moments_are_scipys_fft_bit_for_bit(monkeypatch, state):
+    # numpy's FFT gives scipy.fft's bits on every transform the table takes
+    state = state()
+    table = factor_moments(state)
+    scipys = types.SimpleNamespace(fft=sfft.fft, ifft=sfft.ifft, fftfreq=np.fft.fftfreq)
+    monkeypatch.setattr(np, "fft", scipys)
+    assert np.array_equal(table, factor_moments(state))
 
 
 def test_factor_moments_of_a_multi_axis_density_matrix_is_refused():

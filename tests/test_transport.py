@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from mflab import transport
@@ -429,7 +430,7 @@ def _moment_map_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def _assert_candidates_are_nearest_partners(mu, nu, image) -> None:
-    # k-d tree queries pick the same partners as partial sorts of the dense
+    # the blocked scan picks the same partners as partial sorts of the dense
     # squared distances |T(x_i) - y_j|^2 (continuous data: no ties)
     S = _cost_matrix(DiscreteMeasure(image, mu.weights), nu)
     near = _smallest_per_line(S, CANDIDATES_PER_ATOM, np.arange(mu.size), np.arange(nu.size))
@@ -440,6 +441,51 @@ def test_candidate_edges_match_dense_nearest_partners():
     for seed, (m, n) in enumerate([(40, 50), (3, 25), (25, 3), (70, 70)]):
         mu, nu = _unequal_clouds(seed, m, n, 2)
         _assert_candidates_are_nearest_partners(mu, nu, _moment_map_oracle(mu, nu)(mu.points))
+
+
+def _k_d_tree_candidates(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """The flat candidate indices of scipy's k-d tree queries of the
+    CANDIDATES_PER_ATOM nearest partners, in both directions."""
+    m, n = mu.size, nu.size
+    tx = transport._moment_image(mu, nu)
+    _, in_row = cKDTree(nu.points).query(tx, k=min(CANDIDATES_PER_ATOM, n))
+    _, in_col = cKDTree(tx).query(nu.points, k=min(CANDIDATES_PER_ATOM, m))
+    # a query for one neighbour returns a vector, not an (atoms, 1) array
+    rows = np.arange(m)[:, None] * n + in_row.reshape(m, -1)
+    cols = in_col.reshape(n, -1) * n + np.arange(n)[:, None]
+    return np.unique(np.concatenate([rows.ravel(), cols.ravel()]))
+
+
+# blocks of one row, of at most 100 pairs, and the package's own (several
+# blocks at 300 x 200)
+@pytest.mark.parametrize("pair_block", [1, 100, None])
+def test_candidate_edges_match_a_k_d_tree_oracle(monkeypatch, pair_block):
+    # continuous clouds have no distance ties, so the blocked argmin scan
+    # picks the partners the k-d tree does, with fewer atoms on a side than
+    # CANDIDATES_PER_ATOM too
+    if pair_block is not None:
+        monkeypatch.setattr(transport, "PAIR_BLOCK", pair_block)
+    for seed, (m, n) in enumerate([(40, 50), (3, 25), (25, 3), (1, 9), (9, 1), (300, 200)]):
+        mu, nu = _unequal_clouds(seed, m, n, 2)
+        np.testing.assert_array_equal(_candidate_edges(mu, nu), _k_d_tree_candidates(mu, nu))
+    rng = np.random.default_rng(23)
+    mu = DiscreteMeasure(rng.normal(size=(60, 5)), rng.dirichlet(np.ones(60)))
+    nu = DiscreteMeasure(rng.standard_t(4, size=(45, 5)), rng.dirichlet(np.ones(45)))
+    np.testing.assert_array_equal(_candidate_edges(mu, nu), _k_d_tree_candidates(mu, nu))
+
+
+def test_candidate_ties_on_a_husimi_lattice_keep_the_dense_cost():
+    # two coherent states a lattice shift apart: the moment image lands on
+    # the target lattice, so partners tie at the CANDIDATES_PER_ATOM-th
+    # distance in both directions, and which of them the scan keeps must not
+    # change the optimum
+    grid = GridSpec(1, 1, 64, 6.0, 0.25)
+    mu, nu = husimi_lattices(coherent_state(grid, 0.0, 0.0), coherent_state(grid, 0.5, 0.0))
+    S = _cost_matrix(DiscreteMeasure(transport._moment_image(mu, nu), mu.weights), nu)
+    k = CANDIDATES_PER_ATOM
+    by_row, by_col = np.sort(S, axis=1), np.sort(S, axis=0)
+    assert np.any(by_row[:, k - 1] == by_row[:, k]) and np.any(by_col[k - 1] == by_col[k])
+    _assert_matches_dense_oracle(mu, nu)
 
 
 def test_moment_map_carries_mean_and_covariance():
@@ -859,7 +905,7 @@ def test_assignment_cost_checks_its_inputs():
 
 
 def test_loaded_kernels_are_scipys_own():
-    # transport.py loads its four compiled kernels without the __init__ of
+    # transport.py loads its three compiled kernels without the __init__ of
     # scipy.optimize or scipy.spatial; a later import of either reuses the
     # very objects, its front end still works, and the sqeuclidean kernel
     # gives cdist's bits on any memory layout and on integer points
@@ -877,7 +923,6 @@ def test_loaded_kernels_are_scipys_own():
         assert transport.linear_sum_assignment is scipy.optimize.linear_sum_assignment
         for name in ("_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus"):
             assert getattr(transport, name) is getattr(_core, name), name
-        assert transport.cKDTree is scipy.spatial.cKDTree
         assert transport.cdist_sqeuclidean is _distance_pybind.cdist_sqeuclidean
 
         rng = np.random.default_rng(5)
